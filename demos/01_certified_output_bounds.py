@@ -10,7 +10,7 @@ import numpy as np
 
 from hdgbounds import (Workspace, builtin, compute_bounds, make_continuous,
                        postprocess_potential, reconstruct_flux, raw_output,
-                       solve_adjoint, solve_primal, unit_square_crisscross)
+                       solve, unit_square_crisscross)
 from hdgbounds.reconstruct import flux_residuals, local_optimize
 
 prob = builtin("example1_s1")
@@ -24,18 +24,18 @@ print(f"{'nel':>6} {'s_h (raw HDG)':>16} {'certified interval':>34} "
 for level in range(4):
     mesh = unit_square_crisscross(level)
 
-    # 1. HDG solves of the primal and adjoint problems
-    sol_u = solve_primal(mesh, prob.data, p=p)
-    sol_z = solve_adjoint(mesh, prob.out, p=p)
+    # 1. HDG solves of the primal and adjoint problems: one workspace of
+    #    evaluation tables per mesh, one skeleton factorization for both
+    ws = Workspace(mesh, p)
+    adata = prob.out.adjoint_data()
+    sol_u, sol_z = solve(ws, [prob.data, adata])
 
     # 2. element-by-element certificates: an equilibrated flux in RT^p and
     #    a continuous superconvergent potential, for both problems
-    ws = Workspace.get(mesh, p)
-    adata = prob.out.adjoint_data()
     pairs = []
     for sol, dat in ((sol_u, prob.data), (sol_z, adata)):
         flux = reconstruct_flux(sol, dat)
-        pot = make_continuous(postprocess_potential(sol, flux), mesh, dat.g_D, ws)
+        pot = make_continuous(postprocess_potential(sol, flux), dat.g_D, ws)
         flux, pot = local_optimize(flux, pot, dat, ws)
         pairs.append((flux, pot))
 
@@ -44,7 +44,7 @@ for level in range(4):
     assert max(res.values()) < 1e-10
 
     # 3. guaranteed interval
-    b = compute_bounds(pairs[0], pairs[1], prob.data, prob.out, mesh,
+    b = compute_bounds(pairs[0], pairs[1], prob.data, prob.out, ws,
                        s_h=raw_output(sol_u, prob.out))
     assert b.contains(s_exact)
     print(f"{mesh.n_elements:>6} {b.s_h:>16.12f} "

@@ -10,7 +10,7 @@ analytic per-element correction.
 
 import numpy as np
 
-from hdgbounds import Workspace, builtin, unit_square_crisscross
+from hdgbounds import builtin, unit_square_crisscross
 from hdgbounds.adapt import run_pipeline
 from hdgbounds.reconstruct import (enforce_dirichlet_band, make_continuous,
                                    postprocess_potential, reconstruct_flux)
@@ -24,10 +24,10 @@ adata = prob.out.adjoint_data()
 print("band corrections shrink rapidly with the polynomial degree:")
 for p in (1, 2, 3):
     sol = solve_adjoint(mesh, prob.out, p=p)
-    ws = Workspace.get(mesh, p)
+    ws = sol.ws
     flux = reconstruct_flux(sol, adata)
-    pot = make_continuous(postprocess_potential(sol, flux), mesh, adata.g_D, ws)
-    pot = enforce_dirichlet_band(pot, mesh, adata.g_D, prob.out.band, ws)
+    pot = make_continuous(postprocess_potential(sol, flux), adata.g_D, ws)
+    pot = enforce_dirichlet_band(pot, adata.g_D, prob.out.band, ws)
     c = pot.correction
     pts = ws.qphys[c.elems]
     corr = c.values_at(pts) - np.einsum("ek,qk->eq", c.nodal, ws.lag_vals)

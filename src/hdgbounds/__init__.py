@@ -11,7 +11,7 @@ from .femcore import (QuadratureRule, RTSpace, ScalarPoly, VectorPoly,
                       energy_norm, project_edge, project_element,
                       segment_rule, triangle_rule)
 from .hdg import (DirichletBand, HDGSolution, OutputFunctional, ProblemData,
-                  raw_output, solve_adjoint, solve_primal, zero)
+                  raw_output, solve, solve_adjoint, solve_primal, zero)
 from .mesh import (Mesh, ElementGeometry, check_conformity, lshape_initial,
                    read_mesh, refine_bisection, refine_red,
                    unit_square_crisscross, write_mesh)

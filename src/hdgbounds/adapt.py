@@ -108,21 +108,21 @@ def run_pipeline(mesh: Mesh, data: hdg.ProblemData, out: hdg.OutputFunctional,
                  p: int, tau=1.0, optimize: bool = False,
                  quad_degree: int | None = None, check: bool = True,
                  mode: str = "projected") -> bd.BoundsResult:
-    """Solve primal and adjoint, reconstruct both pairs (band extensions
-    applied when the data carry one), optionally run the local optimization,
-    audit the certificates, and compute the bounds."""
-    sol_u = hdg.solve_primal(mesh, data, p, tau, quad_degree)
-    sol_z = hdg.solve_adjoint(mesh, out, p, tau, quad_degree)
+    """Solve primal and adjoint on one workspace with one skeleton
+    factorization, reconstruct both pairs (band extensions applied when the
+    data carry one), optionally run the local optimization, audit the
+    certificates, and compute the bounds."""
+    ws = Workspace(mesh, p, quad_degree)
     adata = out.adjoint_data()
-    ws = Workspace.get(mesh, p, quad_degree)
+    sol_u, sol_z = hdg.solve(ws, [data, adata], tau)
 
     pairs = []
     for sol, dat in ((sol_u, data), (sol_z, adata)):
         flux = rc.reconstruct_flux(sol, dat)
         pot = rc.make_continuous(rc.postprocess_potential(sol, flux),
-                                 mesh, dat.g_D, ws)
+                                 dat.g_D, ws)
         if dat.band is not None:
-            pot = rc.enforce_dirichlet_band(pot, mesh, dat.g_D, dat.band, ws)
+            pot = rc.enforce_dirichlet_band(pot, dat.g_D, dat.band, ws)
         if optimize:
             flux, pot = rc.local_optimize(flux, pot, dat, ws)
         pairs.append((flux, pot))
@@ -137,8 +137,8 @@ def run_pipeline(mesh: Mesh, data: hdg.ProblemData, out: hdg.OutputFunctional,
                     f"reconstruction certificate violated: {fres} {pres}")
 
     s_h = hdg.raw_output(sol_u, out)
-    return bd.compute_bounds(pairs[0], pairs[1], data, out, mesh,
-                             mode=mode, quad_degree=quad_degree, s_h=s_h)
+    return bd.compute_bounds(pairs[0], pairs[1], data, out, ws,
+                             mode=mode, s_h=s_h)
 
 
 # ---------------------------------------------------------------------------

@@ -91,15 +91,16 @@ class BoundsResult:
     def contains(self, s: float, slack: float = 0.0) -> bool:
         return self.s_minus - slack <= s <= self.s_plus + slack
 
-    def csv_row(self, mesh: Mesh, p: int, exact_s: Optional[float] = None) -> str:
-        n_edge = mesh.n_facets * (p + 1)
-        cells = [str(mesh.n_elements), str(n_edge)]
+    def csv_row(self, nel: int, n_edge_dofs: int,
+                exact_s: Optional[float] = None) -> str:
+        """One CSV_HEADER row; err_s_tilde is empty without an exact output."""
+        cells = [str(nel), str(n_edge_dofs)]
         cells += [format(v, ".12e") for v in
                   (self.s_minus, self.s_plus, self.s_tilde, self.half_gap,
                    self.kappa)]
         cells.append(format(self.s_h, ".12e") if self.s_h is not None else "")
-        if exact_s is not None:
-            cells.append(format(abs(exact_s - self.s_tilde), ".6e"))
+        cells.append(format(abs(exact_s - self.s_tilde), ".6e")
+                     if exact_s is not None else "")
         return ",".join(cells)
 
 
@@ -141,12 +142,11 @@ def _energy_sq(ws: Workspace, vals: np.ndarray) -> np.ndarray:
     return ws.integrate_elementwise(np.sum(vals * vals, axis=2)) / ws.nu
 
 
-def compute_kappa(primal_pair, adjoint_pair, mesh: Mesh,
-                  quad_degree: int | None = None) -> tuple[float, bool]:
+def compute_kappa(primal_pair, adjoint_pair,
+                  ws: Workspace) -> tuple[float, bool]:
     """kappa = ||zeta~ + nu grad xi~|| / ||q~ + nu grad u~|| (global energy
     norms).  A numerically exact primal reconstruction gives kappa = 1 with
     the degenerate flag set."""
-    ws = Workspace.get(mesh, primal_pair[0].p, quad_degree)
     a2 = _energy_sq(ws, _residual_field(primal_pair, ws)).sum()
     b2 = _energy_sq(ws, _residual_field(adjoint_pair, ws)).sum()
     scale = np.sqrt(_energy_sq(ws, primal_pair[0].eval_values(ws)).sum()) + 1.0
@@ -198,9 +198,8 @@ def _neumann_osc(ws: Workspace, pairs, kappa: float, mode: str,
 
 
 def compute_eta(primal_pair, adjoint_pair, data: ProblemData,
-                out: OutputFunctional, kappa: float,
-                mode: str = "projected",
-                quad_degree: int | None = None) -> EtaBreakdown:
+                out: OutputFunctional, ws: Workspace, kappa: float,
+                mode: str = "projected") -> EtaBreakdown:
     """Per-element contributions eta_K^-/+ for the given kappa.
 
     mode="projected" uses the data projections (the working estimator);
@@ -209,16 +208,12 @@ def compute_eta(primal_pair, adjoint_pair, data: ProblemData,
     """
     if mode not in ("projected", "zero-order"):
         raise ValueError(f"unknown eta mode {mode!r}")
-    flux_p, pot_p = primal_pair
-    mesh = flux_p.mesh
-    ws = Workspace.get(mesh, flux_p.p, quad_degree)
-
     a = _residual_field(primal_pair, ws)
     b = _residual_field(adjoint_pair, ws)
     flux_minus = np.sqrt(_energy_sq(ws, b - kappa * a))
     flux_plus = np.sqrt(_energy_sq(ws, b + kappa * a))
 
-    c1, _ = poincare_constants(mesh)
+    c1, _ = poincare_constants(ws.mesh)
     fvals = ws.eval_data(data.f)
     fovals = ws.eval_data(out.f_O)
     if mode == "projected":
@@ -287,9 +282,8 @@ def _primal_oscillation_negligible(data: ProblemData, ws: Workspace) -> bool:
 
 
 def compute_bounds(primal_pair, adjoint_pair, data: ProblemData,
-                   out: OutputFunctional, mesh: Mesh,
+                   out: OutputFunctional, ws: Workspace,
                    kappa: float | None = None, mode: str = "projected",
-                   quad_degree: int | None = None,
                    s_h: float | None = None) -> BoundsResult:
     """Guaranteed bounds s_minus <= s <= s_plus for the output functional.
 
@@ -298,22 +292,19 @@ def compute_bounds(primal_pair, adjoint_pair, data: ProblemData,
     oscillation vanishes), the interval collapses to the reconstruction
     output and the kappa_degenerate flag is set.
     """
-    ws = Workspace.get(mesh, primal_pair[0].p, quad_degree)
     degenerate = False
     if kappa is None:
-        kappa, degenerate = compute_kappa(primal_pair, adjoint_pair, mesh,
-                                          quad_degree)
+        kappa, degenerate = compute_kappa(primal_pair, adjoint_pair, ws)
     if not kappa > 0:
         raise ValueError("kappa must be positive")
 
     s_core = _core_functional(primal_pair, adjoint_pair, data, out, ws)
     if degenerate and _primal_oscillation_negligible(data, ws):
         return BoundsResult(s_minus=s_core, s_plus=s_core, kappa=kappa,
-                            gap_elements=np.zeros(mesh.n_elements),
+                            gap_elements=np.zeros(ws.mesh.n_elements),
                             kappa_degenerate=True, s_h=s_h)
 
-    eta = compute_eta(primal_pair, adjoint_pair, data, out, kappa, mode,
-                      quad_degree)
+    eta = compute_eta(primal_pair, adjoint_pair, data, out, ws, kappa, mode)
     em2 = eta.minus ** 2
     ep2 = eta.plus ** 2
     s_minus = s_core - em2.sum() / (4.0 * kappa)
@@ -356,8 +347,7 @@ def _audit_polynomial_data(data: ProblemData, out: OutputFunctional,
 
 
 def exact_equilibration_bounds(primal_pair, adjoint_pair, data: ProblemData,
-                    out: OutputFunctional, mesh: Mesh,
-                    quad_degree: int | None = None,
+                    out: OutputFunctional, ws: Workspace,
                     s_h: float | None = None) -> BoundsResult:
     """Bounds from exactly equilibrated reconstructions:
 
@@ -368,7 +358,7 @@ def exact_equilibration_bounds(primal_pair, adjoint_pair, data: ProblemData,
     data (the guarantee would be lost)."""
     flux_p, pot_u = primal_pair
     flux_a, pot_x = adjoint_pair
-    ws = Workspace.get(mesh, flux_p.p, quad_degree)
+    mesh = ws.mesh
     _audit_polynomial_data(data, out, ws)
 
     # l_O(u~, q~)

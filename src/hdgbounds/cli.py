@@ -21,6 +21,7 @@ from typing import Optional
 import numpy as np
 
 from . import adapt
+from .bounds import CSV_HEADER
 from .hdg import OutputFunctional, ProblemData, zero
 from .mesh import read_mesh, write_mesh
 from .problems import PROBLEM_IDS, builtin
@@ -140,11 +141,11 @@ def _load_problem(cfg: RunConfig):
     nu = {int(k): float(v) for k, v in (cfg.nu or {}).items()} or None
     mesh = read_mesh(cfg.mesh_file, nu=nu)
     ex = cfg.expressions
-    def get(name):
+    def expr(name):
         return compile_expression(ex[name]) if name in ex else zero
-    data = ProblemData(f=get("f"), g_D=get("g_D"), g_N=get("g_N"))
-    out = OutputFunctional(f_O=get("f_O"), g_D_O=get("g_D_O"),
-                           g_N_O=get("g_N_O"))
+    data = ProblemData(f=expr("f"), g_D=expr("g_D"), g_N=expr("g_N"))
+    out = OutputFunctional(f_O=expr("f_O"), g_D_O=expr("g_D_O"),
+                           g_N_O=expr("g_N_O"))
     return mesh, data, out, cfg.exact_s, cfg.refiner or "bisect", None
 
 
@@ -152,27 +153,16 @@ def _load_problem(cfg: RunConfig):
 # Report writers
 # ---------------------------------------------------------------------------
 
-_CSV_HEADER = ("nel,n_edge_dofs,s_minus,s_plus,s_tilde,half_gap,kappa,s_h,"
-               "err_s_tilde,marked,strategy")
-
-
 def _write_outputs(cfg: RunConfig, run: adapt.AdaptiveRun, exact_s,
                    containment_ok) -> None:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     strategy = cfg.strategy
     with open(out / "convergence.csv", "w") as fh:
-        fh.write(_CSV_HEADER + "\n")
+        fh.write(CSV_HEADER + ",marked,strategy\n")
         for rec in run.records:
-            b = rec.bounds
-            cells = [str(rec.nel), str(rec.n_edge_dofs)]
-            cells += [format(v, ".12e") for v in
-                      (b.s_minus, b.s_plus, b.s_tilde, b.half_gap, b.kappa)]
-            cells.append(format(b.s_h, ".12e") if b.s_h is not None else "")
-            cells.append(format(abs(exact_s - b.s_tilde), ".6e")
-                         if exact_s is not None else "")
-            cells += [str(rec.marked), strategy]
-            fh.write(",".join(cells) + "\n")
+            row = rec.bounds.csv_row(rec.nel, rec.n_edge_dofs, exact_s)
+            fh.write(f"{row},{rec.marked},{strategy}\n")
 
     with open(out / "report.txt", "w") as fh:
         cols = ["nel", "n_edge", "s_minus", "s_plus", "s_tilde", "half_gap",

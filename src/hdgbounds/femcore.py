@@ -376,28 +376,17 @@ class RTSpace:
 # Energy norm
 # ---------------------------------------------------------------------------
 
-def energy_norm(v, mesh, quad_degree: int | None = None,
-                per_element: bool = False):
-    """Energy norm ||v|| = sqrt(sum_K (nu^-1 v, v)_K).
-
-    v is either a callable (x, y) -> (..., 2) array of vector values, or an
-    object exposing eval_values(workspace) like the reconstruction fields.
+def energy_norm(v, mesh, per_element: bool = False):
+    """Energy norm ||v|| = sqrt(sum_K (nu^-1 v, v)_K) of a callable
+    (x, y) -> (..., 2) array of vector values, by a degree-8 rule per element.
     """
-    from . import workspace as _ws
-
-    if callable(v):
-        degree = quad_degree if quad_degree is not None else 8
-        rule = triangle_rule(degree)
-        nu = mesh.element_nu()
-        acc = np.zeros(mesh.n_elements)
-        for k in range(mesh.n_elements):
-            v0, jac, det = _element_map(mesh, k)
-            pts = v0 + rule.points @ jac.T
-            vals = np.asarray(v(pts[:, 0], pts[:, 1]), dtype=float)
-            vals = np.broadcast_to(vals, (len(pts), 2))
-            acc[k] = det * np.sum(rule.weights * np.sum(vals * vals, axis=1)) / nu[k]
-        return np.sqrt(acc) if per_element else float(np.sqrt(acc.sum()))
-    ws = _ws.Workspace.get(mesh, v.degree - 1, quad_degree)
-    vals = v.eval_values(ws)
-    acc = ws.integrate_elementwise(np.sum(vals * vals, axis=2)) / mesh.element_nu()
+    rule = triangle_rule(8)
+    nu = mesh.element_nu()
+    acc = np.zeros(mesh.n_elements)
+    for k in range(mesh.n_elements):
+        v0, jac, det = _element_map(mesh, k)
+        pts = v0 + rule.points @ jac.T
+        vals = np.asarray(v(pts[:, 0], pts[:, 1]), dtype=float)
+        vals = np.broadcast_to(vals, (len(pts), 2))
+        acc[k] = det * np.sum(rule.weights * np.sum(vals * vals, axis=1)) / nu[k]
     return np.sqrt(acc) if per_element else float(np.sqrt(acc.sum()))

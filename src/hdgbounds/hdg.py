@@ -13,7 +13,7 @@ on Neumann facets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -28,9 +28,11 @@ __all__ = [
     "OutputFunctional",
     "DirichletBand",
     "HDGSolution",
+    "solve",
     "solve_primal",
     "solve_adjoint",
     "raw_output",
+    "CondensedSystem",
     "assemble_condensed",
     "local_residuals",
     "zero",
@@ -88,25 +90,27 @@ class OutputFunctional:
 
 @dataclass
 class HDGSolution:
-    """Element-local (u_h, q_h) plus skeleton traces.
+    """Element-local (u_h, q_h) plus skeleton traces on the workspace's mesh.
 
     u: (ne, n_p) and q: (ne, 2, n_p) mapped-orthonormal modal coefficients;
     uhat, qhat_n: (nf, p+1) coefficients in the canonical facet basis, with
     qhat_n taken along the stored (canonical) facet normal.
     """
 
-    mesh: Mesh
-    p: int
+    ws: Workspace
     tau: np.ndarray
     u: np.ndarray
     q: np.ndarray
     uhat: np.ndarray
     qhat_n: np.ndarray
-    quad_degree: int
-    f_moments: np.ndarray = field(repr=False, default=None)
 
-    def workspace(self) -> Workspace:
-        return Workspace.get(self.mesh, self.p, self.quad_degree)
+    @property
+    def mesh(self) -> Mesh:
+        return self.ws.mesh
+
+    @property
+    def p(self) -> int:
+        return self.ws.p
 
 
 def _tau_array(mesh: Mesh, tau) -> np.ndarray:
@@ -158,90 +162,102 @@ def _local_operators(ws: Workspace, tau: np.ndarray):
     return M, P, R
 
 
-def assemble_condensed(mesh: Mesh, data: ProblemData, p: int, tau,
-                       quad_degree: int | None = None):
-    """Assemble the condensed skeleton system.
+@dataclass
+class CondensedSystem:
+    """The statically condensed skeleton system for k right-hand sides, with
+    what back-substitution needs.
 
-    Returns (A, rhs, aux) where A acts on the free facet dofs (interior and
-    Neumann facets) and aux carries what back-substitution needs.
+    A is the symmetric positive definite operator on the free facet dofs
+    (interior and Neumann facets) and rhs (n_free, k) its right-hand sides;
+    uhat (k, nf*(p+1)) holds the Dirichlet trace moments at the fixed dofs.
+    The local solution is X = XP uhat_e + Xb[:, :, j] per element.
     """
-    ws = Workspace.get(mesh, p, quad_degree)
+
+    A: sp.csc_matrix
+    rhs: np.ndarray
+    uhat: np.ndarray
+    free_dofs: np.ndarray
+    tau: np.ndarray
+    XP: np.ndarray
+    Xb: np.ndarray
+    R: np.ndarray
+
+
+def assemble_condensed(ws: Workspace, datas, tau) -> CondensedSystem:
+    """Local solves for the traces and for every source in ``datas``, and the
+    condensed skeleton system: one matrix, one right-hand side per datum."""
+    mesh, p = ws.mesh, ws.p
     tau = _tau_array(mesh, tau)
     F1 = p + 1
     ne, nf = mesh.n_elements, mesh.n_facets
 
     M, P, R = _local_operators(ws, tau)
-    fvals = ws.eval_data(data.f)
-    fmom = ws.moments_p(fvals)                               # (ne, np_)
-    b = np.zeros((ne, 3 * ws.np_))
-    b[:, 2 * ws.np_:] = fmom
+    b = np.zeros((ne, 3 * ws.np_, len(datas)))
+    for j, data in enumerate(datas):
+        b[:, 2 * ws.np_:, j] = ws.moments_p(ws.eval_data(data.f))
 
     try:
-        X = np.linalg.solve(M, np.concatenate([P, b[:, :, None]], axis=2))
+        X = np.linalg.solve(M, np.concatenate([P, b], axis=2))
     except np.linalg.LinAlgError:
         bad = [k for k in range(ne)
                if abs(np.linalg.det(M[k])) < 1e-300]
         raise RuntimeError(
             f"singular local solver matrix on element(s) {bad[:5]} "
             "(degenerate geometry?)")
-    XP, Xb = X[:, :, :-1], X[:, :, -1]
+    XP, Xb = X[:, :, :3 * F1], X[:, :, 3 * F1:]
 
     H = R @ XP                                               # (ne, 3F1, 3F1)
     diag = np.arange(3 * F1)
     H[:, diag, diag] -= np.repeat(tau, 3 * F1).reshape(ne, 3 * F1)
-    rloc = -np.einsum("efl,el->ef", R, Xb)                   # (ne, 3F1)
 
     gdof = (ws.ef[:, :, None] * F1 + np.arange(F1)[None, None, :]).reshape(ne, 3 * F1)
     rows = np.repeat(gdof, 3 * F1, axis=1).ravel()
     cols = np.tile(gdof, (1, 3 * F1)).ravel()
     A_full = sp.coo_matrix((H.ravel(), (rows, cols)),
                            shape=(nf * F1, nf * F1)).tocsr()
-    rhs_full = np.zeros(nf * F1)
-    np.add.at(rhs_full, gdof.ravel(), rloc.ravel())
 
-    # boundary data
     dir_facets = np.nonzero(mesh.facet_tag == DIRICHLET)[0]
     neu_facets = np.nonzero(mesh.facet_tag == NEUMANN)[0]
-    uhat_dir = ws.facet_data_moments(data.g_D, dir_facets, p)
-    if len(neu_facets):
-        gn_mom = ws.facet_data_moments(data.g_N, neu_facets, p)
-        for k, f in enumerate(neu_facets):
-            rhs_full[f * F1:(f + 1) * F1] += gn_mom[k]
-
     free = np.ones(nf, dtype=bool)
     free[dir_facets] = False
     free_dofs = (np.nonzero(free)[0][:, None] * F1 + np.arange(F1)[None, :]).ravel()
     fixed_dofs = (dir_facets[:, None] * F1 + np.arange(F1)[None, :]).ravel()
-    uhat_full = np.zeros(nf * F1)
-    uhat_full[fixed_dofs] = uhat_dir.ravel()
+    A_free = A_full[free_dofs]
+    A_fixed = A_free[:, fixed_dofs]
 
-    # flip sign so the condensed operator is symmetric positive definite
-    A = -A_full[free_dofs][:, free_dofs]
-    rhs = -(rhs_full[free_dofs] - A_full[free_dofs][:, fixed_dofs] @ uhat_dir.ravel())
-    aux = dict(ws=ws, tau=tau, XP=XP, Xb=Xb, R=R, gdof=gdof,
-               uhat_full=uhat_full, free_dofs=free_dofs, fmom=fmom,
-               neu_facets=neu_facets, data=data)
-    return A, rhs, aux
+    # flip signs so the condensed operator is symmetric positive definite
+    A = (-A_free[:, free_dofs]).tocsc()
+    rhs = np.empty((len(free_dofs), len(datas)))
+    uhat = np.zeros((len(datas), nf * F1))
+    for j, data in enumerate(datas):
+        rloc = -np.einsum("efl,el->ef", R, Xb[:, :, j])       # (ne, 3F1)
+        rhs_full = np.zeros(nf * F1)
+        np.add.at(rhs_full, gdof.ravel(), rloc.ravel())
+        if len(neu_facets):
+            rhs_full.reshape(nf, F1)[neu_facets] += ws.facet_data_moments(
+                data.g_N, neu_facets, p)
+        uhat_dir = ws.facet_data_moments(data.g_D, dir_facets, p).ravel()
+        uhat[j, fixed_dofs] = uhat_dir
+        rhs[:, j] = -(rhs_full[free_dofs] - A_fixed @ uhat_dir)
+    return CondensedSystem(A=A, rhs=rhs, uhat=uhat, free_dofs=free_dofs,
+                           tau=tau, XP=XP, Xb=Xb, R=R)
 
 
-def _back_substitute(A, rhs, aux) -> HDGSolution:
-    ws: Workspace = aux["ws"]
+def _back_substitute(ws: Workspace, cs: CondensedSystem, j: int,
+                     data: ProblemData) -> HDGSolution:
     mesh, p = ws.mesh, ws.p
     F1 = p + 1
-    uhat_full = aux["uhat_full"]
-    if A.shape[0]:
-        lu = spla.splu(A.tocsc())
-        uhat_full[aux["free_dofs"]] = lu.solve(rhs)
+    uhat_full = cs.uhat[j]
     uhat_e = uhat_full.reshape(mesh.n_facets, F1)[ws.ef].reshape(mesh.n_elements, 3 * F1)
 
-    X = np.einsum("elf,ef->el", aux["XP"], uhat_e) + aux["Xb"]
+    X = np.einsum("elf,ef->el", cs.XP, uhat_e) + cs.Xb[:, :, j]
     np_ = ws.np_
     q = X[:, :2 * np_].reshape(mesh.n_elements, 2, np_)
     u = X[:, 2 * np_:]
 
     # single-valued numerical flux in the canonical normal direction
-    flux_mom = np.einsum("efl,el->ef", aux["R"], X)          # <qhat.n_K, M_m> per side
-    flux_mom -= aux["tau"][:, None] * uhat_e
+    flux_mom = np.einsum("efl,el->ef", cs.R, X)              # <qhat.n_K, M_m> per side
+    flux_mom -= cs.tau[:, None] * uhat_e
     flux_mom = flux_mom.reshape(mesh.n_elements, 3, F1) * ws.esign[:, :, None]
     qhat = np.zeros((mesh.n_facets, F1))
     cnt = np.zeros(mesh.n_facets)
@@ -249,38 +265,45 @@ def _back_substitute(A, rhs, aux) -> HDGSolution:
         np.add.at(qhat, ws.ef[:, ell], flux_mom[:, ell])
         np.add.at(cnt, ws.ef[:, ell], 1.0)
     qhat /= cnt[:, None]
-    neu = aux["neu_facets"]
+    neu = np.nonzero(mesh.facet_tag == NEUMANN)[0]
     if len(neu):
         # exact projected Neumann trace (canonical normal is outward there)
-        qhat[neu] = ws.facet_data_moments(aux["data"].g_N, neu, p)
+        qhat[neu] = ws.facet_data_moments(data.g_N, neu, p)
 
-    return HDGSolution(mesh=mesh, p=p, tau=aux["tau"], u=u, q=q,
-                       uhat=uhat_full.reshape(mesh.n_facets, F1), qhat_n=qhat,
-                       quad_degree=ws.quad_degree, f_moments=aux["fmom"])
+    return HDGSolution(ws=ws, tau=cs.tau, u=u, q=q,
+                       uhat=uhat_full.reshape(mesh.n_facets, F1), qhat_n=qhat)
+
+
+def solve(ws: Workspace, datas, tau=1.0) -> list[HDGSolution]:
+    """HDG solutions on the workspace's mesh, one per ProblemData in
+    ``datas``.  The data share the local solves, the condensed skeleton
+    matrix and its sparse factorization."""
+    cs = assemble_condensed(ws, datas, tau)
+    if cs.A.shape[0]:
+        try:
+            lu = spla.splu(cs.A)
+        except RuntimeError as exc:  # singular factorization
+            raise RuntimeError(f"skeleton solve failed: {exc}") from exc
+        cs.uhat[:, cs.free_dofs] = lu.solve(cs.rhs).T
+    return [_back_substitute(ws, cs, j, data) for j, data in enumerate(datas)]
 
 
 def solve_primal(mesh: Mesh, data: ProblemData, p: int, tau=1.0,
                  quad_degree: int | None = None) -> HDGSolution:
     """Solve the HDG primal problem; see module docstring for the traces."""
-    if p < 0:
-        raise ValueError("polynomial degree must be non-negative")
-    A, rhs, aux = assemble_condensed(mesh, data, p, tau, quad_degree)
-    try:
-        return _back_substitute(A, rhs, aux)
-    except RuntimeError as exc:  # singular factorization
-        raise RuntimeError(f"skeleton solve failed: {exc}") from exc
+    return solve(Workspace(mesh, p, quad_degree), [data], tau)[0]
 
 
 def solve_adjoint(mesh: Mesh, out: OutputFunctional, p: int, tau=1.0,
                   quad_degree: int | None = None) -> HDGSolution:
     """HDG approximation of the adjoint problem (data f_O, g_D_O, -g_N_O)."""
-    return solve_primal(mesh, out.adjoint_data(), p, tau, quad_degree)
+    return solve(Workspace(mesh, p, quad_degree), [out.adjoint_data()], tau)[0]
 
 
 def raw_output(sol: HDGSolution, out: OutputFunctional) -> float:
     """s_h = (f_O, u_h) + <g_D_O, qhat.n>_GD + <g_N_O, u_h>_GN, with the
     numerical trace supplying the boundary flux."""
-    ws = sol.workspace()
+    ws = sol.ws
     mesh = sol.mesh
     fo = ws.eval_data(out.f_O)
     val = float(np.sum(ws.integrate_elementwise(fo * ws.eval_modal(sol.u))))
@@ -311,7 +334,7 @@ def local_residuals(sol: HDGSolution, data: ProblemData) -> tuple[float, float]:
     Returns (flux-equation, balance-equation) max residuals, both relative;
     used by tests to assert the elementwise consistency of the solver.
     """
-    ws = sol.workspace()
+    ws = sol.ws
     tau = sol.tau
     M, P, R = _local_operators(ws, tau)
     fmom = ws.moments_p(ws.eval_data(data.f))
@@ -328,7 +351,7 @@ def local_residuals(sol: HDGSolution, data: ProblemData) -> tuple[float, float]:
 
 def conservation_residual(sol: HDGSolution, data: ProblemData) -> float:
     """max_K |<qhat.n, 1>_dK - (f, 1)_K| (local conservation audit)."""
-    ws = sol.workspace()
+    ws = sol.ws
     # <qhat.n_K, 1>_e = esign * sqrt(L) * c_0 in the orthonormal facet basis,
     # and (f, 1)_K = (f, phi_0)_K * sqrt(det) / sqrt(2) for the constant mode
     c0 = sol.qhat_n[ws.ef, 0]

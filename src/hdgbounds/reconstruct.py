@@ -180,7 +180,7 @@ def reconstruct_flux(sol: HDGSolution, data: ProblemData) -> EquilibratedFlux:
     facet moments match qhat.n against P^p(e) on every facet, interior
     moments match q_h against [P^{p-1}(K)]^2 when p >= 1.
     """
-    ws = sol.workspace()
+    ws = sol.ws
     mesh, p = sol.mesh, sol.p
     ne, np_, F1 = mesh.n_elements, ws.np_, p + 1
     n_int = 2 * fc.n_modes(p - 1) if p >= 1 else 0
@@ -245,7 +245,7 @@ def postprocess_potential(sol: HDGSolution, flux: EquilibratedFlux) -> np.ndarra
     """Element P^{p+1} potential: (grad u*, grad w)_K matches the flux data
     -(nu^-1 q~, grad w)_K, mean value pinned to u_h.  Returns mapped-modal
     coefficients (ne, n_modes(p+1))."""
-    ws = sol.workspace()
+    ws = sol.ws
     G = np.einsum("erc,esc->ers", ws.jac_inv, ws.jac_inv)
     K = np.einsum("ers,rsab->eab", G, ws.S2)
     rhs = -np.einsum("ecr,eca,rai->ei", ws.jac_inv_t, flux.coeffs, ws.Qm) \
@@ -260,8 +260,7 @@ def postprocess_potential(sol: HDGSolution, flux: EquilibratedFlux) -> np.ndarra
 # Continuous potential: averaging + Dirichlet enforcement
 # ---------------------------------------------------------------------------
 
-def make_continuous(ustar: np.ndarray, mesh: Mesh, g_D,
-                    ws: Workspace) -> ContinuousPotential:
+def make_continuous(ustar: np.ndarray, g_D, ws: Workspace) -> ContinuousPotential:
     """Average the element potentials at shared Lagrange nodes and set
     Dirichlet-boundary nodes to the datum (exact whenever the datum is a
     facetwise polynomial of degree <= p+1; otherwise follow up with
@@ -277,7 +276,7 @@ def make_continuous(ustar: np.ndarray, mesh: Mesh, g_D,
     dnodes = ws.dirichlet_nodes()
     values[dnodes] = np.asarray(g_D(coords[dnodes, 0], coords[dnodes, 1]),
                                 dtype=float)
-    return ContinuousPotential(mesh=mesh, degree=ws.m, values=values,
+    return ContinuousPotential(mesh=ws.mesh, degree=ws.m, values=values,
                                node_map=node_map)
 
 
@@ -302,8 +301,8 @@ def _find_band_line(mesh: Mesh, band: DirichletBand) -> float:
     raise ValueError("no admissible band line found; refine the mesh near the portion")
 
 
-def enforce_dirichlet_band(pot: ContinuousPotential, mesh: Mesh, g_D,
-                           band: DirichletBand, ws: Workspace) -> ContinuousPotential:
+def enforce_dirichlet_band(pot: ContinuousPotential, g_D, band: DirichletBand,
+                           ws: Workspace) -> ContinuousPotential:
     """Exact Dirichlet enforcement for a non-polynomial datum on a straight
     coordinate-aligned boundary portion.
 
@@ -312,7 +311,7 @@ def enforce_dirichlet_band(pot: ContinuousPotential, mesh: Mesh, g_D,
     error as an analytic per-element correction, so the trace on the portion
     is exact while global continuity is preserved.
     """
-    ax = band.axis
+    mesh, ax = ws.mesh, band.axis
     if ax not in (0, 1):
         raise ValueError("band portions must be coordinate-aligned (axis 0 or 1)")
     x_band = _find_band_line(mesh, band)
@@ -412,7 +411,7 @@ def potential_residuals(pot: ContinuousPotential, g_D, ws: Workspace) -> dict:
 # ---------------------------------------------------------------------------
 
 def local_optimize(flux: EquilibratedFlux, pot: ContinuousPotential,
-                   data: ProblemData, ws: Workspace | None = None
+                   data: ProblemData, ws: Workspace
                    ) -> tuple[EquilibratedFlux, ContinuousPotential]:
     """Per element, minimize ||q* + nu grad u*||_K over q* in [P^{p+1}]^2 and
     u* in P^{p+1} subject to: div q* = Pi_K^p f, q*.n = q~.n on dK, u* = u~
@@ -420,8 +419,6 @@ def local_optimize(flux: EquilibratedFlux, pot: ContinuousPotential,
     objective never increases; all flux certificates, the potential traces,
     and the element means are preserved.
     """
-    if ws is None:
-        ws = Workspace.get(flux.mesh, flux.p)
     mesh, p, nm, np_ = flux.mesh, flux.p, ws.nm, ws.np_
     F2 = p + 2
     ne = mesh.n_elements
@@ -523,12 +520,10 @@ def dump_fields(flux: EquilibratedFlux, pot: ContinuousPotential,
                 ws: Workspace, path) -> None:
     """Write the reconstructed fields at the volume quadrature points as CSV
     (element id, x, y, flux_x, flux_y, potential) for external plotting."""
-    fvals = flux.eval_values(ws)
-    pvals = pot.eval_values(ws)
-    with open(path, "w") as fh:
-        fh.write("element,x,y,flux_x,flux_y,potential\n")
-        for e in range(flux.mesh.n_elements):
-            for q in range(ws.nq):
-                x, y = ws.qphys[e, q]
-                fh.write(f"{e},{x:.12e},{y:.12e},{fvals[e, q, 0]:.12e},"
-                         f"{fvals[e, q, 1]:.12e},{pvals[e, q]:.12e}\n")
+    ne = flux.mesh.n_elements
+    cols = np.column_stack([np.repeat(np.arange(ne), ws.nq),
+                            ws.qphys.reshape(-1, 2),
+                            flux.eval_values(ws).reshape(-1, 2),
+                            pot.eval_values(ws).ravel()])
+    np.savetxt(path, cols, fmt=["%d"] + ["%.12e"] * 5, delimiter=",",
+               header="element,x,y,flux_x,flux_y,potential", comments="")

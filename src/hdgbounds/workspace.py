@@ -21,21 +21,16 @@ _REF_VERTS = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
 
 class Workspace:
-    _cache: dict = {}
+    """Evaluation tables of one mesh at degree p.
 
-    @classmethod
-    def get(cls, mesh: Mesh, p: int, quad_degree: int | None = None) -> "Workspace":
-        qd = int(quad_degree) if quad_degree is not None else 2 * p + 4
-        key = (id(mesh), p, qd)
-        ws = cls._cache.get(key)
-        if ws is None or ws.mesh is not mesh:
-            ws = cls(mesh, p, qd)
-            if len(cls._cache) > 12:
-                cls._cache.clear()
-            cls._cache[key] = ws
-        return ws
+    The caller builds one per mesh and hands it to every step that works on
+    that mesh; quad_degree defaults to 2p + 4.
+    """
 
-    def __init__(self, mesh: Mesh, p: int, quad_degree: int):
+    def __init__(self, mesh: Mesh, p: int, quad_degree: int | None = None):
+        if p < 0:
+            raise ValueError("polynomial degree must be non-negative")
+        quad_degree = int(quad_degree) if quad_degree is not None else 2 * p + 4
         self.mesh = mesh
         self.p = p
         self.m = p + 1                       # potential / reconstruction degree

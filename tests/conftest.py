@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from hdgbounds import (Workspace, make_continuous,
-                       postprocess_potential, reconstruct_flux, solve_adjoint,
-                       solve_primal)
+                       postprocess_potential, reconstruct_flux, solve)
 from hdgbounds.reconstruct import enforce_dirichlet_band, local_optimize
 
 
@@ -14,16 +13,15 @@ def rng():
 
 def build_pair(mesh, data, out, p, tau=1.0, optimize=False, quad_degree=None):
     """Solve primal+adjoint and build both reconstruction pairs."""
-    sol_u = solve_primal(mesh, data, p, tau, quad_degree)
-    sol_z = solve_adjoint(mesh, out, p, tau, quad_degree)
+    ws = Workspace(mesh, p, quad_degree)
     adata = out.adjoint_data()
-    ws = Workspace.get(mesh, p, quad_degree)
+    sol_u, sol_z = solve(ws, [data, adata], tau)
     pairs = []
     for sol, dat in ((sol_u, data), (sol_z, adata)):
         flux = reconstruct_flux(sol, dat)
-        pot = make_continuous(postprocess_potential(sol, flux), mesh, dat.g_D, ws)
+        pot = make_continuous(postprocess_potential(sol, flux), dat.g_D, ws)
         if dat.band is not None:
-            pot = enforce_dirichlet_band(pot, mesh, dat.g_D, dat.band, ws)
+            pot = enforce_dirichlet_band(pot, dat.g_D, dat.band, ws)
         if optimize:
             flux, pot = local_optimize(flux, pot, dat, ws)
         pairs.append((flux, pot))

@@ -143,3 +143,30 @@ class TestPipeline:
         # identical for these fluxes (div q~ = P f exactly)
         assert abs(r1.s_minus - r2.s_minus) < 1e-10
         assert abs(r1.s_plus - r2.s_plus) < 1e-10
+
+    def test_one_factorization_per_interval(self, monkeypatch):
+        from hdgbounds import hdg
+        calls = []
+        splu = hdg.spla.splu
+
+        def counting_splu(A, *args, **kwargs):
+            calls.append(A.shape)
+            return splu(A, *args, **kwargs)
+
+        monkeypatch.setattr(hdg.spla, "splu", counting_splu)
+        prob = builtin("example1_s1")
+        res = run_pipeline(prob.initial_mesh(), prob.data, prob.out, p=1)
+        assert res.contains(prob.exact_s)
+        assert len(calls) == 1
+
+    def test_mesh_released_after_pipeline(self):
+        import gc
+        import weakref
+        prob = builtin("example2_s1")
+        mesh = prob.initial_mesh()
+        ref = weakref.ref(mesh)
+        res = run_pipeline(mesh, prob.data, prob.out, p=1)
+        del mesh
+        gc.collect()
+        assert ref() is None
+        assert res.contains(prob.exact_s)

@@ -58,25 +58,25 @@ def synthetic_pair(mesh, ws, flux_const, pot_values=None):
 class TestKappa:
     def test_equal_residuals_give_one(self):
         mesh = unit_square_crisscross(0)
-        ws = Workspace.get(mesh, 1)
+        ws = Workspace(mesh, 1)
         pair = synthetic_pair(mesh, ws, (1.0, 0.0))
-        kappa, degenerate = compute_kappa(pair, pair, mesh)
+        kappa, degenerate = compute_kappa(pair, pair, ws)
         assert abs(kappa - 1.0) < 1e-13 and not degenerate
 
     def test_ratio_two(self):
         mesh = unit_square_crisscross(0)
-        ws = Workspace.get(mesh, 1)
+        ws = Workspace(mesh, 1)
         p1 = synthetic_pair(mesh, ws, (1.0, 0.0))
         p2 = synthetic_pair(mesh, ws, (0.0, 2.0))
-        kappa, degenerate = compute_kappa(p1, p2, mesh)
+        kappa, degenerate = compute_kappa(p1, p2, ws)
         assert abs(kappa - 2.0) < 1e-13 and not degenerate
 
     def test_degenerate_flag(self):
         mesh = unit_square_crisscross(0)
-        ws = Workspace.get(mesh, 1)
+        ws = Workspace(mesh, 1)
         p0 = synthetic_pair(mesh, ws, (0.0, 0.0))
         p2 = synthetic_pair(mesh, ws, (0.0, 2.0))
-        kappa, degenerate = compute_kappa(p0, p2, mesh)
+        kappa, degenerate = compute_kappa(p0, p2, ws)
         assert kappa == 1.0 and degenerate
 
 
@@ -86,7 +86,7 @@ class TestEta:
         data = ProblemData(f=ONE)
         out = OutputFunctional(f_O=ONE)
         _, _, pp, ap, ws = build_pair(mesh, data, out, p=1)
-        eta = compute_eta(pp, ap, data, out, kappa=1.0)
+        eta = compute_eta(pp, ap, data, out, ws, kappa=1.0)
         assert np.abs(eta.osc_div_minus).max() < 1e-13
         assert np.abs(eta.osc_div_plus).max() < 1e-13
         assert np.abs(eta.osc_neu_minus).max() == 0.0
@@ -97,7 +97,7 @@ class TestEta:
         data = ProblemData(f=zero, g_D=lambda x, y: x)
         out = OutputFunctional(g_D_O=lambda x, y: 2 * x - y)
         _, _, pp, ap, ws = build_pair(mesh, data, out, p=1)
-        eta = compute_eta(pp, ap, data, out, kappa=1.0)
+        eta = compute_eta(pp, ap, data, out, ws, kappa=1.0)
         assert np.abs(eta.minus).max() < 1e-9
         assert np.abs(eta.plus).max() < 1e-9
 
@@ -108,15 +108,15 @@ class TestEta:
         data = ProblemData(f=EX1_F)
         out = OutputFunctional(f_O=ONE)
         _, _, pp, ap, ws = build_pair(mesh, data, out, p=1)
-        kappa, _ = compute_kappa(pp, ap, mesh)
-        e1 = compute_eta(pp, ap, data, out, kappa, mode="projected")
-        e2 = compute_eta(pp, ap, data, out, kappa, mode="zero-order")
+        kappa, _ = compute_kappa(pp, ap, ws)
+        e1 = compute_eta(pp, ap, data, out, ws, kappa, mode="projected")
+        e2 = compute_eta(pp, ap, data, out, ws, kappa, mode="zero-order")
         assert np.abs(e1.minus - e2.minus).max() < 1e-10
         assert np.abs(e1.plus - e2.plus).max() < 1e-10
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
-            compute_eta(None, None, None, None, 1.0, mode="bogus")
+            compute_eta(None, None, None, None, None, 1.0, mode="bogus")
 
 
 class TestComputeBounds:
@@ -125,7 +125,7 @@ class TestComputeBounds:
         data = ProblemData(f=EX1_F)
         out = OutputFunctional(f_O=ONE)
         _, _, pp, ap, ws = build_pair(mesh, data, out, p=2, optimize=True)
-        r = compute_bounds(pp, ap, data, out, mesh)
+        r = compute_bounds(pp, ap, data, out, ws)
         assert abs(r.s_tilde - 0.405275669432) < 1e-6
         assert abs(r.half_gap - 1.26e-4) < 0.1 * 1.26e-4
         assert r.contains(4 / np.pi ** 2)
@@ -135,7 +135,7 @@ class TestComputeBounds:
         data = ProblemData(f=ONE)
         out = OutputFunctional(f_O=ONE)
         _, _, pp, ap, ws = build_pair(mesh, data, out, p=3, optimize=True)
-        r = compute_bounds(pp, ap, data, out, mesh)
+        r = compute_bounds(pp, ap, data, out, ws)
         assert abs(r.s_minus - 0.2120143) < 1e-5
         assert abs(r.s_plus - 0.2153474) < 1e-5
         assert r.contains(0.2140758036140825)
@@ -145,7 +145,7 @@ class TestComputeBounds:
         data = ProblemData(f=EX1_F)
         out = OutputFunctional(f_O=ONE)
         _, _, pp, ap, ws = build_pair(mesh, data, out, p=1)
-        r = compute_bounds(pp, ap, data, out, mesh)
+        r = compute_bounds(pp, ap, data, out, ws)
         gap = r.s_plus - r.s_minus
         assert abs(r.gap_elements.sum() - gap) < 1e-12 * gap
         assert r.s_minus <= r.s_tilde <= r.s_plus
@@ -158,7 +158,7 @@ class TestComputeBounds:
         data = ProblemData(f=zero, g_D=lambda x, y: x)
         out = OutputFunctional(g_D_O=lambda x, y: y)
         _, _, pp, ap, ws = build_pair(mesh, data, out, p=1)
-        r = compute_bounds(pp, ap, data, out, mesh)
+        r = compute_bounds(pp, ap, data, out, ws)
         assert r.kappa_degenerate
         assert r.half_gap == 0.0
         # s = <g_D_O, q.n> for u = x on the unit square: q = (-1, 0);
@@ -172,18 +172,21 @@ class TestComputeBounds:
         out = OutputFunctional(f_O=ONE)
         _, _, pp, ap, ws = build_pair(mesh, data, out, p=1)
         with pytest.raises(ValueError):
-            compute_bounds(pp, ap, data, out, mesh, kappa=-1.0)
+            compute_bounds(pp, ap, data, out, ws, kappa=-1.0)
 
     def test_csv_row_shape(self):
         mesh = unit_square_crisscross(0)
         data = ProblemData(f=EX1_F)
         out = OutputFunctional(f_O=ONE)
         _, _, pp, ap, ws = build_pair(mesh, data, out, p=1)
-        r = compute_bounds(pp, ap, data, out, mesh, s_h=0.5)
-        row = r.csv_row(mesh, 1, exact_s=4 / np.pi ** 2)
+        r = compute_bounds(pp, ap, data, out, ws, s_h=0.5)
+        n_edge_dofs = mesh.n_facets * 2
+        row = r.csv_row(mesh.n_elements, n_edge_dofs, exact_s=4 / np.pi ** 2)
         cells = row.split(",")
         assert cells[0] == "16" and cells[1] == "56"
-        assert len(cells) == 9
+        assert len(cells) == len(bd.CSV_HEADER.split(",")) == 9
+        cells = r.csv_row(mesh.n_elements, n_edge_dofs).split(",")
+        assert len(cells) == 9 and cells[-1] == ""
 
 
 class TestExactEquilibrationBounds:
@@ -195,8 +198,8 @@ class TestExactEquilibrationBounds:
         mesh = lshape_initial()
         for _ in range(2):
             _, _, pp, ap, ws = build_pair(mesh, data, out, p=2)
-            r1 = exact_equilibration_bounds(pp, ap, data, out, mesh)
-            r2 = compute_bounds(pp, ap, data, out, mesh)
+            r1 = exact_equilibration_bounds(pp, ap, data, out, ws)
+            r2 = compute_bounds(pp, ap, data, out, ws)
             scale = abs(r2.s_plus) + abs(r2.s_minus)
             assert abs(r1.s_minus - r2.s_minus) < 1e-12 * scale
             assert abs(r1.s_plus - r2.s_plus) < 1e-12 * scale
@@ -209,14 +212,14 @@ class TestExactEquilibrationBounds:
         out = OutputFunctional(f_O=ONE)
         _, _, pp, ap, ws = build_pair(mesh, data, out, p=1)
         with pytest.raises(ValueError, match="oscillation"):
-            exact_equilibration_bounds(pp, ap, data, out, mesh)
+            exact_equilibration_bounds(pp, ap, data, out, ws)
 
     def test_exact_reconstructions_zero_half_gap(self):
         mesh = unit_square_crisscross(0)
         data = ProblemData(f=zero, g_D=lambda x, y: x)
         out = OutputFunctional(g_D_O=lambda x, y: y)
         _, _, pp, ap, ws = build_pair(mesh, data, out, p=1)
-        r = exact_equilibration_bounds(pp, ap, data, out, mesh)
+        r = exact_equilibration_bounds(pp, ap, data, out, ws)
         assert r.half_gap < 1e-12
 
     def test_self_adjoint_lower_bound_formula(self):
@@ -226,7 +229,7 @@ class TestExactEquilibrationBounds:
         data = ProblemData(f=ONE)
         out = OutputFunctional(f_O=ONE)
         _, _, pp, ap, ws = build_pair(mesh, data, out, p=1)
-        r = exact_equilibration_bounds(pp, ap, data, out, mesh)
+        r = exact_equilibration_bounds(pp, ap, data, out, ws)
         flux, pot = pp
         qv = flux.eval_values(ws)
         gu = pot.eval_grads(ws)
@@ -247,10 +250,10 @@ class TestGlobalProperties:
         out1 = OutputFunctional(f_O=ONE)
         c = 7.0
         out7 = OutputFunctional(f_O=lambda x, y: c * ONE(x, y))
-        _, _, pp1, ap1, _ = build_pair(mesh, data, out1, p=2)
-        _, _, pp7, ap7, _ = build_pair(mesh, data, out7, p=2)
-        r1 = compute_bounds(pp1, ap1, data, out1, mesh)
-        r7 = compute_bounds(pp7, ap7, data, out7, mesh)
+        _, _, pp1, ap1, ws1 = build_pair(mesh, data, out1, p=2)
+        _, _, pp7, ap7, ws7 = build_pair(mesh, data, out7, p=2)
+        r1 = compute_bounds(pp1, ap1, data, out1, ws1)
+        r7 = compute_bounds(pp7, ap7, data, out7, ws7)
         for x1, x7 in ((r1.s_minus, r7.s_minus), (r1.s_plus, r7.s_plus),
                        (r1.s_tilde, r7.s_tilde)):
             assert abs(x7 - c * x1) < 1e-12 * (1 + abs(c * x1))
@@ -260,6 +263,6 @@ class TestGlobalProperties:
         mesh = unit_square_crisscross(0)
         data = ProblemData(f=EX1_F)
         out = OutputFunctional(f_O=ONE)
-        _, _, pp, ap, _ = build_pair(mesh, data, out, p=1, tau=tau)
-        r = compute_bounds(pp, ap, data, out, mesh)
+        _, _, pp, ap, ws = build_pair(mesh, data, out, p=1, tau=tau)
+        r = compute_bounds(pp, ap, data, out, ws)
         assert r.contains(4 / np.pi ** 2)

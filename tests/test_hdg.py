@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from hdgbounds import (OutputFunctional, ProblemData, raw_output,
-                       solve_adjoint, solve_primal, unit_square_crisscross,
-                       zero)
+from hdgbounds import (OutputFunctional, ProblemData, Workspace, raw_output,
+                       solve, solve_adjoint, solve_primal,
+                       unit_square_crisscross, zero)
 from hdgbounds.hdg import (assemble_condensed, conservation_residual,
                            local_residuals)
 from hdgbounds.mesh import Mesh
@@ -35,7 +35,7 @@ class TestManufactured:
         mesh = unit_square_crisscross(0)
         data = ProblemData(f=zero, g_D=lambda x, y: x)
         sol = solve_primal(mesh, data, p=p, tau=1.0)
-        ws = sol.workspace()
+        ws = sol.ws
         assert np.abs(ws.eval_modal(sol.u) - ws.qphys[:, :, 0]).max() < 1e-10
         assert np.abs(ws.eval_modal(sol.q[:, 0]) + 1.0).max() < 1e-10
         assert np.abs(ws.eval_modal(sol.q[:, 1])).max() < 1e-10
@@ -53,7 +53,7 @@ class TestManufactured:
         mesh = mixed_square()
         data = ProblemData(f=zero, g_D=lambda x, y: x, g_N=ONE)
         sol = solve_primal(mesh, data, p=1, tau=tau)
-        ws = sol.workspace()
+        ws = sol.ws
         assert np.abs(ws.eval_modal(sol.u) - ws.qphys[:, :, 0]).max() < 1e-10
 
 
@@ -73,7 +73,7 @@ class TestLocalStructure:
 
     def test_condensed_matrix_symmetric_positive(self):
         mesh = unit_square_crisscross(0)
-        A, rhs, _ = assemble_condensed(mesh, ProblemData(f=EX1_F), 1, 1.0)
+        A = assemble_condensed(Workspace(mesh, 1), [ProblemData(f=EX1_F)], 1.0).A
         d = (A - A.T)
         assert (abs(d).max() if d.nnz else 0.0) <= 1e-12 * abs(A).max()
         w = np.linalg.eigvalsh(A.toarray())
@@ -83,7 +83,7 @@ class TestLocalStructure:
         mesh = unit_square_crisscross(0)
         gd = lambda x, y: x + 0.5 * y
         sol = solve_primal(mesh, ProblemData(f=zero, g_D=gd), p=1)
-        ws = sol.workspace()
+        ws = sol.ws
         dfac = np.nonzero(mesh.facet_tag == 1)[0]
         mom = ws.facet_data_moments(gd, dfac, 1)
         assert np.abs(sol.uhat[dfac] - mom).max() < 1e-12
@@ -109,6 +109,21 @@ class TestAdjoint:
         assert np.abs(su.u - sz.u).max() < 1e-12
         assert np.abs(su.q - sz.q).max() < 1e-12
 
+    @pytest.mark.parametrize("tau", [0.1, 10.0])
+    def test_shared_solve_matches_separate_solves(self, tau):
+        # one factorization for two right-hand sides, with free (Neumann)
+        # and fixed (Dirichlet) facets and the -g_N_O sign of the adjoint
+        mesh = mixed_square(1)
+        data = ProblemData(f=EX1_F, g_D=lambda x, y: x * y, g_N=ONE)
+        out = OutputFunctional(f_O=ONE, g_N_O=lambda x, y: 1.0 + y)
+        adata = out.adjoint_data()
+        shared = solve(Workspace(mesh, 2), [data, adata], tau)
+        for sol, dat in zip(shared, (data, adata)):
+            ref = solve_primal(mesh, dat, p=2, tau=tau)
+            for name in ("u", "q", "uhat", "qhat_n"):
+                a, b = getattr(sol, name), getattr(ref, name)
+                assert np.abs(a - b).max() <= 1e-14 * (1.0 + np.abs(b).max())
+
     def test_neumann_sign_flip(self):
         # adjoint data must carry g_N <- -g_N_O
         out = OutputFunctional(g_N_O=ONE)
@@ -124,7 +139,7 @@ class TestConvergenceAndOutputs:
             for lvl in range(3):
                 mesh = unit_square_crisscross(lvl)
                 sol = solve_primal(mesh, data, p=p)
-                ws = sol.workspace()
+                ws = sol.ws
                 diff = ws.eval_modal(sol.u) - EX1_U(ws.qphys[:, :, 0],
                                                     ws.qphys[:, :, 1])
                 errs.append(math.sqrt(ws.integrate_elementwise(diff ** 2).sum()))
@@ -170,7 +185,7 @@ class TestConvergenceAndOutputs:
 
         data = ProblemData(f=zero, g_D=u)
         sol = solve_primal(mesh, data, p=1)
-        ws = sol.workspace()
+        ws = sol.ws
         assert np.abs(ws.eval_modal(sol.u)
                       - u(ws.qphys[:, :, 0], ws.qphys[:, :, 1])).max() < 1e-10
         assert np.abs(ws.eval_modal(sol.q[:, 0]) + 1.0).max() < 1e-10

@@ -21,9 +21,9 @@ EX1_U = lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y)
 
 def base_pair(mesh, data, p, quad_degree=None):
     sol = solve_primal(mesh, data, p=p, quad_degree=quad_degree)
-    ws = sol.workspace()
+    ws = sol.ws
     flux = reconstruct_flux(sol, data)
-    pot = make_continuous(postprocess_potential(sol, flux), mesh, data.g_D, ws)
+    pot = make_continuous(postprocess_potential(sol, flux), data.g_D, ws)
     return sol, flux, pot, ws
 
 
@@ -84,14 +84,14 @@ class TestPotential:
         # two-element patch: element potentials valued 1 and 3 at the shared
         # edge midpoint average to 2 there
         mesh = lshape_initial()
-        ws = Workspace.get(mesh, 1)
+        ws = Workspace(mesh, 1)
         n_glob, node_map, coords = ws.global_nodes()
         ustar = np.zeros((mesh.n_elements, ws.nm))
         # constant-mode coefficient c with value c*sqrt(2/det): set element 0
         # to 1 and element 1 to 3
         ustar[0, 0] = 1.0 / np.sqrt(2.0 / ws.det[0])
         ustar[1, 0] = 3.0 / np.sqrt(2.0 / ws.det[1])
-        pot = make_continuous(ustar, mesh, zero, ws)
+        pot = make_continuous(ustar, zero, ws)
         shared = np.intersect1d(node_map[0], node_map[1])
         interior = np.setdiff1d(shared, ws.dirichlet_nodes())
         assert len(interior) > 0
@@ -101,11 +101,11 @@ class TestPotential:
         # feed make_continuous an elementwise representation of a globally
         # continuous polynomial: averaging equal values changes nothing
         mesh = unit_square_crisscross(0)
-        ws = Workspace.get(mesh, 1)
+        ws = Workspace(mesh, 1)
         gd = lambda x, y: x * y
         fvals = gd(ws.qphys[:, :, 0], ws.qphys[:, :, 1])
         ustar = ws.moments_m(fvals)  # exact: xy lies in P^2 elementwise
-        pot = make_continuous(ustar, mesh, gd, ws)
+        pot = make_continuous(ustar, gd, ws)
         _, _, coords = ws.global_nodes()
         assert np.abs(pot.values - coords[:, 0] * coords[:, 1]).max() < 1e-12
 
@@ -146,6 +146,13 @@ class TestPotential:
         lines = path.read_text().splitlines()
         assert lines[0] == "element,x,y,flux_x,flux_y,potential"
         assert len(lines) - 1 == mesh.n_elements * ws.nq
+        cols = np.loadtxt(path, delimiter=",", skiprows=1)
+        assert np.array_equal(cols[:, 0],
+                              np.repeat(np.arange(mesh.n_elements), ws.nq))
+        for got, want in ((cols[:, 1:3], ws.qphys.reshape(-1, 2)),
+                          (cols[:, 3:5], flux.eval_values(ws).reshape(-1, 2)),
+                          (cols[:, 5], pot.eval_values(ws).ravel())):
+            assert np.abs(got - want).max() <= 1e-11 * (1.0 + np.abs(want).max())
 
     def test_audit_detects_corrupted_flux(self):
         mesh = unit_square_crisscross(0)
@@ -178,7 +185,7 @@ class TestBandExtension:
                              profile_deriv=lambda s: 1 - 2 * s)
         data = ProblemData(f=zero, g_D=gd, band=band)
         sol, flux, pot, ws = base_pair(mesh, data, 2)
-        pot = enforce_dirichlet_band(pot, mesh, gd, band, ws)
+        pot = enforce_dirichlet_band(pot, gd, band, ws)
         c = pot.correction
         pts = ws.qphys[c.elems]
         corr = c.values_at(pts) - np.einsum("ek,qk->eq", c.nodal, ws.lag_vals)
@@ -189,7 +196,7 @@ class TestBandExtension:
         gdo = self.gdo()
         data = ProblemData(f=zero, g_D=gdo, band=self.band())
         sol, flux, pot, ws = base_pair(mesh, data, 2)
-        pot = enforce_dirichlet_band(pot, mesh, gdo, self.band(), ws)
+        pot = enforce_dirichlet_band(pot, gdo, self.band(), ws)
         ys = rng.uniform(0, 1, size=20)
         # evaluate the potential on the boundary x=1 through facet traces
         res = potential_residuals(pot, gdo, ws)
@@ -203,7 +210,7 @@ class TestBandExtension:
         for p in (1, 2, 3):
             data = ProblemData(f=zero, g_D=gdo, band=self.band())
             sol, flux, pot, ws = base_pair(mesh0, data, p)
-            pot = enforce_dirichlet_band(pot, mesh0, gdo, self.band(), ws)
+            pot = enforce_dirichlet_band(pot, gdo, self.band(), ws)
             c = pot.correction
             pts = ws.qphys[c.elems]
             corr = c.values_at(pts) - np.einsum("ek,qk->eq", c.nodal, ws.lag_vals)
@@ -213,24 +220,24 @@ class TestBandExtension:
     def test_band_line_is_maximal_mesh_line(self):
         for lvl in (0, 1):
             mesh = unit_square_crisscross(lvl)
-            ws = Workspace.get(mesh, 1)
+            ws = Workspace(mesh, 1)
             pot = ContinuousPotential(mesh=mesh, degree=2,
                                       values=np.zeros(ws.global_nodes()[0]),
                                       node_map=ws.global_nodes()[1])
-            out = enforce_dirichlet_band(pot, mesh, self.gdo(), self.band(), ws)
+            out = enforce_dirichlet_band(pot, self.gdo(), self.band(), ws)
             expected = 1.0 - 1.0 / 2 ** (lvl + 1)
             assert abs(out.correction.x_band - expected) < 1e-14
 
     def test_non_axis_aligned_portion_rejected(self):
         mesh = unit_square_crisscross(0)
-        ws = Workspace.get(mesh, 1)
+        ws = Workspace(mesh, 1)
         pot = ContinuousPotential(mesh=mesh, degree=2,
                                   values=np.zeros(ws.global_nodes()[0]),
                                   node_map=ws.global_nodes()[1])
         bad = DirichletBand(axis=2, value=1.0, profile=lambda s: s,
                             profile_deriv=lambda s: 1.0)
         with pytest.raises(ValueError, match="axis"):
-            enforce_dirichlet_band(pot, mesh, zero, bad, ws)
+            enforce_dirichlet_band(pot, zero, bad, ws)
 
 
 class TestLocalOptimize:
@@ -304,7 +311,7 @@ class TestLocalOptimize:
                              * np.cos(np.pi * s))
         data = ProblemData(f=zero, g_D=gdo, band=band)
         sol, flux, pot, ws = base_pair(mesh, data, 2)
-        pot = enforce_dirichlet_band(pot, mesh, gdo, band, ws)
+        pot = enforce_dirichlet_band(pot, gdo, band, ws)
         f2, p2 = local_optimize(flux, pot, data, ws)
         res = potential_residuals(p2, gdo, ws)
         assert res["dirichlet_trace"] < 1e-10
