@@ -30,7 +30,7 @@ for p in (1, 2, 3):
     pot = enforce_dirichlet_band(pot, adata.g_D, prob.out.band, ws)
     c = pot.correction
     pts = ws.qphys[c.elems]
-    corr = c.values_at(pts) - np.einsum("ek,qk->eq", c.nodal, ws.lag_vals)
+    corr = ws.eval_data(c.ghat, pts) - np.einsum("ek,qk->eq", c.nodal, ws.lag_vals)
     print(f"  p={p}: band starts at x = {c.x_band:.3f}, "
           f"{len(c.elems)} band elements, max |correction| = "
           f"{np.abs(corr).max():.2e}")

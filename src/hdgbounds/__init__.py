@@ -7,12 +7,10 @@ from .adapt import (AdaptiveRun, Bulk, ErrorDistribution, Uniform,
                     adaptive_loop, convergence_order, mark, run_pipeline)
 from .bounds import (BoundsResult, EtaBreakdown, compute_bounds, compute_eta,
                      compute_kappa, poincare_constants, exact_equilibration_bounds)
-from .femcore import (QuadratureRule, RTSpace, ScalarPoly, VectorPoly,
-                      energy_norm, project_edge, project_element,
-                      segment_rule, triangle_rule)
+from .femcore import QuadratureRule, segment_rule, triangle_rule
 from .hdg import (DirichletBand, HDGSolution, OutputFunctional, ProblemData,
                   raw_output, solve, solve_adjoint, solve_primal, zero)
-from .mesh import (Mesh, ElementGeometry, check_conformity, lshape_initial,
+from .mesh import (Mesh, check_conformity, lshape_initial,
                    read_mesh, refine_bisection, refine_red,
                    unit_square_crisscross, write_mesh)
 from .problems import PROBLEM_IDS, BuiltinProblem, builtin

@@ -131,8 +131,8 @@ def run_pipeline(mesh: Mesh, data: hdg.ProblemData, out: hdg.OutputFunctional,
         for (flux, pot), dat in zip(pairs, (data, adata)):
             fres = rc.flux_residuals(flux, dat, ws)
             pres = rc.potential_residuals(pot, dat.g_D, ws)
-            worst = max({**fres, **pres}.values())
-            if worst > 1e-9:
+            # "not <=" so that a NaN residual fails the gate too
+            if not all(r <= 1e-9 for r in {**fres, **pres}.values()):
                 raise RuntimeError(
                     f"reconstruction certificate violated: {fres} {pres}")
 

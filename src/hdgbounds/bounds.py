@@ -118,12 +118,18 @@ def poincare_constants(mesh: Mesh):
 
     Returns (C1 (ne,), C2 (ne, 3)) with C2 indexed by local edge.
     """
-    geo = mesh.geometry()
-    c1 = geo.diameter / np.pi
-    reach = geo.opposite_reach
-    c2sq = (geo.edge_length / (2.0 * geo.area[:, None])
-            * (geo.diameter / np.pi)[:, None]
-            * (2.0 * reach + (2.0 * geo.diameter / np.pi)[:, None]))
+    v = mesh.vertices[mesh.elements]                       # (ne, 3, 2)
+    # local edge ell joins vertices ell and ell+1
+    edge_length = np.linalg.norm(np.roll(v, -1, axis=1) - v, axis=2)
+    diameter = edge_length.max(axis=1)
+    # farthest point of edge ell from the opposite vertex ell+2: the longer
+    # of the two other edges
+    reach = np.maximum(np.roll(edge_length, -1, axis=1),
+                       np.roll(edge_length, -2, axis=1))
+    c1 = diameter / np.pi
+    c2sq = (edge_length / (2.0 * mesh.areas()[:, None])
+            * (diameter / np.pi)[:, None]
+            * (2.0 * reach + (2.0 * diameter / np.pi)[:, None]))
     return c1, np.sqrt(c2sq)
 
 
@@ -170,17 +176,11 @@ def _neumann_osc(ws: Workspace, pairs, kappa: float, mode: str,
     if not len(neu):
         return neu_minus, neu_plus
     _, c2 = poincare_constants(mesh)
-    pts = ws.ephys[neu]
-    gn = np.broadcast_to(np.asarray(data.g_N(pts[..., 0], pts[..., 1]),
-                                    dtype=float), pts.shape[:-1])
-    gno = np.broadcast_to(np.asarray(out.g_N_O(pts[..., 0], pts[..., 1]),
-                                     dtype=float), pts.shape[:-1])
+    gn = ws.eval_data(data.g_N, ws.ephys[neu])
+    gno = ws.eval_data(out.g_N_O, ws.ephys[neu])
     if mode == "projected":
-        mg = ws.facet_data_moments(data.g_N, neu, ws.p)
-        mgo = ws.facet_data_moments(out.g_N_O, neu, ws.p)
-        sqrtl = np.sqrt(ws.facet_len[neu])[:, None]
-        n_res = gn - (mg @ ws.psi_p) / sqrtl
-        no_res = gno - (mgo @ ws.psi_p) / sqrtl
+        n_res = gn - ws.facet_proj_p(gn, neu)
+        no_res = gno - ws.facet_proj_p(gno, neu)
     else:  # zero-order form: residuals against the actual flux traces
         qf, _ = pairs[0]
         zf, _ = pairs[1]
@@ -217,8 +217,8 @@ def compute_eta(primal_pair, adjoint_pair, data: ProblemData,
     fvals = ws.eval_data(data.f)
     fovals = ws.eval_data(out.f_O)
     if mode == "projected":
-        d_res = fvals - ws.eval_modal(ws.moments_p(fvals))
-        do_res = fovals - ws.eval_modal(ws.moments_p(fovals))
+        d_res = fvals - ws.proj_p(fvals)
+        do_res = fovals - ws.proj_p(fovals)
     else:
         d_res = fvals - primal_pair[0].eval_divergence(ws)
         do_res = fovals - adjoint_pair[0].eval_divergence(ws)
@@ -251,12 +251,9 @@ def _core_functional(primal_pair, adjoint_pair, data, out, ws: Workspace) -> flo
     val -= float(np.sum(ws.integrate_elementwise(np.sum(gu * gx, axis=2)) * ws.nu))
     neu = np.nonzero(ws.mesh.facet_tag == NEUMANN)[0]
     if len(neu):
-        pts = ws.ephys[neu]
         wlen = ws.ew[None, :] * ws.facet_len[neu, None]
-        gno = np.broadcast_to(np.asarray(out.g_N_O(pts[..., 0], pts[..., 1]),
-                                         dtype=float), pts.shape[:-1])
-        gn = np.broadcast_to(np.asarray(data.g_N(pts[..., 0], pts[..., 1]),
-                                        dtype=float), pts.shape[:-1])
+        gno = ws.eval_data(out.g_N_O, ws.ephys[neu])
+        gn = ws.eval_data(data.g_N, ws.ephys[neu])
         val += float(np.sum(pot_u.trace_values(ws, neu) * gno * wlen))
         val -= float(np.sum(pot_x.trace_values(ws, neu) * gn * wlen))
     return val
@@ -264,18 +261,15 @@ def _core_functional(primal_pair, adjoint_pair, data, out, ws: Workspace) -> flo
 
 def _primal_oscillation_negligible(data: ProblemData, ws: Workspace) -> bool:
     fvals = ws.eval_data(data.f)
-    res = fvals - ws.eval_modal(ws.moments_p(fvals))
+    res = fvals - ws.proj_p(fvals)
     scale = np.sqrt(ws.integrate_elementwise(fvals ** 2).sum()) + 1.0
     osc = np.sqrt(ws.integrate_elementwise(res ** 2).sum())
     if osc > 1e-11 * scale:
         return False
     neu = np.nonzero(ws.mesh.facet_tag == NEUMANN)[0]
     if len(neu):
-        pts = ws.ephys[neu]
-        gn = np.broadcast_to(np.asarray(data.g_N(pts[..., 0], pts[..., 1]),
-                                        dtype=float), pts.shape[:-1])
-        mg = ws.facet_data_moments(data.g_N, neu, ws.p)
-        res = gn - (mg @ ws.psi_p) / np.sqrt(ws.facet_len[neu])[:, None]
+        gn = ws.eval_data(data.g_N, ws.ephys[neu])
+        res = gn - ws.facet_proj_p(gn, neu)
         if np.abs(res).max() > 1e-10 * (1.0 + np.abs(gn).max()):
             return False
     return True
@@ -324,7 +318,7 @@ def _audit_polynomial_data(data: ProblemData, out: OutputFunctional,
     msgs = []
     for name, fun in (("f", data.f), ("f_O", out.f_O)):
         vals = ws.eval_data(fun)
-        res = vals - ws.eval_modal(ws.moments_p(vals))
+        res = vals - ws.proj_p(vals)
         scale = np.sqrt(ws.integrate_elementwise(vals ** 2).sum()) + 1.0
         err = np.sqrt(ws.integrate_elementwise(res ** 2).max())
         if err > 1e-10 * scale:
@@ -332,11 +326,8 @@ def _audit_polynomial_data(data: ProblemData, out: OutputFunctional,
     neu = np.nonzero(ws.mesh.facet_tag == NEUMANN)[0]
     if len(neu):
         for name, fun in (("g_N", data.g_N), ("g_N_O", out.g_N_O)):
-            pts = ws.ephys[neu]
-            vals = np.broadcast_to(np.asarray(fun(pts[..., 0], pts[..., 1]),
-                                              dtype=float), pts.shape[:-1])
-            mom = ws.facet_data_moments(fun, neu, ws.p)
-            res = vals - (mom @ ws.psi_p) / np.sqrt(ws.facet_len[neu])[:, None]
+            vals = ws.eval_data(fun, ws.ephys[neu])
+            res = vals - ws.facet_proj_p(vals, neu)
             if np.abs(res).max() > 1e-10 * (1.0 + np.abs(vals).max()):
                 msgs.append(name)
     if msgs:
@@ -366,16 +357,12 @@ def exact_equilibration_bounds(primal_pair, adjoint_pair, data: ProblemData,
     val = float(np.sum(ws.integrate_elementwise(ws.eval_data(out.f_O) * uvals)))
     dfac = np.nonzero(mesh.facet_tag == DIRICHLET)[0]
     if len(dfac):
-        pts = ws.ephys[dfac]
-        g = np.broadcast_to(np.asarray(out.g_D_O(pts[..., 0], pts[..., 1]),
-                                       dtype=float), pts.shape[:-1])
+        g = ws.eval_data(out.g_D_O, ws.ephys[dfac])
         tr = flux_p.normal_trace(ws, dfac, side=0)  # canonical = outward here
         val += float(np.einsum("ft,ft,t,f->", g, tr, ws.ew, ws.facet_len[dfac]))
     neu = np.nonzero(mesh.facet_tag == NEUMANN)[0]
     if len(neu):
-        pts = ws.ephys[neu]
-        g = np.broadcast_to(np.asarray(out.g_N_O(pts[..., 0], pts[..., 1]),
-                                       dtype=float), pts.shape[:-1])
+        g = ws.eval_data(out.g_N_O, ws.ephys[neu])
         tru = pot_u.trace_values(ws, neu)
         val += float(np.einsum("ft,ft,t,f->", g, tru, ws.ew, ws.facet_len[neu]))
 

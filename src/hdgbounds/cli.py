@@ -111,6 +111,9 @@ class RunConfig:
         if self.max_iter < 1:
             raise ValueError("max-iter must be >= 1")
         parse_strategy(self.strategy, self.target)
+        if self.refiner not in (None, "red", "bisect"):
+            raise ValueError(f"unknown refiner {self.refiner!r} "
+                             "(expected red | bisect)")
         if self.problem is None and self.mesh_file is None:
             raise ValueError("either a builtin problem or an external mesh "
                              "file must be given")
@@ -235,7 +238,8 @@ def run(cfg: RunConfig) -> int:
             target_gap=cfg.target, max_iter=cfg.max_iter, refiner=refiner,
             optimize=cfg.optimize, quad_degree=cfg.quad_degree,
             uniform_family=family)
-    except (RuntimeError, np.linalg.LinAlgError) as exc:
+    except (RuntimeError, ValueError, np.linalg.LinAlgError) as exc:
+        # ValueError: data the solve cannot use, e.g. non-finite values
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 

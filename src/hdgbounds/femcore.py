@@ -1,7 +1,9 @@
 """Reference-element machinery on triangles and segments.
 
 Everything downstream (HDG solves, flux/potential reconstructions, bound
-evaluation) is expressed in terms of the objects defined here:
+evaluation) is built on the reference tables defined here; the batched
+per-mesh evaluation (projections, traces, the RT^p flux, energy norms) lives
+in workspace.py, reconstruct.py and bounds.py:
 
 * Gauss quadrature rules on the unit triangle and the unit segment,
   exact to a requested polynomial degree.
@@ -11,9 +13,6 @@ evaluation) is expressed in terms of the objects defined here:
   basis stays L2-orthonormal on each physical element, which makes all
   L2 projections diagonal.
 * Lagrange lattices of arbitrary degree for the continuous potential.
-* The Raviart-Thomas space RT^q(K) = [P^q(K)]^2 + x P^q(K) built directly
-  in physical coordinates.
-* Elementwise and global energy norms sqrt((nu^-1 v, v)).
 """
 
 from __future__ import annotations
@@ -26,9 +25,6 @@ from scipy.special import eval_jacobi, gammaln, roots_jacobi, roots_legendre
 
 __all__ = [
     "QuadratureRule",
-    "ScalarPoly",
-    "VectorPoly",
-    "RTSpace",
     "triangle_rule",
     "segment_rule",
     "tri_basis",
@@ -36,9 +32,6 @@ __all__ = [
     "seg_basis",
     "lagrange_lattice",
     "n_modes",
-    "project_element",
-    "project_edge",
-    "energy_norm",
 ]
 
 
@@ -220,173 +213,3 @@ def lagrange_lattice(m: int) -> LagrangeLattice:
         interior_slots=np.array(interior, dtype=int),
         vandermonde_inv=np.linalg.inv(vand),
     )
-
-
-# ---------------------------------------------------------------------------
-# Polynomial value types
-# ---------------------------------------------------------------------------
-
-@dataclass
-class ScalarPoly:
-    """Element polynomial: coefficients in the mapped orthonormal P^q basis."""
-
-    degree: int
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        assert len(self.coeffs) == n_modes(self.degree)
-
-
-@dataclass
-class VectorPoly:
-    """Element vector polynomial, one coefficient row per component."""
-
-    degree: int
-    coeffs: np.ndarray  # (2, n_modes)
-
-    def __post_init__(self):
-        assert self.coeffs.shape == (2, n_modes(self.degree))
-
-
-# ---------------------------------------------------------------------------
-# Projections (single-element convenience wrappers; pipelines use the
-# batched versions in workspace.py)
-# ---------------------------------------------------------------------------
-
-def _element_map(mesh, k):
-    v = mesh.vertices[mesh.elements[k]]
-    jac = np.column_stack([v[1] - v[0], v[2] - v[0]])
-    return v[0], jac, float(np.linalg.det(jac))
-
-
-def element_points(mesh, k, ref_pts):
-    """Map reference points to physical coordinates of element k."""
-    v0, jac, _ = _element_map(mesh, k)
-    return v0 + np.asarray(ref_pts) @ jac.T
-
-
-def project_element(f, mesh, k: int, q: int, quad_degree: int | None = None) -> ScalarPoly:
-    """L2 projection of f onto P^q(element k): (f - Pf, w)_K = 0 for w in P^q.
-
-    f must be vectorized over (x, y) arrays.  Raises if f evaluates to a
-    non-finite value at any quadrature point.
-    """
-    rule = triangle_rule(quad_degree if quad_degree is not None else 2 * q + 4)
-    v0, jac, det = _element_map(mesh, k)
-    pts = v0 + rule.points @ jac.T
-    vals = np.asarray(f(pts[:, 0], pts[:, 1]), dtype=float)
-    vals = np.broadcast_to(vals, (len(pts),))
-    if not np.all(np.isfinite(vals)):
-        bad = pts[~np.isfinite(vals)][0]
-        raise ValueError(f"non-finite function value at quadrature point {tuple(bad)}")
-    # mapped basis phi = ref_phi / sqrt(det); (f, phi)_K = det * sum(w f ref_phi) / sqrt(det)
-    phi = tri_basis(q, rule.points)
-    coeffs = np.sqrt(det) * (phi * rule.weights) @ vals
-    return ScalarPoly(q, coeffs)
-
-
-def eval_scalar_poly(poly: ScalarPoly, mesh, k: int, ref_pts) -> np.ndarray:
-    """Evaluate an element polynomial at reference points of element k."""
-    _, _, det = _element_map(mesh, k)
-    return poly.coeffs @ tri_basis(poly.degree, ref_pts) / np.sqrt(det)
-
-
-def project_edge(g, mesh, facet: int, q: int, quad_degree: int | None = None) -> np.ndarray:
-    """L2 projection of g onto P^q(facet): coefficients in the orthonormal
-    Legendre basis of the facet's canonical arclength parameterization."""
-    rule = segment_rule(quad_degree if quad_degree is not None else 2 * q + 4)
-    va, vb = mesh.vertices[mesh.facets[facet]]
-    pts = va + np.outer(rule.points, vb - va)
-    length = float(np.linalg.norm(vb - va))
-    vals = np.asarray(g(pts[:, 0], pts[:, 1]), dtype=float)
-    vals = np.broadcast_to(vals, (len(pts),))
-    if not np.all(np.isfinite(vals)):
-        bad = pts[~np.isfinite(vals)][0]
-        raise ValueError(f"non-finite function value at quadrature point {tuple(bad)}")
-    psi = seg_basis(q, rule.points)
-    return np.sqrt(length) * (psi * rule.weights) @ vals
-
-
-def eval_edge_poly(coeffs: np.ndarray, mesh, facet: int, t) -> np.ndarray:
-    """Evaluate an edge polynomial at canonical parameters t in [0, 1]."""
-    va, vb = mesh.vertices[mesh.facets[facet]]
-    length = float(np.linalg.norm(vb - va))
-    return coeffs @ seg_basis(len(coeffs) - 1, np.asarray(t)) / np.sqrt(length)
-
-
-# ---------------------------------------------------------------------------
-# Raviart-Thomas space on a physical element
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class RTSpace:
-    """RT^p on one physical triangle, built in physical coordinates.
-
-    Basis: the 2*n_modes(p) mapped scalar modes times the unit vectors,
-    followed by p+1 functions (x - c) * h_k((x - c)/h_K) with h_k the
-    homogeneous degree-p monomials; c is the centroid.  dim = (p+1)(p+3).
-    """
-
-    p: int
-    centroid: np.ndarray
-    h_scale: float
-    det: float
-
-    @property
-    def dim(self) -> int:
-        return (self.p + 1) * (self.p + 3)
-
-    def eval(self, pts_phys: np.ndarray, pts_ref: np.ndarray) -> np.ndarray:
-        """Basis values at matching physical/reference points: (dim, npts, 2)."""
-        p, npts = self.p, len(pts_phys)
-        nm = n_modes(p)
-        out = np.zeros((self.dim, npts, 2))
-        phi = tri_basis(p, pts_ref) / np.sqrt(self.det)
-        out[:nm, :, 0] = phi
-        out[nm:2 * nm, :, 1] = phi
-        # tails scaled to unit-size L2 norms so the local solve stays
-        # well-conditioned on tiny elements
-        d = (pts_phys - self.centroid) / self.h_scale
-        ts = np.sqrt(2.0 / self.det) / self.h_scale
-        for k in range(p + 1):
-            h = d[:, 0] ** (p - k) * d[:, 1] ** k
-            out[2 * nm + k] = ts * (pts_phys - self.centroid) * h[:, None]
-        return out
-
-    def divergence(self, pts_phys: np.ndarray, pts_ref: np.ndarray,
-                   jac_inv_t: np.ndarray) -> np.ndarray:
-        """Divergence of each basis member at the given points: (dim, npts)."""
-        p, npts = self.p, len(pts_phys)
-        nm = n_modes(p)
-        out = np.zeros((self.dim, npts))
-        grad = tri_basis_grad(p, pts_ref) / np.sqrt(self.det)  # ref gradients
-        gx = grad @ jac_inv_t.T  # physical gradients, (nm, npts, 2)
-        out[:nm] = gx[:, :, 0]
-        out[nm:2 * nm] = gx[:, :, 1]
-        d = (pts_phys - self.centroid) / self.h_scale
-        ts = np.sqrt(2.0 / self.det) / self.h_scale
-        for k in range(p + 1):
-            h = d[:, 0] ** (p - k) * d[:, 1] ** k
-            # div((x-c) h) = 2 h + (x-c).grad h, with (x-c).grad h = p h
-            out[2 * nm + k] = ts * (2.0 + p) * h
-        return out
-
-
-# ---------------------------------------------------------------------------
-# Energy norm
-# ---------------------------------------------------------------------------
-
-def energy_norm(v, mesh, per_element: bool = False):
-    """Energy norm ||v|| = sqrt(sum_K (nu^-1 v, v)_K) of a callable
-    (x, y) -> (..., 2) array of vector values, by a degree-8 rule per element.
-    """
-    rule = triangle_rule(8)
-    nu = mesh.element_nu()
-    acc = np.zeros(mesh.n_elements)
-    for k in range(mesh.n_elements):
-        v0, jac, det = _element_map(mesh, k)
-        pts = v0 + rule.points @ jac.T
-        vals = np.asarray(v(pts[:, 0], pts[:, 1]), dtype=float)
-        vals = np.broadcast_to(vals, (len(pts), 2))
-        acc[k] = det * np.sum(rule.weights * np.sum(vals * vals, axis=1)) / nu[k]
-    return np.sqrt(acc) if per_element else float(np.sqrt(acc.sum()))

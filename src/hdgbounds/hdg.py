@@ -235,8 +235,8 @@ def assemble_condensed(ws: Workspace, datas, tau) -> CondensedSystem:
         np.add.at(rhs_full, gdof.ravel(), rloc.ravel())
         if len(neu_facets):
             rhs_full.reshape(nf, F1)[neu_facets] += ws.facet_data_moments(
-                data.g_N, neu_facets, p)
-        uhat_dir = ws.facet_data_moments(data.g_D, dir_facets, p).ravel()
+                data.g_N, neu_facets)
+        uhat_dir = ws.facet_data_moments(data.g_D, dir_facets).ravel()
         uhat[j, fixed_dofs] = uhat_dir
         rhs[:, j] = -(rhs_full[free_dofs] - A_fixed @ uhat_dir)
     return CondensedSystem(A=A, rhs=rhs, uhat=uhat, free_dofs=free_dofs,
@@ -268,7 +268,7 @@ def _back_substitute(ws: Workspace, cs: CondensedSystem, j: int,
     neu = np.nonzero(mesh.facet_tag == NEUMANN)[0]
     if len(neu):
         # exact projected Neumann trace (canonical normal is outward there)
-        qhat[neu] = ws.facet_data_moments(data.g_N, neu, p)
+        qhat[neu] = ws.facet_data_moments(data.g_N, neu)
 
     return HDGSolution(ws=ws, tau=cs.tau, u=u, q=q,
                        uhat=uhat_full.reshape(mesh.n_facets, F1), qhat_n=qhat)
@@ -310,9 +310,7 @@ def raw_output(sol: HDGSolution, out: OutputFunctional) -> float:
 
     dir_facets = np.nonzero(mesh.facet_tag == DIRICHLET)[0]
     if len(dir_facets):
-        pts = ws.ephys[dir_facets]
-        g = np.broadcast_to(np.asarray(out.g_D_O(pts[..., 0], pts[..., 1]),
-                                       dtype=float), pts.shape[:-1])
+        g = ws.eval_data(out.g_D_O, ws.ephys[dir_facets])
         tr = (sol.qhat_n[dir_facets] @ ws.psi_p) / np.sqrt(ws.facet_len[dir_facets])[:, None]
         val += float(np.einsum("ft,ft,t,f->", g, tr, ws.ew, ws.facet_len[dir_facets]))
 
@@ -321,9 +319,7 @@ def raw_output(sol: HDGSolution, out: OutputFunctional) -> float:
         se, sl, so = ws.facet_sides()
         tr = ws.trace_values(sol.u, neu_facets, se[neu_facets, 0],
                              sl[neu_facets, 0], so[neu_facets, 0])
-        pts = ws.ephys[neu_facets]
-        g = np.broadcast_to(np.asarray(out.g_N_O(pts[..., 0], pts[..., 1]),
-                                       dtype=float), pts.shape[:-1])
+        g = ws.eval_data(out.g_N_O, ws.ephys[neu_facets])
         val += float(np.einsum("ft,ft,t,f->", g, tr, ws.ew, ws.facet_len[neu_facets]))
     return val
 

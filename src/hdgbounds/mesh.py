@@ -16,7 +16,6 @@ import numpy as np
 
 __all__ = [
     "Mesh",
-    "ElementGeometry",
     "unit_square_crisscross",
     "lshape_initial",
     "refine_red",
@@ -162,30 +161,6 @@ class Mesh:
         for i in np.nonzero(self.facet_tag != INTERIOR)[0]:
             out[(int(self.facets[i, 0]), int(self.facets[i, 1]))] = int(self.facet_tag[i])
         return out
-
-    def geometry(self):
-        return ElementGeometry(self)
-
-
-class ElementGeometry:
-    """Per-element metric data used by the Poincare/trace constants."""
-
-    def __init__(self, mesh: Mesh):
-        v = mesh.vertices[mesh.elements]  # (ne, 3, 2)
-        self.area = mesh.areas().copy()
-        e01 = np.linalg.norm(v[:, 1] - v[:, 0], axis=1)
-        e12 = np.linalg.norm(v[:, 2] - v[:, 1], axis=1)
-        e20 = np.linalg.norm(v[:, 0] - v[:, 2], axis=1)
-        # local edge ell joins vertices (ell, ell+1); the opposite vertex is ell+2
-        self.edge_length = np.column_stack([e01, e12, e20])
-        self.diameter = self.edge_length.max(axis=1)
-        opp = np.empty_like(self.edge_length)
-        for ell in range(3):
-            a, b, c = ell, (ell + 1) % 3, (ell + 2) % 3
-            da = np.linalg.norm(v[:, a] - v[:, c], axis=1)
-            db = np.linalg.norm(v[:, b] - v[:, c], axis=1)
-            opp[:, ell] = np.maximum(da, db)
-        self.opposite_reach = opp
 
 
 def check_conformity(mesh: Mesh) -> None:

@@ -34,24 +34,12 @@ class BuiltinProblem:
     exact_s: Optional[float]
     refiner: str
     uniform_family: Optional[Callable[[int], Mesh]] = None
-    exact_u: Optional[Callable] = None
-    exact_q: Optional[Callable] = None
 
 
 def _example1_data() -> ProblemData:
     def f(x, y):
         return 2.0 * np.pi ** 2 * np.sin(np.pi * x) * np.sin(np.pi * y)
     return ProblemData(f=f)
-
-
-def _example1_exact_u(x, y):
-    return np.sin(np.pi * x) * np.sin(np.pi * y)
-
-
-def _example1_exact_q(x, y):
-    # q = -grad u
-    return np.stack([-np.pi * np.cos(np.pi * x) * np.sin(np.pi * y),
-                     -np.pi * np.sin(np.pi * x) * np.cos(np.pi * y)], axis=-1)
 
 
 def _example2_s2_source(x, y):
@@ -71,8 +59,6 @@ def builtin(problem_id: str) -> BuiltinProblem:
                 np.asarray(x, dtype=float))),
             exact_s=4.0 / np.pi ** 2,
             refiner="red",
-            exact_u=_example1_exact_u,
-            exact_q=_example1_exact_q,
         )
     if problem_id == "example1_s2":
         band = DirichletBand(
@@ -91,8 +77,6 @@ def builtin(problem_id: str) -> BuiltinProblem:
             out=OutputFunctional(g_D_O=g_D_O, band=band),
             exact_s=np.pi ** 2 / 4.0,
             refiner="red",
-            exact_u=_example1_exact_u,
-            exact_q=_example1_exact_q,
         )
     one = lambda x, y: np.ones_like(np.asarray(x, dtype=float))
     if problem_id == "example2_s1":

@@ -89,9 +89,6 @@ class BandCorrection:
     nodal: np.ndarray            # (len(elems), n_nodes) interpolant values
     x_band: float
 
-    def values_at(self, pts):
-        return np.asarray(self.ghat(pts[..., 0], pts[..., 1]), dtype=float)
-
     def grads_at(self, pts):
         return np.asarray(self.ghat_grad(pts[..., 0], pts[..., 1]), dtype=float)
 
@@ -115,8 +112,7 @@ class ContinuousPotential:
         out = np.einsum("ek,qk->eq", self.nodal(), ws.lag_vals)
         if self.correction is not None:
             c = self.correction
-            pts = ws.qphys[c.elems]
-            out[c.elems] += c.values_at(pts) - np.einsum(
+            out[c.elems] += ws.eval_data(c.ghat, ws.qphys[c.elems]) - np.einsum(
                 "ek,qk->eq", c.nodal, ws.lag_vals)
         return out
 
@@ -149,8 +145,8 @@ class ContinuousPotential:
                 j = pos.get(int(e[i]))
                 if j is None:
                     continue
-                pts = ws.ephys[f]
-                out[i] += c.values_at(pts) - c.nodal[j] @ ws.lag_edge[ell[i], o[i]]
+                out[i] += (ws.eval_data(c.ghat, ws.ephys[f])
+                           - c.nodal[j] @ ws.lag_edge[ell[i], o[i]])
         return out
 
 
@@ -274,8 +270,7 @@ def make_continuous(ustar: np.ndarray, g_D, ws: Workspace) -> ContinuousPotentia
     values /= counts
 
     dnodes = ws.dirichlet_nodes()
-    values[dnodes] = np.asarray(g_D(coords[dnodes, 0], coords[dnodes, 1]),
-                                dtype=float)
+    values[dnodes] = ws.eval_data(g_D, coords[dnodes])
     return ContinuousPotential(mesh=ws.mesh, degree=ws.m, values=values,
                                node_map=node_map)
 
@@ -341,8 +336,7 @@ def enforce_dirichlet_band(pot: ContinuousPotential, g_D, band: DirichletBand,
         band_elems = np.nonzero(elem_c.min(axis=1) >= x_band - tol)[0]
     else:
         band_elems = np.nonzero(elem_c.max(axis=1) <= x_band + tol)[0]
-    pts = ws.node_phys[band_elems]
-    nodal = np.asarray(ghat(pts[..., 0], pts[..., 1]), dtype=float)
+    nodal = ws.eval_data(ghat, ws.node_phys[band_elems])
     corr = BandCorrection(elems=band_elems, ghat=ghat, ghat_grad=ghat_grad,
                           nodal=nodal, x_band=x_band)
     return replace(pot, correction=corr)
@@ -356,7 +350,7 @@ def flux_residuals(flux: EquilibratedFlux, data: ProblemData, ws: Workspace) -> 
     """Relative residuals of the three equilibration certificates."""
     mesh = flux.mesh
     div = flux.eval_divergence(ws)
-    fproj = ws.eval_modal(ws.project_p(data.f))
+    fproj = ws.proj_p(ws.eval_data(data.f))
     fscale = np.sqrt(ws.integrate_elementwise(fproj ** 2).sum())
     div_res = np.sqrt(ws.integrate_elementwise((div - fproj) ** 2))
     out = {"divergence": float(div_res.max() / (1.0 + fscale))}
@@ -374,8 +368,7 @@ def flux_residuals(flux: EquilibratedFlux, data: ProblemData, ws: Workspace) -> 
     neu = np.nonzero(mesh.facet_tag == NEUMANN)[0]
     if len(neu):
         tr = flux.normal_trace(ws, neu, side=0)
-        mom = ws.facet_data_moments(data.g_N, neu, ws.p)
-        gn_proj = (mom @ ws.psi_p) / np.sqrt(ws.facet_len[neu])[:, None]
+        gn_proj = ws.facet_proj_p(ws.eval_data(data.g_N, ws.ephys[neu]), neu)
         err2 = np.einsum("ft,t->f", (tr - gn_proj) ** 2, ws.ew) * ws.facet_len[neu]
         out["neumann"] = float(np.sqrt(err2.max()) / (1.0 + np.abs(gn_proj).max()))
     else:
@@ -389,9 +382,7 @@ def potential_residuals(pot: ContinuousPotential, g_D, ws: Workspace) -> dict:
     mesh = pot.mesh
     dfac = np.nonzero(mesh.facet_tag == DIRICHLET)[0]
     tr = pot.trace_values(ws, dfac, side=0)
-    pts = ws.ephys[dfac]
-    g = np.broadcast_to(np.asarray(g_D(pts[..., 0], pts[..., 1]), dtype=float),
-                        tr.shape)
+    g = ws.eval_data(g_D, ws.ephys[dfac])
     scale = 1.0 + float(np.abs(g).max())
     out = {"dirichlet_trace": float(np.abs(tr - g).max() / scale)}
 

@@ -151,13 +151,14 @@ class Workspace:
         return np.einsum("eq,eq->e", values_eq, self.wdet)
 
     def eval_data(self, fun, pts=None) -> np.ndarray:
-        """Evaluate a scalar data callable at the volume quadrature points."""
+        """Values of a scalar data callable at points (..., 2), by default the
+        volume quadrature points; raises ValueError on a non-finite value."""
         pts = self.qphys if pts is None else pts
         vals = np.asarray(fun(pts[..., 0], pts[..., 1]), dtype=float)
         vals = np.broadcast_to(vals, pts.shape[:-1])
         if not np.all(np.isfinite(vals)):
             bad = pts[~np.isfinite(vals)][0]
-            raise ValueError(f"non-finite data value at quadrature point {tuple(bad)}")
+            raise ValueError(f"non-finite data value at {tuple(bad.tolist())}")
         return vals
 
     def moments_p(self, values_eq: np.ndarray) -> np.ndarray:
@@ -173,6 +174,11 @@ class Workspace:
         """Batched L2 projection onto P^p: modal coefficients (ne, np_)."""
         return self.moments_p(self.eval_data(fun))
 
+    def proj_p(self, values_eq: np.ndarray) -> np.ndarray:
+        """Pi_p of values at the volume quadrature points, evaluated there;
+        the data residual is values_eq - proj_p(values_eq)."""
+        return self.eval_modal(self.moments_p(values_eq))
+
     def eval_modal(self, coeffs: np.ndarray, degree_m: bool = False) -> np.ndarray:
         """Values at volume quadrature of mapped-modal coefficients (ne, n)."""
         tab = self.phi_m if degree_m else self.phi_p
@@ -180,17 +186,21 @@ class Workspace:
 
     # -- facet machinery ----------------------------------------------------
 
-    def facet_data_moments(self, fun, facet_ids, degree: int) -> np.ndarray:
-        """Moments of a data callable against the canonical facet basis."""
-        pts = self.ephys[facet_ids]
-        vals = np.asarray(fun(pts[..., 0], pts[..., 1]), dtype=float)
-        vals = np.broadcast_to(vals, pts.shape[:-1])
-        if not np.all(np.isfinite(vals)):
-            bad = pts[~np.isfinite(vals)][0]
-            raise ValueError(f"non-finite boundary data at {tuple(bad)}")
-        psi = self.psi_p if degree == self.p else self.psi_m
-        return np.einsum("ft,mt,t->fm", vals, psi, self.ew
+    def facet_moments(self, vals: np.ndarray, facet_ids) -> np.ndarray:
+        """Moments of values at the facet quadrature points of ``facet_ids``
+        against the canonical P^p facet basis; shape (len(facet_ids), p+1)."""
+        return np.einsum("ft,mt,t->fm", vals, self.psi_p, self.ew
                          ) * np.sqrt(self.facet_len[facet_ids])[:, None]
+
+    def facet_data_moments(self, fun, facet_ids) -> np.ndarray:
+        """Moments of a data callable against the canonical P^p facet basis."""
+        return self.facet_moments(self.eval_data(fun, self.ephys[facet_ids]),
+                                  facet_ids)
+
+    def facet_proj_p(self, vals: np.ndarray, facet_ids) -> np.ndarray:
+        """Pi_e^p of values at the facet quadrature points, evaluated there."""
+        return (self.facet_moments(vals, facet_ids) @ self.psi_p
+                ) / np.sqrt(self.facet_len[facet_ids])[:, None]
 
     def facet_sides(self):
         """Grouping of (element, local edge) pairs by facet side.

@@ -5,6 +5,7 @@ import pytest
 
 from hdgbounds import (Bulk, ErrorDistribution, Uniform, adaptive_loop,
                        builtin, convergence_order, mark)
+from hdgbounds import reconstruct as rc
 from hdgbounds.adapt import run_pipeline
 
 
@@ -158,6 +159,18 @@ class TestPipeline:
         res = run_pipeline(prob.initial_mesh(), prob.data, prob.out, p=1)
         assert res.contains(prob.exact_s)
         assert len(calls) == 1
+
+    def test_nan_residual_fails_certificate_gate(self, monkeypatch):
+        # a NaN that is not the first residual is dropped by max()
+        real = rc.potential_residuals
+
+        def nan_continuity(pot, g_D, ws):
+            return {**real(pot, g_D, ws), "continuity": float("nan")}
+
+        monkeypatch.setattr(rc, "potential_residuals", nan_continuity)
+        prob = builtin("example1_s1")
+        with pytest.raises(RuntimeError, match="certificate violated"):
+            run_pipeline(prob.initial_mesh(), prob.data, prob.out, 1)
 
     def test_mesh_released_after_pipeline(self):
         import gc

@@ -8,7 +8,7 @@ import pytest
 
 from hdgbounds import cli, write_mesh, unit_square_crisscross
 from hdgbounds.cli import (EXIT_CONFIG, EXIT_NOT_CONVERGED, EXIT_OK,
-                           RunConfig, compile_expression)
+                           EXIT_SOLVER, RunConfig, compile_expression)
 from hdgbounds.problems import builtin
 
 
@@ -100,6 +100,27 @@ class TestRun:
         cfg = RunConfig(problem="example1_s1", strategy="bogus",
                         out_dir=str(tmp_path))
         assert cli.run(cfg) == EXIT_CONFIG
+
+    def test_unknown_refiner_is_config_error(self, tmp_path):
+        cfg = RunConfig(problem="example1_s1", refiner="bogus",
+                        out_dir=str(tmp_path / "o"))
+        assert cli.run(cfg) == EXIT_CONFIG
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("name, expr", [
+        ("g_D", "(x+y)/(x+y)"),   # NaN only at the mesh vertex (0, 0)
+        ("f", "sqrt(x-2)"),       # NaN everywhere in the domain
+    ])
+    def test_nonfinite_data_exits_3(self, tmp_path, capsys, name, expr):
+        mesh_path = tmp_path / "square.txt"
+        write_mesh(unit_square_crisscross(0), mesh_path)
+        out = tmp_path / "o"
+        with np.errstate(divide="ignore", invalid="ignore"):
+            code = cli.main(["--mesh", str(mesh_path), f"--{name}", expr,
+                             "--max-iter", "1", "--out", str(out)])
+        assert code == EXIT_SOLVER
+        assert "solver failure: non-finite" in capsys.readouterr().err
+        assert not (out / "summary.json").exists()
 
     def test_non_convergence_exit(self, tmp_path):
         cfg = RunConfig(problem="example2_s1", p=1, strategy="bulk:0.5",

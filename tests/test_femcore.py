@@ -1,13 +1,37 @@
-"""Reference-element machinery: quadrature, bases, projections, RT space."""
+"""Reference-element machinery (quadrature, bases) and the batched
+projections, RT^p generators and energy norms built on it."""
 
 import math
 
 import numpy as np
 import pytest
 
+from hdgbounds import Workspace
 from hdgbounds import femcore as fc
 from hdgbounds import unit_square_crisscross
+from hdgbounds.bounds import _energy_sq
 from hdgbounds.mesh import Mesh
+from hdgbounds.reconstruct import EquilibratedFlux, _rt_tails
+
+
+def perturbed_crisscross(amp=0.06, seed=7):
+    """unit_square_crisscross(0) with its interior vertices moved at random,
+    so that its elements are no longer congruent."""
+    base = unit_square_crisscross(0)
+    v = base.vertices.copy()
+    interior = np.all((v > 1e-12) & (v < 1.0 - 1e-12), axis=1)
+    v[interior] += np.random.default_rng(seed).uniform(
+        -amp, amp, size=(int(interior.sum()), 2))
+    return Mesh(v, base.elements, base.boundary_tag_dict())
+
+
+def both_meshes():
+    return unit_square_crisscross(0), perturbed_crisscross()
+
+
+def reference_triangle_mesh(verts):
+    return Mesh(np.array(verts, dtype=float), np.array([[0, 1, 2]]),
+                {(0, 1): "D", (1, 2): "D", (0, 2): "D"})
 
 
 def monomial_integral(a, b):
@@ -68,147 +92,182 @@ class TestProjections:
         self.mesh = unit_square_crisscross(0)
 
     def test_constant_reproduced(self):
-        poly = fc.project_element(lambda x, y: 3.5 + 0 * x, self.mesh, 2, q=2)
-        vals = fc.eval_scalar_poly(poly, self.mesh, 2, fc.triangle_rule(4).points)
+        ws = Workspace(self.mesh, 2)
+        vals = ws.eval_modal(ws.project_p(lambda x, y: 3.5 + 0 * x))
         assert np.abs(vals - 3.5).max() < 1e-13
 
     def test_linear_onto_constant_reference_triangle(self):
         # reference triangle (0,0),(1,0),(0,1): mean of x is 1/3
-        mesh = Mesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
-                    np.array([[0, 1, 2]]),
-                    {(0, 1): "D", (1, 2): "D", (0, 2): "D"})
-        poly = fc.project_element(lambda x, y: x, mesh, 0, q=0)
-        vals = fc.eval_scalar_poly(poly, mesh, 0, np.array([[0.25, 0.25]]))
-        assert abs(vals[0] - 1.0 / 3.0) < 1e-13
+        ws = Workspace(reference_triangle_mesh([[0, 0], [1, 0], [0, 1]]), 0)
+        vals = ws.eval_modal(ws.project_p(lambda x, y: x))
+        assert np.abs(vals - 1.0 / 3.0).max() < 1e-13
 
-    def test_idempotent_on_polynomials(self, rng):
+    def test_idempotent_on_polynomials(self):
         f = lambda x, y: 1.0 - 2.0 * x + 0.5 * y + 3 * x * y - y ** 2
-        poly = fc.project_element(f, self.mesh, 5, q=2)
-        pts = fc.triangle_rule(6).points
-        vals = fc.eval_scalar_poly(poly, self.mesh, 5, pts)
-        phys = fc.element_points(self.mesh, 5, pts)
-        assert np.abs(vals - f(phys[:, 0], phys[:, 1])).max() < 1e-12
+        for mesh in both_meshes():
+            ws = Workspace(mesh, 2)
+            exact = f(ws.qphys[..., 0], ws.qphys[..., 1])
+            assert np.abs(ws.eval_modal(ws.project_p(f)) - exact).max() < 1e-12
+            assert np.abs(ws.eval_data(f) - ws.proj_p(ws.eval_data(f))).max() < 1e-12
 
     def test_orthogonality_against_random_polynomials(self, rng):
-        # (f - Pf, w) = 0 for all w of degree <= q
+        # (f - Pf, w)_K = 0 for all w of degree <= q, on every element: in
+        # the projection's own rule, and against a finer rule (the default
+        # degree-8 rule is itself off by up to 1e-9 relative for this f on
+        # these elements, so that check projects with degree 12)
         f = lambda x, y: np.sin(3 * x) * np.cosh(y)
         q = 2
-        k = 7
-        poly = fc.project_element(f, self.mesh, k, q=q)
-        rule = fc.triangle_rule(12)
-        pts = rule.points
-        phys = fc.element_points(self.mesh, k, pts)
-        fvals = f(phys[:, 0], phys[:, 1])
-        pvals = fc.eval_scalar_poly(poly, self.mesh, k, pts)
-        det = 2 * self.mesh.areas()[k]
-        phi = fc.tri_basis(q, pts)
-        for _ in range(5):
-            w = rng.standard_normal(fc.n_modes(q)) @ phi
-            ip = det * np.sum(rule.weights * (fvals - pvals) * w)
-            nf = math.sqrt(det * np.sum(rule.weights * fvals ** 2))
-            nw = math.sqrt(det * np.sum(rule.weights * w ** 2))
-            assert abs(ip) <= 1e-10 * nf * nw
+        for mesh in both_meshes():
+            for ws, check in ((Workspace(mesh, q), Workspace(mesh, q)),
+                              (Workspace(mesh, q, quad_degree=12),
+                               Workspace(mesh, q, quad_degree=20))):
+                fvals = check.eval_data(f)
+                pvals = check.eval_modal(ws.project_p(f))
+                nf = np.sqrt(check.integrate_elementwise(fvals ** 2))
+                for _ in range(5):
+                    w = check.eval_modal(rng.standard_normal((mesh.n_elements,
+                                                              ws.np_)))
+                    ip = check.integrate_elementwise((fvals - pvals) * w)
+                    nw = np.sqrt(check.integrate_elementwise(w ** 2))
+                    assert np.all(np.abs(ip) <= 1e-10 * nf * nw)
 
     def test_edge_projection_constant_and_sine(self):
-        mesh = self.mesh
-        # facet on x=1 spanning y in [0.5, 1]: locate it
-        target = None
-        for i, (a, b) in enumerate(mesh.facets):
-            va, vb = mesh.vertices[a], mesh.vertices[b]
-            if va[0] == 1.0 and vb[0] == 1.0 and {va[1], vb[1]} == {0.5, 1.0}:
-                target = i
-        assert target is not None
-        c = fc.project_edge(lambda x, y: 2.25 + 0 * y, mesh, target, q=1)
-        vals = fc.eval_edge_poly(c, mesh, target, np.array([0.3, 0.9]))
-        assert np.abs(vals - 2.25).max() < 1e-13
+        g = lambda x, y: 2.25 + 0 * y
+        t = np.array([0.3, 0.9])
+        for mesh in both_meshes():
+            ws = Workspace(mesh, 1)
+            ids = np.arange(mesh.n_facets)
+            assert np.abs(ws.facet_proj_p(ws.eval_data(g, ws.ephys), ids)
+                          - 2.25).max() < 1e-13
+            # off the quadrature points, through the facet basis
+            c = ws.facet_data_moments(g, ids)
+            vals = c @ fc.seg_basis(1, t) / np.sqrt(ws.facet_len)[:, None]
+            assert np.abs(vals - 2.25).max() < 1e-13
 
     def test_edge_projection_sine_mean(self):
         # g = sin(pi y) on the edge x=1, y in [0,1]: its mean is 2/pi
-        mesh = Mesh(np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 0.0]]),
-                    np.array([[0, 1, 2]]),
-                    {(0, 1): "D", (1, 2): "D", (0, 2): "D"})
+        mesh = reference_triangle_mesh([[1, 0], [1, 1], [0, 0]])
         facet = [i for i, (a, b) in enumerate(mesh.facets)
                  if {a, b} == {0, 1}][0]
-        c = fc.project_edge(lambda x, y: np.sin(np.pi * y), mesh, facet, q=0,
-                            quad_degree=24)
-        vals = fc.eval_edge_poly(c, mesh, facet, np.array([0.5]))
-        assert abs(vals[0] - 2.0 / np.pi) < 1e-12
+        ws = Workspace(mesh, 0, quad_degree=24)
+        c = ws.facet_data_moments(lambda x, y: np.sin(np.pi * y), [facet])
+        vals = c @ fc.seg_basis(0, np.array([0.5])) / np.sqrt(ws.facet_len[facet])
+        assert abs(vals[0, 0] - 2.0 / np.pi) < 1e-12
 
     def test_edge_projection_idempotent(self):
         g = lambda x, y: 1.0 + 2.0 * y - y ** 2
-        c = fc.project_edge(g, self.mesh, 0, q=2)
         t = np.linspace(0.1, 0.9, 5)
-        vals = fc.eval_edge_poly(c, self.mesh, 0, t)
-        va, vb = self.mesh.vertices[self.mesh.facets[0]]
-        pts = va + np.outer(t, vb - va)
-        assert np.abs(vals - g(pts[:, 0], pts[:, 1])).max() < 1e-12
+        for mesh in both_meshes():
+            ws = Workspace(mesh, 2)
+            ids = np.arange(mesh.n_facets)
+            gvals = ws.eval_data(g, ws.ephys)
+            assert np.abs(ws.facet_proj_p(gvals, ids) - gvals).max() < 1e-12
+            c = ws.facet_data_moments(g, ids)
+            vals = c @ fc.seg_basis(2, t) / np.sqrt(ws.facet_len)[:, None]
+            va = mesh.vertices[mesh.facets[:, 0]]
+            vb = mesh.vertices[mesh.facets[:, 1]]
+            pts = va[:, None, :] + t[None, :, None] * (vb - va)[:, None, :]
+            assert np.abs(vals - g(pts[..., 0], pts[..., 1])).max() < 1e-12
 
     def test_nonfinite_data_reported(self):
+        # NaN everywhere, and NaN only at the vertex (0, 0), which no
+        # quadrature point hits but the Lagrange nodes do
+        bad = lambda x, y: x / (x - x)
+        vertex_nan = lambda x, y: (x + y) / (x + y)
         with np.errstate(divide="ignore", invalid="ignore"):
-            with pytest.raises(ValueError, match="non-finite"):
-                fc.project_element(lambda x, y: x / (x - x), self.mesh, 0, q=1)
+            for mesh in both_meshes():
+                ws = Workspace(mesh, 1)
+                with pytest.raises(ValueError, match="non-finite"):
+                    ws.project_p(bad)
+                with pytest.raises(ValueError, match="non-finite"):
+                    ws.facet_data_moments(bad, np.arange(mesh.n_facets))
+                ws.facet_data_moments(vertex_nan, np.arange(mesh.n_facets))
+                with pytest.raises(ValueError, match=r"non-finite .*\(0\.0, 0\.0\)"):
+                    ws.eval_data(vertex_nan, ws.node_phys)
+
+
+def rt_generators(ws):
+    """The RT^p generators reconstruct_flux solves for, as componentwise
+    modal P^{p+1} coefficients (ne, N, 2, nm): the P^p modes times each unit
+    vector, then the p+1 tails."""
+    p, np_, nm = ws.p, ws.np_, ws.nm
+    ne = ws.mesh.n_elements
+    basis = np.zeros((ne, 2 * np_ + p + 1, 2, nm))
+    idx = np.arange(np_)
+    basis[:, idx, 0, idx] = 1.0          # P^p modes prefix the P^{p+1} modes
+    basis[:, np_ + idx, 1, idx] = 1.0
+    tails = _rt_tails(ws, ws.qphys)       # (ne, p+1, nq, 2)
+    for k in range(p + 1):
+        for c in (0, 1):
+            basis[:, 2 * np_ + k, c] = ws.moments_m(tails[:, k, :, c])
+    return basis
 
 
 class TestRTSpace:
     @pytest.mark.parametrize("p", [0, 1, 2, 3])
     def test_divergence_lies_in_Pp(self, p):
-        v = np.array([[0.1, 0.2], [1.3, 0.15], [0.4, 1.1]])
-        jac = np.column_stack([v[1] - v[0], v[2] - v[0]])
-        det = float(np.linalg.det(jac))
-        rt = fc.RTSpace(p=p, centroid=v.mean(axis=0),
-                        h_scale=float(np.linalg.norm(jac, axis=0).max()), det=det)
-        rule = fc.triangle_rule(2 * p + 4)
-        phys = v[0] + rule.points @ jac.T
-        div = rt.divergence(phys, rule.points, np.linalg.inv(jac).T)
-        phi = fc.tri_basis(p + 1, rule.points)
-        coef = det * (phi * rule.weights) @ div.T
-        assert np.abs(coef[fc.n_modes(p):]).max() < 1e-12 * (1 + np.abs(coef).max())
+        # div maps RT^p into P^p, and onto it: the equilibration
+        # div q~ = Pi_p f is solvable on every element
+        ws = Workspace(perturbed_crisscross(), p)
+        basis = rt_generators(ws)
+        moments = []
+        for j in range(basis.shape[1]):
+            flux = EquilibratedFlux(mesh=ws.mesh, p=p, coeffs=basis[:, j])
+            div = flux.eval_divergence(ws)
+            scale = 1.0 + np.abs(div).max()
+            assert np.abs(div - ws.proj_p(div)).max() < 1e-12 * scale
+            moments.append(ws.moments_p(div))
+        D = np.stack(moments, axis=2)      # (ne, np_, N)
+        assert np.all(np.linalg.matrix_rank(D) == fc.n_modes(p))
 
     @pytest.mark.parametrize("p", [0, 1, 2])
     def test_normal_trace_lies_in_Pp_edge(self, p):
-        v = np.array([[0.0, 0.0], [1.0, 0.1], [0.3, 0.9]])
-        jac = np.column_stack([v[1] - v[0], v[2] - v[0]])
-        det = float(np.linalg.det(jac))
-        rt = fc.RTSpace(p=p, centroid=v.mean(axis=0), h_scale=1.0, det=det)
-        rule = fc.segment_rule(2 * p + 6)
-        # edge from v1 to v2 with its normal
-        t = rule.points
-        phys = v[1] + np.outer(t, v[2] - v[1])
-        ref = np.column_stack([1 - t, t])  # reference edge (1,0)->(0,1)
-        d = v[2] - v[1]
-        n = np.array([d[1], -d[0]]) / np.linalg.norm(d)
-        vals = rt.eval(phys, ref)
-        tr = vals @ n
-        psi = fc.seg_basis(p + 1, t)
-        mom = (tr * rule.weights) @ psi.T
-        assert np.abs(mom[:, p + 1:]).max() < 1e-12 * (1 + np.abs(mom).max())
+        ws = Workspace(perturbed_crisscross(), p)
+        for ell in range(3):
+            f = ws.ef[:, ell]
+            tails = _rt_tails(ws, ws.ephys[f])           # (ne, p+1, nqe, 2)
+            tn = np.einsum("ektc,ec->ekt", tails, ws.mesh.facet_normals[f])
+            mom = np.einsum("ekt,mt,t->ekm", tn, ws.psi_m, ws.ew)
+            assert np.abs(mom[:, :, p + 1]).max() < 1e-12 * (1 + np.abs(mom).max())
 
     def test_dimension(self):
         for p in range(4):
-            rt = fc.RTSpace(p=p, centroid=np.zeros(2), h_scale=1.0, det=1.0)
-            assert rt.dim == (p + 1) * (p + 3)
+            ws = Workspace(perturbed_crisscross(), p)
+            basis = rt_generators(ws)
+            ne, N = basis.shape[:2]
+            assert N == (p + 1) * (p + 3)
+            rank = np.linalg.matrix_rank(basis.reshape(ne, N, -1))
+            assert np.all(rank == N)
+
+
+def energy(mesh, v):
+    """Per-element energy norms of a callable vector field, (ne,)."""
+    ws = Workspace(mesh, 2)
+    return np.sqrt(_energy_sq(ws, v(ws.qphys[..., 0], ws.qphys[..., 1])))
+
+
+UNIT_X = lambda x, y: np.stack([np.ones_like(x), np.zeros_like(x)], axis=-1)
 
 
 class TestEnergyNorm:
     def test_zero_field(self):
         mesh = unit_square_crisscross(0)
-        assert fc.energy_norm(lambda x, y: np.zeros(x.shape + (2,)), mesh) == 0.0
+        assert energy(mesh, lambda x, y: np.zeros(x.shape + (2,))).sum() == 0.0
 
     def test_unit_field_nu_one(self):
-        mesh = unit_square_crisscross(0)
-        v = lambda x, y: np.stack([np.ones_like(x), np.zeros_like(x)], axis=-1)
-        assert abs(fc.energy_norm(v, mesh) - 1.0) < 1e-13
+        per = energy(unit_square_crisscross(0), UNIT_X)
+        assert abs(np.sqrt(np.sum(per ** 2)) - 1.0) < 1e-13
 
     def test_unit_field_nu_four(self):
         base = unit_square_crisscross(0)
         mesh = Mesh(base.vertices, base.elements, base.boundary_tag_dict(),
                     region=base.region, nu={0: 4.0})
-        v = lambda x, y: np.stack([np.ones_like(x), np.zeros_like(x)], axis=-1)
-        assert abs(fc.energy_norm(v, mesh) - 0.5) < 1e-13
+        per = energy(mesh, UNIT_X)
+        assert abs(np.sqrt(np.sum(per ** 2)) - 0.5) < 1e-13
 
     def test_per_element_restriction(self):
         mesh = unit_square_crisscross(0)
-        v = lambda x, y: np.stack([np.ones_like(x), np.zeros_like(x)], axis=-1)
-        per = fc.energy_norm(v, mesh, per_element=True)
+        per = energy(mesh, UNIT_X)
         assert len(per) == mesh.n_elements
+        assert np.abs(per ** 2 - mesh.areas()).max() < 1e-15
         assert abs(np.sqrt(np.sum(per ** 2)) - 1.0) < 1e-13

@@ -85,7 +85,7 @@ class TestLocalStructure:
         sol = solve_primal(mesh, ProblemData(f=zero, g_D=gd), p=1)
         ws = sol.ws
         dfac = np.nonzero(mesh.facet_tag == 1)[0]
-        mom = ws.facet_data_moments(gd, dfac, 1)
+        mom = ws.facet_data_moments(gd, dfac)
         assert np.abs(sol.uhat[dfac] - mom).max() < 1e-12
 
     def test_degenerate_tau_rejected(self):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hdgbounds import mesh as hm
+from hdgbounds.bounds import poincare_constants
 
 
 def test_crisscross_level0_counts():
@@ -170,10 +171,15 @@ class TestInvariantsAndFormat:
 
     def test_geometry_quantities(self):
         m = hm.lshape_initial()
-        geo = m.geometry()
-        assert np.all(geo.area > 0)
-        assert np.all(geo.diameter >= geo.edge_length.max(axis=1) - 1e-15)
-        assert np.all(geo.edge_length > 0)
-        assert np.all(geo.opposite_reach > 0)
-        # right isosceles unit triangles: diameter sqrt(2)
-        assert np.abs(geo.diameter - np.sqrt(2)).max() < 1e-14
+        c1, c2 = poincare_constants(m)
+        # right isosceles unit triangles: diameter sqrt(2), so C1 = sqrt(2)/pi
+        assert np.abs(c1 - np.sqrt(2) / np.pi).max() < 1e-14
+        # C2^2 = |e|/(2|K|) (h/pi) (2 reach + 2h/pi) with |K| = 1/2, h = sqrt(2);
+        # a leg (|e| = 1) reaches sqrt(2) from the opposite vertex, the
+        # hypotenuse (|e| = sqrt(2)) reaches 1
+        v = m.vertices[m.elements]
+        edge = np.linalg.norm(v[:, [1, 2, 0]] - v, axis=2)
+        leg = 4.0 / np.pi * (1.0 + 1.0 / np.pi)
+        hyp = 4.0 / np.pi * (1.0 + np.sqrt(2) / np.pi)
+        expect = np.where(edge > 1.2, hyp, leg)
+        assert np.abs(c2 ** 2 - expect).max() < 1e-14

@@ -188,7 +188,7 @@ class TestBandExtension:
         pot = enforce_dirichlet_band(pot, gd, band, ws)
         c = pot.correction
         pts = ws.qphys[c.elems]
-        corr = c.values_at(pts) - np.einsum("ek,qk->eq", c.nodal, ws.lag_vals)
+        corr = ws.eval_data(c.ghat, pts) - np.einsum("ek,qk->eq", c.nodal, ws.lag_vals)
         assert np.abs(corr).max() < 1e-12
 
     def test_trace_exact_at_random_points(self, rng):
@@ -213,7 +213,7 @@ class TestBandExtension:
             pot = enforce_dirichlet_band(pot, gdo, self.band(), ws)
             c = pot.correction
             pts = ws.qphys[c.elems]
-            corr = c.values_at(pts) - np.einsum("ek,qk->eq", c.nodal, ws.lag_vals)
+            corr = ws.eval_data(c.ghat, pts) - np.einsum("ek,qk->eq", c.nodal, ws.lag_vals)
             maxima.append(np.abs(corr).max())
         assert maxima[0] > maxima[1] > maxima[2]
 
