@@ -19,6 +19,6 @@ from .reconstruct import (ContinuousPotential, EquilibratedFlux,
                           flux_residuals, local_optimize, make_continuous,
                           postprocess_potential, potential_residuals,
                           reconstruct_flux)
-from .workspace import Workspace
+from .workspace import NonFiniteDataError, Workspace
 
 __version__ = "0.1.0"

@@ -25,6 +25,7 @@ from .bounds import CSV_HEADER
 from .hdg import OutputFunctional, ProblemData, zero
 from .mesh import read_mesh, write_mesh
 from .problems import PROBLEM_IDS, builtin
+from .workspace import NonFiniteDataError
 
 __all__ = ["RunConfig", "run", "main", "compile_expression", "builtin"]
 
@@ -238,8 +239,7 @@ def run(cfg: RunConfig) -> int:
             target_gap=cfg.target, max_iter=cfg.max_iter, refiner=refiner,
             optimize=cfg.optimize, quad_degree=cfg.quad_degree,
             uniform_family=family)
-    except (RuntimeError, ValueError, np.linalg.LinAlgError) as exc:
-        # ValueError: data the solve cannot use, e.g. non-finite values
+    except (RuntimeError, NonFiniteDataError, np.linalg.LinAlgError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 

@@ -15,7 +15,7 @@ import numpy as np
 from . import femcore as fc
 from .hdg import DirichletBand, HDGSolution, ProblemData
 from .mesh import DIRICHLET, INTERIOR, NEUMANN, Mesh
-from .workspace import Workspace
+from .workspace import Workspace, require_finite
 
 __all__ = [
     "EquilibratedFlux",
@@ -90,7 +90,8 @@ class BandCorrection:
     x_band: float
 
     def grads_at(self, pts):
-        return np.asarray(self.ghat_grad(pts[..., 0], pts[..., 1]), dtype=float)
+        return require_finite(np.asarray(
+            self.ghat_grad(pts[..., 0], pts[..., 1]), dtype=float), pts)
 
 
 @dataclass

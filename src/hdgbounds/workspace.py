@@ -20,6 +20,20 @@ from .mesh import DIRICHLET, Mesh
 _REF_VERTS = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
 
+class NonFiniteDataError(ValueError):
+    """A data callable returned a non-finite value."""
+
+
+def require_finite(vals: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Return vals, the values (scalar or vector) of a data callable at pts
+    (..., 2); raise NonFiniteDataError naming a point where one is not finite."""
+    ok = np.isfinite(vals).reshape(pts.shape[:-1] + (-1,)).all(axis=-1)
+    if not ok.all():
+        bad = pts[~ok][0]
+        raise NonFiniteDataError(f"non-finite data value at {tuple(bad.tolist())}")
+    return vals
+
+
 class Workspace:
     """Evaluation tables of one mesh at degree p.
 
@@ -152,14 +166,11 @@ class Workspace:
 
     def eval_data(self, fun, pts=None) -> np.ndarray:
         """Values of a scalar data callable at points (..., 2), by default the
-        volume quadrature points; raises ValueError on a non-finite value."""
+        volume quadrature points; raises NonFiniteDataError on a non-finite
+        value."""
         pts = self.qphys if pts is None else pts
         vals = np.asarray(fun(pts[..., 0], pts[..., 1]), dtype=float)
-        vals = np.broadcast_to(vals, pts.shape[:-1])
-        if not np.all(np.isfinite(vals)):
-            bad = pts[~np.isfinite(vals)][0]
-            raise ValueError(f"non-finite data value at {tuple(bad.tolist())}")
-        return vals
+        return require_finite(np.broadcast_to(vals, pts.shape[:-1]), pts)
 
     def moments_p(self, values_eq: np.ndarray) -> np.ndarray:
         """(f, phi_i)_K for the mapped degree-p basis; shape (ne, np_)."""
@@ -186,7 +197,7 @@ class Workspace:
 
     # -- facet machinery ----------------------------------------------------
 
-    def facet_moments(self, vals: np.ndarray, facet_ids) -> np.ndarray:
+    def _facet_moments(self, vals: np.ndarray, facet_ids) -> np.ndarray:
         """Moments of values at the facet quadrature points of ``facet_ids``
         against the canonical P^p facet basis; shape (len(facet_ids), p+1)."""
         return np.einsum("ft,mt,t->fm", vals, self.psi_p, self.ew
@@ -194,12 +205,12 @@ class Workspace:
 
     def facet_data_moments(self, fun, facet_ids) -> np.ndarray:
         """Moments of a data callable against the canonical P^p facet basis."""
-        return self.facet_moments(self.eval_data(fun, self.ephys[facet_ids]),
+        return self._facet_moments(self.eval_data(fun, self.ephys[facet_ids]),
                                   facet_ids)
 
     def facet_proj_p(self, vals: np.ndarray, facet_ids) -> np.ndarray:
         """Pi_e^p of values at the facet quadrature points, evaluated there."""
-        return (self.facet_moments(vals, facet_ids) @ self.psi_p
+        return (self._facet_moments(vals, facet_ids) @ self.psi_p
                 ) / np.sqrt(self.facet_len[facet_ids])[:, None]
 
     def facet_sides(self):

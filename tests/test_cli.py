@@ -122,6 +122,17 @@ class TestRun:
         assert "solver failure: non-finite" in capsys.readouterr().err
         assert not (out / "summary.json").exists()
 
+    def test_other_value_error_keeps_its_traceback(self, tmp_path,
+                                                   monkeypatch):
+        # only data errors read as solver failures; a stray ValueError (a
+        # shape bug, say) propagates so that its traceback shows
+        def broken(*args, **kwargs):
+            raise ValueError("operands could not be broadcast together")
+        monkeypatch.setattr(cli.adapt, "adaptive_loop", broken)
+        cfg = RunConfig(problem="example1_s1", p=1, out_dir=str(tmp_path))
+        with pytest.raises(ValueError, match="broadcast"):
+            cli.run(cfg)
+
     def test_non_convergence_exit(self, tmp_path):
         cfg = RunConfig(problem="example2_s1", p=1, strategy="bulk:0.5",
                         target=1e-14, max_iter=2, out_dir=str(tmp_path))

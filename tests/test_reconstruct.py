@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from hdgbounds import (DirichletBand, ProblemData,
+from hdgbounds import (DirichletBand, NonFiniteDataError, ProblemData,
                        Workspace, flux_residuals, lshape_initial,
                        make_continuous, postprocess_potential,
                        potential_residuals, reconstruct_flux, solve_primal,
@@ -216,6 +216,19 @@ class TestBandExtension:
             corr = ws.eval_data(c.ghat, pts) - np.einsum("ek,qk->eq", c.nodal, ws.lag_vals)
             maxima.append(np.abs(corr).max())
         assert maxima[0] > maxima[1] > maxima[2]
+
+    def test_nonfinite_profile_derivative_reported(self):
+        # the band gradient is data too: a NaN derivative is named, not
+        # passed on to the energy norms
+        mesh = unit_square_crisscross(0)
+        gdo = self.gdo()
+        band = DirichletBand(axis=0, value=1.0, profile=self.band().profile,
+                             profile_deriv=lambda s: np.nan * s)
+        data = ProblemData(f=zero, g_D=gdo, band=band)
+        sol, flux, pot, ws = base_pair(mesh, data, 1)
+        pot = enforce_dirichlet_band(pot, gdo, band, ws)
+        with pytest.raises(NonFiniteDataError, match="non-finite"):
+            pot.eval_grads(ws)
 
     def test_band_line_is_maximal_mesh_line(self):
         for lvl in (0, 1):
