@@ -36,7 +36,7 @@ for level in range(4):
     for sol, dat in ((sol_u, prob.data), (sol_z, adata)):
         flux = reconstruct_flux(sol, dat)
         pot = make_continuous(postprocess_potential(sol, flux), dat.g_D, ws)
-        flux, pot = local_optimize(flux, pot, dat, ws)
+        flux, pot = local_optimize(flux, pot, ws)
         pairs.append((flux, pot))
 
     # the certificates are verifiable: divergence/trace residuals ~ 1e-14

@@ -124,7 +124,7 @@ def run_pipeline(mesh: Mesh, data: hdg.ProblemData, out: hdg.OutputFunctional,
         if dat.band is not None:
             pot = rc.enforce_dirichlet_band(pot, dat.g_D, dat.band, ws)
         if optimize:
-            flux, pot = rc.local_optimize(flux, pot, dat, ws)
+            flux, pot = rc.local_optimize(flux, pot, ws)
         pairs.append((flux, pot))
 
     if check:

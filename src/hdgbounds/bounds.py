@@ -165,8 +165,8 @@ def compute_kappa(primal_pair, adjoint_pair,
 # Elementwise eta contributions
 # ---------------------------------------------------------------------------
 
-def _neumann_osc(ws: Workspace, pairs, kappa: float, mode: str,
-                 data: ProblemData, out: OutputFunctional) -> tuple[np.ndarray, np.ndarray]:
+def _neumann_osc(ws: Workspace, pairs, kappa: float, mode: str, data: ProblemData,
+                 out: OutputFunctional, c2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """C2-weighted Neumann oscillation sums per element, both signs."""
     mesh = ws.mesh
     ne = mesh.n_elements
@@ -175,7 +175,6 @@ def _neumann_osc(ws: Workspace, pairs, kappa: float, mode: str,
     neu = np.nonzero(mesh.facet_tag == NEUMANN)[0]
     if not len(neu):
         return neu_minus, neu_plus
-    _, c2 = poincare_constants(mesh)
     gn = ws.eval_data(data.g_N, ws.ephys[neu])
     gno = ws.eval_data(out.g_N_O, ws.ephys[neu])
     if mode == "projected":
@@ -213,7 +212,7 @@ def compute_eta(primal_pair, adjoint_pair, data: ProblemData,
     flux_minus = np.sqrt(_energy_sq(ws, b - kappa * a))
     flux_plus = np.sqrt(_energy_sq(ws, b + kappa * a))
 
-    c1, _ = poincare_constants(ws.mesh)
+    c1, c2 = poincare_constants(ws.mesh)
     fvals = ws.eval_data(data.f)
     fovals = ws.eval_data(out.f_O)
     if mode == "projected":
@@ -227,7 +226,7 @@ def compute_eta(primal_pair, adjoint_pair, data: ProblemData,
     osc_div_plus = w * np.sqrt(ws.integrate_elementwise((do_res + kappa * d_res) ** 2))
 
     neu_minus, neu_plus = _neumann_osc(ws, (primal_pair, adjoint_pair),
-                                       kappa, mode, data, out)
+                                       kappa, mode, data, out, c2)
     return EtaBreakdown(flux_minus=flux_minus, flux_plus=flux_plus,
                         osc_div_minus=osc_div_minus, osc_div_plus=osc_div_plus,
                         osc_neu_minus=neu_minus, osc_neu_plus=neu_plus)

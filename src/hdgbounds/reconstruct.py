@@ -141,13 +141,12 @@ class ContinuousPotential:
                     out[sel] = nodal[e[sel]] @ ws.lag_edge[L, O]
         if self.correction is not None:
             c = self.correction
-            pos = {int(k): i for i, k in enumerate(c.elems)}
-            for i, f in enumerate(facet_ids):
-                j = pos.get(int(e[i]))
-                if j is None:
-                    continue
-                out[i] += (ws.eval_data(c.ghat, ws.ephys[f])
-                           - c.nodal[j] @ ws.lag_edge[ell[i], o[i]])
+            pos = np.full(self.mesh.n_elements, -1)
+            pos[c.elems] = np.arange(len(c.elems))
+            sel = np.nonzero(pos[e] >= 0)[0]
+            f, j = np.asarray(facet_ids)[sel], pos[e[sel]]
+            out[sel] += ws.eval_data(c.ghat, ws.ephys[f]) - np.einsum(
+                "jk,jkt->jt", c.nodal[j], ws.lag_edge[ell[sel], o[sel]])
         return out
 
 
@@ -402,106 +401,76 @@ def potential_residuals(pot: ContinuousPotential, g_D, ws: Workspace) -> dict:
 # Local optimization of the combined residual
 # ---------------------------------------------------------------------------
 
+def _reference_nullspace(ws: Workspace) -> np.ndarray:
+    """Orthonormal basis (3 nm, k) of the nullspace of local_optimize's
+    constraints on the reference element, in the variables (y_0, y_1, u)
+    with q = J y.
+
+    On an element with Jacobian J the constraint matrix is a nonzero row
+    scaling of this one applied to (J^-1 q, u): the facet rows carry
+    J^T n, a multiple of the reference normal, and the orientation only
+    flips the sign of odd trace moments.  So every element's feasible
+    directions are the reference ones mapped by q = J y.
+    """
+    nm, np_, F2 = ws.nm, ws.np_, ws.m + 1
+    normals = np.array([[0.0, -1.0], [np.sqrt(0.5), np.sqrt(0.5)], [-1.0, 0.0]])
+    C = np.zeros((np_ + 6 * F2 + 1, 3 * nm))
+    for r in (0, 1):
+        C[:np_, r * nm:(r + 1) * nm] = ws.S_mp[r].T          # div q = Pi_K^p f
+    for ell in range(3):
+        rows = np_ + ell * F2 + np.arange(F2)
+        T = ws.T_mm[ell, 1]
+        for r in (0, 1):
+            C[rows, r * nm:(r + 1) * nm] = normals[ell, r] * T  # q.n on dK
+        C[rows + 3 * F2, 2 * nm:] = T                          # u on dK
+    C[-1, 2 * nm] = 1.0                                        # (u, 1)_K
+    # the trace constraints are rank-deficient on purpose
+    _, S, Vt = np.linalg.svd(C)
+    rank = int(np.sum(S > S[0] * 1e-11))
+    return Vt[rank:].T
+
+
 def local_optimize(flux: EquilibratedFlux, pot: ContinuousPotential,
-                   data: ProblemData, ws: Workspace
-                   ) -> tuple[EquilibratedFlux, ContinuousPotential]:
+                   ws: Workspace) -> tuple[EquilibratedFlux, ContinuousPotential]:
     """Per element, minimize ||q* + nu grad u*||_K over q* in [P^{p+1}]^2 and
     u* in P^{p+1} subject to: div q* = Pi_K^p f, q*.n = q~.n on dK, u* = u~
     on dK, and (u*, 1)_K preserved.  The input pair is feasible, so the
     objective never increases; all flux certificates, the potential traces,
     and the element means are preserved.
+
+    The feasible directions are the reference nullspace mapped to each
+    element (_reference_nullspace); all elements are solved in one batched
+    least-squares step.
     """
-    mesh, p, nm, np_ = flux.mesh, flux.p, ws.nm, ws.np_
-    F2 = p + 2
-    ne = mesh.n_elements
-    nu = ws.nu
+    nm, nq, ne = ws.nm, ws.nq, ws.mesh.n_elements
+    N = _reference_nullspace(ws)
+    k = N.shape[1]
+    if k == 0:  # p = 0: the constraints fix the pair
+        return (replace(flux, coeffs=flux.coeffs.copy()),
+                replace(pot, values=pot.values.copy()))
+    Nq, Nu = N[:2 * nm], N[2 * nm:]
 
-    fmom = ws.project_p(data.f)
-    nodal = pot.nodal()
-    pot_modal = np.einsum("jk,ek->ej", ws.lattice.vandermonde_inv,
-                          nodal) * ws.sqrt_det[:, None]
+    # objective rows sqrt(w detJ / nu) * (q* + nu grad u*), ordered by
+    # (component, quadrature point), along each direction: reference tables
+    # mapped by J (flux) and J^-T (potential gradient)
+    qdir = np.einsum("aq,rak->rqk", ws.phi_m, Nq.reshape(2, nm, k)).reshape(2, nq * k)
+    gdir = np.einsum("aqd,ak->dqk", ws.dphi_m, Nu).reshape(2, nq * k)
+    sqw = np.sqrt(ws.wdet / ws.nu[:, None])                      # (ne, nq)
+    B = (ws.jac @ qdir + ws.nu[:, None, None] * (ws.jac_inv_t @ gdir)
+         ).reshape(ne, 2, nq, k) * (sqw / ws.sqrt_det[:, None])[:, None, :, None]
+    resid = sqw[:, :, None] * (flux.eval_values(ws)
+                               + ws.nu[:, None, None] * pot.eval_grads(ws))
+    Q, R = np.linalg.qr(B.reshape(ne, 2 * nq, k))
+    rhs = np.einsum("ecqk,eqc->ek", Q.reshape(ne, 2, nq, k), resid)
+    xi = -np.linalg.solve(R, rhs[:, :, None])[:, :, 0]
 
-    # objective rows: sqrt(w detJ / nu) * [q*_c + nu (grad u*)_c] at quad pts
-    new_flux = flux.coeffs.copy()
-    new_values = pot.values.copy()
-    sqw = np.sqrt(ws.wdet / nu[:, None])                      # (ne, nq)
-
-    corr_elems = {}
-    if pot.correction is not None:
-        corr_elems = {int(k): i for i, k in enumerate(pot.correction.elems)}
-
-    for e in range(ne):
-        phi = ws.phi_m / ws.sqrt_det[e]                       # (nm, nq)
-        gphi = np.einsum("cd,jqd->jqc", ws.jac_inv_t[e],
-                         ws.dphi_m) / ws.sqrt_det[e]          # (nm, nq, 2)
-        nq = ws.nq
-        Aobj = np.zeros((2 * nq, 3 * nm))
-        for c in (0, 1):
-            Aobj[c * nq:(c + 1) * nq, c * nm:(c + 1) * nm] = (phi * sqw[e]).T
-            Aobj[c * nq:(c + 1) * nq, 2 * nm:] = (gphi[:, :, c] * sqw[e]).T * nu[e]
-        bobj = np.zeros(2 * nq)
-        j = corr_elems.get(e)
-        if j is not None:
-            # correction gradients enter the objective as fixed data
-            g = pot.correction.grads_at(ws.qphys[e])          # (nq, 2)
-            ref_c = np.einsum("k,kqd->qd", pot.correction.nodal[j], ws.lag_grads)
-            g = g - ref_c @ ws.jac_inv_t[e].T
-            for c in (0, 1):
-                bobj[c * nq:(c + 1) * nq] = -nu[e] * g[:, c] * sqw[e]
-
-        ncon = np_ + 3 * F2 + 3 * F2 + 1
-        C = np.zeros((ncon, 3 * nm))
-        d = np.zeros(ncon)
-        # divergence rows
-        for c in (0, 1):
-            C[:np_, c * nm:(c + 1) * nm] = np.einsum(
-                "r,rai->ia", ws.jac_inv_t[e, c], ws.S_mp)
-        d[:np_] = fmom[e]
-        # facet rows
-        row = np_
-        for ell in range(3):
-            f = ws.ef[e, ell]
-            o = ws.eo[e, ell]
-            n_can = mesh.facet_normals[f]
-            sc = np.sqrt(ws.facet_len[f]) / ws.sqrt_det[e]
-            T = ws.T_mm[ell, o]                               # (F2, nm)
-            for c in (0, 1):
-                C[row:row + F2, c * nm:(c + 1) * nm] = sc * n_can[c] * T
-            # rhs: moments of the current flux's normal trace
-            vx = (flux.coeffs[e, 0] @ ws.etab_m[ell, o]) / ws.sqrt_det[e]
-            vy = (flux.coeffs[e, 1] @ ws.etab_m[ell, o]) / ws.sqrt_det[e]
-            tr = vx * n_can[0] + vy * n_can[1]
-            d[row:row + F2] = np.sqrt(ws.facet_len[f]) * (ws.psi_m * ws.ew) @ tr
-            # potential trace rows
-            C[row + 3 * F2:row + 3 * F2 + F2, 2 * nm:] = sc * T
-            tru = (pot_modal[e] @ ws.etab_m[ell, o]) / ws.sqrt_det[e]
-            d[row + 3 * F2:row + 3 * F2 + F2] = (
-                np.sqrt(ws.facet_len[f]) * (ws.psi_m * ws.ew) @ tru)
-            row += F2
-        # element-mean row (constant mode coefficient)
-        C[-1, 2 * nm] = 1.0
-        d[-1] = pot_modal[e, 0]
-
-        z0 = np.concatenate([flux.coeffs[e, 0], flux.coeffs[e, 1], pot_modal[e]])
-        # nullspace method; C is rank-deficient but consistent by construction
-        _, S, Vt = np.linalg.svd(C, full_matrices=True)
-        rank = int(np.sum(S > S[0] * 1e-11))
-        Nsp = Vt[rank:].T
-        if Nsp.shape[1] == 0:
-            continue
-        r0 = bobj - Aobj @ z0
-        xi, *_ = np.linalg.lstsq(Aobj @ Nsp, r0, rcond=None)
-        z = z0 + Nsp @ xi
-        new_flux[e, 0] = z[:nm]
-        new_flux[e, 1] = z[nm:2 * nm]
-        # boundary traces are constrained, so only interior node values move
-        new_nodal = ws.vand_m @ z[2 * nm:] / ws.sqrt_det[e]
-        slots = ws.lattice.interior_slots
-        new_values[pot.node_map[e, slots]] = new_nodal[slots]
-
-    new_pot = ContinuousPotential(mesh=mesh, degree=pot.degree, values=new_values,
-                                  node_map=pot.node_map, correction=pot.correction)
-    return EquilibratedFlux(mesh=mesh, p=p, coeffs=new_flux), new_pot
+    coeffs = flux.coeffs + ws.jac @ (xi @ Nq.T).reshape(ne, 2, nm)
+    # boundary traces are constrained, so only interior node values move
+    slots = ws.lattice.interior_slots
+    values = pot.values.copy()
+    values[pot.node_map[:, slots]] = pot.nodal()[:, slots] + (
+        xi @ (ws.vand_m[slots] @ Nu).T) / ws.sqrt_det[:, None]
+    return replace(flux, coeffs=coeffs), replace(pot, values=values)
 
 
 # ---------------------------------------------------------------------------

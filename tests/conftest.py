@@ -2,8 +2,21 @@ import numpy as np
 import pytest
 
 from hdgbounds import (Workspace, make_continuous,
-                       postprocess_potential, reconstruct_flux, solve)
+                       postprocess_potential, reconstruct_flux, solve,
+                       unit_square_crisscross)
+from hdgbounds.mesh import Mesh
 from hdgbounds.reconstruct import enforce_dirichlet_band, local_optimize
+
+
+def perturbed_crisscross(amp=0.06, seed=7):
+    """unit_square_crisscross(0) with its interior vertices moved at random,
+    so that its elements are no longer congruent."""
+    base = unit_square_crisscross(0)
+    v = base.vertices.copy()
+    interior = np.all((v > 1e-12) & (v < 1.0 - 1e-12), axis=1)
+    v[interior] += np.random.default_rng(seed).uniform(
+        -amp, amp, size=(int(interior.sum()), 2))
+    return Mesh(v, base.elements, base.boundary_tag_dict())
 
 
 @pytest.fixture
@@ -23,6 +36,6 @@ def build_pair(mesh, data, out, p, tau=1.0, optimize=False, quad_degree=None):
         if dat.band is not None:
             pot = enforce_dirichlet_band(pot, dat.g_D, dat.band, ws)
         if optimize:
-            flux, pot = local_optimize(flux, pot, dat, ws)
+            flux, pot = local_optimize(flux, pot, ws)
         pairs.append((flux, pot))
     return sol_u, sol_z, pairs[0], pairs[1], ws

@@ -6,23 +6,13 @@ import math
 import numpy as np
 import pytest
 
+from conftest import perturbed_crisscross
 from hdgbounds import Workspace
 from hdgbounds import femcore as fc
 from hdgbounds import unit_square_crisscross
 from hdgbounds.bounds import _energy_sq
 from hdgbounds.mesh import Mesh
 from hdgbounds.reconstruct import EquilibratedFlux, _rt_tails
-
-
-def perturbed_crisscross(amp=0.06, seed=7):
-    """unit_square_crisscross(0) with its interior vertices moved at random,
-    so that its elements are no longer congruent."""
-    base = unit_square_crisscross(0)
-    v = base.vertices.copy()
-    interior = np.all((v > 1e-12) & (v < 1.0 - 1e-12), axis=1)
-    v[interior] += np.random.default_rng(seed).uniform(
-        -amp, amp, size=(int(interior.sum()), 2))
-    return Mesh(v, base.elements, base.boundary_tag_dict())
 
 
 def both_meshes():

@@ -6,13 +6,16 @@ import math
 import numpy as np
 import pytest
 
+from conftest import build_pair, perturbed_crisscross
 from hdgbounds import (DirichletBand, NonFiniteDataError, ProblemData,
-                       Workspace, flux_residuals, lshape_initial,
+                       Workspace, builtin, flux_residuals, lshape_initial,
                        make_continuous, postprocess_potential,
                        potential_residuals, reconstruct_flux, solve_primal,
                        unit_square_crisscross, zero)
 from hdgbounds.bounds import _energy_sq, _residual_field
+from hdgbounds.mesh import Mesh
 from hdgbounds.reconstruct import (ContinuousPotential, EquilibratedFlux,
+                                   _reference_nullspace,
                                    enforce_dirichlet_band, local_optimize)
 
 EX1_F = lambda x, y: 2 * np.pi ** 2 * np.sin(np.pi * x) * np.sin(np.pi * y)
@@ -253,24 +256,174 @@ class TestBandExtension:
             enforce_dirichlet_band(pot, zero, bad, ws)
 
 
+def _loop_constraint_matrix(ws, e):
+    """Constraints of the local optimization on element e, assembled
+    directly on the element: divergence rows, then the flux and potential
+    trace rows of the three facets, then the element-mean row."""
+    mesh, p, nm, np_ = ws.mesh, ws.p, ws.nm, ws.np_
+    F2 = p + 2
+    ncon = np_ + 3 * F2 + 3 * F2 + 1
+    C = np.zeros((ncon, 3 * nm))
+    # divergence rows
+    for c in (0, 1):
+        C[:np_, c * nm:(c + 1) * nm] = np.einsum(
+            "r,rai->ia", ws.jac_inv_t[e, c], ws.S_mp)
+    # facet rows
+    row = np_
+    for ell in range(3):
+        f = ws.ef[e, ell]
+        o = ws.eo[e, ell]
+        n_can = mesh.facet_normals[f]
+        sc = np.sqrt(ws.facet_len[f]) / ws.sqrt_det[e]
+        T = ws.T_mm[ell, o]                               # (F2, nm)
+        for c in (0, 1):
+            C[row:row + F2, c * nm:(c + 1) * nm] = sc * n_can[c] * T
+        # potential trace rows
+        C[row + 3 * F2:row + 3 * F2 + F2, 2 * nm:] = sc * T
+        row += F2
+    # element-mean row (constant mode coefficient)
+    C[-1, 2 * nm] = 1.0
+    return C
+
+
+def _local_optimize_loop(flux, pot, ws):
+    """Element-by-element reference for local_optimize: one SVD nullspace
+    of the element's own constraint matrix and one lstsq per element."""
+    mesh, p, nm = flux.mesh, flux.p, ws.nm
+    ne = mesh.n_elements
+    nu = ws.nu
+
+    nodal = pot.nodal()
+    pot_modal = np.einsum("jk,ek->ej", ws.lattice.vandermonde_inv,
+                          nodal) * ws.sqrt_det[:, None]
+
+    # objective rows: sqrt(w detJ / nu) * [q*_c + nu (grad u*)_c] at quad pts
+    new_flux = flux.coeffs.copy()
+    new_values = pot.values.copy()
+    sqw = np.sqrt(ws.wdet / nu[:, None])                      # (ne, nq)
+
+    corr_elems = {}
+    if pot.correction is not None:
+        corr_elems = {int(k): i for i, k in enumerate(pot.correction.elems)}
+
+    for e in range(ne):
+        phi = ws.phi_m / ws.sqrt_det[e]                       # (nm, nq)
+        gphi = np.einsum("cd,jqd->jqc", ws.jac_inv_t[e],
+                         ws.dphi_m) / ws.sqrt_det[e]          # (nm, nq, 2)
+        nq = ws.nq
+        Aobj = np.zeros((2 * nq, 3 * nm))
+        for c in (0, 1):
+            Aobj[c * nq:(c + 1) * nq, c * nm:(c + 1) * nm] = (phi * sqw[e]).T
+            Aobj[c * nq:(c + 1) * nq, 2 * nm:] = (gphi[:, :, c] * sqw[e]).T * nu[e]
+        bobj = np.zeros(2 * nq)
+        j = corr_elems.get(e)
+        if j is not None:
+            # correction gradients enter the objective as fixed data
+            g = pot.correction.grads_at(ws.qphys[e])          # (nq, 2)
+            ref_c = np.einsum("k,kqd->qd", pot.correction.nodal[j], ws.lag_grads)
+            g = g - ref_c @ ws.jac_inv_t[e].T
+            for c in (0, 1):
+                bobj[c * nq:(c + 1) * nq] = -nu[e] * g[:, c] * sqw[e]
+
+        C = _loop_constraint_matrix(ws, e)
+        z0 = np.concatenate([flux.coeffs[e, 0], flux.coeffs[e, 1], pot_modal[e]])
+        # nullspace method; C is rank-deficient but consistent by construction
+        _, S, Vt = np.linalg.svd(C, full_matrices=True)
+        rank = int(np.sum(S > S[0] * 1e-11))
+        Nsp = Vt[rank:].T
+        if Nsp.shape[1] == 0:
+            continue
+        r0 = bobj - Aobj @ z0
+        xi, *_ = np.linalg.lstsq(Aobj @ Nsp, r0, rcond=None)
+        z = z0 + Nsp @ xi
+        new_flux[e, 0] = z[:nm]
+        new_flux[e, 1] = z[nm:2 * nm]
+        # boundary traces are constrained, so only interior node values move
+        new_nodal = ws.vand_m @ z[2 * nm:] / ws.sqrt_det[e]
+        slots = ws.lattice.interior_slots
+        new_values[pot.node_map[e, slots]] = new_nodal[slots]
+
+    new_pot = ContinuousPotential(mesh=mesh, degree=pot.degree, values=new_values,
+                                  node_map=pot.node_map, correction=pot.correction)
+    return EquilibratedFlux(mesh=mesh, p=p, coeffs=new_flux), new_pot
+
+
+def _mapped_nullspace(ws, e):
+    """The reference nullspace carried to element e by q = J y."""
+    nm = ws.nm
+    N = _reference_nullspace(ws)
+    Ny = N[:2 * nm].reshape(2, nm, -1)
+    Nq = np.einsum("cr,rak->cak", ws.jac[e], Ny).reshape(2 * nm, -1)
+    return np.vstack([Nq, N[2 * nm:]])
+
+
+def _two_material(mesh):
+    """mesh with nu = 1 left of x = 1/2 and nu = 3 right of it."""
+    region = (mesh.vertices[mesh.elements].mean(axis=1)[:, 0] > 0.5).astype(int)
+    return Mesh(mesh.vertices, mesh.elements, mesh.boundary_tag_dict(),
+                region=region, nu={0: 1.0, 1: 3.0})
+
+
+OPT_MESHES = {"crisscross1": lambda: unit_square_crisscross(1),
+              "perturbed": perturbed_crisscross,
+              "perturbed_two_nu": lambda: _two_material(perturbed_crisscross()),
+              "lshape": lshape_initial}
+
+
 class TestLocalOptimize:
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize("mesh_name", list(OPT_MESHES))
+    def test_batched_matches_element_loop(self, mesh_name, p):
+        # example1_s2: the primal pair has no band correction, the adjoint
+        # pair carries the band extension on x = 1
+        prob = builtin("example1_s2")
+        _, _, primal, adjoint, ws = build_pair(OPT_MESHES[mesh_name](),
+                                               prob.data, prob.out, p)
+        assert primal[1].correction is None
+        assert adjoint[1].correction is not None
+        for flux, pot in (primal, adjoint):
+            got_f, got_p = local_optimize(flux, pot, ws)
+            ref_f, ref_p = _local_optimize_loop(flux, pot, ws)
+            for got, ref in ((got_f.coeffs, ref_f.coeffs),
+                             (got_p.values, ref_p.values)):
+                assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+            assert got_p.correction is pot.correction
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize("mesh_name", ["perturbed", "lshape"])
+    def test_element_nullspace_is_mapped_reference(self, mesh_name, p):
+        ws = Workspace(OPT_MESHES[mesh_name](), p)
+        k = _reference_nullspace(ws).shape[1]
+        assert k > 0
+        for e in range(ws.mesh.n_elements):
+            _, S, Vt = np.linalg.svd(_loop_constraint_matrix(ws, e))
+            rank = int(np.sum(S > S[0] * 1e-11))
+            assert rank == 3 * ws.nm - k
+            loop_proj = Vt[rank:].T @ Vt[rank:]
+            Q, _ = np.linalg.qr(_mapped_nullspace(ws, e))
+            assert np.abs(loop_proj - Q @ Q.T).max() <= 1e-12
+
     def test_exact_pair_unchanged(self):
         mesh = unit_square_crisscross(0)
         data = ProblemData(f=zero, g_D=lambda x, y: x)
         sol, flux, pot, ws = base_pair(mesh, data, 2)
-        f2, p2 = local_optimize(flux, pot, data, ws)
+        f2, p2 = local_optimize(flux, pot, ws)
         a = _residual_field((f2, p2), ws)
         assert np.sqrt(_energy_sq(ws, a).sum()) < 1e-10
 
-    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize("p", [0, 1, 2, 3])
     def test_objective_never_increases_and_certificates_hold(self, p):
         mesh = unit_square_crisscross(0)
         data = ProblemData(f=EX1_F)
         sol, flux, pot, ws = base_pair(mesh, data, p)
         before = _energy_sq(ws, _residual_field((flux, pot), ws)).sum()
-        f2, p2 = local_optimize(flux, pot, data, ws)
+        f2, p2 = local_optimize(flux, pot, ws)
         after = _energy_sq(ws, _residual_field((f2, p2), ws)).sum()
         assert after <= before + 1e-12
+        if p == 0:
+            # no feasible direction: the pair is returned unchanged
+            assert np.array_equal(f2.coeffs, flux.coeffs)
+            assert np.array_equal(p2.values, pot.values)
         res = flux_residuals(f2, data, ws)
         pres = potential_residuals(p2, data.g_D, ws)
         assert max(res.values()) <= 1e-10
@@ -284,7 +437,7 @@ class TestLocalOptimize:
         data = ProblemData(f=EX1_F)
         p = 2
         sol, flux, pot, ws = base_pair(mesh, data, p)
-        fo, po = local_optimize(flux, pot, data, ws)
+        fo, po = local_optimize(flux, pot, ws)
         obj_opt = _energy_sq(ws, _residual_field((fo, po), ws)).sum()
 
         # curl of the cubic bubble b = l1 l2 l3 on each element (reference
@@ -309,7 +462,7 @@ class TestLocalOptimize:
         res = flux_residuals(flux_pert, data, ws)
         assert max(res.values()) < 1e-9  # still equilibrated
         obj_pert = _energy_sq(ws, _residual_field((flux_pert, pot), ws)).sum()
-        f3, p3 = local_optimize(flux_pert, pot, data, ws)
+        f3, p3 = local_optimize(flux_pert, pot, ws)
         obj_back = _energy_sq(ws, _residual_field((f3, p3), ws)).sum()
         assert obj_back <= obj_pert
         assert obj_back <= obj_opt + 1e-12
@@ -325,7 +478,7 @@ class TestLocalOptimize:
         data = ProblemData(f=zero, g_D=gdo, band=band)
         sol, flux, pot, ws = base_pair(mesh, data, 2)
         pot = enforce_dirichlet_band(pot, gdo, band, ws)
-        f2, p2 = local_optimize(flux, pot, data, ws)
+        f2, p2 = local_optimize(flux, pot, ws)
         res = potential_residuals(p2, gdo, ws)
         assert res["dirichlet_trace"] < 1e-10
         assert res["continuity"] < 1e-10
