@@ -34,7 +34,7 @@ for level in range(4):
     #    a continuous superconvergent potential, for both problems
     pairs = []
     for sol, dat in ((sol_u, prob.data), (sol_z, adata)):
-        flux = reconstruct_flux(sol, dat)
+        flux = reconstruct_flux(sol)
         pot = make_continuous(postprocess_potential(sol, flux), dat.g_D, ws)
         flux, pot = local_optimize(flux, pot, ws)
         pairs.append((flux, pot))

@@ -25,7 +25,7 @@ print("band corrections shrink rapidly with the polynomial degree:")
 for p in (1, 2, 3):
     sol = solve_adjoint(mesh, prob.out, p=p)
     ws = sol.ws
-    flux = reconstruct_flux(sol, adata)
+    flux = reconstruct_flux(sol)
     pot = make_continuous(postprocess_potential(sol, flux), adata.g_D, ws)
     pot = enforce_dirichlet_band(pot, adata.g_D, prob.out.band, ws)
     c = pot.correction

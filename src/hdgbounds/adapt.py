@@ -118,7 +118,7 @@ def run_pipeline(mesh: Mesh, data: hdg.ProblemData, out: hdg.OutputFunctional,
 
     pairs = []
     for sol, dat in ((sol_u, data), (sol_z, adata)):
-        flux = rc.reconstruct_flux(sol, dat)
+        flux = rc.reconstruct_flux(sol)
         pot = rc.make_continuous(rc.postprocess_potential(sol, flux),
                                  dat.g_D, ws)
         if dat.band is not None:

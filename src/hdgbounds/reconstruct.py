@@ -110,22 +110,22 @@ class ContinuousPotential:
         return self.values[self.node_map]
 
     def eval_values(self, ws: Workspace) -> np.ndarray:
-        out = np.einsum("ek,qk->eq", self.nodal(), ws.lag_vals)
+        out = self.nodal() @ ws.lag_vals.T
         if self.correction is not None:
             c = self.correction
-            out[c.elems] += ws.eval_data(c.ghat, ws.qphys[c.elems]) - np.einsum(
-                "ek,qk->eq", c.nodal, ws.lag_vals)
+            out[c.elems] += (ws.eval_data(c.ghat, ws.qphys[c.elems])
+                             - c.nodal @ ws.lag_vals.T)
         return out
 
     def eval_grads(self, ws: Workspace) -> np.ndarray:
-        ref = np.einsum("ek,kqd->eqd", self.nodal(), ws.lag_grads)
-        out = np.einsum("eqd,ecd->eqc", ref, ws.jac_inv_t)
+        def grads(nodal, jac_inv):  # reference gradients mapped by J^-T
+            return (nodal @ ws.lag_grads.reshape(ws.n_nodes, -1)).reshape(
+                len(nodal), ws.nq, 2) @ jac_inv
+        out = grads(self.nodal(), ws.jac_inv)
         if self.correction is not None:
             c = self.correction
-            pts = ws.qphys[c.elems]
-            ref_c = np.einsum("ek,kqd->eqd", c.nodal, ws.lag_grads)
-            out[c.elems] += (c.grads_at(pts)
-                             - np.einsum("eqd,ecd->eqc", ref_c, ws.jac_inv_t[c.elems]))
+            out[c.elems] += (c.grads_at(ws.qphys[c.elems])
+                             - grads(c.nodal, ws.jac_inv[c.elems]))
         return out
 
     def trace_values(self, ws: Workspace, facet_ids, side: int = 0) -> np.ndarray:
@@ -154,83 +154,61 @@ class ContinuousPotential:
 # Flux reconstruction
 # ---------------------------------------------------------------------------
 
-def _rt_tails(ws: Workspace, pts_phys: np.ndarray) -> np.ndarray:
-    """The p+1 non-gradient RT generators at given points: (ne, p+1, npts, 2).
+def _reference_rt(ws: Workspace) -> tuple[np.ndarray, np.ndarray]:
+    """The reference RT^p basis y_j and its degrees of freedom.
 
-    Tail k is  s * (x - c) * h_k((x - c)/h_K)  with h_k the homogeneous
-    degree-p monomials and s a per-element normalization.
+    T (N, 2, nm) holds the componentwise modal P^{p+1} coefficients of the
+    generators on the reference element: the P^p modes times each unit
+    vector, then the p+1 tails (x - c) h_k(x - c), with c the centroid and
+    h_k the homogeneous degree-p monomials.  A (N, N) holds their degrees of
+    freedom: the moments of y.|e|n against P^p on each local edge, walked
+    in its local direction, then the moments of each component against
+    [P^{p-1}]^2.
     """
-    p = ws.p
-    diam = np.linalg.norm(ws.jac, axis=1).max(axis=1)  # edge-length scale per element
-    d = (pts_phys - ws.centroid[:, None, :]) / diam[:, None, None]
-    ts = (np.sqrt(2.0 / ws.det) / diam)[:, None]
-    out = np.empty((ws.mesh.n_elements, p + 1, pts_phys.shape[1], 2))
-    for k in range(p + 1):
-        h = d[:, :, 0] ** (p - k) * d[:, :, 1] ** k
-        out[:, k] = (pts_phys - ws.centroid[:, None, :]) * (ts * h)[:, :, None]
-    return out
+    p, np_, nm = ws.p, ws.np_, ws.nm
+    N, F1, n1 = (p + 1) * (p + 3), p + 1, fc.n_modes(p - 1) if p else 0
+    T = np.zeros((N, 2, nm))
+    idx = np.arange(np_)
+    T[idx, 0, idx] = T[np_ + idx, 1, idx] = 1.0
+    d = ws.qref - 1.0 / 3.0
+    for k in range(F1):
+        h = d[:, 0] ** (p - k) * d[:, 1] ** k * ws.qw
+        T[2 * np_ + k] = (d * h[:, None]).T @ ws.phi_m.T
+    A = np.empty((N, N))
+    edge_normals = np.array([[0.0, -1.0], [1.0, 1.0], [-1.0, 0.0]])  # |e| n
+    for ell in range(3):
+        yn = edge_normals[ell] @ (T @ ws.etab_m[ell, 1])              # (N, nqe)
+        A[ell * F1:(ell + 1) * F1] = (ws.psi_p * ws.ew) @ yn.T
+    A[3 * F1:] = T[:, :, :n1].transpose(1, 2, 0).reshape(2 * n1, N)
+    return T, A
 
 
-def reconstruct_flux(sol: HDGSolution, data: ProblemData) -> EquilibratedFlux:
-    """Element-by-element RT^p reconstruction from the HDG numerical flux:
-    facet moments match qhat.n against P^p(e) on every facet, interior
-    moments match q_h against [P^{p-1}(K)]^2 when p >= 1.
+def reconstruct_flux(sol: HDGSolution) -> EquilibratedFlux:
+    """RT^p reconstruction from the HDG numerical flux: facet moments match
+    qhat.n against P^p(e) on every facet, interior moments match q_h against
+    [P^{p-1}(K)]^2 when p >= 1.
+
+    The flux is q = J y / det J with y in the reference RT^p space, whose
+    degrees of freedom are Piola invariant: on each element the facet
+    moments are the reference ones times esign / sqrt(|e|) and the parity
+    (-1)^k of the facet modes walked against the local edge direction, and
+    the interior moments are the reference ones mixed by J / sqrt(det J).
+    So every element solves with the one reference matrix of _reference_rt.
     """
     ws = sol.ws
-    mesh, p = sol.mesh, sol.p
-    ne, np_, F1 = mesh.n_elements, ws.np_, p + 1
-    n_int = 2 * fc.n_modes(p - 1) if p >= 1 else 0
-    N = (p + 1) * (p + 3)
-    assert N == 2 * np_ + (p + 1) and N == 3 * F1 + n_int
-
-    A = np.zeros((ne, N, N))
-    rhs = np.zeros((ne, N))
-
-    tails_vol = _rt_tails(ws, ws.qphys)                       # (ne, p+1, nq, 2)
-
-    # facet rows: scalar-part columns then tail columns
-    scale = np.sqrt(ws.elen) / ws.sqrt_det[:, None]
-    for ell in range(3):
-        rows = slice(ell * F1, (ell + 1) * F1)
-        f = ws.ef[:, ell]
-        n_can = mesh.facet_normals[f]                          # canonical normal
-        T = ws.T_p[ell, ws.eo[:, ell]]                         # (ne, F1, np_)
-        blk = np.einsum("ec,emv->emcv", n_can, T) * scale[:, ell, None, None, None]
-        A[:, rows, :2 * np_] = blk.reshape(ne, F1, 2 * np_)
-        pts = ws.ephys[f]                                      # (ne, nqe, 2)
-        tails_e = _rt_tails(ws, pts)                           # (ne, p+1, nqe, 2)
-        tn = np.einsum("ektc,ec->ekt", tails_e, n_can)
-        A[:, rows, 2 * np_:] = np.einsum(
-            "ekt,mt,t->emk", tn, ws.psi_p, ws.ew) * np.sqrt(ws.facet_len[f])[:, None, None]
-        rhs[:, rows] = sol.qhat_n[f]
-
-    if n_int:
-        nint1 = n_int // 2
-        idx = np.arange(nint1)
-        for c in (0, 1):
-            r0 = 3 * F1 + c * nint1
-            # scalar columns are orthonormal: identity against the degree p-1 prefix
-            A[:, r0 + idx, c * np_ + idx] = 1.0
-            A[:, r0:r0 + nint1, 2 * np_:] = np.einsum(
-                "ekq,jq,q->ejk", tails_vol[:, :, :, c], ws.phi_p[:nint1], ws.qw
-            ) * ws.sqrt_det[:, None, None]
-            rhs[:, r0:r0 + nint1] = sol.q[:, c, :nint1]
-
-    try:
-        alpha = np.linalg.solve(A, rhs[:, :, None])[:, :, 0]
-    except np.linalg.LinAlgError as exc:
-        raise RuntimeError(f"singular local RT system (degenerate element?): {exc}")
-
-    # convert to componentwise modal degree p+1 coefficients
-    coeffs = np.zeros((ne, 2, ws.nm))
-    coeffs[:, 0, :np_] = alpha[:, :np_]
-    coeffs[:, 1, :np_] = alpha[:, np_:2 * np_]
-    tail_alpha = alpha[:, 2 * np_:]
-    for c in (0, 1):
-        proj = np.einsum("ekq,jq,q->ekj", tails_vol[:, :, :, c], ws.phi_m, ws.qw) \
-            * ws.sqrt_det[:, None, None]
-        coeffs[:, c] += np.einsum("ek,ekj->ej", tail_alpha, proj)
-    return EquilibratedFlux(mesh=mesh, p=p, coeffs=coeffs)
+    ne, p, F1 = sol.mesh.n_elements, sol.p, sol.p + 1
+    n1 = fc.n_modes(p - 1) if p else 0
+    T, A = _reference_rt(ws)
+    flip = np.where(ws.eo[:, :, None] == 1, 1.0, (-1.0) ** np.arange(F1))
+    rhs = np.empty((ne, len(T)))
+    rhs[:, :3 * F1] = (sol.qhat_n[ws.ef] * flip * (ws.esign * np.sqrt(ws.elen))[
+        :, :, None]).reshape(ne, 3 * F1)
+    rhs[:, 3 * F1:] = (ws.jac_inv @ sol.q[:, :, :n1]).reshape(ne, 2 * n1) \
+        * ws.sqrt_det[:, None]
+    # reference coefficients beta = A^-1 rhs, and their modal coefficients
+    yhat = (rhs @ np.linalg.solve(A.T, T.reshape(len(T), -1))).reshape(ne, 2, -1)
+    return EquilibratedFlux(mesh=sol.mesh, p=p,
+                            coeffs=ws.jac @ yhat / ws.sqrt_det[:, None, None])
 
 
 # ---------------------------------------------------------------------------
@@ -241,12 +219,12 @@ def postprocess_potential(sol: HDGSolution, flux: EquilibratedFlux) -> np.ndarra
     """Element P^{p+1} potential: (grad u*, grad w)_K matches the flux data
     -(nu^-1 q~, grad w)_K, mean value pinned to u_h.  Returns mapped-modal
     coefficients (ne, n_modes(p+1))."""
-    ws = sol.ws
-    G = np.einsum("erc,esc->ers", ws.jac_inv, ws.jac_inv)
-    K = np.einsum("ers,rsab->eab", G, ws.S2)
-    rhs = -np.einsum("ecr,eca,rai->ei", ws.jac_inv_t, flux.coeffs, ws.Qm) \
-        / ws.nu[:, None]
-    coeffs = np.zeros((sol.mesh.n_elements, ws.nm))
+    ws, ne, nm = sol.ws, sol.mesh.n_elements, sol.ws.nm
+    G = ws.jac_inv @ ws.jac_inv_t                       # G[e, r, s]
+    K = (G.reshape(ne, 4) @ ws.S2.reshape(4, nm * nm)).reshape(ne, nm, nm)
+    rhs = -((ws.jac_inv @ flux.coeffs).reshape(ne, 2 * nm)
+            @ ws.Qm.reshape(2 * nm, nm)) / ws.nu[:, None]
+    coeffs = np.zeros((ne, nm))
     coeffs[:, 1:] = np.linalg.solve(K[:, 1:, 1:], rhs[:, 1:, None])[:, :, 0]
     coeffs[:, 0] = sol.u[:, 0]  # same constant mode pins (u*, 1)_K = (u_h, 1)_K
     return coeffs

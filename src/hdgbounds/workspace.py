@@ -6,8 +6,8 @@ and facet quadrature in physical coordinates, modal basis tables at the
 quadrature points, Lagrange tables for the degree p+1 potential, and the
 facet trace tables for each (local edge, orientation) case.
 
-All arrays are laid out elementwise so the hot paths are numpy einsums and
-batched linear solves; no Python loop runs over elements in the pipelines.
+All arrays are laid out elementwise so the hot paths are batched matrix
+products and solves; no Python loop runs over elements in the pipelines.
 """
 
 from __future__ import annotations
@@ -67,15 +67,14 @@ class Workspace:
         self.jac_inv_t = np.swapaxes(inv, 1, 2)
         self.sqrt_det = np.sqrt(self.det)
         self.nu = mesh.element_nu()
-        self.centroid = v.mean(axis=1)
 
         # volume quadrature
         rule = fc.triangle_rule(quad_degree)
         self.qref = rule.points                              # (nq, 2)
         self.qw = rule.weights
         self.nq = len(self.qw)
-        self.qphys = self.v0[:, None, :] + np.einsum(
-            "qr,erd->eqd", self.qref, np.swapaxes(self.jac, 1, 2))
+        jac_t = np.swapaxes(self.jac, 1, 2)
+        self.qphys = self.v0[:, None, :] + self.qref @ jac_t
         # integration weights including detJ: (ne, nq)
         self.wdet = self.det[:, None] * self.qw[None, :]
 
@@ -152,8 +151,7 @@ class Workspace:
         self.lag_edge = np.einsum("loit,ik->lokt", self.etab_m, lat.vandermonde_inv)
         # modal Vandermonde at the lattice nodes (nodal values <- modal coeffs)
         self.vand_m = fc.tri_basis(self.m, lat.nodes).T               # (n_nodes, nm)
-        self.node_phys = self.v0[:, None, :] + np.einsum(
-            "kr,erd->ekd", lat.nodes, np.swapaxes(self.jac, 1, 2))    # (ne, n_nodes, 2)
+        self.node_phys = self.v0[:, None, :] + lat.nodes @ jac_t     # (ne, n_nodes, 2)
 
         self._global_nodes = None
         self._facet_side_cache = None

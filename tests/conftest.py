@@ -31,7 +31,7 @@ def build_pair(mesh, data, out, p, tau=1.0, optimize=False, quad_degree=None):
     sol_u, sol_z = solve(ws, [data, adata], tau)
     pairs = []
     for sol, dat in ((sol_u, data), (sol_z, adata)):
-        flux = reconstruct_flux(sol, dat)
+        flux = reconstruct_flux(sol)
         pot = make_continuous(postprocess_potential(sol, flux), dat.g_D, ws)
         if dat.band is not None:
             pot = enforce_dirichlet_band(pot, dat.g_D, dat.band, ws)

@@ -122,6 +122,37 @@ class TestRun:
         assert "solver failure: non-finite" in capsys.readouterr().err
         assert not (out / "summary.json").exists()
 
+    @pytest.mark.parametrize("edit, code, message", [
+        ("swap_element_0", EXIT_CONFIG, "non-positive signed area"),
+        ("all_neumann", EXIT_CONFIG, "the Dirichlet boundary must be non-empty"),
+        # a triangle flattened to height 1e-14 still gets a positive area;
+        # the certificate gate, not a singular solve, rejects it
+        ("flatten", EXIT_SOLVER, "certificate violated"),
+    ])
+    def test_hostile_mesh_fails_loudly(self, tmp_path, capsys, edit, code,
+                                       message):
+        mesh = unit_square_crisscross(0)
+        path = tmp_path / "square.txt"
+        write_mesh(mesh, path)
+        lines = path.read_text().splitlines()
+        nv, ne, nf = map(int, lines[0].split())
+        if edit == "swap_element_0":
+            v = lines[1 + nv].split()
+            lines[1 + nv] = " ".join([v[1], v[0]] + v[2:])
+        elif edit == "all_neumann":
+            for i in range(1 + nv + ne, 1 + nv + ne + nf):
+                lines[i] = " ".join(lines[i].split()[:2] + ["N"])
+        else:
+            centre = int(np.flatnonzero(np.all(mesh.vertices == 0.5, axis=1))[0])
+            lines[1 + centre] = f"0.5 {1e-14!r}"
+        path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "o"
+        assert cli.main(["--mesh", str(path), "--f", "1", "--f_O", "1",
+                         "--max-iter", "1", "--out", str(out)]) == code
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1 and message in err
+        assert not (out / "summary.json").exists()
+
     def test_other_value_error_keeps_its_traceback(self, tmp_path,
                                                    monkeypatch):
         # only data errors read as solver failures; a stray ValueError (a

@@ -12,7 +12,7 @@ from hdgbounds import femcore as fc
 from hdgbounds import unit_square_crisscross
 from hdgbounds.bounds import _energy_sq
 from hdgbounds.mesh import Mesh
-from hdgbounds.reconstruct import EquilibratedFlux, _rt_tails
+from hdgbounds.reconstruct import EquilibratedFlux, _reference_rt
 
 
 def both_meshes():
@@ -187,19 +187,10 @@ class TestProjections:
 
 def rt_generators(ws):
     """The RT^p generators reconstruct_flux solves for, as componentwise
-    modal P^{p+1} coefficients (ne, N, 2, nm): the P^p modes times each unit
-    vector, then the p+1 tails."""
-    p, np_, nm = ws.p, ws.np_, ws.nm
-    ne = ws.mesh.n_elements
-    basis = np.zeros((ne, 2 * np_ + p + 1, 2, nm))
-    idx = np.arange(np_)
-    basis[:, idx, 0, idx] = 1.0          # P^p modes prefix the P^{p+1} modes
-    basis[:, np_ + idx, 1, idx] = 1.0
-    tails = _rt_tails(ws, ws.qphys)       # (ne, p+1, nq, 2)
-    for k in range(p + 1):
-        for c in (0, 1):
-            basis[:, 2 * np_ + k, c] = ws.moments_m(tails[:, k, :, c])
-    return basis
+    modal P^{p+1} coefficients (ne, N, 2, nm): the reference basis mapped
+    to every element by q = J y / det J."""
+    T, _ = _reference_rt(ws)
+    return np.einsum("ecd,jdk->ejck", ws.jac, T) / ws.sqrt_det[:, None, None, None]
 
 
 class TestRTSpace:
@@ -219,14 +210,14 @@ class TestRTSpace:
         D = np.stack(moments, axis=2)      # (ne, np_, N)
         assert np.all(np.linalg.matrix_rank(D) == fc.n_modes(p))
 
-    @pytest.mark.parametrize("p", [0, 1, 2])
+    @pytest.mark.parametrize("p", [0, 1, 2, 3])
     def test_normal_trace_lies_in_Pp_edge(self, p):
         ws = Workspace(perturbed_crisscross(), p)
+        basis = rt_generators(ws)                       # (ne, N, 2, nm)
         for ell in range(3):
-            f = ws.ef[:, ell]
-            tails = _rt_tails(ws, ws.ephys[f])           # (ne, p+1, nqe, 2)
-            tn = np.einsum("ektc,ec->ekt", tails, ws.mesh.facet_normals[f])
-            mom = np.einsum("ekt,mt,t->ekm", tn, ws.psi_m, ws.ew)
+            vals = basis @ ws.etab_m[ell, 1] / ws.sqrt_det[:, None, None, None]
+            tn = np.einsum("ejct,ec->ejt", vals, ws.enormal[:, ell])
+            mom = np.einsum("ejt,mt,t->ejm", tn, ws.psi_m, ws.ew)
             assert np.abs(mom[:, :, p + 1]).max() < 1e-12 * (1 + np.abs(mom).max())
 
     def test_dimension(self):

@@ -88,6 +88,22 @@ class TestLocalStructure:
         mom = ws.facet_data_moments(gd, dfac)
         assert np.abs(sol.uhat[dfac] - mom).max() < 1e-12
 
+    def test_skeleton_ordering_keeps_fill_low(self, monkeypatch):
+        # minimum degree on A^T + A fills about 3 A.nnz on this mesh, the
+        # default COLAMD about 5.4 A.nnz
+        from hdgbounds import hdg
+        fills = []
+        splu = hdg.spla.splu
+
+        def recording_splu(A, *args, **kwargs):
+            lu = splu(A, *args, **kwargs)
+            fills.append((lu.L.nnz + lu.U.nnz) / A.nnz)
+            return lu
+
+        monkeypatch.setattr(hdg.spla, "splu", recording_splu)
+        solve(Workspace(unit_square_crisscross(3), 2), [ProblemData(f=EX1_F)])
+        assert len(fills) == 1 and fills[0] <= 4.0
+
     def test_degenerate_tau_rejected(self):
         mesh = unit_square_crisscross(0)
         with pytest.raises(ValueError):

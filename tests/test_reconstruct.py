@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 
 from conftest import build_pair, perturbed_crisscross
+from test_hdg import mixed_square
+from hdgbounds import femcore as fc
 from hdgbounds import (DirichletBand, NonFiniteDataError, ProblemData,
                        Workspace, builtin, flux_residuals, lshape_initial,
                        make_continuous, postprocess_potential,
-                       potential_residuals, reconstruct_flux, solve_primal,
-                       unit_square_crisscross, zero)
+                       potential_residuals, reconstruct_flux, solve,
+                       solve_primal, unit_square_crisscross, zero)
 from hdgbounds.bounds import _energy_sq, _residual_field
 from hdgbounds.mesh import Mesh
 from hdgbounds.reconstruct import (ContinuousPotential, EquilibratedFlux,
@@ -25,12 +27,104 @@ EX1_U = lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y)
 def base_pair(mesh, data, p, quad_degree=None):
     sol = solve_primal(mesh, data, p=p, quad_degree=quad_degree)
     ws = sol.ws
-    flux = reconstruct_flux(sol, data)
+    flux = reconstruct_flux(sol)
     pot = make_continuous(postprocess_potential(sol, flux), data.g_D, ws)
     return sol, flux, pot, ws
 
 
+def _rt_tails(ws, pts_phys):
+    """The p+1 non-gradient RT generators at given points: (ne, p+1, npts, 2).
+
+    Tail k is  s * (x - c) * h_k((x - c)/h_K)  with h_k the homogeneous
+    degree-p monomials and s a per-element normalization.
+    """
+    p = ws.p
+    centroid = ws.mesh.vertices[ws.mesh.elements].mean(axis=1)
+    diam = np.linalg.norm(ws.jac, axis=1).max(axis=1)  # edge-length scale per element
+    d = (pts_phys - centroid[:, None, :]) / diam[:, None, None]
+    ts = (np.sqrt(2.0 / ws.det) / diam)[:, None]
+    out = np.empty((ws.mesh.n_elements, p + 1, pts_phys.shape[1], 2))
+    for k in range(p + 1):
+        h = d[:, :, 0] ** (p - k) * d[:, :, 1] ** k
+        out[:, k] = (pts_phys - centroid[:, None, :]) * (ts * h)[:, :, None]
+    return out
+
+
+def _reconstruct_flux_loop(sol):
+    """reconstruct_flux as one (N, N) solve per element, in the physical
+    tails of _rt_tails: the reference for the Piola-mapped reconstruction."""
+    ws = sol.ws
+    mesh, p = sol.mesh, sol.p
+    ne, np_, F1 = mesh.n_elements, ws.np_, p + 1
+    n_int = 2 * fc.n_modes(p - 1) if p >= 1 else 0
+    N = (p + 1) * (p + 3)
+    assert N == 2 * np_ + (p + 1) and N == 3 * F1 + n_int
+
+    A = np.zeros((ne, N, N))
+    rhs = np.zeros((ne, N))
+
+    tails_vol = _rt_tails(ws, ws.qphys)                       # (ne, p+1, nq, 2)
+
+    # facet rows: scalar-part columns then tail columns
+    scale = np.sqrt(ws.elen) / ws.sqrt_det[:, None]
+    for ell in range(3):
+        rows = slice(ell * F1, (ell + 1) * F1)
+        f = ws.ef[:, ell]
+        n_can = mesh.facet_normals[f]                          # canonical normal
+        T = ws.T_p[ell, ws.eo[:, ell]]                         # (ne, F1, np_)
+        blk = np.einsum("ec,emv->emcv", n_can, T) * scale[:, ell, None, None, None]
+        A[:, rows, :2 * np_] = blk.reshape(ne, F1, 2 * np_)
+        pts = ws.ephys[f]                                      # (ne, nqe, 2)
+        tails_e = _rt_tails(ws, pts)                           # (ne, p+1, nqe, 2)
+        tn = np.einsum("ektc,ec->ekt", tails_e, n_can)
+        A[:, rows, 2 * np_:] = np.einsum(
+            "ekt,mt,t->emk", tn, ws.psi_p, ws.ew) * np.sqrt(ws.facet_len[f])[:, None, None]
+        rhs[:, rows] = sol.qhat_n[f]
+
+    if n_int:
+        nint1 = n_int // 2
+        idx = np.arange(nint1)
+        for c in (0, 1):
+            r0 = 3 * F1 + c * nint1
+            # scalar columns are orthonormal: identity against the degree p-1 prefix
+            A[:, r0 + idx, c * np_ + idx] = 1.0
+            A[:, r0:r0 + nint1, 2 * np_:] = np.einsum(
+                "ekq,jq,q->ejk", tails_vol[:, :, :, c], ws.phi_p[:nint1], ws.qw
+            ) * ws.sqrt_det[:, None, None]
+            rhs[:, r0:r0 + nint1] = sol.q[:, c, :nint1]
+
+    try:
+        alpha = np.linalg.solve(A, rhs[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError as exc:
+        raise RuntimeError(f"singular local RT system (degenerate element?): {exc}")
+
+    # convert to componentwise modal degree p+1 coefficients
+    coeffs = np.zeros((ne, 2, ws.nm))
+    coeffs[:, 0, :np_] = alpha[:, :np_]
+    coeffs[:, 1, :np_] = alpha[:, np_:2 * np_]
+    tail_alpha = alpha[:, 2 * np_:]
+    for c in (0, 1):
+        proj = np.einsum("ekq,jq,q->ekj", tails_vol[:, :, :, c], ws.phi_m, ws.qw) \
+            * ws.sqrt_det[:, None, None]
+        coeffs[:, c] += np.einsum("ek,ekj->ej", tail_alpha, proj)
+    return EquilibratedFlux(mesh=mesh, p=p, coeffs=coeffs)
+
+
 class TestFluxReconstruction:
+    @pytest.mark.parametrize("p", [0, 1, 2, 3])
+    @pytest.mark.parametrize("mesh_name", ["crisscross1", "perturbed", "lshape",
+                                           "mixed"])
+    def test_reference_factorization_matches_element_loop(self, mesh_name, p):
+        meshes = {"crisscross1": lambda: unit_square_crisscross(1),
+                  "perturbed": perturbed_crisscross, "lshape": lshape_initial,
+                  "mixed": lambda: mixed_square(1)}
+        data = ProblemData(f=EX1_F, g_D=lambda x, y: np.exp(x) * y,
+                           g_N=lambda x, y: np.cos(3 * y) + x)
+        sol = solve(Workspace(meshes[mesh_name](), p), [data])[0]
+        got = reconstruct_flux(sol).coeffs
+        ref = _reconstruct_flux_loop(sol).coeffs
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
     @pytest.mark.parametrize("p", [1, 2, 3])
     def test_manufactured_constant_flux(self, p):
         mesh = unit_square_crisscross(0)
@@ -232,6 +326,25 @@ class TestBandExtension:
         pot = enforce_dirichlet_band(pot, gdo, band, ws)
         with pytest.raises(NonFiniteDataError, match="non-finite"):
             pot.eval_grads(ws)
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_eval_grads_matches_einsum_formula(self, p):
+        # the batched products against the einsum form they replace, with
+        # the band correction of example1_s2's adjoint pair
+        prob = builtin("example1_s2")
+        _, _, _, (_, pot), ws = build_pair(perturbed_crisscross(), prob.data,
+                                           prob.out, p)
+        c = pot.correction
+        assert c is not None and len(c.elems)
+
+        def grads(nodal, jac_inv_t):
+            ref = np.einsum("ek,kqd->eqd", nodal, ws.lag_grads)
+            return np.einsum("eqd,ecd->eqc", ref, jac_inv_t)
+        ref = grads(pot.nodal(), ws.jac_inv_t)
+        ref[c.elems] += (c.grads_at(ws.qphys[c.elems])
+                         - grads(c.nodal, ws.jac_inv_t[c.elems]))
+        got = pot.eval_grads(ws)
+        assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
 
     def test_band_line_is_maximal_mesh_line(self):
         for lvl in (0, 1):
