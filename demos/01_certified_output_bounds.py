@@ -11,7 +11,7 @@ import numpy as np
 from hdgbounds import (Workspace, builtin, compute_bounds, make_continuous,
                        postprocess_potential, reconstruct_flux, raw_output,
                        solve, unit_square_crisscross)
-from hdgbounds.reconstruct import flux_residuals, local_optimize
+from hdgbounds.reconstruct import evaluate, flux_residuals, local_optimize
 
 prob = builtin("example1_s1")
 s_exact = prob.exact_s
@@ -40,10 +40,11 @@ for level in range(4):
         pairs.append((flux, pot))
 
     # the certificates are verifiable: divergence/trace residuals ~ 1e-14
-    res = flux_residuals(pairs[0][0], prob.data, ws)
+    res = flux_residuals(evaluate(*pairs[0], prob.data, ws), ws)
     assert max(res.values()) < 1e-10
 
-    # 3. guaranteed interval
+    # 3. guaranteed interval; compute_bounds audits every certificate itself
+    #    and raises RuntimeError if one fails
     b = compute_bounds(pairs[0], pairs[1], prob.data, prob.out, ws,
                        s_h=raw_output(sol_u, prob.out))
     assert b.contains(s_exact)

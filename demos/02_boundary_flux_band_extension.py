@@ -10,11 +10,10 @@ analytic per-element correction.
 
 import numpy as np
 
-from hdgbounds import builtin, unit_square_crisscross
+from hdgbounds import Workspace, builtin, solve, unit_square_crisscross
 from hdgbounds.adapt import run_pipeline
 from hdgbounds.reconstruct import (enforce_dirichlet_band, make_continuous,
                                    postprocess_potential, reconstruct_flux)
-from hdgbounds import solve_adjoint
 
 prob = builtin("example1_s2")
 s_exact = prob.exact_s
@@ -23,7 +22,7 @@ adata = prob.out.adjoint_data()
 
 print("band corrections shrink rapidly with the polynomial degree:")
 for p in (1, 2, 3):
-    sol = solve_adjoint(mesh, prob.out, p=p)
+    sol = solve(Workspace(mesh, p), [adata])[0]
     ws = sol.ws
     flux = reconstruct_flux(sol)
     pot = make_continuous(postprocess_potential(sol, flux), adata.g_D, ws)

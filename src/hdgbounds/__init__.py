@@ -9,16 +9,16 @@ from .bounds import (BoundsResult, EtaBreakdown, compute_bounds, compute_eta,
                      compute_kappa, poincare_constants, exact_equilibration_bounds)
 from .femcore import QuadratureRule, segment_rule, triangle_rule
 from .hdg import (DirichletBand, HDGSolution, OutputFunctional, ProblemData,
-                  raw_output, solve, solve_adjoint, solve_primal, zero)
+                  raw_output, solve, zero)
 from .mesh import (Mesh, check_conformity, lshape_initial,
                    read_mesh, refine_bisection, refine_red,
                    unit_square_crisscross, write_mesh)
 from .problems import PROBLEM_IDS, BuiltinProblem, builtin
 from .reconstruct import (ContinuousPotential, EquilibratedFlux,
-                          dump_fields, enforce_dirichlet_band,
-                          flux_residuals, local_optimize, make_continuous,
-                          postprocess_potential, potential_residuals,
-                          reconstruct_flux)
+                          EvaluatedPair, dump_fields, enforce_dirichlet_band,
+                          evaluate, flux_residuals, local_optimize,
+                          make_continuous, postprocess_potential,
+                          potential_residuals, reconstruct_flux)
 from .workspace import NonFiniteDataError, Workspace
 
 __version__ = "0.1.0"

@@ -17,7 +17,9 @@ projections.  Then
     s^+ = S + (1/4 kappa) sum (eta_K^+)^2,
 
 where S is the reconstruction output functional; the reported bound average
-is the interval midpoint.
+is the interval midpoint.  compute_bounds evaluates each pair and its data
+once (reconstruct.evaluate), audits the certificates on those records, and
+reads kappa, eta and S from them.
 """
 
 from __future__ import annotations
@@ -27,8 +29,9 @@ from typing import Optional
 
 import numpy as np
 
+from . import reconstruct as rc
 from .hdg import OutputFunctional, ProblemData
-from .mesh import DIRICHLET, NEUMANN, Mesh
+from .mesh import DIRICHLET, Mesh
 from .workspace import Workspace
 
 __all__ = [
@@ -42,6 +45,7 @@ __all__ = [
 ]
 
 _DEGENERATE_TOL = 1e-12
+_CERTIFICATE_TOL = 1e-9
 
 
 @dataclass
@@ -134,13 +138,39 @@ def poincare_constants(mesh: Mesh):
 
 
 # ---------------------------------------------------------------------------
-# Residual fields and kappa
+# Audited records and kappa
 # ---------------------------------------------------------------------------
 
-def _residual_field(pair, ws: Workspace) -> np.ndarray:
-    """a = q~ + nu grad u~ at the volume quadrature points, (ne, nq, 2)."""
-    flux, pot = pair
-    return flux.eval_values(ws) + ws.nu[:, None, None] * pot.eval_grads(ws)
+def _audited_records(primal_pair, adjoint_pair, data: ProblemData,
+                     out: OutputFunctional, ws: Workspace):
+    """Evaluate both pairs once (the adjoint one with the adjoint data
+    f_O, g_D_O, -g_N_O) and raise RuntimeError unless every projected
+    certificate holds to _CERTIFICATE_TOL."""
+    recs = (rc.evaluate(*primal_pair, data, ws),
+            rc.evaluate(*adjoint_pair, out.adjoint_data(), ws))
+    for rec in recs:
+        fres = rc.flux_residuals(rec, ws)
+        pres = rc.potential_residuals(rec, ws)
+        # "not <=" so that a NaN residual fails the gate too
+        if not all(r <= _CERTIFICATE_TOL for r in {**fres, **pres}.values()):
+            raise RuntimeError(
+                f"reconstruction certificate violated: {fres} {pres}")
+    return recs
+
+
+def _oscillating_data(rec: rc.EvaluatedPair, ws: Workspace,
+                      suffix: str = "") -> list[str]:
+    """Names of the record's data that are not elementwise polynomials of
+    degree <= p up to round-off: f against Pi_p f relative to ||f||, g_N
+    against Pi_e g_N relative to max |g_N|."""
+    found = []
+    osc = np.sqrt(ws.integrate_elementwise((rec.f - rec.f_proj) ** 2).sum())
+    if not osc <= 1e-11 * np.sqrt(ws.integrate_elementwise(rec.f ** 2).sum()):
+        found.append(f"f{suffix} (oscillation {osc:.2e})")
+    if not np.abs(rec.g_N - rec.g_N_proj).max(initial=0.0) \
+            <= 1e-10 * np.abs(rec.g_N).max(initial=0.0):
+        found.append(f"g_N{suffix}")
+    return found
 
 
 def _energy_sq(ws: Workspace, vals: np.ndarray) -> np.ndarray:
@@ -148,14 +178,14 @@ def _energy_sq(ws: Workspace, vals: np.ndarray) -> np.ndarray:
     return ws.integrate_elementwise(np.sum(vals * vals, axis=2)) / ws.nu
 
 
-def compute_kappa(primal_pair, adjoint_pair,
+def compute_kappa(primal: rc.EvaluatedPair, adjoint: rc.EvaluatedPair,
                   ws: Workspace) -> tuple[float, bool]:
     """kappa = ||zeta~ + nu grad xi~|| / ||q~ + nu grad u~|| (global energy
-    norms).  A numerically exact primal reconstruction gives kappa = 1 with
-    the degenerate flag set."""
-    a2 = _energy_sq(ws, _residual_field(primal_pair, ws)).sum()
-    b2 = _energy_sq(ws, _residual_field(adjoint_pair, ws)).sum()
-    scale = np.sqrt(_energy_sq(ws, primal_pair[0].eval_values(ws)).sum()) + 1.0
+    norms).  A primal residual at round-off relative to ||q~|| gives
+    kappa = 1 with the degenerate flag set."""
+    a2 = _energy_sq(ws, primal.residual).sum()
+    b2 = _energy_sq(ws, adjoint.residual).sum()
+    scale = np.sqrt(_energy_sq(ws, primal.q).sum())
     if np.sqrt(a2) <= _DEGENERATE_TOL * scale:
         return 1.0, True
     return float(np.sqrt(b2 / a2)), False
@@ -165,68 +195,50 @@ def compute_kappa(primal_pair, adjoint_pair,
 # Elementwise eta contributions
 # ---------------------------------------------------------------------------
 
-def _neumann_osc(ws: Workspace, pairs, kappa: float, mode: str, data: ProblemData,
-                 out: OutputFunctional, c2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """C2-weighted Neumann oscillation sums per element, both signs."""
-    mesh = ws.mesh
-    ne = mesh.n_elements
-    neu_minus = np.zeros(ne)
-    neu_plus = np.zeros(ne)
-    neu = np.nonzero(mesh.facet_tag == NEUMANN)[0]
-    if not len(neu):
-        return neu_minus, neu_plus
-    gn = ws.eval_data(data.g_N, ws.ephys[neu])
-    gno = ws.eval_data(out.g_N_O, ws.ephys[neu])
+def compute_eta(primal: rc.EvaluatedPair, adjoint: rc.EvaluatedPair,
+                ws: Workspace, kappa: float,
+                mode: str = "projected") -> EtaBreakdown:
+    """Per-element contributions eta_K^-/+ for the given kappa.
+
+    mode="projected" uses the data projections (the working estimator);
+    mode="zero-order" evaluates the residuals against the actual flux
+    divergence and traces, the paper's zero-order form.  compute_bounds
+    audits the projected certificates in both modes.  The adjoint record
+    carries -g_N_O, so its Neumann residual is negated.
+    """
+    if mode not in ("projected", "zero-order"):
+        raise ValueError(f"unknown eta mode {mode!r}")
+    a, b = primal.residual, adjoint.residual
+    flux_minus = np.sqrt(_energy_sq(ws, b - kappa * a))
+    flux_plus = np.sqrt(_energy_sq(ws, b + kappa * a))
+
+    c1, c2 = poincare_constants(ws.mesh)
     if mode == "projected":
-        n_res = gn - ws.facet_proj_p(gn, neu)
-        no_res = gno - ws.facet_proj_p(gno, neu)
-    else:  # zero-order form: residuals against the actual flux traces
-        qf, _ = pairs[0]
-        zf, _ = pairs[1]
-        n_res = gn - qf.normal_trace(ws, neu, side=0)
-        no_res = gno + zf.normal_trace(ws, neu, side=0)
+        d_res = primal.f - primal.f_proj
+        do_res = adjoint.f - adjoint.f_proj
+        n_res = primal.g_N - primal.g_N_proj
+        no_res = adjoint.g_N_proj - adjoint.g_N
+    else:
+        d_res = primal.f - primal.div
+        do_res = adjoint.f - adjoint.div
+        n_res = primal.g_N - primal.qn
+        no_res = adjoint.qn - adjoint.g_N
+    w = c1 / np.sqrt(ws.nu)
+    osc_div_minus = w * np.sqrt(ws.integrate_elementwise((do_res - kappa * d_res) ** 2))
+    osc_div_plus = w * np.sqrt(ws.integrate_elementwise((do_res + kappa * d_res) ** 2))
+
+    # C2-weighted Neumann oscillation sums per element
+    neu = primal.neu
     wlen = ws.ew[None, :] * ws.facet_len[neu, None]
     nm2 = np.einsum("ft,ft->f", (no_res + kappa * n_res) ** 2, wlen)
     np2 = np.einsum("ft,ft->f", (no_res - kappa * n_res) ** 2, wlen)
     se, sl, _ = ws.facet_sides()
     elems, ells = se[neu, 0], sl[neu, 0]
     w = c2[elems, ells] / np.sqrt(ws.nu[elems])
+    neu_minus = np.zeros(ws.mesh.n_elements)
+    neu_plus = np.zeros(ws.mesh.n_elements)
     np.add.at(neu_minus, elems, w * np.sqrt(nm2))
     np.add.at(neu_plus, elems, w * np.sqrt(np2))
-    return neu_minus, neu_plus
-
-
-def compute_eta(primal_pair, adjoint_pair, data: ProblemData,
-                out: OutputFunctional, ws: Workspace, kappa: float,
-                mode: str = "projected") -> EtaBreakdown:
-    """Per-element contributions eta_K^-/+ for the given kappa.
-
-    mode="projected" uses the data projections (the working estimator);
-    mode="zero-order" evaluates the residuals against the actual flux
-    divergence and traces, for audit purposes.
-    """
-    if mode not in ("projected", "zero-order"):
-        raise ValueError(f"unknown eta mode {mode!r}")
-    a = _residual_field(primal_pair, ws)
-    b = _residual_field(adjoint_pair, ws)
-    flux_minus = np.sqrt(_energy_sq(ws, b - kappa * a))
-    flux_plus = np.sqrt(_energy_sq(ws, b + kappa * a))
-
-    c1, c2 = poincare_constants(ws.mesh)
-    fvals = ws.eval_data(data.f)
-    fovals = ws.eval_data(out.f_O)
-    if mode == "projected":
-        d_res = fvals - ws.proj_p(fvals)
-        do_res = fovals - ws.proj_p(fovals)
-    else:
-        d_res = fvals - primal_pair[0].eval_divergence(ws)
-        do_res = fovals - adjoint_pair[0].eval_divergence(ws)
-    w = c1 / np.sqrt(ws.nu)
-    osc_div_minus = w * np.sqrt(ws.integrate_elementwise((do_res - kappa * d_res) ** 2))
-    osc_div_plus = w * np.sqrt(ws.integrate_elementwise((do_res + kappa * d_res) ** 2))
-
-    neu_minus, neu_plus = _neumann_osc(ws, (primal_pair, adjoint_pair),
-                                       kappa, mode, data, out, c2)
     return EtaBreakdown(flux_minus=flux_minus, flux_plus=flux_plus,
                         osc_div_minus=osc_div_minus, osc_div_plus=osc_div_plus,
                         osc_neu_minus=neu_minus, osc_neu_plus=neu_plus)
@@ -236,42 +248,19 @@ def compute_eta(primal_pair, adjoint_pair, data: ProblemData,
 # The bounds
 # ---------------------------------------------------------------------------
 
-def _core_functional(primal_pair, adjoint_pair, data, out, ws: Workspace) -> float:
+def _core_functional(primal: rc.EvaluatedPair, adjoint: rc.EvaluatedPair,
+                     ws: Workspace) -> float:
     """S = (f_O, u~) + <g_N_O, u~>_GN + (f, xi~) - <g_N, xi~>_GN
-    - (nu grad u~, grad xi~)."""
-    _, pot_u = primal_pair
-    _, pot_x = adjoint_pair
-    uvals = pot_u.eval_values(ws)
-    xvals = pot_x.eval_values(ws)
-    val = float(np.sum(ws.integrate_elementwise(ws.eval_data(out.f_O) * uvals)))
-    val += float(np.sum(ws.integrate_elementwise(ws.eval_data(data.f) * xvals)))
-    gu = pot_u.eval_grads(ws)
-    gx = pot_x.eval_grads(ws)
-    val -= float(np.sum(ws.integrate_elementwise(np.sum(gu * gx, axis=2)) * ws.nu))
-    neu = np.nonzero(ws.mesh.facet_tag == NEUMANN)[0]
-    if len(neu):
-        wlen = ws.ew[None, :] * ws.facet_len[neu, None]
-        gno = ws.eval_data(out.g_N_O, ws.ephys[neu])
-        gn = ws.eval_data(data.g_N, ws.ephys[neu])
-        val += float(np.sum(pot_u.trace_values(ws, neu) * gno * wlen))
-        val -= float(np.sum(pot_x.trace_values(ws, neu) * gn * wlen))
+    - (nu grad u~, grad xi~), with f_O and -g_N_O read from the adjoint
+    record."""
+    val = float(np.sum(ws.integrate_elementwise(adjoint.f * primal.u)))
+    val += float(np.sum(ws.integrate_elementwise(primal.f * adjoint.u)))
+    val -= float(np.sum(ws.integrate_elementwise(
+        np.sum(primal.grad_u * adjoint.grad_u, axis=2)) * ws.nu))
+    wlen = ws.ew[None, :] * ws.facet_len[primal.neu, None]
+    val -= float(np.sum(primal.u_neu * adjoint.g_N * wlen))
+    val -= float(np.sum(adjoint.u_neu * primal.g_N * wlen))
     return val
-
-
-def _primal_oscillation_negligible(data: ProblemData, ws: Workspace) -> bool:
-    fvals = ws.eval_data(data.f)
-    res = fvals - ws.proj_p(fvals)
-    scale = np.sqrt(ws.integrate_elementwise(fvals ** 2).sum()) + 1.0
-    osc = np.sqrt(ws.integrate_elementwise(res ** 2).sum())
-    if osc > 1e-11 * scale:
-        return False
-    neu = np.nonzero(ws.mesh.facet_tag == NEUMANN)[0]
-    if len(neu):
-        gn = ws.eval_data(data.g_N, ws.ephys[neu])
-        res = gn - ws.facet_proj_p(gn, neu)
-        if np.abs(res).max() > 1e-10 * (1.0 + np.abs(gn).max()):
-            return False
-    return True
 
 
 def compute_bounds(primal_pair, adjoint_pair, data: ProblemData,
@@ -280,24 +269,28 @@ def compute_bounds(primal_pair, adjoint_pair, data: ProblemData,
                    s_h: float | None = None) -> BoundsResult:
     """Guaranteed bounds s_minus <= s <= s_plus for the output functional.
 
-    kappa=None selects the optimal ratio of the global residual norms.  When
-    the primal reconstruction is numerically exact (and the primal data
-    oscillation vanishes), the interval collapses to the reconstruction
-    output and the kappa_degenerate flag is set.
+    Each pair and its data are evaluated once; the reconstruction
+    certificates are audited first (the projected ones, in either mode),
+    and a failed one raises RuntimeError.  kappa=None selects the optimal
+    ratio of the global residual norms.  When the primal reconstruction is
+    numerically exact (and the primal data oscillation vanishes), the
+    interval collapses to the reconstruction output and the
+    kappa_degenerate flag is set.
     """
+    primal, adjoint = _audited_records(primal_pair, adjoint_pair, data, out, ws)
     degenerate = False
     if kappa is None:
-        kappa, degenerate = compute_kappa(primal_pair, adjoint_pair, ws)
+        kappa, degenerate = compute_kappa(primal, adjoint, ws)
     if not kappa > 0:
         raise ValueError("kappa must be positive")
 
-    s_core = _core_functional(primal_pair, adjoint_pair, data, out, ws)
-    if degenerate and _primal_oscillation_negligible(data, ws):
+    s_core = _core_functional(primal, adjoint, ws)
+    if degenerate and not _oscillating_data(primal, ws):
         return BoundsResult(s_minus=s_core, s_plus=s_core, kappa=kappa,
                             gap_elements=np.zeros(ws.mesh.n_elements),
                             kappa_degenerate=True, s_h=s_h)
 
-    eta = compute_eta(primal_pair, adjoint_pair, data, out, ws, kappa, mode)
+    eta = compute_eta(primal, adjoint, ws, kappa, mode)
     em2 = eta.minus ** 2
     ep2 = eta.plus ** 2
     s_minus = s_core - em2.sum() / (4.0 * kappa)
@@ -312,30 +305,6 @@ def compute_bounds(primal_pair, adjoint_pair, data: ProblemData,
 # Exact-equilibration route (polynomial data only)
 # ---------------------------------------------------------------------------
 
-def _audit_polynomial_data(data: ProblemData, out: OutputFunctional,
-                           ws: Workspace) -> None:
-    msgs = []
-    for name, fun in (("f", data.f), ("f_O", out.f_O)):
-        vals = ws.eval_data(fun)
-        res = vals - ws.proj_p(vals)
-        scale = np.sqrt(ws.integrate_elementwise(vals ** 2).sum()) + 1.0
-        err = np.sqrt(ws.integrate_elementwise(res ** 2).max())
-        if err > 1e-10 * scale:
-            msgs.append(f"{name} (oscillation {err:.2e})")
-    neu = np.nonzero(ws.mesh.facet_tag == NEUMANN)[0]
-    if len(neu):
-        for name, fun in (("g_N", data.g_N), ("g_N_O", out.g_N_O)):
-            vals = ws.eval_data(fun, ws.ephys[neu])
-            res = vals - ws.facet_proj_p(vals, neu)
-            if np.abs(res).max() > 1e-10 * (1.0 + np.abs(vals).max()):
-                msgs.append(name)
-    if msgs:
-        raise ValueError(
-            "exact-equilibration bounds require elementwise-polynomial data "
-            "of degree <= p; detected oscillation in: " + ", ".join(msgs)
-            + ". Use compute_bounds, which accounts for data oscillation.")
-
-
 def exact_equilibration_bounds(primal_pair, adjoint_pair, data: ProblemData,
                     out: OutputFunctional, ws: Workspace,
                     s_h: float | None = None) -> BoundsResult:
@@ -344,31 +313,29 @@ def exact_equilibration_bounds(primal_pair, adjoint_pair, data: ProblemData,
         s_tilde = l_O(u~, q~) + 1/2 (nu^-1 (q~ + nu grad u~), zeta~ - nu grad xi~)
         half gap = 1/2 ||q~ + nu grad u~|| ||zeta~ + nu grad xi~||
 
-    Refuses to run when the data oscillation audit detects non-polynomial
-    data (the guarantee would be lost)."""
-    flux_p, pot_u = primal_pair
-    flux_a, pot_x = adjoint_pair
+    Audits the certificates as compute_bounds does, and refuses to run when
+    the data oscillation audit detects non-polynomial data (the guarantee
+    would be lost)."""
+    primal, adjoint = _audited_records(primal_pair, adjoint_pair, data, out, ws)
+    msgs = _oscillating_data(primal, ws) + _oscillating_data(adjoint, ws, "_O")
+    if msgs:
+        raise ValueError(
+            "exact-equilibration bounds require elementwise-polynomial data "
+            "of degree <= p; detected oscillation in: " + ", ".join(msgs)
+            + ". Use compute_bounds, which accounts for data oscillation.")
+
+    # l_O(u~, q~); the adjoint record carries -g_N_O
     mesh = ws.mesh
-    _audit_polynomial_data(data, out, ws)
-
-    # l_O(u~, q~)
-    uvals = pot_u.eval_values(ws)
-    val = float(np.sum(ws.integrate_elementwise(ws.eval_data(out.f_O) * uvals)))
+    val = float(np.sum(ws.integrate_elementwise(adjoint.f * primal.u)))
     dfac = np.nonzero(mesh.facet_tag == DIRICHLET)[0]
-    if len(dfac):
-        g = ws.eval_data(out.g_D_O, ws.ephys[dfac])
-        tr = flux_p.normal_trace(ws, dfac, side=0)  # canonical = outward here
-        val += float(np.einsum("ft,ft,t,f->", g, tr, ws.ew, ws.facet_len[dfac]))
-    neu = np.nonzero(mesh.facet_tag == NEUMANN)[0]
-    if len(neu):
-        g = ws.eval_data(out.g_N_O, ws.ephys[neu])
-        tru = pot_u.trace_values(ws, neu)
-        val += float(np.einsum("ft,ft,t,f->", g, tru, ws.ew, ws.facet_len[neu]))
+    g = ws.eval_data(out.g_D_O, ws.ephys[dfac])
+    tr = primal_pair[0].normal_trace(ws, dfac, side=0)  # canonical = outward here
+    val += float(np.einsum("ft,ft,t,f->", g, tr, ws.ew, ws.facet_len[dfac]))
+    val -= float(np.einsum("ft,ft,t,f->", adjoint.g_N, primal.u_neu, ws.ew,
+                           ws.facet_len[primal.neu]))
 
-    a = _residual_field(primal_pair, ws)
-    b = _residual_field(adjoint_pair, ws)
-    zeta_minus = adjoint_pair[0].eval_values(ws) \
-        - ws.nu[:, None, None] * pot_x.eval_grads(ws)
+    a, b = primal.residual, adjoint.residual
+    zeta_minus = adjoint.q - ws.nu[:, None, None] * adjoint.grad_u
     cross = 0.5 * float(np.sum(ws.integrate_elementwise(
         np.sum(a * zeta_minus, axis=2)) / ws.nu))
     a2 = _energy_sq(ws, a)

@@ -29,8 +29,6 @@ __all__ = [
     "DirichletBand",
     "HDGSolution",
     "solve",
-    "solve_primal",
-    "solve_adjoint",
     "raw_output",
     "CondensedSystem",
     "assemble_condensed",
@@ -289,18 +287,6 @@ def solve(ws: Workspace, datas, tau=1.0) -> list[HDGSolution]:
             raise RuntimeError(f"skeleton solve failed: {exc}") from exc
         cs.uhat[:, cs.free_dofs] = lu.solve(cs.rhs).T
     return [_back_substitute(ws, cs, j, data) for j, data in enumerate(datas)]
-
-
-def solve_primal(mesh: Mesh, data: ProblemData, p: int, tau=1.0,
-                 quad_degree: int | None = None) -> HDGSolution:
-    """Solve the HDG primal problem; see module docstring for the traces."""
-    return solve(Workspace(mesh, p, quad_degree), [data], tau)[0]
-
-
-def solve_adjoint(mesh: Mesh, out: OutputFunctional, p: int, tau=1.0,
-                  quad_degree: int | None = None) -> HDGSolution:
-    """HDG approximation of the adjoint problem (data f_O, g_D_O, -g_N_O)."""
-    return solve(Workspace(mesh, p, quad_degree), [out.adjoint_data()], tau)[0]
 
 
 def raw_output(sol: HDGSolution, out: OutputFunctional) -> float:

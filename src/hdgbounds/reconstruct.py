@@ -25,6 +25,8 @@ __all__ = [
     "make_continuous",
     "enforce_dirichlet_band",
     "local_optimize",
+    "EvaluatedPair",
+    "evaluate",
     "flux_residuals",
     "potential_residuals",
     "dump_fields",
@@ -321,57 +323,98 @@ def enforce_dirichlet_band(pot: ContinuousPotential, g_D, band: DirichletBand,
 
 
 # ---------------------------------------------------------------------------
-# Certificate audits
+# Evaluated pairs and certificate audits
 # ---------------------------------------------------------------------------
 
-def flux_residuals(flux: EquilibratedFlux, data: ProblemData, ws: Workspace) -> dict:
-    """Relative residuals of the three equilibration certificates."""
-    mesh = flux.mesh
-    div = flux.eval_divergence(ws)
-    fproj = ws.proj_p(ws.eval_data(data.f))
-    fscale = np.sqrt(ws.integrate_elementwise(fproj ** 2).sum())
-    div_res = np.sqrt(ws.integrate_elementwise((div - fproj) ** 2))
-    out = {"divergence": float(div_res.max() / (1.0 + fscale))}
+@dataclass(frozen=True, eq=False)
+class EvaluatedPair:
+    """A reconstruction pair and its data, evaluated once.
 
-    interior = np.nonzero(mesh.facet_tag == INTERIOR)[0]
-    if len(interior):
-        t0 = flux.normal_trace(ws, interior, side=0)
-        t1 = flux.normal_trace(ws, interior, side=1)
-        jump2 = np.einsum("ft,t->f", (t0 - t1) ** 2, ws.ew) * ws.facet_len[interior]
-        tscale = 1.0 + float(np.abs(t0).max())
-        out["normal_jump"] = float(np.sqrt(jump2.max()) / tscale)
-    else:
-        out["normal_jump"] = 0.0
+    At the volume quadrature points, (ne, nq) or (ne, nq, 2): the flux q~,
+    its divergence, the potential u~ and its gradient (band correction
+    applied), the residual q~ + nu grad u~, the source f and Pi_p f.  On
+    the Neumann facets ``neu``, (len(neu), nqe): q~.n, the trace of u~, g_N
+    and Pi_e g_N.
+    """
 
-    neu = np.nonzero(mesh.facet_tag == NEUMANN)[0]
-    if len(neu):
-        tr = flux.normal_trace(ws, neu, side=0)
-        gn_proj = ws.facet_proj_p(ws.eval_data(data.g_N, ws.ephys[neu]), neu)
-        err2 = np.einsum("ft,t->f", (tr - gn_proj) ** 2, ws.ew) * ws.facet_len[neu]
-        out["neumann"] = float(np.sqrt(err2.max()) / (1.0 + np.abs(gn_proj).max()))
-    else:
-        out["neumann"] = 0.0
+    flux: EquilibratedFlux
+    pot: ContinuousPotential
+    data: ProblemData
+    q: np.ndarray
+    div: np.ndarray
+    u: np.ndarray
+    grad_u: np.ndarray
+    residual: np.ndarray
+    f: np.ndarray
+    f_proj: np.ndarray
+    neu: np.ndarray
+    qn: np.ndarray
+    u_neu: np.ndarray
+    g_N: np.ndarray
+    g_N_proj: np.ndarray
+
+
+def evaluate(flux: EquilibratedFlux, pot: ContinuousPotential,
+             data: ProblemData, ws: Workspace) -> EvaluatedPair:
+    """Evaluate a pair and its data once, for the audit and the bounds."""
+    neu = np.nonzero(ws.mesh.facet_tag == NEUMANN)[0]
+    q, grad_u = flux.eval_values(ws), pot.eval_grads(ws)
+    f, g_N = ws.eval_data(data.f), ws.eval_data(data.g_N, ws.ephys[neu])
+    return EvaluatedPair(
+        flux=flux, pot=pot, data=data, q=q, div=flux.eval_divergence(ws),
+        u=pot.eval_values(ws), grad_u=grad_u,
+        residual=q + ws.nu[:, None, None] * grad_u, f=f, f_proj=ws.proj_p(f),
+        neu=neu, qn=flux.normal_trace(ws, neu),
+        u_neu=pot.trace_values(ws, neu), g_N=g_N,
+        g_N_proj=ws.facet_proj_p(g_N, neu))
+
+
+def _relative(res, scale) -> float:
+    """res / scale, so that reading it against tol means res <= tol * scale:
+    0 for a zero residual (of a zero field too), inf for a nonzero residual
+    against a zero scale, NaN for a NaN residual."""
+    if res == 0:
+        return 0.0
+    return float(res / scale) if scale > 0 else float("inf")
+
+
+def flux_residuals(rec: EvaluatedPair, ws: Workspace) -> dict:
+    """Residuals of the three equilibration certificates relative to the
+    flux scale: the divergence residual times h_K, and the pointwise
+    normal-jump and Neumann trace errors.  The scale is max |q~|, or
+    nu_K max_K |u~| / h_K where that is larger: the flux comes from
+    potential differences over h_K, so where u~ is nearly constant q~ is
+    round-off of that size."""
+    h = ws.elen.max(axis=1)
+    qscale = np.maximum(np.abs(rec.q).max(),
+                        (ws.nu * np.abs(rec.u).max(axis=1) / h).max())
+    div_res = np.abs(rec.div - rec.f_proj).max(axis=1) * h
+    out = {"divergence": _relative(div_res.max(), qscale)}
+
+    interior = np.nonzero(ws.mesh.facet_tag == INTERIOR)[0]
+    t0 = rec.flux.normal_trace(ws, interior, side=0)
+    t1 = rec.flux.normal_trace(ws, interior, side=1)
+    out["normal_jump"] = _relative(np.abs(t0 - t1).max(initial=0.0), qscale)
+    out["neumann"] = _relative(
+        np.abs(rec.qn - rec.g_N_proj).max(initial=0.0),
+        np.maximum(qscale, np.abs(rec.g_N_proj).max(initial=0.0)))
     return out
 
 
-def potential_residuals(pot: ContinuousPotential, g_D, ws: Workspace) -> dict:
+def potential_residuals(rec: EvaluatedPair, ws: Workspace) -> dict:
     """Dirichlet trace error (corrections included) and inter-element
-    continuity of the potential."""
-    mesh = pot.mesh
+    continuity of the potential, relative to max |u~| (and to the datum)."""
+    pot, mesh = rec.pot, ws.mesh
+    umax = np.abs(rec.u).max()
     dfac = np.nonzero(mesh.facet_tag == DIRICHLET)[0]
     tr = pot.trace_values(ws, dfac, side=0)
-    g = ws.eval_data(g_D, ws.ephys[dfac])
-    scale = 1.0 + float(np.abs(g).max())
-    out = {"dirichlet_trace": float(np.abs(tr - g).max() / scale)}
-
+    g = ws.eval_data(rec.data.g_D, ws.ephys[dfac])
+    out = {"dirichlet_trace": _relative(np.abs(tr - g).max(),
+                                        np.maximum(umax, np.abs(g).max()))}
     interior = np.nonzero(mesh.facet_tag == INTERIOR)[0]
-    if len(interior):
-        t0 = pot.trace_values(ws, interior, side=0)
-        t1 = pot.trace_values(ws, interior, side=1)
-        out["continuity"] = float(np.abs(t0 - t1).max()
-                                  / (1.0 + np.abs(t0).max()))
-    else:
-        out["continuity"] = 0.0
+    t0 = pot.trace_values(ws, interior, side=0)
+    t1 = pot.trace_values(ws, interior, side=1)
+    out["continuity"] = _relative(np.abs(t0 - t1).max(initial=0.0), umax)
     return out
 
 

@@ -27,6 +27,8 @@ class NonFiniteDataError(ValueError):
 def require_finite(vals: np.ndarray, pts: np.ndarray) -> np.ndarray:
     """Return vals, the values (scalar or vector) of a data callable at pts
     (..., 2); raise NonFiniteDataError naming a point where one is not finite."""
+    if not vals.size:  # no points: the reshape below cannot infer -1
+        return vals
     ok = np.isfinite(vals).reshape(pts.shape[:-1] + (-1,)).all(axis=-1)
     if not ok.all():
         bad = pts[~ok][0]
@@ -120,12 +122,10 @@ class Workspace:
                                      + self.et[:, None] * (_REF_VERTS[a] - _REF_VERTS[b]))
         self.etab_p = np.empty((3, 2, self.np_, self.nqe))
         self.etab_m = np.empty((3, 2, self.nm, self.nqe))
-        self.detab_m = np.empty((3, 2, self.nm, self.nqe, 2))
         for ell in range(3):
             for o in range(2):
                 self.etab_p[ell, o] = fc.tri_basis(p, self.edge_ref[ell, o])
                 self.etab_m[ell, o] = fc.tri_basis(self.m, self.edge_ref[ell, o])
-                self.detab_m[ell, o] = fc.tri_basis_grad(self.m, self.edge_ref[ell, o])
 
         # T_p[ell, o, m, i] = int_0^1 psi_p[m] etab_p[ell, o, i] dt, and the
         # same against the degree-m trace space

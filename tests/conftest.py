@@ -19,6 +19,18 @@ def perturbed_crisscross(amp=0.06, seed=7):
     return Mesh(v, base.elements, base.boundary_tag_dict())
 
 
+def mixed_square(level=0):
+    """Unit square with the left edge Neumann, rest Dirichlet."""
+    m = unit_square_crisscross(level)
+    tags = {}
+    for i in np.nonzero(m.facet_tag != 0)[0]:
+        a, b = m.facets[i]
+        va, vb = m.vertices[a], m.vertices[b]
+        on_left = va[0] < 1e-12 and vb[0] < 1e-12
+        tags[(int(a), int(b))] = "N" if on_left else "D"
+    return Mesh(m.vertices, m.elements, tags)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)

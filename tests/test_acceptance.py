@@ -16,9 +16,10 @@ from hdgbounds import (Bulk, ErrorDistribution, OutputFunctional, ProblemData,
                        compute_bounds, refine_bisection, exact_equilibration_bounds,
                        unit_square_crisscross, zero)
 from hdgbounds.adapt import run_pipeline
-from hdgbounds.mesh import DIRICHLET, Mesh
-from hdgbounds.reconstruct import flux_residuals, potential_residuals
-from conftest import build_pair
+from hdgbounds.mesh import DIRICHLET
+from hdgbounds.reconstruct import (evaluate, flux_residuals,
+                                   potential_residuals)
+from conftest import build_pair, mixed_square
 
 
 def _report(num, ok, detail=""):
@@ -160,7 +161,7 @@ def test_criterion_4_lshape_energy():
     mesh = prob.initial_mesh()
     hist = []
     for _ in range(13):
-        r = run_pipeline(mesh, prob.data, prob.out, p=1, check=False)
+        r = run_pipeline(mesh, prob.data, prob.out, p=1)
         hist.append((mesh.n_elements, r.half_gap))
         if mesh.n_elements >= 24576:
             break
@@ -231,10 +232,11 @@ def test_criterion_6_reconstruction_certificates():
         for optimize in (False, True):
             _, _, pp, ap, ws = build_pair(mesh, data, out, p=p,
                                           optimize=optimize)
-            for (flux, pot), dat in ((pp, data), (ap, out.adjoint_data())):
-                for k, v in flux_residuals(flux, dat, ws).items():
+            for pair, dat in ((pp, data), (ap, out.adjoint_data())):
+                rec = evaluate(*pair, dat, ws)
+                for k, v in flux_residuals(rec, ws).items():
                     worst[k] = max(worst.get(k, 0.0), v)
-                for k, v in potential_residuals(pot, dat.g_D, ws).items():
+                for k, v in potential_residuals(rec, ws).items():
                     worst[k] = max(worst.get(k, 0.0), v)
     ok = all(v <= 1e-10 for v in worst.values())
     _report(6, ok, f"(worst residuals: " +
@@ -245,17 +247,6 @@ def test_criterion_6_reconstruction_certificates():
 # ---------------------------------------------------------------------------
 # Criterion 7: polynomial exactness oracle
 # ---------------------------------------------------------------------------
-
-def _mixed_square(level):
-    m = unit_square_crisscross(level)
-    tags = {}
-    for i in np.nonzero(m.facet_tag != 0)[0]:
-        a, b = m.facets[i]
-        va, vb = m.vertices[a], m.vertices[b]
-        on_left = va[0] < 1e-12 and vb[0] < 1e-12
-        tags[(int(a), int(b))] = "N" if on_left else "D"
-    return Mesh(m.vertices, m.elements, tags)
-
 
 def _poly_case(p):
     """Manufactured u = (x+2y)^p, xi = (2x-y)^p with a Neumann left edge."""
@@ -300,7 +291,7 @@ def test_criterion_7_polynomial_exactness():
     for p in (1, 2, 3):
         data, out, u, grad_u = _poly_case(p)
         for lvl in range(3):
-            mesh = _mixed_square(lvl)
+            mesh = mixed_square(lvl)
             s = _exact_output_oracle(mesh, p, out, u, grad_u)
             res = run_pipeline(mesh, data, out, p=p)
             tol = 1e-9 * (1 + abs(s))

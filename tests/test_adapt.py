@@ -1,10 +1,14 @@
 """Marking strategies, convergence orders, and the adaptive loop."""
 
+from collections import Counter
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from hdgbounds import (Bulk, ErrorDistribution, Uniform, adaptive_loop,
-                       builtin, convergence_order, mark)
+from hdgbounds import (Bulk, ErrorDistribution, Uniform, Workspace,
+                       adaptive_loop, builtin, convergence_order, mark,
+                       unit_square_crisscross)
 from hdgbounds import reconstruct as rc
 from hdgbounds.adapt import run_pipeline
 
@@ -131,19 +135,9 @@ class TestAdaptiveLoop:
 class TestPipeline:
     def test_certificate_check_runs(self):
         prob = builtin("example1_s1")
-        res = run_pipeline(prob.initial_mesh(), prob.data, prob.out, p=1,
-                           check=True)
+        res = run_pipeline(prob.initial_mesh(), prob.data, prob.out, p=1)
         assert res.contains(prob.exact_s)
         assert res.s_h is not None
-
-    def test_zero_order_mode(self):
-        prob = builtin("example1_s1")
-        r1 = run_pipeline(prob.initial_mesh(), prob.data, prob.out, p=1)
-        r2 = run_pipeline(prob.initial_mesh(), prob.data, prob.out, p=1,
-                          mode="zero-order")
-        # identical for these fluxes (div q~ = P f exactly)
-        assert abs(r1.s_minus - r2.s_minus) < 1e-10
-        assert abs(r1.s_plus - r2.s_plus) < 1e-10
 
     def test_one_factorization_per_interval(self, monkeypatch):
         from hdgbounds import hdg
@@ -164,13 +158,42 @@ class TestPipeline:
         # a NaN that is not the first residual is dropped by max()
         real = rc.potential_residuals
 
-        def nan_continuity(pot, g_D, ws):
-            return {**real(pot, g_D, ws), "continuity": float("nan")}
+        def nan_continuity(rec, ws):
+            return {**real(rec, ws), "continuity": float("nan")}
 
         monkeypatch.setattr(rc, "potential_residuals", nan_continuity)
         prob = builtin("example1_s1")
         with pytest.raises(RuntimeError, match="certificate violated"):
             run_pipeline(prob.initial_mesh(), prob.data, prob.out, 1)
+
+    def test_each_field_evaluated_once_per_pair(self, monkeypatch):
+        # the audit, kappa, eta and S all read one evaluated record per
+        # pair; the datum f is also read by the assembly, f_O by s_h
+        counts = Counter()
+
+        def counting(name, fn):
+            def counted(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return counted
+
+        for cls, attr in ((rc.EquilibratedFlux, "eval_values"),
+                          (rc.EquilibratedFlux, "eval_divergence"),
+                          (rc.ContinuousPotential, "eval_values"),
+                          (rc.ContinuousPotential, "eval_grads"),
+                          (Workspace, "proj_p")):
+            name = f"{cls.__name__}.{attr}"
+            monkeypatch.setattr(cls, attr, counting(name, getattr(cls, attr)))
+        prob = builtin("example1_s1")
+        data = replace(prob.data, f=counting("f", prob.data.f))
+        out = replace(prob.out, f_O=counting("f_O", prob.out.f_O))
+        res = run_pipeline(unit_square_crisscross(2), data, out, p=2)
+        assert res.contains(prob.exact_s)
+        assert counts == {"EquilibratedFlux.eval_values": 2,
+                          "EquilibratedFlux.eval_divergence": 2,
+                          "ContinuousPotential.eval_values": 2,
+                          "ContinuousPotential.eval_grads": 2,
+                          "Workspace.proj_p": 2, "f": 2, "f_O": 3}
 
     def test_mesh_released_after_pipeline(self):
         import gc

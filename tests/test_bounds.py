@@ -3,10 +3,13 @@
 import numpy as np
 import pytest
 
-from conftest import build_pair
+from hypothesis import given, settings, strategies as st
+
+from conftest import build_pair, mixed_square, perturbed_crisscross
 from hdgbounds import (OutputFunctional, ProblemData, Workspace, bounds as bd,
-                       compute_bounds, compute_eta, compute_kappa,
-                       lshape_initial, poincare_constants, exact_equilibration_bounds,
+                       builtin, compute_bounds, compute_eta, compute_kappa,
+                       evaluate, lshape_initial, poincare_constants,
+                       exact_equilibration_bounds, run_pipeline,
                        unit_square_crisscross, zero)
 from hdgbounds.mesh import Mesh
 from hdgbounds.reconstruct import ContinuousPotential, EquilibratedFlux
@@ -55,12 +58,18 @@ def synthetic_pair(mesh, ws, flux_const, pot_values=None):
     return flux, pot
 
 
+def records(pp, ap, data, out, ws):
+    """The evaluated primal and adjoint records of two pairs."""
+    return evaluate(*pp, data, ws), evaluate(*ap, out.adjoint_data(), ws)
+
+
 class TestKappa:
     def test_equal_residuals_give_one(self):
         mesh = unit_square_crisscross(0)
         ws = Workspace(mesh, 1)
         pair = synthetic_pair(mesh, ws, (1.0, 0.0))
-        kappa, degenerate = compute_kappa(pair, pair, ws)
+        rec = evaluate(*pair, ProblemData(f=zero), ws)
+        kappa, degenerate = compute_kappa(rec, rec, ws)
         assert abs(kappa - 1.0) < 1e-13 and not degenerate
 
     def test_ratio_two(self):
@@ -68,7 +77,8 @@ class TestKappa:
         ws = Workspace(mesh, 1)
         p1 = synthetic_pair(mesh, ws, (1.0, 0.0))
         p2 = synthetic_pair(mesh, ws, (0.0, 2.0))
-        kappa, degenerate = compute_kappa(p1, p2, ws)
+        kappa, degenerate = compute_kappa(
+            *records(p1, p2, ProblemData(f=zero), OutputFunctional(), ws), ws)
         assert abs(kappa - 2.0) < 1e-13 and not degenerate
 
     def test_degenerate_flag(self):
@@ -76,7 +86,8 @@ class TestKappa:
         ws = Workspace(mesh, 1)
         p0 = synthetic_pair(mesh, ws, (0.0, 0.0))
         p2 = synthetic_pair(mesh, ws, (0.0, 2.0))
-        kappa, degenerate = compute_kappa(p0, p2, ws)
+        kappa, degenerate = compute_kappa(
+            *records(p0, p2, ProblemData(f=zero), OutputFunctional(), ws), ws)
         assert kappa == 1.0 and degenerate
 
 
@@ -86,7 +97,7 @@ class TestEta:
         data = ProblemData(f=ONE)
         out = OutputFunctional(f_O=ONE)
         _, _, pp, ap, ws = build_pair(mesh, data, out, p=1)
-        eta = compute_eta(pp, ap, data, out, ws, kappa=1.0)
+        eta = compute_eta(*records(pp, ap, data, out, ws), ws, kappa=1.0)
         assert np.abs(eta.osc_div_minus).max() < 1e-13
         assert np.abs(eta.osc_div_plus).max() < 1e-13
         assert np.abs(eta.osc_neu_minus).max() == 0.0
@@ -97,7 +108,7 @@ class TestEta:
         data = ProblemData(f=zero, g_D=lambda x, y: x)
         out = OutputFunctional(g_D_O=lambda x, y: 2 * x - y)
         _, _, pp, ap, ws = build_pair(mesh, data, out, p=1)
-        eta = compute_eta(pp, ap, data, out, ws, kappa=1.0)
+        eta = compute_eta(*records(pp, ap, data, out, ws), ws, kappa=1.0)
         assert np.abs(eta.minus).max() < 1e-9
         assert np.abs(eta.plus).max() < 1e-9
 
@@ -108,15 +119,16 @@ class TestEta:
         data = ProblemData(f=EX1_F)
         out = OutputFunctional(f_O=ONE)
         _, _, pp, ap, ws = build_pair(mesh, data, out, p=1)
-        kappa, _ = compute_kappa(pp, ap, ws)
-        e1 = compute_eta(pp, ap, data, out, ws, kappa, mode="projected")
-        e2 = compute_eta(pp, ap, data, out, ws, kappa, mode="zero-order")
+        prec, arec = records(pp, ap, data, out, ws)
+        kappa, _ = compute_kappa(prec, arec, ws)
+        e1 = compute_eta(prec, arec, ws, kappa, mode="projected")
+        e2 = compute_eta(prec, arec, ws, kappa, mode="zero-order")
         assert np.abs(e1.minus - e2.minus).max() < 1e-10
         assert np.abs(e1.plus - e2.plus).max() < 1e-10
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
-            compute_eta(None, None, None, None, None, 1.0, mode="bogus")
+            compute_eta(None, None, None, 1.0, mode="bogus")
 
 
 class TestComputeBounds:
@@ -243,20 +255,75 @@ class TestExactEquilibrationBounds:
         assert abs(r.s_minus - expect) < 1e-12 * (1 + abs(expect))
 
 
+# u = (1 + x - 2x^2) sin(pi y) on mixed_square: zero on the Dirichlet
+# edges, g_N = sin(pi y) on x = 0; output f_O = 1, g_D_O = x, g_N_O = 1
+MIXED_S = 29.0 / (3.0 * np.pi) + 2.0 * np.pi / 3.0
+
+
+def _mixed_case(cp, co, L):
+    """mixed_square(1) scaled by L, primal data times cp, output data times
+    co, and the data rescaled so that s = cp co MIXED_S (tau goes as 1/L)."""
+    base = mixed_square(1)
+    mesh = Mesh(L * base.vertices, base.elements, base.boundary_tag_dict())
+    bump = lambda x: 1.0 + x - 2.0 * x ** 2
+    data = ProblemData(
+        f=lambda x, y: cp / L ** 2 * (4.0 + np.pi ** 2 * bump(x / L))
+        * np.sin(np.pi * y / L),
+        g_N=lambda x, y: cp / L * np.sin(np.pi * y / L))
+    out = OutputFunctional(f_O=lambda x, y: co / L ** 2 * ONE(x, y),
+                           g_D_O=lambda x, y: co * x / L,
+                           g_N_O=lambda x, y: co / L * ONE(x, y))
+    return mesh, data, out
+
+
 class TestGlobalProperties:
-    def test_homogeneity(self):
-        mesh = unit_square_crisscross(1)
-        data = ProblemData(f=EX1_F)
-        out1 = OutputFunctional(f_O=ONE)
-        c = 7.0
-        out7 = OutputFunctional(f_O=lambda x, y: c * ONE(x, y))
-        _, _, pp1, ap1, ws1 = build_pair(mesh, data, out1, p=2)
-        _, _, pp7, ap7, ws7 = build_pair(mesh, data, out7, p=2)
-        r1 = compute_bounds(pp1, ap1, data, out1, ws1)
-        r7 = compute_bounds(pp7, ap7, data, out7, ws7)
-        for x1, x7 in ((r1.s_minus, r7.s_minus), (r1.s_plus, r7.s_plus),
-                       (r1.s_tilde, r7.s_tilde)):
-            assert abs(x7 - c * x1) < 1e-12 * (1 + abs(c * x1))
+    @pytest.mark.parametrize("scaled,c", [
+        *[("primal", c) for c in (1e-12, 1e-6, 1e6, 1e12)],
+        *[("output", c) for c in (1e-12, 1e-6, 1e6, 1e12)],
+        ("length", 1e-3), ("length", 1e3)])
+    def test_homogeneity(self, scaled, c):
+        # s is linear in the primal data and in the output data, and a
+        # domain scaled by L with the data and tau rescaled to match is the
+        # same problem: the certificates and the bounds must follow exactly
+        cp, co, L = (c if scaled == name else 1.0
+                     for name in ("primal", "output", "length"))
+        r1 = run_pipeline(*_mixed_case(1.0, 1.0, 1.0), p=2)
+        rs = run_pipeline(*_mixed_case(cp, co, L), p=2, tau=1.0 / L)
+        k = cp * co
+        assert rs.contains(k * MIXED_S)
+        for xc, x1 in ((rs.s_minus, r1.s_minus), (rs.s_plus, r1.s_plus),
+                       (rs.s_tilde, r1.s_tilde)):
+            assert abs(xc - k * x1) <= 1e-12 * abs(k * x1)
+
+    def test_constant_potential_passes_gate(self):
+        # u = 1 and q = 0: q~ is round-off of the potential, which the flux
+        # certificates must read against nu |u~| / h_K, not |q~| alone
+        data = ProblemData(f=zero, g_D=lambda x, y: 1.0 + 0.0 * x)
+        res = run_pipeline(unit_square_crisscross(1), data,
+                           OutputFunctional(f_O=ONE), p=2)
+        assert res.contains(1.0, 1e-12)
+
+    def test_band_output_with_neumann_facets(self):
+        # the adjoint potential carries a band correction at x = 1 and the
+        # Neumann facets at x = 0 touch no band element; for the mixed
+        # case's u, s = <(pi/2) sin(pi y), q.n>_{x=1} = 3 pi / 4
+        mesh, data, _ = _mixed_case(1.0, 1.0, 1.0)
+        res = run_pipeline(mesh, data, builtin("example1_s2").out, p=2)
+        assert res.contains(3 * np.pi / 4)
+
+    @settings(derandomize=True, deadline=None, max_examples=20)
+    @given(amp=st.floats(0.0, 0.08), seed=st.integers(0, 2 ** 16),
+           p=st.integers(1, 3), tau=st.floats(0.1, 10.0),
+           optimize=st.booleans(), k=st.integers(-12, 12))
+    def test_containment_property(self, amp, seed, p, tau, optimize, k):
+        # example1_s1 with its source times c: s = c 4/pi^2 on any mesh of
+        # the unit square; run_pipeline raises if a certificate fails
+        prob = builtin("example1_s1")
+        c = 10.0 ** k
+        data = ProblemData(f=lambda x, y: c * prob.data.f(x, y))
+        res = run_pipeline(perturbed_crisscross(amp, seed), data, prob.out,
+                           p, tau, optimize=optimize)
+        assert res.contains(c * prob.exact_s)
 
     @pytest.mark.parametrize("tau", [0.1, 1.0, 10.0])
     def test_containment_tau_robust(self, tau):

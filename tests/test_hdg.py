@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from conftest import mixed_square
 from hdgbounds import (OutputFunctional, ProblemData, Workspace, raw_output,
-                       solve, solve_adjoint, solve_primal,
-                       unit_square_crisscross, zero)
+                       solve, unit_square_crisscross, zero)
 from hdgbounds.hdg import (assemble_condensed, conservation_residual,
                            local_residuals)
 from hdgbounds.mesh import Mesh
@@ -17,24 +17,12 @@ EX1_U = lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y)
 ONE = lambda x, y: np.ones_like(np.asarray(x, dtype=float))
 
 
-def mixed_square(level=0):
-    """Unit square with the left edge Neumann, rest Dirichlet."""
-    m = unit_square_crisscross(level)
-    tags = {}
-    for i in np.nonzero(m.facet_tag != 0)[0]:
-        a, b = m.facets[i]
-        va, vb = m.vertices[a], m.vertices[b]
-        on_left = va[0] < 1e-12 and vb[0] < 1e-12
-        tags[(int(a), int(b))] = "N" if on_left else "D"
-    return Mesh(m.vertices, m.elements, tags)
-
-
 class TestManufactured:
     @pytest.mark.parametrize("p", [1, 2, 3])
     def test_linear_solution_reproduced(self, p):
         mesh = unit_square_crisscross(0)
         data = ProblemData(f=zero, g_D=lambda x, y: x)
-        sol = solve_primal(mesh, data, p=p, tau=1.0)
+        sol = solve(Workspace(mesh, p), [data], tau=1.0)[0]
         ws = sol.ws
         assert np.abs(ws.eval_modal(sol.u) - ws.qphys[:, :, 0]).max() < 1e-10
         assert np.abs(ws.eval_modal(sol.q[:, 0]) + 1.0).max() < 1e-10
@@ -42,7 +30,7 @@ class TestManufactured:
 
     def test_zero_data_gives_zero(self):
         mesh = unit_square_crisscross(0)
-        sol = solve_primal(mesh, ProblemData(f=zero), p=1)
+        sol = solve(Workspace(mesh, 1), [ProblemData(f=zero)])[0]
         assert np.abs(sol.u).max() == 0.0
         assert np.abs(sol.q).max() == 0.0
         assert np.abs(sol.uhat).max() == 0.0
@@ -52,7 +40,7 @@ class TestManufactured:
         # u = x, q = (-1, 0); on x=0 the outward normal is (-1,0): g_N = 1
         mesh = mixed_square()
         data = ProblemData(f=zero, g_D=lambda x, y: x, g_N=ONE)
-        sol = solve_primal(mesh, data, p=1, tau=tau)
+        sol = solve(Workspace(mesh, 1), [data], tau=tau)[0]
         ws = sol.ws
         assert np.abs(ws.eval_modal(sol.u) - ws.qphys[:, :, 0]).max() < 1e-10
 
@@ -61,14 +49,14 @@ class TestLocalStructure:
     def test_local_equations_hold(self):
         mesh = unit_square_crisscross(0)
         data = ProblemData(f=EX1_F)
-        sol = solve_primal(mesh, data, p=2)
+        sol = solve(Workspace(mesh, 2), [data])[0]
         r1, r2 = local_residuals(sol, data)
         assert r1 < 1e-10 and r2 < 1e-10
 
     def test_local_conservation(self):
         mesh = unit_square_crisscross(1)
         data = ProblemData(f=EX1_F)
-        sol = solve_primal(mesh, data, p=1)
+        sol = solve(Workspace(mesh, 1), [data])[0]
         assert conservation_residual(sol, data) < 1e-10
 
     def test_condensed_matrix_symmetric_positive(self):
@@ -82,7 +70,7 @@ class TestLocalStructure:
     def test_dirichlet_trace_is_projection(self):
         mesh = unit_square_crisscross(0)
         gd = lambda x, y: x + 0.5 * y
-        sol = solve_primal(mesh, ProblemData(f=zero, g_D=gd), p=1)
+        sol = solve(Workspace(mesh, 1), [ProblemData(f=zero, g_D=gd)])[0]
         ws = sol.ws
         dfac = np.nonzero(mesh.facet_tag == 1)[0]
         mom = ws.facet_data_moments(gd, dfac)
@@ -107,21 +95,21 @@ class TestLocalStructure:
     def test_degenerate_tau_rejected(self):
         mesh = unit_square_crisscross(0)
         with pytest.raises(ValueError):
-            solve_primal(mesh, ProblemData(f=zero), p=1, tau=0.0)
+            solve(Workspace(mesh, 1), [ProblemData(f=zero)], tau=0.0)[0]
 
 
 class TestAdjoint:
     def test_zero_functional_zero_solution(self):
         mesh = unit_square_crisscross(0)
-        sol = solve_adjoint(mesh, OutputFunctional(), p=1)
+        sol = solve(Workspace(mesh, 1), [OutputFunctional().adjoint_data()])[0]
         assert np.abs(sol.u).max() == 0.0
 
     def test_self_adjoint_matches_primal(self):
         mesh = unit_square_crisscross(0)
         data = ProblemData(f=ONE)
         out = OutputFunctional(f_O=ONE)
-        su = solve_primal(mesh, data, p=2)
-        sz = solve_adjoint(mesh, out, p=2)
+        su = solve(Workspace(mesh, 2), [data])[0]
+        sz = solve(Workspace(mesh, 2), [out.adjoint_data()])[0]
         assert np.abs(su.u - sz.u).max() < 1e-12
         assert np.abs(su.q - sz.q).max() < 1e-12
 
@@ -135,7 +123,7 @@ class TestAdjoint:
         adata = out.adjoint_data()
         shared = solve(Workspace(mesh, 2), [data, adata], tau)
         for sol, dat in zip(shared, (data, adata)):
-            ref = solve_primal(mesh, dat, p=2, tau=tau)
+            ref = solve(Workspace(mesh, 2), [dat], tau=tau)[0]
             for name in ("u", "q", "uhat", "qhat_n"):
                 a, b = getattr(sol, name), getattr(ref, name)
                 assert np.abs(a - b).max() <= 1e-14 * (1.0 + np.abs(b).max())
@@ -154,7 +142,7 @@ class TestConvergenceAndOutputs:
             errs, nels = [], []
             for lvl in range(3):
                 mesh = unit_square_crisscross(lvl)
-                sol = solve_primal(mesh, data, p=p)
+                sol = solve(Workspace(mesh, p), [data])[0]
                 ws = sol.ws
                 diff = ws.eval_modal(sol.u) - EX1_U(ws.qphys[:, :, 0],
                                                     ws.qphys[:, :, 1])
@@ -165,13 +153,13 @@ class TestConvergenceAndOutputs:
 
     def test_raw_output_zero_functional(self):
         mesh = unit_square_crisscross(0)
-        sol = solve_primal(mesh, ProblemData(f=EX1_F), p=1)
+        sol = solve(Workspace(mesh, 1), [ProblemData(f=EX1_F)])[0]
         assert raw_output(sol, OutputFunctional()) == 0.0
 
     @pytest.mark.parametrize("p,level,ref", [(1, 0, 1.90e-03), (2, 1, 1.10e-06)])
     def test_published_output_errors(self, p, level, ref):
         mesh = unit_square_crisscross(level)
-        sol = solve_primal(mesh, ProblemData(f=EX1_F), p=p)
+        sol = solve(Workspace(mesh, p), [ProblemData(f=EX1_F)])[0]
         sh = raw_output(sol, OutputFunctional(f_O=ONE))
         err = abs(4 / np.pi ** 2 - sh)
         assert abs(err - ref) < 0.01 * ref
@@ -181,7 +169,7 @@ class TestConvergenceAndOutputs:
         mesh = unit_square_crisscross(2)
         gdo = lambda x, y: np.where(np.abs(x - 1.0) < 1e-12,
                                     0.5 * np.pi * np.sin(np.pi * y), 0.0)
-        sol = solve_primal(mesh, ProblemData(f=EX1_F), p=2)
+        sol = solve(Workspace(mesh, 2), [ProblemData(f=EX1_F)])[0]
         sh = raw_output(sol, OutputFunctional(g_D_O=gdo))
         assert abs(sh - np.pi ** 2 / 4) < 1e-5
 
@@ -200,7 +188,7 @@ class TestConvergenceAndOutputs:
             return np.where(x <= 0.5, x, 0.5 + (x - 0.5) / 2.0)
 
         data = ProblemData(f=zero, g_D=u)
-        sol = solve_primal(mesh, data, p=1)
+        sol = solve(Workspace(mesh, 1), [data])[0]
         ws = sol.ws
         assert np.abs(ws.eval_modal(sol.u)
                       - u(ws.qphys[:, :, 0], ws.qphys[:, :, 1])).max() < 1e-10
@@ -220,6 +208,6 @@ class TestConvergenceAndOutputs:
         # f_O = 1: s_h = mean of u = 1/2
         mesh = mixed_square()
         data = ProblemData(f=zero, g_D=lambda x, y: x, g_N=ONE)
-        sol = solve_primal(mesh, data, p=1)
+        sol = solve(Workspace(mesh, 1), [data])[0]
         sh = raw_output(sol, OutputFunctional(f_O=ONE))
         assert abs(sh - 0.5) < 1e-10

@@ -6,18 +6,17 @@ import math
 import numpy as np
 import pytest
 
-from conftest import build_pair, perturbed_crisscross
-from test_hdg import mixed_square
+from conftest import build_pair, mixed_square, perturbed_crisscross
 from hdgbounds import femcore as fc
 from hdgbounds import (DirichletBand, NonFiniteDataError, ProblemData,
                        Workspace, builtin, flux_residuals, lshape_initial,
                        make_continuous, postprocess_potential,
                        potential_residuals, reconstruct_flux, solve,
-                       solve_primal, unit_square_crisscross, zero)
-from hdgbounds.bounds import _energy_sq, _residual_field
+                       unit_square_crisscross, zero)
+from hdgbounds.bounds import _energy_sq
 from hdgbounds.mesh import Mesh
 from hdgbounds.reconstruct import (ContinuousPotential, EquilibratedFlux,
-                                   _reference_nullspace,
+                                   _reference_nullspace, evaluate,
                                    enforce_dirichlet_band, local_optimize)
 
 EX1_F = lambda x, y: 2 * np.pi ** 2 * np.sin(np.pi * x) * np.sin(np.pi * y)
@@ -25,7 +24,7 @@ EX1_U = lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y)
 
 
 def base_pair(mesh, data, p, quad_degree=None):
-    sol = solve_primal(mesh, data, p=p, quad_degree=quad_degree)
+    sol = solve(Workspace(mesh, p, quad_degree), [data])[0]
     ws = sol.ws
     flux = reconstruct_flux(sol)
     pot = make_continuous(postprocess_potential(sol, flux), data.g_D, ws)
@@ -144,7 +143,7 @@ class TestFluxReconstruction:
         mesh = unit_square_crisscross(level)
         data = ProblemData(f=EX1_F)
         _, flux, pot, ws = base_pair(mesh, data, p)
-        res = flux_residuals(flux, data, ws)
+        res = flux_residuals(evaluate(flux, pot, data, ws), ws)
         assert res["divergence"] <= 1e-10
         assert res["normal_jump"] <= 1e-10
         assert res["neumann"] <= 1e-10
@@ -215,8 +214,8 @@ class TestPotential:
     def test_continuity_and_trace_residuals(self):
         mesh = unit_square_crisscross(1)
         data = ProblemData(f=EX1_F)
-        _, _, pot, ws = base_pair(mesh, data, 2)
-        res = potential_residuals(pot, data.g_D, ws)
+        _, flux, pot, ws = base_pair(mesh, data, 2)
+        res = potential_residuals(evaluate(flux, pot, data, ws), ws)
         assert res["dirichlet_trace"] <= 1e-10
         assert res["continuity"] <= 1e-10
 
@@ -224,13 +223,13 @@ class TestPotential:
         # the certificate audit is only trustworthy if it actually fires
         mesh = unit_square_crisscross(0)
         data = ProblemData(f=EX1_F)
-        _, _, pot, ws = base_pair(mesh, data, 1)
+        _, flux, pot, ws = base_pair(mesh, data, 1)
         broken = pot.values.copy()
         broken[ws.dirichlet_nodes()[3]] += 0.01
         from hdgbounds.reconstruct import ContinuousPotential
         bad = ContinuousPotential(mesh=mesh, degree=pot.degree, values=broken,
                                   node_map=pot.node_map)
-        res = potential_residuals(bad, data.g_D, ws)
+        res = potential_residuals(evaluate(flux, bad, data, ws), ws)
         assert res["dirichlet_trace"] > 1e-4
 
     def test_debug_dump(self, tmp_path):
@@ -254,10 +253,10 @@ class TestPotential:
     def test_audit_detects_corrupted_flux(self):
         mesh = unit_square_crisscross(0)
         data = ProblemData(f=EX1_F)
-        _, flux, _, ws = base_pair(mesh, data, 1)
+        _, flux, pot, ws = base_pair(mesh, data, 1)
         bad = EquilibratedFlux(mesh=mesh, p=1,
                                coeffs=flux.coeffs + 1e-3)
-        res = flux_residuals(bad, data, ws)
+        res = flux_residuals(evaluate(bad, pot, data, ws), ws)
         assert max(res["divergence"], res["normal_jump"]) > 1e-6
 
 
@@ -296,7 +295,7 @@ class TestBandExtension:
         pot = enforce_dirichlet_band(pot, gdo, self.band(), ws)
         ys = rng.uniform(0, 1, size=20)
         # evaluate the potential on the boundary x=1 through facet traces
-        res = potential_residuals(pot, gdo, ws)
+        res = potential_residuals(evaluate(flux, pot, data, ws), ws)
         assert res["dirichlet_trace"] < 1e-12
         assert res["continuity"] < 1e-12
 
@@ -521,7 +520,7 @@ class TestLocalOptimize:
         data = ProblemData(f=zero, g_D=lambda x, y: x)
         sol, flux, pot, ws = base_pair(mesh, data, 2)
         f2, p2 = local_optimize(flux, pot, ws)
-        a = _residual_field((f2, p2), ws)
+        a = evaluate(f2, p2, data, ws).residual
         assert np.sqrt(_energy_sq(ws, a).sum()) < 1e-10
 
     @pytest.mark.parametrize("p", [0, 1, 2, 3])
@@ -529,16 +528,17 @@ class TestLocalOptimize:
         mesh = unit_square_crisscross(0)
         data = ProblemData(f=EX1_F)
         sol, flux, pot, ws = base_pair(mesh, data, p)
-        before = _energy_sq(ws, _residual_field((flux, pot), ws)).sum()
+        before = _energy_sq(ws, evaluate(flux, pot, data, ws).residual).sum()
         f2, p2 = local_optimize(flux, pot, ws)
-        after = _energy_sq(ws, _residual_field((f2, p2), ws)).sum()
+        after = _energy_sq(ws, evaluate(f2, p2, data, ws).residual).sum()
         assert after <= before + 1e-12
         if p == 0:
             # no feasible direction: the pair is returned unchanged
             assert np.array_equal(f2.coeffs, flux.coeffs)
             assert np.array_equal(p2.values, pot.values)
-        res = flux_residuals(f2, data, ws)
-        pres = potential_residuals(p2, data.g_D, ws)
+        rec = evaluate(f2, p2, data, ws)
+        res = flux_residuals(rec, ws)
+        pres = potential_residuals(rec, ws)
         assert max(res.values()) <= 1e-10
         assert max(pres.values()) <= 1e-10
 
@@ -551,7 +551,7 @@ class TestLocalOptimize:
         p = 2
         sol, flux, pot, ws = base_pair(mesh, data, p)
         fo, po = local_optimize(flux, pot, ws)
-        obj_opt = _energy_sq(ws, _residual_field((fo, po), ws)).sum()
+        obj_opt = _energy_sq(ws, evaluate(fo, po, data, ws).residual).sum()
 
         # curl of the cubic bubble b = l1 l2 l3 on each element (reference
         # barycentrics), scaled randomly per element
@@ -572,11 +572,12 @@ class TestLocalOptimize:
         add = np.einsum("eqc,jq->ecj", pert * ws.qw[None, :, None],
                         ws.phi_m) * ws.sqrt_det[:, None, None]
         flux_pert = EquilibratedFlux(mesh=mesh, p=p, coeffs=flux.coeffs + add)
-        res = flux_residuals(flux_pert, data, ws)
+        rec = evaluate(flux_pert, pot, data, ws)
+        res = flux_residuals(rec, ws)
         assert max(res.values()) < 1e-9  # still equilibrated
-        obj_pert = _energy_sq(ws, _residual_field((flux_pert, pot), ws)).sum()
+        obj_pert = _energy_sq(ws, rec.residual).sum()
         f3, p3 = local_optimize(flux_pert, pot, ws)
-        obj_back = _energy_sq(ws, _residual_field((f3, p3), ws)).sum()
+        obj_back = _energy_sq(ws, evaluate(f3, p3, data, ws).residual).sum()
         assert obj_back <= obj_pert
         assert obj_back <= obj_opt + 1e-12
 
@@ -592,6 +593,6 @@ class TestLocalOptimize:
         sol, flux, pot, ws = base_pair(mesh, data, 2)
         pot = enforce_dirichlet_band(pot, gdo, band, ws)
         f2, p2 = local_optimize(flux, pot, ws)
-        res = potential_residuals(p2, gdo, ws)
+        res = potential_residuals(evaluate(f2, p2, data, ws), ws)
         assert res["dirichlet_trace"] < 1e-10
         assert res["continuity"] < 1e-10
