@@ -175,19 +175,24 @@ def _oscillating_data(rec: rc.EvaluatedPair, ws: Workspace,
 
 def _energy_sq(ws: Workspace, vals: np.ndarray) -> np.ndarray:
     """Elementwise (nu^-1 v, v)_K for values at quadrature points."""
-    return ws.integrate_elementwise(np.sum(vals * vals, axis=2)) / ws.nu
+    return ws.integrate_elementwise(vals[..., 0] * vals[..., 0]
+                                    + vals[..., 1] * vals[..., 1]) / ws.nu
 
 
 def compute_kappa(primal: rc.EvaluatedPair, adjoint: rc.EvaluatedPair,
                   ws: Workspace) -> tuple[float, bool]:
     """kappa = ||zeta~ + nu grad xi~|| / ||q~ + nu grad u~|| (global energy
     norms).  A primal residual at round-off relative to ||q~|| gives
-    kappa = 1 with the degenerate flag set."""
+    kappa = 1 with the degenerate flag set (the bounds tend to S as
+    kappa -> infinity); otherwise an adjoint residual at round-off relative
+    to ||zeta~|| gives kappa = 0 with the flag set (they tend to S as
+    kappa -> 0).  A zero residual of a zero field counts as round-off."""
     a2 = _energy_sq(ws, primal.residual).sum()
-    b2 = _energy_sq(ws, adjoint.residual).sum()
-    scale = np.sqrt(_energy_sq(ws, primal.q).sum())
-    if np.sqrt(a2) <= _DEGENERATE_TOL * scale:
+    if np.sqrt(a2) <= _DEGENERATE_TOL * np.sqrt(_energy_sq(ws, primal.q).sum()):
         return 1.0, True
+    b2 = _energy_sq(ws, adjoint.residual).sum()
+    if np.sqrt(b2) <= _DEGENERATE_TOL * np.sqrt(_energy_sq(ws, adjoint.q).sum()):
+        return 0.0, True
     return float(np.sqrt(b2 / a2)), False
 
 
@@ -255,8 +260,9 @@ def _core_functional(primal: rc.EvaluatedPair, adjoint: rc.EvaluatedPair,
     record."""
     val = float(np.sum(ws.integrate_elementwise(adjoint.f * primal.u)))
     val += float(np.sum(ws.integrate_elementwise(primal.f * adjoint.u)))
+    gu, gx = primal.grad_u, adjoint.grad_u
     val -= float(np.sum(ws.integrate_elementwise(
-        np.sum(primal.grad_u * adjoint.grad_u, axis=2)) * ws.nu))
+        gu[..., 0] * gx[..., 0] + gu[..., 1] * gx[..., 1]) * ws.nu))
     wlen = ws.ew[None, :] * ws.facet_len[primal.neu, None]
     val -= float(np.sum(primal.u_neu * adjoint.g_N * wlen))
     val -= float(np.sum(adjoint.u_neu * primal.g_N * wlen))
@@ -272,23 +278,33 @@ def compute_bounds(primal_pair, adjoint_pair, data: ProblemData,
     Each pair and its data are evaluated once; the reconstruction
     certificates are audited first (the projected ones, in either mode),
     and a failed one raises RuntimeError.  kappa=None selects the optimal
-    ratio of the global residual norms.  When the primal reconstruction is
-    numerically exact (and the primal data oscillation vanishes), the
-    interval collapses to the reconstruction output and the
-    kappa_degenerate flag is set.
+    ratio of the global residual norms.  When the primal or the adjoint
+    reconstruction is numerically exact (and that problem's data
+    oscillation vanishes), the interval collapses to the reconstruction
+    output and the kappa_degenerate flag is set.  An exact adjoint
+    reconstruction with oscillating adjoint data admits no optimal kappa
+    and raises RuntimeError; an explicit kappa <= 0 raises ValueError.
     """
     primal, adjoint = _audited_records(primal_pair, adjoint_pair, data, out, ws)
     degenerate = False
     if kappa is None:
         kappa, degenerate = compute_kappa(primal, adjoint, ws)
-    if not kappa > 0:
+    elif not kappa > 0:
         raise ValueError("kappa must be positive")
 
     s_core = _core_functional(primal, adjoint, ws)
-    if degenerate and not _oscillating_data(primal, ws):
-        return BoundsResult(s_minus=s_core, s_plus=s_core, kappa=kappa,
-                            gap_elements=np.zeros(ws.mesh.n_elements),
-                            kappa_degenerate=True, s_h=s_h)
+    if degenerate:
+        # kappa = 1 stands for the limit kappa -> infinity, 0 for kappa -> 0
+        rec, suffix = (primal, "") if kappa > 0 else (adjoint, "_O")
+        osc = _oscillating_data(rec, ws, suffix)
+        if not osc:
+            return BoundsResult(s_minus=s_core, s_plus=s_core, kappa=kappa,
+                                gap_elements=np.zeros(ws.mesh.n_elements),
+                                kappa_degenerate=True, s_h=s_h)
+        if not kappa > 0:
+            raise RuntimeError(
+                "the adjoint residual vanishes but the adjoint data oscillate "
+                f"in: {', '.join(osc)}; no optimal kappa exists, pass one")
 
     eta = compute_eta(primal, adjoint, ws, kappa, mode)
     em2 = eta.minus ** 2
@@ -337,7 +353,7 @@ def exact_equilibration_bounds(primal_pair, adjoint_pair, data: ProblemData,
     a, b = primal.residual, adjoint.residual
     zeta_minus = adjoint.q - ws.nu[:, None, None] * adjoint.grad_u
     cross = 0.5 * float(np.sum(ws.integrate_elementwise(
-        np.sum(a * zeta_minus, axis=2)) / ws.nu))
+        a[..., 0] * zeta_minus[..., 0] + a[..., 1] * zeta_minus[..., 1]) / ws.nu))
     a2 = _energy_sq(ws, a)
     b2 = _energy_sq(ws, b)
     half_gap = 0.5 * np.sqrt(a2.sum() * b2.sum())

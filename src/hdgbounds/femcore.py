@@ -13,6 +13,8 @@ in workspace.py, reconstruct.py and bounds.py:
   basis stays L2-orthonormal on each physical element, which makes all
   L2 projections diagonal.
 * Lagrange lattices of arbitrary degree for the continuous potential.
+* reference_tables: every table of degree p and quadrature degree that does
+  not depend on the mesh, built once per (p, quad_degree) and read-only.
 """
 
 from __future__ import annotations
@@ -32,12 +34,19 @@ __all__ = [
     "seg_basis",
     "lagrange_lattice",
     "n_modes",
+    "ReferenceTables",
+    "reference_tables",
 ]
 
 
 def n_modes(q: int) -> int:
     """Dimension of P^q on a triangle."""
     return (q + 1) * (q + 2) // 2
+
+
+def _frozen(*arrays):
+    for a in arrays:
+        a.setflags(write=False)
 
 
 # ---------------------------------------------------------------------------
@@ -68,7 +77,9 @@ def triangle_rule(degree: int) -> QuadratureRule:
     s = np.broadcast_to(gb, r.shape)
     w = np.outer(wa, wb) / 2.0
     pts = np.column_stack([(r.ravel() + 1.0) / 2.0, (s.ravel() + 1.0) / 2.0])
-    return QuadratureRule(pts, w.ravel() / 4.0, 2 * n - 1)
+    w = w.ravel() / 4.0
+    _frozen(pts, w)
+    return QuadratureRule(pts, w, 2 * n - 1)
 
 
 @lru_cache(maxsize=64)
@@ -76,7 +87,9 @@ def segment_rule(degree: int) -> QuadratureRule:
     """Gauss-Legendre rule on [0, 1], exact for degree <= ``degree``."""
     n = max(1, (degree + 2) // 2)
     g, w = roots_legendre(n)
-    return QuadratureRule((g + 1.0) / 2.0, w / 2.0, 2 * n - 1)
+    pts, w = (g + 1.0) / 2.0, w / 2.0
+    _frozen(pts, w)
+    return QuadratureRule(pts, w, 2 * n - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +218,7 @@ def lagrange_lattice(m: int) -> LagrangeLattice:
             nodes.append(np.array([i / m, j / m]))
     nodes = np.array(nodes)
     vand = tri_basis(m, nodes).T               # (n_nodes, n_modes)
-    return LagrangeLattice(
+    lat = LagrangeLattice(
         degree=m,
         nodes=nodes,
         vertex_slots=np.array([0, 1, 2]),
@@ -213,3 +226,189 @@ def lagrange_lattice(m: int) -> LagrangeLattice:
         interior_slots=np.array(interior, dtype=int),
         vandermonde_inv=np.linalg.inv(vand),
     )
+    _frozen(lat.nodes, lat.vertex_slots, lat.edge_slots, lat.interior_slots,
+            lat.vandermonde_inv)
+    return lat
+
+
+# ---------------------------------------------------------------------------
+# Mesh-independent tables of one (p, quad_degree) pair
+# ---------------------------------------------------------------------------
+
+_REF_VERTS = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+_REF_EDGES = ((0, 1), (1, 2), (2, 0))
+
+
+@dataclass(frozen=True)
+class ReferenceTables:
+    """Every table of degree p (m = p + 1) and quadrature degree that does
+    not depend on the mesh.  A Workspace exposes each field under the same
+    name; all arrays are read-only and shared by every mesh.
+
+    Volume quadrature qref (nq, 2), qw; modal tables phi_p (np_, nq),
+    dphi_p (np_, nq, 2), phi_m, dphi_m; local-solver tensors
+      S[r, a, b]     = int d_r phi^p_a phi^p_b
+      Qm[r, a, b]    = int phi^m_a d_r phi^m_b
+      S2[r, s, a, b] = int d_r phi^m_a d_s phi^m_b
+      S_mp[r, a, i]  = int d_r phi^m_a phi^p_i.
+    Facet quadrature et (nqe,), ew on the canonical parameter t in [0, 1],
+    segment bases psi_p (p+1, nqe), psi_m (p+2, nqe); for each (local edge,
+    orientation) case the reference points edge_ref (3, 2, nqe, 2), with
+    o = 1 when the canonical direction matches the local edge direction,
+    the modal traces etab_p/etab_m, their segment moments
+    T_p[l, o, m, i] = int psi_p[m] etab_p[l, o, i] dt (T_mm at degree m)
+    and the trace mass EE[l, i, j].  Lagrange lattice of degree m with its
+    values lag_vals (nq, n_nodes), gradients lag_grads (n_nodes, nq, 2) and
+    traces lag_edge (3, 2, n_nodes, nqe), and the modal Vandermonde vand_m
+    (n_nodes, nm).  rt_T, rt_A: the reference RT^p basis and its degrees of
+    freedom (_reference_rt); opt_nullspace: the reference feasible
+    directions of the local optimization (_reference_nullspace).
+    """
+
+    p: int
+    quad_degree: int
+    m: int
+    np_: int
+    nm: int
+    qref: np.ndarray
+    qw: np.ndarray
+    nq: int
+    phi_p: np.ndarray
+    dphi_p: np.ndarray
+    phi_m: np.ndarray
+    dphi_m: np.ndarray
+    S: np.ndarray
+    Qm: np.ndarray
+    S2: np.ndarray
+    S_mp: np.ndarray
+    et: np.ndarray
+    ew: np.ndarray
+    nqe: int
+    psi_p: np.ndarray
+    psi_m: np.ndarray
+    edge_ref: np.ndarray
+    etab_p: np.ndarray
+    etab_m: np.ndarray
+    T_p: np.ndarray
+    T_mm: np.ndarray
+    EE: np.ndarray
+    lattice: LagrangeLattice
+    n_nodes: int
+    lag_vals: np.ndarray
+    lag_grads: np.ndarray
+    lag_edge: np.ndarray
+    vand_m: np.ndarray
+    rt_T: np.ndarray
+    rt_A: np.ndarray
+    opt_nullspace: np.ndarray
+
+
+@lru_cache(maxsize=32)
+def reference_tables(p: int, quad_degree: int) -> ReferenceTables:
+    """The ReferenceTables of degree p >= 0 under the rules exact to
+    quad_degree, built on the first call and shared afterwards."""
+    t = {"p": p, "quad_degree": quad_degree, "m": p + 1,
+         "np_": n_modes(p), "nm": n_modes(p + 1)}
+    m = t["m"]
+    rule = triangle_rule(quad_degree)
+    qref = t["qref"] = rule.points
+    w = t["qw"] = rule.weights
+    t["nq"] = len(w)
+    phi_p = t["phi_p"] = tri_basis(p, qref)
+    dphi_p = t["dphi_p"] = tri_basis_grad(p, qref)
+    phi_m = t["phi_m"] = tri_basis(m, qref)
+    dphi_m = t["dphi_m"] = tri_basis_grad(m, qref)
+    t["S"] = np.einsum("aqr,bq,q->rab", dphi_p, phi_p, w)
+    t["Qm"] = np.einsum("aq,bqr,q->rab", phi_m, dphi_m, w)
+    t["S2"] = np.einsum("aqr,bqs,q->rsab", dphi_m, dphi_m, w)
+    t["S_mp"] = np.einsum("aqr,iq,q->rai", dphi_m, phi_p, w)
+
+    erule = segment_rule(quad_degree)
+    et = t["et"] = erule.points
+    ew = t["ew"] = erule.weights
+    nqe = t["nqe"] = len(et)
+    psi_p = t["psi_p"] = seg_basis(p, et)
+    psi_m = t["psi_m"] = seg_basis(m, et)
+    edge_ref = t["edge_ref"] = np.empty((3, 2, nqe, 2))
+    for ell, (a, b) in enumerate(_REF_EDGES):
+        edge_ref[ell, 1] = _REF_VERTS[a] + et[:, None] * (_REF_VERTS[b] - _REF_VERTS[a])
+        edge_ref[ell, 0] = _REF_VERTS[b] + et[:, None] * (_REF_VERTS[a] - _REF_VERTS[b])
+    etab_p = t["etab_p"] = np.empty((3, 2, t["np_"], nqe))
+    etab_m = t["etab_m"] = np.empty((3, 2, t["nm"], nqe))
+    for ell in range(3):
+        for o in range(2):
+            etab_p[ell, o] = tri_basis(p, edge_ref[ell, o])
+            etab_m[ell, o] = tri_basis(m, edge_ref[ell, o])
+    t["T_p"] = np.einsum("mt,loit,t->lomi", psi_p, etab_p, ew)
+    t["T_mm"] = np.einsum("mt,loit,t->lomi", psi_m, etab_m, ew)
+    t["EE"] = np.einsum("loit,lojt,t->loij", etab_p, etab_p, ew)[:, 0]
+
+    lat = t["lattice"] = lagrange_lattice(m)
+    t["n_nodes"] = len(lat.nodes)
+    t["lag_vals"] = phi_m.T @ lat.vandermonde_inv
+    t["lag_grads"] = np.einsum("jqd,jk->kqd", dphi_m, lat.vandermonde_inv)
+    t["lag_edge"] = np.einsum("loit,ik->lokt", etab_m, lat.vandermonde_inv)
+    t["vand_m"] = tri_basis(m, lat.nodes).T
+
+    t["rt_T"], t["rt_A"] = _reference_rt(t)
+    t["opt_nullspace"] = _reference_nullspace(t)
+    _frozen(*(v for v in t.values() if isinstance(v, np.ndarray)))
+    return ReferenceTables(**t)
+
+
+def _reference_rt(t: dict) -> tuple[np.ndarray, np.ndarray]:
+    """The reference RT^p basis y_j and its degrees of freedom.
+
+    T (N, 2, nm) holds the componentwise modal P^{p+1} coefficients of the
+    generators on the reference element: the P^p modes times each unit
+    vector, then the p+1 tails (x - c) h_k(x - c), with c the centroid and
+    h_k the homogeneous degree-p monomials.  A (N, N) holds their degrees of
+    freedom: the moments of y.|e|n against P^p on each local edge, walked
+    in its local direction, then the moments of each component against
+    [P^{p-1}]^2.
+    """
+    p, np_, nm = t["p"], t["np_"], t["nm"]
+    N, F1, n1 = (p + 1) * (p + 3), p + 1, n_modes(p - 1) if p else 0
+    T = np.zeros((N, 2, nm))
+    idx = np.arange(np_)
+    T[idx, 0, idx] = T[np_ + idx, 1, idx] = 1.0
+    d = t["qref"] - 1.0 / 3.0
+    for k in range(F1):
+        h = d[:, 0] ** (p - k) * d[:, 1] ** k * t["qw"]
+        T[2 * np_ + k] = (d * h[:, None]).T @ t["phi_m"].T
+    A = np.empty((N, N))
+    edge_normals = np.array([[0.0, -1.0], [1.0, 1.0], [-1.0, 0.0]])  # |e| n
+    for ell in range(3):
+        yn = edge_normals[ell] @ (T @ t["etab_m"][ell, 1])          # (N, nqe)
+        A[ell * F1:(ell + 1) * F1] = (t["psi_p"] * t["ew"]) @ yn.T
+    A[3 * F1:] = T[:, :, :n1].transpose(1, 2, 0).reshape(2 * n1, N)
+    return T, A
+
+
+def _reference_nullspace(t: dict) -> np.ndarray:
+    """Orthonormal basis (3 nm, k) of the nullspace of local_optimize's
+    constraints on the reference element, in the variables (y_0, y_1, u)
+    with q = J y.
+
+    On an element with Jacobian J the constraint matrix is a nonzero row
+    scaling of this one applied to (J^-1 q, u): the facet rows carry
+    J^T n, a multiple of the reference normal, and the orientation only
+    flips the sign of odd trace moments.  So every element's feasible
+    directions are the reference ones mapped by q = J y.
+    """
+    nm, np_, F2 = t["nm"], t["np_"], t["m"] + 1
+    normals = np.array([[0.0, -1.0], [np.sqrt(0.5), np.sqrt(0.5)], [-1.0, 0.0]])
+    C = np.zeros((np_ + 6 * F2 + 1, 3 * nm))
+    for r in (0, 1):
+        C[:np_, r * nm:(r + 1) * nm] = t["S_mp"][r].T          # div q = Pi_K^p f
+    for ell in range(3):
+        rows = np_ + ell * F2 + np.arange(F2)
+        T = t["T_mm"][ell, 1]
+        for r in (0, 1):
+            C[rows, r * nm:(r + 1) * nm] = normals[ell, r] * T  # q.n on dK
+        C[rows + 3 * F2, 2 * nm:] = T                          # u on dK
+    C[-1, 2 * nm] = 1.0                                        # (u, 1)_K
+    # the trace constraints are rank-deficient on purpose
+    _, S, Vt = np.linalg.svd(C)
+    rank = int(np.sum(S > S[0] * 1e-11))
+    return Vt[rank:].T

@@ -12,6 +12,8 @@ the boundary).
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 __all__ = [
@@ -48,6 +50,9 @@ class Mesh:
         self.elements = np.ascontiguousarray(elements, dtype=np.int64)
         if self.elements.ndim != 2 or self.elements.shape[1] != 3:
             raise ValueError("elements must be an (ne, 3) array")
+        if self.elements.size and (self.elements.min() < 0
+                                   or self.elements.max() >= len(self.vertices)):
+            raise ValueError("elements reference nonexistent vertices")
         self.region = (np.zeros(len(self.elements), dtype=np.int64)
                        if region is None else np.ascontiguousarray(region, dtype=np.int64))
         self.nu = dict(nu) if nu else {int(r): 1.0 for r in np.unique(self.region)}
@@ -72,12 +77,16 @@ class Mesh:
     # -- construction -----------------------------------------------------
 
     def _build_facets(self, boundary_tags):
-        ne = len(self.elements)
+        ne, nv = len(self.elements), len(self.vertices)
         local = np.stack([self.elements[:, [0, 1]],
                           self.elements[:, [1, 2]],
                           self.elements[:, [2, 0]]], axis=1)  # (ne, 3, 2)
         pairs = np.sort(local.reshape(-1, 2), axis=1)
-        facets, inverse = np.unique(pairs, axis=0, return_inverse=True)
+        # a sorted pair (a, b) packs into a * nv + b, which orders the pairs
+        # lexicographically, as np.unique(pairs, axis=0) would
+        keys, inverse = np.unique(pairs[:, 0] * nv + pairs[:, 1],
+                                  return_inverse=True)
+        facets = np.column_stack([keys // nv, keys % nv])
         nf = len(facets)
         self.facets = facets
         self.elem_facets = inverse.reshape(ne, 3)
@@ -98,22 +107,26 @@ class Mesh:
         facet_elems[swap] = facet_elems[swap][:, ::-1]
         self.facet_elems = facet_elems
 
-        tags = np.zeros(nf, dtype=np.int8)
         tag_map = {tuple(sorted(k)): _CHAR_TAGS[t] if isinstance(t, str) else int(t)
                    for k, t in boundary_tags.items()}
-        on_boundary = facet_elems[:, 1] < 0
-        for i in range(nf):
-            key = (int(facets[i, 0]), int(facets[i, 1]))
-            t = tag_map.pop(key, None)
-            if t is not None:
-                if not on_boundary[i]:
-                    raise ValueError(f"interior facet {key} carries a boundary tag")
-                tags[i] = t
-            elif on_boundary[i]:
-                raise ValueError(
-                    f"boundary facet {key} is untagged (non-conforming mesh or missing tag)")
-        if tag_map:
-            raise ValueError(f"tags reference non-facet vertex pairs: {sorted(tag_map)}")
+        tag_keys = np.array([_packed_key(k, nv) for k in tag_map], dtype=np.int64)
+        pos = np.minimum(np.searchsorted(keys, tag_keys), nf - 1)
+        found = (tag_keys >= 0) & (keys[pos] == tag_keys)
+        tags = np.zeros(nf, dtype=np.int8)
+        tags[pos[found]] = np.array(list(tag_map.values()), dtype=np.int8)[found]
+        tagged = np.zeros(nf, dtype=bool)
+        tagged[pos[found]] = True
+        # the first facet, in facet order, whose tag disagrees with its side count
+        bad = np.flatnonzero(tagged != (facet_elems[:, 1] < 0))
+        if len(bad):
+            key = (int(facets[bad[0], 0]), int(facets[bad[0], 1]))
+            if tagged[bad[0]]:
+                raise ValueError(f"interior facet {key} carries a boundary tag")
+            raise ValueError(
+                f"boundary facet {key} is untagged (non-conforming mesh or missing tag)")
+        if not found.all():
+            stray = sorted(k for k, hit in zip(tag_map, found) if not hit)
+            raise ValueError(f"tags reference non-facet vertex pairs: {stray}")
         if not np.any(tags == DIRICHLET):
             raise ValueError("the Dirichlet boundary must be non-empty")
         self.facet_tag = tags
@@ -157,10 +170,18 @@ class Mesh:
 
     def boundary_tag_dict(self):
         """Boundary tags keyed by sorted vertex pair, for refiners."""
-        out = {}
-        for i in np.nonzero(self.facet_tag != INTERIOR)[0]:
-            out[(int(self.facets[i, 0]), int(self.facets[i, 1]))] = int(self.facet_tag[i])
-        return out
+        b = self.facet_tag != INTERIOR
+        return dict(zip(map(tuple, self.facets[b].tolist()),
+                        self.facet_tag[b].tolist()))
+
+
+def _packed_key(pair, nv: int) -> int:
+    """a * nv + b for a sorted pair (a, b) of vertex indices in [0, nv), or
+    -1: any other pair names no facet, and packing it could alias one."""
+    if len(pair) == 2 and all(isinstance(v, numbers.Real) and 0 <= v < nv
+                              and v == int(v) for v in pair):
+        return int(pair[0]) * nv + int(pair[1])
+    return -1
 
 
 def check_conformity(mesh: Mesh) -> None:
@@ -339,20 +360,19 @@ def refine_bisection(mesh: Mesh, marks) -> Mesh:
     if not marks:
         return mesh
 
-    verts = [tuple(v) for v in mesh.vertices]
-    elems = [tuple(int(v) for v in e) for e in mesh.elements]
-    regions = [int(r) for r in mesh.region]
+    verts = mesh.vertices.tolist()
+    elems = mesh.elements.tolist()
+    regions = mesh.region.tolist()
     alive = [True] * len(elems)
     tags = mesh.boundary_tag_dict()
 
-    edge_map: dict[tuple[int, int], set[int]] = {}
+    # the alive elements on each edge, keyed by sorted vertex pair
+    edge_map: dict[tuple[int, int], set[int]] = {
+        (a, b): {e0} if e1 < 0 else {e0, e1}
+        for (a, b), (e0, e1) in zip(mesh.facets.tolist(), mesh.facet_elems.tolist())}
 
     def edge_key(a, b):
         return (a, b) if a < b else (b, a)
-
-    for k, e in enumerate(elems):
-        for i in range(3):
-            edge_map.setdefault(edge_key(e[i], e[(i + 1) % 3]), set()).add(k)
 
     mid_cache: dict[tuple[int, int], int] = {}
 

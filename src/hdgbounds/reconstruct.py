@@ -156,35 +156,6 @@ class ContinuousPotential:
 # Flux reconstruction
 # ---------------------------------------------------------------------------
 
-def _reference_rt(ws: Workspace) -> tuple[np.ndarray, np.ndarray]:
-    """The reference RT^p basis y_j and its degrees of freedom.
-
-    T (N, 2, nm) holds the componentwise modal P^{p+1} coefficients of the
-    generators on the reference element: the P^p modes times each unit
-    vector, then the p+1 tails (x - c) h_k(x - c), with c the centroid and
-    h_k the homogeneous degree-p monomials.  A (N, N) holds their degrees of
-    freedom: the moments of y.|e|n against P^p on each local edge, walked
-    in its local direction, then the moments of each component against
-    [P^{p-1}]^2.
-    """
-    p, np_, nm = ws.p, ws.np_, ws.nm
-    N, F1, n1 = (p + 1) * (p + 3), p + 1, fc.n_modes(p - 1) if p else 0
-    T = np.zeros((N, 2, nm))
-    idx = np.arange(np_)
-    T[idx, 0, idx] = T[np_ + idx, 1, idx] = 1.0
-    d = ws.qref - 1.0 / 3.0
-    for k in range(F1):
-        h = d[:, 0] ** (p - k) * d[:, 1] ** k * ws.qw
-        T[2 * np_ + k] = (d * h[:, None]).T @ ws.phi_m.T
-    A = np.empty((N, N))
-    edge_normals = np.array([[0.0, -1.0], [1.0, 1.0], [-1.0, 0.0]])  # |e| n
-    for ell in range(3):
-        yn = edge_normals[ell] @ (T @ ws.etab_m[ell, 1])              # (N, nqe)
-        A[ell * F1:(ell + 1) * F1] = (ws.psi_p * ws.ew) @ yn.T
-    A[3 * F1:] = T[:, :, :n1].transpose(1, 2, 0).reshape(2 * n1, N)
-    return T, A
-
-
 def reconstruct_flux(sol: HDGSolution) -> EquilibratedFlux:
     """RT^p reconstruction from the HDG numerical flux: facet moments match
     qhat.n against P^p(e) on every facet, interior moments match q_h against
@@ -195,12 +166,13 @@ def reconstruct_flux(sol: HDGSolution) -> EquilibratedFlux:
     moments are the reference ones times esign / sqrt(|e|) and the parity
     (-1)^k of the facet modes walked against the local edge direction, and
     the interior moments are the reference ones mixed by J / sqrt(det J).
-    So every element solves with the one reference matrix of _reference_rt.
+    So every element solves with the one reference matrix ws.rt_A
+    (femcore._reference_rt).
     """
     ws = sol.ws
     ne, p, F1 = sol.mesh.n_elements, sol.p, sol.p + 1
     n1 = fc.n_modes(p - 1) if p else 0
-    T, A = _reference_rt(ws)
+    T, A = ws.rt_T, ws.rt_A
     flip = np.where(ws.eo[:, :, None] == 1, 1.0, (-1.0) ** np.arange(F1))
     rhs = np.empty((ne, len(T)))
     rhs[:, :3 * F1] = (sol.qhat_n[ws.ef] * flip * (ws.esign * np.sqrt(ws.elen))[
@@ -422,35 +394,6 @@ def potential_residuals(rec: EvaluatedPair, ws: Workspace) -> dict:
 # Local optimization of the combined residual
 # ---------------------------------------------------------------------------
 
-def _reference_nullspace(ws: Workspace) -> np.ndarray:
-    """Orthonormal basis (3 nm, k) of the nullspace of local_optimize's
-    constraints on the reference element, in the variables (y_0, y_1, u)
-    with q = J y.
-
-    On an element with Jacobian J the constraint matrix is a nonzero row
-    scaling of this one applied to (J^-1 q, u): the facet rows carry
-    J^T n, a multiple of the reference normal, and the orientation only
-    flips the sign of odd trace moments.  So every element's feasible
-    directions are the reference ones mapped by q = J y.
-    """
-    nm, np_, F2 = ws.nm, ws.np_, ws.m + 1
-    normals = np.array([[0.0, -1.0], [np.sqrt(0.5), np.sqrt(0.5)], [-1.0, 0.0]])
-    C = np.zeros((np_ + 6 * F2 + 1, 3 * nm))
-    for r in (0, 1):
-        C[:np_, r * nm:(r + 1) * nm] = ws.S_mp[r].T          # div q = Pi_K^p f
-    for ell in range(3):
-        rows = np_ + ell * F2 + np.arange(F2)
-        T = ws.T_mm[ell, 1]
-        for r in (0, 1):
-            C[rows, r * nm:(r + 1) * nm] = normals[ell, r] * T  # q.n on dK
-        C[rows + 3 * F2, 2 * nm:] = T                          # u on dK
-    C[-1, 2 * nm] = 1.0                                        # (u, 1)_K
-    # the trace constraints are rank-deficient on purpose
-    _, S, Vt = np.linalg.svd(C)
-    rank = int(np.sum(S > S[0] * 1e-11))
-    return Vt[rank:].T
-
-
 def local_optimize(flux: EquilibratedFlux, pot: ContinuousPotential,
                    ws: Workspace) -> tuple[EquilibratedFlux, ContinuousPotential]:
     """Per element, minimize ||q* + nu grad u*||_K over q* in [P^{p+1}]^2 and
@@ -460,11 +403,11 @@ def local_optimize(flux: EquilibratedFlux, pot: ContinuousPotential,
     and the element means are preserved.
 
     The feasible directions are the reference nullspace mapped to each
-    element (_reference_nullspace); all elements are solved in one batched
-    least-squares step.
+    element (ws.opt_nullspace, see femcore._reference_nullspace); all
+    elements are solved in one batched least-squares step.
     """
     nm, nq, ne = ws.nm, ws.nq, ws.mesh.n_elements
-    N = _reference_nullspace(ws)
+    N = ws.opt_nullspace
     k = N.shape[1]
     if k == 0:  # p = 0: the constraints fix the pair
         return (replace(flux, coeffs=flux.coeffs.copy()),

@@ -2,9 +2,12 @@
 
 A Workspace bundles, for one (mesh, degree, quadrature) triple, everything
 the solver and the reconstructions evaluate repeatedly: affine maps, volume
-and facet quadrature in physical coordinates, modal basis tables at the
-quadrature points, Lagrange tables for the degree p+1 potential, and the
-facet trace tables for each (local edge, orientation) case.
+and facet quadrature in physical coordinates, Lagrange nodes, and the
+element-facet linkage.  The tables that do not depend on the mesh (modal
+bases at the quadrature points, local-solver tensors, facet trace tables
+for each (local edge, orientation) case, Lagrange tables for the degree
+p+1 potential) come from femcore.reference_tables, built once per
+(p, quad_degree) and exposed here under the same names.
 
 All arrays are laid out elementwise so the hot paths are batched matrix
 products and solves; no Python loop runs over elements in the pipelines.
@@ -12,13 +15,12 @@ products and solves; no Python loop runs over elements in the pipelines.
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import numpy as np
 
 from . import femcore as fc
 from .mesh import DIRICHLET, Mesh
-
-_REF_VERTS = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-
 
 class NonFiniteDataError(ValueError):
     """A data callable returned a non-finite value."""
@@ -48,11 +50,9 @@ class Workspace:
             raise ValueError("polynomial degree must be non-negative")
         quad_degree = int(quad_degree) if quad_degree is not None else 2 * p + 4
         self.mesh = mesh
-        self.p = p
-        self.m = p + 1                       # potential / reconstruction degree
-        self.quad_degree = quad_degree
-        self.np_ = fc.n_modes(p)
-        self.nm = fc.n_modes(self.m)
+        # the reference tables, shared with every Workspace of (p, quad_degree)
+        ref = fc.reference_tables(p, quad_degree)
+        self.__dict__.update((f.name, getattr(ref, f.name)) for f in fields(ref))
 
         v = mesh.vertices[mesh.elements]                     # (ne, 3, 2)
         self.v0 = v[:, 0]
@@ -70,69 +70,16 @@ class Workspace:
         self.sqrt_det = np.sqrt(self.det)
         self.nu = mesh.element_nu()
 
-        # volume quadrature
-        rule = fc.triangle_rule(quad_degree)
-        self.qref = rule.points                              # (nq, 2)
-        self.qw = rule.weights
-        self.nq = len(self.qw)
+        # volume quadrature points and weights including detJ: (ne, nq)
         jac_t = np.swapaxes(self.jac, 1, 2)
         self.qphys = self.v0[:, None, :] + self.qref @ jac_t
-        # integration weights including detJ: (ne, nq)
         self.wdet = self.det[:, None] * self.qw[None, :]
 
-        # modal tables at volume quadrature
-        self.phi_p = fc.tri_basis(p, self.qref)              # (np_, nq)
-        self.dphi_p = fc.tri_basis_grad(p, self.qref)        # (np_, nq, 2)
-        self.phi_m = fc.tri_basis(self.m, self.qref)
-        self.dphi_m = fc.tri_basis_grad(self.m, self.qref)
-
-        # reference tensors for local solvers
-        #   S[r, a, b]  = int d_r phi^p_a phi^p_b
-        #   Q_m[r, a, b] = int phi^m_a d_r phi^m_b
-        #   S2[r, s, a, b] = int d_r phi^m_a d_s phi^m_b
-        w = self.qw
-        self.S = np.einsum("aqr,bq,q->rab", self.dphi_p, self.phi_p, w)
-        self.Qm = np.einsum("aq,bqr,q->rab", self.phi_m, self.dphi_m, w)
-        self.S2 = np.einsum("aqr,bqs,q->rsab", self.dphi_m, self.dphi_m, w)
-        # mixed: d_r phi^m_a against phi^p_i
-        self.S_mp = np.einsum("aqr,iq,q->rai", self.dphi_m, self.phi_p, w)
-
-        # facet quadrature (canonical parameterization t in [0,1])
-        erule = fc.segment_rule(quad_degree)
-        self.et = erule.points
-        self.ew = erule.weights
-        self.nqe = len(self.et)
+        # facet quadrature points (canonical parameterization t in [0,1])
         va = mesh.vertices[mesh.facets[:, 0]]
         vb = mesh.vertices[mesh.facets[:, 1]]
         self.facet_len = np.linalg.norm(vb - va, axis=1)
         self.ephys = va[:, None, :] + self.et[:, None] * (vb - va)[:, None, :]
-
-        # canonical segment bases on the facets
-        self.psi_p = fc.seg_basis(p, self.et)                # (p+1, nqe)
-        self.psi_m = fc.seg_basis(self.m, self.et)           # (p+2, nqe)
-
-        # trace tables: reference coordinates of canonical edge points for
-        # each (local edge, orientation) case, and modal values there
-        # orientation o=1: canonical direction matches the local edge direction
-        self.edge_ref = np.empty((3, 2, self.nqe, 2))
-        for ell, (a, b) in enumerate(((0, 1), (1, 2), (2, 0))):
-            self.edge_ref[ell, 1] = (_REF_VERTS[a]
-                                     + self.et[:, None] * (_REF_VERTS[b] - _REF_VERTS[a]))
-            self.edge_ref[ell, 0] = (_REF_VERTS[b]
-                                     + self.et[:, None] * (_REF_VERTS[a] - _REF_VERTS[b]))
-        self.etab_p = np.empty((3, 2, self.np_, self.nqe))
-        self.etab_m = np.empty((3, 2, self.nm, self.nqe))
-        for ell in range(3):
-            for o in range(2):
-                self.etab_p[ell, o] = fc.tri_basis(p, self.edge_ref[ell, o])
-                self.etab_m[ell, o] = fc.tri_basis(self.m, self.edge_ref[ell, o])
-
-        # T_p[ell, o, m, i] = int_0^1 psi_p[m] etab_p[ell, o, i] dt, and the
-        # same against the degree-m trace space
-        self.T_p = np.einsum("mt,loit,t->lomi", self.psi_p, self.etab_p, self.ew)
-        self.T_mm = np.einsum("mt,loit,t->lomi", self.psi_m, self.etab_m, self.ew)
-        # facet mass of the element traces: EE[ell, i, j]
-        self.EE = np.einsum("loit,lojt,t->loij", self.etab_p, self.etab_p, self.ew)[:, 0]
 
         # element <-> facet linkage with orientation and outward-normal sign
         self.ef = mesh.elem_facets                            # (ne, 3)
@@ -142,16 +89,8 @@ class Workspace:
         self.enormal = mesh.facet_normals[self.ef] * self.esign[:, :, None]
         self.elen = self.facet_len[self.ef]                   # (ne, 3)
 
-        # Lagrange lattice of degree m
-        lat = fc.lagrange_lattice(self.m)
-        self.lattice = lat
-        self.n_nodes = len(lat.nodes)
-        self.lag_vals = self.phi_m.T @ lat.vandermonde_inv            # (nq, n_nodes)
-        self.lag_grads = np.einsum("jqd,jk->kqd", self.dphi_m, lat.vandermonde_inv)
-        self.lag_edge = np.einsum("loit,ik->lokt", self.etab_m, lat.vandermonde_inv)
-        # modal Vandermonde at the lattice nodes (nodal values <- modal coeffs)
-        self.vand_m = fc.tri_basis(self.m, lat.nodes).T               # (n_nodes, nm)
-        self.node_phys = self.v0[:, None, :] + lat.nodes @ jac_t     # (ne, n_nodes, 2)
+        # Lagrange lattice nodes of degree m
+        self.node_phys = self.v0[:, None, :] + self.lattice.nodes @ jac_t  # (ne, n_nodes, 2)
 
         self._global_nodes = None
         self._facet_side_cache = None

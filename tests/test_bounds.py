@@ -89,6 +89,25 @@ class TestKappa:
         kappa, degenerate = compute_kappa(
             *records(p0, p2, ProblemData(f=zero), OutputFunctional(), ws), ws)
         assert kappa == 1.0 and degenerate
+        # an exact adjoint pair stands for the limit kappa -> 0
+        kappa, degenerate = compute_kappa(
+            *records(p2, p0, ProblemData(f=zero), OutputFunctional(), ws), ws)
+        assert kappa == 0.0 and degenerate
+
+    def test_exact_adjoint_with_oscillating_data_raises(self):
+        # xi~ = y and zeta~ = (0, -1) leave no adjoint residual, and they
+        # meet the P^0 certificates of g_D_O = y and f_O = x - 1/3, whose
+        # mean on the triangle is zero, while f_O oscillates: no kappa is
+        # optimal, and the bounds refuse instead of dividing by zero
+        mesh = Mesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+                    np.array([[0, 1, 2]]), {(0, 1): "D", (1, 2): "D", (0, 2): "D"})
+        data = ProblemData(f=ONE)
+        out = OutputFunctional(f_O=lambda x, y: x - 1.0 / 3.0,
+                               g_D_O=lambda x, y: y)
+        _, _, pp, _, ws = build_pair(mesh, data, out, p=0)
+        ap = synthetic_pair(mesh, ws, (0.0, -1.0), ws.global_nodes()[2][:, 1])
+        with pytest.raises(RuntimeError, match="adjoint data oscillate in: f_O"):
+            compute_bounds(pp, ap, data, out, ws)
 
 
 class TestEta:
@@ -280,6 +299,7 @@ class TestGlobalProperties:
     @pytest.mark.parametrize("scaled,c", [
         *[("primal", c) for c in (1e-12, 1e-6, 1e6, 1e12)],
         *[("output", c) for c in (1e-12, 1e-6, 1e6, 1e12)],
+        ("output", 0.0),   # zero output functional: exactly [0, 0]
         ("length", 1e-3), ("length", 1e3)])
     def test_homogeneity(self, scaled, c):
         # s is linear in the primal data and in the output data, and a
@@ -294,6 +314,8 @@ class TestGlobalProperties:
         for xc, x1 in ((rs.s_minus, r1.s_minus), (rs.s_plus, r1.s_plus),
                        (rs.s_tilde, r1.s_tilde)):
             assert abs(xc - k * x1) <= 1e-12 * abs(k * x1)
+        if k == 0:
+            assert (rs.s_minus, rs.s_plus) == (0.0, 0.0) and rs.kappa_degenerate
 
     def test_constant_potential_passes_gate(self):
         # u = 1 and q = 0: q~ is round-off of the potential, which the flux

@@ -2,6 +2,7 @@
 projections, RT^p generators and energy norms built on it."""
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from hdgbounds import femcore as fc
 from hdgbounds import unit_square_crisscross
 from hdgbounds.bounds import _energy_sq
 from hdgbounds.mesh import Mesh
-from hdgbounds.reconstruct import EquilibratedFlux, _reference_rt
+from hdgbounds.reconstruct import EquilibratedFlux
 
 
 def both_meshes():
@@ -75,6 +76,29 @@ def test_segment_basis_orthonormal(q):
     psi = fc.seg_basis(q, rule.points)
     gram = (psi * rule.weights) @ psi.T
     assert np.abs(gram - np.eye(q + 1)).max() < 5e-15
+
+
+def test_reference_tables_shared_and_read_only():
+    # the tables that do not depend on the mesh are built once per
+    # (p, quad_degree) and shared, read-only, by every Workspace of that pair
+    a = Workspace(unit_square_crisscross(1), 2)
+    b = Workspace(perturbed_crisscross(), 2, quad_degree=8)   # default 2p + 4
+    ref = fc.reference_tables(2, 8)
+    arrays = 0
+    for f in fields(ref):
+        val = getattr(ref, f.name)
+        assert getattr(a, f.name) is val and getattr(b, f.name) is val
+        if isinstance(val, np.ndarray):
+            arrays += 1
+            with pytest.raises(ValueError, match="read-only"):
+                val[...] = val
+    assert arrays > 20
+    with pytest.raises(ValueError, match="read-only"):
+        a.lattice.vandermonde_inv[0, 0] = 0.0
+    # another quadrature degree gives other tables
+    c = Workspace(perturbed_crisscross(), 2, quad_degree=4)
+    assert c.nq < a.nq and c.phi_p.shape != a.phi_p.shape
+    assert c.S is not a.S and c.lattice is a.lattice
 
 
 class TestProjections:
@@ -189,7 +213,7 @@ def rt_generators(ws):
     """The RT^p generators reconstruct_flux solves for, as componentwise
     modal P^{p+1} coefficients (ne, N, 2, nm): the reference basis mapped
     to every element by q = J y / det J."""
-    T, _ = _reference_rt(ws)
+    T = ws.rt_T
     return np.einsum("ecd,jdk->ejck", ws.jac, T) / ws.sqrt_det[:, None, None, None]
 
 

@@ -3,8 +3,71 @@
 import numpy as np
 import pytest
 
-from hdgbounds import mesh as hm
+from hdgbounds import Bulk, builtin, mark, mesh as hm, run_pipeline
 from hdgbounds.bounds import poincare_constants
+
+
+SQUARE_VERTS = np.array([[0, 0], [1, 0], [1, 1], [0, 1.0]])
+SQUARE_ELEMS = np.array([[0, 1, 2], [0, 2, 3]])
+SQUARE_TAGS = {(0, 1): "D", (1, 2): "D", (2, 3): "D", (0, 3): "D"}
+
+
+def assert_same_mesh(got, want):
+    """Bitwise-equal vertices, elements, regions and boundary tags."""
+    for attr in ("vertices", "elements", "region"):
+        a, b = getattr(got, attr), getattr(want, attr)
+        assert a.dtype == b.dtype and np.array_equal(a, b), attr
+    assert got.boundary_tag_dict() == want.boundary_tag_dict()
+
+
+def _perturbed(level, seed, amp=0.2):
+    """unit_square_crisscross(level) with interior vertices moved at random
+    by up to amp times the grid pitch."""
+    base = hm.unit_square_crisscross(level)
+    v = base.vertices.copy()
+    interior = np.all((v > 1e-12) & (v < 1.0 - 1e-12), axis=1)
+    h = 0.5 ** (level + 1)
+    v[interior] += np.random.default_rng(seed).uniform(
+        -amp * h, amp * h, size=(int(interior.sum()), 2))
+    return hm.Mesh(v, base.elements, base.boundary_tag_dict())
+
+
+FACET_MESHES = {
+    "perturbed0": lambda: _perturbed(0, 3),
+    "perturbed1": lambda: _perturbed(1, 4),
+    "lshape_refined": lambda: hm.refine_red(
+        hm.refine_bisection(hm.lshape_initial(), [0, 3, 4]), [2, 7]),
+}
+
+
+def _facets_unique_rows(vertices, elements, boundary_tags):
+    """Facet arrays of a mesh built with np.unique over vertex-pair rows and
+    a loop over the facets for the tags, as Mesh did before packing the
+    pairs into integer keys."""
+    ne = len(elements)
+    local = np.stack([elements[:, [0, 1]], elements[:, [1, 2]],
+                      elements[:, [2, 0]]], axis=1)
+    facets, inverse = np.unique(np.sort(local.reshape(-1, 2), axis=1), axis=0,
+                                return_inverse=True)
+    nf = len(facets)
+    facet_elems = np.full((nf, 2), -1, dtype=np.int64)
+    for e in range(ne):
+        for f in inverse.reshape(ne, 3)[e]:
+            facet_elems[f, 0 if facet_elems[f, 0] < 0 else 1] = e
+    tags = np.zeros(nf, dtype=np.int8)
+    for i in range(nf):
+        tags[i] = boundary_tags.get((int(facets[i, 0]), int(facets[i, 1])),
+                                    hm.INTERIOR)
+    va, vb = vertices[facets[:, 0]], vertices[facets[:, 1]]
+    d = vb - va
+    n = np.column_stack([d[:, 1], -d[:, 0]])
+    n /= np.linalg.norm(n, axis=1)[:, None]
+    cent = vertices[elements[facet_elems[:, 0]]].mean(axis=1)
+    n[np.sum(n * (0.5 * (va + vb) - cent), axis=1) < 0] *= -1.0
+    return {"facets": facets, "elem_facets": inverse.reshape(ne, 3),
+            "elem_facet_orient": local[:, :, 0] < local[:, :, 1],
+            "facet_elems": facet_elems, "facet_tag": tags,
+            "facet_normals": n}
 
 
 def test_crisscross_level0_counts():
@@ -35,6 +98,107 @@ def test_lshape_initial():
     assert abs(m.total_area() - 3.0) < 1e-14
     assert any(np.all(v == [0.0, 0.0]) for v in m.vertices)
     hm.check_conformity(m)
+
+
+def _refine_bisection_loop(mesh, marks):
+    """refine_bisection as it was before it set up from the mesh's arrays:
+    per-element tuples and an edge map seeded from every element's edges.
+    The split order, and with it the numbering, must not change."""
+    marks = hm._validate_marks(mesh, marks)
+    if not marks:
+        return mesh
+
+    verts = [tuple(v) for v in mesh.vertices]
+    elems = [tuple(int(v) for v in e) for e in mesh.elements]
+    regions = [int(r) for r in mesh.region]
+    alive = [True] * len(elems)
+    tags = mesh.boundary_tag_dict()
+
+    edge_map: dict[tuple[int, int], set[int]] = {}
+
+    def edge_key(a, b):
+        return (a, b) if a < b else (b, a)
+
+    for k, e in enumerate(elems):
+        for i in range(3):
+            edge_map.setdefault(edge_key(e[i], e[(i + 1) % 3]), set()).add(k)
+
+    mid_cache: dict[tuple[int, int], int] = {}
+
+    def midpoint(key):
+        m = mid_cache.get(key)
+        if m is None:
+            a, b = key
+            m = len(verts)
+            verts.append(((verts[a][0] + verts[b][0]) / 2.0,
+                          (verts[a][1] + verts[b][1]) / 2.0))
+            mid_cache[key] = m
+            if key in tags:
+                t = tags.pop(key)
+                tags[edge_key(a, m)] = t
+                tags[edge_key(m, b)] = t
+        return m
+
+    def longest_edge(k):
+        e = elems[k]
+        best = None
+        for i in range(3):
+            key = edge_key(e[i], e[(i + 1) % 3])
+            l2 = ((verts[key[0]][0] - verts[key[1]][0]) ** 2
+                  + (verts[key[0]][1] - verts[key[1]][1]) ** 2)
+            if best is None or l2 > best[0] or (l2 == best[0] and key < best[1]):
+                best = (l2, key)
+        return best[1]
+
+    def neighbor_across(k, key):
+        for j in edge_map[key]:
+            if j != k and alive[j]:
+                return j
+        return None
+
+    def split_element(k, key, m):
+        # parent rotated so the split edge comes first, children stay CCW
+        e = elems[k]
+        for i in range(3):
+            if edge_key(e[i], e[(i + 1) % 3]) == key:
+                va, vb, vc = e[i], e[(i + 1) % 3], e[(i + 2) % 3]
+                break
+        alive[k] = False
+        for ek in [edge_key(e[i], e[(i + 1) % 3]) for i in range(3)]:
+            edge_map[ek].discard(k)
+        for child in ((va, m, vc), (m, vb, vc)):
+            cid = len(elems)
+            elems.append(child)
+            regions.append(regions[k])
+            alive.append(True)
+            for i in range(3):
+                edge_map.setdefault(edge_key(child[i], child[(i + 1) % 3]), set()).add(cid)
+
+    def bisect(k):
+        stack = [k]
+        while stack:
+            t = stack[-1]
+            if not alive[t]:
+                stack.pop()
+                continue
+            key = longest_edge(t)
+            n = neighbor_across(t, key)
+            if n is not None and longest_edge(n) != key:
+                stack.append(n)
+                continue
+            m = midpoint(key)
+            split_element(t, key, m)
+            if n is not None:
+                split_element(n, key, m)
+            stack.pop()
+
+    for k in marks:
+        if alive[k]:
+            bisect(k)
+
+    keep = [i for i, a in enumerate(alive) if a]
+    return hm.Mesh(np.array(verts), np.array([elems[i] for i in keep]), tags,
+                region=np.array([regions[i] for i in keep]), nu=mesh.nu)
 
 
 class TestRedRefinement:
@@ -110,6 +274,28 @@ class TestBisection:
                 or (abs(mid[1]) < 1e-12 and mid[0] >= 0)
             assert on_outer or on_notch
 
+    @pytest.mark.parametrize("level,seed", [(0, 1), (0, 2), (1, 3), (1, 4)])
+    def test_matches_loop_on_random_marks(self, level, seed):
+        rng = np.random.default_rng(seed)
+        mesh = _perturbed(level, seed)
+        for _ in range(4):
+            marks = rng.choice(mesh.n_elements, size=1 + mesh.n_elements // 5,
+                               replace=False)
+            got = hm.refine_bisection(mesh, marks)
+            assert_same_mesh(got, _refine_bisection_loop(mesh, marks))
+            mesh = got
+
+    def test_matches_loop_on_lshape_bulk_sequence(self):
+        prob = builtin("example2_s1")
+        mesh = prob.initial_mesh()
+        for _ in range(12):
+            res = run_pipeline(mesh, prob.data, prob.out, p=1)
+            marks = mark(res.gap_elements, Bulk(0.5))
+            got = hm.refine_bisection(mesh, marks)
+            assert_same_mesh(got, _refine_bisection_loop(mesh, marks))
+            mesh = got
+        assert mesh.n_elements > 100
+
     def test_region_inheritance(self):
         verts = np.array([[0, 0], [1, 0], [1, 1], [0, 1.0]])
         m = hm.Mesh(verts, np.array([[0, 1, 2], [0, 2, 3]]),
@@ -142,10 +328,47 @@ class TestInvariantsAndFormat:
             d = cent[e1] - cent[e0]
             assert np.dot(d, m.facet_normals[i]) > 0
 
-    def test_untagged_boundary_rejected(self):
-        verts = np.array([[0, 0], [1, 0], [0, 1.0]])
-        with pytest.raises(ValueError, match="untagged"):
-            hm.Mesh(verts, np.array([[0, 1, 2]]), {(0, 1): "D", (1, 2): "D"})
+    @pytest.mark.parametrize("tags,message", [
+        ({(0, 1): "D", (1, 2): "D"}, r"boundary facet \(0, 2\) is untagged"),
+        ({**SQUARE_TAGS, (0, 2): "D"},
+         r"interior facet \(0, 2\) carries a boundary tag"),
+        ({**SQUARE_TAGS, (1, 3): "D"},
+         r"tags reference non-facet vertex pairs: \[\(1, 3\)\]"),
+        # -1 * 4 + 5 and 1 * 4 + 7 pack to the keys of facets (0, 1) and (2, 3)
+        ({**SQUARE_TAGS, (-1, 5): "N"},
+         r"tags reference non-facet vertex pairs: \[\(-1, 5\)\]"),
+        ({**SQUARE_TAGS, (7, 1): "N"},
+         r"tags reference non-facet vertex pairs: \[\(1, 7\)\]"),
+        # the first offending facet in facet order is reported, whichever
+        # of the two errors it is
+        ({(0, 3): "D", (1, 2): "D", (2, 3): "D", (0, 2): "D"},
+         r"boundary facet \(0, 1\) is untagged"),
+        ({(0, 1): "D", (0, 3): "D", (1, 2): "D", (0, 2): "D"},
+         r"interior facet \(0, 2\) carries a boundary tag"),
+    ], ids=["untagged", "interior", "non_facet", "negative_alias",
+            "too_large_alias", "first_untagged", "first_interior"])
+    def test_untagged_boundary_rejected(self, tags, message):
+        verts = SQUARE_VERTS if len(tags) > 2 else SQUARE_VERTS[[0, 1, 3]]
+        elems = SQUARE_ELEMS if len(tags) > 2 else np.array([[0, 1, 2]])
+        with pytest.raises(ValueError, match=message):
+            hm.Mesh(verts, elems, tags)
+
+    def test_elements_reference_existing_vertices(self):
+        for bad in (-1, 4):
+            with pytest.raises(ValueError, match="nonexistent vertices"):
+                hm.Mesh(SQUARE_VERTS, np.array([[0, 1, 2], [0, 2, bad]]),
+                        SQUARE_TAGS)
+
+    @pytest.mark.parametrize("name", ["perturbed0", "perturbed1", "lshape_refined"])
+    def test_facets_match_unique_rows_build(self, name):
+        src = FACET_MESHES[name]()
+        tags = src.boundary_tag_dict()
+        mesh = hm.Mesh(src.vertices, src.elements, tags)
+        ref = _facets_unique_rows(src.vertices, src.elements, tags)
+        for attr, want in ref.items():
+            got = getattr(mesh, attr)
+            assert got.dtype == want.dtype, attr
+            assert np.array_equal(got, want), attr
 
     def test_needs_dirichlet(self):
         verts = np.array([[0, 0], [1, 0], [0, 1.0]])
