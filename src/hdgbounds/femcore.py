@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 from scipy.special import eval_jacobi, gammaln, roots_jacobi, roots_legendre
@@ -34,7 +35,6 @@ __all__ = [
     "seg_basis",
     "lagrange_lattice",
     "n_modes",
-    "ReferenceTables",
     "reference_tables",
 ]
 
@@ -239,11 +239,12 @@ _REF_VERTS = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 _REF_EDGES = ((0, 1), (1, 2), (2, 0))
 
 
-@dataclass(frozen=True)
-class ReferenceTables:
-    """Every table of degree p (m = p + 1) and quadrature degree that does
-    not depend on the mesh.  A Workspace exposes each field under the same
-    name; all arrays are read-only and shared by every mesh.
+@lru_cache(maxsize=32)
+def reference_tables(p: int, quad_degree: int) -> MappingProxyType:
+    """Every table of degree p >= 0 (m = p + 1) under the rules exact to
+    quad_degree that does not depend on the mesh, as a read-only mapping of
+    read-only arrays, built on the first call and shared afterwards.  A
+    Workspace exposes each entry as an attribute of the same name.
 
     Volume quadrature qref (nq, 2), qw; modal tables phi_p (np_, nq),
     dphi_p (np_, nq, 2), phi_m, dphi_m; local-solver tensors
@@ -257,56 +258,14 @@ class ReferenceTables:
     o = 1 when the canonical direction matches the local edge direction,
     the modal traces etab_p/etab_m, their segment moments
     T_p[l, o, m, i] = int psi_p[m] etab_p[l, o, i] dt (T_mm at degree m)
-    and the trace mass EE[l, i, j].  Lagrange lattice of degree m with its
-    values lag_vals (nq, n_nodes), gradients lag_grads (n_nodes, nq, 2) and
-    traces lag_edge (3, 2, n_nodes, nqe), and the modal Vandermonde vand_m
-    (n_nodes, nm).  rt_T, rt_A: the reference RT^p basis and its degrees of
-    freedom (_reference_rt); opt_nullspace: the reference feasible
-    directions of the local optimization (_reference_nullspace).
+    and the trace mass EE[l, i, j].  The Lagrange lattice of degree m with
+    its values lag_vals (nq, n_nodes), gradients lag_grads (n_nodes, nq, 2)
+    and traces lag_edge (3, 2, n_nodes, nqe), and the modal Vandermonde
+    vand_m (n_nodes, nm).  rt_T, rt_A: the reference RT^p basis and its
+    degrees of freedom (_reference_rt); opt_nullspace: the reference
+    feasible directions of the local optimization (_reference_nullspace).
+    The scalars p, quad_degree, m, np_, nm, nq, nqe and n_nodes complete it.
     """
-
-    p: int
-    quad_degree: int
-    m: int
-    np_: int
-    nm: int
-    qref: np.ndarray
-    qw: np.ndarray
-    nq: int
-    phi_p: np.ndarray
-    dphi_p: np.ndarray
-    phi_m: np.ndarray
-    dphi_m: np.ndarray
-    S: np.ndarray
-    Qm: np.ndarray
-    S2: np.ndarray
-    S_mp: np.ndarray
-    et: np.ndarray
-    ew: np.ndarray
-    nqe: int
-    psi_p: np.ndarray
-    psi_m: np.ndarray
-    edge_ref: np.ndarray
-    etab_p: np.ndarray
-    etab_m: np.ndarray
-    T_p: np.ndarray
-    T_mm: np.ndarray
-    EE: np.ndarray
-    lattice: LagrangeLattice
-    n_nodes: int
-    lag_vals: np.ndarray
-    lag_grads: np.ndarray
-    lag_edge: np.ndarray
-    vand_m: np.ndarray
-    rt_T: np.ndarray
-    rt_A: np.ndarray
-    opt_nullspace: np.ndarray
-
-
-@lru_cache(maxsize=32)
-def reference_tables(p: int, quad_degree: int) -> ReferenceTables:
-    """The ReferenceTables of degree p >= 0 under the rules exact to
-    quad_degree, built on the first call and shared afterwards."""
     t = {"p": p, "quad_degree": quad_degree, "m": p + 1,
          "np_": n_modes(p), "nm": n_modes(p + 1)}
     m = t["m"]
@@ -353,7 +312,7 @@ def reference_tables(p: int, quad_degree: int) -> ReferenceTables:
     t["rt_T"], t["rt_A"] = _reference_rt(t)
     t["opt_nullspace"] = _reference_nullspace(t)
     _frozen(*(v for v in t.values() if isinstance(v, np.ndarray)))
-    return ReferenceTables(**t)
+    return MappingProxyType(t)
 
 
 def _reference_rt(t: dict) -> tuple[np.ndarray, np.ndarray]:

@@ -15,12 +15,11 @@ products and solves; no Python loop runs over elements in the pipelines.
 
 from __future__ import annotations
 
-from dataclasses import fields
-
 import numpy as np
 
 from . import femcore as fc
 from .mesh import DIRICHLET, Mesh
+
 
 class NonFiniteDataError(ValueError):
     """A data callable returned a non-finite value."""
@@ -42,7 +41,9 @@ class Workspace:
     """Evaluation tables of one mesh at degree p.
 
     The caller builds one per mesh and hands it to every step that works on
-    that mesh; quad_degree defaults to 2p + 4.
+    that mesh; quad_degree defaults to 2p + 4.  Every entry of
+    femcore.reference_tables(p, quad_degree) is an attribute of the same
+    name, read-only and shared with every Workspace of that pair.
     """
 
     def __init__(self, mesh: Mesh, p: int, quad_degree: int | None = None):
@@ -50,9 +51,7 @@ class Workspace:
             raise ValueError("polynomial degree must be non-negative")
         quad_degree = int(quad_degree) if quad_degree is not None else 2 * p + 4
         self.mesh = mesh
-        # the reference tables, shared with every Workspace of (p, quad_degree)
-        ref = fc.reference_tables(p, quad_degree)
-        self.__dict__.update((f.name, getattr(ref, f.name)) for f in fields(ref))
+        self.__dict__.update(fc.reference_tables(p, quad_degree))
 
         v = mesh.vertices[mesh.elements]                     # (ne, 3, 2)
         self.v0 = v[:, 0]

@@ -2,7 +2,6 @@
 projections, RT^p generators and energy norms built on it."""
 
 import math
-from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -85,14 +84,15 @@ def test_reference_tables_shared_and_read_only():
     b = Workspace(perturbed_crisscross(), 2, quad_degree=8)   # default 2p + 4
     ref = fc.reference_tables(2, 8)
     arrays = 0
-    for f in fields(ref):
-        val = getattr(ref, f.name)
-        assert getattr(a, f.name) is val and getattr(b, f.name) is val
+    for name, val in ref.items():
+        assert getattr(a, name) is val and getattr(b, name) is val
         if isinstance(val, np.ndarray):
             arrays += 1
             with pytest.raises(ValueError, match="read-only"):
                 val[...] = val
     assert arrays > 20
+    with pytest.raises(TypeError):
+        ref["S"] = None
     with pytest.raises(ValueError, match="read-only"):
         a.lattice.vandermonde_inv[0, 0] = 0.0
     # another quadrature degree gives other tables
