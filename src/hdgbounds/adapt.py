@@ -169,8 +169,9 @@ def adaptive_loop(mesh0: Mesh, data: hdg.ProblemData, out: hdg.OutputFunctional,
                   ) -> AdaptiveRun:
     """Iterate solve -> reconstruct -> certify -> mark -> refine.
 
-    Stops when the bound gap drops below ``target_gap`` or after ``max_iter``
-    iterations (reported as non-converged, history retained).  With the
+    Stops when the bound gap drops below ``target_gap`` (converged), after
+    ``max_iter`` iterations, or when the strategy marks no element (both
+    reported as non-converged, history retained).  With the
     Uniform strategy and a ``uniform_family`` the meshes are taken from the
     family (level per iteration); otherwise uniform means mark-everything.
     """
@@ -183,20 +184,14 @@ def adaptive_loop(mesh0: Mesh, data: hdg.ProblemData, out: hdg.OutputFunctional,
         t0 = time.perf_counter()
         res = run_pipeline(mesh, data, out, p, tau, optimize=optimize,
                            quad_degree=quad_degree)
-        gap = res.s_plus - res.s_minus
-        done = gap < target_gap
+        run.converged = res.s_plus - res.s_minus < target_gap
         marked = np.array([], dtype=int)
-        if not done and it + 1 < max_iter:
+        if not run.converged and it + 1 < max_iter:
             marked = mark(res.gap_elements, strategy)
-            if len(marked) == 0 and not isinstance(strategy, Uniform):
-                done = True  # all-zero contributions signal convergence
         run.records.append(IterationRecord(
             nel=mesh.n_elements, n_edge_dofs=mesh.n_facets * (p + 1),
             bounds=res, marked=len(marked), seconds=time.perf_counter() - t0))
-        if done:
-            run.converged = True
-            break
-        if it + 1 >= max_iter:
+        if len(marked) == 0:  # converged, last iteration, or nothing marked
             break
         if isinstance(strategy, Uniform) and uniform_family is not None:
             mesh = uniform_family(it + 1)

@@ -53,7 +53,8 @@ def compile_expression(text: str):
     """Compile an arithmetic expression in x, y into a vectorized callable.
 
     Supports + - * / ** (also ^), the functions sin cos tan sinh cosh tanh
-    exp log sqrt abs, and the constants pi and e.
+    exp log sqrt abs, and the constants pi and e.  Numbers are float64, so
+    "1/0" or "9**9**5" evaluate to inf instead of raising.
     """
     tree = ast.parse(text.replace("^", "**"), mode="eval")
     for node in ast.walk(tree):
@@ -69,13 +70,23 @@ def compile_expression(text: str):
         if isinstance(node, ast.Constant) and not isinstance(node.value,
                                                              (int, float)):
             raise ValueError(f"non-numeric constant in {text!r}")
+    numbers = {}
+
+    class _Float64Numbers(ast.NodeTransformer):
+        def visit_Constant(self, node):
+            name = f"_{len(numbers)}"
+            numbers[name] = np.float64(node.value)
+            return ast.copy_location(ast.Name(id=name, ctx=ast.Load()), node)
+
+    tree = ast.fix_missing_locations(_Float64Numbers().visit(tree))
     code = compile(tree, "<expression>", "eval")
 
     def fun(x, y):
         env = {"x": np.asarray(x, dtype=float),
-               "y": np.asarray(y, dtype=float), **_FUNCS, **_NAMES}
-        return np.broadcast_to(np.asarray(eval(code, {"__builtins__": {}}, env),
-                                          dtype=float),
+               "y": np.asarray(y, dtype=float), **_FUNCS, **_NAMES, **numbers}
+        with np.errstate(all="ignore"):  # Workspace.eval_data rejects non-finite values
+            vals = eval(code, {"__builtins__": {}}, env)
+        return np.broadcast_to(np.asarray(vals, dtype=float),
                                np.broadcast(x, y).shape).copy()
     return fun
 

@@ -118,47 +118,31 @@ def _tau_array(mesh: Mesh, tau) -> np.ndarray:
     return arr
 
 
-def _local_operators(ws: Workspace, tau: np.ndarray):
-    """Per-element local matrix and facet coupling.
+def _local_operators(ws: Workspace):
+    """The blocks of the element-local problem
 
-    Returns M (ne, 3np, 3np), P (ne, 3np, 3F), R (ne, 3F, 3np) with the
-    vector block ordered x-modes then y-modes, then the scalar block.
+        q / nu - Kdiv^T u  = -Cq uhat
+        Kdiv q + tau E u   = tau Cu uhat + (f, psi)
+
+    with q ordered x-modes then y-modes and the facet modes by local edge:
+    Kdiv (ne, np, 2np), the trace mass E (ne, np, np), and the trace
+    couplings Cq (ne, 2np, 3F), Cu (ne, np, 3F).
     """
     ne, np_, F1 = ws.mesh.n_elements, ws.np_, ws.p + 1
-    nloc = 3 * np_
 
     # Kdiv[e, i, c*np_+m] = (div V_(c,m), psi_i)_K = JinvT[e,c,r] S[r,m,i]
     Kdiv = (ws.jac_inv_t @ ws.S.reshape(2, np_ * np_)).reshape(
         ne, 2 * np_, np_).swapaxes(1, 2)
+    E = ((ws.elen / ws.det[:, None]) @ ws.EE.reshape(3, np_ * np_)).reshape(
+        ne, np_, np_)
 
-    M = np.zeros((ne, nloc, nloc))
-    idx = np.arange(2 * np_)
-    M[:, idx, idx] = (1.0 / ws.nu)[:, None]
-    M[:, 2 * np_:, :2 * np_] = Kdiv
-    M[:, :2 * np_, 2 * np_:] = -np.swapaxes(Kdiv, 1, 2)
-
-    # boundary mass of scalar traces and trace couplings, per local edge
-    P = np.zeros((ne, nloc, 3 * F1))
-    R = np.zeros((ne, 3 * F1, nloc))
-    E = np.zeros((ne, np_, np_))
-    o = ws.eo  # (ne, 3)
+    # Cu[e, v, (ell, m)] = <psi_v, M_m>_ell and Cq[e, (c, v), :] = n_c Cu[e, v, :]
+    T = ws.T_p[np.arange(3), ws.eo]                          # (ne, 3, F1, np_)
     scale = np.sqrt(ws.elen) / ws.sqrt_det[:, None]          # (ne, 3)
-    for ell in range(3):
-        T = ws.T_p[ell, o[:, ell]]                           # (ne, F1, np_)
-        sc = scale[:, ell]
-        E += (ws.elen[:, ell] / ws.det)[:, None, None] * ws.EE[ell][None]
-        cols = slice(ell * F1, (ell + 1) * F1)
-        n = ws.enormal[:, ell]                               # (ne, 2) outward
-        # Cq[e, (c,m_v), m] = n_c * sc * T[m, m_v]
-        Cq = np.einsum("ec,emv->ecvm", n, T) * sc[:, None, None, None]
-        Cq = Cq.reshape(ne, 2 * np_, F1)
-        Cu = np.swapaxes(T, 1, 2) * sc[:, None, None]        # (ne, np_, F1)
-        P[:, :2 * np_, cols] = -Cq
-        P[:, 2 * np_:, cols] = tau[:, None, None] * Cu
-        R[:, cols, :2 * np_] = np.swapaxes(Cq, 1, 2)
-        R[:, cols, 2 * np_:] = tau[:, None, None] * np.swapaxes(Cu, 1, 2)
-    M[:, 2 * np_:, 2 * np_:] = tau[:, None, None] * E
-    return M, P, R
+    Cu = (T * scale[:, :, None, None]).transpose(0, 3, 1, 2)  # (ne, np_, 3, F1)
+    Cq = ws.enormal.transpose(0, 2, 1)[:, :, None, :, None] * Cu[:, None]
+    return (Kdiv, E, Cq.reshape(ne, 2 * np_, 3 * F1),
+            Cu.reshape(ne, np_, 3 * F1))
 
 
 @dataclass
@@ -169,7 +153,8 @@ class CondensedSystem:
     A is the symmetric positive definite operator on the free facet dofs
     (interior and Neumann facets) and rhs (n_free, k) its right-hand sides;
     uhat (k, nf*(p+1)) holds the Dirichlet trace moments at the fixed dofs.
-    The local solution is X = XP uhat_e + Xb[:, :, j] per element.
+    Per element u = XP uhat_e + Xb[:, :, j], and the flux follows from the
+    local blocks Kdiv, Cq, Cu.
     """
 
     A: sp.csc_matrix
@@ -179,40 +164,48 @@ class CondensedSystem:
     tau: np.ndarray
     XP: np.ndarray
     Xb: np.ndarray
-    R: np.ndarray
+    Kdiv: np.ndarray
+    Cq: np.ndarray
+    Cu: np.ndarray
 
 
 def assemble_condensed(ws: Workspace, datas, tau) -> CondensedSystem:
     """Local solves for the traces and for every source in ``datas``, and the
-    condensed skeleton system: one matrix, one right-hand side per datum."""
+    condensed skeleton system: one matrix, one right-hand side per datum.
+
+    The flux equation gives q = nu (Kdiv^T u - Cq uhat), which leaves the
+    symmetric positive definite np x np system
+    (nu Kdiv Kdiv^T + tau E) u = G uhat + (f, psi), G = tau Cu + nu Kdiv Cq.
+    """
     mesh, p = ws.mesh, ws.p
     tau = _tau_array(mesh, tau)
     F1 = p + 1
     ne, nf = mesh.n_elements, mesh.n_facets
 
-    M, P, R = _local_operators(ws, tau)
-    b = np.zeros((ne, 3 * ws.np_, len(datas)))
-    for j, data in enumerate(datas):
-        b[:, 2 * ws.np_:, j] = ws.moments_p(ws.eval_data(data.f))
-
+    Kdiv, E, Cq, Cu = _local_operators(ws)
+    nu, t = ws.nu[:, None, None], tau[:, None, None]
+    K = nu * (Kdiv @ Kdiv.swapaxes(1, 2)) + t * E
+    G = t * Cu + nu * (Kdiv @ Cq)
+    b = np.stack([ws.moments_p(ws.eval_data(data.f)) for data in datas], axis=2)
     try:
-        X = np.linalg.solve(M, np.concatenate([P, b], axis=2))
+        X = np.linalg.solve(K, np.concatenate([G, b], axis=2))
     except np.linalg.LinAlgError:
-        bad = [k for k in range(ne)
-               if abs(np.linalg.det(M[k])) < 1e-300]
+        bad = np.flatnonzero(np.abs(np.linalg.det(K)) < 1e-300)
         raise RuntimeError(
-            f"singular local solver matrix on element(s) {bad[:5]} "
+            f"singular local solver matrix on element(s) {bad[:5].tolist()} "
             "(degenerate geometry?)")
     XP, Xb = X[:, :, :3 * F1], X[:, :, 3 * F1:]
 
-    H = R @ XP                                               # (ne, 3F1, 3F1)
+    # <qhat.n_K, mu> = <q.n_K + tau (u - uhat), mu> = G^T Xb - Aloc uhat_e
+    Aloc = nu * (Cq.swapaxes(1, 2) @ Cq) - G.swapaxes(1, 2) @ XP
     diag = np.arange(3 * F1)
-    H[:, diag, diag] -= np.repeat(tau, 3 * F1).reshape(ne, 3 * F1)
+    Aloc[:, diag, diag] += tau[:, None]
+    GXb = G.swapaxes(1, 2) @ Xb                              # (ne, 3F1, k)
 
     gdof = (ws.ef[:, :, None] * F1 + np.arange(F1)[None, None, :]).reshape(ne, 3 * F1)
     rows = np.repeat(gdof, 3 * F1, axis=1).ravel()
     cols = np.tile(gdof, (1, 3 * F1)).ravel()
-    A_full = sp.coo_matrix((H.ravel(), (rows, cols)),
+    A_full = sp.coo_matrix((Aloc.ravel(), (rows, cols)),
                            shape=(nf * F1, nf * F1)).tocsr()
 
     dir_facets = np.nonzero(mesh.facet_tag == DIRICHLET)[0]
@@ -223,23 +216,22 @@ def assemble_condensed(ws: Workspace, datas, tau) -> CondensedSystem:
     fixed_dofs = (dir_facets[:, None] * F1 + np.arange(F1)[None, :]).ravel()
     A_free = A_full[free_dofs]
     A_fixed = A_free[:, fixed_dofs]
+    A = A_free[:, free_dofs].tocsc()
 
-    # flip signs so the condensed operator is symmetric positive definite
-    A = (-A_free[:, free_dofs]).tocsc()
+    # sum over elements of <qhat.n_K, mu> = <g_N, mu> on Neumann, 0 inside
     rhs = np.empty((len(free_dofs), len(datas)))
     uhat = np.zeros((len(datas), nf * F1))
     for j, data in enumerate(datas):
-        rloc = -np.einsum("efl,el->ef", R, Xb[:, :, j])       # (ne, 3F1)
-        rhs_full = np.zeros(nf * F1)
-        np.add.at(rhs_full, gdof.ravel(), rloc.ravel())
+        rhs_full = np.bincount(gdof.ravel(), GXb[:, :, j].ravel(),
+                               minlength=nf * F1)
         if len(neu_facets):
-            rhs_full.reshape(nf, F1)[neu_facets] += ws.facet_data_moments(
+            rhs_full.reshape(nf, F1)[neu_facets] -= ws.facet_data_moments(
                 data.g_N, neu_facets)
         uhat_dir = ws.facet_data_moments(data.g_D, dir_facets).ravel()
         uhat[j, fixed_dofs] = uhat_dir
-        rhs[:, j] = -(rhs_full[free_dofs] - A_fixed @ uhat_dir)
+        rhs[:, j] = rhs_full[free_dofs] - A_fixed @ uhat_dir
     return CondensedSystem(A=A, rhs=rhs, uhat=uhat, free_dofs=free_dofs,
-                           tau=tau, XP=XP, Xb=Xb, R=R)
+                           tau=tau, XP=XP, Xb=Xb, Kdiv=Kdiv, Cq=Cq, Cu=Cu)
 
 
 def _back_substitute(ws: Workspace, cs: CondensedSystem, j: int,
@@ -249,14 +241,13 @@ def _back_substitute(ws: Workspace, cs: CondensedSystem, j: int,
     uhat_full = cs.uhat[j]
     uhat_e = uhat_full.reshape(mesh.n_facets, F1)[ws.ef].reshape(mesh.n_elements, 3 * F1)
 
-    X = np.einsum("elf,ef->el", cs.XP, uhat_e) + cs.Xb[:, :, j]
-    np_ = ws.np_
-    q = X[:, :2 * np_].reshape(mesh.n_elements, 2, np_)
-    u = X[:, 2 * np_:]
+    u = np.einsum("elf,ef->el", cs.XP, uhat_e) + cs.Xb[:, :, j]
+    q = ws.nu[:, None] * (np.einsum("eil,ei->el", cs.Kdiv, u)
+                          - np.einsum("elf,ef->el", cs.Cq, uhat_e))
 
     # single-valued numerical flux in the canonical normal direction
-    flux_mom = np.einsum("efl,el->ef", cs.R, X)              # <qhat.n_K, M_m> per side
-    flux_mom -= cs.tau[:, None] * uhat_e
+    flux_mom = (np.einsum("elf,el->ef", cs.Cq, q)            # <qhat.n_K, M_m> per side
+                + cs.tau[:, None] * (np.einsum("elf,el->ef", cs.Cu, u) - uhat_e))
     flux_mom = flux_mom.reshape(mesh.n_elements, 3, F1) * ws.esign[:, :, None]
     qhat = np.zeros((mesh.n_facets, F1))
     cnt = np.zeros(mesh.n_facets)
@@ -269,7 +260,8 @@ def _back_substitute(ws: Workspace, cs: CondensedSystem, j: int,
         # exact projected Neumann trace (canonical normal is outward there)
         qhat[neu] = ws.facet_data_moments(data.g_N, neu)
 
-    return HDGSolution(ws=ws, tau=cs.tau, u=u, q=q,
+    return HDGSolution(ws=ws, tau=cs.tau, u=u,
+                       q=q.reshape(mesh.n_elements, 2, ws.np_),
                        uhat=uhat_full.reshape(mesh.n_facets, F1), qhat_n=qhat)
 
 
@@ -320,17 +312,20 @@ def local_residuals(sol: HDGSolution, data: ProblemData) -> tuple[float, float]:
     used by tests to assert the elementwise consistency of the solver.
     """
     ws = sol.ws
-    tau = sol.tau
-    M, P, R = _local_operators(ws, tau)
+    ne = ws.mesh.n_elements
+    Kdiv, E, Cq, Cu = _local_operators(ws)
+    nu, tau = ws.nu[:, None], sol.tau[:, None]
+    q, u = sol.q.reshape(ne, -1), sol.u
+    uhat_e = sol.uhat[ws.ef].reshape(ne, 3 * (ws.p + 1))
     fmom = ws.moments_p(ws.eval_data(data.f))
-    b = np.zeros((ws.mesh.n_elements, 3 * ws.np_))
-    b[:, 2 * ws.np_:] = fmom
-    uhat_e = sol.uhat[ws.ef].reshape(ws.mesh.n_elements, 3 * (ws.p + 1))
-    X = np.concatenate([sol.q.reshape(ws.mesh.n_elements, -1), sol.u], axis=1)
-    res = np.einsum("eij,ej->ei", M, X) - np.einsum("eij,ej->ei", P, uhat_e) - b
-    scale = 1.0 + np.abs(X).max(axis=1)
-    r1 = np.abs(res[:, :2 * ws.np_]).max(axis=1) / scale
-    r2 = np.abs(res[:, 2 * ws.np_:]).max(axis=1) / scale
+    res_flux = (q / nu - np.einsum("eil,ei->el", Kdiv, u)
+                + np.einsum("elf,ef->el", Cq, uhat_e))
+    res_balance = (np.einsum("eil,el->ei", Kdiv, q)
+                   + tau * (np.einsum("eij,ej->ei", E, u)
+                            - np.einsum("eif,ef->ei", Cu, uhat_e)) - fmom)
+    scale = 1.0 + np.maximum(np.abs(q).max(axis=1), np.abs(u).max(axis=1))
+    r1 = np.abs(res_flux).max(axis=1) / scale
+    r2 = np.abs(res_balance).max(axis=1) / scale
     return float(r1.max()), float(r2.max())
 
 

@@ -270,79 +270,66 @@ def _validate_marks(mesh, marks):
 
 def refine_red(mesh: Mesh, marks) -> Mesh:
     """Subdivide each marked triangle into 4 similar children; restore
-    conformity with red propagation and green bisection on neighbors."""
+    conformity with red propagation and green bisection on neighbors.
+
+    An element with two or more split edges turns red too.  The closure
+    grows wave by wave, testing only the neighbors of the elements that
+    turned red in the last wave; its least fixed point does not depend on
+    the order, so neither does the mesh.
+    """
     marks = _validate_marks(mesh, marks)
     if not marks:
         return mesh
 
-    elements = [tuple(int(v) for v in e) for e in mesh.elements]
+    ef, fe = mesh.elem_facets, mesh.facet_elems
     red = np.zeros(mesh.n_elements, dtype=bool)
-    red[marks] = True
+    split = np.zeros(mesh.n_facets, dtype=bool)
+    front = np.array(marks)
+    while front.size:
+        red[front] = True
+        split[ef[front]] = True
+        near = fe[ef[front]].ravel()
+        near = np.unique(near[near >= 0])
+        near = near[~red[near]]
+        front = near[split[ef[near]].sum(axis=1) >= 2]
 
-    def edges_of(e):
-        return [tuple(sorted((e[i], e[(i + 1) % 3]))) for i in range(3)]
+    # split facets get new vertices in facet (sorted vertex pair) order
+    nv = mesh.n_vertices
+    mid = np.full(mesh.n_facets, -1, dtype=np.int64)
+    mid[split] = nv + np.arange(np.count_nonzero(split))
+    a, b = mesh.facets[split].T
+    verts = np.concatenate([mesh.vertices,
+                            (mesh.vertices[a] + mesh.vertices[b]) / 2.0])
 
-    split = set()
-    for k in np.nonzero(red)[0]:
-        split.update(edges_of(elements[k]))
-    changed = True
-    while changed:
-        changed = False
-        for k, e in enumerate(elements):
-            if red[k]:
-                continue
-            hits = sum(1 for ed in edges_of(e) if ed in split)
-            if hits >= 2:
-                red[k] = True
-                split.update(edges_of(e))
-                changed = True
-
-    verts = [tuple(v) for v in mesh.vertices]
-    mid = {}
-    for a, b in sorted(split):
-        mid[(a, b)] = len(verts)
-        va, vb = mesh.vertices[a], mesh.vertices[b]
-        verts.append(((va[0] + vb[0]) / 2.0, (va[1] + vb[1]) / 2.0))
-
-    new_elems, new_region = [], []
-
-    def emit(tri, r):
-        new_elems.append(tri)
-        new_region.append(r)
-
-    for k, (v0, v1, v2) in enumerate(elements):
-        r = int(mesh.region[k])
-        if red[k]:
-            m01 = mid[tuple(sorted((v0, v1)))]
-            m12 = mid[tuple(sorted((v1, v2)))]
-            m20 = mid[tuple(sorted((v2, v0)))]
-            emit((v0, m01, m20), r)
-            emit((m01, v1, m12), r)
-            emit((m20, m12, v2), r)
-            emit((m01, m12, m20), r)
-        else:
-            hung = [ell for ell in range(3)
-                    if tuple(sorted(((v0, v1, v2)[ell], (v0, v1, v2)[(ell + 1) % 3]))) in split]
-            if not hung:
-                emit((v0, v1, v2), r)
-            else:
-                ell = hung[0]
-                tri = (v0, v1, v2)
-                va, vb, vc = tri[ell], tri[(ell + 1) % 3], tri[(ell + 2) % 3]
-                m = mid[tuple(sorted((va, vb)))]
-                emit((va, m, vc), r)
-                emit((m, vb, vc), r)
+    # children in element order: 4 for red, 2 for green (one hung edge), 1 else
+    el, m, hung = mesh.elements, mid[ef], split[ef]          # m[k, l]: edge (v_l, v_l+1)
+    nchild = np.where(red, 4, np.where(hung.any(axis=1), 2, 1))
+    first = np.cumsum(nchild) - nchild
+    new_elems = np.empty((int(nchild.sum()), 3), dtype=np.int64)
+    one = nchild == 1
+    new_elems[first[one]] = el[one]
+    (v0, v1, v2), (m01, m12, m20) = el[red].T, m[red].T
+    for i, child in enumerate(((v0, m01, m20), (m01, v1, m12),
+                               (m20, m12, v2), (m01, m12, m20))):
+        new_elems[first[red] + i] = np.column_stack(child)
+    green = np.flatnonzero(nchild == 2)
+    ell = hung[green].argmax(axis=1)
+    va, vb, vc = (el[green, (ell + i) % 3] for i in range(3))
+    mg = m[green, ell]
+    new_elems[first[green]] = np.column_stack([va, mg, vc])
+    new_elems[first[green] + 1] = np.column_stack([mg, vb, vc])
 
     tags = {}
-    for (a, b), t in mesh.boundary_tag_dict().items():
-        if (a, b) in mid:
-            m = mid[(a, b)]
-            tags[tuple(sorted((a, m)))] = t
-            tags[tuple(sorted((m, b)))] = t
-        else:
+    bnd = np.flatnonzero(mesh.facet_tag != INTERIOR)
+    for (a, b), t, mf in zip(mesh.facets[bnd].tolist(),
+                             mesh.facet_tag[bnd].tolist(), mid[bnd].tolist()):
+        if mf < 0:
             tags[(a, b)] = t
-    return Mesh(np.array(verts), np.array(new_elems), tags,
-                region=np.array(new_region), nu=mesh.nu)
+        else:
+            tags[(a, mf)] = t
+            tags[(b, mf)] = t
+    return Mesh(verts, new_elems, tags, region=np.repeat(mesh.region, nchild),
+                nu=mesh.nu)
 
 
 # ---------------------------------------------------------------------------

@@ -110,6 +110,8 @@ class TestRun:
     @pytest.mark.parametrize("name, expr", [
         ("g_D", "(x+y)/(x+y)"),   # NaN only at the mesh vertex (0, 0)
         ("f", "sqrt(x-2)"),       # NaN everywhere in the domain
+        ("f", "1/0"),             # constant arithmetic: inf, not ZeroDivisionError
+        ("f", "9**9**5"),         # inf, not OverflowError
     ])
     def test_nonfinite_data_exits_3(self, tmp_path, capsys, name, expr):
         mesh_path = tmp_path / "square.txt"
@@ -164,11 +166,18 @@ class TestRun:
         with pytest.raises(ValueError, match="broadcast"):
             cli.run(cfg)
 
-    def test_non_convergence_exit(self, tmp_path):
-        cfg = RunConfig(problem="example2_s1", p=1, strategy="bulk:0.5",
-                        target=1e-14, max_iter=2, out_dir=str(tmp_path))
+    @pytest.mark.parametrize("problem, strategy, target, max_iter", [
+        ("example2_s1", "bulk:0.5", 1e-14, 2),   # out of iterations
+        ("example1_s1", "tol:10", 1e-8, 40),     # no element marked
+    ])
+    def test_non_convergence_exit(self, tmp_path, capsys, problem, strategy,
+                                  target, max_iter):
+        cfg = RunConfig(problem=problem, p=1, strategy=strategy,
+                        target=target, max_iter=max_iter, out_dir=str(tmp_path))
         assert cli.run(cfg) == EXIT_NOT_CONVERGED
-        assert (tmp_path / "summary.json").exists()
+        assert capsys.readouterr().err.startswith("not converged after ")
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["converged"] is False
 
     def test_external_problem(self, tmp_path):
         mesh = unit_square_crisscross(0)

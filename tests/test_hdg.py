@@ -17,6 +17,55 @@ EX1_U = lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y)
 ONE = lambda x, y: np.ones_like(np.asarray(x, dtype=float))
 
 
+def _local_solve_dense(ws, datas, tau):
+    """The local problem before the flux was eliminated: per element the
+    dense (3np x 3np) system [[1/nu, -Kdiv^T], [Kdiv, tau E]] [q; u] =
+    [-Cq; tau Cu] uhat + [0; (f, psi)] solved for the 3F trace columns and
+    one column per datum.  Returns X (ne, 3np, 3F + k), the q rows first."""
+    ne, np_, F1 = ws.mesh.n_elements, ws.np_, ws.p + 1
+    tau = np.broadcast_to(np.asarray(tau, dtype=float), (ne,))
+    Kdiv = np.einsum("ecr,rmi->eicm", ws.jac_inv_t, ws.S).reshape(ne, np_, 2 * np_)
+    M = np.zeros((ne, 3 * np_, 3 * np_))
+    idx = np.arange(2 * np_)
+    M[:, idx, idx] = (1.0 / ws.nu)[:, None]
+    M[:, 2 * np_:, :2 * np_] = Kdiv
+    M[:, :2 * np_, 2 * np_:] = -np.swapaxes(Kdiv, 1, 2)
+    P = np.zeros((ne, 3 * np_, 3 * F1))
+    E = np.zeros((ne, np_, np_))
+    scale = np.sqrt(ws.elen) / ws.sqrt_det[:, None]
+    for ell in range(3):
+        T = ws.T_p[ell, ws.eo[:, ell]]                       # (ne, F1, np_)
+        E += (ws.elen[:, ell] / ws.det)[:, None, None] * ws.EE[ell][None]
+        Cq = np.einsum("ec,emv->ecvm", ws.enormal[:, ell], T).reshape(ne, 2 * np_, F1)
+        cols = slice(ell * F1, (ell + 1) * F1)
+        P[:, :2 * np_, cols] = -Cq * scale[:, ell, None, None]
+        P[:, 2 * np_:, cols] = (tau * scale[:, ell])[:, None, None] * np.swapaxes(T, 1, 2)
+    M[:, 2 * np_:, 2 * np_:] = tau[:, None, None] * E
+    b = np.zeros((ne, 3 * np_, len(datas)))
+    for j, data in enumerate(datas):
+        b[:, 2 * np_:, j] = ws.moments_p(ws.eval_data(data.f))
+    return np.linalg.solve(M, np.concatenate([P, b], axis=2))
+
+
+def _block_form_case(two_regions):
+    """mixed_square(1) with Neumann data, and nu = 1 | 4 across x = 1/2 if
+    two_regions."""
+    mesh = mixed_square(1)
+    if two_regions:
+        cent = mesh.vertices[mesh.elements].mean(axis=1)
+        mesh = Mesh(mesh.vertices, mesh.elements, mesh.boundary_tag_dict(),
+                    region=(cent[:, 0] > 0.5).astype(int), nu={0: 1.0, 1: 4.0})
+    data = ProblemData(f=EX1_F, g_D=lambda x, y: x * y, g_N=ONE)
+    out = OutputFunctional(f_O=ONE, g_N_O=lambda x, y: 1.0 + y)
+    return mesh, [data, out.adjoint_data()]
+
+
+BLOCK_CASES = pytest.mark.parametrize(
+    "p,tau,two_regions",
+    [(p, tau, two) for p in range(4) for tau in (0.1, 1.0, 10.0)
+     for two in (False, True)])
+
+
 class TestManufactured:
     @pytest.mark.parametrize("p", [1, 2, 3])
     def test_linear_solution_reproduced(self, p):
@@ -46,12 +95,42 @@ class TestManufactured:
 
 
 class TestLocalStructure:
-    def test_local_equations_hold(self):
-        mesh = unit_square_crisscross(0)
-        data = ProblemData(f=EX1_F)
-        sol = solve(Workspace(mesh, 2), [data])[0]
-        r1, r2 = local_residuals(sol, data)
-        assert r1 < 1e-10 and r2 < 1e-10
+    @BLOCK_CASES
+    def test_local_equations_hold(self, p, tau, two_regions):
+        mesh, datas = _block_form_case(two_regions)
+        for sol, data in zip(solve(Workspace(mesh, p), datas, tau), datas):
+            r1, r2 = local_residuals(sol, data)
+            assert r1 < 1e-10 and r2 < 1e-10
+
+    @BLOCK_CASES
+    def test_block_form_matches_dense_local_solve(self, p, tau, two_regions):
+        mesh, datas = _block_form_case(two_regions)
+        ws = Workspace(mesh, p)
+        cs = assemble_condensed(ws, datas, tau)
+        X = _local_solve_dense(ws, datas, tau)
+        n2, F3 = 2 * ws.np_, 3 * (p + 1)
+        nu = ws.nu[:, None, None]
+        Kt = np.swapaxes(cs.Kdiv, 1, 2)
+        pairs = [(cs.XP, X[:, n2:, :F3]), (cs.Xb, X[:, n2:, F3:]),
+                 (nu * (Kt @ cs.XP - cs.Cq), X[:, :n2, :F3]),
+                 (nu * (Kt @ cs.Xb), X[:, :n2, F3:])]
+        for got, ref in pairs:
+            assert got.shape == ref.shape
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_singular_local_matrix_names_elements(self, monkeypatch):
+        from hdgbounds import hdg
+        local_operators = hdg._local_operators
+
+        def zero_element_3(ws):
+            Kdiv, E, Cq, Cu = local_operators(ws)
+            Kdiv[3] = 0.0
+            E[3] = 0.0
+            return Kdiv, E, Cq, Cu
+
+        monkeypatch.setattr(hdg, "_local_operators", zero_element_3)
+        with pytest.raises(RuntimeError, match=r"element\(s\) \[3\]"):
+            solve(Workspace(unit_square_crisscross(0), 1), [ProblemData(f=EX1_F)])
 
     def test_local_conservation(self):
         mesh = unit_square_crisscross(1)

@@ -201,6 +201,83 @@ def _refine_bisection_loop(mesh, marks):
                 region=np.array([regions[i] for i in keep]), nu=mesh.nu)
 
 
+def _refine_red_loop(mesh, marks):
+    """refine_red as it was before its closure became a worklist: a
+    `while changed` loop that rescans every element on every pass."""
+    marks = hm._validate_marks(mesh, marks)
+    if not marks:
+        return mesh
+
+    elements = [tuple(int(v) for v in e) for e in mesh.elements]
+    red = np.zeros(mesh.n_elements, dtype=bool)
+    red[marks] = True
+
+    def edges_of(e):
+        return [tuple(sorted((e[i], e[(i + 1) % 3]))) for i in range(3)]
+
+    split = set()
+    for k in np.nonzero(red)[0]:
+        split.update(edges_of(elements[k]))
+    changed = True
+    while changed:
+        changed = False
+        for k, e in enumerate(elements):
+            if red[k]:
+                continue
+            hits = sum(1 for ed in edges_of(e) if ed in split)
+            if hits >= 2:
+                red[k] = True
+                split.update(edges_of(e))
+                changed = True
+
+    verts = [tuple(v) for v in mesh.vertices]
+    mid = {}
+    for a, b in sorted(split):
+        mid[(a, b)] = len(verts)
+        va, vb = mesh.vertices[a], mesh.vertices[b]
+        verts.append(((va[0] + vb[0]) / 2.0, (va[1] + vb[1]) / 2.0))
+
+    new_elems, new_region = [], []
+
+    def emit(tri, r):
+        new_elems.append(tri)
+        new_region.append(r)
+
+    for k, (v0, v1, v2) in enumerate(elements):
+        r = int(mesh.region[k])
+        if red[k]:
+            m01 = mid[tuple(sorted((v0, v1)))]
+            m12 = mid[tuple(sorted((v1, v2)))]
+            m20 = mid[tuple(sorted((v2, v0)))]
+            emit((v0, m01, m20), r)
+            emit((m01, v1, m12), r)
+            emit((m20, m12, v2), r)
+            emit((m01, m12, m20), r)
+        else:
+            hung = [ell for ell in range(3)
+                    if tuple(sorted(((v0, v1, v2)[ell], (v0, v1, v2)[(ell + 1) % 3]))) in split]
+            if not hung:
+                emit((v0, v1, v2), r)
+            else:
+                ell = hung[0]
+                tri = (v0, v1, v2)
+                va, vb, vc = tri[ell], tri[(ell + 1) % 3], tri[(ell + 2) % 3]
+                m = mid[tuple(sorted((va, vb)))]
+                emit((va, m, vc), r)
+                emit((m, vb, vc), r)
+
+    tags = {}
+    for (a, b), t in mesh.boundary_tag_dict().items():
+        if (a, b) in mid:
+            m = mid[(a, b)]
+            tags[tuple(sorted((a, m)))] = t
+            tags[tuple(sorted((m, b)))] = t
+        else:
+            tags[(a, b)] = t
+    return hm.Mesh(np.array(verts), np.array(new_elems), tags,
+                region=np.array(new_region), nu=mesh.nu)
+
+
 class TestRedRefinement:
     def test_uniform_counts(self):
         m = hm.unit_square_crisscross(0)
@@ -225,6 +302,20 @@ class TestRedRefinement:
         m = hm.unit_square_crisscross(0)
         with pytest.raises(ValueError):
             hm.refine_red(m, [99])
+
+    @pytest.mark.parametrize("make_mesh", [
+        lambda: _perturbed(0, 1), lambda: _perturbed(1, 2),
+        lambda: _perturbed(2, 3), hm.lshape_initial,
+    ], ids=["perturbed0", "perturbed1", "perturbed2", "lshape"])
+    def test_matches_loop_on_random_marks(self, make_mesh):
+        rng = np.random.default_rng(11)
+        mesh = make_mesh()
+        for frac in (0.05, 0.3, 0.1, 0.2, 0.1):
+            marks = rng.choice(mesh.n_elements, size=1 + int(frac * mesh.n_elements),
+                               replace=False)
+            got = hm.refine_red(mesh, marks)
+            assert_same_mesh(got, _refine_red_loop(mesh, marks))
+            mesh = got
 
     def test_boundary_tags_inherited(self):
         m = hm.unit_square_crisscross(0)
