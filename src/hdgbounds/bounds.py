@@ -31,7 +31,7 @@ import numpy as np
 
 from . import reconstruct as rc
 from .hdg import OutputFunctional, ProblemData
-from .mesh import DIRICHLET, Mesh
+from .mesh import Mesh
 from .workspace import Workspace
 
 __all__ = [
@@ -233,12 +233,11 @@ def compute_eta(primal: rc.EvaluatedPair, adjoint: rc.EvaluatedPair,
     osc_div_plus = w * np.sqrt(ws.integrate_elementwise((do_res + kappa * d_res) ** 2))
 
     # C2-weighted Neumann oscillation sums per element
-    neu = primal.neu
+    neu = ws.mesh.neumann_facets
     wlen = ws.ew[None, :] * ws.facet_len[neu, None]
     nm2 = np.einsum("ft,ft->f", (no_res + kappa * n_res) ** 2, wlen)
     np2 = np.einsum("ft,ft->f", (no_res - kappa * n_res) ** 2, wlen)
-    se, sl, _ = ws.facet_sides()
-    elems, ells = se[neu, 0], sl[neu, 0]
+    elems, ells = ws.mesh.facet_elems[neu, 0], ws.mesh.facet_local_edge[neu, 0]
     w = c2[elems, ells] / np.sqrt(ws.nu[elems])
     neu_minus = np.zeros(ws.mesh.n_elements)
     neu_plus = np.zeros(ws.mesh.n_elements)
@@ -263,7 +262,7 @@ def _core_functional(primal: rc.EvaluatedPair, adjoint: rc.EvaluatedPair,
     gu, gx = primal.grad_u, adjoint.grad_u
     val -= float(np.sum(ws.integrate_elementwise(
         gu[..., 0] * gx[..., 0] + gu[..., 1] * gx[..., 1]) * ws.nu))
-    wlen = ws.ew[None, :] * ws.facet_len[primal.neu, None]
+    wlen = ws.ew[None, :] * ws.facet_len[ws.mesh.neumann_facets, None]
     val -= float(np.sum(primal.u_neu * adjoint.g_N * wlen))
     val -= float(np.sum(adjoint.u_neu * primal.g_N * wlen))
     return val
@@ -343,12 +342,12 @@ def exact_equilibration_bounds(primal_pair, adjoint_pair, data: ProblemData,
     # l_O(u~, q~); the adjoint record carries -g_N_O
     mesh = ws.mesh
     val = float(np.sum(ws.integrate_elementwise(adjoint.f * primal.u)))
-    dfac = np.nonzero(mesh.facet_tag == DIRICHLET)[0]
+    dfac = mesh.dirichlet_facets
     g = ws.eval_data(out.g_D_O, ws.ephys[dfac])
     tr = primal_pair[0].normal_trace(ws, dfac, side=0)  # canonical = outward here
     val += float(np.einsum("ft,ft,t,f->", g, tr, ws.ew, ws.facet_len[dfac]))
     val -= float(np.einsum("ft,ft,t,f->", adjoint.g_N, primal.u_neu, ws.ew,
-                           ws.facet_len[primal.neu]))
+                           ws.facet_len[mesh.neumann_facets]))
 
     a, b = primal.residual, adjoint.residual
     zeta_minus = adjoint.q - ws.nu[:, None, None] * adjoint.grad_u

@@ -20,7 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .mesh import DIRICHLET, NEUMANN, Mesh
+from .mesh import Mesh
 from .workspace import Workspace
 
 __all__ = [
@@ -208,8 +208,7 @@ def assemble_condensed(ws: Workspace, datas, tau) -> CondensedSystem:
     A_full = sp.coo_matrix((Aloc.ravel(), (rows, cols)),
                            shape=(nf * F1, nf * F1)).tocsr()
 
-    dir_facets = np.nonzero(mesh.facet_tag == DIRICHLET)[0]
-    neu_facets = np.nonzero(mesh.facet_tag == NEUMANN)[0]
+    dir_facets, neu_facets = mesh.dirichlet_facets, mesh.neumann_facets
     free = np.ones(nf, dtype=bool)
     free[dir_facets] = False
     free_dofs = (np.nonzero(free)[0][:, None] * F1 + np.arange(F1)[None, :]).ravel()
@@ -249,13 +248,11 @@ def _back_substitute(ws: Workspace, cs: CondensedSystem, j: int,
     flux_mom = (np.einsum("elf,el->ef", cs.Cq, q)            # <qhat.n_K, M_m> per side
                 + cs.tau[:, None] * (np.einsum("elf,el->ef", cs.Cu, u) - uhat_e))
     flux_mom = flux_mom.reshape(mesh.n_elements, 3, F1) * ws.esign[:, :, None]
-    qhat = np.zeros((mesh.n_facets, F1))
-    cnt = np.zeros(mesh.n_facets)
-    for ell in range(3):
-        np.add.at(qhat, ws.ef[:, ell], flux_mom[:, ell])
-        np.add.at(cnt, ws.ef[:, ell], 1.0)
-    qhat /= cnt[:, None]
-    neu = np.nonzero(mesh.facet_tag == NEUMANN)[0]
+    fe, fl = mesh.facet_elems, mesh.facet_local_edge
+    qhat = flux_mom[fe[:, 0], fl[:, 0]]
+    inner = mesh.interior_facets    # the mean of the two sides
+    qhat[inner] = (qhat[inner] + flux_mom[fe[inner, 1], fl[inner, 1]]) / 2.0
+    neu = mesh.neumann_facets
     if len(neu):
         # exact projected Neumann trace (canonical normal is outward there)
         qhat[neu] = ws.facet_data_moments(data.g_N, neu)
@@ -289,17 +286,15 @@ def raw_output(sol: HDGSolution, out: OutputFunctional) -> float:
     fo = ws.eval_data(out.f_O)
     val = float(np.sum(ws.integrate_elementwise(fo * ws.eval_modal(sol.u))))
 
-    dir_facets = np.nonzero(mesh.facet_tag == DIRICHLET)[0]
-    if len(dir_facets):
-        g = ws.eval_data(out.g_D_O, ws.ephys[dir_facets])
-        tr = (sol.qhat_n[dir_facets] @ ws.psi_p) / np.sqrt(ws.facet_len[dir_facets])[:, None]
-        val += float(np.einsum("ft,ft,t,f->", g, tr, ws.ew, ws.facet_len[dir_facets]))
+    dir_facets = mesh.dirichlet_facets     # never empty
+    g = ws.eval_data(out.g_D_O, ws.ephys[dir_facets])
+    tr = (sol.qhat_n[dir_facets] @ ws.psi_p) / np.sqrt(ws.facet_len[dir_facets])[:, None]
+    val += float(np.einsum("ft,ft,t,f->", g, tr, ws.ew, ws.facet_len[dir_facets]))
 
-    neu_facets = np.nonzero(mesh.facet_tag == NEUMANN)[0]
+    neu_facets = mesh.neumann_facets
     if len(neu_facets):
-        se, sl, so = ws.facet_sides()
-        tr = ws.trace_values(sol.u, neu_facets, se[neu_facets, 0],
-                             sl[neu_facets, 0], so[neu_facets, 0])
+        tr = ws.facet_trace(sol.u, ws.etab_p, neu_facets) \
+            / ws.sqrt_det[mesh.facet_elems[neu_facets, 0], None]
         g = ws.eval_data(out.g_N_O, ws.ephys[neu_facets])
         val += float(np.einsum("ft,ft,t,f->", g, tr, ws.ew, ws.facet_len[neu_facets]))
     return val

@@ -5,9 +5,12 @@ bisection).
 A mesh is immutable after construction; refinement returns a new mesh.
 Facets are derived from the element list.  Each facet is stored with its
 vertex pair in increasing index order; that order defines the canonical
-arclength parameterization used for all trace polynomials.  The stored
-facet normal points out of the lower-indexed adjacent element (outward on
-the boundary).
+arclength parameterization used for all trace polynomials.  Side s of
+facet f is element facet_elems[f, s] through its local edge
+facet_local_edge[f, s] (-1 where there is none); side 0 is the
+lower-indexed element, and the stored facet normal points out of it
+(outward on the boundary).  interior_facets, dirichlet_facets and
+neumann_facets list the facets of each tag.
 """
 
 from __future__ import annotations
@@ -59,6 +62,9 @@ class Mesh:
         for r, val in self.nu.items():
             if not val > 0:
                 raise ValueError(f"diffusivity must be positive, got nu[{r}] = {val}")
+        missing = sorted(set(np.unique(self.region).tolist()) - set(self.nu))
+        if missing:
+            raise ValueError(f"region {missing[0]} has no diffusivity in nu")
 
         v = self.vertices[self.elements]
         area2 = ((v[:, 1, 0] - v[:, 0, 0]) * (v[:, 2, 1] - v[:, 0, 1])
@@ -70,7 +76,9 @@ class Mesh:
 
         self._build_facets(boundary_tags)
         for arr in (self.vertices, self.elements, self.region, self.facets,
-                    self.facet_elems, self.facet_tag, self.elem_facets,
+                    self.facet_elems, self.facet_local_edge, self.facet_tag,
+                    self.interior_facets, self.dirichlet_facets,
+                    self.neumann_facets, self.elem_facets,
                     self.elem_facet_orient, self.facet_normals):
             arr.setflags(write=False)
 
@@ -95,17 +103,19 @@ class Mesh:
         count = np.bincount(inverse, minlength=nf)
         if count.max() > 2:
             raise ValueError("facet shared by more than two elements")
-        facet_elems = np.full((nf, 2), -1, dtype=np.int64)
-        elem_ids = np.repeat(np.arange(ne), 3)
+        # the stable sort keeps the (element, local edge) order: side 0 is
+        # the lower-indexed element
         order = np.argsort(inverse, kind="stable")
-        sorted_f, sorted_e = inverse[order], elem_ids[order]
+        sorted_f = inverse[order]
         first = np.ones(len(sorted_f), dtype=bool)
         first[1:] = sorted_f[1:] != sorted_f[:-1]
-        facet_elems[sorted_f[first], 0] = sorted_e[first]
-        facet_elems[sorted_f[~first], 1] = sorted_e[~first]
-        swap = (facet_elems[:, 1] >= 0) & (facet_elems[:, 1] < facet_elems[:, 0])
-        facet_elems[swap] = facet_elems[swap][:, ::-1]
+        facet_elems = np.full((nf, 2), -1, dtype=np.int64)
+        facet_local_edge = np.full((nf, 2), -1, dtype=np.int64)
+        for side, sel in enumerate((first, ~first)):
+            facet_elems[sorted_f[sel], side] = order[sel] // 3
+            facet_local_edge[sorted_f[sel], side] = order[sel] % 3
         self.facet_elems = facet_elems
+        self.facet_local_edge = facet_local_edge
 
         tag_map = {tuple(sorted(k)): _CHAR_TAGS[t] if isinstance(t, str) else int(t)
                    for k, t in boundary_tags.items()}
@@ -130,6 +140,9 @@ class Mesh:
         if not np.any(tags == DIRICHLET):
             raise ValueError("the Dirichlet boundary must be non-empty")
         self.facet_tag = tags
+        self.interior_facets = np.flatnonzero(tags == INTERIOR)
+        self.dirichlet_facets = np.flatnonzero(tags == DIRICHLET)
+        self.neumann_facets = np.flatnonzero(tags == NEUMANN)
 
         # normals: out of the lower-indexed adjacent element
         va = self.vertices[facets[:, 0]]

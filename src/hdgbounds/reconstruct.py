@@ -14,7 +14,7 @@ import numpy as np
 
 from . import femcore as fc
 from .hdg import DirichletBand, HDGSolution, ProblemData
-from .mesh import DIRICHLET, INTERIOR, NEUMANN, Mesh
+from .mesh import Mesh
 from .workspace import Workspace, require_finite
 
 __all__ = [
@@ -73,12 +73,11 @@ class EquilibratedFlux:
 
     def normal_trace(self, ws: Workspace, facet_ids, side: int = 0) -> np.ndarray:
         """Trace v.n at facet quadrature points along the canonical normal."""
-        se, sl, so = ws.facet_sides()
-        e, ell, o = se[facet_ids, side], sl[facet_ids, side], so[facet_ids, side]
-        vx = ws.trace_values(self.coeffs[:, 0], facet_ids, e, ell, o, degree_m=True)
-        vy = ws.trace_values(self.coeffs[:, 1], facet_ids, e, ell, o, degree_m=True)
+        e = self.mesh.facet_elems[facet_ids, side]
+        v = ws.facet_trace(self.coeffs, ws.etab_m, facet_ids, side
+                           ) / ws.sqrt_det[e, None, None]
         n = self.mesh.facet_normals[facet_ids]
-        return vx * n[:, 0:1] + vy * n[:, 1:2]
+        return v[:, 0] * n[:, 0:1] + v[:, 1] * n[:, 1:2]
 
 
 @dataclass
@@ -132,23 +131,15 @@ class ContinuousPotential:
 
     def trace_values(self, ws: Workspace, facet_ids, side: int = 0) -> np.ndarray:
         """Trace at facet quadrature points (corrections included)."""
-        se, sl, so = ws.facet_sides()
-        e, ell, o = se[facet_ids, side], sl[facet_ids, side], so[facet_ids, side]
-        nodal = self.nodal()
-        out = np.empty((len(facet_ids), ws.nqe))
-        for L in range(3):
-            for O in range(2):
-                sel = (ell == L) & (o == O)
-                if np.any(sel):
-                    out[sel] = nodal[e[sel]] @ ws.lag_edge[L, O]
+        out = ws.facet_trace(self.nodal(), ws.lag_edge, facet_ids, side)
         if self.correction is not None:
             c = self.correction
-            pos = np.full(self.mesh.n_elements, -1)
-            pos[c.elems] = np.arange(len(c.elems))
-            sel = np.nonzero(pos[e] >= 0)[0]
-            f, j = np.asarray(facet_ids)[sel], pos[e[sel]]
-            out[sel] += ws.eval_data(c.ghat, ws.ephys[f]) - np.einsum(
-                "jk,jkt->jt", c.nodal[j], ws.lag_edge[ell[sel], o[sel]])
+            band = np.zeros((self.mesh.n_elements, ws.n_nodes))
+            band[c.elems] = c.nodal
+            f = np.asarray(facet_ids)
+            sel = np.flatnonzero(np.isin(self.mesh.facet_elems[f, side], c.elems))
+            out[sel] += (ws.eval_data(c.ghat, ws.ephys[f[sel]])
+                         - ws.facet_trace(band, ws.lag_edge, f[sel], side))
         return out
 
 
@@ -305,8 +296,8 @@ class EvaluatedPair:
     At the volume quadrature points, (ne, nq) or (ne, nq, 2): the flux q~,
     its divergence, the potential u~ and its gradient (band correction
     applied), the residual q~ + nu grad u~, the source f and Pi_p f.  On
-    the Neumann facets ``neu``, (len(neu), nqe): q~.n, the trace of u~, g_N
-    and Pi_e g_N.
+    the mesh's neumann_facets, (len(neumann_facets), nqe): q~.n, the trace
+    of u~, g_N and Pi_e g_N.
     """
 
     flux: EquilibratedFlux
@@ -319,7 +310,6 @@ class EvaluatedPair:
     residual: np.ndarray
     f: np.ndarray
     f_proj: np.ndarray
-    neu: np.ndarray
     qn: np.ndarray
     u_neu: np.ndarray
     g_N: np.ndarray
@@ -329,14 +319,14 @@ class EvaluatedPair:
 def evaluate(flux: EquilibratedFlux, pot: ContinuousPotential,
              data: ProblemData, ws: Workspace) -> EvaluatedPair:
     """Evaluate a pair and its data once, for the audit and the bounds."""
-    neu = np.nonzero(ws.mesh.facet_tag == NEUMANN)[0]
+    neu = ws.mesh.neumann_facets
     q, grad_u = flux.eval_values(ws), pot.eval_grads(ws)
     f, g_N = ws.eval_data(data.f), ws.eval_data(data.g_N, ws.ephys[neu])
     return EvaluatedPair(
         flux=flux, pot=pot, data=data, q=q, div=flux.eval_divergence(ws),
         u=pot.eval_values(ws), grad_u=grad_u,
         residual=q + ws.nu[:, None, None] * grad_u, f=f, f_proj=ws.proj_p(f),
-        neu=neu, qn=flux.normal_trace(ws, neu),
+        qn=flux.normal_trace(ws, neu),
         u_neu=pot.trace_values(ws, neu), g_N=g_N,
         g_N_proj=ws.facet_proj_p(g_N, neu))
 
@@ -363,7 +353,7 @@ def flux_residuals(rec: EvaluatedPair, ws: Workspace) -> dict:
     div_res = np.abs(rec.div - rec.f_proj).max(axis=1) * h
     out = {"divergence": _relative(div_res.max(), qscale)}
 
-    interior = np.nonzero(ws.mesh.facet_tag == INTERIOR)[0]
+    interior = ws.mesh.interior_facets
     t0 = rec.flux.normal_trace(ws, interior, side=0)
     t1 = rec.flux.normal_trace(ws, interior, side=1)
     out["normal_jump"] = _relative(np.abs(t0 - t1).max(initial=0.0), qscale)
@@ -378,12 +368,12 @@ def potential_residuals(rec: EvaluatedPair, ws: Workspace) -> dict:
     continuity of the potential, relative to max |u~| (and to the datum)."""
     pot, mesh = rec.pot, ws.mesh
     umax = np.abs(rec.u).max()
-    dfac = np.nonzero(mesh.facet_tag == DIRICHLET)[0]
+    dfac = mesh.dirichlet_facets
     tr = pot.trace_values(ws, dfac, side=0)
     g = ws.eval_data(rec.data.g_D, ws.ephys[dfac])
     out = {"dirichlet_trace": _relative(np.abs(tr - g).max(),
                                         np.maximum(umax, np.abs(g).max()))}
-    interior = np.nonzero(mesh.facet_tag == INTERIOR)[0]
+    interior = mesh.interior_facets
     t0 = pot.trace_values(ws, interior, side=0)
     t1 = pot.trace_values(ws, interior, side=1)
     out["continuity"] = _relative(np.abs(t0 - t1).max(initial=0.0), umax)

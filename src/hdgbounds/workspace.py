@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import femcore as fc
-from .mesh import DIRICHLET, Mesh
+from .mesh import Mesh
 
 
 class NonFiniteDataError(ValueError):
@@ -92,7 +92,6 @@ class Workspace:
         self.node_phys = self.v0[:, None, :] + self.lattice.nodes @ jac_t  # (ne, n_nodes, 2)
 
         self._global_nodes = None
-        self._facet_side_cache = None
 
     # -- generic integration helpers ---------------------------------------
 
@@ -149,41 +148,26 @@ class Workspace:
         return (self._facet_moments(vals, facet_ids) @ self.psi_p
                 ) / np.sqrt(self.facet_len[facet_ids])[:, None]
 
-    def facet_sides(self):
-        """Grouping of (element, local edge) pairs by facet side.
+    def facet_trace(self, vals: np.ndarray, tab: np.ndarray, facet_ids,
+                    side: int = 0) -> np.ndarray:
+        """Trace on ``facet_ids``, at their quadrature points, of the element
+        polynomials vals (ne, ..., n) of each facet's element on ``side``.
 
-        Returns arrays (nf, 2) elem, (nf, 2) local edge, (nf, 2) orientation;
-        second column is -1 for boundary facets.
+        tab is a (local edge, orientation) table, etab_p, etab_m or
+        lag_edge; returns (len(facet_ids), ..., nqe).  Modal values still
+        need the division by sqrt_det of the side element.
         """
-        if self._facet_side_cache is None:
-            nf = self.mesh.n_facets
-            se = np.full((nf, 2), -1, dtype=int)
-            sl = np.full((nf, 2), -1, dtype=int)
-            so = np.zeros((nf, 2), dtype=int)
-            for ell in range(3):
-                f = self.ef[:, ell]
-                side = np.where(self.mesh.facet_elems[f, 0] == np.arange(len(f)), 0, 1)
-                se[f, side] = np.arange(len(f))
-                sl[f, side] = ell
-                so[f, side] = self.eo[:, ell]
-            self._facet_side_cache = (se, sl, so)
-        return self._facet_side_cache
-
-    def trace_values(self, elem_values_modal: np.ndarray, facet_ids, side_elem,
-                     side_ell, side_o, degree_m: bool = False) -> np.ndarray:
-        """Trace of mapped-modal element polynomials on given facets.
-
-        elem_values_modal: (ne, n_modes) coefficients; returns (len(facet_ids), nqe).
-        """
-        tab = self.etab_m if degree_m else self.etab_p
-        out = np.empty((len(facet_ids), self.nqe))
-        for ell in range(3):
-            for o in range(2):
-                sel = (side_ell == ell) & (side_o == o)
-                if not np.any(sel):
-                    continue
-                e = side_elem[sel]
-                out[sel] = (elem_values_modal[e] @ tab[ell, o]) / self.sqrt_det[e, None]
+        e = self.mesh.facet_elems[facet_ids, side]
+        ell = self.mesh.facet_local_edge[facet_ids, side]
+        o = self.eo[e, ell]
+        out = np.empty((len(e),) + vals.shape[1:-1] + (self.nqe,))
+        for L in range(3):
+            for O in range(2):
+                sel = np.flatnonzero((ell == L) & (o == O))
+                if len(sel):
+                    v = vals[e[sel]]
+                    out[sel] = (v.reshape(-1, v.shape[-1]) @ tab[L, O]
+                                ).reshape((len(sel),) + out.shape[1:])
         return out
 
     # -- global Lagrange nodes ----------------------------------------------
@@ -225,7 +209,7 @@ class Workspace:
         n_global, node_map, coords = self.global_nodes()
         per_edge = self.m - 1
         ids = []
-        dfac = np.nonzero(mesh.facet_tag == DIRICHLET)[0]
+        dfac = mesh.dirichlet_facets
         ids.append(mesh.facets[dfac].ravel())
         if per_edge:
             base = mesh.n_vertices + dfac * per_edge

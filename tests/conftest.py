@@ -8,15 +8,18 @@ from hdgbounds.mesh import Mesh
 from hdgbounds.reconstruct import enforce_dirichlet_band, local_optimize
 
 
-def perturbed_crisscross(amp=0.06, seed=7):
-    """unit_square_crisscross(0) with its interior vertices moved at random,
-    so that its elements are no longer congruent."""
-    base = unit_square_crisscross(0)
+def perturbed_crisscross(amp=0.06, seed=7, base=None):
+    """base (default unit_square_crisscross(0)) with the vertices off its
+    boundary facets moved at random by up to amp in each coordinate, so
+    that its elements are no longer congruent; regions and nu are kept."""
+    base = unit_square_crisscross(0) if base is None else base
     v = base.vertices.copy()
-    interior = np.all((v > 1e-12) & (v < 1.0 - 1e-12), axis=1)
+    interior = np.ones(len(v), dtype=bool)
+    interior[base.facets[base.facet_tag != 0]] = False
     v[interior] += np.random.default_rng(seed).uniform(
         -amp, amp, size=(int(interior.sum()), 2))
-    return Mesh(v, base.elements, base.boundary_tag_dict())
+    return Mesh(v, base.elements, base.boundary_tag_dict(),
+                region=base.region, nu=base.nu)
 
 
 def mixed_square(level=0):

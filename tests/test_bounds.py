@@ -11,7 +11,7 @@ from hdgbounds import (OutputFunctional, ProblemData, Workspace, bounds as bd,
                        evaluate, lshape_initial, poincare_constants,
                        exact_equilibration_bounds, run_pipeline,
                        unit_square_crisscross, zero)
-from hdgbounds.mesh import Mesh
+from hdgbounds.mesh import Mesh, refine_bisection
 from hdgbounds.reconstruct import ContinuousPotential, EquilibratedFlux
 
 EX1_F = lambda x, y: 2 * np.pi ** 2 * np.sin(np.pi * x) * np.sin(np.pi * y)
@@ -346,6 +346,37 @@ class TestGlobalProperties:
         res = run_pipeline(perturbed_crisscross(amp, seed), data, prob.out,
                            p, tau, optimize=optimize)
         assert res.contains(c * prob.exact_s)
+
+    @settings(derandomize=True, deadline=None, max_examples=50)
+    @given(amp=st.floats(0.0, 0.04), seed=st.integers(0, 2 ** 16),
+           p=st.integers(1, 3), tau=st.floats(0.1, 10.0),
+           optimize=st.booleans())
+    def test_containment_property_neumann(self, amp, seed, p, tau, optimize):
+        # the mixed Dirichlet/Neumann case with the interior vertices of
+        # mixed_square(1) (pitch 1/4) moved: the Neumann trace, the Neumann
+        # oscillation and <g_N_O, u~> all enter the bounds
+        mesh, data, out = _mixed_case(1.0, 1.0, 1.0)
+        res = run_pipeline(perturbed_crisscross(amp, seed, base=mesh), data,
+                           out, p, tau, optimize=optimize)
+        assert res.contains(MIXED_S)
+
+    @settings(derandomize=True, deadline=None, max_examples=50)
+    @given(rounds=st.integers(1, 5), seed=st.integers(0, 2 ** 16),
+           p=st.integers(1, 3), tau=st.floats(0.1, 10.0),
+           optimize=st.booleans())
+    def test_containment_property_lshape(self, rounds, seed, p, tau, optimize):
+        # example2_s1 (re-entrant corner) on L-shapes bisected at a random
+        # number of random elements per round
+        prob = builtin("example2_s1")
+        rng = np.random.default_rng(seed)
+        mesh = lshape_initial()
+        for _ in range(rounds):
+            ne = mesh.n_elements
+            mesh = refine_bisection(mesh, rng.choice(ne, rng.integers(1, ne + 1),
+                                                     replace=False))
+        res = run_pipeline(mesh, prob.data, prob.out, p, tau,
+                           optimize=optimize)
+        assert res.contains(prob.exact_s)
 
     @pytest.mark.parametrize("tau", [0.1, 1.0, 10.0])
     def test_containment_tau_robust(self, tau):

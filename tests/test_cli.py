@@ -130,6 +130,8 @@ class TestRun:
         # a triangle flattened to height 1e-14 still gets a positive area;
         # the certificate gate, not a singular solve, rejects it
         ("flatten", EXIT_SOLVER, "certificate violated"),
+        # element 0 in region 1, and nu given for region 0 only
+        ("region_without_nu", EXIT_CONFIG, "region 1 has no diffusivity"),
     ])
     def test_hostile_mesh_fails_loudly(self, tmp_path, capsys, edit, code,
                                        message):
@@ -138,19 +140,25 @@ class TestRun:
         write_mesh(mesh, path)
         lines = path.read_text().splitlines()
         nv, ne, nf = map(int, lines[0].split())
+        extra = []
         if edit == "swap_element_0":
             v = lines[1 + nv].split()
             lines[1 + nv] = " ".join([v[1], v[0]] + v[2:])
         elif edit == "all_neumann":
             for i in range(1 + nv + ne, 1 + nv + ne + nf):
                 lines[i] = " ".join(lines[i].split()[:2] + ["N"])
+        elif edit == "region_without_nu":
+            lines[1 + nv] = " ".join(lines[1 + nv].split()[:3] + ["1"])
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({"nu": {"0": 1.0}}))
+            extra = ["--config", str(config)]
         else:
             centre = int(np.flatnonzero(np.all(mesh.vertices == 0.5, axis=1))[0])
             lines[1 + centre] = f"0.5 {1e-14!r}"
         path.write_text("\n".join(lines) + "\n")
         out = tmp_path / "o"
         assert cli.main(["--mesh", str(path), "--f", "1", "--f_O", "1",
-                         "--max-iter", "1", "--out", str(out)]) == code
+                         "--max-iter", "1", "--out", str(out)] + extra) == code
         err = capsys.readouterr().err.strip()
         assert len(err.splitlines()) == 1 and message in err
         assert not (out / "summary.json").exists()

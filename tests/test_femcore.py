@@ -11,7 +11,7 @@ from hdgbounds import Workspace
 from hdgbounds import femcore as fc
 from hdgbounds import unit_square_crisscross
 from hdgbounds.bounds import _energy_sq
-from hdgbounds.mesh import Mesh
+from hdgbounds.mesh import Mesh, lshape_initial, refine_bisection
 from hdgbounds.reconstruct import EquilibratedFlux
 
 
@@ -207,6 +207,50 @@ class TestProjections:
                 ws.facet_data_moments(vertex_nan, np.arange(mesh.n_facets))
                 with pytest.raises(ValueError, match=r"non-finite .*\(0\.0, 0\.0\)"):
                     ws.eval_data(vertex_nan, ws.node_phys)
+
+
+def _direct_trace(ws, vals, facet_ids, side, table):
+    """Values at ws.ephys of the element polynomials vals (ne, ..., n) of
+    each facet's element on ``side``: the points pulled back to the
+    reference element, and the modal basis or the Lagrange basis of the
+    lattice evaluated there."""
+    e = ws.mesh.facet_elems[facet_ids, side]
+    ref = ((ws.ephys[facet_ids] - ws.v0[e][:, None]) @ ws.jac_inv_t[e]).reshape(-1, 2)
+    if table == "lag_edge":
+        basis = (fc.tri_basis(ws.m, ref).T @ ws.lattice.vandermonde_inv).T
+    else:
+        basis = fc.tri_basis(ws.p if table == "etab_p" else ws.m, ref)
+        basis = basis / np.repeat(ws.sqrt_det[e], ws.nqe)
+    return np.einsum("f...i,fit->f...t", vals[e],
+                     basis.reshape(len(basis), len(e), ws.nqe).swapaxes(0, 1))
+
+
+class TestFacetTrace:
+    MESHES = {"perturbed": perturbed_crisscross,
+              "lshape_bisected": lambda: refine_bisection(
+                  refine_bisection(lshape_initial(), [0, 3, 4]), [1, 5, 8])}
+
+    @pytest.mark.parametrize("name", sorted(MESHES))
+    @pytest.mark.parametrize("p", [0, 1, 2])
+    def test_matches_direct_evaluation(self, name, p, rng):
+        ws = Workspace(self.MESHES[name](), p)
+        mesh = ws.mesh
+        ne = mesh.n_elements
+        cases = {"etab_p": rng.standard_normal((ne, ws.np_)),
+                 "etab_m": rng.standard_normal((ne, 2, ws.nm)),
+                 "lag_edge": rng.standard_normal((ne, ws.n_nodes))}
+        for side, ids in ((0, np.arange(mesh.n_facets)),
+                          (1, mesh.interior_facets)):
+            e = mesh.facet_elems[ids, side]
+            orient = ws.eo[e, mesh.facet_local_edge[ids, side]]
+            assert set(orient.tolist()) == {0, 1}
+            for table, vals in cases.items():
+                got = ws.facet_trace(vals, getattr(ws, table), ids, side)
+                if table != "lag_edge":
+                    got = got / ws.sqrt_det[e].reshape((-1,) + (1,) * (got.ndim - 1))
+                want = _direct_trace(ws, vals, ids, side, table)
+                assert got.shape == want.shape
+                assert np.abs(got - want).max() < 1e-12 * np.abs(want).max()
 
 
 def rt_generators(ws):

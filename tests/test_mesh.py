@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import mixed_square
 from hdgbounds import Bulk, builtin, mark, mesh as hm, run_pipeline
 from hdgbounds.bounds import poincare_constants
 
@@ -460,6 +461,40 @@ class TestInvariantsAndFormat:
             got = getattr(mesh, attr)
             assert got.dtype == want.dtype, attr
             assert np.array_equal(got, want), attr
+
+    @pytest.mark.parametrize("name", [*FACET_MESHES, "mixed_square"])
+    def test_facet_sides(self, name):
+        m = mixed_square(1) if name == "mixed_square" else FACET_MESHES[name]()
+        f, s = np.nonzero(m.facet_elems >= 0)
+        e, ell = m.facet_elems[f, s], m.facet_local_edge[f, s]
+        assert np.array_equal(m.elem_facets[e, ell], f)
+        # each (element, local edge) pair is the side of exactly one facet
+        assert np.array_equal(np.sort(3 * e + ell), np.arange(3 * m.n_elements))
+        assert np.array_equal(m.facet_local_edge < 0, m.facet_elems < 0)
+        e0, e1 = m.facet_elems.T
+        assert np.all(e0 >= 0) and np.all((e1 < 0) | (e0 < e1))
+
+    @pytest.mark.parametrize("name", [*FACET_MESHES, "mixed_square"])
+    def test_facet_sets_partition_by_tag(self, name):
+        m = mixed_square(1) if name == "mixed_square" else FACET_MESHES[name]()
+        sets = (m.interior_facets, m.dirichlet_facets, m.neumann_facets)
+        assert np.array_equal(np.sort(np.concatenate(sets)),
+                              np.arange(m.n_facets))
+        for ids, tag in zip(sets, (hm.INTERIOR, hm.DIRICHLET, hm.NEUMANN)):
+            assert np.all(np.diff(ids) > 0) and np.all(m.facet_tag[ids] == tag)
+        assert len(m.neumann_facets) == (4 if name == "mixed_square" else 0)
+        for arr in (m.facet_local_edge, *sets):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = 0
+
+    def test_region_without_diffusivity_rejected(self):
+        # element_nu has no value for the elements of a region nu leaves out
+        with pytest.raises(ValueError, match="region 1 has no diffusivity"):
+            hm.Mesh(SQUARE_VERTS, SQUARE_ELEMS, SQUARE_TAGS, region=[0, 1],
+                    nu={0: 1.0})
+        m = hm.Mesh(SQUARE_VERTS, SQUARE_ELEMS, SQUARE_TAGS, region=[0, 1],
+                    nu={0: 1.0, 1: 4.0, 2: 9.0})
+        assert np.array_equal(m.element_nu(), [1.0, 4.0])
 
     def test_needs_dirichlet(self):
         verts = np.array([[0, 0], [1, 0], [0, 1.0]])
