@@ -20,7 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .mesh import Mesh
+from .mesh import DIRICHLET, Mesh
 from .workspace import Workspace
 
 __all__ = [
@@ -32,7 +32,6 @@ __all__ = [
     "raw_output",
     "CondensedSystem",
     "assemble_condensed",
-    "local_residuals",
     "zero",
 ]
 
@@ -145,14 +144,49 @@ def _local_operators(ws: Workspace):
             Cu.reshape(ne, np_, 3 * F1))
 
 
+def _bit_length(x: np.ndarray) -> np.ndarray:
+    """int.bit_length of every entry of a uint64 array, by integer shifts."""
+    n = np.zeros(x.shape, dtype=np.int64)
+    for s in (32, 16, 8, 4, 2, 1):
+        big = (x >> np.uint64(s)) != 0
+        x, n = np.where(big, x >> np.uint64(s), x), n + s * big
+    return n + (x != 0)
+
+
+def _skeleton_order(mesh: Mesh) -> np.ndarray:
+    """The free (interior and Neumann) facets in nested-dissection order.
+
+    The Morton codes of the element centroids (31 bits per axis in the
+    bounding square) define a binary tree of cells.  A facet separates the
+    cell of the nbits = bit_length(code0 ^ code1) lowest bits, where its two
+    elements part; a boundary facet is a leaf.  Sorted by the largest code
+    of that cell, then by nbits, every cell follows its children."""
+    v = mesh.vertices
+    lo = v.min(axis=0)
+    scale = 2.0 ** 31 / (v.max(axis=0) - lo).max()
+    q = np.clip((v[mesh.elements].mean(axis=1) - lo) * scale, 0, 2 ** 31 - 1)
+    q = q.astype(np.uint64)
+    for s, m in ((16, 0x0000FFFF0000FFFF), (8, 0x00FF00FF00FF00FF),
+                 (4, 0x0F0F0F0F0F0F0F0F), (2, 0x3333333333333333),
+                 (1, 0x5555555555555555)):
+        q = (q | (q << np.uint64(s))) & np.uint64(m)
+    code = q[:, 0] | (q[:, 1] << np.uint64(1))
+    c0, c1 = code[mesh.facet_elems[:, 0]], code[mesh.facet_elems[:, 1]]
+    nbits = _bit_length(np.where(mesh.facet_elems[:, 1] >= 0, c0 ^ c1, 0))
+    top = c0 | ((np.uint64(1) << nbits.astype(np.uint64)) - np.uint64(1))
+    order = np.lexsort((nbits, top))
+    return order[mesh.facet_tag[order] != DIRICHLET]
+
+
 @dataclass
 class CondensedSystem:
     """The statically condensed skeleton system for k right-hand sides, with
     what back-substitution needs.
 
     A is the symmetric positive definite operator on the free facet dofs
-    (interior and Neumann facets) and rhs (n_free, k) its right-hand sides;
-    uhat (k, nf*(p+1)) holds the Dirichlet trace moments at the fixed dofs.
+    (interior and Neumann facets) and rhs (n_free, k) its right-hand sides,
+    both in factor order: row i is the global dof free_dofs[i].  uhat
+    (k, nf*(p+1)) holds the Dirichlet trace moments at the fixed dofs.
     Per element u = XP uhat_e + Xb[:, :, j], and the flux follows from the
     local blocks Kdiv, Cq, Cu.
     """
@@ -177,9 +211,8 @@ def assemble_condensed(ws: Workspace, datas, tau) -> CondensedSystem:
     symmetric positive definite np x np system
     (nu Kdiv Kdiv^T + tau E) u = G uhat + (f, psi), G = tau Cu + nu Kdiv Cq.
     """
-    mesh, p = ws.mesh, ws.p
+    mesh, F1 = ws.mesh, ws.p + 1
     tau = _tau_array(mesh, tau)
-    F1 = p + 1
     ne, nf = mesh.n_elements, mesh.n_facets
 
     Kdiv, E, Cq, Cu = _local_operators(ws)
@@ -202,41 +235,39 @@ def assemble_condensed(ws: Workspace, datas, tau) -> CondensedSystem:
     Aloc[:, diag, diag] += tau[:, None]
     GXb = G.swapaxes(1, 2) @ Xb                              # (ne, 3F1, k)
 
-    gdof = (ws.ef[:, :, None] * F1 + np.arange(F1)[None, None, :]).reshape(ne, 3 * F1)
-    rows = np.repeat(gdof, 3 * F1, axis=1).ravel()
-    cols = np.tile(gdof, (1, 3 * F1)).ravel()
-    A_full = sp.coo_matrix((Aloc.ravel(), (rows, cols)),
-                           shape=(nf * F1, nf * F1)).tocsr()
+    # the free facets numbered in factor order; Dirichlet dofs get -F1..-1
+    order = _skeleton_order(mesh)
+    n = len(order) * F1
+    pos = np.full(nf, -1)
+    pos[order] = np.arange(len(order))
+    ldof = (pos[ws.ef][:, :, None] * F1 + np.arange(F1)).reshape(ne, 3 * F1)
+    free = ldof >= 0
+    rows, cols = np.broadcast_arrays(ldof[:, :, None], ldof[:, None, :])
+    both = (rows >= 0) & (cols >= 0)
+    A = sp.csc_matrix((Aloc[both], (rows[both], cols[both])), shape=(n, n))
 
+    # sum over elements of <qhat.n_K, mu> = <g_N, mu> on Neumann, 0 inside,
+    # with the Dirichlet moments moved to the right-hand side per element
     dir_facets, neu_facets = mesh.dirichlet_facets, mesh.neumann_facets
-    free = np.ones(nf, dtype=bool)
-    free[dir_facets] = False
-    free_dofs = (np.nonzero(free)[0][:, None] * F1 + np.arange(F1)[None, :]).ravel()
-    fixed_dofs = (dir_facets[:, None] * F1 + np.arange(F1)[None, :]).ravel()
-    A_free = A_full[free_dofs]
-    A_fixed = A_free[:, fixed_dofs]
-    A = A_free[:, free_dofs].tocsc()
-
-    # sum over elements of <qhat.n_K, mu> = <g_N, mu> on Neumann, 0 inside
-    rhs = np.empty((len(free_dofs), len(datas)))
-    uhat = np.zeros((len(datas), nf * F1))
+    bd = np.flatnonzero(~free.all(axis=1))
+    uhat = np.zeros((len(datas), nf, F1))
+    rhs = np.empty((len(datas), n))
     for j, data in enumerate(datas):
-        rhs_full = np.bincount(gdof.ravel(), GXb[:, :, j].ravel(),
-                               minlength=nf * F1)
+        uhat[j, dir_facets] = ws.facet_data_moments(data.g_D, dir_facets)
+        GXb[bd, :, j] -= np.einsum("eij,ej->ei", Aloc[bd],
+                                   uhat[j, ws.ef[bd]].reshape(len(bd), 3 * F1))
+        rhs[j] = np.bincount(ldof[free], GXb[:, :, j][free], minlength=n)
         if len(neu_facets):
-            rhs_full.reshape(nf, F1)[neu_facets] -= ws.facet_data_moments(
+            rhs[j].reshape(-1, F1)[pos[neu_facets]] -= ws.facet_data_moments(
                 data.g_N, neu_facets)
-        uhat_dir = ws.facet_data_moments(data.g_D, dir_facets).ravel()
-        uhat[j, fixed_dofs] = uhat_dir
-        rhs[:, j] = rhs_full[free_dofs] - A_fixed @ uhat_dir
-    return CondensedSystem(A=A, rhs=rhs, uhat=uhat, free_dofs=free_dofs,
+    return CondensedSystem(A=A, rhs=rhs.T, uhat=uhat.reshape(len(datas), -1),
+                           free_dofs=(order[:, None] * F1 + np.arange(F1)).ravel(),
                            tau=tau, XP=XP, Xb=Xb, Kdiv=Kdiv, Cq=Cq, Cu=Cu)
 
 
 def _back_substitute(ws: Workspace, cs: CondensedSystem, j: int,
                      data: ProblemData) -> HDGSolution:
-    mesh, p = ws.mesh, ws.p
-    F1 = p + 1
+    mesh, F1 = ws.mesh, ws.p + 1
     uhat_full = cs.uhat[j]
     uhat_e = uhat_full.reshape(mesh.n_facets, F1)[ws.ef].reshape(mesh.n_elements, 3 * F1)
 
@@ -265,13 +296,14 @@ def _back_substitute(ws: Workspace, cs: CondensedSystem, j: int,
 def solve(ws: Workspace, datas, tau=1.0) -> list[HDGSolution]:
     """HDG solutions on the workspace's mesh, one per ProblemData in
     ``datas``.  The data share the local solves, the condensed skeleton
-    matrix and its sparse factorization, ordered by minimum degree on
-    A^T + A (A is symmetric, and COLAMD's column ordering fills about three
-    times as much)."""
+    matrix and one sparse factorization.  A comes numbered in nested-dissection
+    order, so SuperLU keeps that order (natural, symmetric mode, diagonal
+    pivots: A is SPD) and runs no fill-reducing ordering of its own."""
     cs = assemble_condensed(ws, datas, tau)
     if cs.A.shape[0]:
         try:
-            lu = spla.splu(cs.A, permc_spec="MMD_AT_PLUS_A")
+            lu = spla.splu(cs.A, permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                           options=dict(SymmetricMode=True))
         except RuntimeError as exc:  # singular factorization
             raise RuntimeError(f"skeleton solve failed: {exc}") from exc
         cs.uhat[:, cs.free_dofs] = lu.solve(cs.rhs).T
@@ -298,39 +330,3 @@ def raw_output(sol: HDGSolution, out: OutputFunctional) -> float:
         g = ws.eval_data(out.g_N_O, ws.ephys[neu_facets])
         val += float(np.einsum("ft,ft,t,f->", g, tr, ws.ew, ws.facet_len[neu_facets]))
     return val
-
-
-def local_residuals(sol: HDGSolution, data: ProblemData) -> tuple[float, float]:
-    """Residuals of the two local HDG equations after back-substitution.
-
-    Returns (flux-equation, balance-equation) max residuals, both relative;
-    used by tests to assert the elementwise consistency of the solver.
-    """
-    ws = sol.ws
-    ne = ws.mesh.n_elements
-    Kdiv, E, Cq, Cu = _local_operators(ws)
-    nu, tau = ws.nu[:, None], sol.tau[:, None]
-    q, u = sol.q.reshape(ne, -1), sol.u
-    uhat_e = sol.uhat[ws.ef].reshape(ne, 3 * (ws.p + 1))
-    fmom = ws.moments_p(ws.eval_data(data.f))
-    res_flux = (q / nu - np.einsum("eil,ei->el", Kdiv, u)
-                + np.einsum("elf,ef->el", Cq, uhat_e))
-    res_balance = (np.einsum("eil,el->ei", Kdiv, q)
-                   + tau * (np.einsum("eij,ej->ei", E, u)
-                            - np.einsum("eif,ef->ei", Cu, uhat_e)) - fmom)
-    scale = 1.0 + np.maximum(np.abs(q).max(axis=1), np.abs(u).max(axis=1))
-    r1 = np.abs(res_flux).max(axis=1) / scale
-    r2 = np.abs(res_balance).max(axis=1) / scale
-    return float(r1.max()), float(r2.max())
-
-
-def conservation_residual(sol: HDGSolution, data: ProblemData) -> float:
-    """max_K |<qhat.n, 1>_dK - (f, 1)_K| (local conservation audit)."""
-    ws = sol.ws
-    # <qhat.n_K, 1>_e = esign * sqrt(L) * c_0 in the orthonormal facet basis,
-    # and (f, 1)_K = (f, phi_0)_K * sqrt(det) / sqrt(2) for the constant mode
-    c0 = sol.qhat_n[ws.ef, 0]
-    flux = np.sum(c0 * ws.esign * np.sqrt(ws.elen), axis=1)
-    fmom0 = ws.moments_p(ws.eval_data(data.f))[:, 0]
-    fint = fmom0 * np.sqrt(ws.det) / np.sqrt(2.0)
-    return float(np.abs(flux - fint).max() / (1.0 + np.abs(fint).max()))

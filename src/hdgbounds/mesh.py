@@ -58,6 +58,9 @@ class Mesh:
             raise ValueError("elements reference nonexistent vertices")
         self.region = (np.zeros(len(self.elements), dtype=np.int64)
                        if region is None else np.ascontiguousarray(region, dtype=np.int64))
+        if self.region.shape != (len(self.elements),):
+            raise ValueError(f"region must have one entry per element: shape "
+                             f"{self.region.shape}, expected ({len(self.elements)},)")
         self.nu = dict(nu) if nu else {int(r): 1.0 for r in np.unique(self.region)}
         for r, val in self.nu.items():
             if not val > 0:

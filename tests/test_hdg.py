@@ -4,17 +4,52 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
-from conftest import mixed_square
+from conftest import mixed_square, perturbed_crisscross
 from hdgbounds import (OutputFunctional, ProblemData, Workspace, raw_output,
                        solve, unit_square_crisscross, zero)
-from hdgbounds.hdg import (assemble_condensed, conservation_residual,
-                           local_residuals)
-from hdgbounds.mesh import Mesh
+from hdgbounds.hdg import (_bit_length, _local_operators, _skeleton_order,
+                           assemble_condensed)
+from hdgbounds.mesh import (DIRICHLET, Mesh, lshape_initial,
+                            refine_bisection)
 
 EX1_F = lambda x, y: 2 * np.pi ** 2 * np.sin(np.pi * x) * np.sin(np.pi * y)
 EX1_U = lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y)
 ONE = lambda x, y: np.ones_like(np.asarray(x, dtype=float))
+
+
+def local_residuals(sol, data):
+    """Relative max residuals of the two local HDG equations (flux, balance)
+    after back-substitution."""
+    ws = sol.ws
+    ne = ws.mesh.n_elements
+    Kdiv, E, Cq, Cu = _local_operators(ws)
+    nu, tau = ws.nu[:, None], sol.tau[:, None]
+    q, u = sol.q.reshape(ne, -1), sol.u
+    uhat_e = sol.uhat[ws.ef].reshape(ne, 3 * (ws.p + 1))
+    fmom = ws.moments_p(ws.eval_data(data.f))
+    res_flux = (q / nu - np.einsum("eil,ei->el", Kdiv, u)
+                + np.einsum("elf,ef->el", Cq, uhat_e))
+    res_balance = (np.einsum("eil,el->ei", Kdiv, q)
+                   + tau * (np.einsum("eij,ej->ei", E, u)
+                            - np.einsum("eif,ef->ei", Cu, uhat_e)) - fmom)
+    scale = 1.0 + np.maximum(np.abs(q).max(axis=1), np.abs(u).max(axis=1))
+    r1 = np.abs(res_flux).max(axis=1) / scale
+    r2 = np.abs(res_balance).max(axis=1) / scale
+    return float(r1.max()), float(r2.max())
+
+
+def conservation_residual(sol, data):
+    """max_K |<qhat.n, 1>_dK - (f, 1)_K| (local conservation audit)."""
+    ws = sol.ws
+    # <qhat.n_K, 1>_e = esign * sqrt(L) * c_0 in the orthonormal facet basis,
+    # and (f, 1)_K = (f, phi_0)_K * sqrt(det) / sqrt(2) for the constant mode
+    c0 = sol.qhat_n[ws.ef, 0]
+    flux = np.sum(c0 * ws.esign * np.sqrt(ws.elen), axis=1)
+    fmom0 = ws.moments_p(ws.eval_data(data.f))[:, 0]
+    fint = fmom0 * np.sqrt(ws.det) / np.sqrt(2.0)
+    return float(np.abs(flux - fint).max() / (1.0 + np.abs(fint).max()))
 
 
 def _local_solve_dense(ws, datas, tau):
@@ -175,6 +210,88 @@ class TestLocalStructure:
         mesh = unit_square_crisscross(0)
         with pytest.raises(ValueError):
             solve(Workspace(mesh, 1), [ProblemData(f=zero)], tau=0.0)[0]
+
+
+def _graded_lshape(n):
+    """The L-shape bisected towards its re-entrant corner, a third of the
+    elements at a time, until it has at least n elements."""
+    mesh = lshape_initial()
+    while mesh.n_elements < n:
+        r = np.linalg.norm(mesh.vertices[mesh.elements].mean(axis=1), axis=1)
+        mesh = refine_bisection(mesh, np.argsort(r, kind="stable")[:mesh.n_elements // 3])
+    return mesh
+
+
+ORDER_MESHES = {
+    "crisscross": lambda: unit_square_crisscross(2),
+    "perturbed": lambda: perturbed_crisscross(base=unit_square_crisscross(1)),
+    "mixed_square": lambda: mixed_square(2),
+    "lshape_bisected": lambda: refine_bisection(
+        refine_bisection(lshape_initial(), [0, 3, 4]), [1, 5, 8]),
+    "two_regions": lambda: _block_form_case(True)[0],
+}
+
+
+class TestSkeletonOrder:
+    @pytest.mark.parametrize("name", sorted(ORDER_MESHES))
+    def test_order_is_permutation_of_free_facets(self, name):
+        mesh = ORDER_MESHES[name]()
+        order = _skeleton_order(mesh)
+        assert np.array_equal(np.sort(order),
+                              np.flatnonzero(mesh.facet_tag != DIRICHLET))
+        cs = assemble_condensed(Workspace(mesh, 1), [ProblemData(f=EX1_F)], 1.0)
+        assert np.array_equal(cs.free_dofs, (2 * order[:, None] + [0, 1]).ravel())
+
+    @pytest.mark.parametrize("name", sorted(ORDER_MESHES))
+    def test_solve_matches_minimum_degree_reference(self, name):
+        mesh = ORDER_MESHES[name]()
+        _, datas = _block_form_case(False)
+        ws = Workspace(mesh, 2)
+        cs = assemble_condensed(ws, datas, 1.0)
+        ref = cs.uhat.copy()
+        ref[:, cs.free_dofs] = spla.splu(
+            cs.A, permc_spec="MMD_AT_PLUS_A").solve(cs.rhs).T
+        for sol, want in zip(solve(ws, datas, 1.0), ref):
+            got = sol.uhat.ravel()
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_bit_length_exact_at_powers_of_two(self):
+        # a float bit length (np.frexp) rounds up just below 2^k for k > 53
+        x = [0] + [v for k in range(63) for v in (2 ** k - 1, 2 ** k, 2 ** k + 1)]
+        got = _bit_length(np.array(x, dtype=np.uint64))
+        assert got.tolist() == [v.bit_length() for v in x]
+
+    @staticmethod
+    def _fill_over_minimum_degree(monkeypatch, mesh, p):
+        """LU nonzeros of the factorization ``solve`` makes, over those of
+        minimum degree on A^T + A in the mesh's own facet numbering."""
+        from hdgbounds import hdg
+        fills = []
+        splu = hdg.spla.splu
+
+        def recording_splu(A, *args, **kwargs):
+            lu = splu(A, *args, **kwargs)
+            fills.append(lu.L.nnz + lu.U.nnz)
+            return lu
+
+        monkeypatch.setattr(hdg.spla, "splu", recording_splu)
+        ws = Workspace(mesh, p)
+        solve(ws, [ProblemData(f=EX1_F)])
+        cs = assemble_condensed(ws, [ProblemData(f=EX1_F)], 1.0)
+        back = np.argsort(cs.free_dofs)
+        mmd = splu(cs.A[back][:, back], permc_spec="MMD_AT_PLUS_A")
+        assert len(fills) == 1
+        return fills[0] / (mmd.L.nnz + mmd.U.nnz)
+
+    def test_fill_below_minimum_degree_on_square(self, monkeypatch):
+        # 879,360 against 1,047,357 LU nonzeros
+        mesh = unit_square_crisscross(4)
+        assert self._fill_over_minimum_degree(monkeypatch, mesh, 2) < 1.0
+
+    def test_fill_near_minimum_degree_on_graded_lshape(self, monkeypatch):
+        # 1.27 on this 2079-element mesh; the factorization is still faster
+        mesh = _graded_lshape(1760)
+        assert self._fill_over_minimum_degree(monkeypatch, mesh, 1) <= 1.35
 
 
 class TestAdjoint:

@@ -496,6 +496,13 @@ class TestInvariantsAndFormat:
                     nu={0: 1.0, 1: 4.0, 2: 9.0})
         assert np.array_equal(m.element_nu(), [1.0, 4.0])
 
+    @pytest.mark.parametrize("region", [[0], [0, 0, 0], [[0], [0]]])
+    def test_region_of_wrong_shape_rejected(self, region):
+        # one entry per element, or element_nu fails later inside Workspace
+        with pytest.raises(ValueError, match=r"region must have one entry "
+                           r"per element: shape \(\d+(, \d+)?,?\), expected \(2,\)"):
+            hm.Mesh(SQUARE_VERTS, SQUARE_ELEMS, SQUARE_TAGS, region=region)
+
     def test_needs_dirichlet(self):
         verts = np.array([[0, 0], [1, 0], [0, 1.0]])
         with pytest.raises(ValueError, match="Dirichlet"):
