@@ -249,7 +249,7 @@ def assemble_condensed(ws: Workspace, datas, tau) -> CondensedSystem:
     # sum over elements of <qhat.n_K, mu> = <g_N, mu> on Neumann, 0 inside,
     # with the Dirichlet moments moved to the right-hand side per element
     dir_facets, neu_facets = mesh.dirichlet_facets, mesh.neumann_facets
-    bd = np.flatnonzero(~free.all(axis=1))
+    bd = np.flatnonzero(~free.all(axis=1))        # elements with a Dirichlet facet
     uhat = np.zeros((len(datas), nf, F1))
     rhs = np.empty((len(datas), n))
     for j, data in enumerate(datas):
