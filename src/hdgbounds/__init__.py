@@ -15,7 +15,7 @@ from .mesh import (Mesh, check_conformity, lshape_initial,
                    unit_square_crisscross, write_mesh)
 from .problems import PROBLEM_IDS, BuiltinProblem, builtin
 from .reconstruct import (ContinuousPotential, EquilibratedFlux,
-                          EvaluatedPair, dump_fields, enforce_dirichlet_band,
+                          EvaluatedPair, enforce_dirichlet_band,
                           evaluate, flux_residuals, local_optimize,
                           make_continuous, postprocess_potential,
                           potential_residuals, reconstruct_flux)

@@ -201,33 +201,23 @@ def compute_kappa(primal: rc.EvaluatedPair, adjoint: rc.EvaluatedPair,
 # ---------------------------------------------------------------------------
 
 def compute_eta(primal: rc.EvaluatedPair, adjoint: rc.EvaluatedPair,
-                ws: Workspace, kappa: float,
-                mode: str = "projected") -> EtaBreakdown:
+                ws: Workspace, kappa: float) -> EtaBreakdown:
     """Per-element contributions eta_K^-/+ for the given kappa.
 
-    mode="projected" uses the data projections (the working estimator);
-    mode="zero-order" evaluates the residuals against the actual flux
-    divergence and traces, the paper's zero-order form.  compute_bounds
-    audits the projected certificates in both modes.  The adjoint record
-    carries -g_N_O, so its Neumann residual is negated.
+    The data oscillations are measured against the data projections, which
+    the audited certificates equate with the flux divergence and normal
+    traces.  The adjoint record carries -g_N_O, so its Neumann residual is
+    negated.
     """
-    if mode not in ("projected", "zero-order"):
-        raise ValueError(f"unknown eta mode {mode!r}")
     a, b = primal.residual, adjoint.residual
     flux_minus = np.sqrt(_energy_sq(ws, b - kappa * a))
     flux_plus = np.sqrt(_energy_sq(ws, b + kappa * a))
 
     c1, c2 = poincare_constants(ws.mesh)
-    if mode == "projected":
-        d_res = primal.f - primal.f_proj
-        do_res = adjoint.f - adjoint.f_proj
-        n_res = primal.g_N - primal.g_N_proj
-        no_res = adjoint.g_N_proj - adjoint.g_N
-    else:
-        d_res = primal.f - primal.div
-        do_res = adjoint.f - adjoint.div
-        n_res = primal.g_N - primal.qn
-        no_res = adjoint.qn - adjoint.g_N
+    d_res = primal.f - primal.f_proj
+    do_res = adjoint.f - adjoint.f_proj
+    n_res = primal.g_N - primal.g_N_proj
+    no_res = adjoint.g_N_proj - adjoint.g_N
     w = c1 / np.sqrt(ws.nu)
     osc_div_minus = w * np.sqrt(ws.integrate_elementwise((do_res - kappa * d_res) ** 2))
     osc_div_plus = w * np.sqrt(ws.integrate_elementwise((do_res + kappa * d_res) ** 2))
@@ -270,17 +260,16 @@ def _core_functional(primal: rc.EvaluatedPair, adjoint: rc.EvaluatedPair,
 
 def compute_bounds(primal_pair, adjoint_pair, data: ProblemData,
                    out: OutputFunctional, ws: Workspace,
-                   kappa: float | None = None, mode: str = "projected",
+                   kappa: float | None = None,
                    s_h: float | None = None) -> BoundsResult:
     """Guaranteed bounds s_minus <= s <= s_plus for the output functional.
 
     Each pair and its data are evaluated once; the reconstruction
-    certificates are audited first (the projected ones, in either mode),
-    and a failed one raises RuntimeError.  kappa=None selects the optimal
-    ratio of the global residual norms.  When the primal or the adjoint
-    reconstruction is numerically exact (and that problem's data
-    oscillation vanishes), the interval collapses to the reconstruction
-    output and the kappa_degenerate flag is set.  An exact adjoint
+    certificates are audited first, and a failed one raises RuntimeError.
+    kappa=None selects the optimal ratio of the global residual norms.
+    When the primal or the adjoint reconstruction is numerically exact (and
+    that problem's data oscillation vanishes), the interval collapses to
+    the reconstruction output and the kappa_degenerate flag is set.  An exact adjoint
     reconstruction with oscillating adjoint data admits no optimal kappa
     and raises RuntimeError; an explicit kappa <= 0 raises ValueError.
     """
@@ -305,7 +294,7 @@ def compute_bounds(primal_pair, adjoint_pair, data: ProblemData,
                 "the adjoint residual vanishes but the adjoint data oscillate "
                 f"in: {', '.join(osc)}; no optimal kappa exists, pass one")
 
-    eta = compute_eta(primal, adjoint, ws, kappa, mode)
+    eta = compute_eta(primal, adjoint, ws, kappa)
     em2 = eta.minus ** 2
     ep2 = eta.plus ** 2
     s_minus = s_core - em2.sum() / (4.0 * kappa)

@@ -1,6 +1,7 @@
 """Conforming triangular meshes, the built-in initial meshes, and the two
-refinement mechanisms (red with green closure, recursive longest-edge
-bisection).
+refinement mechanisms (red with green closure, longest-edge bisection in
+closure rounds over arrays, with equally long edges told apart by their
+midpoints).
 
 A mesh is immutable after construction; refinement returns a new mesh.
 Facets are derived from the element list.  Each facet is stored with its
@@ -50,6 +51,9 @@ class Mesh:
 
     def __init__(self, vertices, elements, boundary_tags, region=None, nu=None):
         self.vertices = np.ascontiguousarray(vertices, dtype=float)
+        if not np.isfinite(self.vertices).all():
+            bad = int(np.argmin(np.isfinite(self.vertices).all(axis=-1)))
+            raise ValueError(f"vertex {bad} has a non-finite coordinate")
         self.elements = np.ascontiguousarray(elements, dtype=np.int64)
         if self.elements.ndim != 2 or self.elements.shape[1] != 3:
             raise ValueError("elements must be an (ne, 3) array")
@@ -72,8 +76,8 @@ class Mesh:
         v = self.vertices[self.elements]
         area2 = ((v[:, 1, 0] - v[:, 0, 0]) * (v[:, 2, 1] - v[:, 0, 1])
                  - (v[:, 1, 1] - v[:, 0, 1]) * (v[:, 2, 0] - v[:, 0, 0]))
-        if np.any(area2 <= 0):
-            bad = int(np.argmin(area2))
+        if not np.all(area2 > 0):
+            bad = int(np.argmin(area2 > 0))
             raise ValueError(f"element {bad} has non-positive signed area")
         self._area = area2 / 2.0
 
@@ -278,10 +282,14 @@ def lshape_initial() -> Mesh:
 # ---------------------------------------------------------------------------
 
 def _validate_marks(mesh, marks):
-    marks = sorted(set(int(m) for m in marks))
-    if marks and (marks[0] < 0 or marks[-1] >= mesh.n_elements):
+    """The sorted distinct element indices of a mark set; a mark that is not
+    integer-valued or names no element raises ValueError."""
+    marks = np.unique(np.asarray(marks))
+    if marks.dtype.kind not in "iuf" or np.any(marks != np.floor(marks)):
+        raise ValueError("marks must be integer-valued element indices")
+    if marks.size and (marks[0] < 0 or marks[-1] >= mesh.n_elements):
         raise ValueError("mark set references nonexistent elements")
-    return marks
+    return marks.astype(np.int64)
 
 
 def refine_red(mesh: Mesh, marks) -> Mesh:
@@ -293,14 +301,13 @@ def refine_red(mesh: Mesh, marks) -> Mesh:
     turned red in the last wave; its least fixed point does not depend on
     the order, so neither does the mesh.
     """
-    marks = _validate_marks(mesh, marks)
-    if not marks:
+    front = _validate_marks(mesh, marks)
+    if not front.size:
         return mesh
 
     ef, fe = mesh.elem_facets, mesh.facet_elems
     red = np.zeros(mesh.n_elements, dtype=bool)
     split = np.zeros(mesh.n_facets, dtype=bool)
-    front = np.array(marks)
     while front.size:
         red[front] = True
         split[ef[front]] = True
@@ -349,110 +356,105 @@ def refine_red(mesh: Mesh, marks) -> Mesh:
 
 
 # ---------------------------------------------------------------------------
-# Recursive longest-edge bisection
+# Longest-edge bisection in closure rounds
 # ---------------------------------------------------------------------------
 
-def refine_bisection(mesh: Mesh, marks) -> Mesh:
-    """Bisect each marked triangle at the midpoint of its longest edge,
-    recursively bisecting neighbors until the mesh is conforming.
+_KEY = 2 ** 31  # an edge (a, b) with a < b packs into a * _KEY + b
 
-    Ties between equally long edges are broken toward the lexicographically
-    smallest vertex-index pair, which makes runs deterministic.
+
+def _edge_keys(vertices, elements):
+    """Packed keys of the local edges (v_l, v_l+1) of each element, and the
+    local index of its longest edge.  Equally long edges go to the one whose
+    midpoint is lexicographically smallest, so the choice is geometric."""
+    a, b = elements, elements[:, [1, 2, 0]]
+    keys = np.minimum(a, b) * _KEY + np.maximum(a, b)
+    va, vb = vertices[a], vertices[b]
+    d = va - vb
+    l2 = d[..., 0] ** 2 + d[..., 1] ** 2
+    m = (va + vb) / 2.0
+    # among the longest edges those with the smallest midpoint x, then y
+    x = np.where(l2 == l2.max(axis=1, keepdims=True), m[..., 0], np.inf)
+    y = np.where(x == x.min(axis=1, keepdims=True), m[..., 1], np.inf)
+    return keys, y.argmin(axis=1)
+
+
+def _member(x, s):
+    """Whether each entry of x (all >= 0) occurs in the sorted array s."""
+    return np.append(s, -1)[np.searchsorted(s, x)] == x
+
+
+def refine_bisection(mesh: Mesh, marks) -> Mesh:
+    """Bisect each marked triangle at the midpoint of its longest edge, and
+    its neighbors until the mesh is conforming (Rivara, IJNME 20, 1984).
+
+    The closure runs in rounds over arrays (Funken, Praetorius & Wissgott,
+    CMAM 11, 2011).  A round marks the longest edge of each marked element,
+    then the longest edge of every element with a marked edge, until nothing
+    changes; it then bisects every element with a marked edge at its
+    longest edge.  A child that inherits a marked edge whole starts the next
+    round; the rounds stop when no element has a marked edge.  Ties between
+    equally long edges go to the lexicographically smallest midpoint, so
+    the refined mesh, as a set of triangles, does not depend on the input
+    numbering.  A parent's first child takes its index; the second child
+    and the midpoints are appended.
     """
     marks = _validate_marks(mesh, marks)
-    if not marks:
+    if not marks.size:
         return mesh
 
-    verts = mesh.vertices.tolist()
-    elems = mesh.elements.tolist()
-    regions = mesh.region.tolist()
-    alive = [True] * len(elems)
-    tags = mesh.boundary_tag_dict()
-
-    # the alive elements on each edge, keyed by sorted vertex pair
-    edge_map: dict[tuple[int, int], set[int]] = {
-        (a, b): {e0} if e1 < 0 else {e0, e1}
-        for (a, b), (e0, e1) in zip(mesh.facets.tolist(), mesh.facet_elems.tolist())}
-
-    def edge_key(a, b):
-        return (a, b) if a < b else (b, a)
-
-    mid_cache: dict[tuple[int, int], int] = {}
-
-    def midpoint(key):
-        m = mid_cache.get(key)
-        if m is None:
-            a, b = key
-            m = len(verts)
-            verts.append(((verts[a][0] + verts[b][0]) / 2.0,
-                          (verts[a][1] + verts[b][1]) / 2.0))
-            mid_cache[key] = m
-            if key in tags:
-                t = tags.pop(key)
-                tags[edge_key(a, m)] = t
-                tags[edge_key(m, b)] = t
-        return m
-
-    def longest_edge(k):
-        e = elems[k]
-        best = None
-        for i in range(3):
-            key = edge_key(e[i], e[(i + 1) % 3])
-            l2 = ((verts[key[0]][0] - verts[key[1]][0]) ** 2
-                  + (verts[key[0]][1] - verts[key[1]][1]) ** 2)
-            if best is None or l2 > best[0] or (l2 == best[0] and key < best[1]):
-                best = (l2, key)
-        return best[1]
-
-    def neighbor_across(k, key):
-        for j in edge_map[key]:
-            if j != k and alive[j]:
-                return j
-        return None
-
-    def split_element(k, key, m):
-        # parent rotated so the split edge comes first, children stay CCW
-        e = elems[k]
-        for i in range(3):
-            if edge_key(e[i], e[(i + 1) % 3]) == key:
-                va, vb, vc = e[i], e[(i + 1) % 3], e[(i + 2) % 3]
+    verts, elems, region = mesh.vertices, mesh.elements, mesh.region
+    keys, longest = _edge_keys(verts, elems)
+    bnd = mesh.facet_tag != INTERIOR
+    tag_keys = mesh.facets[bnd, 0] * _KEY + mesh.facets[bnd, 1]
+    tag_vals = mesh.facet_tag[bnd]
+    split = np.empty(0, dtype=np.int64)  # sorted keys of the bisected edges
+    mid = np.empty(0, dtype=np.int64)    # and their midpoint vertices
+    seed = marks
+    while seed.size:
+        edges, inv = np.unique(keys, return_inverse=True)
+        inv = inv.reshape(keys.shape)
+        lng = inv[np.arange(len(inv)), longest]
+        old = _member(edges, split)  # bisected on one side only
+        marked = old.copy()
+        marked[lng[seed]] = True
+        while True:
+            has = marked[inv].any(axis=1)
+            if marked[lng[has]].all():
                 break
-        alive[k] = False
-        for ek in [edge_key(e[i], e[(i + 1) % 3]) for i in range(3)]:
-            edge_map[ek].discard(k)
-        for child in ((va, m, vc), (m, vb, vc)):
-            cid = len(elems)
-            elems.append(child)
-            regions.append(regions[k])
-            alive.append(True)
-            for i in range(3):
-                edge_map.setdefault(edge_key(child[i], child[(i + 1) % 3]), set()).add(cid)
+            marked[lng[has]] = True
 
-    def bisect(k):
-        stack = [k]
-        while stack:
-            t = stack[-1]
-            if not alive[t]:
-                stack.pop()
-                continue
-            key = longest_edge(t)
-            n = neighbor_across(t, key)
-            if n is not None and longest_edge(n) != key:
-                stack.append(n)
-                continue
-            m = midpoint(key)
-            split_element(t, key, m)
-            if n is not None:
-                split_element(n, key, m)
-            stack.pop()
+        # midpoints of the newly marked edges; as the highest vertex
+        # indices, a half (a, m) of an edge packs into a * _KEY + m
+        new = edges[marked & ~old]
+        a, b = np.divmod(new, _KEY)
+        ids = len(verts) + np.arange(len(new))
+        verts = np.concatenate([verts, (verts[a] + verts[b]) / 2.0])
+        split, mid = np.concatenate([split, new]), np.concatenate([mid, ids])
+        order = np.argsort(split)
+        split, mid = split[order], mid[order]
+        hit = _member(tag_keys, new)
+        at = np.searchsorted(new, tag_keys[hit])
+        tag_keys = np.concatenate([tag_keys[~hit], a[at] * _KEY + ids[at],
+                                   b[at] * _KEY + ids[at]])
+        tag_vals = np.concatenate([tag_vals[~hit], tag_vals[hit], tag_vals[hit]])
 
-    for k in marks:
-        if alive[k]:
-            bisect(k)
+        # parent (va, vb, vc), longest edge va-vb -> (va, m, vc), (m, vb, vc)
+        par = np.flatnonzero(has)
+        rot = (longest[par, None] + np.arange(3)) % 3
+        va, vb, vc = np.take_along_axis(elems[par], rot, axis=1).T
+        m = mid[np.searchsorted(split, keys[par, longest[par]])]
+        kids = np.concatenate([par, len(elems) + np.arange(len(par))])
+        elems = np.concatenate([elems, np.column_stack([m, vb, vc])])
+        elems[par] = np.column_stack([va, m, vc])
+        region = np.concatenate([region, region[par]])
+        keys = np.concatenate([keys, keys[par]])
+        longest = np.concatenate([longest, longest[par]])
+        keys[kids], longest[kids] = _edge_keys(verts, elems[kids])
+        seed = kids[_member(keys[kids], split).any(axis=1)]
 
-    keep = [i for i, a in enumerate(alive) if a]
-    return Mesh(np.array(verts), np.array([elems[i] for i in keep]), tags,
-                region=np.array([regions[i] for i in keep]), nu=mesh.nu)
+    a, b = np.divmod(tag_keys, _KEY)
+    tags = dict(zip(zip(a.tolist(), b.tolist()), tag_vals.tolist()))
+    return Mesh(verts, elems, tags, region=region, nu=mesh.nu)
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,6 @@ __all__ = [
     "evaluate",
     "flux_residuals",
     "potential_residuals",
-    "dump_fields",
 ]
 
 
@@ -425,20 +424,3 @@ def local_optimize(flux: EquilibratedFlux, pot: ContinuousPotential,
     values[pot.node_map[:, slots]] = pot.nodal()[:, slots] + (
         xi @ (ws.vand_m[slots] @ Nu).T) / ws.sqrt_det[:, None]
     return replace(flux, coeffs=coeffs), replace(pot, values=values)
-
-
-# ---------------------------------------------------------------------------
-# Debug dump
-# ---------------------------------------------------------------------------
-
-def dump_fields(flux: EquilibratedFlux, pot: ContinuousPotential,
-                ws: Workspace, path) -> None:
-    """Write the reconstructed fields at the volume quadrature points as CSV
-    (element id, x, y, flux_x, flux_y, potential) for external plotting."""
-    ne = flux.mesh.n_elements
-    cols = np.column_stack([np.repeat(np.arange(ne), ws.nq),
-                            ws.qphys.reshape(-1, 2),
-                            flux.eval_values(ws).reshape(-1, 2),
-                            pot.eval_values(ws).ravel()])
-    np.savetxt(path, cols, fmt=["%d"] + ["%.12e"] * 5, delimiter=",",
-               header="element,x,y,flux_x,flux_y,potential", comments="")

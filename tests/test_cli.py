@@ -126,6 +126,8 @@ class TestRun:
 
     @pytest.mark.parametrize("edit, code, message", [
         ("swap_element_0", EXIT_CONFIG, "non-positive signed area"),
+        # a NaN vertex used to reach the solver and exit 3 on a singular factor
+        ("nan_vertex", EXIT_CONFIG, "has a non-finite coordinate"),
         ("all_neumann", EXIT_CONFIG, "the Dirichlet boundary must be non-empty"),
         # a triangle flattened to height 1e-14 still gets a positive area;
         # the certificate gate, not a singular solve, rejects it
@@ -154,7 +156,8 @@ class TestRun:
             extra = ["--config", str(config)]
         else:
             centre = int(np.flatnonzero(np.all(mesh.vertices == 0.5, axis=1))[0])
-            lines[1 + centre] = f"0.5 {1e-14!r}"
+            lines[1 + centre] = ("nan 1.0" if edit == "nan_vertex"
+                                 else f"0.5 {1e-14!r}")
         path.write_text("\n".join(lines) + "\n")
         out = tmp_path / "o"
         assert cli.main(["--mesh", str(path), "--f", "1", "--f_O", "1",

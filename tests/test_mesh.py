@@ -21,6 +21,58 @@ def assert_same_mesh(got, want):
     assert got.boundary_tag_dict() == want.boundary_tag_dict()
 
 
+def _geometry(mesh):
+    """A mesh as numbering-free data: its vertex coordinates, each triangle's
+    vertex coordinates with its region, and each boundary facet's endpoint
+    coordinates with its tag, every list sorted."""
+    v = mesh.vertices.tolist()
+    tris = [(*sorted(v[i] for i in e), r)
+            for e, r in zip(mesh.elements.tolist(), mesh.region.tolist())]
+    tags = [(*sorted((v[a], v[b])), t)
+            for (a, b), t in mesh.boundary_tag_dict().items()]
+    return sorted(v), sorted(tris), sorted(tags), mesh.nu
+
+
+def assert_same_geometry(got, want):
+    """The same triangles, regions and boundary tags, however numbered."""
+    hm.check_conformity(got)
+    for name, a, b in zip(("vertices", "triangles", "tags", "nu"),
+                          _geometry(got), _geometry(want)):
+        assert a == b, name
+
+
+def _isosceles_strip(n=4):
+    """n upward and n - 1 downward triangles in a row, each with base 1 and
+    apex height 1, so that its two other sides are exactly equally long;
+    region 1 right of x = 2."""
+    verts = [(float(i), 0.0) for i in range(n + 1)] + [(i + 0.5, 1.0) for i in range(n)]
+    elems = ([(i, i + 1, n + 1 + i) for i in range(n)]
+             + [(i + 1, n + 2 + i, n + 1 + i) for i in range(n - 1)])
+    tags = {(0, n + 1): "D", (n, 2 * n): "N"}
+    tags.update({(i, i + 1): "D" for i in range(n)})
+    tags.update({(n + 1 + i, n + 2 + i): "N" for i in range(n - 1)})
+    region = [int(verts[e[2]][0] > 2.0) for e in elems]
+    return hm.Mesh(np.array(verts), np.array(elems), tags, region=region,
+                   nu={0: 1.0, 1: 3.0})
+
+
+def _renumbered(mesh, rng):
+    """The same mesh with its vertices and elements numbered at random and
+    each element's vertices rotated at random, and the new index of each
+    element."""
+    pv, pe = rng.permutation(mesh.n_vertices), rng.permutation(mesh.n_elements)
+    verts = np.empty_like(mesh.vertices)
+    verts[pv] = mesh.vertices
+    turn = (rng.integers(0, 3, mesh.n_elements)[:, None] + np.arange(3)) % 3
+    elems = np.empty_like(mesh.elements)
+    elems[pe] = np.take_along_axis(pv[mesh.elements], turn, axis=1)
+    region = np.empty_like(mesh.region)
+    region[pe] = mesh.region
+    tags = {(int(pv[a]), int(pv[b])): t
+            for (a, b), t in mesh.boundary_tag_dict().items()}
+    return hm.Mesh(verts, elems, tags, region=region, nu=mesh.nu), pe
+
+
 def _perturbed(level, seed, amp=0.2):
     """unit_square_crisscross(level) with interior vertices moved at random
     by up to amp times the grid pitch."""
@@ -101,28 +153,28 @@ def test_lshape_initial():
     hm.check_conformity(m)
 
 
-def _refine_bisection_loop(mesh, marks):
-    """refine_bisection as it was before it set up from the mesh's arrays:
-    per-element tuples and an edge map seeded from every element's edges.
-    The split order, and with it the numbering, must not change."""
-    marks = hm._validate_marks(mesh, marks)
+def _refine_bisection_recursive(mesh, marks):
+    """refine_bisection as it was before it ran in closure rounds: Rivara's
+    recursion over per-element lists, an edge map of sets and one split per
+    element.  Its tie-break is geometric, as in the array code: of equally
+    long edges, the one with the lexicographically smallest midpoint."""
+    marks = hm._validate_marks(mesh, marks).tolist()
     if not marks:
         return mesh
 
-    verts = [tuple(v) for v in mesh.vertices]
-    elems = [tuple(int(v) for v in e) for e in mesh.elements]
-    regions = [int(r) for r in mesh.region]
+    verts = mesh.vertices.tolist()
+    elems = mesh.elements.tolist()
+    regions = mesh.region.tolist()
     alive = [True] * len(elems)
     tags = mesh.boundary_tag_dict()
 
-    edge_map: dict[tuple[int, int], set[int]] = {}
+    # the alive elements on each edge, keyed by sorted vertex pair
+    edge_map: dict[tuple[int, int], set[int]] = {
+        (a, b): {e0} if e1 < 0 else {e0, e1}
+        for (a, b), (e0, e1) in zip(mesh.facets.tolist(), mesh.facet_elems.tolist())}
 
     def edge_key(a, b):
         return (a, b) if a < b else (b, a)
-
-    for k, e in enumerate(elems):
-        for i in range(3):
-            edge_map.setdefault(edge_key(e[i], e[(i + 1) % 3]), set()).add(k)
 
     mid_cache: dict[tuple[int, int], int] = {}
 
@@ -147,9 +199,11 @@ def _refine_bisection_loop(mesh, marks):
             key = edge_key(e[i], e[(i + 1) % 3])
             l2 = ((verts[key[0]][0] - verts[key[1]][0]) ** 2
                   + (verts[key[0]][1] - verts[key[1]][1]) ** 2)
-            if best is None or l2 > best[0] or (l2 == best[0] and key < best[1]):
-                best = (l2, key)
-        return best[1]
+            mid = ((verts[key[0]][0] + verts[key[1]][0]) / 2.0,
+                   (verts[key[0]][1] + verts[key[1]][1]) / 2.0)
+            if best is None or l2 > best[0] or (l2 == best[0] and mid < best[1]):
+                best = (l2, mid, key)
+        return best[2]
 
     def neighbor_across(k, key):
         for j in edge_map[key]:
@@ -199,14 +253,14 @@ def _refine_bisection_loop(mesh, marks):
 
     keep = [i for i, a in enumerate(alive) if a]
     return hm.Mesh(np.array(verts), np.array([elems[i] for i in keep]), tags,
-                region=np.array([regions[i] for i in keep]), nu=mesh.nu)
+                   region=np.array([regions[i] for i in keep]), nu=mesh.nu)
 
 
 def _refine_red_loop(mesh, marks):
     """refine_red as it was before its closure became a worklist: a
     `while changed` loop that rescans every element on every pass."""
     marks = hm._validate_marks(mesh, marks)
-    if not marks:
+    if not len(marks):
         return mesh
 
     elements = [tuple(int(v) for v in e) for e in mesh.elements]
@@ -327,6 +381,25 @@ class TestRedRefinement:
             assert min(mid[0], mid[1], 1 - mid[0], 1 - mid[1]) < 1e-12
 
 
+@pytest.mark.parametrize("refine", [hm.refine_red, hm.refine_bisection],
+                         ids=["red", "bisection"])
+class TestMarks:
+    @pytest.mark.parametrize("marks", [[1.5], [0, np.nan], [True], ["1"]])
+    def test_non_integer_marks_rejected(self, refine, marks):
+        # int() would truncate 1.5 and refine element 1
+        with pytest.raises(ValueError, match="integer-valued"):
+            refine(hm.lshape_initial(), marks)
+
+    @pytest.mark.parametrize("marks", [[6], [-1], [np.inf]])
+    def test_marks_out_of_range_rejected(self, refine, marks):
+        with pytest.raises(ValueError, match="nonexistent elements"):
+            refine(hm.lshape_initial(), marks)
+
+    def test_integer_valued_floats_accepted(self, refine):
+        m = hm.lshape_initial()
+        assert_same_mesh(refine(m, np.array([4.0, 1.0, 4.0])), refine(m, [1, 4]))
+
+
 class TestBisection:
     def test_uniform_doubles_lshape(self):
         m = hm.lshape_initial()
@@ -366,27 +439,66 @@ class TestBisection:
                 or (abs(mid[1]) < 1e-12 and mid[0] >= 0)
             assert on_outer or on_notch
 
-    @pytest.mark.parametrize("level,seed", [(0, 1), (0, 2), (1, 3), (1, 4)])
-    def test_matches_loop_on_random_marks(self, level, seed):
+    @pytest.mark.parametrize("make_mesh,seed", [
+        (lambda: _perturbed(0, 1), 1), (lambda: _perturbed(0, 2), 2),
+        (lambda: _perturbed(1, 3), 3), (lambda: _perturbed(1, 4), 4),
+        (_isosceles_strip, 5), (_isosceles_strip, 6),
+    ], ids=["perturbed0-1", "perturbed0-2", "perturbed1-3", "perturbed1-4",
+            "isosceles-5", "isosceles-6"])
+    def test_matches_recursive_on_random_marks(self, make_mesh, seed):
         rng = np.random.default_rng(seed)
-        mesh = _perturbed(level, seed)
+        mesh = make_mesh()
         for _ in range(4):
             marks = rng.choice(mesh.n_elements, size=1 + mesh.n_elements // 5,
                                replace=False)
             got = hm.refine_bisection(mesh, marks)
-            assert_same_mesh(got, _refine_bisection_loop(mesh, marks))
+            assert_same_geometry(got, _refine_bisection_recursive(mesh, marks))
             mesh = got
 
-    def test_matches_loop_on_lshape_bulk_sequence(self):
+    @pytest.mark.parametrize("make_mesh", [hm.lshape_initial, _isosceles_strip],
+                             ids=["lshape", "isosceles"])
+    def test_matches_recursive_on_uniform_refinement(self, make_mesh):
+        mesh = make_mesh()
+        for _ in range(5):
+            got = hm.refine_bisection(mesh, range(mesh.n_elements))
+            assert_same_geometry(
+                got, _refine_bisection_recursive(mesh, range(mesh.n_elements)))
+            mesh = got
+
+    def test_matches_recursive_on_lshape_bulk_sequence(self):
         prob = builtin("example2_s1")
         mesh = prob.initial_mesh()
         for _ in range(12):
             res = run_pipeline(mesh, prob.data, prob.out, p=1)
             marks = mark(res.gap_elements, Bulk(0.5))
             got = hm.refine_bisection(mesh, marks)
-            assert_same_mesh(got, _refine_bisection_loop(mesh, marks))
+            assert_same_geometry(got, _refine_bisection_recursive(mesh, marks))
             mesh = got
         assert mesh.n_elements > 100
+
+    def test_ties_go_to_the_smallest_midpoint(self):
+        # both long sides are exactly sqrt(1.25) long; the right one has the
+        # smaller vertex pair (0, 1), the left one the smaller midpoint
+        verts = np.array([[1.0, 0.0], [0.5, 1.0], [0.0, 0.0]])
+        m = hm.Mesh(verts, np.array([[2, 0, 1]]),
+                    {(0, 2): "D", (0, 1): "D", (1, 2): "D"})
+        r = hm.refine_bisection(m, [0])
+        assert r.n_elements == 2
+        assert r.vertices[-1].tolist() == [0.25, 0.5]
+
+    @pytest.mark.parametrize("make_mesh,seed", [
+        (lambda: _perturbed(1, 7), 7), (_isosceles_strip, 8),
+        (hm.lshape_initial, 9)], ids=["perturbed1", "isosceles", "lshape"])
+    def test_invariant_under_renumbering(self, make_mesh, seed):
+        rng = np.random.default_rng(seed)
+        mesh = make_mesh()
+        for _ in range(4):
+            marks = rng.choice(mesh.n_elements, size=1 + mesh.n_elements // 4,
+                               replace=False)
+            other, new_index = _renumbered(mesh, rng)
+            got = hm.refine_bisection(mesh, marks)
+            assert_same_geometry(hm.refine_bisection(other, new_index[marks]), got)
+            mesh = got
 
     def test_region_inheritance(self):
         verts = np.array([[0, 0], [1, 0], [1, 1], [0, 1.0]])
@@ -508,6 +620,14 @@ class TestInvariantsAndFormat:
         with pytest.raises(ValueError, match="Dirichlet"):
             hm.Mesh(verts, np.array([[0, 1, 2]]),
                     {(0, 1): "N", (1, 2): "N", (0, 2): "N"})
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_vertex_rejected(self, bad):
+        # a NaN area would pass an `area <= 0` test
+        verts = SQUARE_VERTS.copy()
+        verts[2, 1] = bad
+        with pytest.raises(ValueError, match="vertex 2 has a non-finite"):
+            hm.Mesh(verts, SQUARE_ELEMS, SQUARE_TAGS)
 
     def test_negative_area_rejected(self):
         verts = np.array([[0, 0], [1, 0], [0, 1.0]])

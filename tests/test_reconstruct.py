@@ -232,24 +232,6 @@ class TestPotential:
         res = potential_residuals(evaluate(flux, bad, data, ws), ws)
         assert res["dirichlet_trace"] > 1e-4
 
-    def test_debug_dump(self, tmp_path):
-        from hdgbounds.reconstruct import dump_fields
-        mesh = unit_square_crisscross(0)
-        data = ProblemData(f=EX1_F)
-        _, flux, pot, ws = base_pair(mesh, data, 1)
-        path = tmp_path / "fields.csv"
-        dump_fields(flux, pot, ws, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "element,x,y,flux_x,flux_y,potential"
-        assert len(lines) - 1 == mesh.n_elements * ws.nq
-        cols = np.loadtxt(path, delimiter=",", skiprows=1)
-        assert np.array_equal(cols[:, 0],
-                              np.repeat(np.arange(mesh.n_elements), ws.nq))
-        for got, want in ((cols[:, 1:3], ws.qphys.reshape(-1, 2)),
-                          (cols[:, 3:5], flux.eval_values(ws).reshape(-1, 2)),
-                          (cols[:, 5], pot.eval_values(ws).ravel())):
-            assert np.abs(got - want).max() <= 1e-11 * (1.0 + np.abs(want).max())
-
     def test_audit_detects_corrupted_flux(self):
         mesh = unit_square_crisscross(0)
         data = ProblemData(f=EX1_F)
