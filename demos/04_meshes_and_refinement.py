@@ -1,31 +1,31 @@
 """Mesh construction, the two refinement mechanisms, and the text format.
 
 Red refinement splits a marked triangle into four similar children and
-restores conformity with green bisections on neighbors; recursive
-longest-edge bisection propagates until the mesh is conforming.  Both keep
-the total area bitwise-stable and inherit boundary tags.
+restores conformity with green bisections on neighbors; longest-edge
+bisection refines in closure rounds until the mesh is conforming.  Both keep
+the total area bitwise-stable and inherit boundary tags, and every mesh they
+return has passed the Mesh constructor's conformity checks.
 """
 
-import io
+import tempfile
+from pathlib import Path
+
 import numpy as np
 
-from hdgbounds import (check_conformity, lshape_initial, read_mesh,
-                       refine_bisection, refine_red, unit_square_crisscross,
-                       write_mesh)
+from hdgbounds import (lshape_initial, read_mesh, refine_bisection,
+                       refine_red, unit_square_crisscross, write_mesh)
 
 m = unit_square_crisscross(0)
 print(f"criss-cross level 0: {m.n_elements} triangles, {m.n_facets} edges, "
       f"area {m.total_area()}")
 
 r = refine_red(m, [0, 1, 2])
-check_conformity(r)
 print(f"red refinement of 3 marked triangles -> {r.n_elements} elements "
       f"(green closure kept it conforming), area {r.total_area()}")
 
 L = lshape_initial()
 print(f"\nL-shape: {L.n_elements} triangles, area {L.total_area()}")
 b = refine_bisection(L, [0])
-check_conformity(b)
 print(f"bisecting element 0 propagates to {b.n_elements} elements")
 
 u = L
@@ -35,11 +35,11 @@ print(f"four uniform bisection sweeps: {u.n_elements} elements "
       f"(exact doubling each sweep), area {u.total_area()}")
 
 # plain-text round trip: header nv ne nf, vertices, elements, tagged facets
-buf = io.StringIO()
-write_mesh(b, "/tmp/demo_mesh.txt")
-again = read_mesh("/tmp/demo_mesh.txt")
-assert np.array_equal(again.elements, b.elements)
-print("\nmesh file round trip preserved all", again.n_elements, "elements")
-with open("/tmp/demo_mesh.txt") as fh:
-    head = [next(fh) for _ in range(4)]
+with tempfile.TemporaryDirectory() as tmp:
+    path = Path(tmp) / "mesh.txt"
+    write_mesh(b, path)
+    again = read_mesh(path)
+    assert np.array_equal(again.elements, b.elements)
+    print("\nmesh file round trip preserved all", again.n_elements, "elements")
+    head = path.read_text().splitlines()[:4]
 print("file starts with:", *["  " + line.strip() for line in head], sep="\n")

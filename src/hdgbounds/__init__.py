@@ -9,13 +9,12 @@ from .bounds import (BoundsResult, EtaBreakdown, compute_bounds, compute_eta,
                      compute_kappa, poincare_constants, exact_equilibration_bounds)
 from .femcore import QuadratureRule, segment_rule, triangle_rule
 from .hdg import (DirichletBand, HDGSolution, OutputFunctional, ProblemData,
-                  raw_output, solve, zero)
-from .mesh import (Mesh, check_conformity, lshape_initial,
-                   read_mesh, refine_bisection, refine_red,
-                   unit_square_crisscross, write_mesh)
+                  output_value, raw_output, solve, zero)
+from .mesh import (Mesh, lshape_initial, read_mesh, refine_bisection,
+                   refine_red, unit_square_crisscross, write_mesh)
 from .problems import PROBLEM_IDS, BuiltinProblem, builtin
 from .reconstruct import (ContinuousPotential, EquilibratedFlux,
-                          EvaluatedPair, enforce_dirichlet_band,
+                          EvaluatedPair, certified_pair, enforce_dirichlet_band,
                           evaluate, flux_residuals, local_optimize,
                           make_continuous, postprocess_potential,
                           potential_residuals, reconstruct_flux)

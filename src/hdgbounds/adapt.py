@@ -114,20 +114,9 @@ def run_pipeline(mesh: Mesh, data: hdg.ProblemData, out: hdg.OutputFunctional,
     ws = Workspace(mesh, p, quad_degree)
     adata = out.adjoint_data()
     sol_u, sol_z = hdg.solve(ws, [data, adata], tau)
-
-    pairs = []
-    for sol, dat in ((sol_u, data), (sol_z, adata)):
-        flux = rc.reconstruct_flux(sol)
-        pot = rc.make_continuous(rc.postprocess_potential(sol, flux),
-                                 dat.g_D, ws)
-        if dat.band is not None:
-            pot = rc.enforce_dirichlet_band(pot, dat.g_D, dat.band, ws)
-        if optimize:
-            flux, pot = rc.local_optimize(flux, pot, ws)
-        pairs.append((flux, pot))
-
-    s_h = hdg.raw_output(sol_u, out)
-    return bd.compute_bounds(pairs[0], pairs[1], data, out, ws, s_h=s_h)
+    return bd.compute_bounds(rc.certified_pair(sol_u, data, optimize),
+                             rc.certified_pair(sol_z, adata, optimize),
+                             data, out, ws, s_h=hdg.raw_output(sol_u, out))
 
 
 # ---------------------------------------------------------------------------

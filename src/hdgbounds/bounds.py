@@ -30,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from . import reconstruct as rc
-from .hdg import OutputFunctional, ProblemData
+from .hdg import OutputFunctional, ProblemData, output_value
 from .mesh import Mesh
 from .workspace import Workspace
 
@@ -210,32 +210,30 @@ def compute_eta(primal: rc.EvaluatedPair, adjoint: rc.EvaluatedPair,
     negated.
     """
     a, b = primal.residual, adjoint.residual
-    flux_minus = np.sqrt(_energy_sq(ws, b - kappa * a))
-    flux_plus = np.sqrt(_energy_sq(ws, b + kappa * a))
-
     c1, c2 = poincare_constants(ws.mesh)
     d_res = primal.f - primal.f_proj
     do_res = adjoint.f - adjoint.f_proj
     n_res = primal.g_N - primal.g_N_proj
     no_res = adjoint.g_N_proj - adjoint.g_N
-    w = c1 / np.sqrt(ws.nu)
-    osc_div_minus = w * np.sqrt(ws.integrate_elementwise((do_res - kappa * d_res) ** 2))
-    osc_div_plus = w * np.sqrt(ws.integrate_elementwise((do_res + kappa * d_res) ** 2))
-
+    w_div = c1 / np.sqrt(ws.nu)
     # C2-weighted Neumann oscillation sums per element
     neu = ws.mesh.neumann_facets
     wlen = ws.ew[None, :] * ws.facet_len[neu, None]
-    nm2 = np.einsum("ft,ft->f", (no_res + kappa * n_res) ** 2, wlen)
-    np2 = np.einsum("ft,ft->f", (no_res - kappa * n_res) ** 2, wlen)
     elems, ells = ws.mesh.facet_elems[neu, 0], ws.mesh.facet_local_edge[neu, 0]
-    w = c2[elems, ells] / np.sqrt(ws.nu[elems])
-    neu_minus = np.zeros(ws.mesh.n_elements)
-    neu_plus = np.zeros(ws.mesh.n_elements)
-    np.add.at(neu_minus, elems, w * np.sqrt(nm2))
-    np.add.at(neu_plus, elems, w * np.sqrt(np2))
-    return EtaBreakdown(flux_minus=flux_minus, flux_plus=flux_plus,
-                        osc_div_minus=osc_div_minus, osc_div_plus=osc_div_plus,
-                        osc_neu_minus=neu_minus, osc_neu_plus=neu_plus)
+    w_neu = c2[elems, ells] / np.sqrt(ws.nu[elems])
+
+    terms = []  # the three terms of eta^- (k = -kappa), then of eta^+
+    for k in (-kappa, kappa):
+        flux = np.sqrt(_energy_sq(ws, b + k * a))
+        osc_div = w_div * np.sqrt(ws.integrate_elementwise((do_res + k * d_res) ** 2))
+        osc_neu = np.zeros(ws.mesh.n_elements)
+        np.add.at(osc_neu, elems, w_neu * np.sqrt(
+            np.einsum("ft,ft->f", (no_res - k * n_res) ** 2, wlen)))
+        terms.append((flux, osc_div, osc_neu))
+    (flux_m, div_m, neu_m), (flux_p, div_p, neu_p) = terms
+    return EtaBreakdown(flux_minus=flux_m, flux_plus=flux_p,
+                        osc_div_minus=div_m, osc_div_plus=div_p,
+                        osc_neu_minus=neu_m, osc_neu_plus=neu_p)
 
 
 # ---------------------------------------------------------------------------
@@ -328,15 +326,9 @@ def exact_equilibration_bounds(primal_pair, adjoint_pair, data: ProblemData,
             "of degree <= p; detected oscillation in: " + ", ".join(msgs)
             + ". Use compute_bounds, which accounts for data oscillation.")
 
-    # l_O(u~, q~); the adjoint record carries -g_N_O
     mesh = ws.mesh
-    val = float(np.sum(ws.integrate_elementwise(adjoint.f * primal.u)))
-    dfac = mesh.dirichlet_facets
-    g = ws.eval_data(out.g_D_O, ws.ephys[dfac])
-    tr = primal_pair[0].normal_trace(ws, dfac, side=0)  # canonical = outward here
-    val += float(np.einsum("ft,ft,t,f->", g, tr, ws.ew, ws.facet_len[dfac]))
-    val -= float(np.einsum("ft,ft,t,f->", adjoint.g_N, primal.u_neu, ws.ew,
-                           ws.facet_len[mesh.neumann_facets]))
+    qn_dir = primal.flux.normal_trace(ws, mesh.dirichlet_facets)  # canonical = outward
+    val = output_value(ws, out, primal.u, qn_dir, primal.u_neu)
 
     a, b = primal.residual, adjoint.residual
     zeta_minus = adjoint.q - ws.nu[:, None, None] * adjoint.grad_u

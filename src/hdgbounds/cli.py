@@ -14,7 +14,7 @@ import argparse
 import ast
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Optional
 
@@ -44,6 +44,9 @@ _FUNCS = {name: getattr(np, name) for name in
           ("sin", "cos", "tan", "sinh", "cosh", "tanh", "exp", "log",
            "sqrt", "abs")}
 _NAMES = {"pi": np.pi, "e": np.e}
+# the data expressions of an external problem: ProblemData's fields, then
+# OutputFunctional's, each in field order
+_EXPRESSIONS = ("f", "g_D", "g_N", "f_O", "g_D_O", "g_N_O")
 _ALLOWED_NODES = (ast.Expression, ast.BinOp, ast.UnaryOp, ast.Call, ast.Name,
                   ast.Constant, ast.Load, ast.Add, ast.Sub, ast.Mult, ast.Div,
                   ast.Pow, ast.USub, ast.UAdd)
@@ -114,6 +117,7 @@ class RunConfig:
     gnuplot: bool = False
 
     def validate(self):
+        """Check the settings; returns the parsed marking strategy."""
         if self.p < 0:
             raise ValueError("polynomial degree p must be >= 0")
         if not self.tau > 0:
@@ -122,16 +126,17 @@ class RunConfig:
             raise ValueError("target gap must be positive")
         if self.max_iter < 1:
             raise ValueError("max-iter must be >= 1")
-        parse_strategy(self.strategy, self.target)
-        if self.refiner not in (None, "red", "bisect"):
+        strategy = parse_strategy(self.strategy, self.target)
+        if self.refiner not in (None, *adapt._REFINERS):
             raise ValueError(f"unknown refiner {self.refiner!r} "
-                             "(expected red | bisect)")
+                             f"(expected {' | '.join(adapt._REFINERS)})")
         if self.problem is None and self.mesh_file is None:
             raise ValueError("either a builtin problem or an external mesh "
                              "file must be given")
         if self.problem is not None and self.problem not in PROBLEM_IDS:
             raise ValueError(f"unknown problem {self.problem!r}; "
                              f"available: {', '.join(PROBLEM_IDS)}")
+        return strategy
 
 
 def parse_strategy(text: str, target: float):
@@ -156,11 +161,9 @@ def _load_problem(cfg: RunConfig):
     nu = {int(k): float(v) for k, v in (cfg.nu or {}).items()} or None
     mesh = read_mesh(cfg.mesh_file, nu=nu)
     ex = cfg.expressions
-    def expr(name):
-        return compile_expression(ex[name]) if name in ex else zero
-    data = ProblemData(f=expr("f"), g_D=expr("g_D"), g_N=expr("g_N"))
-    out = OutputFunctional(f_O=expr("f_O"), g_D_O=expr("g_D_O"),
-                           g_N_O=expr("g_N_O"))
+    funs = [compile_expression(ex[name]) if name in ex else zero
+            for name in _EXPRESSIONS]
+    data, out = ProblemData(*funs[:3]), OutputFunctional(*funs[3:])
     return mesh, data, out, cfg.exact_s, cfg.refiner or "bisect", None
 
 
@@ -237,9 +240,8 @@ def _write_outputs(cfg: RunConfig, run: adapt.AdaptiveRun, exact_s,
 def run(cfg: RunConfig) -> int:
     """Execute one study; returns the process exit status."""
     try:
-        cfg.validate()
+        strategy = cfg.validate()
         mesh0, data, out, exact_s, refiner, family = _load_problem(cfg)
-        strategy = parse_strategy(cfg.strategy, cfg.target)
     except (ValueError, KeyError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -281,14 +283,14 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--config", help="JSON config file; flags override it")
     ap.add_argument("--problem", help=f"builtin id ({', '.join(PROBLEM_IDS)})")
     ap.add_argument("--mesh", dest="mesh_file", help="external mesh file")
-    for name in ("f", "g_D", "g_N", "f_O", "g_D_O", "g_N_O"):
+    for name in _EXPRESSIONS:
         ap.add_argument(f"--{name}", dest=f"expr_{name}",
                         help=f"expression for {name} (external problems)")
     ap.add_argument("--exact-s", type=float, dest="exact_s")
     ap.add_argument("--p", type=int)
     ap.add_argument("--tau", type=float)
     ap.add_argument("--strategy", help="uniform | tol:<delta> | bulk:<theta>")
-    ap.add_argument("--refiner", choices=("red", "bisect"))
+    ap.add_argument("--refiner", choices=tuple(adapt._REFINERS))
     ap.add_argument("--target", type=float, help="target bound gap")
     ap.add_argument("--max-iter", type=int, dest="max_iter")
     ap.add_argument("--optimize", action="store_true", default=None)
@@ -309,19 +311,17 @@ def main(argv=None) -> int:
             print(f"configuration error: {exc}", file=sys.stderr)
             return EXIT_CONFIG
     expressions = dict(cfg_dict.pop("expressions", {}))
-    for name in ("f", "g_D", "g_N", "f_O", "g_D_O", "g_N_O"):
+    for name in _EXPRESSIONS:
         val = getattr(args, f"expr_{name}")
         if val is not None:
             expressions[name] = val
-    known = {f.name for f in RunConfig.__dataclass_fields__.values()}
-    bad = set(cfg_dict) - known
+    known = [f.name for f in fields(RunConfig)]
+    bad = set(cfg_dict) - set(known)
     if bad:
         print(f"configuration error: unknown keys {sorted(bad)}",
               file=sys.stderr)
         return EXIT_CONFIG
-    for key in ("problem", "mesh_file", "exact_s", "p", "tau", "strategy",
-                "refiner", "target", "max_iter", "optimize", "quad_degree",
-                "out_dir", "gnuplot"):
+    for key in known:  # the flags named after a field override the file
         val = getattr(args, key, None)
         if val is not None:
             cfg_dict[key] = val

@@ -30,6 +30,7 @@ __all__ = [
     "HDGSolution",
     "solve",
     "raw_output",
+    "output_value",
     "CondensedSystem",
     "assemble_condensed",
     "zero",
@@ -95,7 +96,7 @@ class HDGSolution:
     """
 
     ws: Workspace
-    tau: np.ndarray
+    tau: float
     u: np.ndarray
     q: np.ndarray
     uhat: np.ndarray
@@ -108,13 +109,6 @@ class HDGSolution:
     @property
     def p(self) -> int:
         return self.ws.p
-
-
-def _tau_array(mesh: Mesh, tau) -> np.ndarray:
-    arr = np.broadcast_to(np.asarray(tau, dtype=float), (mesh.n_elements,)).copy()
-    if np.any(arr <= 0):
-        raise ValueError("stabilization tau must be strictly positive")
-    return arr
 
 
 def _local_operators(ws: Workspace):
@@ -186,7 +180,8 @@ class CondensedSystem:
     A is the symmetric positive definite operator on the free facet dofs
     (interior and Neumann facets) and rhs (n_free, k) its right-hand sides,
     both in factor order: row i is the global dof free_dofs[i].  uhat
-    (k, nf*(p+1)) holds the Dirichlet trace moments at the fixed dofs.
+    (k, nf*(p+1)) holds the Dirichlet trace moments at the fixed dofs, and
+    g_N (k, len(neumann_facets), p+1) the Neumann data moments.
     Per element u = XP uhat_e + Xb[:, :, j], and the flux follows from the
     local blocks Kdiv, Cq, Cu.
     """
@@ -194,8 +189,9 @@ class CondensedSystem:
     A: sp.csc_matrix
     rhs: np.ndarray
     uhat: np.ndarray
+    g_N: np.ndarray
     free_dofs: np.ndarray
-    tau: np.ndarray
+    tau: float
     XP: np.ndarray
     Xb: np.ndarray
     Kdiv: np.ndarray
@@ -211,14 +207,16 @@ def assemble_condensed(ws: Workspace, datas, tau) -> CondensedSystem:
     symmetric positive definite np x np system
     (nu Kdiv Kdiv^T + tau E) u = G uhat + (f, psi), G = tau Cu + nu Kdiv Cq.
     """
-    mesh, F1 = ws.mesh, ws.p + 1
-    tau = _tau_array(mesh, tau)
+    if np.ndim(tau) != 0 or not tau > 0:
+        raise ValueError(
+            f"stabilization tau must be one positive number, not {tau!r}")
+    mesh, F1, tau = ws.mesh, ws.p + 1, float(tau)
     ne, nf = mesh.n_elements, mesh.n_facets
 
     Kdiv, E, Cq, Cu = _local_operators(ws)
-    nu, t = ws.nu[:, None, None], tau[:, None, None]
-    K = nu * (Kdiv @ Kdiv.swapaxes(1, 2)) + t * E
-    G = t * Cu + nu * (Kdiv @ Cq)
+    nu = ws.nu[:, None, None]
+    K = nu * (Kdiv @ Kdiv.swapaxes(1, 2)) + tau * E
+    G = tau * Cu + nu * (Kdiv @ Cq)
     b = np.stack([ws.moments_p(ws.eval_data(data.f)) for data in datas], axis=2)
     try:
         X = np.linalg.solve(K, np.concatenate([G, b], axis=2))
@@ -232,7 +230,7 @@ def assemble_condensed(ws: Workspace, datas, tau) -> CondensedSystem:
     # <qhat.n_K, mu> = <q.n_K + tau (u - uhat), mu> = G^T Xb - Aloc uhat_e
     Aloc = nu * (Cq.swapaxes(1, 2) @ Cq) - G.swapaxes(1, 2) @ XP
     diag = np.arange(3 * F1)
-    Aloc[:, diag, diag] += tau[:, None]
+    Aloc[:, diag, diag] += tau
     GXb = G.swapaxes(1, 2) @ Xb                              # (ne, 3F1, k)
 
     # the free facets numbered in factor order; Dirichlet dofs get -F1..-1
@@ -251,6 +249,7 @@ def assemble_condensed(ws: Workspace, datas, tau) -> CondensedSystem:
     dir_facets, neu_facets = mesh.dirichlet_facets, mesh.neumann_facets
     bd = np.flatnonzero(~free.all(axis=1))        # elements with a Dirichlet facet
     uhat = np.zeros((len(datas), nf, F1))
+    g_N = np.zeros((len(datas), len(neu_facets), F1))
     rhs = np.empty((len(datas), n))
     for j, data in enumerate(datas):
         uhat[j, dir_facets] = ws.facet_data_moments(data.g_D, dir_facets)
@@ -258,15 +257,15 @@ def assemble_condensed(ws: Workspace, datas, tau) -> CondensedSystem:
                                    uhat[j, ws.ef[bd]].reshape(len(bd), 3 * F1))
         rhs[j] = np.bincount(ldof[free], GXb[:, :, j][free], minlength=n)
         if len(neu_facets):
-            rhs[j].reshape(-1, F1)[pos[neu_facets]] -= ws.facet_data_moments(
-                data.g_N, neu_facets)
+            g_N[j] = ws.facet_data_moments(data.g_N, neu_facets)
+            rhs[j].reshape(-1, F1)[pos[neu_facets]] -= g_N[j]
     return CondensedSystem(A=A, rhs=rhs.T, uhat=uhat.reshape(len(datas), -1),
+                           g_N=g_N,
                            free_dofs=(order[:, None] * F1 + np.arange(F1)).ravel(),
                            tau=tau, XP=XP, Xb=Xb, Kdiv=Kdiv, Cq=Cq, Cu=Cu)
 
 
-def _back_substitute(ws: Workspace, cs: CondensedSystem, j: int,
-                     data: ProblemData) -> HDGSolution:
+def _back_substitute(ws: Workspace, cs: CondensedSystem, j: int) -> HDGSolution:
     mesh, F1 = ws.mesh, ws.p + 1
     uhat_full = cs.uhat[j]
     uhat_e = uhat_full.reshape(mesh.n_facets, F1)[ws.ef].reshape(mesh.n_elements, 3 * F1)
@@ -277,16 +276,14 @@ def _back_substitute(ws: Workspace, cs: CondensedSystem, j: int,
 
     # single-valued numerical flux in the canonical normal direction
     flux_mom = (np.einsum("elf,el->ef", cs.Cq, q)            # <qhat.n_K, M_m> per side
-                + cs.tau[:, None] * (np.einsum("elf,el->ef", cs.Cu, u) - uhat_e))
+                + cs.tau * (np.einsum("elf,el->ef", cs.Cu, u) - uhat_e))
     flux_mom = flux_mom.reshape(mesh.n_elements, 3, F1) * ws.esign[:, :, None]
     fe, fl = mesh.facet_elems, mesh.facet_local_edge
     qhat = flux_mom[fe[:, 0], fl[:, 0]]
     inner = mesh.interior_facets    # the mean of the two sides
     qhat[inner] = (qhat[inner] + flux_mom[fe[inner, 1], fl[inner, 1]]) / 2.0
-    neu = mesh.neumann_facets
-    if len(neu):
-        # exact projected Neumann trace (canonical normal is outward there)
-        qhat[neu] = ws.facet_data_moments(data.g_N, neu)
+    # exact projected Neumann trace (canonical normal is outward there)
+    qhat[mesh.neumann_facets] = cs.g_N[j]
 
     return HDGSolution(ws=ws, tau=cs.tau, u=u,
                        q=q.reshape(mesh.n_elements, 2, ws.np_),
@@ -307,26 +304,31 @@ def solve(ws: Workspace, datas, tau=1.0) -> list[HDGSolution]:
         except RuntimeError as exc:  # singular factorization
             raise RuntimeError(f"skeleton solve failed: {exc}") from exc
         cs.uhat[:, cs.free_dofs] = lu.solve(cs.rhs).T
-    return [_back_substitute(ws, cs, j, data) for j, data in enumerate(datas)]
+    return [_back_substitute(ws, cs, j) for j in range(len(datas))]
+
+
+def output_value(ws: Workspace, out: OutputFunctional, u: np.ndarray,
+                 qn_dir: np.ndarray, u_neu: np.ndarray) -> float:
+    """l_O = (f_O, u) + <g_D_O, q.n>_GD + <g_N_O, u>_GN from values at the
+    quadrature points: u (ne, nq) in the elements, the outward flux q.n on
+    the mesh's dirichlet_facets and the trace of u on its neumann_facets,
+    both (n_facets, nqe)."""
+    mesh = ws.mesh
+    val = float(np.sum(ws.integrate_elementwise(ws.eval_data(out.f_O) * u)))
+    for fun, facets, tr in ((out.g_D_O, mesh.dirichlet_facets, qn_dir),
+                            (out.g_N_O, mesh.neumann_facets, u_neu)):
+        if len(facets):
+            g = ws.eval_data(fun, ws.ephys[facets])
+            val += float(np.einsum("ft,ft,t,f->", g, tr, ws.ew, ws.facet_len[facets]))
+    return val
 
 
 def raw_output(sol: HDGSolution, out: OutputFunctional) -> float:
-    """s_h = (f_O, u_h) + <g_D_O, qhat.n>_GD + <g_N_O, u_h>_GN, with the
-    numerical trace supplying the boundary flux."""
-    ws = sol.ws
-    mesh = sol.mesh
-    fo = ws.eval_data(out.f_O)
-    val = float(np.sum(ws.integrate_elementwise(fo * ws.eval_modal(sol.u))))
-
-    dir_facets = mesh.dirichlet_facets     # never empty
-    g = ws.eval_data(out.g_D_O, ws.ephys[dir_facets])
-    tr = (sol.qhat_n[dir_facets] @ ws.psi_p) / np.sqrt(ws.facet_len[dir_facets])[:, None]
-    val += float(np.einsum("ft,ft,t,f->", g, tr, ws.ew, ws.facet_len[dir_facets]))
-
-    neu_facets = mesh.neumann_facets
-    if len(neu_facets):
-        tr = ws.facet_trace(sol.u, ws.etab_p, neu_facets) \
-            / ws.sqrt_det[mesh.facet_elems[neu_facets, 0], None]
-        g = ws.eval_data(out.g_N_O, ws.ephys[neu_facets])
-        val += float(np.einsum("ft,ft,t,f->", g, tr, ws.ew, ws.facet_len[neu_facets]))
-    return val
+    """s_h = l_O(u_h, qhat), with the numerical trace supplying the boundary
+    flux."""
+    ws, mesh = sol.ws, sol.mesh
+    dir_facets, neu_facets = mesh.dirichlet_facets, mesh.neumann_facets
+    qn_dir = (sol.qhat_n[dir_facets] @ ws.psi_p) / np.sqrt(ws.facet_len[dir_facets])[:, None]
+    u_neu = ws.facet_trace(sol.u, ws.etab_p, neu_facets) \
+        / ws.sqrt_det[mesh.facet_elems[neu_facets, 0], None]
+    return output_value(ws, out, ws.eval_modal(sol.u), qn_dir, u_neu)

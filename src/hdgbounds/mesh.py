@@ -26,7 +26,6 @@ __all__ = [
     "lshape_initial",
     "refine_red",
     "refine_bisection",
-    "check_conformity",
     "write_mesh",
     "read_mesh",
 ]
@@ -202,24 +201,6 @@ def _packed_key(pair, nv: int) -> int:
                               and v == int(v) for v in pair):
         return int(pair[0]) * nv + int(pair[1])
     return -1
-
-
-def check_conformity(mesh: Mesh) -> None:
-    """Re-assert the structural mesh invariants; raises on violation.
-
-    Construction already guarantees these; refinement tests call this on
-    their outputs as an independent audit.
-    """
-    if np.any(mesh.areas() <= 0):
-        raise AssertionError("non-positive element area")
-    interior = mesh.facet_tag == INTERIOR
-    if np.any(mesh.facet_elems[interior, 1] < 0):
-        raise AssertionError("interior facet with a single adjacent element")
-    if np.any(mesh.facet_elems[~interior, 1] >= 0):
-        raise AssertionError("boundary-tagged facet with two adjacent elements")
-    used = np.unique(mesh.elements)
-    if len(used) != mesh.n_vertices:
-        raise AssertionError("mesh contains vertices not used by any element")
 
 
 # ---------------------------------------------------------------------------
@@ -481,8 +462,11 @@ def read_mesh(path, nu=None) -> Mesh:
     """Read the plain-text format written by write_mesh."""
     with open(path) as fh:
         toks = fh.read().split()
-    it = iter(toks)
-    nv, ne, nf = int(next(it)), int(next(it)), int(next(it))
+    nv, ne, nf = map(int, toks[:3]) if len(toks) >= 3 else (-1, -1, -1)
+    if min(nv, ne, nf) < 0 or len(toks) != 3 + 2 * nv + 4 * ne + 3 * nf:
+        raise ValueError(f"mesh file {path}: expected a header 'nv ne nf' and "
+                         "then exactly 2 nv + 4 ne + 3 nf values")
+    it = iter(toks[3:])
     verts = np.array([[float(next(it)), float(next(it))] for _ in range(nv)])
     elems, region = [], []
     for _ in range(ne):
@@ -493,5 +477,8 @@ def read_mesh(path, nu=None) -> Mesh:
         a, b, t = int(next(it)), int(next(it)), next(it)
         if t not in _CHAR_TAGS:
             raise ValueError(f"unknown boundary tag {t!r} (expected D or N)")
-        tags[tuple(sorted((a, b)))] = t
+        key = tuple(sorted((a, b)))
+        if key in tags:
+            raise ValueError(f"boundary facet ({a}, {b}) is listed twice")
+        tags[key] = t
     return Mesh(verts, np.array(elems), tags, region=np.array(region), nu=nu)

@@ -25,6 +25,7 @@ __all__ = [
     "make_continuous",
     "enforce_dirichlet_band",
     "local_optimize",
+    "certified_pair",
     "EvaluatedPair",
     "evaluate",
     "flux_residuals",
@@ -424,3 +425,23 @@ def local_optimize(flux: EquilibratedFlux, pot: ContinuousPotential,
     values[pot.node_map[:, slots]] = pot.nodal()[:, slots] + (
         xi @ (ws.vand_m[slots] @ Nu).T) / ws.sqrt_det[:, None]
     return replace(flux, coeffs=coeffs), replace(pot, values=values)
+
+
+# ---------------------------------------------------------------------------
+# The pair recipe
+# ---------------------------------------------------------------------------
+
+def certified_pair(sol: HDGSolution, data: ProblemData, optimize: bool = False
+                   ) -> tuple[EquilibratedFlux, ContinuousPotential]:
+    """The reconstruction pair (q~, u~) of one HDG solution of the problem
+    with ``data``: the equilibrated flux, the continuous potential (band
+    extension applied when the data carry one), then, with ``optimize``,
+    the local optimization."""
+    ws = sol.ws
+    flux = reconstruct_flux(sol)
+    pot = make_continuous(postprocess_potential(sol, flux), data.g_D, ws)
+    if data.band is not None:
+        pot = enforce_dirichlet_band(pot, data.g_D, data.band, ws)
+    if optimize:
+        flux, pot = local_optimize(flux, pot, ws)
+    return flux, pot

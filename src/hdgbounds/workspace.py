@@ -112,23 +112,14 @@ class Workspace:
         return np.einsum("eq,iq->ei", values_eq * self.qw[None, :],
                          self.phi_p) * self.sqrt_det[:, None]
 
-    def moments_m(self, values_eq: np.ndarray) -> np.ndarray:
-        return np.einsum("eq,iq->ei", values_eq * self.qw[None, :],
-                         self.phi_m) * self.sqrt_det[:, None]
-
-    def project_p(self, fun) -> np.ndarray:
-        """Batched L2 projection onto P^p: modal coefficients (ne, np_)."""
-        return self.moments_p(self.eval_data(fun))
-
     def proj_p(self, values_eq: np.ndarray) -> np.ndarray:
         """Pi_p of values at the volume quadrature points, evaluated there;
         the data residual is values_eq - proj_p(values_eq)."""
         return self.eval_modal(self.moments_p(values_eq))
 
-    def eval_modal(self, coeffs: np.ndarray, degree_m: bool = False) -> np.ndarray:
-        """Values at volume quadrature of mapped-modal coefficients (ne, n)."""
-        tab = self.phi_m if degree_m else self.phi_p
-        return (coeffs @ tab) / self.sqrt_det[:, None]
+    def eval_modal(self, coeffs: np.ndarray) -> np.ndarray:
+        """Values at volume quadrature of mapped-modal coefficients (ne, np_)."""
+        return (coeffs @ self.phi_p) / self.sqrt_det[:, None]
 
     # -- facet machinery ----------------------------------------------------
 

@@ -252,6 +252,21 @@ class TestExactEquilibrationBounds:
         r = exact_equilibration_bounds(pp, ap, data, out, ws)
         assert r.half_gap < 1e-12
 
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_neumann_output_term(self, p):
+        # u = x + 1 with left-edge Neumann (g_N = 1): the output is the
+        # Neumann term alone, <y, u>_GN = integral of y over x=0 = 1/2
+        mesh = mixed_square()
+        data = ProblemData(f=zero, g_D=lambda x, y: x + 1.0, g_N=ONE)
+        out = OutputFunctional(g_N_O=lambda x, y: y)
+        _, _, pp, ap, ws = build_pair(mesh, data, out, p)
+        r = exact_equilibration_bounds(pp, ap, data, out, ws)
+        assert abs(r.s_minus - 0.5) < 1e-13 and abs(r.s_plus - 0.5) < 1e-13
+        # the primal reconstruction is exact: the interval collapses onto S
+        r = run_pipeline(mesh, data, out, p)
+        assert r.kappa_degenerate and r.half_gap == 0.0
+        assert abs(r.s_tilde - 0.5) < 1e-13
+
     def test_self_adjoint_lower_bound_formula(self):
         # independent quadrature evaluation of the exact-equilibration lower bound for
         # the self-adjoint case
@@ -331,6 +346,23 @@ class TestGlobalProperties:
         mesh, data, _ = _mixed_case(1.0, 1.0, 1.0)
         res = run_pipeline(mesh, data, builtin("example1_s2").out, p=2)
         assert res.contains(3 * np.pi / 4)
+
+    @pytest.mark.parametrize("optimize", [False, True])
+    @pytest.mark.parametrize("case", ["example1_s2", "mixed"])
+    def test_run_pipeline_matches_build_pair(self, case, optimize):
+        # both build their pairs with certified_pair, so the interval is the
+        # same bit for bit; example1_s2 carries a band on its adjoint, the
+        # mixed case Neumann data on both problems
+        if case == "mixed":
+            mesh, data, out = _mixed_case(1.0, 1.0, 1.0)
+        else:
+            prob = builtin(case)
+            mesh, data, out = prob.initial_mesh(), prob.data, prob.out
+            assert out.adjoint_data().band is not None
+        _, _, pp, ap, ws = build_pair(mesh, data, out, 2, optimize=optimize)
+        ref = compute_bounds(pp, ap, data, out, ws)
+        res = run_pipeline(mesh, data, out, 2, optimize=optimize)
+        assert (res.s_minus, res.s_plus) == (ref.s_minus, ref.s_plus)
 
     @settings(derandomize=True, deadline=None, max_examples=20)
     @given(amp=st.floats(0.0, 0.08), seed=st.integers(0, 2 ** 16),

@@ -134,6 +134,11 @@ class TestRun:
         ("flatten", EXIT_SOLVER, "certificate violated"),
         # element 0 in region 1, and nu given for region 0 only
         ("region_without_nu", EXIT_CONFIG, "region 1 has no diffusivity"),
+        # the last 3 boundary facets cut off: used to raise StopIteration
+        ("truncated", EXIT_CONFIG, "exactly 2 nv + 4 ne + 3 nf values"),
+        # the last boundary facet again, reversed and with the other tag
+        # (nf raised by one): used to load with the last tag winning
+        ("duplicate_facet", EXIT_CONFIG, "is listed twice"),
     ])
     def test_hostile_mesh_fails_loudly(self, tmp_path, capsys, edit, code,
                                        message):
@@ -154,6 +159,12 @@ class TestRun:
             config = tmp_path / "config.json"
             config.write_text(json.dumps({"nu": {"0": 1.0}}))
             extra = ["--config", str(config)]
+        elif edit == "truncated":
+            lines = lines[:-3]
+        elif edit == "duplicate_facet":
+            a, b, t = lines[-1].split()
+            lines.append(f"{b} {a} {'N' if t == 'D' else 'D'}")
+            lines[0] = f"{nv} {ne} {nf + 1}"
         else:
             centre = int(np.flatnonzero(np.all(mesh.vertices == 0.5, axis=1))[0])
             lines[1 + centre] = ("nan 1.0" if edit == "nan_vertex"

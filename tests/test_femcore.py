@@ -107,13 +107,13 @@ class TestProjections:
 
     def test_constant_reproduced(self):
         ws = Workspace(self.mesh, 2)
-        vals = ws.eval_modal(ws.project_p(lambda x, y: 3.5 + 0 * x))
+        vals = ws.proj_p(ws.eval_data(lambda x, y: 3.5 + 0 * x))
         assert np.abs(vals - 3.5).max() < 1e-13
 
     def test_linear_onto_constant_reference_triangle(self):
         # reference triangle (0,0),(1,0),(0,1): mean of x is 1/3
         ws = Workspace(reference_triangle_mesh([[0, 0], [1, 0], [0, 1]]), 0)
-        vals = ws.eval_modal(ws.project_p(lambda x, y: x))
+        vals = ws.proj_p(ws.eval_data(lambda x, y: x))
         assert np.abs(vals - 1.0 / 3.0).max() < 1e-13
 
     def test_idempotent_on_polynomials(self):
@@ -121,8 +121,7 @@ class TestProjections:
         for mesh in both_meshes():
             ws = Workspace(mesh, 2)
             exact = f(ws.qphys[..., 0], ws.qphys[..., 1])
-            assert np.abs(ws.eval_modal(ws.project_p(f)) - exact).max() < 1e-12
-            assert np.abs(ws.eval_data(f) - ws.proj_p(ws.eval_data(f))).max() < 1e-12
+            assert np.abs(ws.proj_p(ws.eval_data(f)) - exact).max() < 1e-12
 
     def test_orthogonality_against_random_polynomials(self, rng):
         # (f - Pf, w)_K = 0 for all w of degree <= q: on element 7 of the
@@ -136,7 +135,7 @@ class TestProjections:
 
         def check_orthogonal(ws, check, elems):
             fvals = check.eval_data(f)
-            pvals = check.eval_modal(ws.project_p(f))
+            pvals = check.eval_modal(ws.moments_p(ws.eval_data(f)))
             nf = np.sqrt(check.integrate_elementwise(fvals ** 2))
             for _ in range(5):
                 w = check.eval_modal(rng.standard_normal(
@@ -201,7 +200,7 @@ class TestProjections:
             for mesh in both_meshes():
                 ws = Workspace(mesh, 1)
                 with pytest.raises(ValueError, match="non-finite"):
-                    ws.project_p(bad)
+                    ws.moments_p(ws.eval_data(bad))
                 with pytest.raises(ValueError, match="non-finite"):
                     ws.facet_data_moments(bad, np.arange(mesh.n_facets))
                 ws.facet_data_moments(vertex_nan, np.arange(mesh.n_facets))

@@ -25,7 +25,7 @@ def local_residuals(sol, data):
     ws = sol.ws
     ne = ws.mesh.n_elements
     Kdiv, E, Cq, Cu = _local_operators(ws)
-    nu, tau = ws.nu[:, None], sol.tau[:, None]
+    nu, tau = ws.nu[:, None], sol.tau
     q, u = sol.q.reshape(ne, -1), sol.u
     uhat_e = sol.uhat[ws.ef].reshape(ne, 3 * (ws.p + 1))
     fmom = ws.moments_p(ws.eval_data(data.f))
@@ -206,10 +206,13 @@ class TestLocalStructure:
         solve(Workspace(unit_square_crisscross(3), 2), [ProblemData(f=EX1_F)])
         assert len(fills) == 1 and fills[0] <= 4.0
 
-    def test_degenerate_tau_rejected(self):
+    @pytest.mark.parametrize("tau", [0.0, -1.0, np.nan, np.ones(16), [1.0]])
+    def test_degenerate_tau_rejected(self, tau):
+        # tau is one number for the whole mesh; an array, even a valid
+        # per-element one, is rejected
         mesh = unit_square_crisscross(0)
-        with pytest.raises(ValueError):
-            solve(Workspace(mesh, 1), [ProblemData(f=zero)], tau=0.0)[0]
+        with pytest.raises(ValueError, match="tau must be one positive number"):
+            solve(Workspace(mesh, 1), [ProblemData(f=zero)], tau=tau)
 
 
 def _graded_lshape(n):
@@ -397,13 +400,12 @@ class TestConvergenceAndOutputs:
         assert abs(res.s_tilde - s_exact) < 1e-10
         assert res.half_gap < 1e-12
 
-    def test_neumann_output_term(self):
-        # u = x with left-edge Neumann; <g_N_O, u>_GN with g_N_O = 1 is
-        # the integral of x over x=0, which is 0; use g_N_O = y instead:
-        # integral of u=x over x=0 weighted by y is 0 as well, so take
-        # f_O = 1: s_h = mean of u = 1/2
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_neumann_output_term(self, p):
+        # u = x + 1 with left-edge Neumann (g_N = 1): the output is the
+        # Neumann term alone, <y, u>_GN = integral of y over x=0 = 1/2
         mesh = mixed_square()
-        data = ProblemData(f=zero, g_D=lambda x, y: x, g_N=ONE)
-        sol = solve(Workspace(mesh, 1), [data])[0]
-        sh = raw_output(sol, OutputFunctional(f_O=ONE))
-        assert abs(sh - 0.5) < 1e-10
+        data = ProblemData(f=zero, g_D=lambda x, y: x + 1.0, g_N=ONE)
+        sol = solve(Workspace(mesh, p), [data])[0]
+        sh = raw_output(sol, OutputFunctional(g_N_O=lambda x, y: y))
+        assert abs(sh - 0.5) < 1e-13

@@ -13,6 +13,24 @@ SQUARE_ELEMS = np.array([[0, 1, 2], [0, 2, 3]])
 SQUARE_TAGS = {(0, 1): "D", (1, 2): "D", (2, 3): "D", (0, 3): "D"}
 
 
+def check_conformity(mesh):
+    """Re-assert the structural mesh invariants; raises on violation.
+
+    Construction already guarantees these; the refinement tests call this
+    on their outputs as an independent audit.
+    """
+    if np.any(mesh.areas() <= 0):
+        raise AssertionError("non-positive element area")
+    interior = mesh.facet_tag == hm.INTERIOR
+    if np.any(mesh.facet_elems[interior, 1] < 0):
+        raise AssertionError("interior facet with a single adjacent element")
+    if np.any(mesh.facet_elems[~interior, 1] >= 0):
+        raise AssertionError("boundary-tagged facet with two adjacent elements")
+    used = np.unique(mesh.elements)
+    if len(used) != mesh.n_vertices:
+        raise AssertionError("mesh contains vertices not used by any element")
+
+
 def assert_same_mesh(got, want):
     """Bitwise-equal vertices, elements, regions and boundary tags."""
     for attr in ("vertices", "elements", "region"):
@@ -35,7 +53,7 @@ def _geometry(mesh):
 
 def assert_same_geometry(got, want):
     """The same triangles, regions and boundary tags, however numbered."""
-    hm.check_conformity(got)
+    check_conformity(got)
     for name, a, b in zip(("vertices", "triangles", "tags", "nu"),
                           _geometry(got), _geometry(want)):
         assert a == b, name
@@ -137,7 +155,7 @@ def test_crisscross_level1():
     m = hm.unit_square_crisscross(1)
     assert m.n_elements == 64
     assert abs(m.total_area() - 1.0) < 1e-14
-    hm.check_conformity(m)
+    check_conformity(m)
 
 
 def test_crisscross_rejects_negative_level():
@@ -150,7 +168,7 @@ def test_lshape_initial():
     assert m.n_elements == 6
     assert abs(m.total_area() - 3.0) < 1e-14
     assert any(np.all(v == [0.0, 0.0]) for v in m.vertices)
-    hm.check_conformity(m)
+    check_conformity(m)
 
 
 def _refine_bisection_recursive(mesh, marks):
@@ -339,7 +357,7 @@ class TestRedRefinement:
         r = hm.refine_red(m, range(m.n_elements))
         assert r.n_elements == 64
         assert abs(r.total_area() - 1.0) < 1e-12
-        hm.check_conformity(r)
+        check_conformity(r)
 
     def test_empty_marks_identity(self):
         m = hm.unit_square_crisscross(0)
@@ -350,7 +368,7 @@ class TestRedRefinement:
                       np.array([[0, 1, 2], [0, 2, 3]]),
                       {(0, 1): "D", (1, 2): "D", (2, 3): "D", (0, 3): "D"})
         r = hm.refine_red(two, [0])
-        hm.check_conformity(r)
+        check_conformity(r)
         assert abs(r.total_area() - two.total_area()) < 1e-14
 
     def test_bad_marks_rejected(self):
@@ -406,7 +424,7 @@ class TestBisection:
         r = hm.refine_bisection(m, range(m.n_elements))
         assert r.n_elements == 12
         assert abs(r.total_area() - 3.0) < 1e-12
-        hm.check_conformity(r)
+        check_conformity(r)
 
     def test_empty_marks_identity(self):
         m = hm.lshape_initial()
@@ -415,7 +433,7 @@ class TestBisection:
     def test_single_mark_conforming_area_preserved(self):
         m = hm.unit_square_crisscross(1)
         r = hm.refine_bisection(m, [20])
-        hm.check_conformity(r)
+        check_conformity(r)
         assert abs(r.total_area() - 1.0) < 1e-12
         assert r.n_elements > m.n_elements
 
@@ -424,7 +442,7 @@ class TestBisection:
         for expected in (12, 24, 48, 96):
             m = hm.refine_bisection(m, range(m.n_elements))
             assert m.n_elements == expected
-            hm.check_conformity(m)
+            check_conformity(m)
         assert abs(m.total_area() - 3.0) < 1e-12
 
     def test_boundary_tags_inherited(self):

@@ -200,7 +200,8 @@ class TestPotential:
         ws = Workspace(mesh, 1)
         gd = lambda x, y: x * y
         fvals = gd(ws.qphys[:, :, 0], ws.qphys[:, :, 1])
-        ustar = ws.moments_m(fvals)  # exact: xy lies in P^2 elementwise
+        # degree-(p+1) moments, exact: xy lies in P^2 elementwise
+        ustar = (fvals * ws.qw) @ ws.phi_m.T * ws.sqrt_det[:, None]
         pot = make_continuous(ustar, gd, ws)
         _, _, coords = ws.global_nodes()
         assert np.abs(pot.values - coords[:, 0] * coords[:, 1]).max() < 1e-12
