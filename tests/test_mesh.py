@@ -16,8 +16,8 @@ SQUARE_TAGS = {(0, 1): "D", (1, 2): "D", (2, 3): "D", (0, 3): "D"}
 def check_conformity(mesh):
     """Re-assert the structural mesh invariants; raises on violation.
 
-    Construction already guarantees these; the refinement tests call this
-    on their outputs as an independent audit.
+    Construction already guarantees all but the last (every vertex used);
+    the refinement tests call this on their outputs as an independent audit.
     """
     if np.any(mesh.areas() <= 0):
         raise AssertionError("non-positive element area")
