@@ -127,6 +127,10 @@ class RunConfig:
         if self.max_iter < 1:
             raise ValueError("max-iter must be >= 1")
         strategy = parse_strategy(self.strategy, self.target)
+        for name in self.expressions:
+            if name not in _EXPRESSIONS:
+                raise ValueError(f"unknown expression {name!r} "
+                                 f"(expected {' | '.join(_EXPRESSIONS)})")
         if self.refiner not in (None, *adapt._REFINERS):
             raise ValueError(f"unknown refiner {self.refiner!r} "
                              f"(expected {' | '.join(adapt._REFINERS)})")

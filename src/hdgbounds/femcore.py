@@ -263,8 +263,10 @@ def reference_tables(p: int, quad_degree: int) -> MappingProxyType:
     and traces lag_edge (3, 2, n_nodes, nqe), and the modal Vandermonde
     vand_m (n_nodes, nm).  rt_T, rt_A: the reference RT^p basis and its
     degrees of freedom (_reference_rt); opt_nullspace: the reference
-    feasible directions of the local optimization (_reference_nullspace).
-    The scalars p, quad_degree, m, np_, nm, nq, nqe and n_nodes complete it.
+    feasible directions of the local optimization (_reference_nullspace),
+    and the reference tensors its normal equations are built from
+    (_reference_opt_tensors).  The scalars p, quad_degree, m, np_, nm, nq,
+    nqe and n_nodes complete it.
     """
     t = {"p": p, "quad_degree": quad_degree, "m": p + 1,
          "np_": n_modes(p), "nm": n_modes(p + 1)}
@@ -311,6 +313,7 @@ def reference_tables(p: int, quad_degree: int) -> MappingProxyType:
 
     t["rt_T"], t["rt_A"] = _reference_rt(t)
     t["opt_nullspace"] = _reference_nullspace(t)
+    t.update(_reference_opt_tensors(t))
     _frozen(*(v for v in t.values() if isinstance(v, np.ndarray)))
     return MappingProxyType(t)
 
@@ -344,17 +347,12 @@ def _reference_rt(t: dict) -> tuple[np.ndarray, np.ndarray]:
     return T, A
 
 
-def _reference_nullspace(t: dict) -> np.ndarray:
-    """Orthonormal basis (3 nm, k) of the nullspace of local_optimize's
-    constraints on the reference element, in the variables (y_0, y_1, u)
-    with q = J y.
-
-    On an element with Jacobian J the constraint matrix is a nonzero row
-    scaling of this one applied to (J^-1 q, u): the facet rows carry
-    J^T n, a multiple of the reference normal, and the orientation only
-    flips the sign of odd trace moments.  So every element's feasible
-    directions are the reference ones mapped by q = J y.
-    """
+def _reference_constraints(t: dict) -> np.ndarray:
+    """The constraints of local_optimize on the reference element, in the
+    variables (y_0, y_1, u) with q = J y: the divergence moments against
+    P^p, the moments of q.n and of u against P^{p+1} on each facet, and the
+    constant mode of u.  Rank-deficient on purpose (the trace moments of
+    the three facets are dependent)."""
     nm, np_, F2 = t["nm"], t["np_"], t["m"] + 1
     normals = np.array([[0.0, -1.0], [np.sqrt(0.5), np.sqrt(0.5)], [-1.0, 0.0]])
     C = np.zeros((np_ + 6 * F2 + 1, 3 * nm))
@@ -367,7 +365,74 @@ def _reference_nullspace(t: dict) -> np.ndarray:
             C[rows, r * nm:(r + 1) * nm] = normals[ell, r] * T  # q.n on dK
         C[rows + 3 * F2, 2 * nm:] = T                          # u on dK
     C[-1, 2 * nm] = 1.0                                        # (u, 1)_K
-    # the trace constraints are rank-deficient on purpose
-    _, S, Vt = np.linalg.svd(C)
+    return C
+
+
+def _reference_nullspace(t: dict) -> np.ndarray:
+    """Orthonormal basis (3 nm, k) of the nullspace of local_optimize's
+    constraints on the reference element, in the variables (y_0, y_1, u)
+    with q = J y.
+
+    On an element with Jacobian J the constraint matrix is a nonzero row
+    scaling of this one applied to (J^-1 q, u): the facet rows carry
+    J^T n, a multiple of the reference normal, and the orientation only
+    flips the sign of odd trace moments.  So every element's feasible
+    directions are the reference ones mapped by q = J y.
+
+    The basis is rotated by the right singular vectors of its potential
+    rows, which keeps its span and its orthonormality and makes those rows'
+    columns mutually orthogonal: the directions without a potential part
+    (pure flux, whose objective scales like h^2) are split from those with
+    one (scaling like h^-2).  A diagonal scaling of the normal matrix then
+    conditions it on graded meshes as well, which a mixed basis defeats.
+    """
+    _, S, Vt = np.linalg.svd(_reference_constraints(t))
     rank = int(np.sum(S > S[0] * 1e-11))
-    return Vt[rank:].T
+    N = Vt[rank:].T
+    _, _, W = np.linalg.svd(N[2 * t["nm"]:])
+    return N @ W.T
+
+
+def _reference_opt_tensors(t: dict) -> dict:
+    """Reference tensors of local_optimize's normal equations.
+
+    With Y[r, q, k] the reference flux y and G[r, q, k] the reference
+    potential gradient of direction k at quadrature point q, the objective
+    on an element with Jacobian J and diffusivity nu has the normal matrix
+      sum_rs (J^T J)_rs / nu Gqq_rs + Gqg + Gqg^T
+             + nu sum_rs (J^T J)^-1_rs Ggg_rs
+    (the cross term has no geometry, since J^T J^-T = I).  Both metrics
+    are symmetric, so opt_gram (6, k k) holds Gqq_00, Gqq_01 + Gqq_10,
+    Gqq_11, then Ggg likewise, with Gqq_rs = sum_q w Y_r^T Y_s; opt_cross
+    (k, k) is Gqg + Gqg^T.  The right-hand side against a flux of
+    mapped-modal coefficients C (2, nm) and a potential of nodal values z
+    is
+      sum_d C_d (sum_r J_dr / nu PY_r + (J^-1)_rd PG_r)
+        + sqrt(det J) z (LY + nu sum_rs (J^T J)^-1_rs LG_rs),
+    with opt_rhs_q (nm, 4 k) = [PY_0, PY_1, PG_0, PG_1], PY_r[a, k] =
+    sum_q w phi_a Y_r (PG likewise with G), and opt_rhs_u (n_nodes, 4 k) =
+    [LY, LG_00, LG_01 + LG_10, LG_11], LY[j, k] = sum_q,s w
+    lag_grads[j, q, s] Y[s, q, k] and LG_rs[j, k] = sum_q w
+    lag_grads[j, q, s] G[r, q, k].  opt_q = Y and opt_g = G, (2, nq, k),
+    serve the analytic band corrections.
+    """
+    nm, w, N = t["nm"], t["qw"], t["opt_nullspace"]
+    k = N.shape[1]
+    Y = np.einsum("aq,rak->rqk", t["phi_m"], N[:2 * nm].reshape(2, nm, k))
+    G = np.einsum("aqr,ak->rqk", t["dphi_m"], N[2 * nm:])
+
+    def symmetric(A):  # (2, 2, ...) -> (3, ...): 00, 01 + 10, 11
+        return np.stack([A[0, 0], A[0, 1] + A[1, 0], A[1, 1]])
+
+    gram = np.concatenate([symmetric(np.einsum("rqk,sql,q->rskl", X, X, w))
+                           for X in (Y, G)]).reshape(6, k * k)
+    cross = np.einsum("rqk,rql,q->kl", Y, G, w)
+    rhs_q = np.concatenate([np.einsum("aq,rqk,q->ark", t["phi_m"], X, w)
+                            for X in (Y, G)], axis=1).reshape(nm, 4 * k)
+    lag = t["lag_grads"]
+    rhs_u = np.concatenate(
+        [np.einsum("jqs,sqk,q->jk", lag, Y, w)[None],
+         symmetric(np.einsum("jqs,rqk,q->rsjk", lag, G, w))])
+    return {"opt_q": Y, "opt_g": G, "opt_gram": gram,
+            "opt_cross": cross + cross.T, "opt_rhs_q": rhs_q,
+            "opt_rhs_u": rhs_u.transpose(1, 0, 2).reshape(len(lag), 4 * k)}

@@ -59,6 +59,9 @@ class Mesh:
         if self.elements.size and (self.elements.min() < 0
                                    or self.elements.max() >= len(self.vertices)):
             raise ValueError("elements reference nonexistent vertices")
+        used = np.bincount(self.elements.ravel(), minlength=len(self.vertices))
+        if not used.all():
+            raise ValueError(f"vertex {int(np.argmin(used))} is used by no element")
         self.region = (np.zeros(len(self.elements), dtype=np.int64)
                        if region is None else np.ascontiguousarray(region, dtype=np.int64))
         if self.region.shape != (len(self.elements),):

@@ -384,6 +384,22 @@ def potential_residuals(rec: EvaluatedPair, ws: Workspace) -> dict:
 # Local optimization of the combined residual
 # ---------------------------------------------------------------------------
 
+def _metrics(ws: Workspace) -> tuple[np.ndarray, np.ndarray]:
+    """The entries 00, 01, 11 of J^T J and of (J^T J)^-1, (ne, 3) each."""
+    (a0, b0), (a1, b1) = ws.jac[:, 0].T, ws.jac[:, 1].T
+    jtj = np.column_stack([a0 * a0 + a1 * a1, a0 * b0 + a1 * b1,
+                           b0 * b0 + b1 * b1])
+    return jtj, jtj[:, ::-1] * ([1.0, -1.0, 1.0] / ws.det[:, None] ** 2)
+
+
+def _normal_matrix(ws: Workspace) -> np.ndarray:
+    """local_optimize's normal matrix on every element, (ne, k, k)."""
+    ne, k, nu = ws.mesh.n_elements, ws.opt_nullspace.shape[1], ws.nu[:, None]
+    jtj, ginv = _metrics(ws)
+    return (np.concatenate([jtj / nu, ginv * nu], axis=1) @ ws.opt_gram
+            ).reshape(ne, k, k) + ws.opt_cross
+
+
 def local_optimize(flux: EquilibratedFlux, pot: ContinuousPotential,
                    ws: Workspace) -> tuple[EquilibratedFlux, ContinuousPotential]:
     """Per element, minimize ||q* + nu grad u*||_K over q* in [P^{p+1}]^2 and
@@ -393,36 +409,57 @@ def local_optimize(flux: EquilibratedFlux, pot: ContinuousPotential,
     and the element means are preserved.
 
     The feasible directions are the reference nullspace mapped to each
-    element (ws.opt_nullspace, see femcore._reference_nullspace); all
-    elements are solved in one batched least-squares step.
+    element (ws.opt_nullspace, see femcore._reference_nullspace).  Along
+    them each element solves the k x k normal equations of the objective,
+    assembled from reference tensors (femcore._reference_opt_tensors): the
+    matrix from one product of the element metrics J^T J / nu and
+    nu (J^T J)^-1 with the Gram tensors, the right-hand side from the
+    pair's modal and nodal coefficients, with a quadrature only on the
+    elements of a band correction.  The rotated basis and a diagonal
+    (Jacobi) scaling keep the matrix well conditioned on graded meshes.
+    Any step along the directions keeps the pair feasible, so the
+    certificates do not depend on the accuracy of the solve; only the
+    optimality does.
     """
-    nm, nq, ne = ws.nm, ws.nq, ws.mesh.n_elements
+    nm, ne = ws.nm, ws.mesh.n_elements
     N = ws.opt_nullspace
     k = N.shape[1]
     if k == 0:  # p = 0: the constraints fix the pair
         return (replace(flux, coeffs=flux.coeffs.copy()),
                 replace(pot, values=pot.values.copy()))
+    nu = ws.nu[:, None]
+    M = _normal_matrix(ws)
+
+    # right-hand side: the flux part from the modal coefficients, the
+    # potential part from the nodal values
+    wq = np.concatenate([ws.jac / nu[:, :, None], ws.jac_inv_t], axis=2)
+    b = np.einsum("edj,edjk->ek", wq, (flux.coeffs.reshape(2 * ne, nm)
+                                        @ ws.opt_rhs_q).reshape(ne, 2, 4, k))
+    nodal = pot.nodal()
+    zu = (nodal @ ws.opt_rhs_u).reshape(ne, 4, k)
+    if pot.correction is not None:
+        # on the band elements the analytic gradient g replaces the gradient
+        # of its interpolant, by quadrature: J^T g against Y, J^-1 g against G
+        c, e = pot.correction, pot.correction.elems
+        zu[e] -= (c.nodal @ ws.opt_rhs_u).reshape(len(e), 4, k)
+        g = c.grads_at(ws.qphys[e])
+        b[e] += ws.sqrt_det[e, None] * (
+            np.einsum("eqr,rqk,q->ek", g @ ws.jac[e], ws.opt_q, ws.qw)
+            + nu[e] * np.einsum("eqr,rqk,q->ek", g @ ws.jac_inv_t[e],
+                                ws.opt_g, ws.qw))
+    wu = np.concatenate([np.ones((ne, 1)), _metrics(ws)[1] * nu], axis=1)
+    b += ws.sqrt_det[:, None] * np.einsum("ej,ejk->ek", wu, zu)
+
+    d = 1.0 / np.sqrt(np.einsum("ekk->ek", M))
+    xi = -d * np.linalg.solve(M * d[:, :, None] * d[:, None, :],
+                              (d * b)[:, :, None])[:, :, 0]
+
     Nq, Nu = N[:2 * nm], N[2 * nm:]
-
-    # objective rows sqrt(w detJ / nu) * (q* + nu grad u*), ordered by
-    # (component, quadrature point), along each direction: reference tables
-    # mapped by J (flux) and J^-T (potential gradient)
-    qdir = np.einsum("aq,rak->rqk", ws.phi_m, Nq.reshape(2, nm, k)).reshape(2, nq * k)
-    gdir = np.einsum("aqd,ak->dqk", ws.dphi_m, Nu).reshape(2, nq * k)
-    sqw = np.sqrt(ws.wdet / ws.nu[:, None])                      # (ne, nq)
-    B = (ws.jac @ qdir + ws.nu[:, None, None] * (ws.jac_inv_t @ gdir)
-         ).reshape(ne, 2, nq, k) * (sqw / ws.sqrt_det[:, None])[:, None, :, None]
-    resid = sqw[:, :, None] * (flux.eval_values(ws)
-                               + ws.nu[:, None, None] * pot.eval_grads(ws))
-    Q, R = np.linalg.qr(B.reshape(ne, 2 * nq, k))
-    rhs = np.einsum("ecqk,eqc->ek", Q.reshape(ne, 2, nq, k), resid)
-    xi = -np.linalg.solve(R, rhs[:, :, None])[:, :, 0]
-
     coeffs = flux.coeffs + ws.jac @ (xi @ Nq.T).reshape(ne, 2, nm)
     # boundary traces are constrained, so only interior node values move
     slots = ws.lattice.interior_slots
     values = pot.values.copy()
-    values[pot.node_map[:, slots]] = pot.nodal()[:, slots] + (
+    values[pot.node_map[:, slots]] = nodal[:, slots] + (
         xi @ (ws.vand_m[slots] @ Nu).T) / ws.sqrt_det[:, None]
     return replace(flux, coeffs=coeffs), replace(pot, values=values)
 

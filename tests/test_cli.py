@@ -139,6 +139,9 @@ class TestRun:
         # the last boundary facet again, reversed and with the other tag
         # (nf raised by one): used to load with the last tag winning
         ("duplicate_facet", EXIT_CONFIG, "is listed twice"),
+        # one more vertex that no element uses: used to divide 0 by 0 when
+        # averaging the potential at its node
+        ("unused_vertex", EXIT_CONFIG, "vertex 13 is used by no element"),
     ])
     def test_hostile_mesh_fails_loudly(self, tmp_path, capsys, edit, code,
                                        message):
@@ -161,6 +164,9 @@ class TestRun:
             extra = ["--config", str(config)]
         elif edit == "truncated":
             lines = lines[:-3]
+        elif edit == "unused_vertex":
+            lines.insert(1 + nv, "2.0 2.0")
+            lines[0] = f"{nv + 1} {ne} {nf}"
         elif edit == "duplicate_facet":
             a, b, t = lines[-1].split()
             lines.append(f"{b} {a} {'N' if t == 'D' else 'D'}")
@@ -238,6 +244,21 @@ class TestMain:
         cfg_path.write_text(json.dumps({"problem": "example1_s1",
                                         "bogus_key": 1}))
         assert cli.main(["--config", str(cfg_path)]) == EXIT_CONFIG
+
+    def test_unknown_expression_key(self, tmp_path, capsys):
+        # a typo ("g_n" for "g_N") used to run with g_N = 0
+        mesh_path = tmp_path / "square.txt"
+        write_mesh(unit_square_crisscross(0), mesh_path)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"mesh_file": str(mesh_path),
+                                        "expressions": {"g_n": "1", "f": "1"}}))
+        out = tmp_path / "o"
+        assert cli.main(["--config", str(cfg_path), "--out", str(out)]) \
+            == EXIT_CONFIG
+        err = capsys.readouterr().err.strip()
+        assert err == ("configuration error: unknown expression 'g_n' "
+                       "(expected f | g_D | g_N | f_O | g_D_O | g_N_O)")
+        assert not out.exists()
 
     def test_gnuplot_output(self, tmp_path):
         code = cli.main(["--problem", "example2_s1", "--p", "1",

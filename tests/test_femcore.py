@@ -101,6 +101,20 @@ def test_reference_tables_shared_and_read_only():
     assert c.S is not a.S and c.lattice is a.lattice
 
 
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_optimization_nullspace_rotated(p):
+    # the rotation keeps an orthonormal basis of the same space, and makes
+    # the potential rows' columns mutually orthogonal
+    t = fc.reference_tables(p, 2 * p + 4)
+    N, nm = t["opt_nullspace"], t["nm"]
+    _, S, Vt = np.linalg.svd(fc._reference_constraints(t))
+    plain = Vt[int(np.sum(S > S[0] * 1e-11)):]
+    assert np.abs(N.T @ N - np.eye(N.shape[1])).max() <= 1e-13
+    assert np.abs(N @ N.T - plain.T @ plain).max() <= 1e-13
+    gram = N[2 * nm:].T @ N[2 * nm:]
+    assert np.abs(gram - np.diag(np.diag(gram))).max() <= 1e-13
+
+
 class TestProjections:
     def setup_method(self):
         self.mesh = unit_square_crisscross(0)

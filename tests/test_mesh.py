@@ -16,8 +16,8 @@ SQUARE_TAGS = {(0, 1): "D", (1, 2): "D", (2, 3): "D", (0, 3): "D"}
 def check_conformity(mesh):
     """Re-assert the structural mesh invariants; raises on violation.
 
-    Construction already guarantees all but the last (every vertex used);
-    the refinement tests call this on their outputs as an independent audit.
+    Construction already guarantees all of them; the refinement tests call
+    this on their outputs as an independent audit.
     """
     if np.any(mesh.areas() <= 0):
         raise AssertionError("non-positive element area")
@@ -580,6 +580,13 @@ class TestInvariantsAndFormat:
             with pytest.raises(ValueError, match="nonexistent vertices"):
                 hm.Mesh(SQUARE_VERTS, np.array([[0, 1, 2], [0, 2, bad]]),
                         SQUARE_TAGS)
+
+    def test_unused_vertex_rejected(self):
+        # its Lagrange node would average over no element: 0 / 0
+        verts = np.vstack([SQUARE_VERTS[:2], [[0.5, 0.5]], SQUARE_VERTS[2:]])
+        with pytest.raises(ValueError, match="vertex 2 is used by no element"):
+            hm.Mesh(verts, np.array([[0, 1, 3], [0, 3, 4]]),
+                    {(0, 1): "D", (1, 3): "D", (3, 4): "D", (0, 4): "D"})
 
     @pytest.mark.parametrize("name", ["perturbed0", "perturbed1", "lshape_refined"])
     def test_facets_match_unique_rows_build(self, name):

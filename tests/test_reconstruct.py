@@ -2,6 +2,7 @@
 local optimization."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,10 +15,10 @@ from hdgbounds import (DirichletBand, NonFiniteDataError, ProblemData,
                        potential_residuals, reconstruct_flux, solve,
                        unit_square_crisscross, zero)
 from hdgbounds.bounds import _energy_sq
-from hdgbounds.mesh import Mesh
+from hdgbounds.mesh import Mesh, refine_bisection
 from hdgbounds.reconstruct import (ContinuousPotential, EquilibratedFlux,
-                                   evaluate, enforce_dirichlet_band,
-                                   local_optimize)
+                                   _normal_matrix, evaluate,
+                                   enforce_dirichlet_band, local_optimize)
 
 EX1_F = lambda x, y: 2 * np.pi ** 2 * np.sin(np.pi * x) * np.sin(np.pi * y)
 EX1_U = lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y)
@@ -452,6 +453,44 @@ def _mapped_nullspace(ws, e):
     return np.vstack([Nq, N[2 * nm:]])
 
 
+def _local_optimize_qr(flux, pot, ws):
+    """local_optimize as one batched least-squares problem: the objective
+    rows B (ne, 2 nq, k) along the mapped directions at the quadrature
+    points, factored by a batched QR."""
+    nm, nq, ne = ws.nm, ws.nq, ws.mesh.n_elements
+    N = ws.opt_nullspace
+    k = N.shape[1]
+    Nq, Nu = N[:2 * nm], N[2 * nm:]
+    qdir = np.einsum("aq,rak->rqk", ws.phi_m, Nq.reshape(2, nm, k)).reshape(2, nq * k)
+    gdir = np.einsum("aqd,ak->dqk", ws.dphi_m, Nu).reshape(2, nq * k)
+    sqw = np.sqrt(ws.wdet / ws.nu[:, None])                      # (ne, nq)
+    B = (ws.jac @ qdir + ws.nu[:, None, None] * (ws.jac_inv_t @ gdir)
+         ).reshape(ne, 2, nq, k) * (sqw / ws.sqrt_det[:, None])[:, None, :, None]
+    resid = sqw[:, :, None] * (flux.eval_values(ws)
+                               + ws.nu[:, None, None] * pot.eval_grads(ws))
+    Q, R = np.linalg.qr(B.reshape(ne, 2 * nq, k))
+    rhs = np.einsum("ecqk,eqc->ek", Q.reshape(ne, 2, nq, k), resid)
+    xi = -np.linalg.solve(R, rhs[:, :, None])[:, :, 0]
+
+    coeffs = flux.coeffs + ws.jac @ (xi @ Nq.T).reshape(ne, 2, nm)
+    slots = ws.lattice.interior_slots
+    values = pot.values.copy()
+    values[pot.node_map[:, slots]] = pot.nodal()[:, slots] + (
+        xi @ (ws.vand_m[slots] @ Nu).T) / ws.sqrt_det[:, None]
+    return replace(flux, coeffs=coeffs), replace(pot, values=values)
+
+
+@pytest.fixture(scope="module")
+def graded_lshape():
+    """The L-shape after 30 bisections of the elements at the re-entrant
+    corner: 186 elements, edges from 3.1e-5 to 1."""
+    mesh = lshape_initial()
+    for _ in range(30):
+        corner = np.all(mesh.vertices[mesh.elements] == 0.0, axis=2).any(axis=1)
+        mesh = refine_bisection(mesh, np.flatnonzero(corner))
+    return mesh
+
+
 def _two_material(mesh):
     """mesh with nu = 1 left of x = 1/2 and nu = 3 right of it."""
     region = (mesh.vertices[mesh.elements].mean(axis=1)[:, 0] > 0.5).astype(int)
@@ -497,6 +536,30 @@ class TestLocalOptimize:
             loop_proj = Vt[rank:].T @ Vt[rank:]
             Q, _ = np.linalg.qr(_mapped_nullspace(ws, e))
             assert np.abs(loop_proj - Q @ Q.T).max() <= 1e-12
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_matches_batched_qr_on_graded_mesh(self, graded_lshape, p):
+        # both example2_s1 pairs, and the adjoint pair of example1_s2's
+        # output, whose band extension on x = 1 fits the L-shape as well
+        ex2 = builtin("example2_s1")
+        _, _, primal, adjoint, ws = build_pair(graded_lshape, ex2.data,
+                                               ex2.out, p)
+        band = build_pair(graded_lshape, ex2.data,
+                          builtin("example1_s2").out, p)[3]
+        assert band[1].correction is not None
+        for flux, pot in (primal, adjoint, band):
+            got_f, got_p = local_optimize(flux, pot, ws)
+            ref_f, ref_p = _local_optimize_qr(flux, pot, ws)
+            for got, ref in ((got_f.coeffs, ref_f.coeffs),
+                             (got_p.values, ref_p.values)):
+                assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_scaled_normal_matrix_well_conditioned(self, graded_lshape, p):
+        # 2.5 at p = 3; with the unrotated basis it reaches 1.5e18
+        M = _normal_matrix(Workspace(graded_lshape, p))
+        d = 1.0 / np.sqrt(np.einsum("ekk->ek", M))
+        assert np.linalg.cond(M * d[:, :, None] * d[:, None, :]).max() <= 10.0
 
     def test_exact_pair_unchanged(self):
         mesh = unit_square_crisscross(0)
