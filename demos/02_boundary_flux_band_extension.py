@@ -26,7 +26,7 @@ for p in (1, 2, 3):
     ws = sol.ws
     flux = reconstruct_flux(sol)
     pot = make_continuous(postprocess_potential(sol, flux), adata.g_D, ws)
-    pot = enforce_dirichlet_band(pot, adata.g_D, prob.out.band, ws)
+    pot = enforce_dirichlet_band(pot, prob.out.band, ws)
     c = pot.correction
     pts = ws.qphys[c.elems]
     corr = ws.eval_data(c.ghat, pts) - np.einsum("ek,qk->eq", c.nodal, ws.lag_vals)

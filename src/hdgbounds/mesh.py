@@ -16,8 +16,6 @@ neumann_facets list the facets of each tag.
 
 from __future__ import annotations
 
-import numbers
-
 import numpy as np
 
 __all__ = [
@@ -32,7 +30,21 @@ __all__ = [
 
 INTERIOR, DIRICHLET, NEUMANN = 0, 1, 2
 _TAG_CHARS = {DIRICHLET: "D", NEUMANN: "N"}
-_CHAR_TAGS = {"D": DIRICHLET, "N": NEUMANN}
+# the accepted boundary_tags values and their codes
+_TAG_CODES = {"D": DIRICHLET, "N": NEUMANN, DIRICHLET: DIRICHLET, NEUMANN: NEUMANN}
+_KEY = 2 ** 31  # an edge (a, b) with a < b packs into a * _KEY + b
+
+
+def _pack(a, b):
+    """Packed keys of the edges (a, b), either way round; they sort as the
+    sorted vertex pairs do."""
+    return np.minimum(a, b) * _KEY + np.maximum(a, b)
+
+
+def _tag_dict(keys, codes):
+    """The boundary_tags mapping of packed edge keys and their tag codes."""
+    a, b = np.divmod(keys, _KEY)
+    return dict(zip(zip(a.tolist(), b.tolist()), codes.tolist()))
 
 
 class Mesh:
@@ -43,7 +55,8 @@ class Mesh:
     ----------
     vertices : (nv, 2) float array
     elements : (ne, 3) int array, counter-clockwise vertex triples
-    boundary_tags : dict mapping a sorted vertex pair (a, b) to 'D' or 'N'
+    boundary_tags : dict mapping a vertex pair (a, b) to 'D' or 'N' (or the
+        codes DIRICHLET, NEUMANN); any other value raises ValueError
     region : (ne,) int array, optional (defaults to region 0)
     nu : dict region id -> diffusivity, optional (defaults to 1.0)
     """
@@ -54,10 +67,10 @@ class Mesh:
             bad = int(np.argmin(np.isfinite(self.vertices).all(axis=-1)))
             raise ValueError(f"vertex {bad} has a non-finite coordinate")
         self.elements = np.ascontiguousarray(elements, dtype=np.int64)
-        if self.elements.ndim != 2 or self.elements.shape[1] != 3:
-            raise ValueError("elements must be an (ne, 3) array")
-        if self.elements.size and (self.elements.min() < 0
-                                   or self.elements.max() >= len(self.vertices)):
+        if (self.elements.ndim != 2 or self.elements.shape[1] != 3
+                or not self.elements.size):
+            raise ValueError("elements must be a non-empty (ne, 3) array")
+        if self.elements.min() < 0 or self.elements.max() >= len(self.vertices):
             raise ValueError("elements reference nonexistent vertices")
         used = np.bincount(self.elements.ravel(), minlength=len(self.vertices))
         if not used.all():
@@ -69,8 +82,9 @@ class Mesh:
                              f"{self.region.shape}, expected ({len(self.elements)},)")
         self.nu = dict(nu) if nu else {int(r): 1.0 for r in np.unique(self.region)}
         for r, val in self.nu.items():
-            if not val > 0:
-                raise ValueError(f"diffusivity must be positive, got nu[{r}] = {val}")
+            if not 0 < val < np.inf:
+                raise ValueError(f"diffusivity must be positive and finite, "
+                                 f"got nu[{r}] = {val}")
         missing = sorted(set(np.unique(self.region).tolist()) - set(self.nu))
         if missing:
             raise ValueError(f"region {missing[0]} has no diffusivity in nu")
@@ -95,19 +109,14 @@ class Mesh:
 
     def _build_facets(self, boundary_tags):
         ne, nv = len(self.elements), len(self.vertices)
-        local = np.stack([self.elements[:, [0, 1]],
-                          self.elements[:, [1, 2]],
-                          self.elements[:, [2, 0]]], axis=1)  # (ne, 3, 2)
-        pairs = np.sort(local.reshape(-1, 2), axis=1)
-        # a sorted pair (a, b) packs into a * nv + b, which orders the pairs
-        # lexicographically, as np.unique(pairs, axis=0) would
-        keys, inverse = np.unique(pairs[:, 0] * nv + pairs[:, 1],
+        nxt = self.elements[:, [1, 2, 0]]  # local edge l is (v_l, v_l+1)
+        keys, inverse = np.unique(_pack(self.elements, nxt).ravel(),
                                   return_inverse=True)
-        facets = np.column_stack([keys // nv, keys % nv])
+        facets = np.column_stack(np.divmod(keys, _KEY))
         nf = len(facets)
         self.facets = facets
         self.elem_facets = inverse.reshape(ne, 3)
-        self.elem_facet_orient = (local[:, :, 0] < local[:, :, 1])
+        self.elem_facet_orient = self.elements < nxt
 
         count = np.bincount(inverse, minlength=nf)
         if count.max() > 2:
@@ -126,26 +135,40 @@ class Mesh:
         self.facet_elems = facet_elems
         self.facet_local_edge = facet_local_edge
 
-        tag_map = {tuple(sorted(k)): _CHAR_TAGS[t] if isinstance(t, str) else int(t)
-                   for k, t in boundary_tags.items()}
-        tag_keys = np.array([_packed_key(k, nv) for k in tag_map], dtype=np.int64)
+        pairs = list(boundary_tags)
+        codes = np.array([_TAG_CODES.get(t, INTERIOR)
+                          for t in boundary_tags.values()], dtype=np.int8)
+        if not codes.all():
+            k = pairs[int(np.argmin(codes))]
+            raise ValueError(f"boundary facet {k} has tag {boundary_tags[k]!r} "
+                             f"(expected 'D', 'N', {DIRICHLET} or {NEUMANN})")
+        try:
+            ab = np.sort(np.array(pairs, dtype=float).reshape(len(pairs), 2), axis=1)
+        except (TypeError, ValueError):
+            raise ValueError("boundary_tags must be keyed by vertex pairs") from None
+        # a pair of other than vertex indices gets a key that aliases no facet
+        valid = np.all((ab >= 0) & (ab < nv) & (ab == np.floor(ab)), axis=1)
+        tag_keys = _pack(*np.where(valid[:, None], ab, -1).astype(np.int64).T)
         pos = np.minimum(np.searchsorted(keys, tag_keys), nf - 1)
-        found = (tag_keys >= 0) & (keys[pos] == tag_keys)
-        tags = np.zeros(nf, dtype=np.int8)
-        tags[pos[found]] = np.array(list(tag_map.values()), dtype=np.int8)[found]
-        tagged = np.zeros(nf, dtype=bool)
-        tagged[pos[found]] = True
-        # the first facet, in facet order, whose tag disagrees with its side count
-        bad = np.flatnonzero(tagged != (facet_elems[:, 1] < 0))
+        found = keys[pos] == tag_keys
+        ntags = np.bincount(pos[found], minlength=nf)
+        # the first facet, in facet order, with a wrong tag count: a boundary
+        # facet needs one tag, an interior facet none
+        bad = np.flatnonzero(ntags != (facet_elems[:, 1] < 0))
         if len(bad):
             key = (int(facets[bad[0], 0]), int(facets[bad[0], 1]))
-            if tagged[bad[0]]:
+            if ntags[bad[0]] > 1:
+                raise ValueError(f"facet {key} is tagged twice")
+            if ntags[bad[0]]:
                 raise ValueError(f"interior facet {key} carries a boundary tag")
             raise ValueError(
                 f"boundary facet {key} is untagged (non-conforming mesh or missing tag)")
         if not found.all():
-            stray = sorted(k for k, hit in zip(tag_map, found) if not hit)
+            stray = sorted(tuple(sorted(k))
+                           for k, hit in zip(pairs, found) if not hit)
             raise ValueError(f"tags reference non-facet vertex pairs: {stray}")
+        tags = np.zeros(nf, dtype=np.int8)
+        tags[pos[found]] = codes[found]
         if not np.any(tags == DIRICHLET):
             raise ValueError("the Dirichlet boundary must be non-empty")
         self.facet_tag = tags
@@ -153,15 +176,12 @@ class Mesh:
         self.dirichlet_facets = np.flatnonzero(tags == DIRICHLET)
         self.neumann_facets = np.flatnonzero(tags == NEUMANN)
 
-        # normals: out of the lower-indexed adjacent element
-        va = self.vertices[facets[:, 0]]
-        vb = self.vertices[facets[:, 1]]
-        d = vb - va
+        # normals out of side 0: (dy, -dx) points right of a -> b, out of an
+        # element that runs from a to b counter-clockwise
+        d = self.vertices[facets[:, 1]] - self.vertices[facets[:, 0]]
         n = np.column_stack([d[:, 1], -d[:, 0]])
         n /= np.linalg.norm(n, axis=1)[:, None]
-        cent = self.vertices[self.elements[facet_elems[:, 0]]].mean(axis=1)
-        flip = np.sum(n * (0.5 * (va + vb) - cent), axis=1) < 0
-        n[flip] *= -1.0
+        n[~self.elem_facet_orient[facet_elems[:, 0], facet_local_edge[:, 0]]] *= -1.0
         self.facet_normals = n
 
     # -- queries -----------------------------------------------------------
@@ -193,17 +213,7 @@ class Mesh:
     def boundary_tag_dict(self):
         """Boundary tags keyed by sorted vertex pair, for refiners."""
         b = self.facet_tag != INTERIOR
-        return dict(zip(map(tuple, self.facets[b].tolist()),
-                        self.facet_tag[b].tolist()))
-
-
-def _packed_key(pair, nv: int) -> int:
-    """a * nv + b for a sorted pair (a, b) of vertex indices in [0, nv), or
-    -1: any other pair names no facet, and packing it could alias one."""
-    if len(pair) == 2 and all(isinstance(v, numbers.Real) and 0 <= v < nv
-                              and v == int(v) for v in pair):
-        return int(pair[0]) * nv + int(pair[1])
-    return -1
+        return _tag_dict(_pack(*self.facets[b].T), self.facet_tag[b])
 
 
 # ---------------------------------------------------------------------------
@@ -221,24 +231,21 @@ def unit_square_crisscross(levels: int = 0) -> Mesh:
         raise ValueError("levels must be non-negative")
     n = 2 ** (levels + 1)
     xs = np.linspace(0.0, 1.0, n + 1)
-    verts = [(x, y) for y in xs for x in xs]
-    elems = []
-    for j in range(n):
-        for i in range(n):
-            a = j * (n + 1) + i
-            b = a + 1
-            c = b + n + 1
-            d = a + n + 1
-            m = len(verts)
-            verts.append(((xs[i] + xs[i + 1]) / 2.0, (xs[j] + xs[j + 1]) / 2.0))
-            elems += [(a, b, m), (b, c, m), (c, d, m), (d, a, m)]
-    tags = {}
-    for i in range(n):
-        tags[(i, i + 1)] = "D"                                      # y = 0
-        tags[(n * (n + 1) + i, n * (n + 1) + i + 1)] = "D"          # y = 1
-        tags[(i * (n + 1), (i + 1) * (n + 1))] = "D"                # x = 0
-        tags[((i + 1) * (n + 1) - 1, (i + 2) * (n + 1) - 1)] = "D"  # x = 1
-    return Mesh(np.array(verts), np.array(elems), tags)
+    cs = (xs[:-1] + xs[1:]) / 2.0
+    # the grid row by row, then the centre of each square in the same order
+    verts = np.concatenate([np.stack(np.meshgrid(xs, xs), axis=-1).reshape(-1, 2),
+                            np.stack(np.meshgrid(cs, cs), axis=-1).reshape(-1, 2)])
+    sq = np.arange(n * n)
+    a = sq + sq // n  # lower-left corner of each square
+    # CCW corners a, b, c, d -> (a, b, m), (b, c, m), (c, d, m), (d, a, m)
+    corner = np.column_stack([a, a + 1, a + n + 2, a + n + 1])
+    centre = np.broadcast_to((n + 1) ** 2 + sq[:, None], corner.shape)
+    elems = np.stack([corner, np.roll(corner, -1, axis=1), centre], axis=-1)
+    i = np.arange(n)
+    start = np.concatenate([i, n * (n + 1) + i, i * (n + 1), i * (n + 1) + n])
+    step = np.repeat([1, 1, n + 1, n + 1], n)  # y = 0, y = 1, x = 0, x = 1
+    tags = _tag_dict(_pack(start, start + step), np.full(4 * n, DIRICHLET))
+    return Mesh(verts, elems.reshape(-1, 3), tags)
 
 
 def lshape_initial() -> Mesh:
@@ -264,6 +271,22 @@ def lshape_initial() -> Mesh:
 # ---------------------------------------------------------------------------
 # Red refinement with green closure
 # ---------------------------------------------------------------------------
+
+def _member(x, s):
+    """Whether each entry of x (all >= 0) occurs in the sorted array s."""
+    return np.append(s, -1)[np.searchsorted(s, x)] == x
+
+
+def _split_tags(keys, codes, split, mid):
+    """The tagged edges (packed keys, codes) after the edges with sorted
+    keys ``split`` are bisected at the vertices ``mid``: a tagged edge
+    (a, b) split at m passes its tag to (a, m) and (b, m)."""
+    hit = _member(keys, split)
+    a, b = np.divmod(keys[hit], _KEY)
+    m = mid[np.searchsorted(split, keys[hit])]
+    return (np.concatenate([keys[~hit], _pack(a, m), _pack(b, m)]),
+            np.concatenate([codes[~hit], codes[hit], codes[hit]]))
+
 
 def _validate_marks(mesh, marks):
     """The sorted distinct element indices of a mark set; a mark that is not
@@ -326,32 +349,22 @@ def refine_red(mesh: Mesh, marks) -> Mesh:
     new_elems[first[green]] = np.column_stack([va, mg, vc])
     new_elems[first[green] + 1] = np.column_stack([mg, vb, vc])
 
-    tags = {}
-    bnd = np.flatnonzero(mesh.facet_tag != INTERIOR)
-    for (a, b), t, mf in zip(mesh.facets[bnd].tolist(),
-                             mesh.facet_tag[bnd].tolist(), mid[bnd].tolist()):
-        if mf < 0:
-            tags[(a, b)] = t
-        else:
-            tags[(a, mf)] = t
-            tags[(b, mf)] = t
-    return Mesh(verts, new_elems, tags, region=np.repeat(mesh.region, nchild),
-                nu=mesh.nu)
+    keys, bnd = _pack(*mesh.facets.T), mesh.facet_tag != INTERIOR
+    tags = _split_tags(keys[bnd], mesh.facet_tag[bnd], keys[split], mid[split])
+    return Mesh(verts, new_elems, _tag_dict(*tags),
+                region=np.repeat(mesh.region, nchild), nu=mesh.nu)
 
 
 # ---------------------------------------------------------------------------
 # Longest-edge bisection in closure rounds
 # ---------------------------------------------------------------------------
 
-_KEY = 2 ** 31  # an edge (a, b) with a < b packs into a * _KEY + b
-
-
 def _edge_keys(vertices, elements):
     """Packed keys of the local edges (v_l, v_l+1) of each element, and the
     local index of its longest edge.  Equally long edges go to the one whose
     midpoint is lexicographically smallest, so the choice is geometric."""
     a, b = elements, elements[:, [1, 2, 0]]
-    keys = np.minimum(a, b) * _KEY + np.maximum(a, b)
+    keys = _pack(a, b)
     va, vb = vertices[a], vertices[b]
     d = va - vb
     l2 = d[..., 0] ** 2 + d[..., 1] ** 2
@@ -360,11 +373,6 @@ def _edge_keys(vertices, elements):
     x = np.where(l2 == l2.max(axis=1, keepdims=True), m[..., 0], np.inf)
     y = np.where(x == x.min(axis=1, keepdims=True), m[..., 1], np.inf)
     return keys, y.argmin(axis=1)
-
-
-def _member(x, s):
-    """Whether each entry of x (all >= 0) occurs in the sorted array s."""
-    return np.append(s, -1)[np.searchsorted(s, x)] == x
 
 
 def refine_bisection(mesh: Mesh, marks) -> Mesh:
@@ -389,8 +397,7 @@ def refine_bisection(mesh: Mesh, marks) -> Mesh:
     verts, elems, region = mesh.vertices, mesh.elements, mesh.region
     keys, longest = _edge_keys(verts, elems)
     bnd = mesh.facet_tag != INTERIOR
-    tag_keys = mesh.facets[bnd, 0] * _KEY + mesh.facets[bnd, 1]
-    tag_vals = mesh.facet_tag[bnd]
+    tags = _pack(*mesh.facets[bnd].T), mesh.facet_tag[bnd]
     split = np.empty(0, dtype=np.int64)  # sorted keys of the bisected edges
     mid = np.empty(0, dtype=np.int64)    # and their midpoint vertices
     seed = marks
@@ -407,8 +414,7 @@ def refine_bisection(mesh: Mesh, marks) -> Mesh:
                 break
             marked[lng[has]] = True
 
-        # midpoints of the newly marked edges; as the highest vertex
-        # indices, a half (a, m) of an edge packs into a * _KEY + m
+        # midpoints of the newly marked edges
         new = edges[marked & ~old]
         a, b = np.divmod(new, _KEY)
         ids = len(verts) + np.arange(len(new))
@@ -416,11 +422,7 @@ def refine_bisection(mesh: Mesh, marks) -> Mesh:
         split, mid = np.concatenate([split, new]), np.concatenate([mid, ids])
         order = np.argsort(split)
         split, mid = split[order], mid[order]
-        hit = _member(tag_keys, new)
-        at = np.searchsorted(new, tag_keys[hit])
-        tag_keys = np.concatenate([tag_keys[~hit], a[at] * _KEY + ids[at],
-                                   b[at] * _KEY + ids[at]])
-        tag_vals = np.concatenate([tag_vals[~hit], tag_vals[hit], tag_vals[hit]])
+        tags = _split_tags(*tags, new, ids)
 
         # parent (va, vb, vc), longest edge va-vb -> (va, m, vc), (m, vb, vc)
         par = np.flatnonzero(has)
@@ -436,9 +438,7 @@ def refine_bisection(mesh: Mesh, marks) -> Mesh:
         keys[kids], longest[kids] = _edge_keys(verts, elems[kids])
         seed = kids[_member(keys[kids], split).any(axis=1)]
 
-    a, b = np.divmod(tag_keys, _KEY)
-    tags = dict(zip(zip(a.tolist(), b.tolist()), tag_vals.tolist()))
-    return Mesh(verts, elems, tags, region=region, nu=mesh.nu)
+    return Mesh(verts, elems, _tag_dict(*tags), region=region, nu=mesh.nu)
 
 
 # ---------------------------------------------------------------------------
@@ -469,19 +469,18 @@ def read_mesh(path, nu=None) -> Mesh:
     if min(nv, ne, nf) < 0 or len(toks) != 3 + 2 * nv + 4 * ne + 3 * nf:
         raise ValueError(f"mesh file {path}: expected a header 'nv ne nf' and "
                          "then exactly 2 nv + 4 ne + 3 nf values")
-    it = iter(toks[3:])
-    verts = np.array([[float(next(it)), float(next(it))] for _ in range(nv)])
-    elems, region = [], []
-    for _ in range(ne):
-        elems.append([int(next(it)), int(next(it)), int(next(it))])
-        region.append(int(next(it)))
-    tags = {}
-    for _ in range(nf):
-        a, b, t = int(next(it)), int(next(it)), next(it)
-        if t not in _CHAR_TAGS:
-            raise ValueError(f"unknown boundary tag {t!r} (expected D or N)")
-        key = tuple(sorted((a, b)))
-        if key in tags:
-            raise ValueError(f"boundary facet ({a}, {b}) is listed twice")
-        tags[key] = t
-    return Mesh(verts, np.array(elems), tags, region=np.array(region), nu=nu)
+    e0, f0 = 3 + 2 * nv, 3 + 2 * nv + 4 * ne
+    verts = np.array(toks[3:e0], dtype=float).reshape(nv, 2)
+    elems = np.array(toks[e0:f0], dtype=np.int64).reshape(ne, 4)
+    ab = np.array(toks[f0::3] + toks[f0 + 1::3], dtype=np.int64).reshape(2, nf).T
+    t = np.array(toks[f0 + 2::3], dtype=str)
+    known = np.isin(t, list(_TAG_CHARS.values()))
+    if not known.all():
+        raise ValueError(f"unknown boundary tag {str(t[np.argmin(known)])!r} "
+                         "(expected D or N)")
+    first = np.unique(np.sort(ab, axis=1), axis=0, return_index=True)[1]
+    if len(first) < nf:
+        a, b = ab[np.setdiff1d(np.arange(nf), first)[0]].tolist()
+        raise ValueError(f"boundary facet ({a}, {b}) is listed twice")
+    tags = dict(zip(map(tuple, ab.tolist()), t.tolist()))
+    return Mesh(verts, elems[:, :3], tags, region=elems[:, 3], nu=nu)

@@ -239,15 +239,15 @@ def _find_band_line(mesh: Mesh, band: DirichletBand) -> float:
     raise ValueError("no admissible band line found; refine the mesh near the portion")
 
 
-def enforce_dirichlet_band(pot: ContinuousPotential, g_D, band: DirichletBand,
+def enforce_dirichlet_band(pot: ContinuousPotential, band: DirichletBand,
                            ws: Workspace) -> ContinuousPotential:
     """Exact Dirichlet enforcement for a non-polynomial datum on a straight
     coordinate-aligned boundary portion.
 
-    Builds the linear-blend extension of the datum over the band between the
-    admissible mesh line and the portion, and attaches the interpolation
-    error as an analytic per-element correction, so the trace on the portion
-    is exact while global continuity is preserved.
+    Builds the linear-blend extension of the datum, ``band.profile``, over
+    the band between the admissible mesh line and the portion, and attaches
+    the interpolation error as an analytic per-element correction, so the
+    trace on the portion is exact while global continuity is preserved.
     """
     mesh, ax = ws.mesh, band.axis
     if ax not in (0, 1):
@@ -478,7 +478,7 @@ def certified_pair(sol: HDGSolution, data: ProblemData, optimize: bool = False
     flux = reconstruct_flux(sol)
     pot = make_continuous(postprocess_potential(sol, flux), data.g_D, ws)
     if data.band is not None:
-        pot = enforce_dirichlet_band(pot, data.g_D, data.band, ws)
+        pot = enforce_dirichlet_band(pot, data.band, ws)
     if optimize:
         flux, pot = local_optimize(flux, pot, ws)
     return flux, pot

@@ -392,6 +392,39 @@ class TestGlobalProperties:
         assert res.contains(MIXED_S)
 
     @settings(derandomize=True, deadline=None, max_examples=50)
+    @given(nu0=st.floats(-1.0, 1.0), ratio=st.floats(-3.0, 3.0),
+           level=st.integers(0, 1), amp=st.floats(0.0, 0.2),
+           seed=st.integers(0, 2 ** 16), p=st.integers(1, 3),
+           tau=st.floats(0.1, 10.0), optimize=st.booleans())
+    def test_containment_property_two_regions(self, nu0, ratio, level, amp,
+                                              seed, p, tau, optimize):
+        # nu = nu0 left and nu1 right of x = 1/2 (powers of ten drawn), on
+        # criss-cross meshes with the interior vertices moved in y only:
+        # u = phi(x) sin(pi y) with nu phi' continuous across x = 1/2
+        nu0, nu1 = 10.0 ** nu0, 10.0 ** (nu0 + ratio)
+        base = unit_square_crisscross(level)
+        v = base.vertices.copy()
+        interior = np.all((v > 0.0) & (v < 1.0), axis=1)
+        pitch = 0.5 ** (level + 1)
+        v[interior, 1] += np.random.default_rng(seed).uniform(
+            -amp * pitch, amp * pitch, int(interior.sum()))
+        region = (v[base.elements, 0].mean(axis=1) > 0.5).astype(int)
+        mesh = Mesh(v, base.elements, base.boundary_tag_dict(), region=region,
+                    nu={0: nu0, 1: nu1})
+        a = (3 * nu0 + nu1) / (2 * (nu0 + nu1))
+        b = 2 - a
+
+        def nu_phi(x):
+            t = 1 - x
+            return np.where(x < 0.5, a * x - x * x, b * t - t * t)
+        data = ProblemData(f=lambda x, y: (2 + np.pi ** 2 * nu_phi(x))
+                           * np.sin(np.pi * y))
+        s = 2 / np.pi * ((a / 8 - 1 / 24) / nu0 + (b / 8 - 1 / 24) / nu1)
+        res = run_pipeline(mesh, data, OutputFunctional(f_O=ONE), p, tau,
+                           optimize=optimize)
+        assert res.contains(s)
+
+    @settings(derandomize=True, deadline=None, max_examples=50)
     @given(rounds=st.integers(1, 5), seed=st.integers(0, 2 ** 16),
            p=st.integers(1, 3), tau=st.floats(0.1, 10.0),
            optimize=st.booleans())

@@ -142,6 +142,10 @@ class TestRun:
         # one more vertex that no element uses: used to divide 0 by 0 when
         # averaging the potential at its node
         ("unused_vertex", EXIT_CONFIG, "vertex 13 is used by no element"),
+        # used to load and fail in the skeleton solve (exit 3)
+        ("infinite_nu", EXIT_CONFIG, "got nu[0] = inf"),
+        ("unknown_tag", EXIT_CONFIG, "unknown boundary tag 'R' (expected D or N)"),
+        ("empty", EXIT_CONFIG, "elements must be a non-empty (ne, 3) array"),
     ])
     def test_hostile_mesh_fails_loudly(self, tmp_path, capsys, edit, code,
                                        message):
@@ -157,11 +161,17 @@ class TestRun:
         elif edit == "all_neumann":
             for i in range(1 + nv + ne, 1 + nv + ne + nf):
                 lines[i] = " ".join(lines[i].split()[:2] + ["N"])
-        elif edit == "region_without_nu":
-            lines[1 + nv] = " ".join(lines[1 + nv].split()[:3] + ["1"])
+        elif edit in ("region_without_nu", "infinite_nu"):
+            if edit == "region_without_nu":
+                lines[1 + nv] = " ".join(lines[1 + nv].split()[:3] + ["1"])
             config = tmp_path / "config.json"
-            config.write_text(json.dumps({"nu": {"0": 1.0}}))
+            config.write_text(json.dumps(
+                {"nu": {"0": 1.0 if edit == "region_without_nu" else np.inf}}))
             extra = ["--config", str(config)]
+        elif edit == "unknown_tag":
+            lines[-1] = " ".join(lines[-1].split()[:2] + ["R"])
+        elif edit == "empty":
+            lines = ["0 0 0"]
         elif edit == "truncated":
             lines = lines[:-3]
         elif edit == "unused_vertex":

@@ -111,10 +111,55 @@ FACET_MESHES = {
 }
 
 
+def _crisscross_loop(levels):
+    """unit_square_crisscross as it was before it was built from index
+    arrays: a loop over the squares."""
+    n = 2 ** (levels + 1)
+    xs = np.linspace(0.0, 1.0, n + 1)
+    verts = [(x, y) for y in xs for x in xs]
+    elems = []
+    for j in range(n):
+        for i in range(n):
+            a = j * (n + 1) + i
+            b = a + 1
+            c = b + n + 1
+            d = a + n + 1
+            m = len(verts)
+            verts.append(((xs[i] + xs[i + 1]) / 2.0, (xs[j] + xs[j + 1]) / 2.0))
+            elems += [(a, b, m), (b, c, m), (c, d, m), (d, a, m)]
+    tags = {}
+    for i in range(n):
+        tags[(i, i + 1)] = "D"                                      # y = 0
+        tags[(n * (n + 1) + i, n * (n + 1) + i + 1)] = "D"          # y = 1
+        tags[(i * (n + 1), (i + 1) * (n + 1))] = "D"                # x = 0
+        tags[((i + 1) * (n + 1) - 1, (i + 2) * (n + 1) - 1)] = "D"  # x = 1
+    return hm.Mesh(np.array(verts), np.array(elems), tags)
+
+
+def _mixed_refined(refine, rounds, seed):
+    """mixed_square(0), with its Neumann side, refined at random marks."""
+    rng = np.random.default_rng(seed)
+    m = mixed_square(0)
+    for _ in range(rounds):
+        m = refine(m, rng.choice(m.n_elements, 1 + m.n_elements // 4,
+                                 replace=False))
+    return m
+
+
+REFERENCE_MESHES = {
+    **FACET_MESHES,
+    **{f"crisscross{level}": (lambda level=level: hm.unit_square_crisscross(level))
+       for level in range(6)},
+    "mixed_bisection": lambda: _mixed_refined(hm.refine_bisection, 6, 12),
+    "mixed_red": lambda: _mixed_refined(hm.refine_red, 3, 13),
+}
+
+
 def _facets_unique_rows(vertices, elements, boundary_tags):
-    """Facet arrays of a mesh built with np.unique over vertex-pair rows and
-    a loop over the facets for the tags, as Mesh did before packing the
-    pairs into integer keys."""
+    """Facet arrays of a mesh built with np.unique over vertex-pair rows, a
+    loop over the facets for the tags, and normals flipped away from the
+    centroid of side 0, as Mesh did before it packed the pairs into integer
+    keys and read the normals' sign off elem_facet_orient."""
     ne = len(elements)
     local = np.stack([elements[:, [0, 1]], elements[:, [1, 2]],
                       elements[:, [2, 0]]], axis=1)
@@ -378,9 +423,10 @@ class TestRedRefinement:
 
     @pytest.mark.parametrize("make_mesh", [
         lambda: _perturbed(0, 1), lambda: _perturbed(1, 2),
-        lambda: _perturbed(2, 3), hm.lshape_initial,
-    ], ids=["perturbed0", "perturbed1", "perturbed2", "lshape"])
+        lambda: _perturbed(2, 3), hm.lshape_initial, lambda: mixed_square(1),
+    ], ids=["perturbed0", "perturbed1", "perturbed2", "lshape", "mixed"])
     def test_matches_loop_on_random_marks(self, make_mesh):
+        # mixed_square's Neumann tags pass to the halves of its split facets
         rng = np.random.default_rng(11)
         mesh = make_mesh()
         for frac in (0.05, 0.3, 0.1, 0.2, 0.1):
@@ -567,8 +613,19 @@ class TestInvariantsAndFormat:
          r"boundary facet \(0, 1\) is untagged"),
         ({(0, 1): "D", (0, 3): "D", (1, 2): "D", (0, 2): "D"},
          r"interior facet \(0, 2\) carries a boundary tag"),
+        # a tag must be D or N: 7 used to leave its facet in no facet set,
+        # 2.5 to be truncated to Neumann, 0 to make the facet "interior"
+        *[({**SQUARE_TAGS, (1, 2): bad},
+           rf"boundary facet \(1, 2\) has tag {bad!r} \(expected 'D', 'N', 1 or 2\)")
+          for bad in (7, 2.5, 0, "X")],
+        # the same facet under both orders of its vertex pair
+        ({**SQUARE_TAGS, (3, 2): "N"}, r"facet \(2, 3\) is tagged twice"),
+        *[({**SQUARE_TAGS, key: "D"}, "boundary_tags must be keyed by vertex pairs")
+          for key in ((0, 1, 2), 5)],
     ], ids=["untagged", "interior", "non_facet", "negative_alias",
-            "too_large_alias", "first_untagged", "first_interior"])
+            "too_large_alias", "first_untagged", "first_interior",
+            "tag_7", "tag_2.5", "tag_0", "tag_X", "tagged_twice", "triple",
+            "scalar"])
     def test_untagged_boundary_rejected(self, tags, message):
         verts = SQUARE_VERTS if len(tags) > 2 else SQUARE_VERTS[[0, 1, 3]]
         elems = SQUARE_ELEMS if len(tags) > 2 else np.array([[0, 1, 2]])
@@ -588,16 +645,24 @@ class TestInvariantsAndFormat:
             hm.Mesh(verts, np.array([[0, 1, 3], [0, 3, 4]]),
                     {(0, 1): "D", (1, 3): "D", (3, 4): "D", (0, 4): "D"})
 
-    @pytest.mark.parametrize("name", ["perturbed0", "perturbed1", "lshape_refined"])
-    def test_facets_match_unique_rows_build(self, name):
-        src = FACET_MESHES[name]()
-        tags = src.boundary_tag_dict()
-        mesh = hm.Mesh(src.vertices, src.elements, tags)
-        ref = _facets_unique_rows(src.vertices, src.elements, tags)
-        for attr, want in ref.items():
-            got = getattr(mesh, attr)
-            assert got.dtype == want.dtype, attr
-            assert np.array_equal(got, want), attr
+    @pytest.mark.parametrize("level", range(6))
+    def test_crisscross_matches_loop_build(self, level):
+        assert_same_mesh(hm.unit_square_crisscross(level), _crisscross_loop(level))
+
+    @pytest.mark.parametrize("name", REFERENCE_MESHES)
+    def test_facets_match_unique_rows_build(self, name, tmp_path):
+        # bit for bit, as built and after a write_mesh / read_mesh round trip
+        mesh = REFERENCE_MESHES[name]()
+        hm.write_mesh(mesh, tmp_path / "mesh.txt")
+        read = hm.read_mesh(tmp_path / "mesh.txt", nu=mesh.nu)
+        assert_same_mesh(read, mesh)
+        for m in (mesh, read):
+            ref = _facets_unique_rows(m.vertices, m.elements,
+                                      m.boundary_tag_dict())
+            for attr, want in ref.items():
+                got = getattr(m, attr)
+                assert got.dtype == want.dtype and got.shape == want.shape, attr
+                assert got.tobytes() == want.tobytes(), attr
 
     @pytest.mark.parametrize("name", [*FACET_MESHES, "mixed_square"])
     def test_facet_sides(self, name):
@@ -623,6 +688,19 @@ class TestInvariantsAndFormat:
         for arr in (m.facet_local_edge, *sets):
             with pytest.raises(ValueError, match="read-only"):
                 arr[...] = 0
+
+    @pytest.mark.parametrize("nu", [0.0, -1.0, np.inf, np.nan])
+    def test_diffusivity_positive_and_finite(self, nu):
+        # an infinite nu used to pass here and fail in the skeleton solve
+        with pytest.raises(ValueError, match="diffusivity must be positive "
+                           "and finite"):
+            hm.Mesh(SQUARE_VERTS, SQUARE_ELEMS, SQUARE_TAGS, nu={0: nu})
+
+    def test_tag_codes_accepted(self):
+        coded = {k: hm.DIRICHLET for k in SQUARE_TAGS} | {(0, 3): hm.NEUMANN}
+        named = {**SQUARE_TAGS, (0, 3): "N"}
+        assert (hm.Mesh(SQUARE_VERTS, SQUARE_ELEMS, coded).boundary_tag_dict()
+                == hm.Mesh(SQUARE_VERTS, SQUARE_ELEMS, named).boundary_tag_dict())
 
     def test_region_without_diffusivity_rejected(self):
         # element_nu has no value for the elements of a region nu leaves out

@@ -265,7 +265,7 @@ class TestBandExtension:
                              profile_deriv=lambda s: 1 - 2 * s)
         data = ProblemData(f=zero, g_D=gd, band=band)
         sol, flux, pot, ws = base_pair(mesh, data, 2)
-        pot = enforce_dirichlet_band(pot, gd, band, ws)
+        pot = enforce_dirichlet_band(pot, band, ws)
         c = pot.correction
         pts = ws.qphys[c.elems]
         corr = ws.eval_data(c.ghat, pts) - np.einsum("ek,qk->eq", c.nodal, ws.lag_vals)
@@ -276,7 +276,7 @@ class TestBandExtension:
         gdo = self.gdo()
         data = ProblemData(f=zero, g_D=gdo, band=self.band())
         sol, flux, pot, ws = base_pair(mesh, data, 2)
-        pot = enforce_dirichlet_band(pot, gdo, self.band(), ws)
+        pot = enforce_dirichlet_band(pot, self.band(), ws)
         ys = rng.uniform(0, 1, size=20)
         # evaluate the potential on the boundary x=1 through facet traces
         res = potential_residuals(evaluate(flux, pot, data, ws), ws)
@@ -290,7 +290,7 @@ class TestBandExtension:
         for p in (1, 2, 3):
             data = ProblemData(f=zero, g_D=gdo, band=self.band())
             sol, flux, pot, ws = base_pair(mesh0, data, p)
-            pot = enforce_dirichlet_band(pot, gdo, self.band(), ws)
+            pot = enforce_dirichlet_band(pot, self.band(), ws)
             c = pot.correction
             pts = ws.qphys[c.elems]
             corr = ws.eval_data(c.ghat, pts) - np.einsum("ek,qk->eq", c.nodal, ws.lag_vals)
@@ -306,7 +306,7 @@ class TestBandExtension:
                              profile_deriv=lambda s: np.nan * s)
         data = ProblemData(f=zero, g_D=gdo, band=band)
         sol, flux, pot, ws = base_pair(mesh, data, 1)
-        pot = enforce_dirichlet_band(pot, gdo, band, ws)
+        pot = enforce_dirichlet_band(pot, band, ws)
         with pytest.raises(NonFiniteDataError, match="non-finite"):
             pot.eval_grads(ws)
 
@@ -336,7 +336,7 @@ class TestBandExtension:
             pot = ContinuousPotential(mesh=mesh, degree=2,
                                       values=np.zeros(ws.global_nodes()[0]),
                                       node_map=ws.global_nodes()[1])
-            out = enforce_dirichlet_band(pot, self.gdo(), self.band(), ws)
+            out = enforce_dirichlet_band(pot, self.band(), ws)
             expected = 1.0 - 1.0 / 2 ** (lvl + 1)
             assert abs(out.correction.x_band - expected) < 1e-14
 
@@ -349,7 +349,7 @@ class TestBandExtension:
         bad = DirichletBand(axis=2, value=1.0, profile=lambda s: s,
                             profile_deriv=lambda s: 1.0)
         with pytest.raises(ValueError, match="axis"):
-            enforce_dirichlet_band(pot, zero, bad, ws)
+            enforce_dirichlet_band(pot, bad, ws)
 
 
 def _loop_constraint_matrix(ws, e):
@@ -637,7 +637,7 @@ class TestLocalOptimize:
                              * np.cos(np.pi * s))
         data = ProblemData(f=zero, g_D=gdo, band=band)
         sol, flux, pot, ws = base_pair(mesh, data, 2)
-        pot = enforce_dirichlet_band(pot, gdo, band, ws)
+        pot = enforce_dirichlet_band(pot, band, ws)
         f2, p2 = local_optimize(flux, pot, ws)
         res = potential_residuals(evaluate(f2, p2, data, ws), ws)
         assert res["dirichlet_trace"] < 1e-10
