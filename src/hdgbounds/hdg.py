@@ -111,6 +111,12 @@ class HDGSolution:
         return self.ws.p
 
 
+def _trace_coupling(ws: Workspace) -> np.ndarray:
+    """Cu[e, ell, m, v] = <psi_v, M_m>_ell on every element, (ne, 3, F1, np)."""
+    scale = np.sqrt(ws.elen) / ws.sqrt_det[:, None]          # (ne, 3)
+    return ws.T_p[np.arange(3), ws.eo] * scale[:, :, None, None]
+
+
 def _local_operators(ws: Workspace):
     """The blocks of the element-local problem
 
@@ -121,7 +127,7 @@ def _local_operators(ws: Workspace):
     Kdiv (ne, np, 2np), the trace mass E (ne, np, np), and the trace
     couplings Cq (ne, 2np, 3F), Cu (ne, np, 3F).
     """
-    ne, np_, F1 = ws.mesh.n_elements, ws.np_, ws.p + 1
+    ne, np_, F1 = ws.n_elements, ws.np_, ws.p + 1
 
     # Kdiv[e, i, c*np_+m] = (div V_(c,m), psi_i)_K = JinvT[e,c,r] S[r,m,i]
     Kdiv = (ws.jac_inv_t @ ws.S.reshape(2, np_ * np_)).reshape(
@@ -130,12 +136,23 @@ def _local_operators(ws: Workspace):
         ne, np_, np_)
 
     # Cu[e, v, (ell, m)] = <psi_v, M_m>_ell and Cq[e, (c, v), :] = n_c Cu[e, v, :]
-    T = ws.T_p[np.arange(3), ws.eo]                          # (ne, 3, F1, np_)
-    scale = np.sqrt(ws.elen) / ws.sqrt_det[:, None]          # (ne, 3)
-    Cu = (T * scale[:, :, None, None]).transpose(0, 3, 1, 2)  # (ne, np_, 3, F1)
+    Cu = _trace_coupling(ws).transpose(0, 3, 1, 2)            # (ne, np_, 3, F1)
     Cq = ws.enormal.transpose(0, 2, 1)[:, :, None, :, None] * Cu[:, None]
     return (Kdiv, E, Cq.reshape(ne, 2 * np_, 3 * F1),
             Cu.reshape(ne, np_, 3 * F1))
+
+
+def _flux(ws: Workspace, u: np.ndarray, uhat_e: np.ndarray) -> np.ndarray:
+    """q = nu (Kdiv^T u - Cq uhat_e) from the reference tensors, for u
+    (k, ne, np) and uhat_e (k, ne, 3, F1); returns (k, ne, 2, np).
+
+    Kdiv^T u = J^-T (S u) and Cq uhat_e = sum_ell n_ell Cu_ell uhat_ell.
+    """
+    np_ = ws.np_
+    su = (u @ ws.S.reshape(2 * np_, np_).T).reshape(u.shape[:2] + (2, np_))
+    cu = np.einsum("elmv,jelm->jelv", _trace_coupling(ws), uhat_e)
+    return ws.nu[:, None, None] * (ws.jac_inv_t @ su
+                                   - ws.enormal.swapaxes(1, 2) @ cu)
 
 
 def _bit_length(x: np.ndarray) -> np.ndarray:
@@ -182,8 +199,8 @@ class CondensedSystem:
     both in factor order: row i is the global dof free_dofs[i].  uhat
     (k, nf*(p+1)) holds the Dirichlet trace moments at the fixed dofs, and
     g_N (k, len(neumann_facets), p+1) the Neumann data moments.
-    Per element u = XP uhat_e + Xb[:, :, j], and the flux follows from the
-    local blocks Kdiv, Cq, Cu.
+    Per element u = XP uhat_e + Xb[:, :, j], and the flux moments
+    <qhat.n_K, mu> = GXb[:, :, j] - Aloc uhat_e.
     """
 
     A: sp.csc_matrix
@@ -194,9 +211,8 @@ class CondensedSystem:
     tau: float
     XP: np.ndarray
     Xb: np.ndarray
-    Kdiv: np.ndarray
-    Cq: np.ndarray
-    Cu: np.ndarray
+    Aloc: np.ndarray
+    GXb: np.ndarray
 
 
 def assemble_condensed(ws: Workspace, datas, tau) -> CondensedSystem:
@@ -206,39 +222,45 @@ def assemble_condensed(ws: Workspace, datas, tau) -> CondensedSystem:
     The flux equation gives q = nu (Kdiv^T u - Cq uhat), which leaves the
     symmetric positive definite np x np system
     (nu Kdiv Kdiv^T + tau E) u = G uhat + (f, psi), G = tau Cu + nu Kdiv Cq.
+    The local work runs block by block (Workspace.blocks).
     """
     if np.ndim(tau) != 0 or not tau > 0:
         raise ValueError(
             f"stabilization tau must be one positive number, not {tau!r}")
-    mesh, F1, tau = ws.mesh, ws.p + 1, float(tau)
-    ne, nf = mesh.n_elements, mesh.n_facets
+    mesh, F1, tau, k = ws.mesh, ws.p + 1, float(tau), len(datas)
+    ne, nf, F3 = mesh.n_elements, mesh.n_facets, 3 * F1
 
-    Kdiv, E, Cq, Cu = _local_operators(ws)
-    nu = ws.nu[:, None, None]
-    K = nu * (Kdiv @ Kdiv.swapaxes(1, 2)) + tau * E
-    G = tau * Cu + nu * (Kdiv @ Cq)
-    b = np.stack([ws.moments_p(ws.eval_data(data.f)) for data in datas], axis=2)
-    try:
-        X = np.linalg.solve(K, np.concatenate([G, b], axis=2))
-    except np.linalg.LinAlgError:
-        bad = np.flatnonzero(np.abs(np.linalg.det(K)) < 1e-300)
-        raise RuntimeError(
-            f"singular local solver matrix on element(s) {bad[:5].tolist()} "
-            "(degenerate geometry?)")
-    XP, Xb = X[:, :, :3 * F1], X[:, :, 3 * F1:]
-
-    # <qhat.n_K, mu> = <q.n_K + tau (u - uhat), mu> = G^T Xb - Aloc uhat_e
-    Aloc = nu * (Cq.swapaxes(1, 2) @ Cq) - G.swapaxes(1, 2) @ XP
-    diag = np.arange(3 * F1)
+    XP, Xb = np.empty((ne, ws.np_, F3)), np.empty((ne, ws.np_, k))
+    Aloc, GXb = np.empty((ne, F3, F3)), np.empty((ne, F3, k))
+    for blk in ws.blocks():
+        e = blk.elems
+        Kdiv, E, Cq, Cu = _local_operators(blk)
+        nu = blk.nu[:, None, None]
+        K = nu * (Kdiv @ Kdiv.swapaxes(1, 2)) + tau * E
+        G = tau * Cu + nu * (Kdiv @ Cq)
+        b = np.stack([blk.moments_p(blk.eval_data(data.f)) for data in datas],
+                     axis=2)
+        try:
+            X = np.linalg.solve(K, np.concatenate([G, b], axis=2))
+        except np.linalg.LinAlgError:
+            bad = e.start + np.flatnonzero(np.abs(np.linalg.det(K)) < 1e-300)
+            raise RuntimeError(
+                f"singular local solver matrix on element(s) {bad[:5].tolist()} "
+                "(degenerate geometry?)")
+        XP[e], Xb[e] = X[:, :, :F3], X[:, :, F3:]
+        # <qhat.n_K, mu> = <q.n_K + tau (u - uhat), mu> = G^T Xb - Aloc uhat_e
+        Aloc[e] = nu * (Cq.swapaxes(1, 2) @ Cq) - G.swapaxes(1, 2) @ X[:, :, :F3]
+        GXb[e] = G.swapaxes(1, 2) @ X[:, :, F3:]
+    diag = np.arange(F3)
     Aloc[:, diag, diag] += tau
-    GXb = G.swapaxes(1, 2) @ Xb                              # (ne, 3F1, k)
 
     # the free facets numbered in factor order; Dirichlet dofs get -F1..-1
     order = _skeleton_order(mesh)
     n = len(order) * F1
-    pos = np.full(nf, -1)
+    pos = np.full(nf, -1, dtype=np.int32)
     pos[order] = np.arange(len(order))
-    ldof = (pos[ws.ef][:, :, None] * F1 + np.arange(F1)).reshape(ne, 3 * F1)
+    ldof = (pos[ws.ef][:, :, None] * F1
+            + np.arange(F1, dtype=np.int32)).reshape(ne, F3)
     free = ldof >= 0
     rows, cols = np.broadcast_arrays(ldof[:, :, None], ldof[:, None, :])
     both = (rows >= 0) & (cols >= 0)
@@ -248,46 +270,51 @@ def assemble_condensed(ws: Workspace, datas, tau) -> CondensedSystem:
     # with the Dirichlet moments moved to the right-hand side per element
     dir_facets, neu_facets = mesh.dirichlet_facets, mesh.neumann_facets
     bd = np.flatnonzero(~free.all(axis=1))        # elements with a Dirichlet facet
-    uhat = np.zeros((len(datas), nf, F1))
-    g_N = np.zeros((len(datas), len(neu_facets), F1))
-    rhs = np.empty((len(datas), n))
+    uhat = np.zeros((k, nf, F1))
+    g_N = np.zeros((k, len(neu_facets), F1))
+    rhs = np.empty((k, n))
     for j, data in enumerate(datas):
         uhat[j, dir_facets] = ws.facet_data_moments(data.g_D, dir_facets)
-        GXb[bd, :, j] -= np.einsum("eij,ej->ei", Aloc[bd],
-                                   uhat[j, ws.ef[bd]].reshape(len(bd), 3 * F1))
-        rhs[j] = np.bincount(ldof[free], GXb[:, :, j][free], minlength=n)
+        loc = GXb[:, :, j].copy()
+        loc[bd] -= np.einsum("eij,ej->ei", Aloc[bd],
+                             uhat[j, ws.ef[bd]].reshape(len(bd), F3))
+        rhs[j] = np.bincount(ldof[free], loc[free], minlength=n)
         if len(neu_facets):
             g_N[j] = ws.facet_data_moments(data.g_N, neu_facets)
             rhs[j].reshape(-1, F1)[pos[neu_facets]] -= g_N[j]
-    return CondensedSystem(A=A, rhs=rhs.T, uhat=uhat.reshape(len(datas), -1),
-                           g_N=g_N,
+    return CondensedSystem(A=A, rhs=rhs.T, uhat=uhat.reshape(k, -1), g_N=g_N,
                            free_dofs=(order[:, None] * F1 + np.arange(F1)).ravel(),
-                           tau=tau, XP=XP, Xb=Xb, Kdiv=Kdiv, Cq=Cq, Cu=Cu)
+                           tau=tau, XP=XP, Xb=Xb, Aloc=Aloc, GXb=GXb)
 
 
-def _back_substitute(ws: Workspace, cs: CondensedSystem, j: int) -> HDGSolution:
+def _back_substitute(ws: Workspace, cs: CondensedSystem) -> list[HDGSolution]:
+    """The solution of every datum from the skeleton traces, block by block."""
     mesh, F1 = ws.mesh, ws.p + 1
-    uhat_full = cs.uhat[j]
-    uhat_e = uhat_full.reshape(mesh.n_facets, F1)[ws.ef].reshape(mesh.n_elements, 3 * F1)
-
-    u = np.einsum("elf,ef->el", cs.XP, uhat_e) + cs.Xb[:, :, j]
-    q = ws.nu[:, None] * (np.einsum("eil,ei->el", cs.Kdiv, u)
-                          - np.einsum("elf,ef->el", cs.Cq, uhat_e))
-
+    k, ne = cs.Xb.shape[2], mesh.n_elements
+    uhat = cs.uhat.reshape(k, mesh.n_facets, F1)
+    u, q = np.empty((k, ne, ws.np_)), np.empty((k, ne, 2, ws.np_))
+    flux_mom = np.empty((k, ne, 3, F1))        # <qhat.n_K, M_m> per side
+    for blk in ws.blocks():
+        e = blk.elems
+        uhat_e = uhat[:, blk.ef].reshape(k, -1, 3 * F1)
+        for j in range(k):
+            u[j, e] = np.einsum("elf,ef->el", cs.XP[e], uhat_e[j]) + cs.Xb[e, :, j]
+            flux_mom[j, e] = (cs.GXb[e, :, j] - np.einsum(
+                "eij,ej->ei", cs.Aloc[e], uhat_e[j])).reshape(-1, 3, F1)
+        q[:, e] = _flux(blk, u[:, e], uhat_e.reshape(k, -1, 3, F1))
     # single-valued numerical flux in the canonical normal direction
-    flux_mom = (np.einsum("elf,el->ef", cs.Cq, q)            # <qhat.n_K, M_m> per side
-                + cs.tau * (np.einsum("elf,el->ef", cs.Cu, u) - uhat_e))
-    flux_mom = flux_mom.reshape(mesh.n_elements, 3, F1) * ws.esign[:, :, None]
+    flux_mom *= ws.esign[:, :, None]
     fe, fl = mesh.facet_elems, mesh.facet_local_edge
-    qhat = flux_mom[fe[:, 0], fl[:, 0]]
     inner = mesh.interior_facets    # the mean of the two sides
-    qhat[inner] = (qhat[inner] + flux_mom[fe[inner, 1], fl[inner, 1]]) / 2.0
-    # exact projected Neumann trace (canonical normal is outward there)
-    qhat[mesh.neumann_facets] = cs.g_N[j]
-
-    return HDGSolution(ws=ws, tau=cs.tau, u=u,
-                       q=q.reshape(mesh.n_elements, 2, ws.np_),
-                       uhat=uhat_full.reshape(mesh.n_facets, F1), qhat_n=qhat)
+    sols = []
+    for j in range(k):
+        qhat = flux_mom[j, fe[:, 0], fl[:, 0]]
+        qhat[inner] = (qhat[inner] + flux_mom[j, fe[inner, 1], fl[inner, 1]]) / 2.0
+        # exact projected Neumann trace (canonical normal is outward there)
+        qhat[mesh.neumann_facets] = cs.g_N[j]
+        sols.append(HDGSolution(ws=ws, tau=cs.tau, u=u[j], q=q[j], uhat=uhat[j],
+                                qhat_n=qhat))
+    return sols
 
 
 def solve(ws: Workspace, datas, tau=1.0) -> list[HDGSolution]:
@@ -304,7 +331,7 @@ def solve(ws: Workspace, datas, tau=1.0) -> list[HDGSolution]:
         except RuntimeError as exc:  # singular factorization
             raise RuntimeError(f"skeleton solve failed: {exc}") from exc
         cs.uhat[:, cs.free_dofs] = lu.solve(cs.rhs).T
-    return [_back_substitute(ws, cs, j) for j in range(len(datas))]
+    return _back_substitute(ws, cs)
 
 
 def output_value(ws: Workspace, out: OutputFunctional, u: np.ndarray,

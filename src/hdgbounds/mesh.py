@@ -449,16 +449,14 @@ def write_mesh(mesh: Mesh, path) -> None:
     """Serialize: header `nv ne nf`, vertex lines `x y`, element lines
     `v0 v1 v2 region`, boundary-facet lines `v0 v1 tag`.  Interior facets
     are derived, never serialized."""
-    btags = [(int(a), int(b), _TAG_CHARS[int(t)])
-             for (a, b), t in sorted(mesh.boundary_tag_dict().items())]
+    btags = sorted(mesh.boundary_tag_dict().items())
+    elems = np.column_stack([mesh.elements, mesh.region]).tolist()
+    lines = [f"{mesh.n_vertices} {mesh.n_elements} {len(btags)}",
+             "\n".join(f"{x!r} {y!r}" for x, y in mesh.vertices.tolist()),
+             "\n".join("%d %d %d %d" % tuple(row) for row in elems),
+             "\n".join(f"{a} {b} {_TAG_CHARS[t]}" for (a, b), t in btags)]
     with open(path, "w") as fh:
-        fh.write(f"{mesh.n_vertices} {mesh.n_elements} {len(btags)}\n")
-        for x, y in mesh.vertices:
-            fh.write(f"{float(x)!r} {float(y)!r}\n")
-        for (v0, v1, v2), r in zip(mesh.elements, mesh.region):
-            fh.write(f"{v0} {v1} {v2} {r}\n")
-        for a, b, t in btags:
-            fh.write(f"{a} {b} {t}\n")
+        fh.write("".join(line + "\n" for line in lines if line))
 
 
 def read_mesh(path, nu=None) -> Mesh:

@@ -56,18 +56,22 @@ class EquilibratedFlux:
         return self.p + 1
 
     def eval_values(self, ws: Workspace) -> np.ndarray:
-        """Values at the volume quadrature points, (ne, nq, 2)."""
-        out = np.empty((self.mesh.n_elements, ws.nq, 2))
+        """Values at the volume quadrature points of the elements of ws (a
+        Workspace or one of its blocks), (ne, nq, 2)."""
+        coeffs = self.coeffs[ws.elems]
+        out = np.empty((len(coeffs), ws.nq, 2))
         for c in (0, 1):
-            out[:, :, c] = (self.coeffs[:, c] @ ws.phi_m) / ws.sqrt_det[:, None]
+            out[:, :, c] = (coeffs[:, c] @ ws.phi_m) / ws.sqrt_det[:, None]
         return out
 
     def eval_divergence(self, ws: Workspace) -> np.ndarray:
-        """Divergence values at the volume quadrature points, (ne, nq)."""
-        out = np.zeros((self.mesh.n_elements, ws.nq))
+        """Divergence values at the volume quadrature points of the elements
+        of ws, (ne, nq)."""
+        coeffs = self.coeffs[ws.elems]
+        out = np.zeros((len(coeffs), ws.nq))
         for c in (0, 1):
             for d in (0, 1):
-                out += (self.coeffs[:, c] @ ws.dphi_m[:, :, d]) \
+                out += (coeffs[:, c] @ ws.dphi_m[:, :, d]) \
                     * ws.jac_inv_t[:, c, d, None]
         return out / ws.sqrt_det[:, None]
 
@@ -84,7 +88,7 @@ class EquilibratedFlux:
 class BandCorrection:
     """Non-polynomial additive correction on the band elements."""
 
-    elems: np.ndarray            # element ids inside the band
+    elems: np.ndarray            # element ids inside the band, ascending
     ghat: Callable               # extension value (x, y) -> float
     ghat_grad: Callable          # extension gradient (x, y) -> (..., 2)
     nodal: np.ndarray            # (len(elems), n_nodes) interpolant values
@@ -110,23 +114,34 @@ class ContinuousPotential:
     def nodal(self) -> np.ndarray:
         return self.values[self.node_map]
 
+    def _band(self, ws: Workspace):
+        """The band elements among those of ws: their rows in the correction
+        and their indices in ws."""
+        e = ws.elems
+        rows = slice(*np.searchsorted(self.correction.elems, (e.start, e.stop)))
+        return rows, self.correction.elems[rows] - e.start
+
     def eval_values(self, ws: Workspace) -> np.ndarray:
-        out = self.nodal() @ ws.lag_vals.T
+        """Values at the volume quadrature points of the elements of ws (a
+        Workspace or one of its blocks), (ne, nq)."""
+        out = self.values[self.node_map[ws.elems]] @ ws.lag_vals.T
         if self.correction is not None:
-            c = self.correction
-            out[c.elems] += (ws.eval_data(c.ghat, ws.qphys[c.elems])
-                             - c.nodal @ ws.lag_vals.T)
+            c, (rows, elems) = self.correction, self._band(ws)
+            out[elems] += (ws.eval_data(c.ghat, ws.qphys[elems])
+                           - c.nodal[rows] @ ws.lag_vals.T)
         return out
 
     def eval_grads(self, ws: Workspace) -> np.ndarray:
+        """Gradients at the volume quadrature points of the elements of ws,
+        (ne, nq, 2)."""
         def grads(nodal, jac_inv):  # reference gradients mapped by J^-T
             return (nodal @ ws.lag_grads.reshape(ws.n_nodes, -1)).reshape(
                 len(nodal), ws.nq, 2) @ jac_inv
-        out = grads(self.nodal(), ws.jac_inv)
+        out = grads(self.values[self.node_map[ws.elems]], ws.jac_inv)
         if self.correction is not None:
-            c = self.correction
-            out[c.elems] += (c.grads_at(ws.qphys[c.elems])
-                             - grads(c.nodal, ws.jac_inv[c.elems]))
+            c, (rows, elems) = self.correction, self._band(ws)
+            out[elems] += (c.grads_at(ws.qphys[elems])
+                           - grads(c.nodal[rows], ws.jac_inv[elems]))
         return out
 
     def trace_values(self, ws: Workspace, facet_ids, side: int = 0) -> np.ndarray:
@@ -161,19 +176,23 @@ def reconstruct_flux(sol: HDGSolution) -> EquilibratedFlux:
     (femcore._reference_rt).
     """
     ws = sol.ws
-    ne, p, F1 = sol.mesh.n_elements, sol.p, sol.p + 1
+    p, F1 = sol.p, sol.p + 1
     n1 = fc.n_modes(p - 1) if p else 0
-    T, A = ws.rt_T, ws.rt_A
-    flip = np.where(ws.eo[:, :, None] == 1, 1.0, (-1.0) ** np.arange(F1))
-    rhs = np.empty((ne, len(T)))
-    rhs[:, :3 * F1] = (sol.qhat_n[ws.ef] * flip * (ws.esign * np.sqrt(ws.elen))[
-        :, :, None]).reshape(ne, 3 * F1)
-    rhs[:, 3 * F1:] = (ws.jac_inv @ sol.q[:, :, :n1]).reshape(ne, 2 * n1) \
-        * ws.sqrt_det[:, None]
-    # reference coefficients beta = A^-1 rhs, and their modal coefficients
-    yhat = (rhs @ np.linalg.solve(A.T, T.reshape(len(T), -1))).reshape(ne, 2, -1)
-    return EquilibratedFlux(mesh=sol.mesh, p=p,
-                            coeffs=ws.jac @ yhat / ws.sqrt_det[:, None, None])
+    T = ws.rt_T
+    # modal coefficients of the reference basis of degrees of freedom, A^-T T
+    dofs = np.linalg.solve(ws.rt_A.T, T.reshape(len(T), -1))
+    coeffs = np.empty((sol.mesh.n_elements, 2, ws.nm))
+    for blk in ws.blocks():
+        e, ne = blk.elems, blk.n_elements
+        flip = np.where(blk.eo[:, :, None] == 1, 1.0, (-1.0) ** np.arange(F1))
+        rhs = np.empty((ne, len(T)))
+        rhs[:, :3 * F1] = (sol.qhat_n[blk.ef] * flip * (
+            blk.esign * np.sqrt(blk.elen))[:, :, None]).reshape(ne, 3 * F1)
+        rhs[:, 3 * F1:] = (blk.jac_inv @ sol.q[e, :, :n1]).reshape(ne, 2 * n1) \
+            * blk.sqrt_det[:, None]
+        coeffs[e] = blk.jac @ (rhs @ dofs).reshape(ne, 2, -1) \
+            / blk.sqrt_det[:, None, None]
+    return EquilibratedFlux(mesh=sol.mesh, p=p, coeffs=coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -184,13 +203,15 @@ def postprocess_potential(sol: HDGSolution, flux: EquilibratedFlux) -> np.ndarra
     """Element P^{p+1} potential: (grad u*, grad w)_K matches the flux data
     -(nu^-1 q~, grad w)_K, mean value pinned to u_h.  Returns mapped-modal
     coefficients (ne, n_modes(p+1))."""
-    ws, ne, nm = sol.ws, sol.mesh.n_elements, sol.ws.nm
-    G = ws.jac_inv @ ws.jac_inv_t                       # G[e, r, s]
-    K = (G.reshape(ne, 4) @ ws.S2.reshape(4, nm * nm)).reshape(ne, nm, nm)
-    rhs = -((ws.jac_inv @ flux.coeffs).reshape(ne, 2 * nm)
-            @ ws.Qm.reshape(2 * nm, nm)) / ws.nu[:, None]
-    coeffs = np.zeros((ne, nm))
-    coeffs[:, 1:] = np.linalg.solve(K[:, 1:, 1:], rhs[:, 1:, None])[:, :, 0]
+    ws, nm = sol.ws, sol.ws.nm
+    coeffs = np.empty((sol.mesh.n_elements, nm))
+    for blk in ws.blocks():
+        e, ne = blk.elems, blk.n_elements
+        G = blk.jac_inv @ blk.jac_inv_t                 # G[e, r, s]
+        K = (G.reshape(ne, 4) @ ws.S2.reshape(4, nm * nm)).reshape(ne, nm, nm)
+        rhs = -((blk.jac_inv @ flux.coeffs[e]).reshape(ne, 2 * nm)
+                @ ws.Qm.reshape(2 * nm, nm)) / blk.nu[:, None]
+        coeffs[e, 1:] = np.linalg.solve(K[:, 1:, 1:], rhs[:, 1:, None])[:, :, 0]
     coeffs[:, 0] = sol.u[:, 0]  # same constant mode pins (u*, 1)_K = (u_h, 1)_K
     return coeffs
 
@@ -318,15 +339,23 @@ class EvaluatedPair:
 
 def evaluate(flux: EquilibratedFlux, pot: ContinuousPotential,
              data: ProblemData, ws: Workspace) -> EvaluatedPair:
-    """Evaluate a pair and its data once, for the audit and the bounds."""
+    """Evaluate a pair and its data once, for the audit and the bounds; the
+    volume fields block by block."""
     neu = ws.mesh.neumann_facets
-    q, grad_u = flux.eval_values(ws), pot.eval_grads(ws)
-    f, g_N = ws.eval_data(data.f), ws.eval_data(data.g_N, ws.ephys[neu])
+    shape = (ws.mesh.n_elements, ws.nq)
+    q, grad_u, residual = (np.empty(shape + (2,)) for _ in range(3))
+    div, u, f, f_proj = (np.empty(shape) for _ in range(4))
+    for blk in ws.blocks():
+        e = blk.elems
+        q[e], grad_u[e] = flux.eval_values(blk), pot.eval_grads(blk)
+        residual[e] = q[e] + blk.nu[:, None, None] * grad_u[e]
+        div[e], u[e] = flux.eval_divergence(blk), pot.eval_values(blk)
+        f[e] = blk.eval_data(data.f)
+        f_proj[e] = blk.proj_p(f[e])
+    g_N = ws.eval_data(data.g_N, ws.ephys[neu])
     return EvaluatedPair(
-        flux=flux, pot=pot, data=data, q=q, div=flux.eval_divergence(ws),
-        u=pot.eval_values(ws), grad_u=grad_u,
-        residual=q + ws.nu[:, None, None] * grad_u, f=f, f_proj=ws.proj_p(f),
-        qn=flux.normal_trace(ws, neu),
+        flux=flux, pot=pot, data=data, q=q, div=div, u=u, grad_u=grad_u,
+        residual=residual, f=f, f_proj=f_proj, qn=flux.normal_trace(ws, neu),
         u_neu=pot.trace_values(ws, neu), g_N=g_N,
         g_N_proj=ws.facet_proj_p(g_N, neu))
 

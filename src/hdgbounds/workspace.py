@@ -11,14 +11,28 @@ p+1 potential) come from femcore.reference_tables, built once per
 
 All arrays are laid out elementwise so the hot paths are batched matrix
 products and solves; no Python loop runs over elements in the pipelines.
+The element-local work runs over blocks of at most _BLOCK elements
+(Workspace.blocks), so that its temporaries scale with the block and not
+with the mesh.
 """
 
 from __future__ import annotations
+
+import copy
 
 import numpy as np
 
 from . import femcore as fc
 from .mesh import Mesh
+
+
+# elements per block of the element-local work
+_BLOCK = 1024
+
+# the per-element arrays of a Workspace, which its blocks slice
+_PER_ELEMENT = ("v0", "jac", "det", "jac_inv", "jac_inv_t", "sqrt_det", "nu",
+                "qphys", "wdet", "ef", "eo", "esign", "enormal", "elen",
+                "node_phys")
 
 
 class NonFiniteDataError(ValueError):
@@ -91,7 +105,29 @@ class Workspace:
         # Lagrange lattice nodes of degree m
         self.node_phys = self.v0[:, None, :] + self.lattice.nodes @ jac_t  # (ne, n_nodes, 2)
 
+        self.elems = slice(0, mesh.n_elements)
         self._global_nodes = None
+
+    @property
+    def n_elements(self) -> int:
+        """Elements this workspace (or block) covers."""
+        return len(self.det)
+
+    def blocks(self):
+        """This workspace on consecutive slices of at most _BLOCK elements.
+
+        Each block shares the tables and holds views of the per-element
+        arrays; ``elems`` is its slice of the mesh's elements.  Only the
+        element-local methods apply to a block: the facet machinery and the
+        global nodes read the whole mesh.
+        """
+        ne = self.mesh.n_elements
+        for start in range(0, ne, _BLOCK):
+            block = copy.copy(self)
+            block.elems = slice(start, min(start + _BLOCK, ne))
+            block.__dict__.update(
+                (name, self.__dict__[name][block.elems]) for name in _PER_ELEMENT)
+            yield block
 
     # -- generic integration helpers ---------------------------------------
 
@@ -150,16 +186,10 @@ class Workspace:
         """
         e = self.mesh.facet_elems[facet_ids, side]
         ell = self.mesh.facet_local_edge[facet_ids, side]
-        o = self.eo[e, ell]
-        out = np.empty((len(e),) + vals.shape[1:-1] + (self.nqe,))
-        for L in range(3):
-            for O in range(2):
-                sel = np.flatnonzero((ell == L) & (o == O))
-                if len(sel):
-                    v = vals[e[sel]]
-                    out[sel] = (v.reshape(-1, v.shape[-1]) @ tab[L, O]
-                                ).reshape((len(sel),) + out.shape[1:])
-        return out
+        v = vals[e]
+        rows = int(np.prod(v.shape[1:-1]))  # explicit, so that no facet works
+        return (v.reshape(len(e), rows, v.shape[-1]) @ tab[ell, self.eo[e, ell]]
+                ).reshape(v.shape[:-1] + (self.nqe,))
 
     # -- global Lagrange nodes ----------------------------------------------
 

@@ -6,10 +6,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from hdgbounds import (Bulk, ErrorDistribution, Uniform, Workspace,
-                       adaptive_loop, builtin, convergence_order, mark,
-                       unit_square_crisscross)
+from conftest import mixed_square, perturbed_crisscross
+from hdgbounds import (Bulk, ErrorDistribution, OutputFunctional, ProblemData,
+                       Uniform, Workspace, adaptive_loop, builtin,
+                       convergence_order, mark, unit_square_crisscross)
 from hdgbounds import reconstruct as rc
+from hdgbounds import workspace
 from hdgbounds.adapt import run_pipeline
 
 
@@ -168,13 +170,16 @@ class TestPipeline:
 
     def test_each_field_evaluated_once_per_pair(self, monkeypatch):
         # the audit, kappa, eta and S all read one evaluated record per
-        # pair; the datum f is also read by the assembly, f_O by s_h
+        # pair; the datum f is also read by the assembly, f_O by s_h.
+        # Counted in elements, over blocks of 7 of the 256 elements
+        monkeypatch.setattr(workspace, "_BLOCK", 7)
         counts = Counter()
 
-        def counting(name, fn):
+        def counting(name, fn, elements):
             def counted(*args, **kwargs):
-                counts[name] += 1
-                return fn(*args, **kwargs)
+                result = fn(*args, **kwargs)
+                counts[name] += elements(args, result)
+                return result
             return counted
 
         for cls, attr in ((rc.EquilibratedFlux, "eval_values"),
@@ -183,17 +188,25 @@ class TestPipeline:
                           (rc.ContinuousPotential, "eval_grads"),
                           (Workspace, "proj_p")):
             name = f"{cls.__name__}.{attr}"
-            monkeypatch.setattr(cls, attr, counting(name, getattr(cls, attr)))
+            monkeypatch.setattr(cls, attr, counting(
+                name, getattr(cls, attr), lambda args, res: len(res)))
         prob = builtin("example1_s1")
-        data = replace(prob.data, f=counting("f", prob.data.f))
-        out = replace(prob.out, f_O=counting("f_O", prob.out.f_O))
-        res = run_pipeline(unit_square_crisscross(2), data, out, p=2)
+
+        def points(args, res):  # x at the volume quadrature points: (ne, nq)
+            return np.shape(args[0])[0]
+
+        data = replace(prob.data, f=counting("f", prob.data.f, points))
+        out = replace(prob.out, f_O=counting("f_O", prob.out.f_O, points))
+        mesh = unit_square_crisscross(2)
+        res = run_pipeline(mesh, data, out, p=2)
         assert res.contains(prob.exact_s)
-        assert counts == {"EquilibratedFlux.eval_values": 2,
-                          "EquilibratedFlux.eval_divergence": 2,
-                          "ContinuousPotential.eval_values": 2,
-                          "ContinuousPotential.eval_grads": 2,
-                          "Workspace.proj_p": 2, "f": 2, "f_O": 3}
+        ne = mesh.n_elements
+        assert counts == {"EquilibratedFlux.eval_values": 2 * ne,
+                          "EquilibratedFlux.eval_divergence": 2 * ne,
+                          "ContinuousPotential.eval_values": 2 * ne,
+                          "ContinuousPotential.eval_grads": 2 * ne,
+                          "Workspace.proj_p": 2 * ne, "f": 2 * ne,
+                          "f_O": 3 * ne}
 
     def test_mesh_released_after_pipeline(self):
         import gc
@@ -206,3 +219,42 @@ class TestPipeline:
         gc.collect()
         assert ref() is None
         assert res.contains(prob.exact_s)
+
+
+def _neumann_case():
+    """mixed_square(2) with Neumann data on its left edge."""
+    data = ProblemData(f=lambda x, y: 1.0 + x * y, g_D=lambda x, y: x * y,
+                       g_N=lambda x, y: 1.0 + 0.0 * x)
+    out = OutputFunctional(f_O=lambda x, y: 1.0 + 0.0 * x,
+                           g_N_O=lambda x, y: 1.0 + y)
+    return mixed_square(2), data, out, False
+
+
+def _builtin_case(name, mesh, optimize):
+    prob = builtin(name)
+    return mesh, prob.data, prob.out, optimize
+
+
+BLOCK_CASES = {
+    "perturbed": lambda: _builtin_case(
+        "example1_s1",
+        perturbed_crisscross(0.015, base=unit_square_crisscross(2)), False),
+    # the band elements along x = 1 fall into many blocks
+    "example1_s2_optimize": lambda: _builtin_case(
+        "example1_s2", unit_square_crisscross(2), True),
+    "mixed_square": _neumann_case,
+}
+
+
+class TestElementBlocks:
+    @pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+    def test_blocks_of_seven_match_one_block(self, case, monkeypatch):
+        # 256 elements in one block, then in 37 blocks of 7 or fewer; the
+        # certificate audit runs inside both
+        mesh, data, out, optimize = BLOCK_CASES[case]()
+        assert mesh.n_elements == 256
+        ref = run_pipeline(mesh, data, out, p=2, optimize=optimize)
+        monkeypatch.setattr(workspace, "_BLOCK", 7)
+        got = run_pipeline(mesh, data, out, p=2, optimize=optimize)
+        for a, b in ((got.s_minus, ref.s_minus), (got.s_plus, ref.s_plus)):
+            assert abs(a - b) <= 1e-13 * abs(b)

@@ -145,27 +145,52 @@ class TestLocalStructure:
         X = _local_solve_dense(ws, datas, tau)
         n2, F3 = 2 * ws.np_, 3 * (p + 1)
         nu = ws.nu[:, None, None]
-        Kt = np.swapaxes(cs.Kdiv, 1, 2)
+        Kdiv, _, Cq, Cu = _local_operators(ws)
+        Kt = np.swapaxes(Kdiv, 1, 2)
+        # <qhat.n_K, mu> = Cq^T q + tau (Cu^T u - uhat_e) of the dense solution
+        flux_mom = (np.swapaxes(Cq, 1, 2) @ X[:, :n2]
+                    + tau * (np.swapaxes(Cu, 1, 2) @ X[:, n2:]))
+        flux_mom[:, :, :F3] -= tau * np.eye(F3)
         pairs = [(cs.XP, X[:, n2:, :F3]), (cs.Xb, X[:, n2:, F3:]),
-                 (nu * (Kt @ cs.XP - cs.Cq), X[:, :n2, :F3]),
-                 (nu * (Kt @ cs.Xb), X[:, :n2, F3:])]
+                 (nu * (Kt @ cs.XP - Cq), X[:, :n2, :F3]),
+                 (nu * (Kt @ cs.Xb), X[:, :n2, F3:]),
+                 (-cs.Aloc, flux_mom[:, :, :F3]), (cs.GXb, flux_mom[:, :, F3:])]
         for got, ref in pairs:
             assert got.shape == ref.shape
             assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
-    def test_singular_local_matrix_names_elements(self, monkeypatch):
-        from hdgbounds import hdg
+    @pytest.mark.parametrize("block,bad", [(1024, 3), (7, 10)])
+    def test_singular_local_matrix_names_elements(self, monkeypatch, block, bad):
+        # with blocks of 7 of the 16 elements, element 10 lies in the second
+        from hdgbounds import hdg, workspace
         local_operators = hdg._local_operators
 
-        def zero_element_3(ws):
+        def zero_element(ws):
             Kdiv, E, Cq, Cu = local_operators(ws)
-            Kdiv[3] = 0.0
-            E[3] = 0.0
+            if ws.elems.start <= bad < ws.elems.stop:
+                Kdiv[bad - ws.elems.start] = 0.0
+                E[bad - ws.elems.start] = 0.0
             return Kdiv, E, Cq, Cu
 
-        monkeypatch.setattr(hdg, "_local_operators", zero_element_3)
-        with pytest.raises(RuntimeError, match=r"element\(s\) \[3\]"):
+        monkeypatch.setattr(workspace, "_BLOCK", block)
+        monkeypatch.setattr(hdg, "_local_operators", zero_element)
+        with pytest.raises(RuntimeError, match=rf"element\(s\) \[{bad}\]"):
             solve(Workspace(unit_square_crisscross(0), 1), [ProblemData(f=EX1_F)])
+
+    def test_solve_memory_scales_with_the_block(self):
+        # numpy's traced peak of one solve at level 4 (4096 elements, four
+        # blocks), p=2 was 17.9 MiB; per-element temporaries of the whole
+        # mesh gave 28.2 MiB
+        import tracemalloc
+        ws = Workspace(unit_square_crisscross(4), 2)
+        datas = [ProblemData(f=EX1_F), OutputFunctional(f_O=ONE).adjoint_data()]
+        tracemalloc.start()
+        try:
+            solve(ws, datas)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * 17.9 * 2 ** 20
 
     def test_local_conservation(self):
         mesh = unit_square_crisscross(1)

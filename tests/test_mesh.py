@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import mixed_square
+from conftest import mixed_square, perturbed_crisscross
 from hdgbounds import Bulk, builtin, mark, mesh as hm, run_pipeline
 from hdgbounds.bounds import poincare_constants
 
@@ -747,6 +747,28 @@ class TestInvariantsAndFormat:
         assert np.array_equal(m.elements, r.elements)
         assert np.array_equal(m.facet_tag, r.facet_tag)
         assert np.array_equal(m.region, r.region)
+
+    def test_write_matches_per_line_format(self, tmp_path):
+        # one line per vertex, element and boundary facet, each written on
+        # its own; coordinates as float repr, so they survive a round trip
+        base = mixed_square(1)
+        mesh = perturbed_crisscross(amp=0.03, seed=3, base=hm.Mesh(
+            base.vertices / 3.0, base.elements, base.boundary_tag_dict(),
+            region=np.arange(base.n_elements) % 3))
+        ref = tmp_path / "ref.txt"
+        btags = [(int(a), int(b), "DN"[int(t) - 1])
+                 for (a, b), t in sorted(mesh.boundary_tag_dict().items())]
+        with open(ref, "w") as fh:
+            fh.write(f"{mesh.n_vertices} {mesh.n_elements} {len(btags)}\n")
+            for x, y in mesh.vertices:
+                fh.write(f"{float(x)!r} {float(y)!r}\n")
+            for (v0, v1, v2), r in zip(mesh.elements, mesh.region):
+                fh.write(f"{v0} {v1} {v2} {r}\n")
+            for a, b, t in btags:
+                fh.write(f"{a} {b} {t}\n")
+        hm.write_mesh(mesh, tmp_path / "mesh.txt")
+        assert "N" in ref.read_text() and "0.1" in ref.read_text()
+        assert (tmp_path / "mesh.txt").read_bytes() == ref.read_bytes()
 
     def test_geometry_quantities(self):
         m = hm.lshape_initial()
