@@ -111,12 +111,6 @@ class HDGSolution:
         return self.ws.p
 
 
-def _trace_coupling(ws: Workspace) -> np.ndarray:
-    """Cu[e, ell, m, v] = <psi_v, M_m>_ell on every element, (ne, 3, F1, np)."""
-    scale = np.sqrt(ws.elen) / ws.sqrt_det[:, None]          # (ne, 3)
-    return ws.T_p[np.arange(3), ws.eo] * scale[:, :, None, None]
-
-
 def _local_operators(ws: Workspace):
     """The blocks of the element-local problem
 
@@ -136,7 +130,9 @@ def _local_operators(ws: Workspace):
         ne, np_, np_)
 
     # Cu[e, v, (ell, m)] = <psi_v, M_m>_ell and Cq[e, (c, v), :] = n_c Cu[e, v, :]
-    Cu = _trace_coupling(ws).transpose(0, 3, 1, 2)            # (ne, np_, 3, F1)
+    T = ws.T_p[np.arange(3), ws.eo]                          # (ne, 3, F1, np_)
+    scale = np.sqrt(ws.elen) / ws.sqrt_det[:, None]          # (ne, 3)
+    Cu = (T * scale[:, :, None, None]).transpose(0, 3, 1, 2)  # (ne, np_, 3, F1)
     Cq = ws.enormal.transpose(0, 2, 1)[:, :, None, :, None] * Cu[:, None]
     return (Kdiv, E, Cq.reshape(ne, 2 * np_, 3 * F1),
             Cu.reshape(ne, np_, 3 * F1))
@@ -146,13 +142,17 @@ def _flux(ws: Workspace, u: np.ndarray, uhat_e: np.ndarray) -> np.ndarray:
     """q = nu (Kdiv^T u - Cq uhat_e) from the reference tensors, for u
     (k, ne, np) and uhat_e (k, ne, 3, F1); returns (k, ne, 2, np).
 
-    Kdiv^T u = J^-T (S u) and Cq uhat_e = sum_ell n_ell Cu_ell uhat_ell.
+    Kdiv^T u = J^-T (S u), and Cq uhat_e sums over the local edges the
+    normal times the edge's trace coupling, taken by its orientation.
     """
     np_ = ws.np_
     su = (u @ ws.S.reshape(2 * np_, np_).T).reshape(u.shape[:2] + (2, np_))
-    cu = np.einsum("elmv,jelm->jelv", _trace_coupling(ws), uhat_e)
-    return ws.nu[:, None, None] * (ws.jac_inv_t @ su
-                                   - ws.enormal.swapaxes(1, 2) @ cu)
+    cu = np.stack([np.where(ws.eo[:, ell, None] == 1,
+                            uhat_e[:, :, ell] @ ws.T_p[ell, 1],
+                            uhat_e[:, :, ell] @ ws.T_p[ell, 0])
+                   for ell in range(3)], axis=2)               # (k, ne, 3, np)
+    w = ws.enormal * (np.sqrt(ws.elen) / ws.sqrt_det[:, None])[:, :, None]
+    return ws.nu[:, None, None] * (ws.jac_inv_t @ su - w.swapaxes(1, 2) @ cu)
 
 
 def _bit_length(x: np.ndarray) -> np.ndarray:
@@ -292,29 +292,28 @@ def _back_substitute(ws: Workspace, cs: CondensedSystem) -> list[HDGSolution]:
     mesh, F1 = ws.mesh, ws.p + 1
     k, ne = cs.Xb.shape[2], mesh.n_elements
     uhat = cs.uhat.reshape(k, mesh.n_facets, F1)
+    uhat_e = np.take(uhat, ws.ef, axis=1)                    # (k, ne, 3, F1)
     u, q = np.empty((k, ne, ws.np_)), np.empty((k, ne, 2, ws.np_))
-    flux_mom = np.empty((k, ne, 3, F1))        # <qhat.n_K, M_m> per side
+    flux_mom = np.empty((k, ne, 3 * F1))      # <qhat.n_K, M_m> per side
     for blk in ws.blocks():
         e = blk.elems
-        uhat_e = uhat[:, blk.ef].reshape(k, -1, 3 * F1)
         for j in range(k):
-            u[j, e] = np.einsum("elf,ef->el", cs.XP[e], uhat_e[j]) + cs.Xb[e, :, j]
-            flux_mom[j, e] = (cs.GXb[e, :, j] - np.einsum(
-                "eij,ej->ei", cs.Aloc[e], uhat_e[j])).reshape(-1, 3, F1)
-        q[:, e] = _flux(blk, u[:, e], uhat_e.reshape(k, -1, 3, F1))
-    # single-valued numerical flux in the canonical normal direction
-    flux_mom *= ws.esign[:, :, None]
-    fe, fl = mesh.facet_elems, mesh.facet_local_edge
-    inner = mesh.interior_facets    # the mean of the two sides
-    sols = []
-    for j in range(k):
-        qhat = flux_mom[j, fe[:, 0], fl[:, 0]]
-        qhat[inner] = (qhat[inner] + flux_mom[j, fe[inner, 1], fl[inner, 1]]) / 2.0
-        # exact projected Neumann trace (canonical normal is outward there)
-        qhat[mesh.neumann_facets] = cs.g_N[j]
-        sols.append(HDGSolution(ws=ws, tau=cs.tau, u=u[j], q=q[j], uhat=uhat[j],
-                                qhat_n=qhat))
-    return sols
+            ue = uhat_e[j, e].reshape(-1, 3 * F1)
+            u[j, e] = np.einsum("elf,ef->el", cs.XP[e], ue) + cs.Xb[e, :, j]
+            flux_mom[j, e] = cs.GXb[e, :, j] - np.einsum("eij,ej->ei",
+                                                         cs.Aloc[e], ue)
+        q[:, e] = _flux(blk, u[:, e], uhat_e[:, e])
+    # single-valued numerical flux in the canonical normal direction: the
+    # side-0 moments, averaged with side 1 inside
+    flux_mom = flux_mom.reshape(k, 3 * ne, F1) * ws.esign.reshape(-1, 1)
+    fe, fl, inner = mesh.facet_elems, mesh.facet_local_edge, mesh.interior_facets
+    qhat = np.take(flux_mom, 3 * fe[:, 0] + fl[:, 0], axis=1)
+    qhat[:, inner] += np.take(flux_mom, 3 * fe[inner, 1] + fl[inner, 1], axis=1)
+    qhat[:, inner] /= 2.0
+    # exact projected Neumann trace (canonical normal is outward there)
+    qhat[:, mesh.neumann_facets] = cs.g_N
+    return [HDGSolution(ws=ws, tau=cs.tau, u=u[j], q=q[j], uhat=uhat[j],
+                        qhat_n=qhat[j]) for j in range(k)]
 
 
 def solve(ws: Workspace, datas, tau=1.0) -> list[HDGSolution]:

@@ -186,10 +186,12 @@ class Workspace:
         """
         e = self.mesh.facet_elems[facet_ids, side]
         ell = self.mesh.facet_local_edge[facet_ids, side]
-        v = vals[e]
+        v = np.take(vals, e, axis=0)
+        t = np.take(tab.reshape((6,) + tab.shape[2:]), 2 * ell + self.eo[e, ell],
+                    axis=0)                                # tab[ell, o] per facet
         rows = int(np.prod(v.shape[1:-1]))  # explicit, so that no facet works
-        return (v.reshape(len(e), rows, v.shape[-1]) @ tab[ell, self.eo[e, ell]]
-                ).reshape(v.shape[:-1] + (self.nqe,))
+        return (v.reshape(len(e), rows, v.shape[-1]) @ t).reshape(
+            v.shape[:-1] + (self.nqe,))
 
     # -- global Lagrange nodes ----------------------------------------------
 
