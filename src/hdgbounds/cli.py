@@ -16,7 +16,7 @@ import json
 import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Optional
+from typing import Optional, get_args, get_type_hints
 
 import numpy as np
 
@@ -98,6 +98,10 @@ def compile_expression(text: str):
 # Configuration
 # ---------------------------------------------------------------------------
 
+_JSON_NAMES = {int: "an integer", float: "a number", bool: "true or false",
+               str: "a string", dict: "an object"}
+
+
 @dataclass
 class RunConfig:
     problem: Optional[str] = None        # builtin id, or None for external
@@ -118,12 +122,35 @@ class RunConfig:
 
     def validate(self):
         """Check the settings; returns the parsed marking strategy."""
+        hints = get_type_hints(RunConfig)
+        for f in fields(self):
+            val, kinds = getattr(self, f.name), get_args(hints[f.name])
+            if val is None and type(None) in kinds:
+                continue
+            kind = next(t for t in kinds or (hints[f.name],)
+                        if t is not type(None))
+            # a float field also takes an int, and bool is an int to isinstance
+            accepted = (int, float) if kind is float else kind
+            if not (isinstance(val, accepted)
+                    and isinstance(val, bool) == (kind is bool)):
+                raise ValueError(f"{f.name} must be {_JSON_NAMES[kind]}, "
+                                 f"not {val!r}")
+        for name, text in self.expressions.items():
+            if not isinstance(text, str):
+                raise ValueError(f"expression {name} must be a string, "
+                                 f"not {text!r}")
+        for region, nu in (self.nu or {}).items():
+            if isinstance(nu, bool) or not isinstance(nu, (int, float)):
+                raise ValueError(f"nu of region {region} must be a number, "
+                                 f"not {nu!r}")
         if self.p < 0:
             raise ValueError("polynomial degree p must be >= 0")
         if not self.tau > 0:
             raise ValueError("tau must be positive")
         if not self.target > 0:
             raise ValueError("target gap must be positive")
+        if self.exact_s is not None and not np.isfinite(self.exact_s):
+            raise ValueError(f"exact_s must be finite, not {self.exact_s!r}")
         if self.max_iter < 1:
             raise ValueError("max-iter must be >= 1")
         strategy = parse_strategy(self.strategy, self.target)
@@ -311,14 +338,17 @@ def main(argv=None) -> int:
         try:
             with open(args.config) as fh:
                 cfg_dict = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+            if not isinstance(cfg_dict, dict):
+                raise ValueError("the config file must hold a JSON object, "
+                                 f"not {cfg_dict!r}")
+        except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
             print(f"configuration error: {exc}", file=sys.stderr)
             return EXIT_CONFIG
-    expressions = dict(cfg_dict.pop("expressions", {}))
-    for name in _EXPRESSIONS:
-        val = getattr(args, f"expr_{name}")
-        if val is not None:
-            expressions[name] = val
+    expressions = cfg_dict.pop("expressions", {})
+    flags = {name: getattr(args, f"expr_{name}") for name in _EXPRESSIONS
+             if getattr(args, f"expr_{name}") is not None}
+    if isinstance(expressions, dict):  # else RunConfig.validate rejects it
+        expressions = {**expressions, **flags}
     known = [f.name for f in fields(RunConfig)]
     bad = set(cfg_dict) - set(known)
     if bad:

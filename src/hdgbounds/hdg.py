@@ -138,23 +138,6 @@ def _local_operators(ws: Workspace):
             Cu.reshape(ne, np_, 3 * F1))
 
 
-def _flux(ws: Workspace, u: np.ndarray, uhat_e: np.ndarray) -> np.ndarray:
-    """q = nu (Kdiv^T u - Cq uhat_e) from the reference tensors, for u
-    (k, ne, np) and uhat_e (k, ne, 3, F1); returns (k, ne, 2, np).
-
-    Kdiv^T u = J^-T (S u), and Cq uhat_e sums over the local edges the
-    normal times the edge's trace coupling, taken by its orientation.
-    """
-    np_ = ws.np_
-    su = (u @ ws.S.reshape(2 * np_, np_).T).reshape(u.shape[:2] + (2, np_))
-    cu = np.stack([np.where(ws.eo[:, ell, None] == 1,
-                            uhat_e[:, :, ell] @ ws.T_p[ell, 1],
-                            uhat_e[:, :, ell] @ ws.T_p[ell, 0])
-                   for ell in range(3)], axis=2)               # (k, ne, 3, np)
-    w = ws.enormal * (np.sqrt(ws.elen) / ws.sqrt_det[:, None])[:, :, None]
-    return ws.nu[:, None, None] * (ws.jac_inv_t @ su - w.swapaxes(1, 2) @ cu)
-
-
 def _bit_length(x: np.ndarray) -> np.ndarray:
     """int.bit_length of every entry of a uint64 array, by integer shifts."""
     n = np.zeros(x.shape, dtype=np.int64)
@@ -199,8 +182,8 @@ class CondensedSystem:
     both in factor order: row i is the global dof free_dofs[i].  uhat
     (k, nf*(p+1)) holds the Dirichlet trace moments at the fixed dofs, and
     g_N (k, len(neumann_facets), p+1) the Neumann data moments.
-    Per element u = XP uhat_e + Xb[:, :, j], and the flux moments
-    <qhat.n_K, mu> = GXb[:, :, j] - Aloc uhat_e.
+    Per element u = XP uhat_e + Xb[:, :, j]; _local_operators gives q and
+    the flux moments from u and uhat_e.
     """
 
     A: sp.csc_matrix
@@ -211,8 +194,6 @@ class CondensedSystem:
     tau: float
     XP: np.ndarray
     Xb: np.ndarray
-    Aloc: np.ndarray
-    GXb: np.ndarray
 
 
 def assemble_condensed(ws: Workspace, datas, tau) -> CondensedSystem:
@@ -284,25 +265,34 @@ def assemble_condensed(ws: Workspace, datas, tau) -> CondensedSystem:
             rhs[j].reshape(-1, F1)[pos[neu_facets]] -= g_N[j]
     return CondensedSystem(A=A, rhs=rhs.T, uhat=uhat.reshape(k, -1), g_N=g_N,
                            free_dofs=(order[:, None] * F1 + np.arange(F1)).ravel(),
-                           tau=tau, XP=XP, Xb=Xb, Aloc=Aloc, GXb=GXb)
+                           tau=tau, XP=XP, Xb=Xb)
 
 
 def _back_substitute(ws: Workspace, cs: CondensedSystem) -> list[HDGSolution]:
-    """The solution of every datum from the skeleton traces, block by block."""
-    mesh, F1 = ws.mesh, ws.p + 1
+    """The solution of every datum from the skeleton traces, block by block,
+    through the local solver of assemble_condensed: u = XP uhat_e + Xb,
+    q = nu (Kdiv^T u - Cq uhat_e) and the flux moments
+
+        <qhat.n_K, mu> = <q.n_K + tau (u - uhat), mu>
+                       = Cq^T q + tau (Cu^T u - uhat_e).
+    """
+    mesh, F1, np_ = ws.mesh, ws.p + 1, ws.np_
     k, ne = cs.Xb.shape[2], mesh.n_elements
     uhat = cs.uhat.reshape(k, mesh.n_facets, F1)
-    uhat_e = np.take(uhat, ws.ef, axis=1)                    # (k, ne, 3, F1)
-    u, q = np.empty((k, ne, ws.np_)), np.empty((k, ne, 2, ws.np_))
+    uhat_e = np.take(uhat, ws.ef, axis=1).reshape(k, ne, 3 * F1, 1)
+    u, q = np.empty((k, ne, np_)), np.empty((k, ne, 2, np_))
     flux_mom = np.empty((k, ne, 3 * F1))      # <qhat.n_K, M_m> per side
     for blk in ws.blocks():
         e = blk.elems
+        Kdiv, _, Cq, Cu = _local_operators(blk)
+        nu = blk.nu[:, None, None]
         for j in range(k):
-            ue = uhat_e[j, e].reshape(-1, 3 * F1)
-            u[j, e] = np.einsum("elf,ef->el", cs.XP[e], ue) + cs.Xb[e, :, j]
-            flux_mom[j, e] = cs.GXb[e, :, j] - np.einsum("eij,ej->ei",
-                                                         cs.Aloc[e], ue)
-        q[:, e] = _flux(blk, u[:, e], uhat_e[:, e])
+            ue = uhat_e[j, e]
+            ub = cs.XP[e] @ ue + cs.Xb[e, :, j, None]
+            qb = nu * (Kdiv.swapaxes(1, 2) @ ub - Cq @ ue)
+            fm = Cq.swapaxes(1, 2) @ qb + cs.tau * (Cu.swapaxes(1, 2) @ ub - ue)
+            u[j, e], q[j, e] = ub[:, :, 0], qb.reshape(-1, 2, np_)
+            flux_mom[j, e] = fm[:, :, 0]
     # single-valued numerical flux in the canonical normal direction: the
     # side-0 moments, averaged with side 1 inside
     flux_mom = flux_mom.reshape(k, 3 * ne, F1) * ws.esign.reshape(-1, 1)

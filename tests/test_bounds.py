@@ -2,13 +2,16 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from hypothesis import given, settings, strategies as st
 
 from conftest import build_pair, mixed_square, perturbed_crisscross
-from hdgbounds import (OutputFunctional, ProblemData, Workspace, bounds as bd,
-                       builtin, compute_bounds, compute_eta, compute_kappa,
-                       evaluate, lshape_initial, poincare_constants,
+from hdgbounds import (Bulk, OutputFunctional, ProblemData, Workspace, adapt,
+                       bounds as bd, builtin, compute_bounds, compute_eta,
+                       compute_kappa, evaluate, lshape_initial,
+                       poincare_constants,
                        exact_equilibration_bounds, run_pipeline,
                        unit_square_crisscross, zero)
 from hdgbounds.mesh import Mesh, refine_bisection, refine_red
@@ -450,3 +453,58 @@ class TestGlobalProperties:
         _, _, pp, ap, ws = build_pair(mesh, data, out, p=1, tau=tau)
         r = compute_bounds(pp, ap, data, out, ws)
         assert r.contains(4 / np.pi ** 2)
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize("mesh", [
+        unit_square_crisscross(0), unit_square_crisscross(1),
+        *(perturbed_crisscross(0.06 / 2 ** level, seed,
+                               base=unit_square_crisscross(level))
+          for level in (0, 1) for seed in (1, 2, 3))])
+    @pytest.mark.parametrize("optimize", [False, True])
+    def test_containment_polynomial_solution(self, p, mesh, optimize):
+        # u = x(1-x)y(1-y) and f_O = 1: s = 1/36 exactly.  The closest bound
+        # lies 0.65 half-gaps from s (p=2, optimized, perturbed level 0).
+        # At p >= 4 u would be reproduced exactly (gap at round-off).
+        data = ProblemData(f=lambda x, y: 2 * (x * (1 - x) + y * (1 - y)))
+        res = run_pipeline(mesh, data, OutputFunctional(f_O=ONE), p,
+                           optimize=optimize)
+        assert res.contains(1 / 36)
+
+
+def galerkin_energy(mesh, f):
+    """(f, u_h) = ||grad u_h||^2 <= s of the conforming P^4 Galerkin solution
+    u_h with u_h = 0 on the Dirichlet boundary: it shares no field with the
+    HDG path, only the mesh and the reference tables."""
+    ws = Workspace(mesh, 3)
+    n, nodes, _ = ws.global_nodes()
+    grads = np.einsum("iqr,ers->eiqs", ws.lag_grads, ws.jac_inv)
+    Ke = np.einsum("eiqs,ejqs,eq->eij", grads, grads, ws.wdet)
+    be = (ws.eval_data(f) * ws.wdet) @ ws.lag_vals
+    rows, cols = np.broadcast_arrays(nodes[:, :, None], nodes[:, None, :])
+    K = sp.csr_matrix((Ke.ravel(), (rows.ravel(), cols.ravel())), shape=(n, n))
+    b = np.bincount(nodes.ravel(), be.ravel(), minlength=n)
+    free = np.setdiff1d(np.arange(n), ws.dirichlet_nodes())
+    return float(b[free] @ spla.spsolve(K[free][:, free].tocsc(), b[free]))
+
+
+# p=1 stops at a coarser gap (1.3 s instead of 5 s to 1e-6); the smallest
+# margins s_plus - galerkin were 3.2e-6, 3.7e-7 and 7.6e-7
+@pytest.mark.parametrize("p,target", [(1, 1e-5), (2, 1e-6), (3, 1e-6)])
+def test_galerkin_energy_below_upper_bound(monkeypatch, p, target):
+    # example2_s1 (f = f_O = 1, g_D = 0): s = ||grad u||^2, so the Galerkin
+    # energy of every adaptive mesh is a lower bound that s_plus must exceed
+    prob = builtin("example2_s1")
+    pipeline, seen = adapt.run_pipeline, []
+
+    def recording_pipeline(mesh, *args, **kwargs):
+        res = pipeline(mesh, *args, **kwargs)
+        seen.append((galerkin_energy(mesh, prob.data.f), res.s_plus))
+        return res
+
+    monkeypatch.setattr(adapt, "run_pipeline", recording_pipeline)
+    run = adapt.adaptive_loop(prob.initial_mesh(), prob.data, prob.out, p,
+                              strategy=Bulk(0.5), target_gap=target,
+                              max_iter=80, refiner="bisect")
+    assert run.converged and len(seen) == len(run.records) > 20
+    for lower, s_plus in seen:
+        assert lower <= s_plus

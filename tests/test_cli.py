@@ -255,6 +255,40 @@ class TestMain:
                                         "bogus_key": 1}))
         assert cli.main(["--config", str(cfg_path)]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("config, message", [
+        ({"p": 1.5}, "p must be an integer, not 1.5"),
+        ({"p": "2"}, "p must be an integer, not '2'"),
+        ({"p": True}, "p must be an integer, not True"),
+        ({"max_iter": 2.5}, "max_iter must be an integer, not 2.5"),
+        ({"quad_degree": 6.0}, "quad_degree must be an integer, not 6.0"),
+        ({"target": "1e-3"}, "target must be a number, not '1e-3'"),
+        ({"tau": "nan"}, "tau must be a number, not 'nan'"),
+        ({"tau": False}, "tau must be a number, not False"),
+        ({"exact_s": "0.2"}, "exact_s must be a number, not '0.2'"),
+        # NaN used to run and exit 5 as a containment violation
+        ({"exact_s": float("nan")}, "exact_s must be finite, not nan"),
+        ({"optimize": "no"}, "optimize must be true or false, not 'no'"),
+        ({"optimize": 0}, "optimize must be true or false, not 0"),
+        ({"strategy": 5}, "strategy must be a string, not 5"),
+        ({"expressions": {"f": 5}}, "expression f must be a string, not 5"),
+        ({"expressions": [["f", "1"]]},
+         "expressions must be an object, not [['f', '1']]"),
+        ({"nu": {"0": "2"}}, "nu of region 0 must be a number, not '2'"),
+        ([1, 2], "the config file must hold a JSON object, not [1, 2]"),
+    ])
+    def test_mistyped_config_value(self, tmp_path, capsys, config, message):
+        # each used to end in a traceback (exit 1) or, for "optimize": "no",
+        # to run with the optimization
+        if isinstance(config, dict):
+            config = {"problem": "example1_s1", "max_iter": 1, **config}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        out = tmp_path / "o"
+        assert cli.main(["--config", str(cfg_path), "--out", str(out)]) \
+            == EXIT_CONFIG
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
+        assert not out.exists()
+
     def test_unknown_expression_key(self, tmp_path, capsys):
         # a typo ("g_n" for "g_N") used to run with g_N = 0
         mesh_path = tmp_path / "square.txt"

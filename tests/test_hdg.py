@@ -143,7 +143,8 @@ class TestLocalStructure:
         ws = Workspace(mesh, p)
         cs = assemble_condensed(ws, datas, tau)
         X = _local_solve_dense(ws, datas, tau)
-        n2, F3 = 2 * ws.np_, 3 * (p + 1)
+        ne, n2, F1 = mesh.n_elements, 2 * ws.np_, p + 1
+        F3 = 3 * F1
         nu = ws.nu[:, None, None]
         Kdiv, _, Cq, Cu = _local_operators(ws)
         Kt = np.swapaxes(Kdiv, 1, 2)
@@ -153,8 +154,23 @@ class TestLocalStructure:
         flux_mom[:, :, :F3] -= tau * np.eye(F3)
         pairs = [(cs.XP, X[:, n2:, :F3]), (cs.Xb, X[:, n2:, F3:]),
                  (nu * (Kt @ cs.XP - Cq), X[:, :n2, :F3]),
-                 (nu * (Kt @ cs.Xb), X[:, :n2, F3:]),
-                 (-cs.Aloc, flux_mom[:, :, :F3]), (cs.GXb, flux_mom[:, :, F3:])]
+                 (nu * (Kt @ cs.Xb), X[:, :n2, F3:])]
+        # A sums the element matrices -flux_mom[:, :, :F3] over the free dofs
+        row = np.full(mesh.n_facets * F1, -1)
+        row[cs.free_dofs] = np.arange(len(cs.free_dofs))
+        ldof = row[ws.ef[:, :, None] * F1 + np.arange(F1)].reshape(ne, F3)
+        A = np.zeros(cs.A.shape)
+        for dofs, Ae in zip(ldof, -flux_mom[:, :, :F3]):
+            free = dofs >= 0
+            A[np.ix_(dofs[free], dofs[free])] += Ae[np.ix_(free, free)]
+        pairs.append((cs.A.toarray(), A))
+        # at the solved traces every side's moments, in the canonical normal
+        # direction, are the single-valued qhat_n of its facet
+        for j, sol in enumerate(solve(ws, datas, tau)):
+            ue = sol.uhat[ws.ef].reshape(ne, F3, 1)
+            side = (flux_mom[:, :, :F3] @ ue)[:, :, 0] + flux_mom[:, :, F3 + j]
+            pairs.append((sol.qhat_n[ws.ef] * ws.esign[:, :, None],
+                          side.reshape(ne, 3, F1)))
         for got, ref in pairs:
             assert got.shape == ref.shape
             assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
@@ -191,6 +207,29 @@ class TestLocalStructure:
         finally:
             tracemalloc.stop()
         assert peak <= 1.25 * 17.9 * 2 ** 20
+
+    def test_factorization_starts_without_the_local_matrices(self, monkeypatch):
+        # numpy's traced memory when splu starts at level 4, p=2 was 6.58 MiB;
+        # keeping the element matrices and G^T Xb for back-substitution held
+        # 9.67 MiB there
+        import tracemalloc
+        from types import SimpleNamespace
+        from hdgbounds import hdg
+        live = []
+
+        def recording_splu(*args, **kwargs):
+            live.append(tracemalloc.get_traced_memory()[0])
+            return spla.splu(*args, **kwargs)
+
+        monkeypatch.setattr(hdg, "spla", SimpleNamespace(splu=recording_splu))
+        ws = Workspace(unit_square_crisscross(4), 2)
+        datas = [ProblemData(f=EX1_F), OutputFunctional(f_O=ONE).adjoint_data()]
+        tracemalloc.start()
+        try:
+            solve(ws, datas)
+        finally:
+            tracemalloc.stop()
+        assert len(live) == 1 and live[0] <= 1.25 * 6.58 * 2 ** 20
 
     def test_local_conservation(self):
         mesh = unit_square_crisscross(1)
