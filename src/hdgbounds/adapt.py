@@ -35,8 +35,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Uniform:
-    def __str__(self):
-        return "uniform"
+    """Refine every element."""
 
 
 @dataclass(frozen=True)
@@ -49,9 +48,6 @@ class ErrorDistribution:
         if not self.delta_tol > 0:
             raise ValueError("delta_tol must be positive")
 
-    def __str__(self):
-        return f"tol:{self.delta_tol:g}"
-
 
 @dataclass(frozen=True)
 class Bulk:
@@ -63,9 +59,6 @@ class Bulk:
     def __post_init__(self):
         if not 0 < self.theta <= 1:
             raise ValueError("theta must lie in (0, 1]")
-
-    def __str__(self):
-        return f"bulk:{self.theta:g}"
 
 
 def mark(gaps: np.ndarray, strategy) -> np.ndarray:
@@ -105,13 +98,12 @@ def convergence_order(e1: float, n1: int, e2: float, n2: int) -> float:
 # ---------------------------------------------------------------------------
 
 def run_pipeline(mesh: Mesh, data: hdg.ProblemData, out: hdg.OutputFunctional,
-                 p: int, tau=1.0, optimize: bool = False,
-                 quad_degree: int | None = None) -> bd.BoundsResult:
+                 p: int, tau=1.0, optimize: bool = False) -> bd.BoundsResult:
     """Solve primal and adjoint on one workspace with one skeleton
     factorization, reconstruct both pairs (band extensions applied when the
     data carry one), optionally run the local optimization, and compute the
     bounds, which audit the certificates."""
-    ws = Workspace(mesh, p, quad_degree)
+    ws = Workspace(mesh, p)
     adata = out.adjoint_data()
     sol_u, sol_z = hdg.solve(ws, [data, adata], tau)
     return bd.compute_bounds(rc.certified_pair(sol_u, data, optimize),
@@ -152,8 +144,7 @@ _REFINERS = {"red": refine_red, "bisect": refine_bisection}
 
 def adaptive_loop(mesh0: Mesh, data: hdg.ProblemData, out: hdg.OutputFunctional,
                   p: int, tau=1.0, strategy=Uniform(), target_gap: float = 1e-8,
-                  max_iter: int = 40, refiner: str = "red",
-                  optimize: bool = False, quad_degree: int | None = None,
+                  max_iter: int = 40, refiner: str = "red", optimize: bool = False,
                   uniform_family: Optional[Callable[[int], Mesh]] = None
                   ) -> AdaptiveRun:
     """Iterate solve -> reconstruct -> certify -> mark -> refine.
@@ -171,8 +162,7 @@ def adaptive_loop(mesh0: Mesh, data: hdg.ProblemData, out: hdg.OutputFunctional,
     mesh = mesh0
     for it in range(max_iter):
         t0 = time.perf_counter()
-        res = run_pipeline(mesh, data, out, p, tau, optimize=optimize,
-                           quad_degree=quad_degree)
+        res = run_pipeline(mesh, data, out, p, tau, optimize=optimize)
         run.converged = res.s_plus - res.s_minus < target_gap
         marked = np.array([], dtype=int)
         if not run.converged and it + 1 < max_iter:

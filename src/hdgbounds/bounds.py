@@ -308,8 +308,7 @@ def compute_bounds(primal_pair, adjoint_pair, data: ProblemData,
 # ---------------------------------------------------------------------------
 
 def exact_equilibration_bounds(primal_pair, adjoint_pair, data: ProblemData,
-                    out: OutputFunctional, ws: Workspace,
-                    s_h: float | None = None) -> BoundsResult:
+                    out: OutputFunctional, ws: Workspace) -> BoundsResult:
     """Bounds from exactly equilibrated reconstructions:
 
         s_tilde = l_O(u~, q~) + 1/2 (nu^-1 (q~ + nu grad u~), zeta~ - nu grad xi~)
@@ -342,4 +341,4 @@ def exact_equilibration_bounds(primal_pair, adjoint_pair, data: ProblemData,
     kappa = float(np.sqrt(b2.sum() / a2.sum())) if a2.sum() > 0 else 1.0
     return BoundsResult(s_minus=float(s_tilde - half_gap),
                         s_plus=float(s_tilde + half_gap),
-                        kappa=kappa, gap_elements=gap_elements, s_h=s_h)
+                        kappa=kappa, gap_elements=gap_elements)

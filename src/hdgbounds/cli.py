@@ -116,7 +116,6 @@ class RunConfig:
     target: float = 1e-8
     max_iter: int = 40
     optimize: bool = False
-    quad_degree: Optional[int] = None
     out_dir: str = "."
     gnuplot: bool = False
 
@@ -281,8 +280,7 @@ def run(cfg: RunConfig) -> int:
         result = adapt.adaptive_loop(
             mesh0, data, out, cfg.p, cfg.tau, strategy,
             target_gap=cfg.target, max_iter=cfg.max_iter, refiner=refiner,
-            optimize=cfg.optimize, quad_degree=cfg.quad_degree,
-            uniform_family=family)
+            optimize=cfg.optimize, uniform_family=family)
     except (RuntimeError, NonFiniteDataError, np.linalg.LinAlgError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
@@ -325,7 +323,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--target", type=float, help="target bound gap")
     ap.add_argument("--max-iter", type=int, dest="max_iter")
     ap.add_argument("--optimize", action="store_true", default=None)
-    ap.add_argument("--quad-degree", type=int, dest="quad_degree")
     ap.add_argument("--out", dest="out_dir", help="output directory")
     ap.add_argument("--gnuplot", action="store_true", default=None)
     return ap

@@ -261,8 +261,8 @@ def reference_tables(p: int, quad_degree: int) -> MappingProxyType:
     and the trace mass EE[l, i, j].  The Lagrange lattice of degree m with
     its values lag_vals (nq, n_nodes), gradients lag_grads (n_nodes, nq, 2)
     and traces lag_edge (3, 2, n_nodes, nqe), and the modal Vandermonde
-    vand_m (n_nodes, nm).  rt_T, rt_A: the reference RT^p basis and its
-    degrees of freedom (_reference_rt); opt_nullspace: the reference
+    vand_m (n_nodes, nm).  rt_T, rt_dofs: the reference RT^p generators and
+    the basis dual to their degrees of freedom (_reference_rt); opt_nullspace: the reference
     feasible directions of the local optimization (_reference_nullspace),
     and the reference tensors its normal equations are built from
     (_reference_opt_tensors).  The scalars p, quad_degree, m, np_, nm, nq,
@@ -311,7 +311,7 @@ def reference_tables(p: int, quad_degree: int) -> MappingProxyType:
     t["lag_edge"] = np.einsum("loit,ik->lokt", etab_m, lat.vandermonde_inv)
     t["vand_m"] = tri_basis(m, lat.nodes).T
 
-    t["rt_T"], t["rt_A"] = _reference_rt(t)
+    t["rt_T"], t["rt_dofs"] = _reference_rt(t)
     t["opt_nullspace"] = _reference_nullspace(t)
     t.update(_reference_opt_tensors(t))
     _frozen(*(v for v in t.values() if isinstance(v, np.ndarray)))
@@ -319,7 +319,8 @@ def reference_tables(p: int, quad_degree: int) -> MappingProxyType:
 
 
 def _reference_rt(t: dict) -> tuple[np.ndarray, np.ndarray]:
-    """The reference RT^p basis y_j and its degrees of freedom.
+    """The reference RT^p generators and the basis dual to their degrees of
+    freedom.
 
     T (N, 2, nm) holds the componentwise modal P^{p+1} coefficients of the
     generators on the reference element: the P^p modes times each unit
@@ -327,7 +328,8 @@ def _reference_rt(t: dict) -> tuple[np.ndarray, np.ndarray]:
     h_k the homogeneous degree-p monomials.  A (N, N) holds their degrees of
     freedom: the moments of y.|e|n against P^p on each local edge, walked
     in its local direction, then the moments of each component against
-    [P^{p-1}]^2.
+    [P^{p-1}]^2.  Returns T and A^-T T (N, 2 nm), the modal coefficients
+    of the basis whose degrees of freedom are the unit vectors.
     """
     p, np_, nm = t["p"], t["np_"], t["nm"]
     N, F1, n1 = (p + 1) * (p + 3), p + 1, n_modes(p - 1) if p else 0
@@ -344,7 +346,7 @@ def _reference_rt(t: dict) -> tuple[np.ndarray, np.ndarray]:
         yn = edge_normals[ell] @ (T @ t["etab_m"][ell, 1])          # (N, nqe)
         A[ell * F1:(ell + 1) * F1] = (t["psi_p"] * t["ew"]) @ yn.T
     A[3 * F1:] = T[:, :, :n1].transpose(1, 2, 0).reshape(2 * n1, N)
-    return T, A
+    return T, np.linalg.solve(A.T, T.reshape(N, -1))
 
 
 def _reference_constraints(t: dict) -> np.ndarray:

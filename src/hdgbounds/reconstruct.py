@@ -51,27 +51,19 @@ class EquilibratedFlux:
     p: int
     coeffs: np.ndarray  # (ne, 2, n_modes(p+1))
 
-    @property
-    def degree(self) -> int:
-        return self.p + 1
-
     def eval_values(self, ws: Workspace) -> np.ndarray:
-        """Values at the volume quadrature points of the elements of ws (a
-        Workspace or one of its blocks), (ne, nq, 2)."""
-        coeffs = self.coeffs[ws.elems]
-        out = np.empty((len(coeffs), ws.nq, 2))
+        """Values at the volume quadrature points, (ne, nq, 2)."""
+        out = np.empty((len(self.coeffs), ws.nq, 2))
         for c in (0, 1):
-            out[:, :, c] = (coeffs[:, c] @ ws.phi_m) / ws.sqrt_det[:, None]
+            out[:, :, c] = (self.coeffs[:, c] @ ws.phi_m) / ws.sqrt_det[:, None]
         return out
 
     def eval_divergence(self, ws: Workspace) -> np.ndarray:
-        """Divergence values at the volume quadrature points of the elements
-        of ws, (ne, nq)."""
-        coeffs = self.coeffs[ws.elems]
-        out = np.zeros((len(coeffs), ws.nq))
+        """Divergence values at the volume quadrature points, (ne, nq)."""
+        out = np.zeros((len(self.coeffs), ws.nq))
         for c in (0, 1):
             for d in (0, 1):
-                out += (coeffs[:, c] @ ws.dphi_m[:, :, d]) \
+                out += (self.coeffs[:, c] @ ws.dphi_m[:, :, d]) \
                     * ws.jac_inv_t[:, c, d, None]
         return out / ws.sqrt_det[:, None]
 
@@ -114,34 +106,25 @@ class ContinuousPotential:
     def nodal(self) -> np.ndarray:
         return self.values[self.node_map]
 
-    def _band(self, ws: Workspace):
-        """The band elements among those of ws: their rows in the correction
-        and their indices in ws."""
-        e = ws.elems
-        rows = slice(*np.searchsorted(self.correction.elems, (e.start, e.stop)))
-        return rows, self.correction.elems[rows] - e.start
-
     def eval_values(self, ws: Workspace) -> np.ndarray:
-        """Values at the volume quadrature points of the elements of ws (a
-        Workspace or one of its blocks), (ne, nq)."""
-        out = self.values[self.node_map[ws.elems]] @ ws.lag_vals.T
+        """Values at the volume quadrature points, (ne, nq)."""
+        out = self.nodal() @ ws.lag_vals.T
         if self.correction is not None:
-            c, (rows, elems) = self.correction, self._band(ws)
-            out[elems] += (ws.eval_data(c.ghat, ws.qphys[elems])
-                           - c.nodal[rows] @ ws.lag_vals.T)
+            c = self.correction
+            out[c.elems] += (ws.eval_data(c.ghat, ws.qphys[c.elems])
+                             - c.nodal @ ws.lag_vals.T)
         return out
 
     def eval_grads(self, ws: Workspace) -> np.ndarray:
-        """Gradients at the volume quadrature points of the elements of ws,
-        (ne, nq, 2)."""
+        """Gradients at the volume quadrature points, (ne, nq, 2)."""
         def grads(nodal, jac_inv):  # reference gradients mapped by J^-T
             return (nodal @ ws.lag_grads.reshape(ws.n_nodes, -1)).reshape(
                 len(nodal), ws.nq, 2) @ jac_inv
-        out = grads(self.values[self.node_map[ws.elems]], ws.jac_inv)
+        out = grads(self.nodal(), ws.jac_inv)
         if self.correction is not None:
-            c, (rows, elems) = self.correction, self._band(ws)
-            out[elems] += (c.grads_at(ws.qphys[elems])
-                           - grads(c.nodal[rows], ws.jac_inv[elems]))
+            c = self.correction
+            out[c.elems] += (c.grads_at(ws.qphys[c.elems])
+                             - grads(c.nodal, ws.jac_inv[c.elems]))
         return out
 
     def trace_values(self, ws: Workspace, facet_ids, side: int = 0) -> np.ndarray:
@@ -172,26 +155,20 @@ def reconstruct_flux(sol: HDGSolution) -> EquilibratedFlux:
     moments are the reference ones times esign / sqrt(|e|) and the parity
     (-1)^k of the facet modes walked against the local edge direction, and
     the interior moments are the reference ones mixed by J / sqrt(det J).
-    So every element solves with the one reference matrix ws.rt_A
-    (femcore._reference_rt).
+    So every element combines its moments with the one reference dual
+    basis ws.rt_dofs (femcore._reference_rt).
     """
-    ws = sol.ws
+    ws, ne = sol.ws, sol.mesh.n_elements
     p, F1 = sol.p, sol.p + 1
     n1 = fc.n_modes(p - 1) if p else 0
-    T = ws.rt_T
-    # modal coefficients of the reference basis of degrees of freedom, A^-T T
-    dofs = np.linalg.solve(ws.rt_A.T, T.reshape(len(T), -1))
-    coeffs = np.empty((sol.mesh.n_elements, 2, ws.nm))
-    for blk in ws.blocks():
-        e, ne = blk.elems, blk.n_elements
-        flip = np.where(blk.eo[:, :, None] == 1, 1.0, (-1.0) ** np.arange(F1))
-        rhs = np.empty((ne, len(T)))
-        rhs[:, :3 * F1] = (sol.qhat_n[blk.ef] * flip * (
-            blk.esign * np.sqrt(blk.elen))[:, :, None]).reshape(ne, 3 * F1)
-        rhs[:, 3 * F1:] = (blk.jac_inv @ sol.q[e, :, :n1]).reshape(ne, 2 * n1) \
-            * blk.sqrt_det[:, None]
-        coeffs[e] = blk.jac @ (rhs @ dofs).reshape(ne, 2, -1) \
-            / blk.sqrt_det[:, None, None]
+    flip = np.where(ws.eo[:, :, None] == 1, 1.0, (-1.0) ** np.arange(F1))
+    rhs = np.empty((ne, len(ws.rt_dofs)))
+    rhs[:, :3 * F1] = (sol.qhat_n[ws.ef] * flip * (
+        ws.esign * np.sqrt(ws.elen))[:, :, None]).reshape(ne, 3 * F1)
+    rhs[:, 3 * F1:] = (ws.jac_inv @ sol.q[:, :, :n1]).reshape(ne, 2 * n1) \
+        * ws.sqrt_det[:, None]
+    coeffs = ws.jac @ (rhs @ ws.rt_dofs).reshape(ne, 2, -1) \
+        / ws.sqrt_det[:, None, None]
     return EquilibratedFlux(mesh=sol.mesh, p=p, coeffs=coeffs)
 
 
@@ -203,15 +180,13 @@ def postprocess_potential(sol: HDGSolution, flux: EquilibratedFlux) -> np.ndarra
     """Element P^{p+1} potential: (grad u*, grad w)_K matches the flux data
     -(nu^-1 q~, grad w)_K, mean value pinned to u_h.  Returns mapped-modal
     coefficients (ne, n_modes(p+1))."""
-    ws, nm = sol.ws, sol.ws.nm
-    coeffs = np.empty((sol.mesh.n_elements, nm))
-    for blk in ws.blocks():
-        e, ne = blk.elems, blk.n_elements
-        G = blk.jac_inv @ blk.jac_inv_t                 # G[e, r, s]
-        K = (G.reshape(ne, 4) @ ws.S2.reshape(4, nm * nm)).reshape(ne, nm, nm)
-        rhs = -((blk.jac_inv @ flux.coeffs[e]).reshape(ne, 2 * nm)
-                @ ws.Qm.reshape(2 * nm, nm)) / blk.nu[:, None]
-        coeffs[e, 1:] = np.linalg.solve(K[:, 1:, 1:], rhs[:, 1:, None])[:, :, 0]
+    ws, nm, ne = sol.ws, sol.ws.nm, sol.mesh.n_elements
+    G = ws.jac_inv @ ws.jac_inv_t                       # G[e, r, s]
+    K = (G.reshape(ne, 4) @ ws.S2.reshape(4, nm * nm)).reshape(ne, nm, nm)
+    rhs = -((ws.jac_inv @ flux.coeffs).reshape(ne, 2 * nm)
+            @ ws.Qm.reshape(2 * nm, nm)) / ws.nu[:, None]
+    coeffs = np.empty((ne, nm))
+    coeffs[:, 1:] = np.linalg.solve(K[:, 1:, 1:], rhs[:, 1:, None])[:, :, 0]
     coeffs[:, 0] = sol.u[:, 0]  # same constant mode pins (u*, 1)_K = (u_h, 1)_K
     return coeffs
 
@@ -339,25 +314,16 @@ class EvaluatedPair:
 
 def evaluate(flux: EquilibratedFlux, pot: ContinuousPotential,
              data: ProblemData, ws: Workspace) -> EvaluatedPair:
-    """Evaluate a pair and its data once, for the audit and the bounds; the
-    volume fields block by block."""
+    """Evaluate a pair and its data once, for the audit and the bounds."""
     neu = ws.mesh.neumann_facets
-    shape = (ws.mesh.n_elements, ws.nq)
-    q, grad_u, residual = (np.empty(shape + (2,)) for _ in range(3))
-    div, u, f, f_proj = (np.empty(shape) for _ in range(4))
-    for blk in ws.blocks():
-        e = blk.elems
-        q[e], grad_u[e] = flux.eval_values(blk), pot.eval_grads(blk)
-        residual[e] = q[e] + blk.nu[:, None, None] * grad_u[e]
-        div[e], u[e] = flux.eval_divergence(blk), pot.eval_values(blk)
-        f[e] = blk.eval_data(data.f)
-        f_proj[e] = blk.proj_p(f[e])
+    q, grad_u, f = flux.eval_values(ws), pot.eval_grads(ws), ws.eval_data(data.f)
     g_N = ws.eval_data(data.g_N, ws.ephys[neu])
     return EvaluatedPair(
-        flux=flux, pot=pot, data=data, q=q, div=div, u=u, grad_u=grad_u,
-        residual=residual, f=f, f_proj=f_proj, qn=flux.normal_trace(ws, neu),
-        u_neu=pot.trace_values(ws, neu), g_N=g_N,
-        g_N_proj=ws.facet_proj_p(g_N, neu))
+        flux=flux, pot=pot, data=data, q=q, div=flux.eval_divergence(ws),
+        u=pot.eval_values(ws), grad_u=grad_u,
+        residual=q + ws.nu[:, None, None] * grad_u, f=f, f_proj=ws.proj_p(f),
+        qn=flux.normal_trace(ws, neu), u_neu=pot.trace_values(ws, neu),
+        g_N=g_N, g_N_proj=ws.facet_proj_p(g_N, neu))
 
 
 def _relative(res, scale) -> float:

@@ -11,9 +11,12 @@ p+1 potential) come from femcore.reference_tables, built once per
 
 All arrays are laid out elementwise so the hot paths are batched matrix
 products and solves; no Python loop runs over elements in the pipelines.
-The element-local work runs over blocks of at most _BLOCK elements
-(Workspace.blocks), so that its temporaries scale with the block and not
-with the mesh.
+Only the HDG local solves (hdg.assemble_condensed and its
+back-substitution) run over blocks of at most _BLOCK elements
+(Workspace.blocks): their per-element matrices are several times larger
+than the solution they produce, so the block bounds their temporaries.
+Every other step works on the whole mesh, whose temporaries are no larger
+than the whole-mesh arrays it returns and keeps.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from . import femcore as fc
 from .mesh import Mesh
 
 
-# elements per block of the element-local work
+# elements per block of the HDG local solves
 _BLOCK = 1024
 
 # the per-element arrays of a Workspace, which its blocks slice
@@ -105,7 +108,6 @@ class Workspace:
         # Lagrange lattice nodes of degree m
         self.node_phys = self.v0[:, None, :] + self.lattice.nodes @ jac_t  # (ne, n_nodes, 2)
 
-        self.elems = slice(0, mesh.n_elements)
         self._global_nodes = None
 
     @property

@@ -171,7 +171,8 @@ class TestPipeline:
     def test_each_field_evaluated_once_per_pair(self, monkeypatch):
         # the audit, kappa, eta and S all read one evaluated record per
         # pair; the datum f is also read by the assembly, f_O by s_h.
-        # Counted in elements, over blocks of 7 of the 256 elements
+        # Counted in elements: the assembly reads f over blocks of 7 of the
+        # 256 elements
         monkeypatch.setattr(workspace, "_BLOCK", 7)
         counts = Counter()
 
@@ -239,7 +240,7 @@ BLOCK_CASES = {
     "perturbed": lambda: _builtin_case(
         "example1_s1",
         perturbed_crisscross(0.015, base=unit_square_crisscross(2)), False),
-    # the band elements along x = 1 fall into many blocks
+    # the band extension and the optimization read a blocked solve
     "example1_s2_optimize": lambda: _builtin_case(
         "example1_s2", unit_square_crisscross(2), True),
     "mixed_square": _neumann_case,

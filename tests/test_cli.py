@@ -255,12 +255,22 @@ class TestMain:
                                         "bogus_key": 1}))
         assert cli.main(["--config", str(cfg_path)]) == EXIT_CONFIG
 
+    def test_no_quadrature_setting(self, tmp_path):
+        # the workspace fixes the rule; a rule too weak for p used to exit
+        # 3 as a solver failure ("Singular matrix" at --quad-degree 1, p=2)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"problem": "example1_s1",
+                                        "quad_degree": 1}))
+        assert cli.main(["--config", str(cfg_path)]) == EXIT_CONFIG
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--problem", "example1_s1", "--quad-degree", "2"])
+        assert exc.value.code == 2
+
     @pytest.mark.parametrize("config, message", [
         ({"p": 1.5}, "p must be an integer, not 1.5"),
         ({"p": "2"}, "p must be an integer, not '2'"),
         ({"p": True}, "p must be an integer, not True"),
         ({"max_iter": 2.5}, "max_iter must be an integer, not 2.5"),
-        ({"quad_degree": 6.0}, "quad_degree must be an integer, not 6.0"),
         ({"target": "1e-3"}, "target must be a number, not '1e-3'"),
         ({"tau": "nan"}, "tau must be a number, not 'nan'"),
         ({"tau": False}, "tau must be a number, not False"),

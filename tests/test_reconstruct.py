@@ -642,3 +642,32 @@ class TestLocalOptimize:
         res = potential_residuals(evaluate(f2, p2, data, ws), ws)
         assert res["dirichlet_trace"] < 1e-10
         assert res["continuity"] < 1e-10
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_pair_memory_below_the_bounds(p):
+    # the pair's stages run on whole-mesh arrays, no larger than the records
+    # compute_bounds evaluates; at level 4 (4096 elements) numpy's traced
+    # peak of the second certified_pair call (the first pair held) was 6.2
+    # MiB at p=2 and 11.7 MiB at p=3, against 22.7 and 32.9 MiB for
+    # compute_bounds
+    import tracemalloc
+    from hdgbounds import compute_bounds
+    from hdgbounds.reconstruct import certified_pair
+    prob = builtin("example1_s1")
+    ws = Workspace(unit_square_crisscross(4), p)
+    datas = [prob.data, prob.out.adjoint_data()]
+    sols = solve(ws, datas)
+    tracemalloc.start()
+    try:
+        pairs, peaks = [], []
+        for sol, data in zip(sols, datas):
+            tracemalloc.reset_peak()
+            pairs.append(certified_pair(sol, data))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.reset_peak()
+        compute_bounds(*pairs, prob.data, prob.out, ws)
+        bounds_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert max(peaks) <= 0.5 * bounds_peak
