@@ -262,11 +262,11 @@ def reference_tables(p: int, quad_degree: int) -> MappingProxyType:
     its values lag_vals (nq, n_nodes), gradients lag_grads (n_nodes, nq, 2)
     and traces lag_edge (3, 2, n_nodes, nqe), and the modal Vandermonde
     vand_m (n_nodes, nm).  rt_T, rt_dofs: the reference RT^p generators and
-    the basis dual to their degrees of freedom (_reference_rt); opt_nullspace: the reference
-    feasible directions of the local optimization (_reference_nullspace),
-    and the reference tensors its normal equations are built from
-    (_reference_opt_tensors).  The scalars p, quad_degree, m, np_, nm, nq,
-    nqe and n_nodes complete it.
+    the basis dual to their degrees of freedom (_reference_rt);
+    opt_nullspace: the reference feasible directions of the local
+    optimization (_reference_nullspace), and the reference tensors its
+    normal equations are built from (_reference_opt_tensors).  The scalars
+    p, quad_degree, m, np_, nm, nq, nqe and n_nodes complete it.
     """
     t = {"p": p, "quad_degree": quad_degree, "m": p + 1,
          "np_": n_modes(p), "nm": n_modes(p + 1)}

@@ -15,8 +15,8 @@ Only the HDG local solves (hdg.assemble_condensed and its
 back-substitution) run over blocks of at most _BLOCK elements
 (Workspace.blocks): their per-element matrices are several times larger
 than the solution they produce, so the block bounds their temporaries.
-Every other step works on the whole mesh, whose temporaries are no larger
-than the whole-mesh arrays it returns and keeps.
+Every other step works on the whole mesh: its temporaries are no larger
+than the whole-mesh arrays it returns, which are kept anyway.
 """
 
 from __future__ import annotations
