@@ -204,7 +204,6 @@ def _load_problem(cfg: RunConfig):
 def _write_outputs(cfg: RunConfig, run: adapt.AdaptiveRun, exact_s,
                    containment_ok) -> None:
     out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     strategy = cfg.strategy
     with open(out / "convergence.csv", "w") as fh:
         fh.write(CSV_HEADER + ",marked,strategy\n")
@@ -272,6 +271,7 @@ def run(cfg: RunConfig) -> int:
     try:
         strategy = cfg.validate()
         mesh0, data, out, exact_s, refiner, family = _load_problem(cfg)
+        Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
     except (ValueError, KeyError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -111,8 +111,19 @@ class HDGSolution:
         return self.ws.p
 
 
-def _local_operators(ws: Workspace):
-    """The blocks of the element-local problem
+# elements per block of the HDG local solves: their per-element matrices are
+# several times larger than the solution they produce, so the block bounds
+# their temporaries
+_BLOCK = 1024
+
+
+def _blocks(ne: int):
+    """Consecutive slices of at most _BLOCK of the ne elements."""
+    return (slice(start, min(start + _BLOCK, ne)) for start in range(0, ne, _BLOCK))
+
+
+def _local_operators(ws: Workspace, e: slice):
+    """The blocks of the element-local problem on the elements e
 
         q / nu - Kdiv^T u  = -Cq uhat
         Kdiv q + tau E u   = tau Cu uhat + (f, psi)
@@ -121,19 +132,20 @@ def _local_operators(ws: Workspace):
     Kdiv (ne, np, 2np), the trace mass E (ne, np, np), and the trace
     couplings Cq (ne, 2np, 3F), Cu (ne, np, 3F).
     """
-    ne, np_, F1 = ws.n_elements, ws.np_, ws.p + 1
+    elen, det = ws.elen[e], ws.det[e]
+    ne, np_, F1 = len(det), ws.np_, ws.p + 1
 
     # Kdiv[e, i, c*np_+m] = (div V_(c,m), psi_i)_K = JinvT[e,c,r] S[r,m,i]
-    Kdiv = (ws.jac_inv_t @ ws.S.reshape(2, np_ * np_)).reshape(
+    Kdiv = (ws.jac_inv_t[e] @ ws.S.reshape(2, np_ * np_)).reshape(
         ne, 2 * np_, np_).swapaxes(1, 2)
-    E = ((ws.elen / ws.det[:, None]) @ ws.EE.reshape(3, np_ * np_)).reshape(
+    E = ((elen / det[:, None]) @ ws.EE.reshape(3, np_ * np_)).reshape(
         ne, np_, np_)
 
     # Cu[e, v, (ell, m)] = <psi_v, M_m>_ell and Cq[e, (c, v), :] = n_c Cu[e, v, :]
-    T = ws.T_p[np.arange(3), ws.eo]                          # (ne, 3, F1, np_)
-    scale = np.sqrt(ws.elen) / ws.sqrt_det[:, None]          # (ne, 3)
+    T = ws.T_p[np.arange(3), ws.eo[e]]                       # (ne, 3, F1, np_)
+    scale = np.sqrt(elen) / ws.sqrt_det[e, None]             # (ne, 3)
     Cu = (T * scale[:, :, None, None]).transpose(0, 3, 1, 2)  # (ne, np_, 3, F1)
-    Cq = ws.enormal.transpose(0, 2, 1)[:, :, None, :, None] * Cu[:, None]
+    Cq = ws.enormal[e].transpose(0, 2, 1)[:, :, None, :, None] * Cu[:, None]
     return (Kdiv, E, Cq.reshape(ne, 2 * np_, 3 * F1),
             Cu.reshape(ne, np_, 3 * F1))
 
@@ -203,7 +215,7 @@ def assemble_condensed(ws: Workspace, datas, tau) -> CondensedSystem:
     The flux equation gives q = nu (Kdiv^T u - Cq uhat), which leaves the
     symmetric positive definite np x np system
     (nu Kdiv Kdiv^T + tau E) u = G uhat + (f, psi), G = tau Cu + nu Kdiv Cq.
-    The local work runs block by block (Workspace.blocks).
+    The local solves run block by block (_BLOCK elements).
     """
     if np.ndim(tau) != 0 or not tau > 0:
         raise ValueError(
@@ -213,16 +225,15 @@ def assemble_condensed(ws: Workspace, datas, tau) -> CondensedSystem:
 
     XP, Xb = np.empty((ne, ws.np_, F3)), np.empty((ne, ws.np_, k))
     Aloc, GXb = np.empty((ne, F3, F3)), np.empty((ne, F3, k))
-    for blk in ws.blocks():
-        e = blk.elems
-        Kdiv, E, Cq, Cu = _local_operators(blk)
-        nu = blk.nu[:, None, None]
+    fmom = np.stack([ws.moments_p(ws.eval_data(data.f)) for data in datas],
+                    axis=2)                                  # (f, psi_i)_K
+    for e in _blocks(ne):
+        Kdiv, E, Cq, Cu = _local_operators(ws, e)
+        nu = ws.nu[e, None, None]
         K = nu * (Kdiv @ Kdiv.swapaxes(1, 2)) + tau * E
         G = tau * Cu + nu * (Kdiv @ Cq)
-        b = np.stack([blk.moments_p(blk.eval_data(data.f)) for data in datas],
-                     axis=2)
         try:
-            X = np.linalg.solve(K, np.concatenate([G, b], axis=2))
+            X = np.linalg.solve(K, np.concatenate([G, fmom[e]], axis=2))
         except np.linalg.LinAlgError:
             bad = e.start + np.flatnonzero(np.abs(np.linalg.det(K)) < 1e-300)
             raise RuntimeError(
@@ -282,10 +293,9 @@ def _back_substitute(ws: Workspace, cs: CondensedSystem) -> list[HDGSolution]:
     uhat_e = np.take(uhat, ws.ef, axis=1).reshape(k, ne, 3 * F1, 1)
     u, q = np.empty((k, ne, np_)), np.empty((k, ne, 2, np_))
     flux_mom = np.empty((k, ne, 3 * F1))      # <qhat.n_K, M_m> per side
-    for blk in ws.blocks():
-        e = blk.elems
-        Kdiv, _, Cq, Cu = _local_operators(blk)
-        nu = blk.nu[:, None, None]
+    for e in _blocks(ne):
+        Kdiv, _, Cq, Cu = _local_operators(ws, e)
+        nu = ws.nu[e, None, None]
         for j in range(k):
             ue = uhat_e[j, e]
             ub = cs.XP[e] @ ue + cs.Xb[e, :, j, None]

@@ -11,31 +11,18 @@ p+1 potential) come from femcore.reference_tables, built once per
 
 All arrays are laid out elementwise so the hot paths are batched matrix
 products and solves; no Python loop runs over elements in the pipelines.
-Only the HDG local solves (hdg.assemble_condensed and its
-back-substitution) run over blocks of at most _BLOCK elements
-(Workspace.blocks): their per-element matrices are several times larger
-than the solution they produce, so the block bounds their temporaries.
-Every other step works on the whole mesh: its temporaries are no larger
-than the whole-mesh arrays it returns, which are kept anyway.
+A step that works on a subset e of the elements indexes the per-element
+arrays with it (ws.qphys[e], ws.jac[e]).  Only the HDG local solves run
+over such subsets, in blocks of hdg._BLOCK elements; every other step works
+on the whole mesh.
 """
 
 from __future__ import annotations
-
-import copy
 
 import numpy as np
 
 from . import femcore as fc
 from .mesh import Mesh
-
-
-# elements per block of the HDG local solves
-_BLOCK = 1024
-
-# the per-element arrays of a Workspace, which its blocks slice
-_PER_ELEMENT = ("v0", "jac", "det", "jac_inv", "jac_inv_t", "sqrt_det", "nu",
-                "qphys", "wdet", "ef", "eo", "esign", "enormal", "elen",
-                "node_phys")
 
 
 class NonFiniteDataError(ValueError):
@@ -109,27 +96,6 @@ class Workspace:
         self.node_phys = self.v0[:, None, :] + self.lattice.nodes @ jac_t  # (ne, n_nodes, 2)
 
         self._global_nodes = None
-
-    @property
-    def n_elements(self) -> int:
-        """Elements this workspace (or block) covers."""
-        return len(self.det)
-
-    def blocks(self):
-        """This workspace on consecutive slices of at most _BLOCK elements.
-
-        Each block shares the tables and holds views of the per-element
-        arrays; ``elems`` is its slice of the mesh's elements.  Only the
-        element-local methods apply to a block: the facet machinery and the
-        global nodes read the whole mesh.
-        """
-        ne = self.mesh.n_elements
-        for start in range(0, ne, _BLOCK):
-            block = copy.copy(self)
-            block.elems = slice(start, min(start + _BLOCK, ne))
-            block.__dict__.update(
-                (name, self.__dict__[name][block.elems]) for name in _PER_ELEMENT)
-            yield block
 
     # -- generic integration helpers ---------------------------------------
 
@@ -231,7 +197,6 @@ class Workspace:
     def dirichlet_nodes(self):
         """Global node ids lying on the Dirichlet boundary."""
         mesh = self.mesh
-        n_global, node_map, coords = self.global_nodes()
         per_edge = self.m - 1
         ids = []
         dfac = mesh.dirichlet_facets

@@ -11,7 +11,7 @@ from hdgbounds import (Bulk, ErrorDistribution, OutputFunctional, ProblemData,
                        Uniform, Workspace, adaptive_loop, builtin,
                        convergence_order, mark, unit_square_crisscross)
 from hdgbounds import reconstruct as rc
-from hdgbounds import workspace
+from hdgbounds import hdg
 from hdgbounds.adapt import run_pipeline
 
 
@@ -142,7 +142,6 @@ class TestPipeline:
         assert res.s_h is not None
 
     def test_one_factorization_per_interval(self, monkeypatch):
-        from hdgbounds import hdg
         calls = []
         splu = hdg.spla.splu
 
@@ -171,9 +170,9 @@ class TestPipeline:
     def test_each_field_evaluated_once_per_pair(self, monkeypatch):
         # the audit, kappa, eta and S all read one evaluated record per
         # pair; the datum f is also read by the assembly, f_O by s_h.
-        # Counted in elements: the assembly reads f over blocks of 7 of the
-        # 256 elements
-        monkeypatch.setattr(workspace, "_BLOCK", 7)
+        # Counted in elements: the assembly reads f once on the whole mesh,
+        # also when its local solves run over blocks of 7 of the 256 elements
+        monkeypatch.setattr(hdg, "_BLOCK", 7)
         counts = Counter()
 
         def counting(name, fn, elements):
@@ -255,7 +254,7 @@ class TestElementBlocks:
         mesh, data, out, optimize = BLOCK_CASES[case]()
         assert mesh.n_elements == 256
         ref = run_pipeline(mesh, data, out, p=2, optimize=optimize)
-        monkeypatch.setattr(workspace, "_BLOCK", 7)
+        monkeypatch.setattr(hdg, "_BLOCK", 7)
         got = run_pipeline(mesh, data, out, p=2, optimize=optimize)
         for a, b in ((got.s_minus, ref.s_minus), (got.s_plus, ref.s_plus)):
             assert abs(a - b) <= 1e-13 * abs(b)

@@ -431,11 +431,16 @@ class TestGlobalProperties:
 
     @settings(derandomize=True, deadline=None, max_examples=50)
     @given(rounds=st.integers(1, 5), seed=st.integers(0, 2 ** 16),
-           p=st.integers(1, 3), tau=st.floats(0.1, 10.0),
-           optimize=st.booleans())
-    def test_containment_property_lshape(self, rounds, seed, p, tau, optimize):
+           amp=st.floats(0.0, 0.2), p=st.integers(1, 3),
+           tau=st.floats(0.1, 10.0), optimize=st.booleans())
+    def test_containment_property_lshape(self, rounds, seed, amp, p, tau,
+                                         optimize):
         # example2_s1 (re-entrant corner) on L-shapes bisected at a random
-        # number of random elements per round
+        # number of random elements per round, then each vertex off the
+        # boundary moved by up to amp times the shortest edge at it.  The
+        # bisections keep every element right isosceles, so its doubled
+        # area, a leg squared, loses at most (4 amp + 4 amp^2) of itself:
+        # amp <= 0.2 keeps every element positive
         prob = builtin("example2_s1")
         rng = np.random.default_rng(seed)
         mesh = lshape_initial()
@@ -443,6 +448,17 @@ class TestGlobalProperties:
             ne = mesh.n_elements
             mesh = refine_bisection(mesh, rng.choice(ne, rng.integers(1, ne + 1),
                                                      replace=False))
+        v, f = mesh.vertices.copy(), mesh.facets
+        edge = np.linalg.norm(v[f[:, 1]] - v[f[:, 0]], axis=1)
+        shortest = np.full(len(v), np.inf)
+        np.minimum.at(shortest, f.ravel(), np.repeat(edge, 2))
+        inner = np.ones(len(v), dtype=bool)
+        inner[f[mesh.facet_elems[:, 1] < 0]] = False
+        angle = rng.uniform(0.0, 2 * np.pi, len(v))
+        step = amp * shortest * rng.uniform(0.0, 1.0, len(v))
+        v[inner] += (step[:, None] * np.stack([np.cos(angle), np.sin(angle)],
+                                              axis=1))[inner]
+        mesh = Mesh(v, mesh.elements, mesh.boundary_tag_dict())
         res = run_pipeline(mesh, prob.data, prob.out, p, tau,
                            optimize=optimize)
         assert res.contains(prob.exact_s)

@@ -96,6 +96,25 @@ class TestRun:
         assert cli.run(cfg) == EXIT_CONFIG
         assert not out.exists()
 
+    def test_unusable_out_dir_exits_2_before_any_solve(self, tmp_path, capsys,
+                                                       monkeypatch):
+        # a directory under a regular file cannot be made; that used to
+        # surface as a traceback from the writers after the whole study
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        studies = []
+
+        def no_study(*args, **kwargs):
+            studies.append(args)
+            raise RuntimeError("the study ran")
+
+        monkeypatch.setattr(cli.adapt, "adaptive_loop", no_study)
+        code = cli.main(["--problem", "example2_s1", "--p", "1",
+                         "--out", str(blocker / "sub")])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG and not studies
+        assert err.startswith("configuration error: ") and err.count("\n") == 1
+
     def test_bad_strategy_string(self, tmp_path):
         cfg = RunConfig(problem="example1_s1", strategy="bogus",
                         out_dir=str(tmp_path))

@@ -24,7 +24,7 @@ def local_residuals(sol, data):
     after back-substitution."""
     ws = sol.ws
     ne = ws.mesh.n_elements
-    Kdiv, E, Cq, Cu = _local_operators(ws)
+    Kdiv, E, Cq, Cu = _local_operators(ws, slice(None))
     nu, tau = ws.nu[:, None], sol.tau
     q, u = sol.q.reshape(ne, -1), sol.u
     uhat_e = sol.uhat[ws.ef].reshape(ne, 3 * (ws.p + 1))
@@ -146,7 +146,7 @@ class TestLocalStructure:
         ne, n2, F1 = mesh.n_elements, 2 * ws.np_, p + 1
         F3 = 3 * F1
         nu = ws.nu[:, None, None]
-        Kdiv, _, Cq, Cu = _local_operators(ws)
+        Kdiv, _, Cq, Cu = _local_operators(ws, slice(None))
         Kt = np.swapaxes(Kdiv, 1, 2)
         # <qhat.n_K, mu> = Cq^T q + tau (Cu^T u - uhat_e) of the dense solution
         flux_mom = (np.swapaxes(Cq, 1, 2) @ X[:, :n2]
@@ -178,17 +178,17 @@ class TestLocalStructure:
     @pytest.mark.parametrize("block,bad", [(1024, 3), (7, 10)])
     def test_singular_local_matrix_names_elements(self, monkeypatch, block, bad):
         # with blocks of 7 of the 16 elements, element 10 lies in the second
-        from hdgbounds import hdg, workspace
+        from hdgbounds import hdg
         local_operators = hdg._local_operators
 
-        def zero_element(ws):
-            Kdiv, E, Cq, Cu = local_operators(ws)
-            if ws.elems.start <= bad < ws.elems.stop:
-                Kdiv[bad - ws.elems.start] = 0.0
-                E[bad - ws.elems.start] = 0.0
+        def zero_element(ws, e):
+            Kdiv, E, Cq, Cu = local_operators(ws, e)
+            if e.start <= bad < e.stop:
+                Kdiv[bad - e.start] = 0.0
+                E[bad - e.start] = 0.0
             return Kdiv, E, Cq, Cu
 
-        monkeypatch.setattr(workspace, "_BLOCK", block)
+        monkeypatch.setattr(hdg, "_BLOCK", block)
         monkeypatch.setattr(hdg, "_local_operators", zero_element)
         with pytest.raises(RuntimeError, match=rf"element\(s\) \[{bad}\]"):
             solve(Workspace(unit_square_crisscross(0), 1), [ProblemData(f=EX1_F)])
