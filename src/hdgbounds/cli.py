@@ -357,12 +357,7 @@ def main(argv=None) -> int:
         if val is not None:
             cfg_dict[key] = val
     cfg_dict["expressions"] = expressions
-    try:
-        cfg = RunConfig(**cfg_dict)
-    except TypeError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    return run(cfg)
+    return run(RunConfig(**cfg_dict))
 
 
 if __name__ == "__main__":

@@ -247,16 +247,16 @@ def reference_tables(p: int, quad_degree: int) -> MappingProxyType:
     Workspace exposes each entry as an attribute of the same name.
 
     Volume quadrature qref (nq, 2), qw; modal tables phi_p (np_, nq),
-    dphi_p (np_, nq, 2), phi_m, dphi_m; local-solver tensors
+    phi_m, dphi_m (nm, nq, 2); local-solver tensors
       S[r, a, b]     = int d_r phi^p_a phi^p_b
       Qm[r, a, b]    = int phi^m_a d_r phi^m_b
       S2[r, s, a, b] = int d_r phi^m_a d_s phi^m_b
       S_mp[r, a, i]  = int d_r phi^m_a phi^p_i.
     Facet quadrature et (nqe,), ew on the canonical parameter t in [0, 1],
     segment bases psi_p (p+1, nqe), psi_m (p+2, nqe); for each (local edge,
-    orientation) case the reference points edge_ref (3, 2, nqe, 2), with
-    o = 1 when the canonical direction matches the local edge direction,
-    the modal traces etab_p/etab_m, their segment moments
+    orientation) case, with o = 1 when the canonical direction matches the
+    local edge direction, the modal traces etab_p/etab_m at the facet
+    quadrature points, their segment moments
     T_p[l, o, m, i] = int psi_p[m] etab_p[l, o, i] dt (T_mm at degree m)
     and the trace mass EE[l, i, j].  The Lagrange lattice of degree m with
     its values lag_vals (nq, n_nodes), gradients lag_grads (n_nodes, nq, 2)
@@ -276,10 +276,9 @@ def reference_tables(p: int, quad_degree: int) -> MappingProxyType:
     w = t["qw"] = rule.weights
     t["nq"] = len(w)
     phi_p = t["phi_p"] = tri_basis(p, qref)
-    dphi_p = t["dphi_p"] = tri_basis_grad(p, qref)
     phi_m = t["phi_m"] = tri_basis(m, qref)
     dphi_m = t["dphi_m"] = tri_basis_grad(m, qref)
-    t["S"] = np.einsum("aqr,bq,q->rab", dphi_p, phi_p, w)
+    t["S"] = np.einsum("aqr,bq,q->rab", tri_basis_grad(p, qref), phi_p, w)
     t["Qm"] = np.einsum("aq,bqr,q->rab", phi_m, dphi_m, w)
     t["S2"] = np.einsum("aqr,bqs,q->rsab", dphi_m, dphi_m, w)
     t["S_mp"] = np.einsum("aqr,iq,q->rai", dphi_m, phi_p, w)
@@ -290,7 +289,7 @@ def reference_tables(p: int, quad_degree: int) -> MappingProxyType:
     nqe = t["nqe"] = len(et)
     psi_p = t["psi_p"] = seg_basis(p, et)
     psi_m = t["psi_m"] = seg_basis(m, et)
-    edge_ref = t["edge_ref"] = np.empty((3, 2, nqe, 2))
+    edge_ref = np.empty((3, 2, nqe, 2))
     for ell, (a, b) in enumerate(_REF_EDGES):
         edge_ref[ell, 1] = _REF_VERTS[a] + et[:, None] * (_REF_VERTS[b] - _REF_VERTS[a])
         edge_ref[ell, 0] = _REF_VERTS[b] + et[:, None] * (_REF_VERTS[a] - _REF_VERTS[b])

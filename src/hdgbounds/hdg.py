@@ -290,19 +290,19 @@ def _back_substitute(ws: Workspace, cs: CondensedSystem) -> list[HDGSolution]:
     mesh, F1, np_ = ws.mesh, ws.p + 1, ws.np_
     k, ne = cs.Xb.shape[2], mesh.n_elements
     uhat = cs.uhat.reshape(k, mesh.n_facets, F1)
-    uhat_e = np.take(uhat, ws.ef, axis=1).reshape(k, ne, 3 * F1, 1)
+    # the k data are the columns of every element's right-hand side
+    uhat_e = np.take(uhat.transpose(1, 2, 0), ws.ef, axis=0).reshape(ne, 3 * F1, k)
     u, q = np.empty((k, ne, np_)), np.empty((k, ne, 2, np_))
     flux_mom = np.empty((k, ne, 3 * F1))      # <qhat.n_K, M_m> per side
     for e in _blocks(ne):
         Kdiv, _, Cq, Cu = _local_operators(ws, e)
-        nu = ws.nu[e, None, None]
-        for j in range(k):
-            ue = uhat_e[j, e]
-            ub = cs.XP[e] @ ue + cs.Xb[e, :, j, None]
-            qb = nu * (Kdiv.swapaxes(1, 2) @ ub - Cq @ ue)
-            fm = Cq.swapaxes(1, 2) @ qb + cs.tau * (Cu.swapaxes(1, 2) @ ub - ue)
-            u[j, e], q[j, e] = ub[:, :, 0], qb.reshape(-1, 2, np_)
-            flux_mom[j, e] = fm[:, :, 0]
+        nu, ue = ws.nu[e, None, None], uhat_e[e]
+        ub = cs.XP[e] @ ue + cs.Xb[e]
+        qb = nu * (Kdiv.swapaxes(1, 2) @ ub - Cq @ ue)
+        fm = Cq.swapaxes(1, 2) @ qb + cs.tau * (Cu.swapaxes(1, 2) @ ub - ue)
+        u[:, e] = np.moveaxis(ub, 2, 0)
+        q[:, e] = np.moveaxis(qb, 2, 0).reshape(k, -1, 2, np_)
+        flux_mom[:, e] = np.moveaxis(fm, 2, 0)
     # single-valued numerical flux in the canonical normal direction: the
     # side-0 moments, averaged with side 1 inside
     flux_mom = flux_mom.reshape(k, 3 * ne, F1) * ws.esign.reshape(-1, 1)

@@ -78,12 +78,12 @@ class EquilibratedFlux:
 
 @dataclass
 class BandCorrection:
-    """Non-polynomial additive correction on the band elements."""
+    """The band extension ghat, added to the potential on the band
+    elements; it vanishes on the band line, so the sum stays continuous."""
 
     elems: np.ndarray            # element ids inside the band, ascending
     ghat: Callable               # extension value (x, y) -> float
     ghat_grad: Callable          # extension gradient (x, y) -> (..., 2)
-    nodal: np.ndarray            # (len(elems), n_nodes) interpolant values
     x_band: float
 
     def grads_at(self, pts):
@@ -93,9 +93,10 @@ class BandCorrection:
 
 @dataclass
 class ContinuousPotential:
-    """Globally continuous piecewise P^{p+1} field plus optional analytic
-    band corrections; the trace on the Dirichlet boundary equals the datum
-    exactly (corrections included)."""
+    """Globally continuous piecewise P^{p+1} field, the nodal values, plus
+    the analytic band extension on the band elements when ``correction`` is
+    set; the trace of the sum on the Dirichlet boundary equals the datum
+    exactly."""
 
     mesh: Mesh
     degree: int
@@ -111,20 +112,16 @@ class ContinuousPotential:
         out = self.nodal() @ ws.lag_vals.T
         if self.correction is not None:
             c = self.correction
-            out[c.elems] += (ws.eval_data(c.ghat, ws.qphys[c.elems])
-                             - c.nodal @ ws.lag_vals.T)
+            out[c.elems] += ws.eval_data(c.ghat, ws.qphys[c.elems])
         return out
 
     def eval_grads(self, ws: Workspace) -> np.ndarray:
         """Gradients at the volume quadrature points, (ne, nq, 2)."""
-        def grads(nodal, jac_inv):  # reference gradients mapped by J^-T
-            return (nodal @ ws.lag_grads.reshape(ws.n_nodes, -1)).reshape(
-                len(nodal), ws.nq, 2) @ jac_inv
-        out = grads(self.nodal(), ws.jac_inv)
+        out = (self.nodal() @ ws.lag_grads.reshape(ws.n_nodes, -1)).reshape(
+            len(self.node_map), ws.nq, 2) @ ws.jac_inv  # mapped by J^-T
         if self.correction is not None:
             c = self.correction
-            out[c.elems] += (c.grads_at(ws.qphys[c.elems])
-                             - grads(c.nodal, ws.jac_inv[c.elems]))
+            out[c.elems] += c.grads_at(ws.qphys[c.elems])
         return out
 
     def trace_values(self, ws: Workspace, facet_ids, side: int = 0) -> np.ndarray:
@@ -132,12 +129,9 @@ class ContinuousPotential:
         out = ws.facet_trace(self.nodal(), ws.lag_edge, facet_ids, side)
         if self.correction is not None:
             c = self.correction
-            band = np.zeros((self.mesh.n_elements, ws.n_nodes))
-            band[c.elems] = c.nodal
             f = np.asarray(facet_ids)
             sel = np.flatnonzero(np.isin(self.mesh.facet_elems[f, side], c.elems))
-            out[sel] += (ws.eval_data(c.ghat, ws.ephys[f[sel]])
-                         - ws.facet_trace(band, ws.lag_edge, f[sel], side))
+            out[sel] += ws.eval_data(c.ghat, ws.ephys[f[sel]])
         return out
 
 
@@ -240,12 +234,17 @@ def enforce_dirichlet_band(pot: ContinuousPotential, band: DirichletBand,
     """Exact Dirichlet enforcement for a non-polynomial datum on a straight
     coordinate-aligned boundary portion.
 
-    Builds the linear-blend extension of the datum, ``band.profile``, over
-    the band between the admissible mesh line and the portion, and attaches
-    the interpolation error as an analytic per-element correction, so the
-    trace on the portion is exact while global continuity is preserved.
+    Builds the linear-blend extension ghat of the datum, ``band.profile``,
+    over the band between the admissible mesh line and the portion.  The
+    potential becomes its nodal values minus ghat at the band elements'
+    nodes, plus ghat itself on the band elements: the nodes on the portion
+    then hold g_D - ghat = 0, so the trace there is ghat, the datum, while
+    ghat = 0 on the band line keeps the sum continuous.  Raises ValueError
+    on a potential that already carries a band correction.
     """
     mesh, ax = ws.mesh, band.axis
+    if pot.correction is not None:
+        raise ValueError("the potential already carries a band correction")
     if ax not in (0, 1):
         raise ValueError("band portions must be coordinate-aligned (axis 0 or 1)")
     x_band = _find_band_line(mesh, band)
@@ -275,10 +274,12 @@ def enforce_dirichlet_band(pot: ContinuousPotential, band: DirichletBand,
         band_elems = np.nonzero(elem_c.min(axis=1) >= x_band - tol)[0]
     else:
         band_elems = np.nonzero(elem_c.max(axis=1) <= x_band + tol)[0]
-    nodal = ws.eval_data(ghat, ws.node_phys[band_elems])
+    nodes = np.unique(pot.node_map[band_elems])
+    values = pot.values.copy()
+    values[nodes] -= ws.eval_data(ghat, ws.global_nodes()[2][nodes])
     corr = BandCorrection(elems=band_elems, ghat=ghat, ghat_grad=ghat_grad,
-                          nodal=nodal, x_band=x_band)
-    return replace(pot, correction=corr)
+                          x_band=x_band)
+    return replace(pot, values=values, correction=corr)
 
 
 # ---------------------------------------------------------------------------
@@ -433,11 +434,10 @@ def local_optimize(flux: EquilibratedFlux, pot: ContinuousPotential,
     nodal = pot.nodal()
     zu = (nodal @ ws.opt_rhs_u).reshape(ne, 4, k)
     if pot.correction is not None:
-        # on the band elements the analytic gradient g replaces the gradient
-        # of its interpolant, by quadrature: J^T g against Y, J^-1 g against G
-        c, e = pot.correction, pot.correction.elems
-        zu[e] -= (c.nodal @ ws.opt_rhs_u).reshape(len(e), 4, k)
-        g = c.grads_at(ws.qphys[e])
+        # on the band elements the gradient g of the extension adds to the
+        # polynomial part, by quadrature: J^T g against Y, J^-1 g against G
+        e = pot.correction.elems
+        g = pot.correction.grads_at(ws.qphys[e])
         b[e] += ws.sqrt_det[e, None] * (
             np.einsum("eqr,rqk,q->ek", g @ ws.jac[e], ws.opt_q, ws.qw)
             + nu[e] * np.einsum("eqr,rqk,q->ek", g @ ws.jac_inv_t[e],

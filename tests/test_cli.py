@@ -6,9 +6,11 @@ import math
 import numpy as np
 import pytest
 
-from hdgbounds import cli, write_mesh, unit_square_crisscross
-from hdgbounds.cli import (EXIT_CONFIG, EXIT_NOT_CONVERGED, EXIT_OK,
-                           EXIT_SOLVER, RunConfig, compile_expression)
+from hdgbounds import (Bulk, ErrorDistribution, Uniform, cli, write_mesh,
+                       unit_square_crisscross)
+from hdgbounds.cli import (EXIT_CONFIG, EXIT_CONTAINMENT, EXIT_NOT_CONVERGED,
+                           EXIT_OK, EXIT_SOLVER, RunConfig, compile_expression,
+                           parse_strategy)
 from hdgbounds.problems import builtin
 
 
@@ -114,6 +116,15 @@ class TestRun:
         err = capsys.readouterr().err
         assert code == EXIT_CONFIG and not studies
         assert err.startswith("configuration error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("text, strategy", [
+        ("uniform", Uniform()),
+        ("tol:1e-3", ErrorDistribution(1e-3)),
+        ("tol", ErrorDistribution(1e-8)),   # the target gap is the tolerance
+        ("bulk:0.5", Bulk(0.5)),
+    ])
+    def test_strategy_strings(self, text, strategy):
+        assert parse_strategy(text, 1e-8) == strategy
 
     def test_bad_strategy_string(self, tmp_path):
         cfg = RunConfig(problem="example1_s1", strategy="bogus",
@@ -236,6 +247,28 @@ class TestRun:
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["converged"] is False
 
+    @pytest.mark.parametrize("target, max_iter, converged", [
+        (1e-3, 3, True),
+        (1e-14, 2, False),   # exit 5 outranks exit 4
+    ])
+    def test_containment_violation_exit(self, tmp_path, capsys, target,
+                                        max_iter, converged):
+        # a wrong exact value lies outside the certified interval: the
+        # study still writes every artifact, then fails loudest of all
+        code = cli.main(["--problem", "example1_s1", "--p", "1",
+                         "--strategy", "uniform", "--target", str(target),
+                         "--max-iter", str(max_iter), "--exact-s", "0.5",
+                         "--out", str(tmp_path)])
+        assert code == EXIT_CONTAINMENT
+        assert capsys.readouterr().err == ("containment violation: exact "
+                                           "output outside certified bounds\n")
+        for name in ("convergence.csv", "mesh_final.txt", "report.txt",
+                     "summary.json"):
+            assert (tmp_path / name).stat().st_size > 0
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["containment_pass"] is False
+        assert summary["converged"] is converged
+
     def test_external_problem(self, tmp_path):
         mesh = unit_square_crisscross(0)
         mesh_path = tmp_path / "square.txt"
@@ -303,6 +336,14 @@ class TestMain:
         ({"expressions": [["f", "1"]]},
          "expressions must be an object, not [['f', '1']]"),
         ({"nu": {"0": "2"}}, "nu of region 0 must be a number, not '2'"),
+        ({"p": -1}, "polynomial degree p must be >= 0"),
+        ({"tau": 0}, "tau must be positive"),
+        ({"tau": -1.0}, "tau must be positive"),
+        ({"target": 0}, "target gap must be positive"),
+        ({"target": -1e-3}, "target gap must be positive"),
+        ({"max_iter": 0}, "max-iter must be >= 1"),
+        ({"problem": None},
+         "either a builtin problem or an external mesh file must be given"),
         ([1, 2], "the config file must hold a JSON object, not [1, 2]"),
     ])
     def test_mistyped_config_value(self, tmp_path, capsys, config, message):

@@ -9,12 +9,12 @@ import pytest
 
 from conftest import build_pair, mixed_square, perturbed_crisscross
 from hdgbounds import femcore as fc
-from hdgbounds import (DirichletBand, NonFiniteDataError, ProblemData,
-                       Workspace, builtin, flux_residuals, lshape_initial,
-                       make_continuous, postprocess_potential,
+from hdgbounds import (DirichletBand, NonFiniteDataError, OutputFunctional,
+                       ProblemData, Workspace, builtin, flux_residuals,
+                       lshape_initial, make_continuous, postprocess_potential,
                        potential_residuals, reconstruct_flux, solve,
                        unit_square_crisscross, zero)
-from hdgbounds.bounds import _energy_sq
+from hdgbounds.bounds import _energy_sq, compute_bounds
 from hdgbounds.mesh import Mesh, refine_bisection
 from hdgbounds.reconstruct import (ContinuousPotential, EquilibratedFlux,
                                    _normal_matrix, evaluate,
@@ -268,7 +268,8 @@ class TestBandExtension:
         pot = enforce_dirichlet_band(pot, band, ws)
         c = pot.correction
         pts = ws.qphys[c.elems]
-        corr = ws.eval_data(c.ghat, pts) - np.einsum("ek,qk->eq", c.nodal, ws.lag_vals)
+        interp = ws.eval_data(c.ghat, ws.node_phys[c.elems])
+        corr = ws.eval_data(c.ghat, pts) - np.einsum("ek,qk->eq", interp, ws.lag_vals)
         assert np.abs(corr).max() < 1e-12
 
     def test_trace_exact_at_random_points(self, rng):
@@ -293,7 +294,8 @@ class TestBandExtension:
             pot = enforce_dirichlet_band(pot, self.band(), ws)
             c = pot.correction
             pts = ws.qphys[c.elems]
-            corr = ws.eval_data(c.ghat, pts) - np.einsum("ek,qk->eq", c.nodal, ws.lag_vals)
+            interp = ws.eval_data(c.ghat, ws.node_phys[c.elems])
+            corr = ws.eval_data(c.ghat, pts) - np.einsum("ek,qk->eq", interp, ws.lag_vals)
             maxima.append(np.abs(corr).max())
         assert maxima[0] > maxima[1] > maxima[2]
 
@@ -320,12 +322,9 @@ class TestBandExtension:
         c = pot.correction
         assert c is not None and len(c.elems)
 
-        def grads(nodal, jac_inv_t):
-            ref = np.einsum("ek,kqd->eqd", nodal, ws.lag_grads)
-            return np.einsum("eqd,ecd->eqc", ref, jac_inv_t)
-        ref = grads(pot.nodal(), ws.jac_inv_t)
-        ref[c.elems] += (c.grads_at(ws.qphys[c.elems])
-                         - grads(c.nodal, ws.jac_inv_t[c.elems]))
+        ref = np.einsum("eqd,ecd->eqc", np.einsum(
+            "ek,kqd->eqd", pot.nodal(), ws.lag_grads), ws.jac_inv_t)
+        ref[c.elems] += c.grads_at(ws.qphys[c.elems])
         got = pot.eval_grads(ws)
         assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
 
@@ -340,16 +339,52 @@ class TestBandExtension:
             expected = 1.0 - 1.0 / 2 ** (lvl + 1)
             assert abs(out.correction.x_band - expected) < 1e-14
 
+    def test_second_band_enforcement_rejected(self):
+        # the nodal values hold only the polynomial part after the first
+        # call, so a second one would subtract the extension twice
+        mesh = unit_square_crisscross(0)
+        data = ProblemData(f=zero, g_D=self.gdo(), band=self.band())
+        _, _, pot, ws = base_pair(mesh, data, 1)
+        pot = enforce_dirichlet_band(pot, self.band(), ws)
+        with pytest.raises(ValueError, match="already carries"):
+            enforce_dirichlet_band(pot, self.band(), ws)
+
     def test_non_axis_aligned_portion_rejected(self):
         mesh = unit_square_crisscross(0)
         ws = Workspace(mesh, 1)
         pot = ContinuousPotential(mesh=mesh, degree=2,
                                   values=np.zeros(ws.global_nodes()[0]),
                                   node_map=ws.global_nodes()[1])
-        bad = DirichletBand(axis=2, value=1.0, profile=lambda s: s,
-                            profile_deriv=lambda s: 1.0)
-        with pytest.raises(ValueError, match="axis"):
-            enforce_dirichlet_band(pot, bad, ws)
+        # an oblique portion, then the line x = 0.5 through the interior
+        for axis, value, match in ((2, 1.0, "axis"),
+                                   (0, 0.5, "must lie on the boundary")):
+            bad = DirichletBand(axis=axis, value=value, profile=lambda s: s,
+                                profile_deriv=lambda s: 1.0)
+            with pytest.raises(ValueError, match=match):
+                enforce_dirichlet_band(pot, bad, ws)
+
+    @pytest.mark.parametrize("optimize", [False, True])
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("axis, value", [(0, 0.0), (0, 1.0), (1, 0.0),
+                                             (1, 1.0)])
+    def test_band_on_every_side(self, axis, value, p, optimize):
+        # example1_s2's boundary-flux weight moved to each side of the
+        # square; by symmetry s = pi^2/4 on every one, and the sides at
+        # coordinate 0 have their band on the larger-coordinate side
+        band = replace(self.band(), axis=axis, value=value)
+
+        def g_D_O(x, y):
+            a, t = (x, y) if axis == 0 else (y, x)
+            return np.where(np.abs(a - value) < 1e-12, band.profile(t), 0.0)
+        out = OutputFunctional(g_D_O=g_D_O, band=band)
+        data, adata = ProblemData(f=EX1_F), out.adjoint_data()
+        for level in (0, 1, 2):
+            _, _, pair_u, pair_z, ws = build_pair(
+                unit_square_crisscross(level), data, out, p, optimize=optimize)
+            res = potential_residuals(evaluate(*pair_z, adata, ws), ws)
+            assert res["dirichlet_trace"] < 1e-12
+            assert compute_bounds(pair_u, pair_z, data, out, ws).contains(
+                np.pi ** 2 / 4)
 
 
 def _loop_constraint_matrix(ws, e):
@@ -398,9 +433,9 @@ def _local_optimize_loop(flux, pot, ws):
     new_values = pot.values.copy()
     sqw = np.sqrt(ws.wdet / nu[:, None])                      # (ne, nq)
 
-    corr_elems = {}
+    corr_elems = set()
     if pot.correction is not None:
-        corr_elems = {int(k): i for i, k in enumerate(pot.correction.elems)}
+        corr_elems = set(pot.correction.elems.tolist())
 
     for e in range(ne):
         phi = ws.phi_m / ws.sqrt_det[e]                       # (nm, nq)
@@ -412,12 +447,9 @@ def _local_optimize_loop(flux, pot, ws):
             Aobj[c * nq:(c + 1) * nq, c * nm:(c + 1) * nm] = (phi * sqw[e]).T
             Aobj[c * nq:(c + 1) * nq, 2 * nm:] = (gphi[:, :, c] * sqw[e]).T * nu[e]
         bobj = np.zeros(2 * nq)
-        j = corr_elems.get(e)
-        if j is not None:
-            # correction gradients enter the objective as fixed data
+        if e in corr_elems:
+            # the extension's gradient enters the objective as fixed data
             g = pot.correction.grads_at(ws.qphys[e])          # (nq, 2)
-            ref_c = np.einsum("k,kqd->qd", pot.correction.nodal[j], ws.lag_grads)
-            g = g - ref_c @ ws.jac_inv_t[e].T
             for c in (0, 1):
                 bobj[c * nq:(c + 1) * nq] = -nu[e] * g[:, c] * sqw[e]
 
