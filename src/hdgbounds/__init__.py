@@ -6,10 +6,10 @@ equilibrated flux reconstructions, with goal-oriented adaptivity.
 from .adapt import (AdaptiveRun, Bulk, ErrorDistribution, Uniform,
                     adaptive_loop, convergence_order, mark, run_pipeline)
 from .bounds import (BoundsResult, EtaBreakdown, compute_bounds, compute_eta,
-                     compute_kappa, poincare_constants, exact_equilibration_bounds)
+                     compute_kappa, poincare_constants)
 from .femcore import QuadratureRule, segment_rule, triangle_rule
 from .hdg import (DirichletBand, HDGSolution, OutputFunctional, ProblemData,
-                  output_value, raw_output, solve, zero)
+                  raw_output, solve, zero)
 from .mesh import (Mesh, lshape_initial, read_mesh, refine_bisection,
                    refine_red, unit_square_crisscross, write_mesh)
 from .problems import PROBLEM_IDS, BuiltinProblem, builtin

@@ -30,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from . import reconstruct as rc
-from .hdg import OutputFunctional, ProblemData, output_value
+from .hdg import OutputFunctional, ProblemData
 from .mesh import Mesh
 from .workspace import Workspace
 
@@ -41,7 +41,6 @@ __all__ = [
     "compute_kappa",
     "compute_eta",
     "compute_bounds",
-    "exact_equilibration_bounds",
 ]
 
 _DEGENERATE_TOL = 1e-12
@@ -258,25 +257,20 @@ def _core_functional(primal: rc.EvaluatedPair, adjoint: rc.EvaluatedPair,
 
 def compute_bounds(primal_pair, adjoint_pair, data: ProblemData,
                    out: OutputFunctional, ws: Workspace,
-                   kappa: float | None = None,
                    s_h: float | None = None) -> BoundsResult:
     """Guaranteed bounds s_minus <= s <= s_plus for the output functional.
 
     Each pair and its data are evaluated once; the reconstruction
     certificates are audited first, and a failed one raises RuntimeError.
-    kappa=None selects the optimal ratio of the global residual norms.
+    kappa is the optimal ratio of the global residual norms (compute_kappa).
     When the primal or the adjoint reconstruction is numerically exact (and
     that problem's data oscillation vanishes), the interval collapses to
     the reconstruction output and the kappa_degenerate flag is set.  An exact adjoint
     reconstruction with oscillating adjoint data admits no optimal kappa
-    and raises RuntimeError; an explicit kappa <= 0 raises ValueError.
+    and raises RuntimeError.
     """
     primal, adjoint = _audited_records(primal_pair, adjoint_pair, data, out, ws)
-    degenerate = False
-    if kappa is None:
-        kappa, degenerate = compute_kappa(primal, adjoint, ws)
-    elif not kappa > 0:
-        raise ValueError("kappa must be positive")
+    kappa, degenerate = compute_kappa(primal, adjoint, ws)
 
     s_core = _core_functional(primal, adjoint, ws)
     if degenerate:
@@ -290,7 +284,7 @@ def compute_bounds(primal_pair, adjoint_pair, data: ProblemData,
         if not kappa > 0:
             raise RuntimeError(
                 "the adjoint residual vanishes but the adjoint data oscillate "
-                f"in: {', '.join(osc)}; no optimal kappa exists, pass one")
+                f"in: {', '.join(osc)}; no optimal kappa exists")
 
     eta = compute_eta(primal, adjoint, ws, kappa)
     em2 = eta.minus ** 2
@@ -301,44 +295,3 @@ def compute_bounds(primal_pair, adjoint_pair, data: ProblemData,
                         kappa=float(kappa),
                         gap_elements=(em2 + ep2) / (4.0 * kappa),
                         kappa_degenerate=degenerate, s_h=s_h, eta=eta)
-
-
-# ---------------------------------------------------------------------------
-# Exact-equilibration route (polynomial data only)
-# ---------------------------------------------------------------------------
-
-def exact_equilibration_bounds(primal_pair, adjoint_pair, data: ProblemData,
-                    out: OutputFunctional, ws: Workspace) -> BoundsResult:
-    """Bounds from exactly equilibrated reconstructions:
-
-        s_tilde = l_O(u~, q~) + 1/2 (nu^-1 (q~ + nu grad u~), zeta~ - nu grad xi~)
-        half gap = 1/2 ||q~ + nu grad u~|| ||zeta~ + nu grad xi~||
-
-    Audits the certificates as compute_bounds does, and refuses to run when
-    the data oscillation audit detects non-polynomial data (the guarantee
-    would be lost)."""
-    primal, adjoint = _audited_records(primal_pair, adjoint_pair, data, out, ws)
-    msgs = _oscillating_data(primal, ws) + _oscillating_data(adjoint, ws, "_O")
-    if msgs:
-        raise ValueError(
-            "exact-equilibration bounds require elementwise-polynomial data "
-            "of degree <= p; detected oscillation in: " + ", ".join(msgs)
-            + ". Use compute_bounds, which accounts for data oscillation.")
-
-    mesh = ws.mesh
-    qn_dir = primal.flux.normal_trace(ws, mesh.dirichlet_facets)  # canonical = outward
-    val = output_value(ws, out, primal.u, qn_dir, primal.u_neu)
-
-    a, b = primal.residual, adjoint.residual
-    zeta_minus = adjoint.q - ws.nu[:, None, None] * adjoint.grad_u
-    cross = 0.5 * float(np.sum(ws.integrate_elementwise(
-        a[..., 0] * zeta_minus[..., 0] + a[..., 1] * zeta_minus[..., 1]) / ws.nu))
-    a2 = _energy_sq(ws, a)
-    b2 = _energy_sq(ws, b)
-    half_gap = 0.5 * np.sqrt(a2.sum() * b2.sum())
-    s_tilde = val + cross
-    gap_elements = np.full(mesh.n_elements, 2.0 * half_gap / mesh.n_elements)
-    kappa = float(np.sqrt(b2.sum() / a2.sum())) if a2.sum() > 0 else 1.0
-    return BoundsResult(s_minus=float(s_tilde - half_gap),
-                        s_plus=float(s_tilde + half_gap),
-                        kappa=kappa, gap_elements=gap_elements)

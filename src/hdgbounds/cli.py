@@ -117,7 +117,6 @@ class RunConfig:
     max_iter: int = 40
     optimize: bool = False
     out_dir: str = "."
-    gnuplot: bool = False
 
     def validate(self):
         """Check the settings; returns the parsed marking strategy."""
@@ -146,6 +145,8 @@ class RunConfig:
             raise ValueError("polynomial degree p must be >= 0")
         if not self.tau > 0:
             raise ValueError("tau must be positive")
+        if not np.isfinite(self.tau):
+            raise ValueError(f"tau must be finite, not {self.tau!r}")
         if not self.target > 0:
             raise ValueError("target gap must be positive")
         if self.exact_s is not None and not np.isfinite(self.exact_s):
@@ -238,12 +239,6 @@ def _write_outputs(cfg: RunConfig, run: adapt.AdaptiveRun, exact_s,
     if run.final_mesh is not None:
         write_mesh(run.final_mesh, out / "mesh_final.txt")
 
-    if cfg.gnuplot:
-        with open(out / "convergence.dat", "w") as fh:
-            fh.write("# nel half_gap\n")
-            for rec in run.records:
-                fh.write(f"{rec.nel} {rec.bounds.half_gap:.12e}\n")
-
     last = run.records[-1].bounds
     summary = {
         "problem": cfg.problem or cfg.mesh_file,
@@ -324,7 +319,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--max-iter", type=int, dest="max_iter")
     ap.add_argument("--optimize", action="store_true", default=None)
     ap.add_argument("--out", dest="out_dir", help="output directory")
-    ap.add_argument("--gnuplot", action="store_true", default=None)
     return ap
 
 

@@ -30,7 +30,6 @@ __all__ = [
     "HDGSolution",
     "solve",
     "raw_output",
-    "output_value",
     "CondensedSystem",
     "assemble_condensed",
     "zero",
@@ -217,7 +216,7 @@ def assemble_condensed(ws: Workspace, datas, tau) -> CondensedSystem:
     (nu Kdiv Kdiv^T + tau E) u = G uhat + (f, psi), G = tau Cu + nu Kdiv Cq.
     The local solves run block by block (_BLOCK elements).
     """
-    if np.ndim(tau) != 0 or not tau > 0:
+    if np.ndim(tau) != 0 or not 0 < tau < np.inf:
         raise ValueError(
             f"stabilization tau must be one positive number, not {tau!r}")
     mesh, F1, tau, k = ws.mesh, ws.p + 1, float(tau), len(datas)
@@ -333,28 +332,19 @@ def solve(ws: Workspace, datas, tau=1.0) -> list[HDGSolution]:
     return _back_substitute(ws, cs)
 
 
-def output_value(ws: Workspace, out: OutputFunctional, u: np.ndarray,
-                 qn_dir: np.ndarray, u_neu: np.ndarray) -> float:
-    """l_O = (f_O, u) + <g_D_O, q.n>_GD + <g_N_O, u>_GN from values at the
-    quadrature points: u (ne, nq) in the elements, the outward flux q.n on
-    the mesh's dirichlet_facets and the trace of u on its neumann_facets,
-    both (n_facets, nqe)."""
-    mesh = ws.mesh
-    val = float(np.sum(ws.integrate_elementwise(ws.eval_data(out.f_O) * u)))
-    for fun, facets, tr in ((out.g_D_O, mesh.dirichlet_facets, qn_dir),
-                            (out.g_N_O, mesh.neumann_facets, u_neu)):
-        if len(facets):
-            g = ws.eval_data(fun, ws.ephys[facets])
-            val += float(np.einsum("ft,ft,t,f->", g, tr, ws.ew, ws.facet_len[facets]))
-    return val
-
-
 def raw_output(sol: HDGSolution, out: OutputFunctional) -> float:
-    """s_h = l_O(u_h, qhat), with the numerical trace supplying the boundary
-    flux."""
+    """s_h = l_O(u_h, qhat) = (f_O, u_h) + <g_D_O, qhat.n>_GD + <g_N_O, u_h>_GN,
+    with the numerical trace supplying the outward boundary flux."""
     ws, mesh = sol.ws, sol.mesh
     dir_facets, neu_facets = mesh.dirichlet_facets, mesh.neumann_facets
     qn_dir = (sol.qhat_n[dir_facets] @ ws.psi_p) / np.sqrt(ws.facet_len[dir_facets])[:, None]
     u_neu = ws.facet_trace(sol.u, ws.etab_p, neu_facets) \
         / ws.sqrt_det[mesh.facet_elems[neu_facets, 0], None]
-    return output_value(ws, out, ws.eval_modal(sol.u), qn_dir, u_neu)
+    val = float(np.sum(ws.integrate_elementwise(
+        ws.eval_data(out.f_O) * ws.eval_modal(sol.u))))
+    for fun, facets, tr in ((out.g_D_O, dir_facets, qn_dir),
+                            (out.g_N_O, neu_facets, u_neu)):
+        if len(facets):
+            g = ws.eval_data(fun, ws.ephys[facets])
+            val += float(np.einsum("ft,ft,t,f->", g, tr, ws.ew, ws.facet_len[facets]))
+    return val

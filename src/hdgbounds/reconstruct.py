@@ -48,7 +48,6 @@ class EquilibratedFlux:
     """
 
     mesh: Mesh
-    p: int
     coeffs: np.ndarray  # (ne, 2, n_modes(p+1))
 
     def eval_values(self, ws: Workspace) -> np.ndarray:
@@ -99,7 +98,6 @@ class ContinuousPotential:
     exactly."""
 
     mesh: Mesh
-    degree: int
     values: np.ndarray       # (n_global_nodes,)
     node_map: np.ndarray     # (ne, n_nodes_per_element)
     correction: Optional[BandCorrection] = None
@@ -163,7 +161,7 @@ def reconstruct_flux(sol: HDGSolution) -> EquilibratedFlux:
         * ws.sqrt_det[:, None]
     coeffs = ws.jac @ (rhs @ ws.rt_dofs).reshape(ne, 2, -1) \
         / ws.sqrt_det[:, None, None]
-    return EquilibratedFlux(mesh=sol.mesh, p=p, coeffs=coeffs)
+    return EquilibratedFlux(mesh=sol.mesh, coeffs=coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -204,8 +202,7 @@ def make_continuous(ustar: np.ndarray, g_D, ws: Workspace) -> ContinuousPotentia
 
     dnodes = ws.dirichlet_nodes()
     values[dnodes] = ws.eval_data(g_D, coords[dnodes])
-    return ContinuousPotential(mesh=ws.mesh, degree=ws.m, values=values,
-                               node_map=node_map)
+    return ContinuousPotential(mesh=ws.mesh, values=values, node_map=node_map)
 
 
 def _find_band_line(mesh: Mesh, band: DirichletBand) -> float:

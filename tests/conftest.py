@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from hdgbounds import (Workspace, certified_pair, solve,
+from hdgbounds import (BoundsResult, Workspace, certified_pair, solve,
                        unit_square_crisscross)
+from hdgbounds.bounds import _audited_records, _energy_sq, _oscillating_data
 from hdgbounds.mesh import Mesh
 
 
@@ -44,3 +45,44 @@ def build_pair(mesh, data, out, p, tau=1.0, optimize=False, quad_degree=None):
     sol_u, sol_z = solve(ws, [data, adata], tau)
     return (sol_u, sol_z, certified_pair(sol_u, data, optimize),
             certified_pair(sol_z, adata, optimize), ws)
+
+
+def exact_equilibration_bounds(primal_pair, adjoint_pair, data, out, ws):
+    """Cross-route oracle for compute_bounds: the interval of exactly
+    equilibrated reconstructions (polynomial data only),
+
+        s_tilde = l_O(u~, q~) + 1/2 (nu^-1 (q~ + nu grad u~), zeta~ - nu grad xi~)
+        half gap = 1/2 ||q~ + nu grad u~|| ||zeta~ + nu grad xi~||
+
+    with l_O(u~, q~) = (f_O, u~) + <g_D_O, q~.n>_GD + <g_N_O, u~>_GN by its
+    own quadrature.  Audits the certificates as compute_bounds does, and
+    raises ValueError when the data oscillation audit detects
+    non-polynomial data (the guarantee would be lost)."""
+    primal, adjoint = _audited_records(primal_pair, adjoint_pair, data, out, ws)
+    msgs = _oscillating_data(primal, ws) + _oscillating_data(adjoint, ws, "_O")
+    if msgs:
+        raise ValueError(
+            "exact-equilibration bounds require elementwise-polynomial data "
+            "of degree <= p; detected oscillation in: " + ", ".join(msgs))
+
+    mesh = ws.mesh
+    qn_dir = primal.flux.normal_trace(ws, mesh.dirichlet_facets)  # canonical = outward
+    val = float(np.sum(ws.integrate_elementwise(ws.eval_data(out.f_O) * primal.u)))
+    for fun, facets, tr in ((out.g_D_O, mesh.dirichlet_facets, qn_dir),
+                            (out.g_N_O, mesh.neumann_facets, primal.u_neu)):
+        if len(facets):
+            g = ws.eval_data(fun, ws.ephys[facets])
+            val += float(np.einsum("ft,ft,t,f->", g, tr, ws.ew, ws.facet_len[facets]))
+
+    a, b = primal.residual, adjoint.residual
+    zeta_minus = adjoint.q - ws.nu[:, None, None] * adjoint.grad_u
+    cross = 0.5 * float(np.sum(ws.integrate_elementwise(
+        a[..., 0] * zeta_minus[..., 0] + a[..., 1] * zeta_minus[..., 1]) / ws.nu))
+    a2, b2 = _energy_sq(ws, a).sum(), _energy_sq(ws, b).sum()
+    half_gap = 0.5 * np.sqrt(a2 * b2)
+    s_tilde = val + cross
+    return BoundsResult(s_minus=float(s_tilde - half_gap),
+                        s_plus=float(s_tilde + half_gap),
+                        kappa=float(np.sqrt(b2 / a2)) if a2 > 0 else 1.0,
+                        gap_elements=np.full(mesh.n_elements,
+                                             2.0 * half_gap / mesh.n_elements))

@@ -13,13 +13,13 @@ import pytest
 
 from hdgbounds import (Bulk, ErrorDistribution, OutputFunctional, ProblemData,
                        Uniform, Workspace, adaptive_loop, builtin,
-                       compute_bounds, refine_bisection, exact_equilibration_bounds,
+                       compute_bounds, refine_bisection,
                        unit_square_crisscross, zero)
 from hdgbounds.adapt import run_pipeline
 from hdgbounds.mesh import DIRICHLET
 from hdgbounds.reconstruct import (evaluate, flux_residuals,
                                    potential_residuals)
-from conftest import build_pair, mixed_square
+from conftest import build_pair, exact_equilibration_bounds, mixed_square
 
 
 def _report(num, ok, detail=""):

@@ -7,12 +7,12 @@ import scipy.sparse.linalg as spla
 
 from hypothesis import given, settings, strategies as st
 
-from conftest import build_pair, mixed_square, perturbed_crisscross
+from conftest import (build_pair, exact_equilibration_bounds, mixed_square,
+                      perturbed_crisscross)
 from hdgbounds import (Bulk, OutputFunctional, ProblemData, Workspace, adapt,
                        bounds as bd, builtin, compute_bounds, compute_eta,
                        compute_kappa, evaluate, lshape_initial,
-                       poincare_constants,
-                       exact_equilibration_bounds, run_pipeline,
+                       poincare_constants, run_pipeline,
                        unit_square_crisscross, zero)
 from hdgbounds.mesh import Mesh, refine_bisection, refine_red
 from hdgbounds.reconstruct import ContinuousPotential, EquilibratedFlux
@@ -53,11 +53,10 @@ def synthetic_pair(mesh, ws, flux_const, pot_values=None):
     # constant fields: first modal function is sqrt(2/det)
     coeffs[:, 0, 0] = flux_const[0] / np.sqrt(2.0 / ws.det)
     coeffs[:, 1, 0] = flux_const[1] / np.sqrt(2.0 / ws.det)
-    flux = EquilibratedFlux(mesh=mesh, p=ws.p, coeffs=coeffs)
+    flux = EquilibratedFlux(mesh=mesh, coeffs=coeffs)
     n_glob, node_map, _ = ws.global_nodes()
     values = np.zeros(n_glob) if pot_values is None else pot_values
-    pot = ContinuousPotential(mesh=mesh, degree=ws.m, values=values,
-                              node_map=node_map)
+    pot = ContinuousPotential(mesh=mesh, values=values, node_map=node_map)
     return flux, pot
 
 
@@ -181,14 +180,6 @@ class TestComputeBounds:
         # contributions only from x=0 (n=(-1,0): q.n=1) and x=1 (q.n=-1):
         # integral of y*(1) on x=0 plus y*(-1) on x=1 = 0
         assert abs(r.s_tilde - 0.0) < 1e-12
-
-    def test_invalid_kappa_rejected(self):
-        mesh = unit_square_crisscross(0)
-        data = ProblemData(f=EX1_F)
-        out = OutputFunctional(f_O=ONE)
-        _, _, pp, ap, ws = build_pair(mesh, data, out, p=1)
-        with pytest.raises(ValueError):
-            compute_bounds(pp, ap, data, out, ws, kappa=-1.0)
 
     def test_csv_row_shape(self):
         mesh = unit_square_crisscross(0)

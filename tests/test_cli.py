@@ -307,16 +307,27 @@ class TestMain:
                                         "bogus_key": 1}))
         assert cli.main(["--config", str(cfg_path)]) == EXIT_CONFIG
 
-    def test_no_quadrature_setting(self, tmp_path):
-        # the workspace fixes the rule; a rule too weak for p used to exit
-        # 3 as a solver failure ("Singular matrix" at --quad-degree 1, p=2)
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"problem": "example1_s1",
-                                        "quad_degree": 1}))
-        assert cli.main(["--config", str(cfg_path)]) == EXIT_CONFIG
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["--problem", "example1_s1", "--quad-degree", "2"])
-        assert exc.value.code == 2
+    def test_no_quadrature_setting(self, tmp_path, capsys):
+        # removed settings are unknown keys and flags.  The workspace fixes
+        # the quadrature rule: a rule too weak for p used to exit 3 as a
+        # solver failure ("Singular matrix" at --quad-degree 1, p=2).  The
+        # gnuplot file convergence.dat only repeated the nel and half_gap
+        # columns of convergence.csv.
+        for key, val, flags in (("quad_degree", 1, ["--quad-degree", "2"]),
+                                ("gnuplot", True, ["--gnuplot"])):
+            cfg_path = tmp_path / f"{key}.json"
+            cfg_path.write_text(json.dumps({"problem": "example1_s1",
+                                            key: val}))
+            out = tmp_path / key
+            assert cli.main(["--config", str(cfg_path), "--out", str(out)]) \
+                == EXIT_CONFIG
+            assert capsys.readouterr().err == \
+                f"configuration error: unknown keys ['{key}']\n"
+            assert not out.exists()
+            with pytest.raises(SystemExit) as exc:
+                cli.main(["--problem", "example1_s1", *flags])
+            assert exc.value.code == 2
+            capsys.readouterr()
 
     @pytest.mark.parametrize("config, message", [
         ({"p": 1.5}, "p must be an integer, not 1.5"),
@@ -339,6 +350,8 @@ class TestMain:
         ({"p": -1}, "polynomial degree p must be >= 0"),
         ({"tau": 0}, "tau must be positive"),
         ({"tau": -1.0}, "tau must be positive"),
+        # inf used to end in a numpy warning and exit 3 as a solver failure
+        ({"tau": math.inf}, "tau must be finite, not inf"),
         ({"target": 0}, "target gap must be positive"),
         ({"target": -1e-3}, "target gap must be positive"),
         ({"max_iter": 0}, "max-iter must be >= 1"),
@@ -373,11 +386,3 @@ class TestMain:
         assert err == ("configuration error: unknown expression 'g_n' "
                        "(expected f | g_D | g_N | f_O | g_D_O | g_N_O)")
         assert not out.exists()
-
-    def test_gnuplot_output(self, tmp_path):
-        code = cli.main(["--problem", "example2_s1", "--p", "1",
-                         "--strategy", "uniform", "--target", "1e-3",
-                         "--max-iter", "2", "--gnuplot",
-                         "--out", str(tmp_path)])
-        assert code in (EXIT_OK, EXIT_NOT_CONVERGED)
-        assert (tmp_path / "convergence.dat").read_text().startswith("# nel")

@@ -283,7 +283,7 @@ class TestRTSpace:
         basis = rt_generators(ws)
         moments = []
         for j in range(basis.shape[1]):
-            flux = EquilibratedFlux(mesh=ws.mesh, p=p, coeffs=basis[:, j])
+            flux = EquilibratedFlux(mesh=ws.mesh, coeffs=basis[:, j])
             div = flux.eval_divergence(ws)
             scale = 1.0 + np.abs(div).max()
             assert np.abs(div - ws.proj_p(div)).max() < 1e-12 * scale

@@ -270,7 +270,8 @@ class TestLocalStructure:
         solve(Workspace(unit_square_crisscross(3), 2), [ProblemData(f=EX1_F)])
         assert len(fills) == 1 and fills[0] <= 4.0
 
-    @pytest.mark.parametrize("tau", [0.0, -1.0, np.nan, np.ones(16), [1.0]])
+    @pytest.mark.parametrize("tau", [0.0, -1.0, np.nan, np.inf, np.ones(16),
+                                     [1.0]])
     def test_degenerate_tau_rejected(self, tau):
         # tau is one number for the whole mesh; an array, even a valid
         # per-element one, is rejected

@@ -107,7 +107,7 @@ def _reconstruct_flux_loop(sol):
         proj = np.einsum("ekq,jq,q->ekj", tails_vol[:, :, :, c], ws.phi_m, ws.qw) \
             * ws.sqrt_det[:, None, None]
         coeffs[:, c] += np.einsum("ek,ekj->ej", tail_alpha, proj)
-    return EquilibratedFlux(mesh=mesh, p=p, coeffs=coeffs)
+    return EquilibratedFlux(mesh=mesh, coeffs=coeffs)
 
 
 class TestFluxReconstruction:
@@ -229,7 +229,7 @@ class TestPotential:
         broken = pot.values.copy()
         broken[ws.dirichlet_nodes()[3]] += 0.01
         from hdgbounds.reconstruct import ContinuousPotential
-        bad = ContinuousPotential(mesh=mesh, degree=pot.degree, values=broken,
+        bad = ContinuousPotential(mesh=mesh, values=broken,
                                   node_map=pot.node_map)
         res = potential_residuals(evaluate(flux, bad, data, ws), ws)
         assert res["dirichlet_trace"] > 1e-4
@@ -238,8 +238,7 @@ class TestPotential:
         mesh = unit_square_crisscross(0)
         data = ProblemData(f=EX1_F)
         _, flux, pot, ws = base_pair(mesh, data, 1)
-        bad = EquilibratedFlux(mesh=mesh, p=1,
-                               coeffs=flux.coeffs + 1e-3)
+        bad = EquilibratedFlux(mesh=mesh, coeffs=flux.coeffs + 1e-3)
         res = flux_residuals(evaluate(bad, pot, data, ws), ws)
         assert max(res["divergence"], res["normal_jump"]) > 1e-6
 
@@ -332,7 +331,7 @@ class TestBandExtension:
         for lvl in (0, 1):
             mesh = unit_square_crisscross(lvl)
             ws = Workspace(mesh, 1)
-            pot = ContinuousPotential(mesh=mesh, degree=2,
+            pot = ContinuousPotential(mesh=mesh,
                                       values=np.zeros(ws.global_nodes()[0]),
                                       node_map=ws.global_nodes()[1])
             out = enforce_dirichlet_band(pot, self.band(), ws)
@@ -352,7 +351,7 @@ class TestBandExtension:
     def test_non_axis_aligned_portion_rejected(self):
         mesh = unit_square_crisscross(0)
         ws = Workspace(mesh, 1)
-        pot = ContinuousPotential(mesh=mesh, degree=2,
+        pot = ContinuousPotential(mesh=mesh,
                                   values=np.zeros(ws.global_nodes()[0]),
                                   node_map=ws.global_nodes()[1])
         # an oblique portion, then the line x = 0.5 through the interior
@@ -420,7 +419,7 @@ def _loop_constraint_matrix(ws, e):
 def _local_optimize_loop(flux, pot, ws):
     """Element-by-element reference for local_optimize: one SVD nullspace
     of the element's own constraint matrix and one lstsq per element."""
-    mesh, p, nm = flux.mesh, flux.p, ws.nm
+    mesh, p, nm = flux.mesh, ws.p, ws.nm
     ne = mesh.n_elements
     nu = ws.nu
 
@@ -471,9 +470,9 @@ def _local_optimize_loop(flux, pot, ws):
         slots = ws.lattice.interior_slots
         new_values[pot.node_map[e, slots]] = new_nodal[slots]
 
-    new_pot = ContinuousPotential(mesh=mesh, degree=pot.degree, values=new_values,
+    new_pot = ContinuousPotential(mesh=mesh, values=new_values,
                                   node_map=pot.node_map, correction=pot.correction)
-    return EquilibratedFlux(mesh=mesh, p=p, coeffs=new_flux), new_pot
+    return EquilibratedFlux(mesh=mesh, coeffs=new_flux), new_pot
 
 
 def _mapped_nullspace(ws, e):
@@ -649,7 +648,7 @@ class TestLocalOptimize:
         # project the perturbation onto the modal flux representation
         add = np.einsum("eqc,jq->ecj", pert * ws.qw[None, :, None],
                         ws.phi_m) * ws.sqrt_det[:, None, None]
-        flux_pert = EquilibratedFlux(mesh=mesh, p=p, coeffs=flux.coeffs + add)
+        flux_pert = EquilibratedFlux(mesh=mesh, coeffs=flux.coeffs + add)
         rec = evaluate(flux_pert, pot, data, ws)
         res = flux_residuals(rec, ws)
         assert max(res.values()) < 1e-9  # still equilibrated
