@@ -72,13 +72,17 @@ class BoundsResult:
     """Certified interval [s_minus, s_plus] with bookkeeping.
 
     s_tilde is the interval midpoint; gap_elements are the per-element
-    bound-gap contributions, summing to s_plus - s_minus.
+    bound-gap contributions, summing to s_plus - s_minus.  half_gap is half
+    their sum as computed, not 0.5 (s_plus - s_minus), whose difference of
+    two nearly equal numbers loses the digits of a small gap to the
+    round-off of s_plus and s_minus.
     """
 
     s_minus: float
     s_plus: float
     kappa: float
     gap_elements: np.ndarray
+    half_gap: float
     kappa_degenerate: bool = False
     s_h: Optional[float] = None
     eta: Optional[EtaBreakdown] = None
@@ -86,10 +90,6 @@ class BoundsResult:
     @property
     def s_tilde(self) -> float:
         return 0.5 * (self.s_plus + self.s_minus)
-
-    @property
-    def half_gap(self) -> float:
-        return 0.5 * (self.s_plus - self.s_minus)
 
     def contains(self, s: float, slack: float = 0.0) -> bool:
         return self.s_minus - slack <= s <= self.s_plus + slack
@@ -280,7 +280,7 @@ def compute_bounds(primal_pair, adjoint_pair, data: ProblemData,
         if not osc:
             return BoundsResult(s_minus=s_core, s_plus=s_core, kappa=kappa,
                                 gap_elements=np.zeros(ws.mesh.n_elements),
-                                kappa_degenerate=True, s_h=s_h)
+                                half_gap=0.0, kappa_degenerate=True, s_h=s_h)
         if not kappa > 0:
             raise RuntimeError(
                 "the adjoint residual vanishes but the adjoint data oscillate "
@@ -294,4 +294,5 @@ def compute_bounds(primal_pair, adjoint_pair, data: ProblemData,
     return BoundsResult(s_minus=float(s_minus), s_plus=float(s_plus),
                         kappa=float(kappa),
                         gap_elements=(em2 + ep2) / (4.0 * kappa),
+                        half_gap=float((em2 + ep2).sum() / (8.0 * kappa)),
                         kappa_degenerate=degenerate, s_h=s_h, eta=eta)

@@ -21,7 +21,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .mesh import DIRICHLET, Mesh
-from .workspace import Workspace
+from .workspace import _BLOCK, Workspace, ZeroPivotError, spd_solve
 
 __all__ = [
     "ProblemData",
@@ -108,12 +108,6 @@ class HDGSolution:
     @property
     def p(self) -> int:
         return self.ws.p
-
-
-# elements per block of the HDG local solves: their per-element matrices are
-# several times larger than the solution they produce, so the block bounds
-# their temporaries
-_BLOCK = 1024
 
 
 def _blocks(ne: int):
@@ -213,8 +207,9 @@ def assemble_condensed(ws: Workspace, datas, tau) -> CondensedSystem:
 
     The flux equation gives q = nu (Kdiv^T u - Cq uhat), which leaves the
     symmetric positive definite np x np system
-    (nu Kdiv Kdiv^T + tau E) u = G uhat + (f, psi), G = tau Cu + nu Kdiv Cq.
-    The local solves run block by block (_BLOCK elements).
+    (nu Kdiv Kdiv^T + tau E) u = G uhat + (f, psi), G = tau Cu + nu Kdiv Cq,
+    solved by spd_solve.  The local solves run block by block (_BLOCK
+    elements).
     """
     if np.ndim(tau) != 0 or not 0 < tau < np.inf:
         raise ValueError(
@@ -232,9 +227,9 @@ def assemble_condensed(ws: Workspace, datas, tau) -> CondensedSystem:
         K = nu * (Kdiv @ Kdiv.swapaxes(1, 2)) + tau * E
         G = tau * Cu + nu * (Kdiv @ Cq)
         try:
-            X = np.linalg.solve(K, np.concatenate([G, fmom[e]], axis=2))
-        except np.linalg.LinAlgError:
-            bad = e.start + np.flatnonzero(np.abs(np.linalg.det(K)) < 1e-300)
+            X = spd_solve(K, np.concatenate([G, fmom[e]], axis=2))
+        except ZeroPivotError as exc:
+            bad = e.start + exc.elements
             raise RuntimeError(
                 f"singular local solver matrix on element(s) {bad[:5].tolist()} "
                 "(degenerate geometry?)")

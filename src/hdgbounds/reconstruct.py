@@ -15,7 +15,7 @@ import numpy as np
 from . import femcore as fc
 from .hdg import DirichletBand, HDGSolution, ProblemData
 from .mesh import Mesh
-from .workspace import Workspace, require_finite
+from .workspace import Workspace, require_finite, spd_solve
 
 __all__ = [
     "EquilibratedFlux",
@@ -178,7 +178,7 @@ def postprocess_potential(sol: HDGSolution, flux: EquilibratedFlux) -> np.ndarra
     rhs = -((ws.jac_inv @ flux.coeffs).reshape(ne, 2 * nm)
             @ ws.Qm.reshape(2 * nm, nm)) / ws.nu[:, None]
     coeffs = np.empty((ne, nm))
-    coeffs[:, 1:] = np.linalg.solve(K[:, 1:, 1:], rhs[:, 1:, None])[:, :, 0]
+    coeffs[:, 1:] = spd_solve(K[:, 1:, 1:], rhs[:, 1:, None])[:, :, 0]
     coeffs[:, 0] = sol.u[:, 0]  # same constant mode pins (u*, 1)_K = (u_h, 1)_K
     return coeffs
 
@@ -443,8 +443,8 @@ def local_optimize(flux: EquilibratedFlux, pot: ContinuousPotential,
     b += ws.sqrt_det[:, None] * np.einsum("ej,ejk->ek", wu, zu)
 
     d = 1.0 / np.sqrt(np.einsum("ekk->ek", M))
-    xi = -d * np.linalg.solve(M * d[:, :, None] * d[:, None, :],
-                              (d * b)[:, :, None])[:, :, 0]
+    xi = -d * spd_solve(M * d[:, :, None] * d[:, None, :],
+                        (d * b)[:, :, None])[:, :, 0]
 
     Nq, Nu = N[:2 * nm], N[2 * nm:]
     coeffs = flux.coeffs + ws.jac @ (xi @ Nq.T).reshape(ne, 2, nm)

@@ -12,9 +12,12 @@ p+1 potential) come from femcore.reference_tables, built once per
 All arrays are laid out elementwise so the hot paths are batched matrix
 products and solves; no Python loop runs over elements in the pipelines.
 A step that works on a subset e of the elements indexes the per-element
-arrays with it (ws.qphys[e], ws.jac[e]).  Only the HDG local solves run
-over such subsets, in blocks of hdg._BLOCK elements; every other step works
-on the whole mesh.
+arrays with it (ws.qphys[e], ws.jac[e]).  The element-local solves, of
+static condensation, of the potential post-processing and of the local
+optimization, run over blocks of _BLOCK elements: the HDG local solvers
+build their operators block by block, and spd_solve, the one dense solver
+of the element-local systems, eliminates block by block.  Every other step
+works on the whole mesh.
 """
 
 from __future__ import annotations
@@ -23,6 +26,58 @@ import numpy as np
 
 from . import femcore as fc
 from .mesh import Mesh
+
+
+# elements per block of the element-local solves: their per-element matrices
+# are several times larger than the solution they produce, so the block
+# bounds their temporaries
+_BLOCK = 1024
+
+
+class ZeroPivotError(np.linalg.LinAlgError):
+    """spd_solve met an exactly zero pivot; ``elements`` holds the indices,
+    into its stack, of the elements where it did."""
+
+    def __init__(self, elements: np.ndarray):
+        super().__init__(f"zero pivot on element(s) {elements[:5].tolist()}")
+        self.elements = elements
+
+
+def spd_solve(K: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """X (ne, n, r) with K[e] X[e] = B[e] for a stack of symmetric positive
+    definite K (ne, n, n), of which only the upper triangle is read, and
+    right-hand sides B (ne, n, r).
+
+    Symmetric Gaussian elimination without pivoting, backward stable on SPD
+    matrices (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
+    ed., 2002, section 10), on blocks of _BLOCK elements stored along the
+    last axis: each row update and each back-substitution row is one numpy
+    operation over the block, where a solve per element would make one
+    LAPACK call each.  Only an exactly zero pivot raises ZeroPivotError; a
+    negative or NaN pivot, which no SPD matrix has, passes its garbage on to
+    the callers' certificate checks.
+    """
+    ne, n, r = B.shape
+    X = np.empty((ne, n, r))
+    for start in range(0, ne, _BLOCK):
+        e = slice(start, start + _BLOCK)
+        # [K | B] with the elements last; row j holds U[j, j:] once eliminated
+        A = np.empty((n, n + r, len(B[e])))
+        A[:, :n] = np.moveaxis(K[e], 0, -1)
+        A[:, n:] = np.moveaxis(B[e], 0, -1)
+        for j in range(n):
+            zero = A[j, j] == 0
+            if zero.any():
+                raise ZeroPivotError(start + np.flatnonzero(zero))
+            ell = A[j, j + 1:n] / A[j, j]   # column j below the pivot, by symmetry
+            for i in range(j + 1, n):
+                A[i, i:] -= ell[i - j - 1] * A[j, i:]
+        Y = A[:, n:]
+        for j in reversed(range(n)):
+            Y[j] -= np.einsum("irb,ib->rb", Y[j + 1:], A[j, j + 1:n])
+            Y[j] /= A[j, j]
+        X[e] = np.moveaxis(Y, -1, 0)
+    return X
 
 
 class NonFiniteDataError(ValueError):

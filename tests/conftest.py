@@ -85,4 +85,5 @@ def exact_equilibration_bounds(primal_pair, adjoint_pair, data, out, ws):
                         s_plus=float(s_tilde + half_gap),
                         kappa=float(np.sqrt(b2 / a2)) if a2 > 0 else 1.0,
                         gap_elements=np.full(mesh.n_elements,
-                                             2.0 * half_gap / mesh.n_elements))
+                                             2.0 * half_gap / mesh.n_elements),
+                        half_gap=float(half_gap))

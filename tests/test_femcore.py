@@ -13,6 +13,7 @@ from hdgbounds import unit_square_crisscross
 from hdgbounds.bounds import _energy_sq
 from hdgbounds.mesh import Mesh, lshape_initial, refine_bisection
 from hdgbounds.reconstruct import EquilibratedFlux
+from hdgbounds.workspace import _BLOCK, spd_solve
 
 
 def both_meshes():
@@ -113,6 +114,56 @@ def test_optimization_nullspace_rotated(p):
     assert np.abs(N @ N.T - plain.T @ plain).max() <= 1e-13
     gram = N[2 * nm:].T @ N[2 * nm:]
     assert np.abs(gram - np.diag(np.diag(gram))).max() <= 1e-13
+
+
+def _local_solve_shapes():
+    """(n, r) of every element-local solve at p = 0..3: condensation's
+    np x np with 3(p+1) trace and 2 data columns, the potential's
+    (nm-1) x (nm-1) and the optimizer's k x k, one column each."""
+    shapes = []
+    for p in range(4):
+        k = fc.reference_tables(p, 2 * p + 4)["opt_nullspace"].shape[1]
+        shapes += [(fc.n_modes(p), 3 * (p + 1) + 2), (fc.n_modes(p + 1) - 1, 1)]
+        shapes += [(k, 1)] if k else []
+    return shapes
+
+
+def _spd_stack(rng, ne, n):
+    """ne random SPD n x n matrices with eigenvalues in [1, 10]."""
+    q = np.linalg.qr(rng.standard_normal((ne, n, n)))[0]
+    return (q * rng.uniform(1.0, 10.0, (ne, 1, n))) @ q.swapaxes(1, 2)
+
+
+class TestSpdSolve:
+    # one element, fewer than one block, and three blocks, the last partial
+    @pytest.mark.parametrize("ne", [1, 100, 2 * _BLOCK + 5])
+    def test_matches_lapack_on_every_local_shape(self, ne, rng):
+        for n, r in _local_solve_shapes():
+            K, B = _spd_stack(rng, ne, n), rng.standard_normal((ne, n, r))
+            X, ref = spd_solve(K, B), np.linalg.solve(K, B)
+            assert X.shape == ref.shape
+            assert (np.abs(X - ref).max(axis=(1, 2))
+                    <= 1e-13 * np.abs(ref).max(axis=(1, 2))).all(), (n, r)
+
+    def test_zero_pivot_names_the_element(self, rng):
+        # all-ones is positive semidefinite: its second pivot is exactly zero
+        bad = _BLOCK + 3
+        K = _spd_stack(rng, _BLOCK + 10, 4)
+        K[bad] = 1.0
+        with pytest.raises(np.linalg.LinAlgError,
+                           match=rf"zero pivot on element\(s\) \[{bad}\]"):
+            spd_solve(K, rng.standard_normal((len(K), 4, 2)))
+
+    def test_nan_propagates_without_raising(self, rng):
+        # a NaN pivot is no zero pivot: it reaches the caller's checks
+        K, B = _spd_stack(rng, 20, 6), rng.standard_normal((20, 6, 3))
+        K[4, 0, 0] = np.nan
+        B[11, 5, 2] = np.nan
+        X = spd_solve(K, B)
+        assert np.isnan(X[4]).all()
+        assert np.isnan(X[11, :, 2]).all() and np.isfinite(X[11, :, :2]).all()
+        rest = np.delete(X, [4, 11], axis=0)
+        assert np.isfinite(rest).all()
 
 
 class TestProjections:
