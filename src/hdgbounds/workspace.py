@@ -29,7 +29,7 @@ from .mesh import Mesh
 
 
 # elements per block of the element-local solves: their per-element matrices
-# are several times larger than the solution they produce, so the block
+# and working copies are larger than the solution they produce, so the block
 # bounds their temporaries
 _BLOCK = 1024
 
