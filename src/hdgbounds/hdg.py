@@ -1,8 +1,12 @@
 """HDG discretization of the primal and adjoint Poisson problems.
 
 Element-local solvers are parameterized by the facet trace, statically
-condensed onto the skeleton unknown, solved with a sparse direct
-factorization, and back-substituted.  The numerical traces are
+condensed onto the skeleton unknown, and back-substituted.  The skeleton
+system is condensed once more before its sparse direct factorization: two
+levels of small element patches (pairs of elements, then pairs of pairs)
+eliminate the facets inside them in batched dense blocks, so that the
+factorization sees only the facets between patches; the eliminated traces
+follow from the factorized ones, level by level.  The numerical traces are
 
     uhat = Pi_e^p g_D                      on Dirichlet facets,
     qhat.n = q_h.n + tau (u_h - uhat)      from each element side,
@@ -115,15 +119,20 @@ def _blocks(ne: int):
     return (slice(start, min(start + _BLOCK, ne)) for start in range(0, ne, _BLOCK))
 
 
-def _local_operators(ws: Workspace, e: slice):
+# slot j of every element is its local edge j
+_NATURAL = np.arange(3)[None, :]
+
+
+def _local_operators(ws: Workspace, e: slice, slots: np.ndarray = _NATURAL):
     """The blocks of the element-local problem on the elements e
 
         q / nu - Kdiv^T u  = -Cq uhat
         Kdiv q + tau E u   = tau Cu uhat + (f, psi)
 
-    with q ordered x-modes then y-modes and the facet modes by local edge:
-    Kdiv (ne, np, 2np), the trace mass E (ne, np, np), and the trace
-    couplings Cq (ne, 2np, 3F), Cu (ne, np, 3F).
+    with q ordered x-modes then y-modes and the facet modes by slot, slot j
+    of an element being its local edge slots[:, j] (one row per element of
+    e, or one row for all): Kdiv (ne, np, 2np), the trace mass E (ne, np,
+    np), and the trace couplings Cq (ne, 2np, 3F), Cu (ne, np, 3F).
     """
     elen, det = ws.elen[e], ws.det[e]
     ne, np_, F1 = len(det), ws.np_, ws.p + 1
@@ -134,11 +143,14 @@ def _local_operators(ws: Workspace, e: slice):
     E = ((elen / det[:, None]) @ ws.EE.reshape(3, np_ * np_)).reshape(
         ne, np_, np_)
 
-    # Cu[e, v, (ell, m)] = <psi_v, M_m>_ell and Cq[e, (c, v), :] = n_c Cu[e, v, :]
-    T = ws.T_p[np.arange(3), ws.eo[e]]                       # (ne, 3, F1, np_)
-    scale = np.sqrt(elen) / ws.sqrt_det[e, None]             # (ne, 3)
+    # Cu[e, v, (j, m)] = <psi_v, M_m>_ell, ell = slots[e, j], and
+    # Cq[e, (c, v), :] = n_c Cu[e, v, :]
+    row = np.arange(ne)[:, None]
+    T = ws.T_p[slots, ws.eo[e][row, slots]]                  # (ne, 3, F1, np_)
+    scale = np.sqrt(elen[row, slots]) / ws.sqrt_det[e, None]
     Cu = (T * scale[:, :, None, None]).transpose(0, 3, 1, 2)  # (ne, np_, 3, F1)
-    Cq = ws.enormal[e].transpose(0, 2, 1)[:, :, None, :, None] * Cu[:, None]
+    normal = ws.enormal[e][row, slots]
+    Cq = normal.transpose(0, 2, 1)[:, :, None, :, None] * Cu[:, None]
     return (Kdiv, E, Cq.reshape(ne, 2 * np_, 3 * F1),
             Cu.reshape(ne, np_, 3 * F1))
 
@@ -152,14 +164,14 @@ def _bit_length(x: np.ndarray) -> np.ndarray:
     return n + (x != 0)
 
 
-def _skeleton_order(mesh: Mesh) -> np.ndarray:
-    """The free (interior and Neumann) facets in nested-dissection order.
+def _dissection(mesh: Mesh):
+    """The nested-dissection tree of the facets: per facet the cell it
+    separates, as (nbits, top).
 
     The Morton codes of the element centroids (31 bits per axis in the
     bounding square) define a binary tree of cells.  A facet separates the
     cell of the nbits = bit_length(code0 ^ code1) lowest bits, where its two
-    elements part; a boundary facet is a leaf.  Sorted by the largest code
-    of that cell, then by nbits, every cell follows its children."""
+    elements part, whose largest code is top; a boundary facet is a leaf."""
     v = mesh.vertices
     lo = v.min(axis=0)
     scale = 2.0 ** 31 / (v.max(axis=0) - lo).max()
@@ -173,22 +185,180 @@ def _skeleton_order(mesh: Mesh) -> np.ndarray:
     c0, c1 = code[mesh.facet_elems[:, 0]], code[mesh.facet_elems[:, 1]]
     nbits = _bit_length(np.where(mesh.facet_elems[:, 1] >= 0, c0 ^ c1, 0))
     top = c0 | ((np.uint64(1) << nbits.astype(np.uint64)) - np.uint64(1))
+    return nbits, top
+
+
+def _skeleton_order(mesh: Mesh) -> np.ndarray:
+    """The free (interior and Neumann) facets in nested-dissection order:
+    sorted by the top of the cell they separate, then by nbits, every cell
+    follows its children (_dissection)."""
+    nbits, top = _dissection(mesh)
     order = np.lexsort((nbits, top))
     return order[mesh.facet_tag[order] != DIRICHLET]
+
+
+# rounds of mutual proposals that pair the nodes of one patch level, and the
+# rank of no edge
+_ROUNDS = 2
+_NO_RANK = np.iinfo(np.int64).max
+
+
+def _match(ends: np.ndarray, rank: np.ndarray, n: int) -> np.ndarray:
+    """The mate (-1 if none) of each of n nodes, paired along the edges ends
+    (m, 2) of distinct ranks by mutual proposal: every unpaired node
+    proposes across its unpaired edge of least rank, and an edge proposed
+    from both ends pairs them; _ROUNDS rounds."""
+    mate = np.full(n, -1)
+    for _ in range(_ROUNDS):
+        live = (mate[ends[:, 0]] < 0) & (mate[ends[:, 1]] < 0)
+        (a, b), r = ends[live].T, rank[live]
+        best = np.full(n, _NO_RANK)
+        np.minimum.at(best, a, r)
+        np.minimum.at(best, b, r)
+        both = (best[a] == r) & (best[b] == r)
+        mate[a[both]], mate[b[both]] = b[both], a[both]
+    return mate
+
+
+def _patches(mesh: Mesh, nbits: np.ndarray):
+    """Two levels of patches for the condensation of the skeleton: pairs of
+    elements sharing a facet, then pairs of those pairs, both matched by
+    _match with the facets ranked by the lowest cell they separate
+    (_dissection's nbits, then the facet number).
+
+    Returns the elements in patch order, the counts (pairs, pairs of pairs
+    sharing two facets, pairs of pairs sharing one) and the slots (ne, 3):
+    the local edges of every element in the order that puts the facet
+    inside its pair last and the facet its pair shares with the other pair
+    of its patch, if any, next to last.  The order lists the first element
+    of every pair, then the second, then the elements in no pair; the pairs
+    come as first and second pairs of the patches sharing two facets, the
+    same for one, then the pairs in no patch.  Pair (a, b) lists its outer
+    facets as a0, b0, a1, b1, so the s facets that two paired pairs share
+    are the last s of each, in the same order.  Two pairs are not merged
+    where one element holds two of their shared facets (s > 2 included).
+    """
+    ne, fe, fl = mesh.n_elements, mesh.facet_elems, mesh.facet_local_edge
+    rank = nbits * mesh.n_facets + np.arange(mesh.n_facets)
+    inner = np.flatnonzero(fe[:, 1] >= 0)
+
+    mate = _match(fe[inner], rank[inner], ne)
+    first = np.flatnonzero(mate > np.arange(ne))
+    pair_of = np.full(ne, -1)
+    pair_of[first] = pair_of[mate[first]] = np.arange(len(first))
+    ends = pair_of[fe[inner]]
+    cross = inner[(ends >= 0).all(axis=1) & (ends[:, 0] != ends[:, 1])]
+    mate2 = _match(pair_of[fe[cross]], rank[cross], len(first))
+    shared = cross[mate2[pair_of[fe[cross, 0]]] == pair_of[fe[cross, 1]]]
+    bad = pair_of[np.bincount(fe[shared].ravel(), minlength=ne) > 1]
+    mate2[mate2[bad]] = -1
+    mate2[bad] = -1
+    shared = cross[mate2[pair_of[fe[cross, 0]]] == pair_of[fe[cross, 1]]]
+
+    prio = np.zeros((ne, 3), dtype=np.int8)
+    for facets, level in ((shared, 1), (inner[mate[fe[inner, 0]] == fe[inner, 1]], 2)):
+        prio[fe[facets, 0], fl[facets, 0]] = level
+        prio[fe[facets, 1], fl[facets, 1]] = level
+    key = prio * 3 + np.arange(3)
+    lo, hi = key.argmin(axis=1), key.argmax(axis=1)
+    slots = np.stack([lo, 3 - lo - hi, hi], axis=1)
+    held = np.full(ne, -1)
+    held[fe[shared]] = shared[:, None]
+    pairs = np.stack([first, mate[first]], axis=1)
+    swap = held[pairs[:, 0]] > held[pairs[:, 1]]
+    pairs[swap] = pairs[swap, ::-1]
+
+    lead = np.flatnonzero(mate2 > np.arange(len(first)))
+    quad_of = np.full(len(first), -1)
+    quad_of[lead] = quad_of[mate2[lead]] = np.arange(len(lead))
+    s = np.bincount(quad_of[pair_of[fe[shared, 0]]], minlength=len(lead))
+    pairs = pairs[np.concatenate([lead[s == 2], mate2[lead[s == 2]],
+                                  lead[s == 1], mate2[lead[s == 1]],
+                                  np.flatnonzero(mate2 < 0)])]
+    elements = np.concatenate([pairs[:, 0], pairs[:, 1], np.flatnonzero(mate < 0)])
+    return elements, (len(pairs), int((s == 2).sum()), int((s == 1).sum())), slots
+
+
+def _dofs(facets: np.ndarray, F1: int) -> np.ndarray:
+    """The trace dofs (m, n F1) of facets (m, n), facet by facet."""
+    m, n = facets.shape
+    return (facets[:, :, None] * F1 + np.arange(F1)).reshape(m, n * F1)
+
+
+def _merge(P, Q, s: int, F1: int):
+    """The patch of the patches P and Q, each (S, r, facets) with the
+    patches along the last axis of the system S (n, n, m) and right-hand
+    sides r (n, k, m), whose last s facets are the same, in the same order:
+    the shared dofs eliminated from the summed system,
+
+        Y = M_ii^-1 [M_io | r_i],  S = M_oo - M_oi Y_o,  r = r_o - M_oi Y_r,
+
+    on the other facets, alternately one of P and one of Q.  Returns it with
+    the elimination (inner dofs, outer dofs, Y (m, s F1, .)) that recovers
+    the shared traces, uhat_i = Y_r - Y_o uhat_o."""
+    (SP, rP, fP), (SQ, rQ, fQ) = P, Q
+    n, k, m = rP.shape
+    o, no = n - s * F1, fP.shape[1] - s
+    C = np.empty((n - o, no, 2, F1, m))
+    C[:, :, 0] = SP[o:, :o].reshape(n - o, no, F1, m)
+    C[:, :, 1] = SQ[o:, :o].reshape(n - o, no, F1, m)
+    C = C.reshape(n - o, 2 * o, m)
+    try:
+        Y = spd_solve((SP[o:, o:] + SQ[o:, o:]).transpose(2, 0, 1),
+                      np.concatenate([C, rP[o:] + rQ[o:]], axis=1).transpose(2, 0, 1))
+    except ZeroPivotError as exc:
+        raise RuntimeError(f"skeleton solve failed: {exc}") from exc
+    YT = np.ascontiguousarray(Y.transpose(1, 2, 0))
+    S = np.einsum("ium,ivm->uvm", C, YT[:, :2 * o])
+    r = np.einsum("ium,ivm->uvm", C, YT[:, 2 * o:])
+    np.negative(S, out=S)
+    np.negative(r, out=r)
+    S_, r_ = S.reshape(no, 2, F1, no, 2, F1, m), r.reshape(no, 2, F1, k, m)
+    for side, (Sx, rx) in enumerate(((SP, rP), (SQ, rQ))):
+        S_[:, side, :, :, side] += Sx[:o, :o].reshape(no, F1, no, F1, m)
+        r_[:, side] += rx[:o].reshape(no, F1, k, m)
+    outer = np.stack([fP[:, :no], fQ[:, :no]], axis=2).reshape(m, 2 * no)
+    return (S, r, outer), (_dofs(fP[:, no:], F1), _dofs(outer, F1), Y)
+
+
+def _block_csc(blocks: np.ndarray, key: np.ndarray, n: int) -> sp.csc_matrix:
+    """The (n F) x (n F) CSC matrix that sums the F x F blocks (nb, F, F)
+    at block column key // (n + 1) and block row key % (n + 1), leaving out
+    those in block row or column n: the blocks summed by key, then spread
+    out by scipy's block-to-compressed conversion of the transpose, whose
+    rows are the matrix's columns.  A key occurs at most twice: a block
+    couples two facets of a patch, and a facet lies in at most two."""
+    F = blocks.shape[1]
+    order = np.argsort(key)
+    key = key[order]
+    first = np.r_[True, key[1:] != key[:-1]]
+    summed = np.take(blocks, order[first], axis=0)
+    twice = np.flatnonzero(~first)
+    summed[np.cumsum(first)[twice] - 1] += np.take(blocks, order[twice], axis=0)
+    bcol, brow = np.divmod(key[first], n + 1)
+    keep = (bcol < n) & (brow < n)
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(bcol[keep], minlength=n), out=indptr[1:])
+    At = sp.bsr_matrix((summed[keep].swapaxes(1, 2), brow[keep].astype(np.int32),
+                        indptr), shape=(n * F, n * F)).tocsr()
+    return sp.csc_matrix((At.data, At.indices, At.indptr), shape=At.shape)
 
 
 @dataclass
 class CondensedSystem:
     """The statically condensed skeleton system for k right-hand sides, with
-    what back-substitution needs.
+    what recovery and back-substitution need.
 
     A is the symmetric positive definite operator on the free facet dofs
-    (interior and Neumann facets) and rhs (n_free, k) its right-hand sides,
-    both in factor order: row i is the global dof free_dofs[i].  uhat
-    (k, nf*(p+1)) holds the Dirichlet trace moments at the fixed dofs, and
-    g_N (k, len(neumann_facets), p+1) the Neumann data moments.
-    Per element u = XP uhat_e + Xb[:, :, j]; _local_operators gives q and
-    the flux moments from u and uhat_e.
+    (interior and Neumann facets) that no patch eliminated, and rhs
+    (n_free, k) its right-hand sides, both in factor order: row i is the
+    global dof free_dofs[i].  uhat (k, nf*(p+1)) holds the Dirichlet trace
+    moments at the fixed dofs, and g_N (k, len(neumann_facets), p+1) the
+    Neumann data moments.  eliminated lists the patch eliminations
+    (inner dofs, outer dofs, Y), bottom level first (_merge).
+    Per element u = XP uhat_e + Xb[:, :, j], with the facet modes of uhat_e
+    by slot (_local_operators with slots); _local_operators gives q and the
+    flux moments from u and uhat_e.
     """
 
     A: sp.csc_matrix
@@ -199,6 +369,8 @@ class CondensedSystem:
     tau: float
     XP: np.ndarray
     Xb: np.ndarray
+    slots: np.ndarray
+    eliminated: list
 
 
 def assemble_condensed(ws: Workspace, datas, tau) -> CondensedSystem:
@@ -209,20 +381,36 @@ def assemble_condensed(ws: Workspace, datas, tau) -> CondensedSystem:
     symmetric positive definite np x np system
     (nu Kdiv Kdiv^T + tau E) u = G uhat + (f, psi), G = tau Cu + nu Kdiv Cq,
     solved by spd_solve.  The local solves run block by block (_BLOCK
-    elements).
+    elements), with the facet modes in the slot order of _patches.  The
+    element systems, with the Dirichlet and Neumann data on their
+    right-hand sides, are then merged into the two levels of _patches, each
+    eliminating the facets inside it (_merge), and A sums what is left over
+    the facets that no patch eliminated.
     """
     if np.ndim(tau) != 0 or not 0 < tau < np.inf:
         raise ValueError(
             f"stabilization tau must be one positive number, not {tau!r}")
     mesh, F1, tau, k = ws.mesh, ws.p + 1, float(tau), len(datas)
     ne, nf, F3 = mesh.n_elements, mesh.n_facets, 3 * F1
+    nbits, top = _dissection(mesh)
+    elements, (m1, m2, m3), slots = _patches(mesh, nbits)
+    row = np.arange(ne)[:, None]
+    facets = ws.ef[row, slots]
+    dirichlet = mesh.facet_tag[facets] == DIRICHLET
+    dir_facets, neu_facets = mesh.dirichlet_facets, mesh.neumann_facets
+    uhat = np.zeros((k, nf, F1))
+    g_N = np.zeros((k, len(neu_facets), F1))
+    for j, data in enumerate(datas):
+        uhat[j, dir_facets] = ws.facet_data_moments(data.g_D, dir_facets)
+        if len(neu_facets):
+            g_N[j] = ws.facet_data_moments(data.g_N, neu_facets)
 
     XP, Xb = np.empty((ne, ws.np_, F3)), np.empty((ne, ws.np_, k))
-    Aloc, GXb = np.empty((ne, F3, F3)), np.empty((ne, F3, k))
+    Aloc, loc = np.empty((ne, F3, F3)), np.empty((ne, F3, k))
     fmom = np.stack([ws.moments_p(ws.eval_data(data.f)) for data in datas],
                     axis=2)                                  # (f, psi_i)_K
     for e in _blocks(ne):
-        Kdiv, E, Cq, Cu = _local_operators(ws, e)
+        Kdiv, E, Cq, Cu = _local_operators(ws, e, slots[e])
         nu = ws.nu[e, None, None]
         K = nu * (Kdiv @ Kdiv.swapaxes(1, 2)) + tau * E
         G = tau * Cu + nu * (Kdiv @ Cq)
@@ -236,41 +424,80 @@ def assemble_condensed(ws: Workspace, datas, tau) -> CondensedSystem:
         XP[e], Xb[e] = X[:, :, :F3], X[:, :, F3:]
         # <qhat.n_K, mu> = <q.n_K + tau (u - uhat), mu> = G^T Xb - Aloc uhat_e
         Aloc[e] = nu * (Cq.swapaxes(1, 2) @ Cq) - G.swapaxes(1, 2) @ X[:, :, :F3]
-        GXb[e] = G.swapaxes(1, 2) @ X[:, :, F3:]
+        loc[e] = G.swapaxes(1, 2) @ X[:, :, F3:]
     diag = np.arange(F3)
     Aloc[:, diag, diag] += tau
 
-    # the free facets numbered in factor order; Dirichlet dofs get -F1..-1
-    order = _skeleton_order(mesh)
-    n = len(order) * F1
-    pos = np.full(nf, -1, dtype=np.int32)
-    pos[order] = np.arange(len(order))
-    ldof = (pos[ws.ef][:, :, None] * F1
-            + np.arange(F1, dtype=np.int32)).reshape(ne, F3)
-    free = ldof >= 0
-    rows, cols = np.broadcast_arrays(ldof[:, :, None], ldof[:, None, :])
-    both = (rows >= 0) & (cols >= 0)
-    A = sp.csc_matrix((Aloc[both], (rows[both], cols[both])), shape=(n, n))
+    # sum over elements of <qhat.n_K, mu> = <g_N, mu> on Neumann, 0 inside:
+    # per element the Dirichlet moments and g_N go to the right-hand side,
+    # and the Dirichlet rows and columns are dropped
+    bd = np.flatnonzero(dirichlet.any(axis=1))
+    loc[bd] -= Aloc[bd] @ uhat[:, facets[bd]].transpose(1, 2, 3, 0).reshape(
+        len(bd), F3, k)
+    keep = np.repeat(~dirichlet[bd], F1, axis=1)
+    Aloc[bd] *= keep[:, :, None] & keep[:, None, :]
+    slot_of = np.empty_like(slots)                  # the slot of each local edge
+    slot_of[row, slots] = np.arange(3)
+    neu_e = mesh.facet_elems[neu_facets, 0]
+    neu_slot = slot_of[neu_e, mesh.facet_local_edge[neu_facets, 0]]
+    loc.reshape(ne, 3, F1, k)[neu_e, neu_slot] -= g_N.transpose(1, 2, 0)
+    # in patch order, with the elements along the last axis
+    Aloc = Aloc.reshape(ne, -1).T[:, elements].reshape(F3, F3, ne)
+    loc = loc.reshape(ne, -1).T[:, elements].reshape(F3, k, ne)
 
-    # sum over elements of <qhat.n_K, mu> = <g_N, mu> on Neumann, 0 inside,
-    # with the Dirichlet moments moved to the right-hand side per element
-    dir_facets, neu_facets = mesh.dirichlet_facets, mesh.neumann_facets
-    bd = np.flatnonzero(~free.all(axis=1))        # elements with a Dirichlet facet
-    uhat = np.zeros((k, nf, F1))
-    g_N = np.zeros((k, len(neu_facets), F1))
-    rhs = np.empty((k, n))
-    for j, data in enumerate(datas):
-        uhat[j, dir_facets] = ws.facet_data_moments(data.g_D, dir_facets)
-        loc = GXb[:, :, j].copy()
-        loc[bd] -= np.einsum("eij,ej->ei", Aloc[bd],
-                             uhat[j, ws.ef[bd]].reshape(len(bd), F3))
-        rhs[j] = np.bincount(ldof[free], loc[free], minlength=n)
-        if len(neu_facets):
-            g_N[j] = ws.facet_data_moments(data.g_N, neu_facets)
-            rhs[j].reshape(-1, F1)[pos[neu_facets]] -= g_N[j]
-    return CondensedSystem(A=A, rhs=rhs.T, uhat=uhat.reshape(k, -1), g_N=g_N,
+    # the patches: pairs of elements, then pairs of pairs by shared count
+    def part(S, r, f, start, stop):
+        return S[:, :, start:stop], r[:, :, start:stop], f[start:stop]
+
+    efacets = facets[elements]
+    # the elements in no pair, copied so that the element arrays go after
+    # the first level
+    groups = [tuple(x.copy() for x in part(Aloc, loc, efacets, 2 * m1, ne))]
+    pairs, first = _merge(part(Aloc, loc, efacets, 0, m1),
+                          part(Aloc, loc, efacets, m1, 2 * m1), 1, F1)
+    del Aloc, loc
+    eliminated = [first]
+    start = 0
+    for s, count in ((2, m2), (1, m3)):
+        if not count:
+            continue
+        patch, elim = _merge(part(*pairs, start, start + count),
+                             part(*pairs, start + count, start + 2 * count),
+                             s, F1)
+        groups.append(patch)
+        eliminated.append(elim)
+        start += 2 * count
+    groups.append(part(*pairs, start, m1))
+    groups = [g for g in groups if len(g[2])]
+
+    # the free facets left, numbered in factor order
+    gone = np.zeros(nf, dtype=bool)
+    for inner, _, _ in eliminated:
+        gone[inner[:, ::F1] // F1] = True
+    order = np.lexsort((nbits, top))
+    order = order[(mesh.facet_tag[order] != DIRICHLET) & ~gone[order]]
+    nfree = len(order)
+    pos = np.full(nf, -1)
+    pos[order] = np.arange(nfree)
+    # every group's blocks, keyed by (column, row) facet, and right-hand
+    # side entries; those of fixed facets go to the spare facet nfree
+    nb = [len(f) * f.shape[1] ** 2 for _, _, f in groups]
+    blocks, key = np.empty((sum(nb), F1, F1)), np.empty(sum(nb), dtype=np.int64)
+    rhs = np.zeros((nfree + 1) * F1 * k)
+    for (S, r, f), start, size in zip(groups, np.cumsum(nb) - nb, nb):
+        (m, ns), at = f.shape, pos[f].T
+        at[at < 0] = nfree
+        blocks[start:start + size].reshape(ns, ns, m, F1, F1)[...] = S.reshape(
+            ns, F1, ns, F1, m).transpose(0, 2, 4, 1, 3)
+        key[start:start + size] = (at * (nfree + 1) + at[:, None]).ravel()
+        rhs += np.bincount((at[:, None] * (F1 * k) + np.arange(F1 * k)[:, None]
+                            ).ravel(), r.reshape(ns, F1 * k, m).ravel(),
+                           minlength=len(rhs))
+    A = _block_csc(blocks, key, nfree)
+    return CondensedSystem(A=A, rhs=rhs[:nfree * F1 * k].reshape(-1, k), uhat=uhat.reshape(k, -1), g_N=g_N,
                            free_dofs=(order[:, None] * F1 + np.arange(F1)).ravel(),
-                           tau=tau, XP=XP, Xb=Xb)
+                           tau=tau, XP=XP, Xb=Xb, slots=slots,
+                           eliminated=eliminated)
 
 
 def _back_substitute(ws: Workspace, cs: CondensedSystem) -> list[HDGSolution]:
@@ -285,11 +512,13 @@ def _back_substitute(ws: Workspace, cs: CondensedSystem) -> list[HDGSolution]:
     k, ne = cs.Xb.shape[2], mesh.n_elements
     uhat = cs.uhat.reshape(k, mesh.n_facets, F1)
     # the k data are the columns of every element's right-hand side
-    uhat_e = np.take(uhat.transpose(1, 2, 0), ws.ef, axis=0).reshape(ne, 3 * F1, k)
+    row = np.arange(ne)[:, None]
+    facets = ws.ef[row, cs.slots]
+    uhat_e = np.take(uhat.transpose(1, 2, 0), facets, axis=0).reshape(ne, 3 * F1, k)
     u, q = np.empty((k, ne, np_)), np.empty((k, ne, 2, np_))
-    flux_mom = np.empty((k, ne, 3 * F1))      # <qhat.n_K, M_m> per side
+    flux_mom = np.empty((k, ne, 3 * F1))      # <qhat.n_K, M_m> per slot
     for e in _blocks(ne):
-        Kdiv, _, Cq, Cu = _local_operators(ws, e)
+        Kdiv, _, Cq, Cu = _local_operators(ws, e, cs.slots[e])
         nu, ue = ws.nu[e, None, None], uhat_e[e]
         ub = cs.XP[e] @ ue + cs.Xb[e]
         qb = nu * (Kdiv.swapaxes(1, 2) @ ub - Cq @ ue)
@@ -299,10 +528,13 @@ def _back_substitute(ws: Workspace, cs: CondensedSystem) -> list[HDGSolution]:
         flux_mom[:, e] = np.moveaxis(fm, 2, 0)
     # single-valued numerical flux in the canonical normal direction: the
     # side-0 moments, averaged with side 1 inside
-    flux_mom = flux_mom.reshape(k, 3 * ne, F1) * ws.esign.reshape(-1, 1)
+    flux_mom = flux_mom.reshape(k, 3 * ne, F1) * ws.esign[row, cs.slots].reshape(-1, 1)
     fe, fl, inner = mesh.facet_elems, mesh.facet_local_edge, mesh.interior_facets
-    qhat = np.take(flux_mom, 3 * fe[:, 0] + fl[:, 0], axis=1)
-    qhat[:, inner] += np.take(flux_mom, 3 * fe[inner, 1] + fl[inner, 1], axis=1)
+    slot_of = np.empty_like(cs.slots)         # the slot of each local edge
+    slot_of[row, cs.slots] = np.arange(3)
+    qhat = np.take(flux_mom, 3 * fe[:, 0] + slot_of[fe[:, 0], fl[:, 0]], axis=1)
+    qhat[:, inner] += np.take(
+        flux_mom, 3 * fe[inner, 1] + slot_of[fe[inner, 1], fl[inner, 1]], axis=1)
     qhat[:, inner] /= 2.0
     # exact projected Neumann trace (canonical normal is outward there)
     qhat[:, mesh.neumann_facets] = cs.g_N
@@ -315,7 +547,9 @@ def solve(ws: Workspace, datas, tau=1.0) -> list[HDGSolution]:
     ``datas``.  The data share the local solves, the condensed skeleton
     matrix and one sparse factorization.  A comes numbered in nested-dissection
     order, so SuperLU keeps that order (natural, symmetric mode, diagonal
-    pivots: A is SPD) and runs no fill-reducing ordering of its own."""
+    pivots: A is SPD) and runs no fill-reducing ordering of its own.  The
+    traces the patches eliminated follow from the factorized ones, level by
+    level from the top."""
     cs = assemble_condensed(ws, datas, tau)
     if cs.A.shape[0]:
         try:
@@ -324,6 +558,10 @@ def solve(ws: Workspace, datas, tau=1.0) -> list[HDGSolution]:
         except RuntimeError as exc:  # singular factorization
             raise RuntimeError(f"skeleton solve failed: {exc}") from exc
         cs.uhat[:, cs.free_dofs] = lu.solve(cs.rhs).T
+    uhat = cs.uhat.T
+    for inner, outer, Y in reversed(cs.eliminated):
+        no = outer.shape[1]
+        uhat[inner] = Y[:, :, no:] - Y[:, :, :no] @ uhat[outer]
     return _back_substitute(ws, cs)
 
 

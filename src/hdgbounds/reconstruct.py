@@ -58,13 +58,13 @@ class EquilibratedFlux:
         return out
 
     def eval_divergence(self, ws: Workspace) -> np.ndarray:
-        """Divergence values at the volume quadrature points, (ne, nq)."""
-        out = np.zeros((len(self.coeffs), ws.nq))
-        for c in (0, 1):
-            for d in (0, 1):
-                out += (self.coeffs[:, c] @ ws.dphi_m[:, :, d]) \
-                    * ws.jac_inv_t[:, c, d, None]
-        return out / ws.sqrt_det[:, None]
+        """Divergence values at the volume quadrature points, (ne, nq): the
+        coefficients mapped by J^-1, then one product with the reference
+        gradients laid out as (2 nm, nq)."""
+        ne, nm = self.coeffs.shape[0], ws.dphi_m.shape[0]
+        grads = ws.dphi_m.transpose(2, 0, 1).reshape(2 * nm, ws.nq)
+        return ((ws.jac_inv @ self.coeffs).reshape(ne, 2 * nm) @ grads
+                ) / ws.sqrt_det[:, None]
 
     def normal_trace(self, ws: Workspace, facet_ids, side: int = 0) -> np.ndarray:
         """Trace v.n at facet quadrature points along the canonical normal."""

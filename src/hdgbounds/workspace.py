@@ -63,8 +63,8 @@ def spd_solve(K: np.ndarray, B: np.ndarray) -> np.ndarray:
         e = slice(start, start + _BLOCK)
         # [K | B] with the elements last; row j holds U[j, j:] once eliminated
         A = np.empty((n, n + r, len(B[e])))
-        A[:, :n] = np.moveaxis(K[e], 0, -1)
-        A[:, n:] = np.moveaxis(B[e], 0, -1)
+        A[:, :n] = K[e].transpose(1, 2, 0)
+        A[:, n:] = B[e].transpose(1, 2, 0)
         for j in range(n):
             zero = A[j, j] == 0
             if zero.any():
@@ -76,7 +76,7 @@ def spd_solve(K: np.ndarray, B: np.ndarray) -> np.ndarray:
         for j in reversed(range(n)):
             Y[j] -= np.einsum("irb,ib->rb", Y[j + 1:], A[j, j + 1:n])
             Y[j] /= A[j, j]
-        X[e] = np.moveaxis(Y, -1, 0)
+        X[e] = Y.transpose(2, 0, 1)
     return X
 
 

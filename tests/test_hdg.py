@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from conftest import mixed_square, perturbed_crisscross
@@ -11,7 +12,7 @@ from hdgbounds import (OutputFunctional, ProblemData, Workspace, raw_output,
                        solve, unit_square_crisscross, zero)
 from hdgbounds.hdg import (_bit_length, _local_operators, _skeleton_order,
                            assemble_condensed)
-from hdgbounds.mesh import (DIRICHLET, Mesh, lshape_initial,
+from hdgbounds.mesh import (DIRICHLET, NEUMANN, Mesh, lshape_initial,
                             refine_bisection)
 
 EX1_F = lambda x, y: 2 * np.pi ** 2 * np.sin(np.pi * x) * np.sin(np.pi * y)
@@ -80,6 +81,45 @@ def _local_solve_dense(ws, datas, tau):
     for j, data in enumerate(datas):
         b[:, 2 * np_:, j] = ws.moments_p(ws.eval_data(data.f))
     return np.linalg.solve(M, np.concatenate([P, b], axis=2))
+
+
+def _full_system(ws, datas, tau):
+    """The skeleton system before any patch condensation, dense, from the
+    dense local solve: each element's flux moments <qhat.n_K, mu> summed
+    over its facets' dofs, the Neumann data and the Dirichlet moments moved
+    to the right-hand side.  Returns A (n, n) and rhs (n, k) on the free
+    dofs free (n,), ascending, and the Dirichlet moments uhat (k, nf F)."""
+    mesh, F1, k = ws.mesh, ws.p + 1, len(datas)
+    ne, n2, F3, N = mesh.n_elements, 2 * ws.np_, 3 * (ws.p + 1), mesh.n_facets * (ws.p + 1)
+    X = _local_solve_dense(ws, datas, tau)
+    _, _, Cq, Cu = _local_operators(ws, slice(None))
+    flux_mom = (np.swapaxes(Cq, 1, 2) @ X[:, :n2]
+                + tau * (np.swapaxes(Cu, 1, 2) @ X[:, n2:]))
+    flux_mom[:, :, :F3] -= tau * np.eye(F3)
+    A, rhs = np.zeros((N, N)), np.zeros((N, k))
+    for dofs, fm in zip((ws.ef[:, :, None] * F1 + np.arange(F1)).reshape(ne, F3),
+                        flux_mom):
+        A[np.ix_(dofs, dofs)] -= fm[:, :F3]
+        rhs[dofs] += fm[:, F3:]
+    dir_facets, neu_facets = mesh.dirichlet_facets, mesh.neumann_facets
+    uhat = np.zeros((k, mesh.n_facets, F1))
+    for j, data in enumerate(datas):
+        uhat[j, dir_facets] = ws.facet_data_moments(data.g_D, dir_facets)
+        if len(neu_facets):
+            rhs.reshape(-1, F1, k)[neu_facets, :, j] -= ws.facet_data_moments(
+                data.g_N, neu_facets)
+    uhat = uhat.reshape(k, N)
+    free = np.flatnonzero(np.repeat(mesh.facet_tag != DIRICHLET, F1))
+    fixed = np.flatnonzero(np.repeat(mesh.facet_tag == DIRICHLET, F1))
+    rhs = rhs[free] - A[np.ix_(free, fixed)] @ uhat[:, fixed].T
+    return A[np.ix_(free, free)], rhs, free, uhat
+
+
+def _full_solve(ws, datas, tau):
+    """The traces (k, nf F) of the dense full skeleton system."""
+    A, rhs, free, uhat = _full_system(ws, datas, tau)
+    uhat[:, free] = np.linalg.solve(A, rhs).T
+    return uhat
 
 
 def _block_form_case(two_regions):
@@ -152,18 +192,21 @@ class TestLocalStructure:
         flux_mom = (np.swapaxes(Cq, 1, 2) @ X[:, :n2]
                     + tau * (np.swapaxes(Cu, 1, 2) @ X[:, n2:]))
         flux_mom[:, :, :F3] -= tau * np.eye(F3)
-        pairs = [(cs.XP, X[:, n2:, :F3]), (cs.Xb, X[:, n2:, F3:]),
-                 (nu * (Kt @ cs.XP - Cq), X[:, :n2, :F3]),
+        # cs.XP has the facet modes by slot
+        Cq_slot = _local_operators(ws, slice(None), cs.slots)[2]
+        by_slot = (cs.slots[:, :, None] * F1 + np.arange(F1)).reshape(ne, 1, F3)
+        XP = np.take_along_axis(X[:, :, :F3], by_slot, axis=2)
+        pairs = [(cs.XP, XP[:, n2:]), (cs.Xb, X[:, n2:, F3:]),
+                 (nu * (Kt @ cs.XP - Cq_slot), XP[:, :n2]),
                  (nu * (Kt @ cs.Xb), X[:, :n2, F3:])]
-        # A sums the element matrices -flux_mom[:, :, :F3] over the free dofs
-        row = np.full(mesh.n_facets * F1, -1)
-        row[cs.free_dofs] = np.arange(len(cs.free_dofs))
-        ldof = row[ws.ef[:, :, None] * F1 + np.arange(F1)].reshape(ne, F3)
-        A = np.zeros(cs.A.shape)
-        for dofs, Ae in zip(ldof, -flux_mom[:, :, :F3]):
-            free = dofs >= 0
-            A[np.ix_(dofs[free], dofs[free])] += Ae[np.ix_(free, free)]
-        pairs.append((cs.A.toarray(), A))
+        # A is the Schur complement, onto the dofs that no patch eliminated,
+        # of the element matrices -flux_mom[:, :, :F3] summed over the free
+        # dofs
+        A, _, free, _ = _full_system(ws, datas, tau)
+        kept = np.searchsorted(free, cs.free_dofs)
+        gone = np.setdiff1d(np.arange(len(free)), kept)
+        pairs.append((cs.A.toarray(), A[np.ix_(kept, kept)] - A[np.ix_(kept, gone)]
+                      @ np.linalg.solve(A[np.ix_(gone, gone)], A[np.ix_(gone, kept)])))
         # at the solved traces every side's moments, in the canonical normal
         # direction, are the single-valued qhat_n of its facet
         for j, sol in enumerate(solve(ws, datas, tau)):
@@ -181,8 +224,8 @@ class TestLocalStructure:
         from hdgbounds import hdg
         local_operators = hdg._local_operators
 
-        def zero_element(ws, e):
-            Kdiv, E, Cq, Cu = local_operators(ws, e)
+        def zero_element(ws, e, *slots):
+            Kdiv, E, Cq, Cu = local_operators(ws, e, *slots)
             if e.start <= bad < e.stop:
                 Kdiv[bad - e.start] = 0.0
                 E[bad - e.start] = 0.0
@@ -307,18 +350,22 @@ class TestSkeletonOrder:
         order = _skeleton_order(mesh)
         assert np.array_equal(np.sort(order),
                               np.flatnonzero(mesh.facet_tag != DIRICHLET))
+        # A keeps the facets that no patch eliminated, in that order
         cs = assemble_condensed(Workspace(mesh, 1), [ProblemData(f=EX1_F)], 1.0)
-        assert np.array_equal(cs.free_dofs, (2 * order[:, None] + [0, 1]).ravel())
+        gone = np.concatenate([inner[:, ::2] // 2 for inner, _, _ in cs.eliminated],
+                              axis=None)
+        assert len(np.unique(gone)) == len(gone) and np.isin(gone, order).all()
+        kept = order[~np.isin(order, gone)]
+        assert np.array_equal(cs.free_dofs, (2 * kept[:, None] + [0, 1]).ravel())
 
     @pytest.mark.parametrize("name", sorted(ORDER_MESHES))
     def test_solve_matches_minimum_degree_reference(self, name):
         mesh = ORDER_MESHES[name]()
         _, datas = _block_form_case(False)
         ws = Workspace(mesh, 2)
-        cs = assemble_condensed(ws, datas, 1.0)
-        ref = cs.uhat.copy()
-        ref[:, cs.free_dofs] = spla.splu(
-            cs.A, permc_spec="MMD_AT_PLUS_A").solve(cs.rhs).T
+        A, rhs, free, ref = _full_system(ws, datas, 1.0)
+        ref[:, free] = spla.splu(sp.csc_matrix(A),
+                                 permc_spec="MMD_AT_PLUS_A").solve(rhs).T
         for sol, want in zip(solve(ws, datas, 1.0), ref):
             got = sol.uhat.ravel()
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
@@ -360,6 +407,63 @@ class TestSkeletonOrder:
         # 1.27 on this 2079-element mesh; the factorization is still faster
         mesh = _graded_lshape(1760)
         assert self._fill_over_minimum_degree(monkeypatch, mesh, 1) <= 1.35
+
+
+# and one element in no patch, its Neumann facet not its first slot
+PATCH_MESHES = dict(ORDER_MESHES, one_triangle=lambda: Mesh(
+    [[0, 0], [1, 0], [0, 1]], [[0, 1, 2]],
+    {(0, 1): DIRICHLET, (1, 2): NEUMANN, (0, 2): DIRICHLET}))
+
+
+class TestPatchCondensation:
+    @pytest.mark.parametrize("tau", [0.1, 1.0, 10.0])
+    @pytest.mark.parametrize("p", range(4))
+    @pytest.mark.parametrize("name", sorted(PATCH_MESHES))
+    def test_solve_matches_full_system(self, name, p, tau):
+        # the meshes include two regions and mixed Dirichlet/Neumann facets
+        ws = Workspace(PATCH_MESHES[name](), p)
+        _, datas = _block_form_case(False)
+        for sol, want in zip(solve(ws, datas, tau), _full_solve(ws, datas, tau)):
+            assert np.abs(sol.uhat.ravel() - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_fully_condensed_mesh_skips_the_factorization(self, monkeypatch):
+        # one criss-cross square: its four elements form one patch, which
+        # eliminates every free facet
+        from hdgbounds import hdg
+        calls = []
+        monkeypatch.setattr(hdg.spla, "splu", lambda *a, **k: calls.append(a))
+        mesh = Mesh([[0, 0], [1, 0], [1, 1], [0, 1], [0.5, 0.5]],
+                    [[0, 1, 4], [1, 2, 4], [2, 3, 4], [3, 0, 4]],
+                    {(0, 1): DIRICHLET, (1, 2): DIRICHLET, (2, 3): DIRICHLET,
+                     (0, 3): DIRICHLET})
+        ws = Workspace(mesh, 2)
+        data = [ProblemData(f=EX1_F, g_D=lambda x, y: x * y)]
+        assert assemble_condensed(ws, data, 1.0).A.shape == (0, 0)
+        got, want = solve(ws, data)[0].uhat.ravel(), _full_solve(ws, data, 1.0)[0]
+        assert not calls and np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_surviving_share_on_crisscross(self):
+        # level 3, p=2: 1440 of the 4512 free dofs are left to factorize
+        # (every criss-cross square one patch of four elements)
+        mesh = unit_square_crisscross(3)
+        cs = assemble_condensed(Workspace(mesh, 2), [ProblemData(f=EX1_F)], 1.0)
+        assert 3 * np.count_nonzero(mesh.facet_tag != DIRICHLET) == 4512
+        assert cs.A.shape == (1440, 1440)
+
+    def test_zero_pivot_in_a_patch_fails_the_skeleton_solve(self, monkeypatch):
+        from hdgbounds import hdg
+        from hdgbounds.workspace import ZeroPivotError
+        spd_solve = hdg.spd_solve
+
+        def singular_patches(K, B):
+            # p=1: the element blocks are 3 x 3, a pair's shared facet 2 x 2
+            if K.shape[1] == 2:
+                raise ZeroPivotError(np.array([0]))
+            return spd_solve(K, B)
+
+        monkeypatch.setattr(hdg, "spd_solve", singular_patches)
+        with pytest.raises(RuntimeError, match="skeleton solve failed"):
+            solve(Workspace(unit_square_crisscross(0), 1), [ProblemData(f=EX1_F)])
 
 
 class TestAdjoint:
