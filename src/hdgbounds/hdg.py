@@ -494,7 +494,8 @@ def assemble_condensed(ws: Workspace, datas, tau) -> CondensedSystem:
                             ).ravel(), r.reshape(ns, F1 * k, m).ravel(),
                            minlength=len(rhs))
     A = _block_csc(blocks, key, nfree)
-    return CondensedSystem(A=A, rhs=rhs[:nfree * F1 * k].reshape(-1, k), uhat=uhat.reshape(k, -1), g_N=g_N,
+    return CondensedSystem(A=A, rhs=rhs[:nfree * F1 * k].reshape(-1, k),
+                           uhat=uhat.reshape(k, -1), g_N=g_N,
                            free_dofs=(order[:, None] * F1 + np.arange(F1)).ravel(),
                            tau=tau, XP=XP, Xb=Xb, slots=slots,
                            eliminated=eliminated)
@@ -528,7 +529,8 @@ def _back_substitute(ws: Workspace, cs: CondensedSystem) -> list[HDGSolution]:
         flux_mom[:, e] = np.moveaxis(fm, 2, 0)
     # single-valued numerical flux in the canonical normal direction: the
     # side-0 moments, averaged with side 1 inside
-    flux_mom = flux_mom.reshape(k, 3 * ne, F1) * ws.esign[row, cs.slots].reshape(-1, 1)
+    esign = ws.esign[row, cs.slots]
+    flux_mom = flux_mom.reshape(k, 3 * ne, F1) * esign.reshape(-1, 1)
     fe, fl, inner = mesh.facet_elems, mesh.facet_local_edge, mesh.interior_facets
     slot_of = np.empty_like(cs.slots)         # the slot of each local edge
     slot_of[row, cs.slots] = np.arange(3)

@@ -90,7 +90,7 @@ def _full_system(ws, datas, tau):
     to the right-hand side.  Returns A (n, n) and rhs (n, k) on the free
     dofs free (n,), ascending, and the Dirichlet moments uhat (k, nf F)."""
     mesh, F1, k = ws.mesh, ws.p + 1, len(datas)
-    ne, n2, F3, N = mesh.n_elements, 2 * ws.np_, 3 * (ws.p + 1), mesh.n_facets * (ws.p + 1)
+    ne, n2, F3, N = mesh.n_elements, 2 * ws.np_, 3 * F1, mesh.n_facets * F1
     X = _local_solve_dense(ws, datas, tau)
     _, _, Cq, Cu = _local_operators(ws, slice(None))
     flux_mom = (np.swapaxes(Cq, 1, 2) @ X[:, :n2]
@@ -298,8 +298,8 @@ class TestLocalStructure:
         assert np.abs(sol.uhat[dfac] - mom).max() < 1e-12
 
     def test_skeleton_ordering_keeps_fill_low(self, monkeypatch):
-        # minimum degree on A^T + A fills about 3 A.nnz on this mesh, the
-        # default COLAMD about 5.4 A.nnz
+        # on this mesh's patch-condensed matrix the dissection fills 3.2
+        # A.nnz, minimum degree on A^T + A 3.3 and the default COLAMD 5.4
         from hdgbounds import hdg
         fills = []
         splu = hdg.spla.splu
@@ -399,12 +399,12 @@ class TestSkeletonOrder:
         return fills[0] / (mmd.L.nnz + mmd.U.nnz)
 
     def test_fill_below_minimum_degree_on_square(self, monkeypatch):
-        # 879,360 against 1,047,357 LU nonzeros
+        # 505,920 against 596,531 LU nonzeros, on the patch-condensed matrix
         mesh = unit_square_crisscross(4)
         assert self._fill_over_minimum_degree(monkeypatch, mesh, 2) < 1.0
 
     def test_fill_near_minimum_degree_on_graded_lshape(self, monkeypatch):
-        # 1.27 on this 2079-element mesh; the factorization is still faster
+        # 1.03 on this 2098-element mesh, on the patch-condensed matrix
         mesh = _graded_lshape(1760)
         assert self._fill_over_minimum_degree(monkeypatch, mesh, 1) <= 1.35
 
