@@ -188,11 +188,10 @@ def _dissection(mesh: Mesh):
     return nbits, top
 
 
-def _skeleton_order(mesh: Mesh) -> np.ndarray:
+def _skeleton_order(mesh: Mesh, nbits: np.ndarray, top: np.ndarray) -> np.ndarray:
     """The free (interior and Neumann) facets in nested-dissection order:
     sorted by the top of the cell they separate, then by nbits, every cell
     follows its children (_dissection)."""
-    nbits, top = _dissection(mesh)
     order = np.lexsort((nbits, top))
     return order[mesh.facet_tag[order] != DIRICHLET]
 
@@ -474,8 +473,8 @@ def assemble_condensed(ws: Workspace, datas, tau) -> CondensedSystem:
     gone = np.zeros(nf, dtype=bool)
     for inner, _, _ in eliminated:
         gone[inner[:, ::F1] // F1] = True
-    order = np.lexsort((nbits, top))
-    order = order[(mesh.facet_tag[order] != DIRICHLET) & ~gone[order]]
+    order = _skeleton_order(mesh, nbits, top)
+    order = order[~gone[order]]
     nfree = len(order)
     pos = np.full(nf, -1)
     pos[order] = np.arange(nfree)

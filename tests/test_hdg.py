@@ -10,8 +10,8 @@ import scipy.sparse.linalg as spla
 from conftest import mixed_square, perturbed_crisscross
 from hdgbounds import (OutputFunctional, ProblemData, Workspace, raw_output,
                        solve, unit_square_crisscross, zero)
-from hdgbounds.hdg import (_bit_length, _local_operators, _skeleton_order,
-                           assemble_condensed)
+from hdgbounds.hdg import (_bit_length, _dissection, _local_operators,
+                           _skeleton_order, assemble_condensed)
 from hdgbounds.mesh import (DIRICHLET, NEUMANN, Mesh, lshape_initial,
                             refine_bisection)
 
@@ -347,7 +347,7 @@ class TestSkeletonOrder:
     @pytest.mark.parametrize("name", sorted(ORDER_MESHES))
     def test_order_is_permutation_of_free_facets(self, name):
         mesh = ORDER_MESHES[name]()
-        order = _skeleton_order(mesh)
+        order = _skeleton_order(mesh, *_dissection(mesh))
         assert np.array_equal(np.sort(order),
                               np.flatnonzero(mesh.facet_tag != DIRICHLET))
         # A keeps the facets that no patch eliminated, in that order
