@@ -223,19 +223,20 @@ def _patches(mesh: Mesh, nbits: np.ndarray):
     """Two levels of patches for the condensation of the skeleton: pairs of
     elements sharing a facet, then pairs of those pairs, both matched by
     _match with the facets ranked by the lowest cell they separate
-    (_dissection's nbits, then the facet number).
+    (_dissection's nbits, then the facet number).  Two pairs are merged
+    only where they share two facets, one in each of their elements (the
+    four elements around a vertex of degree four, as in every criss-cross
+    square); other matched pairs stay apart.
 
-    Returns the elements in patch order, the counts (pairs, pairs of pairs
-    sharing two facets, pairs of pairs sharing one) and the slots (ne, 3):
-    the local edges of every element in the order that puts the facet
-    inside its pair last and the facet its pair shares with the other pair
-    of its patch, if any, next to last.  The order lists the first element
-    of every pair, then the second, then the elements in no pair; the pairs
-    come as first and second pairs of the patches sharing two facets, the
-    same for one, then the pairs in no patch.  Pair (a, b) lists its outer
-    facets as a0, b0, a1, b1, so the s facets that two paired pairs share
-    are the last s of each, in the same order.  Two pairs are not merged
-    where one element holds two of their shared facets (s > 2 included).
+    Returns the elements in patch order, the counts (pairs, pairs of pairs)
+    and the slots (ne, 3): the local edges of every element in the order
+    that puts the facet inside its pair last and the facet its pair shares
+    with the other pair of its patch, if any, next to last.  The order lists
+    the first element of every pair, then the second, then the elements in
+    no pair; the pairs come as first and second pairs of the patches, then
+    the pairs in no patch.  Pair (a, b) lists its outer facets as a0, b0,
+    a1, b1, so the two facets that two paired pairs share are the last two
+    of each, in the same order.
     """
     ne, fe, fl = mesh.n_elements, mesh.facet_elems, mesh.facet_local_edge
     rank = nbits * mesh.n_facets + np.arange(mesh.n_facets)
@@ -249,9 +250,9 @@ def _patches(mesh: Mesh, nbits: np.ndarray):
     cross = inner[(ends >= 0).all(axis=1) & (ends[:, 0] != ends[:, 1])]
     mate2 = _match(pair_of[fe[cross]], rank[cross], len(first))
     shared = cross[mate2[pair_of[fe[cross, 0]]] == pair_of[fe[cross, 1]]]
-    bad = pair_of[np.bincount(fe[shared].ravel(), minlength=ne) > 1]
-    mate2[mate2[bad]] = -1
-    mate2[bad] = -1
+    once = np.bincount(fe[shared].ravel(), minlength=ne) == 1
+    ok = once[first] & once[mate[first]]
+    mate2[(mate2 >= 0) & ~(ok & ok[mate2])] = -1
     shared = cross[mate2[pair_of[fe[cross, 0]]] == pair_of[fe[cross, 1]]]
 
     prio = np.zeros((ne, 3), dtype=np.int8)
@@ -268,14 +269,9 @@ def _patches(mesh: Mesh, nbits: np.ndarray):
     pairs[swap] = pairs[swap, ::-1]
 
     lead = np.flatnonzero(mate2 > np.arange(len(first)))
-    quad_of = np.full(len(first), -1)
-    quad_of[lead] = quad_of[mate2[lead]] = np.arange(len(lead))
-    s = np.bincount(quad_of[pair_of[fe[shared, 0]]], minlength=len(lead))
-    pairs = pairs[np.concatenate([lead[s == 2], mate2[lead[s == 2]],
-                                  lead[s == 1], mate2[lead[s == 1]],
-                                  np.flatnonzero(mate2 < 0)])]
+    pairs = pairs[np.concatenate([lead, mate2[lead], np.flatnonzero(mate2 < 0)])]
     elements = np.concatenate([pairs[:, 0], pairs[:, 1], np.flatnonzero(mate < 0)])
-    return elements, (len(pairs), int((s == 2).sum()), int((s == 1).sum())), slots
+    return elements, (len(pairs), len(lead)), slots
 
 
 def _dofs(facets: np.ndarray, F1: int) -> np.ndarray:
@@ -392,7 +388,7 @@ def assemble_condensed(ws: Workspace, datas, tau) -> CondensedSystem:
     mesh, F1, tau, k = ws.mesh, ws.p + 1, float(tau), len(datas)
     ne, nf, F3 = mesh.n_elements, mesh.n_facets, 3 * F1
     nbits, top = _dissection(mesh)
-    elements, (m1, m2, m3), slots = _patches(mesh, nbits)
+    elements, (m1, m2), slots = _patches(mesh, nbits)
     row = np.arange(ne)[:, None]
     facets = ws.ef[row, slots]
     dirichlet = mesh.facet_tag[facets] == DIRICHLET
@@ -444,7 +440,7 @@ def assemble_condensed(ws: Workspace, datas, tau) -> CondensedSystem:
     Aloc = Aloc.reshape(ne, -1).T[:, elements].reshape(F3, F3, ne)
     loc = loc.reshape(ne, -1).T[:, elements].reshape(F3, k, ne)
 
-    # the patches: pairs of elements, then pairs of pairs by shared count
+    # the patches: pairs of elements, then pairs of pairs
     def part(S, r, f, start, stop):
         return S[:, :, start:stop], r[:, :, start:stop], f[start:stop]
 
@@ -455,18 +451,9 @@ def assemble_condensed(ws: Workspace, datas, tau) -> CondensedSystem:
     pairs, first = _merge(part(Aloc, loc, efacets, 0, m1),
                           part(Aloc, loc, efacets, m1, 2 * m1), 1, F1)
     del Aloc, loc
-    eliminated = [first]
-    start = 0
-    for s, count in ((2, m2), (1, m3)):
-        if not count:
-            continue
-        patch, elim = _merge(part(*pairs, start, start + count),
-                             part(*pairs, start + count, start + 2 * count),
-                             s, F1)
-        groups.append(patch)
-        eliminated.append(elim)
-        start += 2 * count
-    groups.append(part(*pairs, start, m1))
+    quads, second = _merge(part(*pairs, 0, m2), part(*pairs, m2, 2 * m2), 2, F1)
+    eliminated = [first, second]
+    groups += [quads, part(*pairs, 2 * m2, m1)]
     groups = [g for g in groups if len(g[2])]
 
     # the free facets left, numbered in factor order
