@@ -404,7 +404,7 @@ class TestSkeletonOrder:
         assert self._fill_over_minimum_degree(monkeypatch, mesh, 2) < 1.0
 
     def test_fill_near_minimum_degree_on_graded_lshape(self, monkeypatch):
-        # 1.03 on this 2098-element mesh, on the patch-condensed matrix
+        # 1.005 on this 2098-element mesh, on the patch-condensed matrix
         mesh = _graded_lshape(1760)
         assert self._fill_over_minimum_degree(monkeypatch, mesh, 1) <= 1.35
 
