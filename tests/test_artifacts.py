@@ -77,6 +77,20 @@ def test_changed_row_is_beyond_round_off(tmp_path, capsys):
     assert code == 1 and "convergence.csv row 2 nel" in out and "beyond" in out
 
 
+@pytest.mark.parametrize("big", [False, True])
+def test_changed_count_is_beyond_round_off(tmp_path, capsys, big):
+    # integers compare exactly, also where one count is within RTOL
+    nel = 10**9 if big else 10
+    a, b = ((tmp_path / side, nel + one) for side, one in (("a", 0), ("b", 1)))
+    dirs = [_write(path, csv=CSV.replace("\n10,", f"\n{n},"),
+                   summary=dict(SUMMARY, final_nel=n)) for path, n in (a, b)]
+    code = artifacts.main(["diff"] + [str(d) for d in dirs])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert len([line for line in out.splitlines() if line.endswith("| beyond |")]) == 2
+    assert "convergence.csv row 2 nel" in out and "summary.json final_nel" in out
+
+
 def test_renumbered_mesh_is_round_off(tmp_path, capsys):
     code, out = _run(tmp_path, capsys, mesh=_renumbered(mixed_square(1)))
     assert code == 0 and "renumbered, same elements" in out

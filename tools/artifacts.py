@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Compare the artifacts of two hdgbounds CLI output directories.
 
-    python3 tools/artifacts.py diff A B [--rtol 1e-8] [--atol 0]
+    python3 tools/artifacts.py diff A B
 
 Every file of either directory is compared:
 
@@ -16,10 +16,10 @@ Every file of either directory is compared:
 - any other file as text.
 
 Round-off class: two numbers are equal up to round-off when they differ by
-at most rtol times the larger magnitude (default 1e-8), by at most atol
-(default 0), or, for a number read from text, by one unit in its last
-printed digit.  A renumbered mesh is round-off; a changed geometry, changed
-text, or a file or row present on one side only is not.
+at most RTOL = 1e-8 times the larger magnitude or, for a number read from
+text, by one unit in its last printed digit.  Integers (a count such as
+``nel``) compare exactly.  A renumbered mesh is round-off; a changed
+geometry, changed text, or a file or row present on one side only is not.
 
 Exit status: 0 when the directories agree up to round-off, 1 when they do
 not, 2 on a usage error.
@@ -37,19 +37,20 @@ from collections import Counter
 from pathlib import Path
 
 ROUNDOFF, BEYOND = "round-off", "beyond"
+RTOL = 1e-8
 
 _NUMBER = re.compile(r"[-+]?(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 
 def _number(text: str):
     """(value, unit of its last printed digit) of a numeric token, else
-    None; integers have no unit, they compare exactly."""
+    None; an integer has unit None: it compares exactly."""
     m = _NUMBER.match(text.strip())
     if not m:
         return None
     mantissa, exponent = m.group(1), m.group(2)
     if "." not in mantissa and not exponent:
-        return float(text), 0.0                  # an integer: exact
+        return float(text), None
     decimals = len(mantissa.split(".")[1]) if "." in mantissa else 0
     return float(text), 10.0 ** (int((exponent or "e0")[1:]) - decimals)
 
@@ -58,18 +59,19 @@ class Diff:
     """The differences found, as table rows, and whether any is beyond
     round-off."""
 
-    def __init__(self, rtol: float, atol: float):
-        self.rtol, self.atol = rtol, atol
+    def __init__(self):
         self.rows: list[tuple] = []
 
-    def number(self, where: str, a: float, b: float, unit: float = 0.0):
+    def number(self, where: str, a: float, b: float, unit: float | None = 0.0):
+        """Numbers a and b: round-off within RTOL or one printed unit, any
+        difference if unit is None (integers)."""
         if a == b or (math.isnan(a) and math.isnan(b)):
             return
         big = max(abs(a), abs(b))
         delta = abs(a - b)
         rel = delta / big if big else math.inf
         # one printed unit, with slack for the binary value of each side
-        ok = delta <= max(self.rtol * big, self.atol, unit * (1 + 1e-9))
+        ok = unit is not None and delta <= max(RTOL * big, unit * (1 + 1e-9))
         self.rows.append((where, repr(a), repr(b), f"{delta / math.ulp(big):.3g}",
                           f"{rel:.2g}", ROUNDOFF if ok else BEYOND))
 
@@ -80,7 +82,8 @@ class Diff:
         if x is None or y is None:
             self.other(where, a, b)
         else:
-            self.number(where, x[0], y[0], max(x[1], y[1]))
+            unit = None if x[1] is None or y[1] is None else max(x[1], y[1])
+            self.number(where, x[0], y[0], unit)
 
     def other(self, where: str, a, b, kind: str = BEYOND):
         self.rows.append((where, str(a), str(b), "", "", kind))
@@ -130,7 +133,8 @@ def _compare_json(diff: Diff, a: Path, b: Path):
                     walk(f"{where}{key}.", x[key], y[key])
         elif (isinstance(x, (int, float)) and isinstance(y, (int, float))
               and not isinstance(x, bool) and not isinstance(y, bool)):
-            diff.number(where.rstrip("."), float(x), float(y))
+            exact = isinstance(x, int) and isinstance(y, int)
+            diff.number(where.rstrip("."), float(x), float(y), None if exact else 0.0)
         elif x != y:
             diff.other(where.rstrip("."), json.dumps(x), json.dumps(y))
 
@@ -175,9 +179,9 @@ def _compare_mesh(diff: Diff, a: Path, b: Path):
 _COMPARE = {".csv": _compare_csv, ".json": _compare_json}
 
 
-def diff_dirs(a: Path, b: Path, rtol: float = 1e-8, atol: float = 0.0) -> Diff:
+def diff_dirs(a: Path, b: Path) -> Diff:
     """All differences between the output directories a and b."""
-    diff = Diff(rtol, atol)
+    diff = Diff()
     names = sorted({p.name for p in a.iterdir()} | {p.name for p in b.iterdir()})
     for name in names:
         pa, pb = a / name, b / name
@@ -197,15 +201,13 @@ def main(argv=None) -> int:
     d = sub.add_parser("diff", help="compare two CLI output directories")
     d.add_argument("a", type=Path)
     d.add_argument("b", type=Path)
-    d.add_argument("--rtol", type=float, default=1e-8)
-    d.add_argument("--atol", type=float, default=0.0)
     args = ap.parse_args(argv)
     for path in (args.a, args.b):
         if not path.is_dir():
             ap.error(f"{path} is not a directory")
-    diff = diff_dirs(args.a, args.b, args.rtol, args.atol)
+    diff = diff_dirs(args.a, args.b)
     print(f"# {args.a} -> {args.b}: {len(diff.rows)} difference(s), round-off class "
-          f"rtol {args.rtol:g}, atol {args.atol:g}, one unit of the last printed digit")
+          f"rtol {RTOL:g} or one unit of the last printed digit; integers exact")
     if diff.rows:
         print("| where | A | B | ulps | relative | class |")
         print("|---|---|---|---|---|---|")
