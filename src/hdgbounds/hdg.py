@@ -119,11 +119,7 @@ def _blocks(ne: int):
     return (slice(start, min(start + _BLOCK, ne)) for start in range(0, ne, _BLOCK))
 
 
-# slot j of every element is its local edge j
-_NATURAL = np.arange(3)[None, :]
-
-
-def _local_operators(ws: Workspace, e: slice, slots: np.ndarray = _NATURAL):
+def _local_operators(ws: Workspace, e: slice, slots: np.ndarray):
     """The blocks of the element-local problem on the elements e
 
         q / nu - Kdiv^T u  = -Cq uhat
@@ -156,12 +152,11 @@ def _local_operators(ws: Workspace, e: slice, slots: np.ndarray = _NATURAL):
 
 
 def _bit_length(x: np.ndarray) -> np.ndarray:
-    """int.bit_length of every entry of a uint64 array, by integer shifts."""
-    n = np.zeros(x.shape, dtype=np.int64)
-    for s in (32, 16, 8, 4, 2, 1):
-        big = (x >> np.uint64(s)) != 0
-        x, n = np.where(big, x >> np.uint64(s), x), n + s * big
-    return n + (x != 0)
+    """int.bit_length of every entry of a uint64 array: the frexp exponent
+    of its upper and of its lower 32 bits, both exact in float64."""
+    hi = np.frexp((x >> np.uint64(32)).astype(float))[1].astype(np.int64)
+    lo = np.frexp((x & np.uint64(0xFFFFFFFF)).astype(float))[1]
+    return np.where(hi > 0, hi + 32, lo)
 
 
 def _dissection(mesh: Mesh):
@@ -175,8 +170,8 @@ def _dissection(mesh: Mesh):
     v = mesh.vertices
     lo = v.min(axis=0)
     scale = 2.0 ** 31 / (v.max(axis=0) - lo).max()
-    q = np.clip((v[mesh.elements].mean(axis=1) - lo) * scale, 0, 2 ** 31 - 1)
-    q = q.astype(np.uint64)
+    q = (v[mesh.elements].sum(axis=1) / 3 - lo) * scale       # the centroids
+    q = np.minimum(np.maximum(q, 0), 2 ** 31 - 1).astype(np.uint64)
     for s, m in ((16, 0x0000FFFF0000FFFF), (8, 0x00FF00FF00FF00FF),
                  (4, 0x0F0F0F0F0F0F0F0F), (2, 0x3333333333333333),
                  (1, 0x5555555555555555)):
@@ -208,9 +203,10 @@ def _match(ends: np.ndarray, rank: np.ndarray, n: int) -> np.ndarray:
     proposes across its unpaired edge of least rank, and an edge proposed
     from both ends pairs them; _ROUNDS rounds."""
     mate = np.full(n, -1)
+    a0, b0 = ends[:, 0], ends[:, 1]
     for _ in range(_ROUNDS):
-        live = (mate[ends[:, 0]] < 0) & (mate[ends[:, 1]] < 0)
-        (a, b), r = ends[live].T, rank[live]
+        live = (mate[a0] < 0) & (mate[b0] < 0)
+        a, b, r = a0[live], b0[live], rank[live]
         best = np.full(n, _NO_RANK)
         np.minimum.at(best, a, r)
         np.minimum.at(best, b, r)
@@ -259,9 +255,7 @@ def _patches(mesh: Mesh, nbits: np.ndarray):
     for facets, level in ((shared, 1), (inner[mate[fe[inner, 0]] == fe[inner, 1]], 2)):
         prio[fe[facets, 0], fl[facets, 0]] = level
         prio[fe[facets, 1], fl[facets, 1]] = level
-    key = prio * 3 + np.arange(3)
-    lo, hi = key.argmin(axis=1), key.argmax(axis=1)
-    slots = np.stack([lo, 3 - lo - hi, hi], axis=1)
+    slots = np.argsort(prio * 3 + np.arange(3), axis=1)
     held = np.full(ne, -1)
     held[fe[shared]] = shared[:, None]
     pairs = np.stack([first, mate[first]], axis=1)
@@ -312,30 +306,36 @@ def _merge(P, Q, s: int, F1: int):
     for side, (Sx, rx) in enumerate(((SP, rP), (SQ, rQ))):
         S_[:, side, :, :, side] += Sx[:o, :o].reshape(no, F1, no, F1, m)
         r_[:, side] += rx[:o].reshape(no, F1, k, m)
-    outer = np.stack([fP[:, :no], fQ[:, :no]], axis=2).reshape(m, 2 * no)
+    outer = np.empty((m, no, 2), dtype=fP.dtype)
+    outer[:, :, 0], outer[:, :, 1] = fP[:, :no], fQ[:, :no]
+    outer = outer.reshape(m, 2 * no)
     return (S, r, outer), (_dofs(fP[:, no:], F1), _dofs(outer, F1), Y)
 
 
-def _block_csc(blocks: np.ndarray, key: np.ndarray, n: int) -> sp.csc_matrix:
-    """The (n F) x (n F) CSC matrix that sums the F x F blocks (nb, F, F)
-    at block column key // (n + 1) and block row key % (n + 1), leaving out
-    those in block row or column n: the blocks summed by key, then spread
-    out by scipy's block-to-compressed conversion of the transpose, whose
-    rows are the matrix's columns.  A key occurs at most twice: a block
-    couples two facets of a patch, and a facet lies in at most two."""
+def _block_csc(blocks: np.ndarray, row: np.ndarray, col: np.ndarray,
+               n: int) -> sp.csc_matrix:
+    """The (n F) x (n F) CSC matrix that sums the F x F blocks (nb, F, F) at
+    block row row and block column col, leaving out those with a negative
+    index: the blocks summed by position, then spread out by scipy's
+    block-to-compressed conversion of the transpose, whose rows are the
+    matrix's columns.  A position occurs at most twice: a block couples two
+    facets of a patch, and a facet lies in at most two patches."""
     F = blocks.shape[1]
+    live = np.flatnonzero((row >= 0) & (col >= 0))
+    key = col[live] * n + row[live]
     order = np.argsort(key)
-    key = key[order]
-    first = np.r_[True, key[1:] != key[:-1]]
+    key, order = key[order], live[order]
+    first = np.empty(len(key), dtype=bool)
+    first[:1] = True
+    np.not_equal(key[1:], key[:-1], out=first[1:])
     summed = np.take(blocks, order[first], axis=0)
     twice = np.flatnonzero(~first)
     summed[np.cumsum(first)[twice] - 1] += np.take(blocks, order[twice], axis=0)
-    bcol, brow = np.divmod(key[first], n + 1)
-    keep = (bcol < n) & (brow < n)
+    bcol, brow = np.divmod(key[first], n)
     indptr = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(np.bincount(bcol[keep], minlength=n), out=indptr[1:])
-    At = sp.bsr_matrix((summed[keep].swapaxes(1, 2), brow[keep].astype(np.int32),
-                        indptr), shape=(n * F, n * F)).tocsr()
+    np.cumsum(np.bincount(bcol, minlength=n), out=indptr[1:])
+    At = sp.bsr_matrix((summed.swapaxes(1, 2), brow.astype(np.int32), indptr),
+                       shape=(n * F, n * F)).tocsr()
     return sp.csc_matrix((At.data, At.indices, At.indptr), shape=At.shape)
 
 
@@ -462,25 +462,26 @@ def assemble_condensed(ws: Workspace, datas, tau) -> CondensedSystem:
         gone[inner[:, ::F1] // F1] = True
     order = _skeleton_order(mesh, nbits, top)
     order = order[~gone[order]]
-    nfree = len(order)
+    n = len(order) * F1
     pos = np.full(nf, -1)
-    pos[order] = np.arange(nfree)
-    # every group's blocks, keyed by (column, row) facet, and right-hand
-    # side entries; those of fixed facets go to the spare facet nfree
+    pos[order] = np.arange(len(order))
+    # every group's blocks at their (row, column) facets, and right-hand
+    # sides; fixed facets are negative and left out
     nb = [len(f) * f.shape[1] ** 2 for _, _, f in groups]
-    blocks, key = np.empty((sum(nb), F1, F1)), np.empty(sum(nb), dtype=np.int64)
-    rhs = np.zeros((nfree + 1) * F1 * k)
+    blocks, at = np.empty((sum(nb), F1, F1)), np.empty((2, sum(nb)), dtype=np.int64)
+    rhs = np.zeros(n * k)
     for (S, r, f), start, size in zip(groups, np.cumsum(nb) - nb, nb):
-        (m, ns), at = f.shape, pos[f].T
-        at[at < 0] = nfree
+        (m, ns), fp = f.shape, pos[f].T
         blocks[start:start + size].reshape(ns, ns, m, F1, F1)[...] = S.reshape(
             ns, F1, ns, F1, m).transpose(0, 2, 4, 1, 3)
-        key[start:start + size] = (at * (nfree + 1) + at[:, None]).ravel()
-        rhs += np.bincount((at[:, None] * (F1 * k) + np.arange(F1 * k)[:, None]
-                            ).ravel(), r.reshape(ns, F1 * k, m).ravel(),
-                           minlength=len(rhs))
-    A = _block_csc(blocks, key, nfree)
-    return CondensedSystem(A=A, rhs=rhs[:nfree * F1 * k].reshape(-1, k),
+        at[0, start:start + size].reshape(ns, ns, m)[...] = fp[:, None]
+        at[1, start:start + size].reshape(ns, ns, m)[...] = fp
+        dof = _dofs(fp.T, F1).T                         # (ns F1, m)
+        live = np.broadcast_to((dof >= 0)[:, None], r.shape)
+        rhs += np.bincount((dof[:, None] * k + np.arange(k)[:, None])[live],
+                           r[live], minlength=n * k)
+    A = _block_csc(blocks, at[0], at[1], len(order))
+    return CondensedSystem(A=A, rhs=rhs.reshape(n, k),
                            uhat=uhat.reshape(k, -1), g_N=g_N,
                            free_dofs=(order[:, None] * F1 + np.arange(F1)).ravel(),
                            tau=tau, XP=XP, Xb=Xb, slots=slots,

@@ -66,14 +66,14 @@ def spd_solve(K: np.ndarray, B: np.ndarray) -> np.ndarray:
         A[:, :n] = K[e].transpose(1, 2, 0)
         A[:, n:] = B[e].transpose(1, 2, 0)
         for j in range(n):
-            zero = A[j, j] == 0
-            if zero.any():
-                raise ZeroPivotError(start + np.flatnonzero(zero))
+            if not A[j, j].all():
+                raise ZeroPivotError(start + np.flatnonzero(A[j, j] == 0))
             ell = A[j, j + 1:n] / A[j, j]   # column j below the pivot, by symmetry
             for i in range(j + 1, n):
                 A[i, i:] -= ell[i - j - 1] * A[j, i:]
         Y = A[:, n:]
-        for j in reversed(range(n)):
+        Y[n - 1] /= A[n - 1, n - 1]
+        for j in reversed(range(n - 1)):
             Y[j] -= np.einsum("irb,ib->rb", Y[j + 1:], A[j, j + 1:n])
             Y[j] /= A[j, j]
         X[e] = Y.transpose(2, 0, 1)

@@ -18,6 +18,8 @@ from hdgbounds.mesh import (DIRICHLET, NEUMANN, Mesh, lshape_initial,
 EX1_F = lambda x, y: 2 * np.pi ** 2 * np.sin(np.pi * x) * np.sin(np.pi * y)
 EX1_U = lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y)
 ONE = lambda x, y: np.ones_like(np.asarray(x, dtype=float))
+# slot j of every element is its local edge j (_local_operators)
+EDGES = np.arange(3)[None, :]
 
 
 def local_residuals(sol, data):
@@ -25,7 +27,7 @@ def local_residuals(sol, data):
     after back-substitution."""
     ws = sol.ws
     ne = ws.mesh.n_elements
-    Kdiv, E, Cq, Cu = _local_operators(ws, slice(None))
+    Kdiv, E, Cq, Cu = _local_operators(ws, slice(None), EDGES)
     nu, tau = ws.nu[:, None], sol.tau
     q, u = sol.q.reshape(ne, -1), sol.u
     uhat_e = sol.uhat[ws.ef].reshape(ne, 3 * (ws.p + 1))
@@ -92,7 +94,7 @@ def _full_system(ws, datas, tau):
     mesh, F1, k = ws.mesh, ws.p + 1, len(datas)
     ne, n2, F3, N = mesh.n_elements, 2 * ws.np_, 3 * F1, mesh.n_facets * F1
     X = _local_solve_dense(ws, datas, tau)
-    _, _, Cq, Cu = _local_operators(ws, slice(None))
+    _, _, Cq, Cu = _local_operators(ws, slice(None), EDGES)
     flux_mom = (np.swapaxes(Cq, 1, 2) @ X[:, :n2]
                 + tau * (np.swapaxes(Cu, 1, 2) @ X[:, n2:]))
     flux_mom[:, :, :F3] -= tau * np.eye(F3)
@@ -186,7 +188,7 @@ class TestLocalStructure:
         ne, n2, F1 = mesh.n_elements, 2 * ws.np_, p + 1
         F3 = 3 * F1
         nu = ws.nu[:, None, None]
-        Kdiv, _, Cq, Cu = _local_operators(ws, slice(None))
+        Kdiv, _, Cq, Cu = _local_operators(ws, slice(None), EDGES)
         Kt = np.swapaxes(Kdiv, 1, 2)
         # <qhat.n_K, mu> = Cq^T q + tau (Cu^T u - uhat_e) of the dense solution
         flux_mom = (np.swapaxes(Cq, 1, 2) @ X[:, :n2]
@@ -224,8 +226,8 @@ class TestLocalStructure:
         from hdgbounds import hdg
         local_operators = hdg._local_operators
 
-        def zero_element(ws, e, *slots):
-            Kdiv, E, Cq, Cu = local_operators(ws, e, *slots)
+        def zero_element(ws, e, slots):
+            Kdiv, E, Cq, Cu = local_operators(ws, e, slots)
             if e.start <= bad < e.stop:
                 Kdiv[bad - e.start] = 0.0
                 E[bad - e.start] = 0.0
