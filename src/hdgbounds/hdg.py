@@ -314,11 +314,11 @@ def _merge(P, Q, s: int, F1: int):
 
 def _block_csc(blocks: np.ndarray, row: np.ndarray, col: np.ndarray,
                n: int) -> sp.csc_matrix:
-    """The (n F) x (n F) CSC matrix that sums the F x F blocks (nb, F, F) at
-    block row row and block column col, leaving out those with a negative
-    index: the blocks summed by position, then spread out by scipy's
-    block-to-compressed conversion of the transpose, whose rows are the
-    matrix's columns.  A position occurs at most twice: a block couples two
+    """The (n F) x (n F) CSC matrix that sums the F x F blocks (nb, F, F),
+    block b at block row row[b] and block column col[b], leaving out those
+    with a negative index: the blocks summed by position, then spread out by
+    scipy's block-to-compressed conversion of the transpose, whose rows are
+    the matrix's columns.  A position occurs at most twice: a block couples two
     facets of a patch, and a facet lies in at most two patches."""
     F = blocks.shape[1]
     live = np.flatnonzero((row >= 0) & (col >= 0))
