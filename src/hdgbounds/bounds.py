@@ -17,9 +17,8 @@ projections.  Then
     s^+ = S + (1/4 kappa) sum (eta_K^+)^2,
 
 where S is the reconstruction output functional; the reported bound average
-is the interval midpoint.  compute_bounds evaluates each pair and its data
-once (reconstruct.evaluate), audits the certificates on those records, and
-reads kappa, eta and S from them.
+is the interval midpoint.  compute_bounds evaluates and audits one pair at a
+time, into a record of only what kappa, eta and S read (reconstruct.evaluate).
 """
 
 from __future__ import annotations
@@ -142,18 +141,18 @@ def poincare_constants(mesh: Mesh):
 
 def _audited_records(primal_pair, adjoint_pair, data: ProblemData,
                      out: OutputFunctional, ws: Workspace):
-    """Evaluate both pairs once (the adjoint one with the adjoint data
-    f_O, g_D_O, -g_N_O) and raise RuntimeError unless every projected
-    certificate holds to _CERTIFICATE_TOL."""
-    recs = (rc.evaluate(*primal_pair, data, ws),
-            rc.evaluate(*adjoint_pair, out.adjoint_data(), ws))
-    for rec in recs:
+    """Evaluate and audit the primal pair, then the adjoint one with the data
+    f_O, g_D_O, -g_N_O; RuntimeError once a certificate fails its tolerance."""
+    recs = []
+    for pair, d in ((primal_pair, data), (adjoint_pair, out.adjoint_data())):
+        rec = rc.evaluate(*pair, d, ws)
         fres = rc.flux_residuals(rec, ws)
         pres = rc.potential_residuals(rec, ws)
         # "not <=" so that a NaN residual fails the gate too
         if not all(r <= _CERTIFICATE_TOL for r in {**fres, **pres}.values()):
             raise RuntimeError(
                 f"reconstruction certificate violated: {fres} {pres}")
+        recs.append(rec)
     return recs
 
 
@@ -163,19 +162,13 @@ def _oscillating_data(rec: rc.EvaluatedPair, ws: Workspace,
     degree <= p up to round-off: f against Pi_p f relative to ||f||, g_N
     against Pi_e g_N relative to max |g_N|."""
     found = []
-    osc = np.sqrt(ws.integrate_elementwise((rec.f - rec.f_proj) ** 2).sum())
+    osc = np.sqrt(ws.integrate_elementwise(rec.f_osc ** 2).sum())
     if not osc <= 1e-11 * np.sqrt(ws.integrate_elementwise(rec.f ** 2).sum()):
         found.append(f"f{suffix} (oscillation {osc:.2e})")
     if not np.abs(rec.g_N - rec.g_N_proj).max(initial=0.0) \
             <= 1e-10 * np.abs(rec.g_N).max(initial=0.0):
         found.append(f"g_N{suffix}")
     return found
-
-
-def _energy_sq(ws: Workspace, vals: np.ndarray) -> np.ndarray:
-    """Elementwise (nu^-1 v, v)_K for values at quadrature points."""
-    return ws.integrate_elementwise(vals[..., 0] * vals[..., 0]
-                                    + vals[..., 1] * vals[..., 1]) / ws.nu
 
 
 def compute_kappa(primal: rc.EvaluatedPair, adjoint: rc.EvaluatedPair,
@@ -186,11 +179,11 @@ def compute_kappa(primal: rc.EvaluatedPair, adjoint: rc.EvaluatedPair,
     kappa -> infinity); otherwise an adjoint residual at round-off relative
     to ||zeta~|| gives kappa = 0 with the flag set (they tend to S as
     kappa -> 0).  A zero residual of a zero field counts as round-off."""
-    a2 = _energy_sq(ws, primal.residual).sum()
-    if np.sqrt(a2) <= _DEGENERATE_TOL * np.sqrt(_energy_sq(ws, primal.q).sum()):
+    a2 = rc._energy_sq(ws, primal.residual).sum()
+    if np.sqrt(a2) <= _DEGENERATE_TOL * np.sqrt(primal.q_energy):
         return 1.0, True
-    b2 = _energy_sq(ws, adjoint.residual).sum()
-    if np.sqrt(b2) <= _DEGENERATE_TOL * np.sqrt(_energy_sq(ws, adjoint.q).sum()):
+    b2 = rc._energy_sq(ws, adjoint.residual).sum()
+    if np.sqrt(b2) <= _DEGENERATE_TOL * np.sqrt(adjoint.q_energy):
         return 0.0, True
     return float(np.sqrt(b2 / a2)), False
 
@@ -210,8 +203,7 @@ def compute_eta(primal: rc.EvaluatedPair, adjoint: rc.EvaluatedPair,
     """
     a, b = primal.residual, adjoint.residual
     c1, c2 = poincare_constants(ws.mesh)
-    d_res = primal.f - primal.f_proj
-    do_res = adjoint.f - adjoint.f_proj
+    d_res, do_res = primal.f_osc, adjoint.f_osc
     n_res = primal.g_N - primal.g_N_proj
     no_res = adjoint.g_N_proj - adjoint.g_N
     w_div = c1 / np.sqrt(ws.nu)
@@ -223,7 +215,7 @@ def compute_eta(primal: rc.EvaluatedPair, adjoint: rc.EvaluatedPair,
 
     terms = []  # the three terms of eta^- (k = -kappa), then of eta^+
     for k in (-kappa, kappa):
-        flux = np.sqrt(_energy_sq(ws, b + k * a))
+        flux = np.sqrt(rc._energy_sq(ws, b + k * a))
         osc_div = w_div * np.sqrt(ws.integrate_elementwise((do_res + k * d_res) ** 2))
         osc_neu = np.zeros(ws.mesh.n_elements)
         np.add.at(osc_neu, elems, w_neu * np.sqrt(
@@ -260,8 +252,8 @@ def compute_bounds(primal_pair, adjoint_pair, data: ProblemData,
                    s_h: float | None = None) -> BoundsResult:
     """Guaranteed bounds s_minus <= s <= s_plus for the output functional.
 
-    Each pair and its data are evaluated once; the reconstruction
-    certificates are audited first, and a failed one raises RuntimeError.
+    Each pair and its data are evaluated and audited in turn; a failed
+    reconstruction certificate raises RuntimeError.
     kappa is the optimal ratio of the global residual norms (compute_kappa).
     When the primal or the adjoint reconstruction is numerically exact (and
     that problem's data oscillation vanishes), the interval collapses to

@@ -177,10 +177,9 @@ def postprocess_potential(sol: HDGSolution, flux: EquilibratedFlux) -> np.ndarra
     K = (G.reshape(ne, 4) @ ws.S2.reshape(4, nm * nm)).reshape(ne, nm, nm)
     rhs = -((ws.jac_inv @ flux.coeffs).reshape(ne, 2 * nm)
             @ ws.Qm.reshape(2 * nm, nm)) / ws.nu[:, None]
-    coeffs = np.empty((ne, nm))
-    coeffs[:, 1:] = spd_solve(K[:, 1:, 1:], rhs[:, 1:, None])[:, :, 0]
-    coeffs[:, 0] = sol.u[:, 0]  # same constant mode pins (u*, 1)_K = (u_h, 1)_K
-    return coeffs
+    x = spd_solve(K[:, 1:, 1:], rhs[:, 1:, None])[:, :, 0]
+    # the same constant mode pins (u*, 1)_K = (u_h, 1)_K
+    return np.concatenate([sol.u[:, :1], x], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -285,41 +284,51 @@ def enforce_dirichlet_band(pot: ContinuousPotential, band: DirichletBand,
 
 @dataclass(frozen=True, eq=False)
 class EvaluatedPair:
-    """A reconstruction pair and its data, evaluated once.
-
-    At the volume quadrature points, (ne, nq) or (ne, nq, 2): the flux q~,
-    its divergence, the potential u~ and its gradient (band correction
-    applied), the residual q~ + nu grad u~, the source f and Pi_p f.  On
-    the mesh's neumann_facets, (len(neumann_facets), nqe): q~.n, the trace
-    of u~, g_N and Pi_e g_N.
-    """
+    """What the audit and the bounds read of a pair and its data: max |q~|,
+    sum (nu^-1 q~, q~) and max_K h_K max |div q~ - Pi_p f|; at the volume
+    quadrature points u~, grad u~ (band correction applied), q~ + nu grad u~,
+    f and f - Pi_p f; on neumann_facets q~.n, u~, g_N and Pi_e g_N."""
 
     flux: EquilibratedFlux
     pot: ContinuousPotential
     data: ProblemData
-    q: np.ndarray
-    div: np.ndarray
+    q_max: float
+    q_energy: float
+    div_residual: float
     u: np.ndarray
     grad_u: np.ndarray
     residual: np.ndarray
     f: np.ndarray
-    f_proj: np.ndarray
+    f_osc: np.ndarray
     qn: np.ndarray
     u_neu: np.ndarray
     g_N: np.ndarray
     g_N_proj: np.ndarray
 
 
+def _energy_sq(ws: Workspace, vals: np.ndarray) -> np.ndarray:
+    """Elementwise (nu^-1 v, v)_K for values at quadrature points."""
+    return ws.integrate_elementwise(vals[..., 0] * vals[..., 0]
+                                    + vals[..., 1] * vals[..., 1]) / ws.nu
+
+
 def evaluate(flux: EquilibratedFlux, pot: ContinuousPotential,
              data: ProblemData, ws: Workspace) -> EvaluatedPair:
-    """Evaluate a pair and its data once, for the audit and the bounds."""
+    """Evaluate a pair and its data once, each array reduced once it is read."""
     neu = ws.mesh.neumann_facets
-    q, grad_u, f = flux.eval_values(ws), pot.eval_grads(ws), ws.eval_data(data.f)
+    f, grad_u = ws.eval_data(data.f), pot.eval_grads(ws)
+    f_osc = ws.proj_p(f)
+    div_residual = (np.abs(flux.eval_divergence(ws) - f_osc).max(axis=1)
+                    * ws.elen.max(axis=1)).max()
+    np.subtract(f, f_osc, out=f_osc)
+    residual = flux.eval_values(ws)
+    q_max, q_energy = np.abs(residual).max(), _energy_sq(ws, residual).sum()
+    residual += ws.nu[:, None, None] * grad_u
     g_N = ws.eval_data(data.g_N, ws.ephys[neu])
     return EvaluatedPair(
-        flux=flux, pot=pot, data=data, q=q, div=flux.eval_divergence(ws),
-        u=pot.eval_values(ws), grad_u=grad_u,
-        residual=q + ws.nu[:, None, None] * grad_u, f=f, f_proj=ws.proj_p(f),
+        flux=flux, pot=pot, data=data, q_max=q_max, q_energy=q_energy,
+        div_residual=div_residual, u=pot.eval_values(ws), grad_u=grad_u,
+        residual=residual, f=f, f_osc=f_osc,
         qn=flux.normal_trace(ws, neu), u_neu=pot.trace_values(ws, neu),
         g_N=g_N, g_N_proj=ws.facet_proj_p(g_N, neu))
 
@@ -340,11 +349,9 @@ def flux_residuals(rec: EvaluatedPair, ws: Workspace) -> dict:
     nu_K max_K |u~| / h_K where that is larger: the flux comes from
     potential differences over h_K, so where u~ is nearly constant q~ is
     round-off of that size."""
-    h = ws.elen.max(axis=1)
-    qscale = np.maximum(np.abs(rec.q).max(),
-                        (ws.nu * np.abs(rec.u).max(axis=1) / h).max())
-    div_res = np.abs(rec.div - rec.f_proj).max(axis=1) * h
-    out = {"divergence": _relative(div_res.max(), qscale)}
+    qscale = np.maximum(rec.q_max, (ws.nu * np.abs(rec.u).max(axis=1)
+                                    / ws.elen.max(axis=1)).max())
+    out = {"divergence": _relative(rec.div_residual, qscale)}
 
     interior = ws.mesh.interior_facets
     t0 = rec.flux.normal_trace(ws, interior, side=0)

@@ -118,3 +118,28 @@ def test_not_a_directory_is_a_usage_error(tmp_path):
     with pytest.raises(SystemExit) as exc:
         artifacts.main(["diff", str(tmp_path / "nowhere"), str(tmp_path)])
     assert exc.value.code == 2
+
+
+def test_run_writes_directories_that_diff_reads(tmp_path, capsys):
+    # one short study twice: the same artifacts, and its expected exit 5
+    # (containment violation) counts as met
+    for side in ("a", "b"):
+        assert artifacts.main(["run", str(tmp_path / side), "cli_violation"]) == 0
+    assert "cli_violation  exit 5 (expected 5)" in capsys.readouterr().out
+    study = tmp_path / "a" / "cli_violation"
+    assert {p.name for p in study.iterdir()} == {
+        "convergence.csv", "mesh_final.txt", "report.txt", "summary.json"}
+    assert artifacts.main(["diff", str(tmp_path / "a"), str(tmp_path / "b")]) == 0
+    assert "0 difference(s)" in capsys.readouterr().out
+    # a changed cell inside a study is found and named by its study
+    csv = tmp_path / "b" / "cli_violation" / "convergence.csv"
+    csv.write_text(csv.read_text().replace("uniform", "bulk:0.5"))
+    assert artifacts.main(["diff", str(tmp_path / "a"), str(tmp_path / "b")]) == 1
+    assert "cli_violation/convergence.csv row 1 strategy" in capsys.readouterr().out
+
+
+def test_run_refuses_an_existing_directory_or_unknown_study(tmp_path):
+    for argv in (["run", str(tmp_path)], ["run", str(tmp_path / "x"), "nosuch"]):
+        with pytest.raises(SystemExit) as exc:
+            artifacts.main(argv)
+        assert exc.value.code == 2

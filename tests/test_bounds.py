@@ -517,3 +517,24 @@ def test_galerkin_energy_below_upper_bound(monkeypatch, p, target):
     assert run.converged and len(seen) == len(run.records) > 20
     for lower, s_plus in seen:
         assert lower <= s_plus
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_compute_bounds_memory(p):
+    # compute_bounds evaluates and audits one pair at a time, and each record
+    # keeps seven arrays of ne nq doubles.  numpy's traced peak above the live
+    # set it starts with was 18.7 such arrays at p=1 and 19.2 at p=2 (26.5
+    # and 26.3 when each record also held q~, its divergence and Pi_p f)
+    import tracemalloc
+    prob = builtin("example1_s1")
+    mesh = perturbed_crisscross(0.06 / 2 ** 4, 1, base=unit_square_crisscross(4))
+    _, _, pp, ap, ws = build_pair(mesh, prob.data, prob.out, p)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        res = compute_bounds(pp, ap, prob.data, prob.out, ws)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert res.contains(prob.exact_s)
+    assert peak <= 20.0 * 8 * mesh.n_elements * ws.nq

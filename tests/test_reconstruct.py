@@ -14,10 +14,10 @@ from hdgbounds import (DirichletBand, NonFiniteDataError, OutputFunctional,
                        lshape_initial, make_continuous, postprocess_potential,
                        potential_residuals, reconstruct_flux, solve,
                        unit_square_crisscross, zero)
-from hdgbounds.bounds import _energy_sq, compute_bounds
+from hdgbounds.bounds import compute_bounds
 from hdgbounds.mesh import Mesh, refine_bisection
 from hdgbounds.reconstruct import (ContinuousPotential, EquilibratedFlux,
-                                   _normal_matrix, evaluate,
+                                   _energy_sq, _normal_matrix, evaluate,
                                    enforce_dirichlet_band, local_optimize)
 
 EX1_F = lambda x, y: 2 * np.pi ** 2 * np.sin(np.pi * x) * np.sin(np.pi * y)
@@ -677,13 +677,12 @@ class TestLocalOptimize:
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_pair_memory_below_the_bounds(p):
-    # the pair's stages run on whole-mesh arrays, no larger than the records
-    # compute_bounds evaluates; at level 4 (4096 elements) numpy's traced
-    # peak of the second certified_pair call (the first pair held) was 6.2
-    # MiB at p=2 and 11.7 MiB at p=3, against 22.7 and 32.9 MiB for
-    # compute_bounds
+    # the pair's stages run on whole-mesh arrays, no larger than the two
+    # records compute_bounds holds, seven arrays of ne nq doubles each; at
+    # level 4 (4096 elements) numpy's traced peak of the second
+    # certified_pair call (the first pair held) was 6.7 MiB at p=2 and 13.1
+    # MiB at p=3, against 10.9 and 15.8 MiB for the records
     import tracemalloc
-    from hdgbounds import compute_bounds
     from hdgbounds.reconstruct import certified_pair
     prob = builtin("example1_s1")
     ws = Workspace(unit_square_crisscross(4), p)
@@ -696,9 +695,6 @@ def test_pair_memory_below_the_bounds(p):
             tracemalloc.reset_peak()
             pairs.append(certified_pair(sol, data))
             peaks.append(tracemalloc.get_traced_memory()[1])
-        tracemalloc.reset_peak()
-        compute_bounds(*pairs, prob.data, prob.out, ws)
-        bounds_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert max(peaks) <= 0.5 * bounds_peak
+    assert max(peaks) <= 14 * 8 * ws.mesh.n_elements * ws.nq

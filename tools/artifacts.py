@@ -1,9 +1,19 @@
 #!/usr/bin/env python3
-"""Compare the artifacts of two hdgbounds CLI output directories.
+"""Run the hdgbounds CLI studies, and compare the artifacts of two runs.
 
+    python3 tools/artifacts.py run OUT [STUDY ...]
     python3 tools/artifacts.py diff A B
 
-Every file of either directory is compared:
+``run`` runs every study of STUDIES (or the ones named) with the CLI of this
+checkout, each in a fresh process writing to OUT/<study>, and checks its exit
+status against the expected one; every study that exits 0 must leave a
+non-empty convergence.csv, and the mixed Dirichlet/Neumann ones must keep
+Neumann facets on their final mesh.  Exit status: 0 when every study met its
+expectations, 1 when one did not, 2 on a usage error (OUT exists, or an
+unknown study).
+
+``diff`` compares two CLI output directories, or two ``run`` directories
+study by study.  Every file of either directory is compared:
 
 - ``convergence.csv`` cell by cell, ``summary.json`` value by value and
   ``report.txt`` token by token: each differing number is listed with its
@@ -21,8 +31,8 @@ text, by one unit in its last printed digit.  Integers (a count such as
 ``nel``) compare exactly.  A renumbered mesh is round-off; a changed
 geometry, changed text, or a file or row present on one side only is not.
 
-Exit status: 0 when the directories agree up to round-off, 1 when they do
-not, 2 on a usage error.
+Exit status of ``diff``: 0 when the directories agree up to round-off, 1
+when they do not, 2 on a usage error.
 """
 
 from __future__ import annotations
@@ -31,13 +41,51 @@ import argparse
 import csv
 import json
 import math
+import os
 import re
+import shlex
+import subprocess
 import sys
+import time
 from collections import Counter
 from pathlib import Path
 
 ROUNDOFF, BEYOND = "round-off", "beyond"
 RTOL = 1e-8
+ROOT = Path(__file__).resolve().parent.parent
+
+# The studies of ``run``: name, CLI arguments ({out} is OUT/<name>; the CLI
+# runs in OUT) and expected exit status.  They are the runs of the CI, the
+# 3e-6 bisection run of the L-shape, and two runs on a mixed
+# Dirichlet/Neumann mesh read from a file.
+_MIXED = ("--mesh mixed_square.txt --f 1 --g_N x+y --f_O 1 --g_N_O y "
+          "--p 1 --strategy bulk:0.5 --target 1e-4 --max-iter 8 --out {out}")
+STUDIES = (
+    ("cli", "--problem example2_s1 --p 1 --strategy bulk:0.5 --refiner bisect "
+     "--target 1e-4 --out {out}", 0),
+    ("cli_p3", "--problem example2_s1 --p 3 --optimize --strategy bulk:0.5 "
+     "--refiner bisect --target 1e-7 --out {out}", 0),
+    ("cli_band", "--problem example1_s2 --p 2 --optimize --strategy bulk:0.5 "
+     "--target 1e-7 --max-iter 12 --out {out}", 0),
+    ("cli_uniform", "--problem example1_s1 --p 2 --strategy uniform "
+     "--target 1e-9 --max-iter 5 --out {out}", 0),
+    ("cli_s2", "--problem example2_s2 --p 2 --optimize --strategy tol:1e-3 "
+     "--target 1e-3 --max-iter 20 --out {out}", 0),
+    ("lshape_3e-6", "--problem example2_s1 --p 1 --strategy bulk:0.5 "
+     "--refiner bisect --target 3e-6 --max-iter 80 --out {out}", 0),
+    ("mixed_red", _MIXED + " --refiner red", 0),
+    ("mixed_bisect", _MIXED + " --refiner bisect", 0),
+    # an --out that cannot be made (OUT/not_a_dir is a file) is a
+    # configuration error, before any solve
+    ("not_a_dir", "--problem example2_s1 --p 1 --out {out}/sub", 2),
+    # an exact value outside the certified interval is a containment violation
+    ("cli_violation", "--problem example1_s1 --p 1 --strategy uniform "
+     "--target 1e-3 --max-iter 3 --exact-s 0.5 --out {out}", 5),
+    # a non-finite tau is a configuration error, before any solve
+    ("cli_tau_inf", "--problem example1_s1 --p 1 --tau inf --out {out}", 2),
+)
+# the CLI as its console script calls it, imported from this checkout
+_CLI = "import sys; from hdgbounds.cli import main; sys.exit(main())"
 
 _NUMBER = re.compile(r"[-+]?(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
@@ -180,12 +228,16 @@ _COMPARE = {".csv": _compare_csv, ".json": _compare_json}
 
 
 def diff_dirs(a: Path, b: Path) -> Diff:
-    """All differences between the output directories a and b."""
+    """All differences between the output directories a and b, and between
+    their subdirectories of the same name."""
     diff = Diff()
     names = sorted({p.name for p in a.iterdir()} | {p.name for p in b.iterdir()})
     for name in names:
         pa, pb = a / name, b / name
-        if not (pa.is_file() and pb.is_file()):
+        if pa.is_dir() and pb.is_dir():
+            diff.rows += [(f"{name}/{row[0]}",) + row[1:]
+                          for row in diff_dirs(pa, pb).rows]
+        elif not (pa.is_file() and pb.is_file()):
             diff.other(name, "present" if pa.is_file() else "missing",
                        "present" if pb.is_file() else "missing")
         elif name == "mesh_final.txt":
@@ -195,13 +247,65 @@ def diff_dirs(a: Path, b: Path) -> Diff:
     return diff
 
 
+def _study_problems(name: str, code: int, expected: int, out: Path) -> list[str]:
+    """What a finished study failed of its expectations."""
+    problems = [] if code == expected else [f"exit {code}, expected {expected}"]
+    csv_file = out / "convergence.csv"
+    if expected == 0 and not (csv_file.is_file() and csv_file.stat().st_size):
+        problems.append("no convergence.csv")
+    if name.startswith("mixed") and not problems:
+        from hdgbounds.mesh import read_mesh
+        if not len(read_mesh(out / "mesh_final.txt").neumann_facets):
+            problems.append("no Neumann facets left on the final mesh")
+    return problems
+
+
+def run_studies(root: Path, names) -> int:
+    """Run the named studies into root, which must not exist; returns the
+    exit status of ``run``."""
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+    from conftest import mixed_square
+    from hdgbounds.mesh import write_mesh
+    root.mkdir(parents=True)
+    (root / "not_a_dir").touch()
+    write_mesh(mixed_square(1), root / "mixed_square.txt")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    failed = 0
+    for name, args, expected in STUDIES:
+        if names and name not in names:
+            continue
+        out = root / name
+        argv = shlex.split(args.format(out=out))
+        t0 = time.perf_counter()
+        code = subprocess.run([sys.executable, "-c", _CLI, *argv], env=env,
+                              cwd=root).returncode
+        problems = _study_problems(name, code, expected, out)
+        failed += bool(problems)
+        print(f"{name:14s} exit {code} (expected {expected}) "
+              f"{time.perf_counter() - t0:6.1f} s  "
+              + ("; ".join(problems) if problems else "ok"), flush=True)
+    return 1 if failed else 0
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     sub = ap.add_subparsers(dest="command", required=True)
+    r = sub.add_parser("run", help="run the CLI studies into OUT/<study>")
+    r.add_argument("out", type=Path)
+    r.add_argument("studies", nargs="*", help="names from STUDIES; all if none")
     d = sub.add_parser("diff", help="compare two CLI output directories")
     d.add_argument("a", type=Path)
     d.add_argument("b", type=Path)
     args = ap.parse_args(argv)
+    if args.command == "run":
+        unknown = sorted(set(args.studies) - {name for name, _, _ in STUDIES})
+        if unknown:
+            ap.error(f"unknown studies {unknown}")
+        if args.out.exists():
+            ap.error(f"{args.out} exists")
+        return run_studies(args.out, args.studies)
     for path in (args.a, args.b):
         if not path.is_dir():
             ap.error(f"{path} is not a directory")
