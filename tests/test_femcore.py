@@ -10,9 +10,8 @@ from conftest import perturbed_crisscross
 from hdgbounds import Workspace
 from hdgbounds import femcore as fc
 from hdgbounds import unit_square_crisscross
-from hdgbounds.reconstruct import _energy_sq
 from hdgbounds.mesh import Mesh, lshape_initial, refine_bisection
-from hdgbounds.reconstruct import EquilibratedFlux
+from hdgbounds.reconstruct import EquilibratedFlux, _energy_sq
 from hdgbounds.workspace import _BLOCK, spd_solve
 
 

@@ -277,7 +277,7 @@ def run_studies(root: Path, names) -> int:
         if names and name not in names:
             continue
         out = root / name
-        argv = shlex.split(args.format(out=out))
+        argv = [arg.format(out=out) for arg in shlex.split(args)]
         t0 = time.perf_counter()
         code = subprocess.run([sys.executable, "-c", _CLI, *argv], env=env,
                               cwd=root).returncode
