@@ -177,9 +177,10 @@ def postprocess_potential(sol: HDGSolution, flux: EquilibratedFlux) -> np.ndarra
     K = (G.reshape(ne, 4) @ ws.S2.reshape(4, nm * nm)).reshape(ne, nm, nm)
     rhs = -((ws.jac_inv @ flux.coeffs).reshape(ne, 2 * nm)
             @ ws.Qm.reshape(2 * nm, nm)) / ws.nu[:, None]
-    x = spd_solve(K[:, 1:, 1:], rhs[:, 1:, None])[:, :, 0]
-    # the same constant mode pins (u*, 1)_K = (u_h, 1)_K
-    return np.concatenate([sol.u[:, :1], x], axis=1)
+    coeffs = np.empty((ne, nm))
+    coeffs[:, 1:] = spd_solve(K[:, 1:, 1:], rhs[:, 1:, None])[:, :, 0]
+    coeffs[:, 0] = sol.u[:, 0]  # same constant mode pins (u*, 1)_K = (u_h, 1)_K
+    return coeffs
 
 
 # ---------------------------------------------------------------------------

@@ -59,11 +59,10 @@ def spd_solve(K: np.ndarray, B: np.ndarray) -> np.ndarray:
     """
     ne, n, r = B.shape
     X = np.empty((ne, n, r))
-    # [K | B] per block, elements last; row j holds U[j, j:] once eliminated
-    buf = np.empty((n, n + r, min(ne, _BLOCK)))
     for start in range(0, ne, _BLOCK):
         e = slice(start, start + _BLOCK)
-        A = buf[:, :, :len(B[e])]
+        # [K | B] with the elements last; row j holds U[j, j:] once eliminated
+        A = np.empty((n, n + r, len(B[e])))
         A[:, :n] = K[e].transpose(1, 2, 0)
         A[:, n:] = B[e].transpose(1, 2, 0)
         for j in range(n):

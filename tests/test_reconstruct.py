@@ -678,11 +678,12 @@ class TestLocalOptimize:
 @pytest.mark.parametrize("p", [2, 3])
 def test_pair_memory_below_the_bounds(p):
     # the pair's stages run on whole-mesh arrays, no larger than the two
-    # records compute_bounds holds, seven arrays of ne nq doubles each; at
-    # level 4 (4096 elements) numpy's traced peak of the second
-    # certified_pair call (the first pair held) was 6.7 MiB at p=2 and 13.1
-    # MiB at p=3, against 10.9 and 15.8 MiB for the records
+    # records compute_bounds evaluates, audits and holds for kappa, eta and S;
+    # at level 4 (4096 elements) numpy's traced peak of the second
+    # certified_pair call (the first pair held) was 7.8 MiB at p=2 and 15.2
+    # MiB at p=3, against 10.9 and 15.8 MiB for the two records
     import tracemalloc
+    from hdgbounds.bounds import _audited_records
     from hdgbounds.reconstruct import certified_pair
     prob = builtin("example1_s1")
     ws = Workspace(unit_square_crisscross(4), p)
@@ -695,6 +696,10 @@ def test_pair_memory_below_the_bounds(p):
             tracemalloc.reset_peak()
             pairs.append(certified_pair(sol, data))
             peaks.append(tracemalloc.get_traced_memory()[1])
+        start = tracemalloc.get_traced_memory()[0]
+        records = _audited_records(*pairs, prob.data, prob.out, ws)
+        records_size = tracemalloc.get_traced_memory()[0] - start
     finally:
         tracemalloc.stop()
-    assert max(peaks) <= 14 * 8 * ws.mesh.n_elements * ws.nq
+    assert len(records) == 2
+    assert max(peaks) <= records_size

@@ -1,16 +1,14 @@
 #!/usr/bin/env python3
 """Run the hdgbounds CLI studies, and compare the artifacts of two runs.
 
-    python3 tools/artifacts.py run OUT [STUDY ...]
+    python3 tools/artifacts.py run OUT
     python3 tools/artifacts.py diff A B
 
-``run`` runs every study of STUDIES (or the ones named) with the CLI of this
-checkout, each in a fresh process writing to OUT/<study>, and checks its exit
+``run`` runs every study of STUDIES with the CLI of this checkout, each in a fresh process writing to OUT/<study>, and checks its exit
 status against the expected one; every study that exits 0 must leave a
 non-empty convergence.csv, and the mixed Dirichlet/Neumann ones must keep
 Neumann facets on their final mesh.  Exit status: 0 when every study met its
-expectations, 1 when one did not, 2 on a usage error (OUT exists, or an
-unknown study).
+expectations, 1 when one did not, 2 on a usage error (OUT exists).
 
 ``diff`` compares two CLI output directories, or two ``run`` directories
 study by study.  Every file of either directory is compared:
@@ -247,22 +245,22 @@ def diff_dirs(a: Path, b: Path) -> Diff:
     return diff
 
 
-def _study_problems(name: str, code: int, expected: int, out: Path) -> list[str]:
+def _study_problems(args: str, code: int, expected: int, out: Path) -> list[str]:
     """What a finished study failed of its expectations."""
     problems = [] if code == expected else [f"exit {code}, expected {expected}"]
     csv_file = out / "convergence.csv"
     if expected == 0 and not (csv_file.is_file() and csv_file.stat().st_size):
         problems.append("no convergence.csv")
-    if name.startswith("mixed") and not problems:
+    if _MIXED in args and not problems:
         from hdgbounds.mesh import read_mesh
         if not len(read_mesh(out / "mesh_final.txt").neumann_facets):
             problems.append("no Neumann facets left on the final mesh")
     return problems
 
 
-def run_studies(root: Path, names) -> int:
-    """Run the named studies into root, which must not exist; returns the
-    exit status of ``run``."""
+def run_studies(root: Path) -> int:
+    """Run the studies into root, which must not exist; returns the exit
+    status of ``run``."""
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
     from conftest import mixed_square
     from hdgbounds.mesh import write_mesh
@@ -274,14 +272,12 @@ def run_studies(root: Path, names) -> int:
         [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
     failed = 0
     for name, args, expected in STUDIES:
-        if names and name not in names:
-            continue
         out = root / name
         argv = [arg.format(out=out) for arg in shlex.split(args)]
         t0 = time.perf_counter()
         code = subprocess.run([sys.executable, "-c", _CLI, *argv], env=env,
                               cwd=root).returncode
-        problems = _study_problems(name, code, expected, out)
+        problems = _study_problems(args, code, expected, out)
         failed += bool(problems)
         print(f"{name:14s} exit {code} (expected {expected}) "
               f"{time.perf_counter() - t0:6.1f} s  "
@@ -294,18 +290,14 @@ def main(argv=None) -> int:
     sub = ap.add_subparsers(dest="command", required=True)
     r = sub.add_parser("run", help="run the CLI studies into OUT/<study>")
     r.add_argument("out", type=Path)
-    r.add_argument("studies", nargs="*", help="names from STUDIES; all if none")
     d = sub.add_parser("diff", help="compare two CLI output directories")
     d.add_argument("a", type=Path)
     d.add_argument("b", type=Path)
     args = ap.parse_args(argv)
     if args.command == "run":
-        unknown = sorted(set(args.studies) - {name for name, _, _ in STUDIES})
-        if unknown:
-            ap.error(f"unknown studies {unknown}")
         if args.out.exists():
             ap.error(f"{args.out} exists")
-        return run_studies(args.out, args.studies)
+        return run_studies(args.out)
     for path in (args.a, args.b):
         if not path.is_dir():
             ap.error(f"{path} is not a directory")
