@@ -48,22 +48,17 @@ _CERTIFICATE_TOL = 1e-9
 
 @dataclass
 class EtaBreakdown:
-    """Per-element, per-sign terms of the local bound contributions."""
+    """The three terms of the local bound contributions, (2, ne) each: row 0
+    of eta^-, row 1 of eta^+."""
 
-    flux_minus: np.ndarray
-    flux_plus: np.ndarray
-    osc_div_minus: np.ndarray
-    osc_div_plus: np.ndarray
-    osc_neu_minus: np.ndarray
-    osc_neu_plus: np.ndarray
+    flux: np.ndarray
+    osc_div: np.ndarray
+    osc_neu: np.ndarray
 
     @property
-    def minus(self) -> np.ndarray:
-        return self.flux_minus + self.osc_div_minus + self.osc_neu_minus
-
-    @property
-    def plus(self) -> np.ndarray:
-        return self.flux_plus + self.osc_div_plus + self.osc_neu_plus
+    def total(self) -> np.ndarray:
+        """eta^- (row 0) and eta^+ (row 1) per element."""
+        return self.flux + self.osc_div + self.osc_neu
 
 
 @dataclass
@@ -84,7 +79,6 @@ class BoundsResult:
     half_gap: float
     kappa_degenerate: bool = False
     s_h: Optional[float] = None
-    eta: Optional[EtaBreakdown] = None
 
     @property
     def s_tilde(self) -> float:
@@ -213,18 +207,15 @@ def compute_eta(primal: rc.EvaluatedPair, adjoint: rc.EvaluatedPair,
     elems, ells = ws.mesh.facet_elems[neu, 0], ws.mesh.facet_local_edge[neu, 0]
     w_neu = c2[elems, ells] / np.sqrt(ws.nu[elems])
 
-    terms = []  # the three terms of eta^- (k = -kappa), then of eta^+
-    for k in (-kappa, kappa):
-        flux = np.sqrt(rc._energy_sq(ws, b + k * a))
-        osc_div = w_div * np.sqrt(ws.integrate_elementwise((do_res + k * d_res) ** 2))
-        osc_neu = np.zeros(ws.mesh.n_elements)
-        np.add.at(osc_neu, elems, w_neu * np.sqrt(
-            np.einsum("ft,ft->f", (no_res - k * n_res) ** 2, wlen)))
-        terms.append((flux, osc_div, osc_neu))
-    (flux_m, div_m, neu_m), (flux_p, div_p, neu_p) = terms
-    return EtaBreakdown(flux_minus=flux_m, flux_plus=flux_p,
-                        osc_div_minus=div_m, osc_div_plus=div_p,
-                        osc_neu_minus=neu_m, osc_neu_plus=neu_p)
+    ne = ws.mesh.n_elements
+    eta = EtaBreakdown(np.empty((2, ne)), np.empty((2, ne)), np.empty((2, ne)))
+    for row, k in enumerate((-kappa, kappa)):  # eta^- (k = -kappa), eta^+
+        eta.flux[row] = np.sqrt(rc._energy_sq(ws, b + k * a))
+        eta.osc_div[row] = w_div * np.sqrt(
+            ws.integrate_elementwise((do_res + k * d_res) ** 2))
+        eta.osc_neu[row] = np.bincount(elems, w_neu * np.sqrt(
+            np.einsum("ft,ft->f", (no_res - k * n_res) ** 2, wlen)), minlength=ne)
+    return eta
 
 
 # ---------------------------------------------------------------------------
@@ -278,13 +269,11 @@ def compute_bounds(primal_pair, adjoint_pair, data: ProblemData,
                 "the adjoint residual vanishes but the adjoint data oscillate "
                 f"in: {', '.join(osc)}; no optimal kappa exists")
 
-    eta = compute_eta(primal, adjoint, ws, kappa)
-    em2 = eta.minus ** 2
-    ep2 = eta.plus ** 2
+    em2, ep2 = compute_eta(primal, adjoint, ws, kappa).total ** 2
     s_minus = s_core - em2.sum() / (4.0 * kappa)
     s_plus = s_core + ep2.sum() / (4.0 * kappa)
     return BoundsResult(s_minus=float(s_minus), s_plus=float(s_plus),
                         kappa=float(kappa),
                         gap_elements=(em2 + ep2) / (4.0 * kappa),
                         half_gap=float((em2 + ep2).sum() / (8.0 * kappa)),
-                        kappa_degenerate=degenerate, s_h=s_h, eta=eta)
+                        kappa_degenerate=degenerate, s_h=s_h)

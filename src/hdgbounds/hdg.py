@@ -105,14 +105,6 @@ class HDGSolution:
     uhat: np.ndarray
     qhat_n: np.ndarray
 
-    @property
-    def mesh(self) -> Mesh:
-        return self.ws.mesh
-
-    @property
-    def p(self) -> int:
-        return self.ws.p
-
 
 def _blocks(ne: int):
     """Consecutive slices of at most _BLOCK of the ne elements."""
@@ -347,9 +339,10 @@ class CondensedSystem:
     A is the symmetric positive definite operator on the free facet dofs
     (interior and Neumann facets) that no patch eliminated, and rhs
     (n_free, k) its right-hand sides, both in factor order: row i is the
-    global dof free_dofs[i].  uhat (k, nf*(p+1)) holds the Dirichlet trace
-    moments at the fixed dofs, and g_N (k, len(neumann_facets), p+1) the
-    Neumann data moments.  eliminated lists the patch eliminations
+    global dof free_dofs[i].  The traces are laid out by dof, then datum:
+    uhat (nf*(p+1), k) holds the Dirichlet trace moments at the fixed dofs,
+    and g_N (len(neumann_facets)*(p+1), k) the Neumann data moments, facet
+    by facet.  eliminated lists the patch eliminations
     (inner dofs, outer dofs, Y), bottom level first (_merge).
     Per element u = XP uhat_e + Xb[:, :, j], with the facet modes of uhat_e
     by slot (_local_operators with slots); _local_operators gives q and the
@@ -393,12 +386,11 @@ def assemble_condensed(ws: Workspace, datas, tau) -> CondensedSystem:
     facets = ws.ef[row, slots]
     dirichlet = mesh.facet_tag[facets] == DIRICHLET
     dir_facets, neu_facets = mesh.dirichlet_facets, mesh.neumann_facets
-    uhat = np.zeros((k, nf, F1))
-    g_N = np.zeros((k, len(neu_facets), F1))
+    uhat = np.zeros((nf, F1, k))
+    g_N = np.empty((len(neu_facets), F1, k))
     for j, data in enumerate(datas):
-        uhat[j, dir_facets] = ws.facet_data_moments(data.g_D, dir_facets)
-        if len(neu_facets):
-            g_N[j] = ws.facet_data_moments(data.g_N, neu_facets)
+        uhat[dir_facets, :, j] = ws.facet_data_moments(data.g_D, dir_facets)
+        g_N[:, :, j] = ws.facet_data_moments(data.g_N, neu_facets)
 
     XP, Xb = np.empty((ne, ws.np_, F3)), np.empty((ne, ws.np_, k))
     Aloc, loc = np.empty((ne, F3, F3)), np.empty((ne, F3, k))
@@ -427,15 +419,14 @@ def assemble_condensed(ws: Workspace, datas, tau) -> CondensedSystem:
     # per element the Dirichlet moments and g_N go to the right-hand side,
     # and the Dirichlet rows and columns are dropped
     bd = np.flatnonzero(dirichlet.any(axis=1))
-    loc[bd] -= Aloc[bd] @ uhat[:, facets[bd]].transpose(1, 2, 3, 0).reshape(
-        len(bd), F3, k)
+    loc[bd] -= Aloc[bd] @ uhat[facets[bd]].reshape(len(bd), F3, k)
     keep = np.repeat(~dirichlet[bd], F1, axis=1)
     Aloc[bd] *= keep[:, :, None] & keep[:, None, :]
     slot_of = np.empty_like(slots)                  # the slot of each local edge
     slot_of[row, slots] = np.arange(3)
     neu_e = mesh.facet_elems[neu_facets, 0]
     neu_slot = slot_of[neu_e, mesh.facet_local_edge[neu_facets, 0]]
-    loc.reshape(ne, 3, F1, k)[neu_e, neu_slot] -= g_N.transpose(1, 2, 0)
+    loc.reshape(ne, 3, F1, k)[neu_e, neu_slot] -= g_N
     # in patch order, with the elements along the last axis
     Aloc = Aloc.reshape(ne, -1).T[:, elements].reshape(F3, F3, ne)
     loc = loc.reshape(ne, -1).T[:, elements].reshape(F3, k, ne)
@@ -482,7 +473,7 @@ def assemble_condensed(ws: Workspace, datas, tau) -> CondensedSystem:
                            r[live], minlength=n * k)
     A = _block_csc(blocks, at[0], at[1], len(order))
     return CondensedSystem(A=A, rhs=rhs.reshape(n, k),
-                           uhat=uhat.reshape(k, -1), g_N=g_N,
+                           uhat=uhat.reshape(-1, k), g_N=g_N.reshape(-1, k),
                            free_dofs=(order[:, None] * F1 + np.arange(F1)).ravel(),
                            tau=tau, XP=XP, Xb=Xb, slots=slots,
                            eliminated=eliminated)
@@ -498,37 +489,36 @@ def _back_substitute(ws: Workspace, cs: CondensedSystem) -> list[HDGSolution]:
     """
     mesh, F1, np_ = ws.mesh, ws.p + 1, ws.np_
     k, ne = cs.Xb.shape[2], mesh.n_elements
-    uhat = cs.uhat.reshape(k, mesh.n_facets, F1)
-    # the k data are the columns of every element's right-hand side
+    # the k data are the columns of the traces and of every element's
+    # right-hand side
+    uhat = cs.uhat.reshape(mesh.n_facets, F1, k)
     row = np.arange(ne)[:, None]
-    facets = ws.ef[row, cs.slots]
-    uhat_e = np.take(uhat.transpose(1, 2, 0), facets, axis=0).reshape(ne, 3 * F1, k)
+    uhat_e = np.take(uhat, ws.ef[row, cs.slots], axis=0).reshape(ne, 3 * F1, k)
     u, q = np.empty((k, ne, np_)), np.empty((k, ne, 2, np_))
-    flux_mom = np.empty((k, ne, 3 * F1))      # <qhat.n_K, M_m> per slot
+    flux_mom = np.empty((ne, 3 * F1, k))      # <qhat.n_K, M_m> per slot
     for e in _blocks(ne):
         Kdiv, _, Cq, Cu = _local_operators(ws, e, cs.slots[e])
         nu, ue = ws.nu[e, None, None], uhat_e[e]
         ub = cs.XP[e] @ ue + cs.Xb[e]
         qb = nu * (Kdiv.swapaxes(1, 2) @ ub - Cq @ ue)
-        fm = Cq.swapaxes(1, 2) @ qb + cs.tau * (Cu.swapaxes(1, 2) @ ub - ue)
+        flux_mom[e] = Cq.swapaxes(1, 2) @ qb + cs.tau * (Cu.swapaxes(1, 2) @ ub - ue)
         u[:, e] = np.moveaxis(ub, 2, 0)
         q[:, e] = np.moveaxis(qb, 2, 0).reshape(k, -1, 2, np_)
-        flux_mom[:, e] = np.moveaxis(fm, 2, 0)
     # single-valued numerical flux in the canonical normal direction: the
     # side-0 moments, averaged with side 1 inside
     esign = ws.esign[row, cs.slots]
-    flux_mom = flux_mom.reshape(k, 3 * ne, F1) * esign.reshape(-1, 1)
+    flux_mom = flux_mom.reshape(3 * ne, F1, k) * esign.reshape(-1, 1, 1)
     fe, fl, inner = mesh.facet_elems, mesh.facet_local_edge, mesh.interior_facets
     slot_of = np.empty_like(cs.slots)         # the slot of each local edge
     slot_of[row, cs.slots] = np.arange(3)
-    qhat = np.take(flux_mom, 3 * fe[:, 0] + slot_of[fe[:, 0], fl[:, 0]], axis=1)
-    qhat[:, inner] += np.take(
-        flux_mom, 3 * fe[inner, 1] + slot_of[fe[inner, 1], fl[inner, 1]], axis=1)
-    qhat[:, inner] /= 2.0
+    qhat = np.take(flux_mom, 3 * fe[:, 0] + slot_of[fe[:, 0], fl[:, 0]], axis=0)
+    qhat[inner] += np.take(
+        flux_mom, 3 * fe[inner, 1] + slot_of[fe[inner, 1], fl[inner, 1]], axis=0)
+    qhat[inner] /= 2.0
     # exact projected Neumann trace (canonical normal is outward there)
-    qhat[:, mesh.neumann_facets] = cs.g_N
-    return [HDGSolution(ws=ws, tau=cs.tau, u=u[j], q=q[j], uhat=uhat[j],
-                        qhat_n=qhat[j]) for j in range(k)]
+    qhat[mesh.neumann_facets] = cs.g_N.reshape(-1, F1, k)
+    return [HDGSolution(ws=ws, tau=cs.tau, u=u[j], q=q[j], uhat=uhat[:, :, j],
+                        qhat_n=qhat[:, :, j]) for j in range(k)]
 
 
 def solve(ws: Workspace, datas, tau=1.0) -> list[HDGSolution]:
@@ -546,18 +536,17 @@ def solve(ws: Workspace, datas, tau=1.0) -> list[HDGSolution]:
                            options=dict(SymmetricMode=True))
         except RuntimeError as exc:  # singular factorization
             raise RuntimeError(f"skeleton solve failed: {exc}") from exc
-        cs.uhat[:, cs.free_dofs] = lu.solve(cs.rhs).T
-    uhat = cs.uhat.T
+        cs.uhat[cs.free_dofs] = lu.solve(cs.rhs)
     for inner, outer, Y in reversed(cs.eliminated):
         no = outer.shape[1]
-        uhat[inner] = Y[:, :, no:] - Y[:, :, :no] @ uhat[outer]
+        cs.uhat[inner] = Y[:, :, no:] - Y[:, :, :no] @ cs.uhat[outer]
     return _back_substitute(ws, cs)
 
 
 def raw_output(sol: HDGSolution, out: OutputFunctional) -> float:
     """s_h = l_O(u_h, qhat) = (f_O, u_h) + <g_D_O, qhat.n>_GD + <g_N_O, u_h>_GN,
     with the numerical trace supplying the outward boundary flux."""
-    ws, mesh = sol.ws, sol.mesh
+    ws, mesh = sol.ws, sol.ws.mesh
     dir_facets, neu_facets = mesh.dirichlet_facets, mesh.neumann_facets
     qn_dir = (sol.qhat_n[dir_facets] @ ws.psi_p) / np.sqrt(ws.facet_len[dir_facets])[:, None]
     u_neu = ws.facet_trace(sol.u, ws.etab_p, neu_facets) \
@@ -566,7 +555,6 @@ def raw_output(sol: HDGSolution, out: OutputFunctional) -> float:
         ws.eval_data(out.f_O) * ws.eval_modal(sol.u))))
     for fun, facets, tr in ((out.g_D_O, dir_facets, qn_dir),
                             (out.g_N_O, neu_facets, u_neu)):
-        if len(facets):
-            g = ws.eval_data(fun, ws.ephys[facets])
-            val += float(np.einsum("ft,ft,t,f->", g, tr, ws.ew, ws.facet_len[facets]))
+        g = ws.eval_data(fun, ws.ephys[facets])
+        val += float(np.einsum("ft,ft,t,f->", g, tr, ws.ew, ws.facet_len[facets]))
     return val

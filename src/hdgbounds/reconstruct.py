@@ -150,8 +150,8 @@ def reconstruct_flux(sol: HDGSolution) -> EquilibratedFlux:
     So every element combines its moments with the one reference dual
     basis ws.rt_dofs (femcore._reference_rt).
     """
-    ws, ne = sol.ws, sol.mesh.n_elements
-    p, F1 = sol.p, sol.p + 1
+    ws = sol.ws
+    ne, p, F1 = ws.mesh.n_elements, ws.p, ws.p + 1
     n1 = fc.n_modes(p - 1) if p else 0
     flip = np.where(ws.eo[:, :, None] == 1, 1.0, (-1.0) ** np.arange(F1))
     rhs = np.empty((ne, len(ws.rt_dofs)))
@@ -161,7 +161,7 @@ def reconstruct_flux(sol: HDGSolution) -> EquilibratedFlux:
         * ws.sqrt_det[:, None]
     coeffs = ws.jac @ (rhs @ ws.rt_dofs).reshape(ne, 2, -1) \
         / ws.sqrt_det[:, None, None]
-    return EquilibratedFlux(mesh=sol.mesh, coeffs=coeffs)
+    return EquilibratedFlux(mesh=ws.mesh, coeffs=coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +172,8 @@ def postprocess_potential(sol: HDGSolution, flux: EquilibratedFlux) -> np.ndarra
     """Element P^{p+1} potential: (grad u*, grad w)_K matches the flux data
     -(nu^-1 q~, grad w)_K, mean value pinned to u_h.  Returns mapped-modal
     coefficients (ne, n_modes(p+1))."""
-    ws, nm, ne = sol.ws, sol.ws.nm, sol.mesh.n_elements
+    ws = sol.ws
+    nm, ne = ws.nm, ws.mesh.n_elements
     G = ws.jac_inv @ ws.jac_inv_t                       # G[e, r, s]
     K = (G.reshape(ne, 4) @ ws.S2.reshape(4, nm * nm)).reshape(ne, nm, nm)
     rhs = -((ws.jac_inv @ flux.coeffs).reshape(ne, 2 * nm)
@@ -194,18 +195,17 @@ def make_continuous(ustar: np.ndarray, g_D, ws: Workspace) -> ContinuousPotentia
     enforce_dirichlet_band)."""
     n_global, node_map, coords = ws.global_nodes()
     nodal = np.einsum("kj,ej->ek", ws.vand_m, ustar) / ws.sqrt_det[:, None]
-    values = np.zeros(n_global)
-    counts = np.zeros(n_global)
-    np.add.at(values, node_map.ravel(), nodal.ravel())
-    np.add.at(counts, node_map.ravel(), 1.0)
-    values /= counts
+    values = np.bincount(node_map.ravel(), nodal.ravel(), minlength=n_global)
+    values /= np.bincount(node_map.ravel(), minlength=n_global)
 
     dnodes = ws.dirichlet_nodes()
     values[dnodes] = ws.eval_data(g_D, coords[dnodes])
     return ContinuousPotential(mesh=ws.mesh, values=values, node_map=node_map)
 
 
-def _find_band_line(mesh: Mesh, band: DirichletBand) -> float:
+def _find_band_line(mesh: Mesh, band: DirichletBand) -> tuple[float, np.ndarray]:
+    """The admissible band line nearest the interior, and the elements
+    between it and the portion, ascending."""
     ax, val = band.axis, band.value
     coords = mesh.vertices[:, ax]
     tol = 1e-12 * (1.0 + np.abs(val))
@@ -222,7 +222,8 @@ def _find_band_line(mesh: Mesh, band: DirichletBand) -> float:
     order = np.argsort(cand)[::-1] if side > 0 else np.argsort(cand)
     for c in cand[order]:
         if not np.any((cmin < c - tol) & (cmax > c + tol)):
-            return float(c)
+            return float(c), np.flatnonzero(cmin >= c - tol if side > 0
+                                            else cmax <= c + tol)
     raise ValueError("no admissible band line found; refine the mesh near the portion")
 
 
@@ -239,14 +240,13 @@ def enforce_dirichlet_band(pot: ContinuousPotential, band: DirichletBand,
     ghat = 0 on the band line keeps the sum continuous.  Raises ValueError
     on a potential that already carries a band correction.
     """
-    mesh, ax = ws.mesh, band.axis
+    ax = band.axis
     if pot.correction is not None:
         raise ValueError("the potential already carries a band correction")
     if ax not in (0, 1):
         raise ValueError("band portions must be coordinate-aligned (axis 0 or 1)")
-    x_band = _find_band_line(mesh, band)
-    val = band.value
-    width = val - x_band
+    x_band, band_elems = _find_band_line(ws.mesh, band)
+    width = band.value - x_band
     profile, dprofile = band.profile, band.profile_deriv
 
     def ghat(x, y):
@@ -265,12 +265,6 @@ def enforce_dirichlet_band(pot: ContinuousPotential, band: DirichletBand,
         out[..., 1 - ax] = ds
         return out
 
-    tol = 1e-12 * (1.0 + abs(val))
-    elem_c = mesh.vertices[mesh.elements][:, :, ax]
-    if width > 0:
-        band_elems = np.nonzero(elem_c.min(axis=1) >= x_band - tol)[0]
-    else:
-        band_elems = np.nonzero(elem_c.max(axis=1) <= x_band + tol)[0]
     nodes = np.unique(pot.node_map[band_elems])
     values = pot.values.copy()
     values[nodes] -= ws.eval_data(ghat, ws.global_nodes()[2][nodes])

@@ -250,13 +250,12 @@ class Workspace:
         return self._global_nodes
 
     def dirichlet_nodes(self):
-        """Global node ids lying on the Dirichlet boundary."""
-        mesh = self.mesh
-        per_edge = self.m - 1
-        ids = []
+        """Global node ids lying on the Dirichlet boundary, ascending: the
+        node map's entries at the slots of each Dirichlet facet's local edge
+        (its two vertices and its edge nodes) in the facet's element."""
+        mesh, lat = self.mesh, self.lattice
         dfac = mesh.dirichlet_facets
-        ids.append(mesh.facets[dfac].ravel())
-        if per_edge:
-            base = mesh.n_vertices + dfac * per_edge
-            ids.append((base[:, None] + np.arange(per_edge)[None, :]).ravel())
-        return np.unique(np.concatenate(ids))
+        edge = np.column_stack([lat.vertex_slots, np.roll(lat.vertex_slots, -1),
+                                lat.edge_slots])          # local edge ell: v_ell, v_ell+1
+        return np.unique(self.global_nodes()[1][
+            mesh.facet_elems[dfac, 0, None], edge[mesh.facet_local_edge[dfac, 0]]])

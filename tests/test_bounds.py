@@ -119,9 +119,9 @@ class TestEta:
         out = OutputFunctional(f_O=ONE)
         _, _, pp, ap, ws = build_pair(mesh, data, out, p=1)
         eta = compute_eta(*records(pp, ap, data, out, ws), ws, kappa=1.0)
-        assert np.abs(eta.osc_div_minus).max() < 1e-13
-        assert np.abs(eta.osc_div_plus).max() < 1e-13
-        assert np.abs(eta.osc_neu_minus).max() == 0.0
+        assert np.abs(eta.osc_div[0]).max() < 1e-13
+        assert np.abs(eta.osc_div[1]).max() < 1e-13
+        assert np.abs(eta.osc_neu[0]).max() == 0.0
 
     def test_exact_reconstructions_zero_eta(self):
         # manufactured linear solution: reconstructions are exact
@@ -130,8 +130,8 @@ class TestEta:
         out = OutputFunctional(g_D_O=lambda x, y: 2 * x - y)
         _, _, pp, ap, ws = build_pair(mesh, data, out, p=1)
         eta = compute_eta(*records(pp, ap, data, out, ws), ws, kappa=1.0)
-        assert np.abs(eta.minus).max() < 1e-9
-        assert np.abs(eta.plus).max() < 1e-9
+        assert np.abs(eta.total[0]).max() < 1e-9
+        assert np.abs(eta.total[1]).max() < 1e-9
 
 
 class TestComputeBounds:
@@ -453,6 +453,29 @@ class TestGlobalProperties:
         res = run_pipeline(mesh, prob.data, prob.out, p, tau,
                            optimize=optimize)
         assert res.contains(prob.exact_s)
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(k1=st.integers(1, 3), k2=st.integers(1, 3), m1=st.integers(1, 3),
+           m2=st.integers(1, 3), c=st.floats(-3.0, 3.0),
+           level=st.integers(1, 2), amp=st.floats(0.0, 0.1),
+           seed=st.integers(0, 2 ** 16), p=st.integers(1, 3),
+           optimize=st.booleans())
+    def test_containment_property_non_polynomial(self, k1, k2, m1, m2, c, level,
+                                                 amp, seed, p, optimize):
+        # u = c sin(k1 pi x) sin(k2 pi y), g_D = 0, against the output
+        # f_O = sin(m1 pi x) sin(m2 pi y): s = c/4 for equal wave numbers and
+        # 0 otherwise.  Neither f nor f_O is a polynomial, so both
+        # oscillation terms enter; c is drawn log-uniform, and the interior
+        # vertices move by up to amp times the grid pitch
+        c = 10.0 ** c
+        data = ProblemData(f=lambda x, y: (k1 ** 2 + k2 ** 2) * np.pi ** 2 * c
+                           * np.sin(k1 * np.pi * x) * np.sin(k2 * np.pi * y))
+        out = OutputFunctional(
+            f_O=lambda x, y: np.sin(m1 * np.pi * x) * np.sin(m2 * np.pi * y))
+        mesh = perturbed_crisscross(amp * 0.5 ** (level + 1), seed,
+                                    base=unit_square_crisscross(level))
+        res = run_pipeline(mesh, data, out, p, optimize=optimize)
+        assert res.contains(c / 4 if (k1, k2) == (m1, m2) else 0.0)
 
     @pytest.mark.parametrize("tau", [0.1, 1.0, 10.0])
     def test_containment_tau_robust(self, tau):

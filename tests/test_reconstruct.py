@@ -54,7 +54,7 @@ def _reconstruct_flux_loop(sol):
     """reconstruct_flux as one (N, N) solve per element, in the physical
     tails of _rt_tails: the reference for the Piola-mapped reconstruction."""
     ws = sol.ws
-    mesh, p = sol.mesh, sol.p
+    mesh, p = sol.ws.mesh, sol.ws.p
     ne, np_, F1 = mesh.n_elements, ws.np_, p + 1
     n_int = 2 * fc.n_modes(p - 1) if p >= 1 else 0
     N = (p + 1) * (p + 3)
@@ -212,6 +212,29 @@ class TestPotential:
         _, _, pot, ws = base_pair(mesh, ProblemData(f=EX1_F), 1)
         dn = ws.dirichlet_nodes()
         assert np.abs(pot.values[dn]).max() == 0.0
+
+    @pytest.mark.parametrize("p", range(4))
+    @pytest.mark.parametrize("make_mesh", [
+        lshape_initial,
+        lambda: perturbed_crisscross(base=unit_square_crisscross(1)),
+        lambda: mixed_square(1)], ids=["lshape", "perturbed", "mixed"])
+    def test_dirichlet_nodes_are_the_nodes_on_dirichlet_facets(self, make_mesh, p):
+        # by geometry: the global nodes within round-off of a Dirichlet
+        # facet, so that a corner node of a Neumann facet counts only where
+        # a Dirichlet facet meets it
+        mesh = make_mesh()
+        ws = Workspace(mesh, p)
+        _, _, coords = ws.global_nodes()
+        a, b = (mesh.vertices[mesh.facets[mesh.dirichlet_facets, i]] for i in (0, 1))
+        d = coords[:, None] - a
+        t = np.clip(np.einsum("nfc,fc->nf", d, b - a)
+                    / np.einsum("fc,fc->f", b - a, b - a), 0.0, 1.0)
+        dist = np.linalg.norm(d - t[:, :, None] * (b - a), axis=2)
+        want = np.flatnonzero(dist.min(axis=1) <= 1e-12)
+        assert np.array_equal(ws.dirichlet_nodes(), want)
+        if len(mesh.neumann_facets):
+            on_neumann = np.unique(mesh.facets[mesh.neumann_facets])
+            assert not np.isin(on_neumann, want).all()
 
     def test_continuity_and_trace_residuals(self):
         mesh = unit_square_crisscross(1)

@@ -1,10 +1,13 @@
 """The benchmark's tracer (perfbench/tracing.py) against the library: every
-trace point it wraps still exists, and the audit counters read the
-residual dicts the library returns."""
+trace point it wraps still exists, and every span counter reads what the
+library hands it: the residual dicts, the skeleton matrix and its LU
+factors, and the pair local_optimize works on."""
 
 import importlib
 import importlib.util
 from pathlib import Path
+
+import pytest
 
 from hdgbounds import Workspace, builtin, certified_pair, solve, unit_square_crisscross
 
@@ -21,8 +24,12 @@ LAYERS = ("mesh", "femcore", "workspace", "hdg", "reconstruct", "bounds",
 GONE = ["hdg.solve_primal", "hdg.solve_adjoint", "workspace.get"]
 
 
-def test_tracer_finds_the_audit_and_solve_points():
-    modules = {n: importlib.import_module(f"hdgbounds.{n}") for n in LAYERS}
+@pytest.fixture
+def modules():
+    return {n: importlib.import_module(f"hdgbounds.{n}") for n in LAYERS}
+
+
+def test_tracer_finds_the_audit_and_solve_points(modules):
     prob = builtin("example1_s1")
     ws = Workspace(unit_square_crisscross(1), 1)
     pair = certified_pair(solve(ws, [prob.data])[0], prob.data)
@@ -40,3 +47,35 @@ def test_tracer_finds_the_audit_and_solve_points():
     spans = [s for s in tracer.spans if s["name"] == "reconstruct.flux_residuals"]
     assert len(spans) == 1 and spans[0]["worst"] == max(res.values())
     assert rc.flux_residuals is original
+
+
+def test_every_span_counter_reads_the_library(modules):
+    # the band problem with optimization runs every counted trace point:
+    # one factorization, local_optimize on both pairs, two audits of each
+    prob = builtin("example1_s2")
+    mesh = unit_square_crisscross(1)
+    tracer = tracing.Tracer()
+    patches = tracing.Patches(tracer, modules).install()
+    try:
+        modules["adapt"].run_pipeline(mesh, prob.data, prob.out, 2, optimize=True)
+    finally:
+        patches.remove()
+
+    def named(name):
+        return [s for s in tracer.spans if s["name"] == name]
+    optimize = named("reconstruct.local_optimize")
+    assert [s["elements"] for s in optimize] == [mesh.n_elements] * 2
+    (splu,) = named("hdg.splu")
+    assert 0 < splu["A_nnz"] <= splu["lu_nnz"]
+    worst = [s["worst"] for name in ("reconstruct.flux_residuals",
+                                     "reconstruct.potential_residuals")
+             for s in named(name)]
+    assert len(worst) == 4 and all(0.0 <= w <= 1e-9 for w in worst)
+
+    metrics = tracing.layer_metrics(tracer.spans)
+    assert metrics["reconstruct.optimize_elements"] == 2 * mesh.n_elements
+    assert metrics["hdg.factorizations"] == metrics["hdg.assemble_calls"] == 1
+    assert (metrics["hdg.A_nnz"], metrics["hdg.lu_nnz"]) == (
+        splu["A_nnz"], splu["lu_nnz"])
+    assert metrics["reconstruct.worst_residual"] == max(worst)
+    assert metrics["adapt.iterations"] == 1
