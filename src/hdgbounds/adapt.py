@@ -102,13 +102,15 @@ def run_pipeline(mesh: Mesh, data: hdg.ProblemData, out: hdg.OutputFunctional,
     """Solve primal and adjoint on one workspace with one skeleton
     factorization, reconstruct both pairs (band extensions applied when the
     data carry one), optionally run the local optimization, and compute the
-    bounds, which audit the certificates."""
+    bounds, which audit the certificates, with the raw HDG output s_h."""
     ws = Workspace(mesh, p)
     adata = out.adjoint_data()
     sol_u, sol_z = hdg.solve(ws, [data, adata], tau)
-    return bd.compute_bounds(rc.certified_pair(sol_u, data, optimize),
-                             rc.certified_pair(sol_z, adata, optimize),
-                             data, out, ws, s_h=hdg.raw_output(sol_u, out))
+    res = bd.compute_bounds(rc.certified_pair(sol_u, data, optimize),
+                            rc.certified_pair(sol_z, adata, optimize),
+                            data, adata, ws)
+    res.s_h = hdg.raw_output(sol_u, out)
+    return res
 
 
 # ---------------------------------------------------------------------------
@@ -149,11 +151,11 @@ def adaptive_loop(mesh0: Mesh, data: hdg.ProblemData, out: hdg.OutputFunctional,
                   ) -> AdaptiveRun:
     """Iterate solve -> reconstruct -> certify -> mark -> refine.
 
-    Stops when the bound gap drops below ``target_gap`` (converged), after
-    ``max_iter`` iterations, or when the strategy marks no element (both
-    reported as non-converged, history retained).  With the
-    Uniform strategy and a ``uniform_family`` the meshes are taken from the
-    family (level per iteration); otherwise uniform means mark-everything.
+    Stops when the bound gap 2 half_gap drops below ``target_gap``
+    (converged), after ``max_iter`` iterations, or when the strategy marks
+    no element (both reported as non-converged, history retained).  With
+    the Uniform strategy and a ``uniform_family`` the meshes are taken from
+    the family (level per iteration); otherwise uniform means mark-everything.
     """
     if refiner not in _REFINERS:
         raise ValueError(f"unknown refiner {refiner!r} (expected red|bisect)")
@@ -163,7 +165,7 @@ def adaptive_loop(mesh0: Mesh, data: hdg.ProblemData, out: hdg.OutputFunctional,
     for it in range(max_iter):
         t0 = time.perf_counter()
         res = run_pipeline(mesh, data, out, p, tau, optimize=optimize)
-        run.converged = res.s_plus - res.s_minus < target_gap
+        run.converged = 2 * res.half_gap < target_gap
         marked = np.array([], dtype=int)
         if not run.converged and it + 1 < max_iter:
             marked = mark(res.gap_elements, strategy)

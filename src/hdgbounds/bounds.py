@@ -24,13 +24,11 @@ time, into a record of only what kappa, eta and S read (reconstruct.evaluate).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from . import reconstruct as rc
-from .hdg import OutputFunctional, ProblemData
-from .mesh import Mesh
+from .hdg import ProblemData
 from .workspace import Workspace
 
 __all__ = [
@@ -69,7 +67,7 @@ class BoundsResult:
     bound-gap contributions, summing to s_plus - s_minus.  half_gap is half
     their sum as computed, not 0.5 (s_plus - s_minus), whose difference of
     two nearly equal numbers loses the digits of a small gap to the
-    round-off of s_plus and s_minus.
+    round-off of s_plus and s_minus, so every gap test and report reads it.
     """
 
     s_minus: float
@@ -78,7 +76,7 @@ class BoundsResult:
     gap_elements: np.ndarray
     half_gap: float
     kappa_degenerate: bool = False
-    s_h: Optional[float] = None
+    s_h: float | None = None  # the raw HDG output, set by run_pipeline
 
     @property
     def s_tilde(self) -> float:
@@ -87,45 +85,26 @@ class BoundsResult:
     def contains(self, s: float, slack: float = 0.0) -> bool:
         return self.s_minus - slack <= s <= self.s_plus + slack
 
-    def csv_row(self, nel: int, n_edge_dofs: int,
-                exact_s: Optional[float] = None) -> str:
-        """One CSV_HEADER row; err_s_tilde is empty without an exact output."""
-        cells = [str(nel), str(n_edge_dofs)]
-        cells += [format(v, ".12e") for v in
-                  (self.s_minus, self.s_plus, self.s_tilde, self.half_gap,
-                   self.kappa)]
-        cells.append(format(self.s_h, ".12e") if self.s_h is not None else "")
-        cells.append(format(abs(exact_s - self.s_tilde), ".6e")
-                     if exact_s is not None else "")
-        return ",".join(cells)
-
-
-CSV_HEADER = "nel,n_edge_dofs,s_minus,s_plus,s_tilde,half_gap,kappa,s_h,err_s_tilde"
-
 
 # ---------------------------------------------------------------------------
 # Poincare / trace constants
 # ---------------------------------------------------------------------------
 
-def poincare_constants(mesh: Mesh):
+def poincare_constants(ws: Workspace):
     """Elementwise constants of the local Poincare and trace inequalities:
     C1 = h_K / pi, and per facet
-    C2 = sqrt( |e|/(2|K|) * (h_K/pi) * (2 max_{x in e}|x - x_e| + 2 h_K/pi) ).
+    C2 = sqrt( |e|/(2|K|) * (h_K/pi) * (2 max_{x in e}|x - x_e| + 2 h_K/pi) ),
+    from the workspace's edge lengths elen, diameters h and det = 2|K|.
 
     Returns (C1 (ne,), C2 (ne, 3)) with C2 indexed by local edge.
     """
-    v = mesh.vertices[mesh.elements]                       # (ne, 3, 2)
-    # local edge ell joins vertices ell and ell+1
-    edge_length = np.linalg.norm(np.roll(v, -1, axis=1) - v, axis=2)
-    diameter = edge_length.max(axis=1)
-    # farthest point of edge ell from the opposite vertex ell+2: the longer
-    # of the two other edges
-    reach = np.maximum(np.roll(edge_length, -1, axis=1),
-                       np.roll(edge_length, -2, axis=1))
-    c1 = diameter / np.pi
-    c2sq = (edge_length / (2.0 * mesh.areas()[:, None])
-            * (diameter / np.pi)[:, None]
-            * (2.0 * reach + (2.0 * diameter / np.pi)[:, None]))
+    # farthest point of local edge ell (vertices ell, ell+1) from the
+    # opposite vertex ell+2: the longer of the two other edges
+    reach = np.maximum(np.roll(ws.elen, -1, axis=1),
+                       np.roll(ws.elen, -2, axis=1))
+    c1 = ws.h / np.pi
+    c2sq = (ws.elen / ws.det[:, None] * c1[:, None]
+            * (2.0 * reach + (2.0 * c1)[:, None]))
     return c1, np.sqrt(c2sq)
 
 
@@ -134,11 +113,12 @@ def poincare_constants(mesh: Mesh):
 # ---------------------------------------------------------------------------
 
 def _audited_records(primal_pair, adjoint_pair, data: ProblemData,
-                     out: OutputFunctional, ws: Workspace):
-    """Evaluate and audit the primal pair, then the adjoint one with the data
-    f_O, g_D_O, -g_N_O; RuntimeError once a certificate fails its tolerance."""
+                     adata: ProblemData, ws: Workspace):
+    """Evaluate and audit the primal pair with its data, then the adjoint one
+    with the adjoint data f_O, g_D_O, -g_N_O (OutputFunctional.adjoint_data);
+    RuntimeError once a certificate fails its tolerance."""
     recs = []
-    for pair, d in ((primal_pair, data), (adjoint_pair, out.adjoint_data())):
+    for pair, d in ((primal_pair, data), (adjoint_pair, adata)):
         rec = rc.evaluate(*pair, d, ws)
         fres = rc.flux_residuals(rec, ws)
         pres = rc.potential_residuals(rec, ws)
@@ -196,7 +176,7 @@ def compute_eta(primal: rc.EvaluatedPair, adjoint: rc.EvaluatedPair,
     negated.
     """
     a, b = primal.residual, adjoint.residual
-    c1, c2 = poincare_constants(ws.mesh)
+    c1, c2 = poincare_constants(ws)
     d_res, do_res = primal.f_osc, adjoint.f_osc
     n_res = primal.g_N - primal.g_N_proj
     no_res = adjoint.g_N_proj - adjoint.g_N
@@ -239,9 +219,9 @@ def _core_functional(primal: rc.EvaluatedPair, adjoint: rc.EvaluatedPair,
 
 
 def compute_bounds(primal_pair, adjoint_pair, data: ProblemData,
-                   out: OutputFunctional, ws: Workspace,
-                   s_h: float | None = None) -> BoundsResult:
-    """Guaranteed bounds s_minus <= s <= s_plus for the output functional.
+                   adata: ProblemData, ws: Workspace) -> BoundsResult:
+    """Guaranteed bounds s_minus <= s <= s_plus for the output functional
+    whose adjoint problem has the data adata (OutputFunctional.adjoint_data).
 
     Each pair and its data are evaluated and audited in turn; a failed
     reconstruction certificate raises RuntimeError.
@@ -252,7 +232,7 @@ def compute_bounds(primal_pair, adjoint_pair, data: ProblemData,
     reconstruction with oscillating adjoint data admits no optimal kappa
     and raises RuntimeError.
     """
-    primal, adjoint = _audited_records(primal_pair, adjoint_pair, data, out, ws)
+    primal, adjoint = _audited_records(primal_pair, adjoint_pair, data, adata, ws)
     kappa, degenerate = compute_kappa(primal, adjoint, ws)
 
     s_core = _core_functional(primal, adjoint, ws)
@@ -263,7 +243,7 @@ def compute_bounds(primal_pair, adjoint_pair, data: ProblemData,
         if not osc:
             return BoundsResult(s_minus=s_core, s_plus=s_core, kappa=kappa,
                                 gap_elements=np.zeros(ws.mesh.n_elements),
-                                half_gap=0.0, kappa_degenerate=True, s_h=s_h)
+                                half_gap=0.0, kappa_degenerate=True)
         if not kappa > 0:
             raise RuntimeError(
                 "the adjoint residual vanishes but the adjoint data oscillate "
@@ -276,4 +256,4 @@ def compute_bounds(primal_pair, adjoint_pair, data: ProblemData,
                         kappa=float(kappa),
                         gap_elements=(em2 + ep2) / (4.0 * kappa),
                         half_gap=float((em2 + ep2).sum() / (8.0 * kappa)),
-                        kappa_degenerate=degenerate, s_h=s_h)
+                        kappa_degenerate=degenerate)

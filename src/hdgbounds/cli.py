@@ -21,7 +21,6 @@ from typing import Optional, get_args, get_type_hints
 import numpy as np
 
 from . import adapt
-from .bounds import CSV_HEADER
 from .hdg import OutputFunctional, ProblemData, zero
 from .mesh import read_mesh, write_mesh
 from .problems import PROBLEM_IDS, builtin
@@ -202,15 +201,29 @@ def _load_problem(cfg: RunConfig):
 # Report writers
 # ---------------------------------------------------------------------------
 
+CSV_HEADER = ("nel,n_edge_dofs,s_minus,s_plus,s_tilde,half_gap,kappa,s_h,"
+              "err_s_tilde,marked,strategy")
+
+
+def _csv_row(rec: adapt.IterationRecord, exact_s, strategy: str) -> str:
+    """One CSV_HEADER row; s_h and err_s_tilde are empty when unknown."""
+    b = rec.bounds
+    floats = (b.s_minus, b.s_plus, b.s_tilde, b.half_gap, b.kappa)
+    s_h = format(b.s_h, ".12e") if b.s_h is not None else ""
+    err = format(abs(exact_s - b.s_tilde), ".6e") if exact_s is not None else ""
+    return ",".join([str(rec.nel), str(rec.n_edge_dofs),
+                     *(format(v, ".12e") for v in floats),
+                     s_h, err, str(rec.marked), strategy])
+
+
 def _write_outputs(cfg: RunConfig, run: adapt.AdaptiveRun, exact_s,
                    containment_ok) -> None:
     out = Path(cfg.out_dir)
     strategy = cfg.strategy
     with open(out / "convergence.csv", "w") as fh:
-        fh.write(CSV_HEADER + ",marked,strategy\n")
+        fh.write(CSV_HEADER + "\n")
         for rec in run.records:
-            row = rec.bounds.csv_row(rec.nel, rec.n_edge_dofs, exact_s)
-            fh.write(f"{row},{rec.marked},{strategy}\n")
+            fh.write(_csv_row(rec, exact_s, strategy) + "\n")
 
     with open(out / "report.txt", "w") as fh:
         cols = ["nel", "n_edge", "s_minus", "s_plus", "s_tilde", "half_gap",

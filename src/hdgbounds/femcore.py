@@ -62,7 +62,6 @@ class QuadratureRule:
     degree: int
 
 
-@lru_cache(maxsize=64)
 def triangle_rule(degree: int) -> QuadratureRule:
     """Gauss rule on the unit triangle {x,y >= 0, x+y <= 1}.
 
@@ -82,7 +81,6 @@ def triangle_rule(degree: int) -> QuadratureRule:
     return QuadratureRule(pts, w, 2 * n - 1)
 
 
-@lru_cache(maxsize=64)
 def segment_rule(degree: int) -> QuadratureRule:
     """Gauss-Legendre rule on [0, 1], exact for degree <= ``degree``."""
     n = max(1, (degree + 2) // 2)
@@ -202,7 +200,6 @@ class LagrangeLattice:
     vandermonde_inv: np.ndarray  # maps modal coefficients -> nodal values
 
 
-@lru_cache(maxsize=16)
 def lagrange_lattice(m: int) -> LagrangeLattice:
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     nodes = [verts[0], verts[1], verts[2]]

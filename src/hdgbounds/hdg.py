@@ -25,7 +25,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .mesh import DIRICHLET, Mesh
-from .workspace import _BLOCK, Workspace, ZeroPivotError, spd_solve
+from .workspace import Workspace, ZeroPivotError, _blocks, spd_solve
 
 __all__ = [
     "ProblemData",
@@ -106,11 +106,6 @@ class HDGSolution:
     qhat_n: np.ndarray
 
 
-def _blocks(ne: int):
-    """Consecutive slices of at most _BLOCK of the ne elements."""
-    return (slice(start, min(start + _BLOCK, ne)) for start in range(0, ne, _BLOCK))
-
-
 def _local_operators(ws: Workspace, e: slice, slots: np.ndarray):
     """The blocks of the element-local problem on the elements e
 
@@ -152,13 +147,15 @@ def _bit_length(x: np.ndarray) -> np.ndarray:
 
 
 def _dissection(mesh: Mesh):
-    """The nested-dissection tree of the facets: per facet the cell it
-    separates, as (nbits, top).
+    """The nested-dissection tree of the facets, as (nbits, order): per facet
+    the cell it separates, and the free (interior and Neumann) facets in
+    nested-dissection order, by the cell's top, then by nbits.
 
     The Morton codes of the element centroids (31 bits per axis in the
     bounding square) define a binary tree of cells.  A facet separates the
     cell of the nbits = bit_length(code0 ^ code1) lowest bits, where its two
-    elements part, whose largest code is top; a boundary facet is a leaf."""
+    elements part, whose largest code is top, and follows the facets of the
+    cell's children; a boundary facet is a leaf."""
     v = mesh.vertices
     lo = v.min(axis=0)
     scale = 2.0 ** 31 / (v.max(axis=0) - lo).max()
@@ -172,15 +169,8 @@ def _dissection(mesh: Mesh):
     c0, c1 = code[mesh.facet_elems[:, 0]], code[mesh.facet_elems[:, 1]]
     nbits = _bit_length(np.where(mesh.facet_elems[:, 1] >= 0, c0 ^ c1, 0))
     top = c0 | ((np.uint64(1) << nbits.astype(np.uint64)) - np.uint64(1))
-    return nbits, top
-
-
-def _skeleton_order(mesh: Mesh, nbits: np.ndarray, top: np.ndarray) -> np.ndarray:
-    """The free (interior and Neumann) facets in nested-dissection order:
-    sorted by the top of the cell they separate, then by nbits, every cell
-    follows its children (_dissection)."""
     order = np.lexsort((nbits, top))
-    return order[mesh.facet_tag[order] != DIRICHLET]
+    return nbits, order[mesh.facet_tag[order] != DIRICHLET]
 
 
 # rounds of mutual proposals that pair the nodes of one patch level, and the
@@ -368,10 +358,10 @@ def assemble_condensed(ws: Workspace, datas, tau) -> CondensedSystem:
     The flux equation gives q = nu (Kdiv^T u - Cq uhat), which leaves the
     symmetric positive definite np x np system
     (nu Kdiv Kdiv^T + tau E) u = G uhat + (f, psi), G = tau Cu + nu Kdiv Cq,
-    solved by spd_solve.  The local solves run block by block (_BLOCK
-    elements), with the facet modes in the slot order of _patches.  The
-    element systems, with the Dirichlet and Neumann data on their
-    right-hand sides, are then merged into the two levels of _patches, each
+    solved by spd_solve.  The local solves run block by block (_blocks),
+    with the facet modes in the slot order of _patches.  The element
+    systems, with the Dirichlet and Neumann data on their right-hand
+    sides, are then merged into the two levels of _patches, each
     eliminating the facets inside it (_merge), and A sums what is left over
     the facets that no patch eliminated.
     """
@@ -380,7 +370,7 @@ def assemble_condensed(ws: Workspace, datas, tau) -> CondensedSystem:
             f"stabilization tau must be one positive number, not {tau!r}")
     mesh, F1, tau, k = ws.mesh, ws.p + 1, float(tau), len(datas)
     ne, nf, F3 = mesh.n_elements, mesh.n_facets, 3 * F1
-    nbits, top = _dissection(mesh)
+    nbits, order = _dissection(mesh)
     elements, (m1, m2), slots = _patches(mesh, nbits)
     row = np.arange(ne)[:, None]
     facets = ws.ef[row, slots]
@@ -421,6 +411,8 @@ def assemble_condensed(ws: Workspace, datas, tau) -> CondensedSystem:
     bd = np.flatnonzero(dirichlet.any(axis=1))
     loc[bd] -= Aloc[bd] @ uhat[facets[bd]].reshape(len(bd), F3, k)
     keep = np.repeat(~dirichlet[bd], F1, axis=1)
+    # zeroed, not only moved: left in Aloc, the Dirichlet coupling already in
+    # loc would enter the patch recovery uhat_i = Y_r - Y_o uhat_o twice
     Aloc[bd] *= keep[:, :, None] & keep[:, None, :]
     slot_of = np.empty_like(slots)                  # the slot of each local edge
     slot_of[row, slots] = np.arange(3)
@@ -451,7 +443,6 @@ def assemble_condensed(ws: Workspace, datas, tau) -> CondensedSystem:
     gone = np.zeros(nf, dtype=bool)
     for inner, _, _ in eliminated:
         gone[inner[:, ::F1] // F1] = True
-    order = _skeleton_order(mesh, nbits, top)
     order = order[~gone[order]]
     n = len(order) * F1
     pos = np.full(nf, -1)

@@ -47,7 +47,7 @@ class EquilibratedFlux:
     normal trace, Neumann trace Pi_e^p g_N.
     """
 
-    mesh: Mesh
+    mesh: Mesh  # read by perfbench's tracing (_optimize_counts)
     coeffs: np.ndarray  # (ne, 2, n_modes(p+1))
 
     def eval_values(self, ws: Workspace) -> np.ndarray:
@@ -314,7 +314,7 @@ def evaluate(flux: EquilibratedFlux, pot: ContinuousPotential,
     f, grad_u = ws.eval_data(data.f), pot.eval_grads(ws)
     f_osc = ws.proj_p(f)
     div_residual = (np.abs(flux.eval_divergence(ws) - f_osc).max(axis=1)
-                    * ws.elen.max(axis=1)).max()
+                    * ws.h).max()
     np.subtract(f, f_osc, out=f_osc)
     residual = flux.eval_values(ws)
     q_max, q_energy = np.abs(residual).max(), _energy_sq(ws, residual).sum()
@@ -345,7 +345,7 @@ def flux_residuals(rec: EvaluatedPair, ws: Workspace) -> dict:
     potential differences over h_K, so where u~ is nearly constant q~ is
     round-off of that size."""
     qscale = np.maximum(rec.q_max, (ws.nu * np.abs(rec.u).max(axis=1)
-                                    / ws.elen.max(axis=1)).max())
+                                    / ws.h).max())
     out = {"divergence": _relative(rec.div_residual, qscale)}
 
     interior = ws.mesh.interior_facets
@@ -387,10 +387,9 @@ def _metrics(ws: Workspace) -> tuple[np.ndarray, np.ndarray]:
     return jtj, jtj[:, ::-1] * ([1.0, -1.0, 1.0] / ws.det[:, None] ** 2)
 
 
-def _normal_matrix(ws: Workspace) -> np.ndarray:
-    """local_optimize's normal matrix on every element, (ne, k, k)."""
+def _normal_matrix(ws: Workspace, jtj, ginv) -> np.ndarray:
+    """local_optimize's normal matrix (ne, k, k) from the _metrics of ws."""
     ne, k, nu = ws.mesh.n_elements, ws.opt_nullspace.shape[1], ws.nu[:, None]
-    jtj, ginv = _metrics(ws)
     return (np.concatenate([jtj / nu, ginv * nu], axis=1) @ ws.opt_gram
             ).reshape(ne, k, k) + ws.opt_cross
 
@@ -423,7 +422,8 @@ def local_optimize(flux: EquilibratedFlux, pot: ContinuousPotential,
         return (replace(flux, coeffs=flux.coeffs.copy()),
                 replace(pot, values=pot.values.copy()))
     nu = ws.nu[:, None]
-    M = _normal_matrix(ws)
+    jtj, ginv = _metrics(ws)
+    M = _normal_matrix(ws, jtj, ginv)
 
     # right-hand side: the flux part from the modal coefficients, the
     # potential part from the nodal values
@@ -441,7 +441,7 @@ def local_optimize(flux: EquilibratedFlux, pot: ContinuousPotential,
             np.einsum("eqr,rqk,q->ek", g @ ws.jac[e], ws.opt_q, ws.qw)
             + nu[e] * np.einsum("eqr,rqk,q->ek", g @ ws.jac_inv_t[e],
                                 ws.opt_g, ws.qw))
-    wu = np.concatenate([np.ones((ne, 1)), _metrics(ws)[1] * nu], axis=1)
+    wu = np.concatenate([np.ones((ne, 1)), ginv * nu], axis=1)
     b += ws.sqrt_det[:, None] * np.einsum("ej,ejk->ek", wu, zu)
 
     d = 1.0 / np.sqrt(np.einsum("ekk->ek", M))

@@ -14,10 +14,10 @@ products and solves; no Python loop runs over elements in the pipelines.
 A step that works on a subset e of the elements indexes the per-element
 arrays with it (ws.qphys[e], ws.jac[e]).  The element-local solves, of
 static condensation, of the potential post-processing and of the local
-optimization, run over blocks of _BLOCK elements: the HDG local solvers
-build their operators block by block, and spd_solve, the one dense solver
-of the element-local systems, eliminates block by block.  Every other step
-works on the whole mesh.
+optimization, run over _blocks, slices of _BLOCK elements: the HDG local
+solvers build their operators block by block, and spd_solve, the one dense
+solver of the element-local systems, eliminates block by block.  Every
+other step works on the whole mesh.
 """
 
 from __future__ import annotations
@@ -32,6 +32,11 @@ from .mesh import Mesh
 # and working copies are larger than the solution they produce, so the block
 # bounds their temporaries
 _BLOCK = 1024
+
+
+def _blocks(ne: int):
+    """Consecutive slices of at most _BLOCK of the ne elements."""
+    return (slice(start, min(start + _BLOCK, ne)) for start in range(0, ne, _BLOCK))
 
 
 class ZeroPivotError(np.linalg.LinAlgError):
@@ -50,7 +55,7 @@ def spd_solve(K: np.ndarray, B: np.ndarray) -> np.ndarray:
 
     Symmetric Gaussian elimination without pivoting, backward stable on SPD
     matrices (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
-    ed., 2002, section 10), on blocks of _BLOCK elements stored along the
+    ed., 2002, section 10), on the blocks of _blocks stored along the
     last axis: each row update and each back-substitution row is one numpy
     operation over the block, where a solve per element would make one
     LAPACK call each.  Only an exactly zero pivot raises ZeroPivotError; a
@@ -59,15 +64,14 @@ def spd_solve(K: np.ndarray, B: np.ndarray) -> np.ndarray:
     """
     ne, n, r = B.shape
     X = np.empty((ne, n, r))
-    for start in range(0, ne, _BLOCK):
-        e = slice(start, start + _BLOCK)
+    for e in _blocks(ne):
         # [K | B] with the elements last; row j holds U[j, j:] once eliminated
         A = np.empty((n, n + r, len(B[e])))
         A[:, :n] = K[e].transpose(1, 2, 0)
         A[:, n:] = B[e].transpose(1, 2, 0)
         for j in range(n):
             if not A[j, j].all():
-                raise ZeroPivotError(start + np.flatnonzero(A[j, j] == 0))
+                raise ZeroPivotError(e.start + np.flatnonzero(A[j, j] == 0))
             ell = A[j, j + 1:n] / A[j, j]   # column j below the pivot, by symmetry
             for i in range(j + 1, n):
                 A[i, i:] -= ell[i - j - 1] * A[j, i:]
@@ -146,6 +150,7 @@ class Workspace:
         self.esign = np.where(owner, 1.0, -1.0)               # n_K = esign * n_canonical
         self.enormal = mesh.facet_normals[self.ef] * self.esign[:, :, None]
         self.elen = self.facet_len[self.ef]                   # (ne, 3)
+        self.h = self.elen.max(axis=1)                        # diameter h_K
 
         # Lagrange lattice nodes of degree m
         self.node_phys = self.v0[:, None, :] + self.lattice.nodes @ jac_t  # (ne, n_nodes, 2)

@@ -59,7 +59,8 @@ def exact_equilibration_bounds(primal_pair, adjoint_pair, data, out, ws):
     own quadrature.  Audits the certificates as compute_bounds does, and
     raises ValueError when the data oscillation audit detects
     non-polynomial data (the guarantee would be lost)."""
-    primal, adjoint = _audited_records(primal_pair, adjoint_pair, data, out, ws)
+    primal, adjoint = _audited_records(primal_pair, adjoint_pair, data,
+                                       out.adjoint_data(), ws)
     msgs = _oscillating_data(primal, ws) + _oscillating_data(adjoint, ws, "_O")
     if msgs:
         raise ValueError(

@@ -316,7 +316,7 @@ def test_criterion_8_route_agreement():
     for lvl in range(4):
         _, _, pp, ap, ws = build_pair(mesh, prob.data, prob.out, p=2)
         r1 = exact_equilibration_bounds(pp, ap, prob.data, prob.out, ws)
-        r2 = compute_bounds(pp, ap, prob.data, prob.out, ws)
+        r2 = compute_bounds(pp, ap, prob.data, prob.out.adjoint_data(), ws)
         scale = abs(r2.s_minus) + abs(r2.s_plus)
         if abs(r1.s_minus - r2.s_minus) > 1e-12 * scale or \
                 abs(r1.s_plus - r2.s_plus) > 1e-12 * scale:

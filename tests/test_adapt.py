@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 
 from conftest import mixed_square, perturbed_crisscross
-from hdgbounds import (Bulk, ErrorDistribution, OutputFunctional, ProblemData,
-                       Uniform, Workspace, adaptive_loop, builtin,
+from hdgbounds import (BoundsResult, Bulk, ErrorDistribution, OutputFunctional,
+                       ProblemData, Uniform, Workspace, adaptive_loop, builtin,
                        convergence_order, mark, unit_square_crisscross)
 from hdgbounds import reconstruct as rc
-from hdgbounds import hdg
+from hdgbounds import adapt, hdg, workspace
 from hdgbounds.adapt import run_pipeline
 
 
@@ -127,6 +127,22 @@ class TestAdaptiveLoop:
         assert not run.converged
         assert len(run.records) == 3
 
+    def test_convergence_reads_half_gap(self, monkeypatch):
+        # s_plus - s_minus cancels a small gap in round-off; the loop tests
+        # 2 half_gap, the sum of the element contributions, which here stays
+        # far above the target although s_plus == s_minus
+        def pipeline(mesh, *args, **kwargs):
+            return BoundsResult(s_minus=0.5, s_plus=0.5, kappa=1.0,
+                                gap_elements=np.full(mesh.n_elements, 1e-3),
+                                half_gap=0.5e-3 * mesh.n_elements)
+        monkeypatch.setattr(adapt, "run_pipeline", pipeline)
+        prob = builtin("example2_s1")
+        run = adaptive_loop(prob.initial_mesh(), prob.data, prob.out, p=1,
+                            strategy=Bulk(0.5), target_gap=1e-6, max_iter=2,
+                            refiner=prob.refiner)
+        assert not run.converged
+        assert len(run.records) == 2 and run.records[0].marked > 0
+
     def test_unknown_refiner_rejected(self):
         prob = builtin("example2_s1")
         with pytest.raises(ValueError):
@@ -172,7 +188,7 @@ class TestPipeline:
         # pair; the datum f is also read by the assembly, f_O by s_h.
         # Counted in elements: the assembly reads f once on the whole mesh,
         # also when its local solves run over blocks of 7 of the 256 elements
-        monkeypatch.setattr(hdg, "_BLOCK", 7)
+        monkeypatch.setattr(workspace, "_BLOCK", 7)
         counts = Counter()
 
         def counting(name, fn, elements):
@@ -254,7 +270,7 @@ class TestElementBlocks:
         mesh, data, out, optimize = BLOCK_CASES[case]()
         assert mesh.n_elements == 256
         ref = run_pipeline(mesh, data, out, p=2, optimize=optimize)
-        monkeypatch.setattr(hdg, "_BLOCK", 7)
+        monkeypatch.setattr(workspace, "_BLOCK", 7)
         got = run_pipeline(mesh, data, out, p=2, optimize=optimize)
         for a, b in ((got.s_minus, ref.s_minus), (got.s_plus, ref.s_plus)):
             assert abs(a - b) <= 1e-13 * abs(b)

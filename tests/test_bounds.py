@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import (build_pair, exact_equilibration_bounds, mixed_square,
                       perturbed_crisscross)
 from hdgbounds import (Bulk, OutputFunctional, ProblemData, Workspace, adapt,
-                       bounds as bd, builtin, compute_bounds, compute_eta,
+                       builtin, compute_bounds, compute_eta,
                        compute_kappa, evaluate, lshape_initial,
                        poincare_constants, run_pipeline,
                        unit_square_crisscross, zero)
@@ -21,20 +21,68 @@ EX1_F = lambda x, y: 2 * np.pi ** 2 * np.sin(np.pi * x) * np.sin(np.pi * y)
 ONE = lambda x, y: np.ones_like(np.asarray(x, dtype=float))
 
 
+def vertex_poincare_constants(mesh):
+    """poincare_constants as computed from the mesh vertices, with edge
+    lengths, diameters and areas derived anew: the reference for the
+    workspace's geometry."""
+    v = mesh.vertices[mesh.elements]                       # (ne, 3, 2)
+    # local edge ell joins vertices ell and ell+1
+    edge_length = np.linalg.norm(np.roll(v, -1, axis=1) - v, axis=2)
+    diameter = edge_length.max(axis=1)
+    # farthest point of edge ell from the opposite vertex ell+2: the longer
+    # of the two other edges
+    reach = np.maximum(np.roll(edge_length, -1, axis=1),
+                       np.roll(edge_length, -2, axis=1))
+    c1 = diameter / np.pi
+    c2sq = (edge_length / (2.0 * mesh.areas()[:, None])
+            * (diameter / np.pi)[:, None]
+            * (2.0 * reach + (2.0 * diameter / np.pi)[:, None]))
+    return c1, np.sqrt(c2sq)
+
+
+def _two_regions():
+    m = perturbed_crisscross(0.06 / 2, base=unit_square_crisscross(1))
+    cent = m.vertices[m.elements].mean(axis=1)
+    return Mesh(m.vertices, m.elements, m.boundary_tag_dict(),
+                region=(cent[:, 0] > 0.5).astype(int), nu={0: 1.0, 1: 4.0})
+
+
+GEOMETRY_MESHES = {
+    "perturbed_crisscross": lambda: perturbed_crisscross(
+        0.06 / 4, base=unit_square_crisscross(2)),
+    "lshape_bisected": lambda: refine_bisection(
+        refine_bisection(lshape_initial(), [0, 3, 4]), [1, 5, 8]),
+    "two_regions": _two_regions,
+}
+
+
 class TestPoincareConstants:
+    @pytest.mark.parametrize("name", sorted(GEOMETRY_MESHES))
+    def test_workspace_geometry_matches_vertices(self, name):
+        # the constants read the workspace's edge lengths, diameters and
+        # det = 2|K|: bit for bit what the vertices give
+        mesh = GEOMETRY_MESHES[name]()
+        ws = Workspace(mesh, 1)
+        for got, ref in zip(poincare_constants(ws),
+                            vertex_poincare_constants(mesh)):
+            assert np.array_equal(got, ref)
+        v = mesh.vertices[mesh.elements]
+        longest = np.linalg.norm(np.roll(v, -1, axis=1) - v, axis=2).max(axis=1)
+        assert np.array_equal(ws.h, longest)
+
     def test_c1_definition(self):
         # h_K = pi gives C1 = 1: scale the unit right triangle by pi/sqrt(2)
         s = np.pi / np.sqrt(2.0)
         mesh = Mesh(np.array([[0, 0], [s, 0], [0, s]]), np.array([[0, 1, 2]]),
                     {(0, 1): "D", (1, 2): "D", (0, 2): "D"})
-        c1, _ = poincare_constants(mesh)
+        c1, _ = poincare_constants(Workspace(mesh, 0))
         assert abs(c1[0] - 1.0) < 1e-14
 
     def test_unit_right_triangle_values(self):
         mesh = Mesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
                     np.array([[0, 1, 2]]),
                     {(0, 1): "D", (1, 2): "D", (0, 2): "D"})
-        c1, c2 = poincare_constants(mesh)
+        c1, c2 = poincare_constants(Workspace(mesh, 0))
         assert abs(c1[0] - np.sqrt(2) / np.pi) < 1e-14
         # hypotenuse is local edge 1 (v1 -> v2); opposite vertex (0,0)
         expect = np.sqrt(4 / np.pi + 4 * np.sqrt(2) / np.pi ** 2)
@@ -43,8 +91,8 @@ class TestPoincareConstants:
     def test_c1_scales_linearly(self):
         m1 = unit_square_crisscross(0)
         m2 = Mesh(2.0 * m1.vertices, m1.elements, m1.boundary_tag_dict())
-        c1a, _ = poincare_constants(m1)
-        c1b, _ = poincare_constants(m2)
+        c1a, _ = poincare_constants(Workspace(m1, 0))
+        c1b, _ = poincare_constants(Workspace(m2, 0))
         assert np.abs(c1b - 2.0 * c1a).max() < 1e-14
 
 
@@ -109,7 +157,7 @@ class TestKappa:
         _, _, pp, _, ws = build_pair(mesh, data, out, p=0)
         ap = synthetic_pair(mesh, ws, (0.0, -1.0), ws.global_nodes()[2][:, 1])
         with pytest.raises(RuntimeError, match="adjoint data oscillate in: f_O"):
-            compute_bounds(pp, ap, data, out, ws)
+            compute_bounds(pp, ap, data, out.adjoint_data(), ws)
 
 
 class TestEta:
@@ -140,7 +188,7 @@ class TestComputeBounds:
         data = ProblemData(f=EX1_F)
         out = OutputFunctional(f_O=ONE)
         _, _, pp, ap, ws = build_pair(mesh, data, out, p=2, optimize=True)
-        r = compute_bounds(pp, ap, data, out, ws)
+        r = compute_bounds(pp, ap, data, out.adjoint_data(), ws)
         assert abs(r.s_tilde - 0.405275669432) < 1e-6
         assert abs(r.half_gap - 1.26e-4) < 0.1 * 1.26e-4
         assert r.contains(4 / np.pi ** 2)
@@ -150,7 +198,7 @@ class TestComputeBounds:
         data = ProblemData(f=ONE)
         out = OutputFunctional(f_O=ONE)
         _, _, pp, ap, ws = build_pair(mesh, data, out, p=3, optimize=True)
-        r = compute_bounds(pp, ap, data, out, ws)
+        r = compute_bounds(pp, ap, data, out.adjoint_data(), ws)
         assert abs(r.s_minus - 0.2120143) < 1e-5
         assert abs(r.s_plus - 0.2153474) < 1e-5
         assert r.contains(0.2140758036140825)
@@ -160,7 +208,7 @@ class TestComputeBounds:
         data = ProblemData(f=EX1_F)
         out = OutputFunctional(f_O=ONE)
         _, _, pp, ap, ws = build_pair(mesh, data, out, p=1)
-        r = compute_bounds(pp, ap, data, out, ws)
+        r = compute_bounds(pp, ap, data, out.adjoint_data(), ws)
         gap = r.s_plus - r.s_minus
         assert abs(r.gap_elements.sum() - gap) < 1e-12 * gap
         assert r.s_minus <= r.s_tilde <= r.s_plus
@@ -173,27 +221,13 @@ class TestComputeBounds:
         data = ProblemData(f=zero, g_D=lambda x, y: x)
         out = OutputFunctional(g_D_O=lambda x, y: y)
         _, _, pp, ap, ws = build_pair(mesh, data, out, p=1)
-        r = compute_bounds(pp, ap, data, out, ws)
+        r = compute_bounds(pp, ap, data, out.adjoint_data(), ws)
         assert r.kappa_degenerate
         assert r.half_gap == 0.0
         # s = <g_D_O, q.n> for u = x on the unit square: q = (-1, 0);
         # contributions only from x=0 (n=(-1,0): q.n=1) and x=1 (q.n=-1):
         # integral of y*(1) on x=0 plus y*(-1) on x=1 = 0
         assert abs(r.s_tilde - 0.0) < 1e-12
-
-    def test_csv_row_shape(self):
-        mesh = unit_square_crisscross(0)
-        data = ProblemData(f=EX1_F)
-        out = OutputFunctional(f_O=ONE)
-        _, _, pp, ap, ws = build_pair(mesh, data, out, p=1)
-        r = compute_bounds(pp, ap, data, out, ws, s_h=0.5)
-        n_edge_dofs = mesh.n_facets * 2
-        row = r.csv_row(mesh.n_elements, n_edge_dofs, exact_s=4 / np.pi ** 2)
-        cells = row.split(",")
-        assert cells[0] == "16" and cells[1] == "56"
-        assert len(cells) == len(bd.CSV_HEADER.split(",")) == 9
-        cells = r.csv_row(mesh.n_elements, n_edge_dofs).split(",")
-        assert len(cells) == 9 and cells[-1] == ""
 
 
 @pytest.mark.parametrize("p", [1, 2])
@@ -209,7 +243,7 @@ def test_bounds_insensitive_to_quadrature(name, p):
         ref = run_pipeline(mesh, prob.data, prob.out, p)
         _, _, pp, ap, ws = build_pair(mesh, prob.data, prob.out, p,
                                       quad_degree=2 * p + 16)
-        fine = compute_bounds(pp, ap, prob.data, prob.out, ws)
+        fine = compute_bounds(pp, ap, prob.data, prob.out.adjoint_data(), ws)
         for s_ref, s_fine in ((ref.s_minus, fine.s_minus), (ref.s_plus, fine.s_plus)):
             assert abs(s_fine - s_ref) < 1e-3 * ref.half_gap, (mesh.n_elements,
                                                                s_fine - s_ref)
@@ -225,7 +259,7 @@ class TestExactEquilibrationBounds:
         for _ in range(2):
             _, _, pp, ap, ws = build_pair(mesh, data, out, p=2)
             r1 = exact_equilibration_bounds(pp, ap, data, out, ws)
-            r2 = compute_bounds(pp, ap, data, out, ws)
+            r2 = compute_bounds(pp, ap, data, out.adjoint_data(), ws)
             scale = abs(r2.s_plus) + abs(r2.s_minus)
             assert abs(r1.s_minus - r2.s_minus) < 1e-12 * scale
             assert abs(r1.s_plus - r2.s_plus) < 1e-12 * scale
@@ -356,7 +390,7 @@ class TestGlobalProperties:
             mesh, data, out = prob.initial_mesh(), prob.data, prob.out
             assert out.adjoint_data().band is not None
         _, _, pp, ap, ws = build_pair(mesh, data, out, 2, optimize=optimize)
-        ref = compute_bounds(pp, ap, data, out, ws)
+        ref = compute_bounds(pp, ap, data, out.adjoint_data(), ws)
         res = run_pipeline(mesh, data, out, 2, optimize=optimize)
         assert (res.s_minus, res.s_plus) == (ref.s_minus, ref.s_plus)
 
@@ -483,7 +517,7 @@ class TestGlobalProperties:
         data = ProblemData(f=EX1_F)
         out = OutputFunctional(f_O=ONE)
         _, _, pp, ap, ws = build_pair(mesh, data, out, p=1, tau=tau)
-        r = compute_bounds(pp, ap, data, out, ws)
+        r = compute_bounds(pp, ap, data, out.adjoint_data(), ws)
         assert r.contains(4 / np.pi ** 2)
 
     @pytest.mark.parametrize("p", [1, 2, 3])
@@ -555,7 +589,7 @@ def test_compute_bounds_memory(p):
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        res = compute_bounds(pp, ap, prob.data, prob.out, ws)
+        res = compute_bounds(pp, ap, prob.data, prob.out.adjoint_data(), ws)
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()

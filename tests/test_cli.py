@@ -6,8 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from hdgbounds import (Bulk, ErrorDistribution, Uniform, cli, write_mesh,
-                       unit_square_crisscross)
+from hdgbounds import (BoundsResult, Bulk, ErrorDistribution, Uniform, cli,
+                       write_mesh, unit_square_crisscross)
+from hdgbounds.adapt import IterationRecord
 from hdgbounds.cli import (EXIT_CONFIG, EXIT_CONTAINMENT, EXIT_NOT_CONVERGED,
                            EXIT_OK, EXIT_SOLVER, RunConfig, compile_expression,
                            parse_strategy)
@@ -65,6 +66,24 @@ class TestRun:
         assert summary["converged"] is True
         assert summary["containment_pass"] is True
         assert (tmp_path / "mesh_final.txt").exists()
+
+    def test_csv_row_cells(self):
+        # one function writes all eleven cells of a row; s_h and err_s_tilde
+        # are empty without the raw output or an exact output
+        b = BoundsResult(s_minus=0.25, s_plus=0.75, kappa=2.0,
+                         gap_elements=np.full(16, 1 / 32), half_gap=0.25,
+                         s_h=0.375)
+        rec = IterationRecord(nel=16, n_edge_dofs=56, bounds=b, marked=3,
+                              seconds=0.0)
+        cells = cli._csv_row(rec, 0.4, "bulk:0.5").split(",")
+        assert len(cells) == len(cli.CSV_HEADER.split(",")) == 11
+        assert cells[:2] == ["16", "56"] and cells[-2:] == ["3", "bulk:0.5"]
+        assert cells[2:8] == [format(v, ".12e")
+                              for v in (0.25, 0.75, 0.5, 0.25, 2.0, 0.375)]
+        assert cells[8] == format(abs(0.4 - 0.5), ".6e")
+        b.s_h = None
+        cells = cli._csv_row(rec, None, "uniform").split(",")
+        assert len(cells) == 11 and cells[7:9] == ["", ""]
 
     def test_deterministic_rerun(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"

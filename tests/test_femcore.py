@@ -95,10 +95,12 @@ def test_reference_tables_shared_and_read_only():
         ref["S"] = None
     with pytest.raises(ValueError, match="read-only"):
         a.lattice.vandermonde_inv[0, 0] = 0.0
-    # another quadrature degree gives other tables
+    # another quadrature degree gives other tables, built anew; the
+    # lattice does not depend on the quadrature and comes out the same
     c = Workspace(perturbed_crisscross(), 2, quad_degree=4)
     assert c.nq < a.nq and c.phi_p.shape != a.phi_p.shape
-    assert c.S is not a.S and c.lattice is a.lattice
+    assert c.S is not a.S and c.lattice is not a.lattice
+    assert np.array_equal(c.lattice.vandermonde_inv, a.lattice.vandermonde_inv)
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])

@@ -11,7 +11,7 @@ from conftest import mixed_square, perturbed_crisscross
 from hdgbounds import (OutputFunctional, ProblemData, Workspace, raw_output,
                        solve, unit_square_crisscross, zero)
 from hdgbounds.hdg import (_bit_length, _dissection, _local_operators,
-                           _skeleton_order, assemble_condensed)
+                           assemble_condensed)
 from hdgbounds.mesh import (DIRICHLET, NEUMANN, Mesh, lshape_initial,
                             refine_bisection)
 
@@ -223,7 +223,7 @@ class TestLocalStructure:
     @pytest.mark.parametrize("block,bad", [(1024, 3), (7, 10)])
     def test_singular_local_matrix_names_elements(self, monkeypatch, block, bad):
         # with blocks of 7 of the 16 elements, element 10 lies in the second
-        from hdgbounds import hdg
+        from hdgbounds import hdg, workspace
         local_operators = hdg._local_operators
 
         def zero_element(ws, e, slots):
@@ -233,7 +233,7 @@ class TestLocalStructure:
                 E[bad - e.start] = 0.0
             return Kdiv, E, Cq, Cu
 
-        monkeypatch.setattr(hdg, "_BLOCK", block)
+        monkeypatch.setattr(workspace, "_BLOCK", block)
         monkeypatch.setattr(hdg, "_local_operators", zero_element)
         with pytest.raises(RuntimeError, match=rf"element\(s\) \[{bad}\]"):
             solve(Workspace(unit_square_crisscross(0), 1), [ProblemData(f=EX1_F)])
@@ -349,7 +349,7 @@ class TestSkeletonOrder:
     @pytest.mark.parametrize("name", sorted(ORDER_MESHES))
     def test_order_is_permutation_of_free_facets(self, name):
         mesh = ORDER_MESHES[name]()
-        order = _skeleton_order(mesh, *_dissection(mesh))
+        order = _dissection(mesh)[1]
         assert np.array_equal(np.sort(order),
                               np.flatnonzero(mesh.facet_tag != DIRICHLET))
         # A keeps the facets that no patch eliminated, in that order

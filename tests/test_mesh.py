@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import mixed_square, perturbed_crisscross
-from hdgbounds import Bulk, builtin, mark, mesh as hm, run_pipeline
+from hdgbounds import Bulk, Workspace, builtin, mark, mesh as hm, run_pipeline
 from hdgbounds.bounds import poincare_constants
 
 
@@ -772,7 +772,7 @@ class TestInvariantsAndFormat:
 
     def test_geometry_quantities(self):
         m = hm.lshape_initial()
-        c1, c2 = poincare_constants(m)
+        c1, c2 = poincare_constants(Workspace(m, 0))
         # right isosceles unit triangles: diameter sqrt(2), so C1 = sqrt(2)/pi
         assert np.abs(c1 - np.sqrt(2) / np.pi).max() < 1e-14
         # C2^2 = |e|/(2|K|) (h/pi) (2 reach + 2h/pi) with |K| = 1/2, h = sqrt(2);

@@ -17,8 +17,9 @@ from hdgbounds import (DirichletBand, NonFiniteDataError, OutputFunctional,
 from hdgbounds.bounds import compute_bounds
 from hdgbounds.mesh import Mesh, refine_bisection
 from hdgbounds.reconstruct import (ContinuousPotential, EquilibratedFlux,
-                                   _energy_sq, _normal_matrix, evaluate,
-                                   enforce_dirichlet_band, local_optimize)
+                                   _energy_sq, _metrics, _normal_matrix,
+                                   enforce_dirichlet_band, evaluate,
+                                   local_optimize)
 
 EX1_F = lambda x, y: 2 * np.pi ** 2 * np.sin(np.pi * x) * np.sin(np.pi * y)
 EX1_U = lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y)
@@ -405,7 +406,7 @@ class TestBandExtension:
                 unit_square_crisscross(level), data, out, p, optimize=optimize)
             res = potential_residuals(evaluate(*pair_z, adata, ws), ws)
             assert res["dirichlet_trace"] < 1e-12
-            assert compute_bounds(pair_u, pair_z, data, out, ws).contains(
+            assert compute_bounds(pair_u, pair_z, data, adata, ws).contains(
                 np.pi ** 2 / 4)
 
 
@@ -611,7 +612,8 @@ class TestLocalOptimize:
     @pytest.mark.parametrize("p", [1, 2, 3])
     def test_scaled_normal_matrix_well_conditioned(self, graded_lshape, p):
         # 2.5 at p = 3; with the unrotated basis it reaches 1.5e18
-        M = _normal_matrix(Workspace(graded_lshape, p))
+        ws = Workspace(graded_lshape, p)
+        M = _normal_matrix(ws, *_metrics(ws))
         d = 1.0 / np.sqrt(np.einsum("ekk->ek", M))
         assert np.linalg.cond(M * d[:, :, None] * d[:, None, :]).max() <= 10.0
 
@@ -720,7 +722,7 @@ def test_pair_memory_below_the_bounds(p):
             pairs.append(certified_pair(sol, data))
             peaks.append(tracemalloc.get_traced_memory()[1])
         start = tracemalloc.get_traced_memory()[0]
-        records = _audited_records(*pairs, prob.data, prob.out, ws)
+        records = _audited_records(*pairs, *datas, ws)
         records_size = tracemalloc.get_traced_memory()[0] - start
     finally:
         tracemalloc.stop()
