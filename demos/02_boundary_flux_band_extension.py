@@ -28,7 +28,7 @@ for p in (1, 2, 3):
     sol = solve(Workspace(mesh, p), [adata])[0]
     ws = sol.ws
     flux = reconstruct_flux(sol)
-    pot = make_continuous(postprocess_potential(sol, flux), adata.g_D, ws)
+    (pot,) = make_continuous(postprocess_potential([sol], [flux]), [adata.g_D], ws)
     pot = enforce_dirichlet_band(pot, prob.out.band, ws)
     c = pot.correction
     pts = ws.qphys[c.elems]

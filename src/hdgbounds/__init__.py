@@ -14,7 +14,7 @@ from .mesh import (Mesh, lshape_initial, read_mesh, refine_bisection,
                    refine_red, unit_square_crisscross, write_mesh)
 from .problems import PROBLEM_IDS, BuiltinProblem, builtin
 from .reconstruct import (ContinuousPotential, EquilibratedFlux,
-                          EvaluatedPair, certified_pair, enforce_dirichlet_band,
+                          EvaluatedPair, certified_pairs, enforce_dirichlet_band,
                           evaluate, flux_residuals, local_optimize,
                           make_continuous, postprocess_potential,
                           potential_residuals, reconstruct_flux)

@@ -104,12 +104,11 @@ def run_pipeline(mesh: Mesh, data: hdg.ProblemData, out: hdg.OutputFunctional,
     data carry one), optionally run the local optimization, and compute the
     bounds, which audit the certificates, with the raw HDG output s_h."""
     ws = Workspace(mesh, p)
-    adata = out.adjoint_data()
-    sol_u, sol_z = hdg.solve(ws, [data, adata], tau)
-    res = bd.compute_bounds(rc.certified_pair(sol_u, data, optimize),
-                            rc.certified_pair(sol_z, adata, optimize),
-                            data, adata, ws)
-    res.s_h = hdg.raw_output(sol_u, out)
+    datas = [data, out.adjoint_data()]
+    sols = hdg.solve(ws, datas, tau)
+    res = bd.compute_bounds(*rc.certified_pairs(sols, datas, optimize),
+                            *datas, ws)
+    res.s_h = hdg.raw_output(sols[0], out)
     return res
 
 

@@ -17,8 +17,9 @@ projections.  Then
     s^+ = S + (1/4 kappa) sum (eta_K^+)^2,
 
 where S is the reconstruction output functional; the reported bound average
-is the interval midpoint.  compute_bounds evaluates and audits one pair at a
-time, into a record of only what kappa, eta and S read (reconstruct.evaluate).
+is the interval midpoint.  compute_bounds takes the interior jumps of both
+pairs at once, then evaluates and audits one pair at a time, into a record
+of only what kappa, eta and S read (reconstruct.evaluate).
 """
 
 from __future__ import annotations
@@ -115,11 +116,11 @@ def poincare_constants(ws: Workspace):
 def _audited_records(primal_pair, adjoint_pair, data: ProblemData,
                      adata: ProblemData, ws: Workspace):
     """Evaluate and audit the primal pair with its data, then the adjoint one
-    with the adjoint data f_O, g_D_O, -g_N_O (OutputFunctional.adjoint_data);
-    RuntimeError once a certificate fails its tolerance."""
-    recs = []
-    for pair, d in ((primal_pair, data), (adjoint_pair, adata)):
-        rec = rc.evaluate(*pair, d, ws)
+    with the adjoint data f_O, g_D_O, -g_N_O (OutputFunctional.adjoint_data),
+    their interior jumps taken at once; RuntimeError once a certificate fails."""
+    pairs, recs = (primal_pair, adjoint_pair), []
+    for pair, d, jumps in zip(pairs, (data, adata), rc.interior_jumps(pairs, ws)):
+        rec = rc.evaluate(*pair, d, ws, jumps)
         fres = rc.flux_residuals(rec, ws)
         pres = rc.potential_residuals(rec, ws)
         # "not <=" so that a NaN residual fails the gate too
@@ -183,7 +184,6 @@ def compute_eta(primal: rc.EvaluatedPair, adjoint: rc.EvaluatedPair,
     w_div = c1 / np.sqrt(ws.nu)
     # C2-weighted Neumann oscillation sums per element
     neu = ws.mesh.neumann_facets
-    wlen = ws.ew[None, :] * ws.facet_len[neu, None]
     elems, ells = ws.mesh.facet_elems[neu, 0], ws.mesh.facet_local_edge[neu, 0]
     w_neu = c2[elems, ells] / np.sqrt(ws.nu[elems])
 
@@ -193,8 +193,8 @@ def compute_eta(primal: rc.EvaluatedPair, adjoint: rc.EvaluatedPair,
         eta.flux[row] = np.sqrt(rc._energy_sq(ws, b + k * a))
         eta.osc_div[row] = w_div * np.sqrt(
             ws.integrate_elementwise((do_res + k * d_res) ** 2))
-        eta.osc_neu[row] = np.bincount(elems, w_neu * np.sqrt(
-            np.einsum("ft,ft->f", (no_res - k * n_res) ** 2, wlen)), minlength=ne)
+        eta.osc_neu[row] = np.bincount(elems, w_neu * np.sqrt(np.einsum(
+            "ft,ft->f", (no_res - k * n_res) ** 2, ws.neu_weights)), minlength=ne)
     return eta
 
 
@@ -212,9 +212,8 @@ def _core_functional(primal: rc.EvaluatedPair, adjoint: rc.EvaluatedPair,
     gu, gx = primal.grad_u, adjoint.grad_u
     val -= float(np.sum(ws.integrate_elementwise(
         gu[..., 0] * gx[..., 0] + gu[..., 1] * gx[..., 1]) * ws.nu))
-    wlen = ws.ew[None, :] * ws.facet_len[ws.mesh.neumann_facets, None]
-    val -= float(np.sum(primal.u_neu * adjoint.g_N * wlen))
-    val -= float(np.sum(adjoint.u_neu * primal.g_N * wlen))
+    val -= float(np.sum(primal.u_neu * adjoint.g_N * ws.neu_weights))
+    val -= float(np.sum(adjoint.u_neu * primal.g_N * ws.neu_weights))
     return val
 
 

@@ -25,8 +25,9 @@ __all__ = [
     "make_continuous",
     "enforce_dirichlet_band",
     "local_optimize",
-    "certified_pair",
+    "certified_pairs",
     "EvaluatedPair",
+    "interior_jumps",
     "evaluate",
     "flux_residuals",
     "potential_residuals",
@@ -67,12 +68,14 @@ class EquilibratedFlux:
                 ) / ws.sqrt_det[:, None]
 
     def normal_trace(self, ws: Workspace, facet_ids, side: int = 0) -> np.ndarray:
-        """Trace v.n at facet quadrature points along the canonical normal."""
+        """Trace v.n at facet quadrature points along the canonical normal,
+        (len(facet_ids), ..., nqe) for coefficients (ne, ..., 2, n_modes)."""
         e = self.mesh.facet_elems[facet_ids, side]
-        v = ws.facet_trace(self.coeffs, ws.etab_m, facet_ids, side
-                           ) / ws.sqrt_det[e, None, None]
-        n = self.mesh.facet_normals[facet_ids]
-        return v[:, 0] * n[:, 0:1] + v[:, 1] * n[:, 1:2]
+        v = ws.facet_trace(self.coeffs, ws.etab_m, facet_ids, side)
+        shape = (len(e),) + (1,) * (v.ndim - 3)  # a facet, then the stacked axes
+        v /= ws.sqrt_det[e].reshape(shape + (1, 1))
+        n = self.mesh.facet_normals[facet_ids].reshape(shape + (2, 1))
+        return v[..., 0, :] * n[..., 0, :] + v[..., 1, :] * n[..., 1, :]
 
 
 @dataclass
@@ -122,9 +125,11 @@ class ContinuousPotential:
             out[c.elems] += c.grads_at(ws.qphys[c.elems])
         return out
 
-    def trace_values(self, ws: Workspace, facet_ids, side: int = 0) -> np.ndarray:
-        """Trace at facet quadrature points (corrections included)."""
-        out = ws.facet_trace(self.nodal(), ws.lag_edge, facet_ids, side)
+    def trace_values(self, ws: Workspace, facet_ids, side=0, out=None):
+        """Trace at facet quadrature points (corrections included); a given
+        out holds the trace of the nodal values and is corrected in place."""
+        if out is None:
+            out = ws.facet_trace(self.nodal(), ws.lag_edge, facet_ids, side)
         if self.correction is not None:
             c = self.correction
             f = np.asarray(facet_ids)
@@ -168,19 +173,21 @@ def reconstruct_flux(sol: HDGSolution) -> EquilibratedFlux:
 # Potential post-processing
 # ---------------------------------------------------------------------------
 
-def postprocess_potential(sol: HDGSolution, flux: EquilibratedFlux) -> np.ndarray:
-    """Element P^{p+1} potential: (grad u*, grad w)_K matches the flux data
-    -(nu^-1 q~, grad w)_K, mean value pinned to u_h.  Returns mapped-modal
-    coefficients (ne, n_modes(p+1))."""
-    ws = sol.ws
+def postprocess_potential(sols, fluxes) -> np.ndarray:
+    """Element P^{p+1} potentials, one elimination for all HDG solutions
+    sols: (grad u*, grad w)_K matches the flux data -(nu^-1 q~, grad w)_K,
+    mean value pinned to u_h.  Returns mapped-modal coefficients
+    (len(sols), ne, n_modes(p+1))."""
+    ws = sols[0].ws
     nm, ne = ws.nm, ws.mesh.n_elements
     G = ws.jac_inv @ ws.jac_inv_t                       # G[e, r, s]
     K = (G.reshape(ne, 4) @ ws.S2.reshape(4, nm * nm)).reshape(ne, nm, nm)
-    rhs = -((ws.jac_inv @ flux.coeffs).reshape(ne, 2 * nm)
-            @ ws.Qm.reshape(2 * nm, nm)) / ws.nu[:, None]
-    coeffs = np.empty((ne, nm))
-    coeffs[:, 1:] = spd_solve(K[:, 1:, 1:], rhs[:, 1:, None])[:, :, 0]
-    coeffs[:, 0] = sol.u[:, 0]  # same constant mode pins (u*, 1)_K = (u_h, 1)_K
+    rhs = np.stack([-((ws.jac_inv @ flux.coeffs).reshape(ne, 2 * nm)
+                      @ ws.Qm.reshape(2 * nm, nm)) / ws.nu[:, None]
+                    for flux in fluxes], axis=2)
+    coeffs = np.empty((len(sols), ne, nm))
+    coeffs[:, :, 1:] = spd_solve(K[:, 1:, 1:], rhs[:, 1:]).transpose(2, 0, 1)
+    coeffs[:, :, 0] = [sol.u[:, 0] for sol in sols]  # (u*, 1)_K = (u_h, 1)_K
     return coeffs
 
 
@@ -188,19 +195,21 @@ def postprocess_potential(sol: HDGSolution, flux: EquilibratedFlux) -> np.ndarra
 # Continuous potential: averaging + Dirichlet enforcement
 # ---------------------------------------------------------------------------
 
-def make_continuous(ustar: np.ndarray, g_D, ws: Workspace) -> ContinuousPotential:
-    """Average the element potentials at shared Lagrange nodes and set
-    Dirichlet-boundary nodes to the datum (exact whenever the datum is a
+def make_continuous(ustars, g_Ds, ws: Workspace) -> list[ContinuousPotential]:
+    """Average each datum's element potentials at shared Lagrange nodes and
+    set Dirichlet-boundary nodes to its datum (exact whenever the datum is a
     facetwise polynomial of degree <= p+1; otherwise follow up with
     enforce_dirichlet_band)."""
     n_global, node_map, coords = ws.global_nodes()
-    nodal = np.einsum("kj,ej->ek", ws.vand_m, ustar) / ws.sqrt_det[:, None]
-    values = np.bincount(node_map.ravel(), nodal.ravel(), minlength=n_global)
-    values /= np.bincount(node_map.ravel(), minlength=n_global)
-
-    dnodes = ws.dirichlet_nodes()
-    values[dnodes] = ws.eval_data(g_D, coords[dnodes])
-    return ContinuousPotential(mesh=ws.mesh, values=values, node_map=node_map)
+    nodes, dnodes = node_map.ravel(), ws.dirichlet_nodes()
+    count = np.bincount(nodes, minlength=n_global)
+    pots = []
+    for ustar, g_D in zip(ustars, g_Ds):
+        nodal = np.einsum("kj,ej->ek", ws.vand_m, ustar) / ws.sqrt_det[:, None]
+        values = np.bincount(nodes, nodal.ravel(), minlength=n_global) / count
+        values[dnodes] = ws.eval_data(g_D, coords[dnodes])
+        pots.append(ContinuousPotential(ws.mesh, values, node_map))
+    return pots
 
 
 def _find_band_line(mesh: Mesh, band: DirichletBand) -> tuple[float, np.ndarray]:
@@ -250,13 +259,11 @@ def enforce_dirichlet_band(pot: ContinuousPotential, band: DirichletBand,
     profile, dprofile = band.profile, band.profile_deriv
 
     def ghat(x, y):
-        a = x if ax == 0 else y
-        s = y if ax == 0 else x
+        a, s = (x, y) if ax == 0 else (y, x)
         return np.asarray(profile(s), dtype=float) * (a - x_band) / width
 
     def ghat_grad(x, y):
-        a = x if ax == 0 else y
-        s = y if ax == 0 else x
+        a, s = (x, y) if ax == 0 else (y, x)
         blend = (a - x_band) / width
         da = np.asarray(profile(s), dtype=float) / width
         ds = np.asarray(dprofile(s), dtype=float) * blend
@@ -280,9 +287,9 @@ def enforce_dirichlet_band(pot: ContinuousPotential, band: DirichletBand,
 @dataclass(frozen=True, eq=False)
 class EvaluatedPair:
     """What the audit and the bounds read of a pair and its data: max |q~|,
-    sum (nu^-1 q~, q~) and max_K h_K max |div q~ - Pi_p f|; at the volume
-    quadrature points u~, grad u~ (band correction applied), q~ + nu grad u~,
-    f and f - Pi_p f; on neumann_facets q~.n, u~, g_N and Pi_e g_N."""
+    sum (nu^-1 q~, q~), max_K h_K max |div q~ - Pi_p f|, interior_jumps; at
+    the volume quadrature points u~, grad u~ (band correction applied),
+    q~ + nu grad u~, f and f - Pi_p f; on neumann_facets q~.n, u~, g_N, Pi_e g_N."""
 
     flux: EquilibratedFlux
     pot: ContinuousPotential
@@ -290,6 +297,8 @@ class EvaluatedPair:
     q_max: float
     q_energy: float
     div_residual: float
+    normal_jump: float
+    continuity: float
     u: np.ndarray
     grad_u: np.ndarray
     residual: np.ndarray
@@ -307,9 +316,28 @@ def _energy_sq(ws: Workspace, vals: np.ndarray) -> np.ndarray:
                                     + vals[..., 1] * vals[..., 1]) / ws.nu
 
 
+def interior_jumps(pairs, ws: Workspace) -> np.ndarray:
+    """max |[q~.n]| and max |[u~]| on the interior facets, a row per pair:
+    one trace per side and field of the pairs' stacked coefficients."""
+    facets = ws.mesh.interior_facets
+    flux = EquilibratedFlux(ws.mesh, np.stack([q.coeffs for q, _ in pairs], axis=1))
+    nodal = np.stack([pot.nodal() for _, pot in pairs], axis=1)
+    qn, u = [], []
+    for side in (0, 1):
+        qn.append(flux.normal_trace(ws, facets, side))
+        u.append(ws.facet_trace(nodal, ws.lag_edge, facets, side))
+        for i, (_, pot) in enumerate(pairs):  # band corrections per pair
+            pot.trace_values(ws, facets, side, out=u[side][:, i])
+    # pair by pair, so that each max runs over contiguous values
+    return np.array([[np.abs(t0[:, i] - t1[:, i]).max(initial=0.0)
+                      for t0, t1 in (qn, u)] for i in range(len(pairs))])
+
+
 def evaluate(flux: EquilibratedFlux, pot: ContinuousPotential,
-             data: ProblemData, ws: Workspace) -> EvaluatedPair:
-    """Evaluate a pair and its data once, each array reduced once it is read."""
+             data: ProblemData, ws: Workspace, jumps=None) -> EvaluatedPair:
+    """Evaluate a pair and its data once, each array reduced once it is read;
+    jumps is the pair's row of interior_jumps (of this pair alone if None)."""
+    jumps = interior_jumps([(flux, pot)], ws)[0] if jumps is None else jumps
     neu = ws.mesh.neumann_facets
     f, grad_u = ws.eval_data(data.f), pot.eval_grads(ws)
     f_osc = ws.proj_p(f)
@@ -322,7 +350,8 @@ def evaluate(flux: EquilibratedFlux, pot: ContinuousPotential,
     g_N = ws.eval_data(data.g_N, ws.ephys[neu])
     return EvaluatedPair(
         flux=flux, pot=pot, data=data, q_max=q_max, q_energy=q_energy,
-        div_residual=div_residual, u=pot.eval_values(ws), grad_u=grad_u,
+        div_residual=div_residual, normal_jump=jumps[0], continuity=jumps[1],
+        u=pot.eval_values(ws), grad_u=grad_u,
         residual=residual, f=f, f_osc=f_osc,
         qn=flux.normal_trace(ws, neu), u_neu=pot.trace_values(ws, neu),
         g_N=g_N, g_N_proj=ws.facet_proj_p(g_N, neu))
@@ -346,33 +375,22 @@ def flux_residuals(rec: EvaluatedPair, ws: Workspace) -> dict:
     round-off of that size."""
     qscale = np.maximum(rec.q_max, (ws.nu * np.abs(rec.u).max(axis=1)
                                     / ws.h).max())
-    out = {"divergence": _relative(rec.div_residual, qscale)}
-
-    interior = ws.mesh.interior_facets
-    t0 = rec.flux.normal_trace(ws, interior, side=0)
-    t1 = rec.flux.normal_trace(ws, interior, side=1)
-    out["normal_jump"] = _relative(np.abs(t0 - t1).max(initial=0.0), qscale)
-    out["neumann"] = _relative(
-        np.abs(rec.qn - rec.g_N_proj).max(initial=0.0),
-        np.maximum(qscale, np.abs(rec.g_N_proj).max(initial=0.0)))
-    return out
+    return {"divergence": _relative(rec.div_residual, qscale),
+            "normal_jump": _relative(rec.normal_jump, qscale),
+            "neumann": _relative(
+                np.abs(rec.qn - rec.g_N_proj).max(initial=0.0),
+                np.maximum(qscale, np.abs(rec.g_N_proj).max(initial=0.0)))}
 
 
 def potential_residuals(rec: EvaluatedPair, ws: Workspace) -> dict:
     """Dirichlet trace error (corrections included) and inter-element
     continuity of the potential, relative to max |u~| (and to the datum)."""
-    pot, mesh = rec.pot, ws.mesh
     umax = np.abs(rec.u).max()
-    dfac = mesh.dirichlet_facets
-    tr = pot.trace_values(ws, dfac, side=0)
+    dfac = ws.mesh.dirichlet_facets
     g = ws.eval_data(rec.data.g_D, ws.ephys[dfac])
-    out = {"dirichlet_trace": _relative(np.abs(tr - g).max(),
-                                        np.maximum(umax, np.abs(g).max()))}
-    interior = mesh.interior_facets
-    t0 = pot.trace_values(ws, interior, side=0)
-    t1 = pot.trace_values(ws, interior, side=1)
-    out["continuity"] = _relative(np.abs(t0 - t1).max(initial=0.0), umax)
-    return out
+    err = np.abs(rec.pot.trace_values(ws, dfac) - g).max()
+    return {"dirichlet_trace": _relative(err, np.maximum(umax, np.abs(g).max())),
+            "continuity": _relative(rec.continuity, umax)}
 
 
 # ---------------------------------------------------------------------------
@@ -462,17 +480,19 @@ def local_optimize(flux: EquilibratedFlux, pot: ContinuousPotential,
 # The pair recipe
 # ---------------------------------------------------------------------------
 
-def certified_pair(sol: HDGSolution, data: ProblemData, optimize: bool = False
-                   ) -> tuple[EquilibratedFlux, ContinuousPotential]:
-    """The reconstruction pair (q~, u~) of one HDG solution of the problem
-    with ``data``: the equilibrated flux, the continuous potential (band
-    extension applied when the data carry one), then, with ``optimize``,
-    the local optimization."""
-    ws = sol.ws
-    flux = reconstruct_flux(sol)
-    pot = make_continuous(postprocess_potential(sol, flux), data.g_D, ws)
-    if data.band is not None:
-        pot = enforce_dirichlet_band(pot, data.band, ws)
-    if optimize:
-        flux, pot = local_optimize(flux, pot, ws)
-    return flux, pot
+def certified_pairs(sols, datas, optimize: bool = False
+                    ) -> list[tuple[EquilibratedFlux, ContinuousPotential]]:
+    """The pairs (q~, u~) of the HDG solutions sols of the problems with
+    datas: the equilibrated fluxes, the continuous potentials (one solve and
+    one averaging for all), then per pair the band extension when its data
+    carry one and, with ``optimize``, the local optimization."""
+    ws = sols[0].ws
+    fluxes = [reconstruct_flux(sol) for sol in sols]
+    pots = make_continuous(postprocess_potential(sols, fluxes),
+                           [d.g_D for d in datas], ws)
+    pairs = []
+    for flux, pot, data in zip(fluxes, pots, datas):
+        if data.band is not None:
+            pot = enforce_dirichlet_band(pot, data.band, ws)
+        pairs.append(local_optimize(flux, pot, ws) if optimize else (flux, pot))
+    return pairs

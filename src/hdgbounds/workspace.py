@@ -81,6 +81,7 @@ def spd_solve(K: np.ndarray, B: np.ndarray) -> np.ndarray:
             Y[j] -= np.einsum("irb,ib->rb", Y[j + 1:], A[j, j + 1:n])
             Y[j] /= A[j, j]
         X[e] = Y.transpose(2, 0, 1)
+        del A, Y  # so that the next block's A does not coexist with this one
     return X
 
 
@@ -141,6 +142,7 @@ class Workspace:
         va = mesh.vertices[mesh.facets[:, 0]]
         vb = mesh.vertices[mesh.facets[:, 1]]
         self.facet_len = np.linalg.norm(vb - va, axis=1)
+        self.neu_weights = self.ew[None, :] * self.facet_len[mesh.neumann_facets, None]
         self.ephys = va[:, None, :] + self.et[:, None] * (vb - va)[:, None, :]
 
         # element <-> facet linkage with orientation and outward-normal sign

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hdgbounds import (BoundsResult, Workspace, certified_pair, solve,
+from hdgbounds import (BoundsResult, Workspace, certified_pairs, solve,
                        unit_square_crisscross)
 from hdgbounds.bounds import _audited_records, _oscillating_data
 from hdgbounds.mesh import Mesh
@@ -42,10 +42,9 @@ def rng():
 def build_pair(mesh, data, out, p, tau=1.0, optimize=False, quad_degree=None):
     """Solve primal+adjoint and build both reconstruction pairs."""
     ws = Workspace(mesh, p, quad_degree)
-    adata = out.adjoint_data()
-    sol_u, sol_z = solve(ws, [data, adata], tau)
-    return (sol_u, sol_z, certified_pair(sol_u, data, optimize),
-            certified_pair(sol_z, adata, optimize), ws)
+    datas = [data, out.adjoint_data()]
+    sols = solve(ws, datas, tau)
+    return (*sols, *certified_pairs(sols, datas, optimize), ws)
 
 
 def exact_equilibration_bounds(primal_pair, adjoint_pair, data, out, ws):

@@ -380,7 +380,7 @@ class TestGlobalProperties:
     @pytest.mark.parametrize("optimize", [False, True])
     @pytest.mark.parametrize("case", ["example1_s2", "mixed"])
     def test_run_pipeline_matches_build_pair(self, case, optimize):
-        # both build their pairs with certified_pair, so the interval is the
+        # both build their pairs with certified_pairs, so the interval is the
         # same bit for bit; example1_s2 carries a band on its adjoint, the
         # mixed case Neumann data on both problems
         if case == "mixed":
@@ -578,10 +578,13 @@ def test_galerkin_energy_below_upper_bound(monkeypatch, p, target):
 
 @pytest.mark.parametrize("p", [1, 2])
 def test_compute_bounds_memory(p):
-    # compute_bounds evaluates and audits one pair at a time, and each record
-    # keeps seven arrays of ne nq doubles.  numpy's traced peak above the live
-    # set it starts with was 18.7 such arrays at p=1 and 19.2 at p=2 (26.5
-    # and 26.3 when each record also held q~, its divergence and Pi_p f)
+    # compute_bounds takes the interior jumps of both pairs first, then
+    # evaluates and audits one pair at a time, and each record keeps seven
+    # arrays of ne nq doubles.  numpy's traced peak above the live set it
+    # starts with was 18.7 such arrays at p=1 and 18.4 at p=2 (19.2 at p=2
+    # when the adjoint pair's interior traces were gathered next to the
+    # primal record; 26.5 and 26.3 when each record also held q~, its
+    # divergence and Pi_p f)
     import tracemalloc
     prob = builtin("example1_s1")
     mesh = perturbed_crisscross(0.06 / 2 ** 4, 1, base=unit_square_crisscross(4))

@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import build_pair, mixed_square, perturbed_crisscross
 from hdgbounds import femcore as fc
@@ -17,7 +18,7 @@ from hdgbounds import (DirichletBand, NonFiniteDataError, OutputFunctional,
 from hdgbounds.bounds import compute_bounds
 from hdgbounds.mesh import Mesh, refine_bisection
 from hdgbounds.reconstruct import (ContinuousPotential, EquilibratedFlux,
-                                   _energy_sq, _metrics, _normal_matrix,
+                                   _energy_sq, certified_pairs, _metrics, _normal_matrix,
                                    enforce_dirichlet_band, evaluate,
                                    local_optimize)
 
@@ -29,7 +30,7 @@ def base_pair(mesh, data, p, quad_degree=None):
     sol = solve(Workspace(mesh, p, quad_degree), [data])[0]
     ws = sol.ws
     flux = reconstruct_flux(sol)
-    pot = make_continuous(postprocess_potential(sol, flux), data.g_D, ws)
+    (pot,) = make_continuous(postprocess_potential([sol], [flux]), [data.g_D], ws)
     return sol, flux, pot, ws
 
 
@@ -170,7 +171,7 @@ class TestPotential:
         for lvl in range(3):
             mesh = unit_square_crisscross(lvl)
             sol, flux, _, ws = base_pair(mesh, data, 1)
-            ustar = postprocess_potential(sol, flux)
+            (ustar,) = postprocess_potential([sol], [flux])
             vals = (ustar @ ws.phi_m) / ws.sqrt_det[:, None]
             diff = vals - EX1_U(ws.qphys[:, :, 0], ws.qphys[:, :, 1])
             errs.append(math.sqrt(ws.integrate_elementwise(diff ** 2).sum()))
@@ -189,7 +190,7 @@ class TestPotential:
         # to 1 and element 1 to 3
         ustar[0, 0] = 1.0 / np.sqrt(2.0 / ws.det[0])
         ustar[1, 0] = 3.0 / np.sqrt(2.0 / ws.det[1])
-        pot = make_continuous(ustar, zero, ws)
+        (pot,) = make_continuous([ustar], [zero], ws)
         shared = np.intersect1d(node_map[0], node_map[1])
         interior = np.setdiff1d(shared, ws.dirichlet_nodes())
         assert len(interior) > 0
@@ -204,7 +205,7 @@ class TestPotential:
         fvals = gd(ws.qphys[:, :, 0], ws.qphys[:, :, 1])
         # degree-(p+1) moments, exact: xy lies in P^2 elementwise
         ustar = (fvals * ws.qw) @ ws.phi_m.T * ws.sqrt_det[:, None]
-        pot = make_continuous(ustar, gd, ws)
+        (pot,) = make_continuous([ustar], [gd], ws)
         _, _, coords = ws.global_nodes()
         assert np.abs(pot.values - coords[:, 0] * coords[:, 1]).max() < 1e-12
 
@@ -702,29 +703,96 @@ class TestLocalOptimize:
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_pair_memory_below_the_bounds(p):
-    # the pair's stages run on whole-mesh arrays, no larger than the two
+    # the pair stage runs on whole-mesh arrays, no larger than the two
     # records compute_bounds evaluates, audits and holds for kappa, eta and S;
-    # at level 4 (4096 elements) numpy's traced peak of the second
-    # certified_pair call (the first pair held) was 7.8 MiB at p=2 and 15.2
-    # MiB at p=3, against 10.9 and 15.8 MiB for the two records
+    # at level 4 (4096 elements) numpy's traced peak of the one
+    # certified_pairs call for both data was 7.3 MiB at p=2 and 13.8 MiB at
+    # p=3 (7.8 and 15.2 for the second of two single-datum calls), against
+    # 10.9 and 15.8 MiB for the two records
     import tracemalloc
     from hdgbounds.bounds import _audited_records
-    from hdgbounds.reconstruct import certified_pair
+    from hdgbounds.reconstruct import certified_pairs
     prob = builtin("example1_s1")
     ws = Workspace(unit_square_crisscross(4), p)
     datas = [prob.data, prob.out.adjoint_data()]
     sols = solve(ws, datas)
     tracemalloc.start()
     try:
-        pairs, peaks = [], []
-        for sol, data in zip(sols, datas):
-            tracemalloc.reset_peak()
-            pairs.append(certified_pair(sol, data))
-            peaks.append(tracemalloc.get_traced_memory()[1])
+        pairs = certified_pairs(sols, datas)
+        peak = tracemalloc.get_traced_memory()[1]
         start = tracemalloc.get_traced_memory()[0]
         records = _audited_records(*pairs, *datas, ws)
         records_size = tracemalloc.get_traced_memory()[0] - start
     finally:
         tracemalloc.stop()
     assert len(records) == 2
-    assert max(peaks) <= records_size
+    assert peak <= records_size
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(case=st.sampled_from(["example1_s1", "example1_s2", "example2_s1"]),
+       amp=st.floats(0.0, 0.06), seed=st.integers(0, 2 ** 16),
+       p=st.integers(1, 3), optimize=st.booleans())
+def test_batched_pairs_equal_single_datum_calls(case, amp, seed, p, optimize):
+    # certified_pairs on both data gives each datum's pair of a one-datum
+    # call bit for bit, and the audit that takes the interior jumps of both
+    # pairs at once gives a one-pair audit's verdicts; example1_s2 carries a
+    # band on its adjoint, example2_s1 lives on a bisected L-shape
+    from hdgbounds.bounds import _CERTIFICATE_TOL, _audited_records
+    prob = builtin(case)
+    if case == "example2_s1":
+        rng = np.random.default_rng(seed)
+        mesh = lshape_initial()
+        for _ in range(2):
+            mesh = refine_bisection(mesh, np.flatnonzero(
+                rng.random(mesh.n_elements) < 0.5))
+    else:
+        mesh = perturbed_crisscross(amp, seed, base=unit_square_crisscross(1))
+    ws = Workspace(mesh, p)
+    datas = [prob.data, prob.out.adjoint_data()]
+    sols = solve(ws, datas)
+    pairs = certified_pairs(sols, datas, optimize)
+    for sol, data, (flux, pot) in zip(sols, datas, pairs):
+        ((flux1, pot1),) = certified_pairs([sol], [data], optimize)
+        assert np.array_equal(flux.coeffs, flux1.coeffs)
+        assert np.array_equal(pot.values, pot1.values)
+        assert (pot.correction is None) == (pot1.correction is None)
+
+    def verdicts(res):
+        return {k: r <= _CERTIFICATE_TOL for k, r in res.items()}
+    records = _audited_records(*pairs, *datas, ws)
+    for rec, pair, data in zip(records, pairs, datas):
+        alone = evaluate(*pair, data, ws)
+        for residuals in (flux_residuals, potential_residuals):
+            got, want = residuals(rec, ws), residuals(alone, ws)
+            assert verdicts(got) == verdicts(want)
+            assert all(abs(got[k] - want[k]) <= 1e-14 for k in want)
+
+
+def test_one_potential_solve_and_one_interior_trace_per_side_and_field(
+        monkeypatch):
+    # over one run_pipeline the potential stage makes one spd_solve for the
+    # primal and the adjoint datum, and the interior audits gather one trace
+    # per side and field (flux, potential) for both pairs
+    import hdgbounds.reconstruct as rc
+    from hdgbounds import run_pipeline
+    solves, traces = [], []
+    spd_solve, facet_trace = rc.spd_solve, Workspace.facet_trace
+
+    def counted_solve(K, B):
+        solves.append(B.shape[-1])
+        return spd_solve(K, B)
+
+    def counted_trace(ws, vals, tab, facet_ids, side=0):
+        interior = ws.mesh.interior_facets
+        if len(facet_ids) == len(interior) and np.array_equal(facet_ids, interior):
+            traces.append((tab is ws.lag_edge, side))
+        return facet_trace(ws, vals, tab, facet_ids, side)
+
+    monkeypatch.setattr(rc, "spd_solve", counted_solve)
+    monkeypatch.setattr(Workspace, "facet_trace", counted_trace)
+    prob = builtin("example1_s2")  # a band on the adjoint
+    res = run_pipeline(unit_square_crisscross(1), prob.data, prob.out, 2)
+    assert res.contains(prob.exact_s)
+    assert solves == [2]
+    assert sorted(traces) == [(False, 0), (False, 1), (True, 0), (True, 1)]

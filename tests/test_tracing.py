@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from hdgbounds import Workspace, builtin, certified_pair, solve, unit_square_crisscross
+from hdgbounds import Workspace, builtin, certified_pairs, solve, unit_square_crisscross
 
 _spec = importlib.util.spec_from_file_location(
     "tracing", Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py")
@@ -32,7 +32,7 @@ def modules():
 def test_tracer_finds_the_audit_and_solve_points(modules):
     prob = builtin("example1_s1")
     ws = Workspace(unit_square_crisscross(1), 1)
-    pair = certified_pair(solve(ws, [prob.data])[0], prob.data)
+    (pair,) = certified_pairs(solve(ws, [prob.data]), [prob.data])
     rc = modules["reconstruct"]
     original = rc.flux_residuals
     tracer = tracing.Tracer()
