@@ -32,7 +32,7 @@ for p in (1, 2, 3):
     pot = enforce_dirichlet_band(pot, prob.out.band, ws)
     c = pot.correction
     pts = ws.qphys[c.elems]
-    interp = ws.eval_data(c.ghat, ws.node_phys[c.elems])
+    interp = ws.eval_data(c.ghat, ws.node_coords[ws.node_map[c.elems]])
     corr = ws.eval_data(c.ghat, pts) - np.einsum("ek,qk->eq", interp, ws.lag_vals)
     print(f"  p={p}: band starts at x = {c.x_band:.3f}, "
           f"{len(c.elems)} band elements, max |ghat - I ghat| = "

@@ -186,8 +186,9 @@ def _load_problem(cfg: RunConfig):
     if cfg.problem is not None:
         prob = builtin(cfg.problem)
         exact = cfg.exact_s if cfg.exact_s is not None else prob.exact_s
+        family = prob.uniform_family if cfg.refiner is None else None
         return (prob.initial_mesh(), prob.data, prob.out, exact,
-                cfg.refiner or prob.refiner, prob.uniform_family)
+                cfg.refiner or prob.refiner, family)
     nu = {int(k): float(v) for k, v in (cfg.nu or {}).items()} or None
     mesh = read_mesh(cfg.mesh_file, nu=nu)
     ex = cfg.expressions
@@ -327,7 +328,9 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--p", type=int)
     ap.add_argument("--tau", type=float)
     ap.add_argument("--strategy", help="uniform | tol:<delta> | bulk:<theta>")
-    ap.add_argument("--refiner", choices=tuple(adapt._REFINERS))
+    ap.add_argument("--refiner", choices=tuple(adapt._REFINERS),
+                    help="default: the problem's own; a given refiner also "
+                         "replaces uniform's family of meshes (example1_*)")
     ap.add_argument("--target", type=float, help="target bound gap")
     ap.add_argument("--max-iter", type=int, dest="max_iter")
     ap.add_argument("--optimize", action="store_true", default=None)

@@ -55,11 +55,10 @@ def _frozen(*arrays):
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Points and weights on a reference domain, exact up to ``degree``."""
+    """Points and weights on a reference domain (triangle_rule, segment_rule)."""
 
     points: np.ndarray   # (nq, dim) for the triangle, (nq,) for the segment
     weights: np.ndarray  # (nq,)
-    degree: int
 
 
 def triangle_rule(degree: int) -> QuadratureRule:
@@ -78,7 +77,7 @@ def triangle_rule(degree: int) -> QuadratureRule:
     pts = np.column_stack([(r.ravel() + 1.0) / 2.0, (s.ravel() + 1.0) / 2.0])
     w = w.ravel() / 4.0
     _frozen(pts, w)
-    return QuadratureRule(pts, w, 2 * n - 1)
+    return QuadratureRule(pts, w)
 
 
 def segment_rule(degree: int) -> QuadratureRule:
@@ -87,7 +86,7 @@ def segment_rule(degree: int) -> QuadratureRule:
     g, w = roots_legendre(n)
     pts, w = (g + 1.0) / 2.0, w / 2.0
     _frozen(pts, w)
-    return QuadratureRule(pts, w, 2 * n - 1)
+    return QuadratureRule(pts, w)
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +191,6 @@ class LagrangeLattice:
     walked in edge direction), then interior nodes.
     """
 
-    degree: int
     nodes: np.ndarray          # (n_nodes, 2)
     vertex_slots: np.ndarray   # (3,) indices into nodes
     edge_slots: np.ndarray     # (3, m-1) indices, in local edge direction
@@ -216,7 +214,6 @@ def lagrange_lattice(m: int) -> LagrangeLattice:
     nodes = np.array(nodes)
     vand = tri_basis(m, nodes).T               # (n_nodes, n_modes)
     lat = LagrangeLattice(
-        degree=m,
         nodes=nodes,
         vertex_slots=np.array([0, 1, 2]),
         edge_slots=edge_slots,

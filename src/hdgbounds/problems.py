@@ -27,7 +27,6 @@ __all__ = ["BuiltinProblem", "builtin", "PROBLEM_IDS"]
 
 @dataclass
 class BuiltinProblem:
-    name: str
     initial_mesh: Callable[[], Mesh]
     data: ProblemData
     out: OutputFunctional
@@ -51,7 +50,6 @@ def builtin(problem_id: str) -> BuiltinProblem:
     """Look up one of the built-in problems by id."""
     if problem_id == "example1_s1":
         return BuiltinProblem(
-            name=problem_id,
             initial_mesh=unit_square_crisscross,
             uniform_family=unit_square_crisscross,
             data=_example1_data(),
@@ -70,7 +68,6 @@ def builtin(problem_id: str) -> BuiltinProblem:
             return np.where(np.abs(np.asarray(x, dtype=float) - 1.0) < 1e-12,
                             0.5 * np.pi * np.sin(np.pi * y), 0.0)
         return BuiltinProblem(
-            name=problem_id,
             initial_mesh=unit_square_crisscross,
             uniform_family=unit_square_crisscross,
             data=_example1_data(),
@@ -81,7 +78,6 @@ def builtin(problem_id: str) -> BuiltinProblem:
     one = lambda x, y: np.ones_like(np.asarray(x, dtype=float))
     if problem_id == "example2_s1":
         return BuiltinProblem(
-            name=problem_id,
             initial_mesh=lshape_initial,
             data=ProblemData(f=one),
             out=OutputFunctional(f_O=one),
@@ -90,7 +86,6 @@ def builtin(problem_id: str) -> BuiltinProblem:
         )
     if problem_id == "example2_s2":
         return BuiltinProblem(
-            name=problem_id,
             initial_mesh=lshape_initial,
             data=ProblemData(f=one),
             out=OutputFunctional(f_O=_example2_s2_source),

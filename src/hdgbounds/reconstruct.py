@@ -70,11 +70,11 @@ class EquilibratedFlux:
     def normal_trace(self, ws: Workspace, facet_ids, side: int = 0) -> np.ndarray:
         """Trace v.n at facet quadrature points along the canonical normal,
         (len(facet_ids), ..., nqe) for coefficients (ne, ..., 2, n_modes)."""
-        e = self.mesh.facet_elems[facet_ids, side]
+        e = ws.mesh.facet_elems[facet_ids, side]
         v = ws.facet_trace(self.coeffs, ws.etab_m, facet_ids, side)
         shape = (len(e),) + (1,) * (v.ndim - 3)  # a facet, then the stacked axes
         v /= ws.sqrt_det[e].reshape(shape + (1, 1))
-        n = self.mesh.facet_normals[facet_ids].reshape(shape + (2, 1))
+        n = ws.mesh.facet_normals[facet_ids].reshape(shape + (2, 1))
         return v[..., 0, :] * n[..., 0, :] + v[..., 1, :] * n[..., 1, :]
 
 
@@ -95,22 +95,21 @@ class BandCorrection:
 
 @dataclass
 class ContinuousPotential:
-    """Globally continuous piecewise P^{p+1} field, the nodal values, plus
-    the analytic band extension on the band elements when ``correction`` is
-    set; the trace of the sum on the Dirichlet boundary equals the datum
-    exactly."""
+    """Globally continuous piecewise P^{p+1} field, the values at the
+    workspace's global nodes (ws.node_map numbers them), plus the analytic
+    band extension on the band elements when ``correction`` is set; the
+    trace of the sum on the Dirichlet boundary equals the datum exactly."""
 
-    mesh: Mesh
     values: np.ndarray       # (n_global_nodes,)
-    node_map: np.ndarray     # (ne, n_nodes_per_element)
     correction: Optional[BandCorrection] = None
 
-    def nodal(self) -> np.ndarray:
-        return self.values[self.node_map]
+    def nodal(self, ws: Workspace) -> np.ndarray:
+        """The values at each element's nodes, (ne, n_nodes)."""
+        return self.values[ws.node_map]
 
     def eval_values(self, ws: Workspace) -> np.ndarray:
         """Values at the volume quadrature points, (ne, nq)."""
-        out = self.nodal() @ ws.lag_vals.T
+        out = self.nodal(ws) @ ws.lag_vals.T
         if self.correction is not None:
             c = self.correction
             out[c.elems] += ws.eval_data(c.ghat, ws.qphys[c.elems])
@@ -118,8 +117,8 @@ class ContinuousPotential:
 
     def eval_grads(self, ws: Workspace) -> np.ndarray:
         """Gradients at the volume quadrature points, (ne, nq, 2)."""
-        out = (self.nodal() @ ws.lag_grads.reshape(ws.n_nodes, -1)).reshape(
-            len(self.node_map), ws.nq, 2) @ ws.jac_inv  # mapped by J^-T
+        out = (self.nodal(ws) @ ws.lag_grads.reshape(ws.n_nodes, -1)).reshape(
+            ws.mesh.n_elements, ws.nq, 2) @ ws.jac_inv  # mapped by J^-T
         if self.correction is not None:
             c = self.correction
             out[c.elems] += c.grads_at(ws.qphys[c.elems])
@@ -129,11 +128,11 @@ class ContinuousPotential:
         """Trace at facet quadrature points (corrections included); a given
         out holds the trace of the nodal values and is corrected in place."""
         if out is None:
-            out = ws.facet_trace(self.nodal(), ws.lag_edge, facet_ids, side)
+            out = ws.facet_trace(self.nodal(ws), ws.lag_edge, facet_ids, side)
         if self.correction is not None:
             c = self.correction
             f = np.asarray(facet_ids)
-            sel = np.flatnonzero(np.isin(self.mesh.facet_elems[f, side], c.elems))
+            sel = np.flatnonzero(np.isin(ws.mesh.facet_elems[f, side], c.elems))
             out[sel] += ws.eval_data(c.ghat, ws.ephys[f[sel]])
         return out
 
@@ -200,15 +199,15 @@ def make_continuous(ustars, g_Ds, ws: Workspace) -> list[ContinuousPotential]:
     set Dirichlet-boundary nodes to its datum (exact whenever the datum is a
     facetwise polynomial of degree <= p+1; otherwise follow up with
     enforce_dirichlet_band)."""
-    n_global, node_map, coords = ws.global_nodes()
-    nodes, dnodes = node_map.ravel(), ws.dirichlet_nodes()
+    nodes, dnodes = ws.node_map.ravel(), ws.dirichlet_nodes
+    n_global = len(ws.node_coords)
     count = np.bincount(nodes, minlength=n_global)
     pots = []
     for ustar, g_D in zip(ustars, g_Ds):
         nodal = np.einsum("kj,ej->ek", ws.vand_m, ustar) / ws.sqrt_det[:, None]
         values = np.bincount(nodes, nodal.ravel(), minlength=n_global) / count
-        values[dnodes] = ws.eval_data(g_D, coords[dnodes])
-        pots.append(ContinuousPotential(ws.mesh, values, node_map))
+        values[dnodes] = ws.eval_data(g_D, ws.node_coords[dnodes])
+        pots.append(ContinuousPotential(values))
     return pots
 
 
@@ -272,9 +271,9 @@ def enforce_dirichlet_band(pot: ContinuousPotential, band: DirichletBand,
         out[..., 1 - ax] = ds
         return out
 
-    nodes = np.unique(pot.node_map[band_elems])
+    nodes = np.unique(ws.node_map[band_elems])
     values = pot.values.copy()
-    values[nodes] -= ws.eval_data(ghat, ws.global_nodes()[2][nodes])
+    values[nodes] -= ws.eval_data(ghat, ws.node_coords[nodes])
     corr = BandCorrection(elems=band_elems, ghat=ghat, ghat_grad=ghat_grad,
                           x_band=x_band)
     return replace(pot, values=values, correction=corr)
@@ -287,24 +286,25 @@ def enforce_dirichlet_band(pot: ContinuousPotential, band: DirichletBand,
 @dataclass(frozen=True, eq=False)
 class EvaluatedPair:
     """What the audit and the bounds read of a pair and its data: max |q~|,
-    sum (nu^-1 q~, q~), max_K h_K max |div q~ - Pi_p f|, interior_jumps; at
-    the volume quadrature points u~, grad u~ (band correction applied),
-    q~ + nu grad u~, f and f - Pi_p f; on neumann_facets q~.n, u~, g_N, Pi_e g_N."""
+    sum (nu^-1 q~, q~), max_K h_K max |div q~ - Pi_p f|, interior_jumps,
+    max |q~.n - Pi_e g_N| on neumann_facets, and max |u~ - g_D| and max |g_D|
+    on dirichlet_facets; at the volume quadrature points u~, grad u~ (band
+    correction applied), q~ + nu grad u~, f and f - Pi_p f; on
+    neumann_facets u~, g_N, Pi_e g_N."""
 
-    flux: EquilibratedFlux
-    pot: ContinuousPotential
-    data: ProblemData
     q_max: float
     q_energy: float
     div_residual: float
     normal_jump: float
     continuity: float
+    neumann: float
+    dirichlet: float
+    g_D_max: float
     u: np.ndarray
     grad_u: np.ndarray
     residual: np.ndarray
     f: np.ndarray
     f_osc: np.ndarray
-    qn: np.ndarray
     u_neu: np.ndarray
     g_N: np.ndarray
     g_N_proj: np.ndarray
@@ -321,7 +321,7 @@ def interior_jumps(pairs, ws: Workspace) -> np.ndarray:
     one trace per side and field of the pairs' stacked coefficients."""
     facets = ws.mesh.interior_facets
     flux = EquilibratedFlux(ws.mesh, np.stack([q.coeffs for q, _ in pairs], axis=1))
-    nodal = np.stack([pot.nodal() for _, pot in pairs], axis=1)
+    nodal = np.stack([pot.nodal(ws) for _, pot in pairs], axis=1)
     qn, u = [], []
     for side in (0, 1):
         qn.append(flux.normal_trace(ws, facets, side))
@@ -338,7 +338,7 @@ def evaluate(flux: EquilibratedFlux, pot: ContinuousPotential,
     """Evaluate a pair and its data once, each array reduced once it is read;
     jumps is the pair's row of interior_jumps (of this pair alone if None)."""
     jumps = interior_jumps([(flux, pot)], ws)[0] if jumps is None else jumps
-    neu = ws.mesh.neumann_facets
+    neu, dfac = ws.mesh.neumann_facets, ws.mesh.dirichlet_facets
     f, grad_u = ws.eval_data(data.f), pot.eval_grads(ws)
     f_osc = ws.proj_p(f)
     div_residual = (np.abs(flux.eval_divergence(ws) - f_osc).max(axis=1)
@@ -348,13 +348,16 @@ def evaluate(flux: EquilibratedFlux, pot: ContinuousPotential,
     q_max, q_energy = np.abs(residual).max(), _energy_sq(ws, residual).sum()
     residual += ws.nu[:, None, None] * grad_u
     g_N = ws.eval_data(data.g_N, ws.ephys[neu])
+    g_N_proj = ws.facet_proj_p(g_N, neu)
+    g_D = ws.eval_data(data.g_D, ws.ephys[dfac])
     return EvaluatedPair(
-        flux=flux, pot=pot, data=data, q_max=q_max, q_energy=q_energy,
+        q_max=q_max, q_energy=q_energy,
         div_residual=div_residual, normal_jump=jumps[0], continuity=jumps[1],
-        u=pot.eval_values(ws), grad_u=grad_u,
+        neumann=np.abs(flux.normal_trace(ws, neu) - g_N_proj).max(initial=0.0),
+        dirichlet=np.abs(pot.trace_values(ws, dfac) - g_D).max(),
+        g_D_max=np.abs(g_D).max(), u=pot.eval_values(ws), grad_u=grad_u,
         residual=residual, f=f, f_osc=f_osc,
-        qn=flux.normal_trace(ws, neu), u_neu=pot.trace_values(ws, neu),
-        g_N=g_N, g_N_proj=ws.facet_proj_p(g_N, neu))
+        u_neu=pot.trace_values(ws, neu), g_N=g_N, g_N_proj=g_N_proj)
 
 
 def _relative(res, scale) -> float:
@@ -377,19 +380,15 @@ def flux_residuals(rec: EvaluatedPair, ws: Workspace) -> dict:
                                     / ws.h).max())
     return {"divergence": _relative(rec.div_residual, qscale),
             "normal_jump": _relative(rec.normal_jump, qscale),
-            "neumann": _relative(
-                np.abs(rec.qn - rec.g_N_proj).max(initial=0.0),
-                np.maximum(qscale, np.abs(rec.g_N_proj).max(initial=0.0)))}
+            "neumann": _relative(rec.neumann, np.maximum(
+                qscale, np.abs(rec.g_N_proj).max(initial=0.0)))}
 
 
 def potential_residuals(rec: EvaluatedPair, ws: Workspace) -> dict:
     """Dirichlet trace error (corrections included) and inter-element
     continuity of the potential, relative to max |u~| (and to the datum)."""
     umax = np.abs(rec.u).max()
-    dfac = ws.mesh.dirichlet_facets
-    g = ws.eval_data(rec.data.g_D, ws.ephys[dfac])
-    err = np.abs(rec.pot.trace_values(ws, dfac) - g).max()
-    return {"dirichlet_trace": _relative(err, np.maximum(umax, np.abs(g).max())),
+    return {"dirichlet_trace": _relative(rec.dirichlet, np.maximum(umax, rec.g_D_max)),
             "continuity": _relative(rec.continuity, umax)}
 
 
@@ -448,7 +447,7 @@ def local_optimize(flux: EquilibratedFlux, pot: ContinuousPotential,
     wq = np.concatenate([ws.jac / nu[:, :, None], ws.jac_inv_t], axis=2)
     b = np.einsum("edj,edjk->ek", wq, (flux.coeffs.reshape(2 * ne, nm)
                                         @ ws.opt_rhs_q).reshape(ne, 2, 4, k))
-    nodal = pot.nodal()
+    nodal = pot.nodal(ws)
     zu = (nodal @ ws.opt_rhs_u).reshape(ne, 4, k)
     if pot.correction is not None:
         # on the band elements the gradient g of the extension adds to the
@@ -471,7 +470,7 @@ def local_optimize(flux: EquilibratedFlux, pot: ContinuousPotential,
     # boundary traces are constrained, so only interior node values move
     slots = ws.lattice.interior_slots
     values = pot.values.copy()
-    values[pot.node_map[:, slots]] = nodal[:, slots] + (
+    values[ws.node_map[:, slots]] = nodal[:, slots] + (
         xi @ (ws.vand_m[slots] @ Nu).T) / ws.sqrt_det[:, None]
     return replace(flux, coeffs=coeffs), replace(pot, values=values)
 

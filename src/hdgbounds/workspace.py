@@ -22,6 +22,8 @@ other step works on the whole mesh.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from . import femcore as fc
@@ -154,11 +156,6 @@ class Workspace:
         self.elen = self.facet_len[self.ef]                   # (ne, 3)
         self.h = self.elen.max(axis=1)                        # diameter h_K
 
-        # Lagrange lattice nodes of degree m
-        self.node_phys = self.v0[:, None, :] + self.lattice.nodes @ jac_t  # (ne, n_nodes, 2)
-
-        self._global_nodes = None
-
     # -- generic integration helpers ---------------------------------------
 
     def integrate_elementwise(self, values_eq: np.ndarray) -> np.ndarray:
@@ -224,39 +221,38 @@ class Workspace:
             v.shape[:-1] + (self.nqe,))
 
     # -- global Lagrange nodes ----------------------------------------------
+    # built on first read, after the HDG solve, which needs none of them
 
-    def global_nodes(self):
-        """Global node numbering for the continuous degree-m space.
-
-        Returns (n_global, node_map (ne, n_nodes), node_coords (n_global, 2)).
-        """
-        if self._global_nodes is not None:
-            return self._global_nodes
-        mesh, m = self.mesh, self.m
-        lat = self.lattice
+    @cached_property
+    def node_map(self) -> np.ndarray:
+        """Global numbering of the continuous degree-m space, (ne, n_nodes):
+        the vertices, then m - 1 nodes per facet, then the interior nodes
+        element by element."""
+        mesh, lat = self.mesh, self.lattice
         ne, nf, nv = mesh.n_elements, mesh.n_facets, mesh.n_vertices
-        per_edge = m - 1
+        per_edge = self.m - 1
         n_int = len(lat.interior_slots)
         node_map = np.empty((ne, self.n_nodes), dtype=np.int64)
         node_map[:, lat.vertex_slots] = mesh.elements
-        for ell in range(3):
-            f = self.ef[:, ell]
-            base = nv + f * per_edge
-            idx = np.arange(per_edge)
-            fwd = base[:, None] + idx[None, :]
-            rev = base[:, None] + (per_edge - 1 - idx)[None, :]
-            vals = np.where(self.eo[:, [ell]].astype(bool), fwd, rev)
-            node_map[:, lat.edge_slots[ell]] = vals
+        idx = np.arange(per_edge)  # a facet's nodes, walked against it where eo = 0
+        walk = np.where(self.eo[:, :, None] == 1, idx, per_edge - 1 - idx)
+        node_map[:, lat.edge_slots] = nv + self.ef[:, :, None] * per_edge + walk
         base_int = nv + nf * per_edge
         node_map[:, lat.interior_slots] = (base_int + n_int * np.arange(ne)[:, None]
                                            + np.arange(n_int)[None, :])
-        n_global = base_int + n_int * ne
-        coords = np.empty((n_global, 2))
-        coords[node_map.ravel()] = self.node_phys.reshape(-1, 2)
-        self._global_nodes = (n_global, node_map, coords)
-        return self._global_nodes
+        return node_map
 
-    def dirichlet_nodes(self):
+    @cached_property
+    def node_coords(self) -> np.ndarray:
+        """Coordinates of the global nodes, (n_global, 2)."""
+        node_phys = self.v0[:, None, :] + self.lattice.nodes @ np.swapaxes(
+            self.jac, 1, 2)                                  # (ne, n_nodes, 2)
+        coords = np.empty((self.node_map.max() + 1, 2))  # the numbering is dense
+        coords[self.node_map.ravel()] = node_phys.reshape(-1, 2)
+        return coords
+
+    @cached_property
+    def dirichlet_nodes(self) -> np.ndarray:
         """Global node ids lying on the Dirichlet boundary, ascending: the
         node map's entries at the slots of each Dirichlet facet's local edge
         (its two vertices and its edge nodes) in the facet's element."""
@@ -264,5 +260,5 @@ class Workspace:
         dfac = mesh.dirichlet_facets
         edge = np.column_stack([lat.vertex_slots, np.roll(lat.vertex_slots, -1),
                                 lat.edge_slots])          # local edge ell: v_ell, v_ell+1
-        return np.unique(self.global_nodes()[1][
+        return np.unique(self.node_map[
             mesh.facet_elems[dfac, 0, None], edge[mesh.facet_local_edge[dfac, 0]]])

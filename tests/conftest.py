@@ -67,7 +67,7 @@ def exact_equilibration_bounds(primal_pair, adjoint_pair, data, out, ws):
             "of degree <= p; detected oscillation in: " + ", ".join(msgs))
 
     mesh = ws.mesh
-    qn_dir = primal.flux.normal_trace(ws, mesh.dirichlet_facets)  # canonical = outward
+    qn_dir = primal_pair[0].normal_trace(ws, mesh.dirichlet_facets)  # canonical = outward
     val = float(np.sum(ws.integrate_elementwise(ws.eval_data(out.f_O) * primal.u)))
     for fun, facets, tr in ((out.g_D_O, mesh.dirichlet_facets, qn_dir),
                             (out.g_N_O, mesh.neumann_facets, primal.u_neu)):
@@ -76,7 +76,7 @@ def exact_equilibration_bounds(primal_pair, adjoint_pair, data, out, ws):
             val += float(np.einsum("ft,ft,t,f->", g, tr, ws.ew, ws.facet_len[facets]))
 
     a, b = primal.residual, adjoint.residual
-    zeta_minus = (adjoint.flux.eval_values(ws)
+    zeta_minus = (adjoint_pair[0].eval_values(ws)
                   - ws.nu[:, None, None] * adjoint.grad_u)
     cross = 0.5 * float(np.sum(ws.integrate_elementwise(
         a[..., 0] * zeta_minus[..., 0] + a[..., 1] * zeta_minus[..., 1]) / ws.nu))

@@ -102,9 +102,8 @@ def synthetic_pair(mesh, ws, flux_const, pot_values=None):
     coeffs[:, 0, 0] = flux_const[0] / np.sqrt(2.0 / ws.det)
     coeffs[:, 1, 0] = flux_const[1] / np.sqrt(2.0 / ws.det)
     flux = EquilibratedFlux(mesh=mesh, coeffs=coeffs)
-    n_glob, node_map, _ = ws.global_nodes()
-    values = np.zeros(n_glob) if pot_values is None else pot_values
-    pot = ContinuousPotential(mesh=mesh, values=values, node_map=node_map)
+    values = np.zeros(len(ws.node_coords)) if pot_values is None else pot_values
+    pot = ContinuousPotential(values=values)
     return flux, pot
 
 
@@ -155,7 +154,7 @@ class TestKappa:
         out = OutputFunctional(f_O=lambda x, y: x - 1.0 / 3.0,
                                g_D_O=lambda x, y: y)
         _, _, pp, _, ws = build_pair(mesh, data, out, p=0)
-        ap = synthetic_pair(mesh, ws, (0.0, -1.0), ws.global_nodes()[2][:, 1])
+        ap = synthetic_pair(mesh, ws, (0.0, -1.0), ws.node_coords[:, 1])
         with pytest.raises(RuntimeError, match="adjoint data oscillate in: f_O"):
             compute_bounds(pp, ap, data, out.adjoint_data(), ws)
 
@@ -542,14 +541,14 @@ def galerkin_energy(mesh, f):
     u_h with u_h = 0 on the Dirichlet boundary: it shares no field with the
     HDG path, only the mesh and the reference tables."""
     ws = Workspace(mesh, 3)
-    n, nodes, _ = ws.global_nodes()
+    n, nodes = len(ws.node_coords), ws.node_map
     grads = np.einsum("iqr,ers->eiqs", ws.lag_grads, ws.jac_inv)
     Ke = np.einsum("eiqs,ejqs,eq->eij", grads, grads, ws.wdet)
     be = (ws.eval_data(f) * ws.wdet) @ ws.lag_vals
     rows, cols = np.broadcast_arrays(nodes[:, :, None], nodes[:, None, :])
     K = sp.csr_matrix((Ke.ravel(), (rows.ravel(), cols.ravel())), shape=(n, n))
     b = np.bincount(nodes.ravel(), be.ravel(), minlength=n)
-    free = np.setdiff1d(np.arange(n), ws.dirichlet_nodes())
+    free = np.setdiff1d(np.arange(n), ws.dirichlet_nodes)
     return float(b[free] @ spla.spsolve(K[free][:, free].tocsc(), b[free]))
 
 

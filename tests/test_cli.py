@@ -12,6 +12,7 @@ from hdgbounds.adapt import IterationRecord
 from hdgbounds.cli import (EXIT_CONFIG, EXIT_CONTAINMENT, EXIT_NOT_CONVERGED,
                            EXIT_OK, EXIT_SOLVER, RunConfig, compile_expression,
                            parse_strategy)
+from hdgbounds.mesh import refine_bisection
 from hdgbounds.problems import builtin
 
 
@@ -66,6 +67,17 @@ class TestRun:
         assert summary["converged"] is True
         assert summary["containment_pass"] is True
         assert (tmp_path / "mesh_final.txt").exists()
+
+    def test_explicit_refiner_used_under_uniform(self, tmp_path):
+        # example1_s1's uniform meshes are its criss-cross family; a given
+        # --refiner replaces the family
+        assert cli.main(["--problem", "example1_s1", "--p", "1", "--strategy",
+                     "uniform", "--refiner", "bisect", "--max-iter", "2",
+                     "--out", str(tmp_path)]) == EXIT_NOT_CONVERGED
+        rows = (tmp_path / "convergence.csv").read_text().splitlines()
+        mesh0 = unit_square_crisscross(0)
+        want = refine_bisection(mesh0, np.arange(mesh0.n_elements)).n_elements
+        assert [r.split(",")[0] for r in rows[1:]] == ["16", str(want)]
 
     def test_csv_row_cells(self):
         # one function writes all eleven cells of a row; s_h and err_s_tilde

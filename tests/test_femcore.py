@@ -271,7 +271,7 @@ class TestProjections:
                     ws.facet_data_moments(bad, np.arange(mesh.n_facets))
                 ws.facet_data_moments(vertex_nan, np.arange(mesh.n_facets))
                 with pytest.raises(ValueError, match=r"non-finite .*\(0\.0, 0\.0\)"):
-                    ws.eval_data(vertex_nan, ws.node_phys)
+                    ws.eval_data(vertex_nan, ws.node_coords)
 
 
 def _direct_trace(ws, vals, facet_ids, side, table):

@@ -184,7 +184,7 @@ class TestPotential:
         # edge midpoint average to 2 there
         mesh = lshape_initial()
         ws = Workspace(mesh, 1)
-        n_glob, node_map, coords = ws.global_nodes()
+        node_map = ws.node_map
         ustar = np.zeros((mesh.n_elements, ws.nm))
         # constant-mode coefficient c with value c*sqrt(2/det): set element 0
         # to 1 and element 1 to 3
@@ -192,7 +192,7 @@ class TestPotential:
         ustar[1, 0] = 3.0 / np.sqrt(2.0 / ws.det[1])
         (pot,) = make_continuous([ustar], [zero], ws)
         shared = np.intersect1d(node_map[0], node_map[1])
-        interior = np.setdiff1d(shared, ws.dirichlet_nodes())
+        interior = np.setdiff1d(shared, ws.dirichlet_nodes)
         assert len(interior) > 0
         assert np.abs(pot.values[interior] - 2.0).max() < 1e-13
 
@@ -206,13 +206,13 @@ class TestPotential:
         # degree-(p+1) moments, exact: xy lies in P^2 elementwise
         ustar = (fvals * ws.qw) @ ws.phi_m.T * ws.sqrt_det[:, None]
         (pot,) = make_continuous([ustar], [gd], ws)
-        _, _, coords = ws.global_nodes()
+        coords = ws.node_coords
         assert np.abs(pot.values - coords[:, 0] * coords[:, 1]).max() < 1e-12
 
     def test_dirichlet_zero_nodes(self):
         mesh = unit_square_crisscross(0)
         _, _, pot, ws = base_pair(mesh, ProblemData(f=EX1_F), 1)
-        dn = ws.dirichlet_nodes()
+        dn = ws.dirichlet_nodes
         assert np.abs(pot.values[dn]).max() == 0.0
 
     @pytest.mark.parametrize("p", range(4))
@@ -226,14 +226,14 @@ class TestPotential:
         # a Dirichlet facet meets it
         mesh = make_mesh()
         ws = Workspace(mesh, p)
-        _, _, coords = ws.global_nodes()
+        coords = ws.node_coords
         a, b = (mesh.vertices[mesh.facets[mesh.dirichlet_facets, i]] for i in (0, 1))
         d = coords[:, None] - a
         t = np.clip(np.einsum("nfc,fc->nf", d, b - a)
                     / np.einsum("fc,fc->f", b - a, b - a), 0.0, 1.0)
         dist = np.linalg.norm(d - t[:, :, None] * (b - a), axis=2)
         want = np.flatnonzero(dist.min(axis=1) <= 1e-12)
-        assert np.array_equal(ws.dirichlet_nodes(), want)
+        assert np.array_equal(ws.dirichlet_nodes, want)
         if len(mesh.neumann_facets):
             on_neumann = np.unique(mesh.facets[mesh.neumann_facets])
             assert not np.isin(on_neumann, want).all()
@@ -252,10 +252,9 @@ class TestPotential:
         data = ProblemData(f=EX1_F)
         _, flux, pot, ws = base_pair(mesh, data, 1)
         broken = pot.values.copy()
-        broken[ws.dirichlet_nodes()[3]] += 0.01
+        broken[ws.dirichlet_nodes[3]] += 0.01
         from hdgbounds.reconstruct import ContinuousPotential
-        bad = ContinuousPotential(mesh=mesh, values=broken,
-                                  node_map=pot.node_map)
+        bad = ContinuousPotential(values=broken)
         res = potential_residuals(evaluate(flux, bad, data, ws), ws)
         assert res["dirichlet_trace"] > 1e-4
 
@@ -292,7 +291,7 @@ class TestBandExtension:
         pot = enforce_dirichlet_band(pot, band, ws)
         c = pot.correction
         pts = ws.qphys[c.elems]
-        interp = ws.eval_data(c.ghat, ws.node_phys[c.elems])
+        interp = ws.eval_data(c.ghat, ws.node_coords[ws.node_map[c.elems]])
         corr = ws.eval_data(c.ghat, pts) - np.einsum("ek,qk->eq", interp, ws.lag_vals)
         assert np.abs(corr).max() < 1e-12
 
@@ -318,7 +317,7 @@ class TestBandExtension:
             pot = enforce_dirichlet_band(pot, self.band(), ws)
             c = pot.correction
             pts = ws.qphys[c.elems]
-            interp = ws.eval_data(c.ghat, ws.node_phys[c.elems])
+            interp = ws.eval_data(c.ghat, ws.node_coords[ws.node_map[c.elems]])
             corr = ws.eval_data(c.ghat, pts) - np.einsum("ek,qk->eq", interp, ws.lag_vals)
             maxima.append(np.abs(corr).max())
         assert maxima[0] > maxima[1] > maxima[2]
@@ -347,7 +346,7 @@ class TestBandExtension:
         assert c is not None and len(c.elems)
 
         ref = np.einsum("eqd,ecd->eqc", np.einsum(
-            "ek,kqd->eqd", pot.nodal(), ws.lag_grads), ws.jac_inv_t)
+            "ek,kqd->eqd", pot.nodal(ws), ws.lag_grads), ws.jac_inv_t)
         ref[c.elems] += c.grads_at(ws.qphys[c.elems])
         got = pot.eval_grads(ws)
         assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
@@ -356,9 +355,7 @@ class TestBandExtension:
         for lvl in (0, 1):
             mesh = unit_square_crisscross(lvl)
             ws = Workspace(mesh, 1)
-            pot = ContinuousPotential(mesh=mesh,
-                                      values=np.zeros(ws.global_nodes()[0]),
-                                      node_map=ws.global_nodes()[1])
+            pot = ContinuousPotential(values=np.zeros(len(ws.node_coords)))
             out = enforce_dirichlet_band(pot, self.band(), ws)
             expected = 1.0 - 1.0 / 2 ** (lvl + 1)
             assert abs(out.correction.x_band - expected) < 1e-14
@@ -376,9 +373,7 @@ class TestBandExtension:
     def test_non_axis_aligned_portion_rejected(self):
         mesh = unit_square_crisscross(0)
         ws = Workspace(mesh, 1)
-        pot = ContinuousPotential(mesh=mesh,
-                                  values=np.zeros(ws.global_nodes()[0]),
-                                  node_map=ws.global_nodes()[1])
+        pot = ContinuousPotential(values=np.zeros(len(ws.node_coords)))
         # an oblique portion, then the line x = 0.5 through the interior
         for axis, value, match in ((2, 1.0, "axis"),
                                    (0, 0.5, "must lie on the boundary")):
@@ -448,7 +443,7 @@ def _local_optimize_loop(flux, pot, ws):
     ne = mesh.n_elements
     nu = ws.nu
 
-    nodal = pot.nodal()
+    nodal = pot.nodal(ws)
     pot_modal = np.einsum("jk,ek->ej", ws.lattice.vandermonde_inv,
                           nodal) * ws.sqrt_det[:, None]
 
@@ -493,10 +488,9 @@ def _local_optimize_loop(flux, pot, ws):
         # boundary traces are constrained, so only interior node values move
         new_nodal = ws.vand_m @ z[2 * nm:] / ws.sqrt_det[e]
         slots = ws.lattice.interior_slots
-        new_values[pot.node_map[e, slots]] = new_nodal[slots]
+        new_values[ws.node_map[e, slots]] = new_nodal[slots]
 
-    new_pot = ContinuousPotential(mesh=mesh, values=new_values,
-                                  node_map=pot.node_map, correction=pot.correction)
+    new_pot = ContinuousPotential(values=new_values, correction=pot.correction)
     return EquilibratedFlux(mesh=mesh, coeffs=new_flux), new_pot
 
 
@@ -531,7 +525,7 @@ def _local_optimize_qr(flux, pot, ws):
     coeffs = flux.coeffs + ws.jac @ (xi @ Nq.T).reshape(ne, 2, nm)
     slots = ws.lattice.interior_slots
     values = pot.values.copy()
-    values[pot.node_map[:, slots]] = pot.nodal()[:, slots] + (
+    values[ws.node_map[:, slots]] = pot.nodal(ws)[:, slots] + (
         xi @ (ws.vand_m[slots] @ Nu).T) / ws.sqrt_det[:, None]
     return replace(flux, coeffs=coeffs), replace(pot, values=values)
 
@@ -796,3 +790,37 @@ def test_one_potential_solve_and_one_interior_trace_per_side_and_field(
     assert res.contains(prob.exact_s)
     assert solves == [2]
     assert sorted(traces) == [(False, 0), (False, 1), (True, 0), (True, 1)]
+
+
+def test_node_tables_built_on_first_read():
+    # the HDG solve reads no node of the continuous space: its numbering
+    # and coordinates are built when the potential stage first reads them,
+    # and the element-wise node coordinates are not kept
+    prob = builtin("example1_s1")
+    ws = Workspace(unit_square_crisscross(1), 2)
+    datas = [prob.data, prob.out.adjoint_data()]
+    sols = solve(ws, datas)
+    assert not {"node_map", "node_coords", "node_phys"} & set(vars(ws))
+    certified_pairs(sols, datas)
+    assert {"node_map", "node_coords", "dirichlet_nodes"} <= set(vars(ws))
+    assert "node_phys" not in vars(ws)
+
+
+def test_audit_reads_only_the_record(monkeypatch):
+    # an evaluated record holds every number the certificate audit
+    # compares, so the audit evaluates no data and takes no trace; the
+    # adjoint pair of example1_s2 carries a band, mixed_square has Neumann
+    # facets
+    prob = builtin("example1_s2")
+    datas = [prob.data, prob.out.adjoint_data()]
+    _, _, *pairs, ws = build_pair(mixed_square(1), prob.data, prob.out, 2)
+
+    def boom(*args, **kwargs):
+        raise AssertionError("the audit read beyond the record")
+    for pair, data in zip(pairs, datas):
+        rec = evaluate(*pair, data, ws)
+        want = flux_residuals(rec, ws), potential_residuals(rec, ws)
+        with monkeypatch.context() as m:
+            m.setattr(ws, "eval_data", boom)
+            m.setattr(ws, "facet_trace", boom)
+            assert (flux_residuals(rec, ws), potential_residuals(rec, ws)) == want
