@@ -253,14 +253,16 @@ def reference_tables(p: int, quad_degree: int) -> MappingProxyType:
     quadrature points, their segment moments
     T_p[l, o, m, i] = int psi_p[m] etab_p[l, o, i] dt (T_mm at degree m)
     and the trace mass EE[l, i, j].  The Lagrange lattice of degree m with
-    its values lag_vals (nq, n_nodes), gradients lag_grads (n_nodes, nq, 2)
-    and traces lag_edge (3, 2, n_nodes, nqe), and the modal Vandermonde
-    vand_m (n_nodes, nm).  rt_T, rt_dofs: the reference RT^p generators and
-    the basis dual to their degrees of freedom (_reference_rt);
-    opt_nullspace: the reference feasible directions of the local
-    optimization (_reference_nullspace), and the reference tensors its
-    normal equations are built from (_reference_opt_tensors).  The scalars
-    p, quad_degree, m, np_, nm, nq, nqe and n_nodes complete it.
+    its values lag_vals (nq, n_nodes), gradients lag_grads (n_nodes, nq, 2),
+    traces lag_edge (3, 2, n_nodes, nqe) and gradients in the degree-m
+    modal basis lag_grads_m[j, r, a] = int d_r L_j phi^m_a (n_nodes, 2, nm),
+    and the modal Vandermonde vand_m (n_nodes, nm).  rt_T, rt_dofs: the
+    reference RT^p generators and the basis dual to their degrees of
+    freedom (_reference_rt); opt_nullspace: the reference feasible
+    directions of the local optimization (_reference_nullspace), and the
+    reference tensors its normal equations are built from
+    (_reference_opt_tensors).  The scalars p, quad_degree, m, np_, nm, nq,
+    nqe and n_nodes complete it.
     """
     t = {"p": p, "quad_degree": quad_degree, "m": p + 1,
          "np_": n_modes(p), "nm": n_modes(p + 1)}
@@ -302,6 +304,7 @@ def reference_tables(p: int, quad_degree: int) -> MappingProxyType:
     t["lag_vals"] = phi_m.T @ lat.vandermonde_inv
     t["lag_grads"] = np.einsum("jqd,jk->kqd", dphi_m, lat.vandermonde_inv)
     t["lag_edge"] = np.einsum("loit,ik->lokt", etab_m, lat.vandermonde_inv)
+    t["lag_grads_m"] = np.einsum("rab,bk->kra", t["Qm"], lat.vandermonde_inv)
     t["vand_m"] = tri_basis(m, lat.nodes).T
 
     t["rt_T"], t["rt_dofs"] = _reference_rt(t)

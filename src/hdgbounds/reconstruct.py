@@ -15,7 +15,7 @@ import numpy as np
 from . import femcore as fc
 from .hdg import DirichletBand, HDGSolution, ProblemData
 from .mesh import Mesh
-from .workspace import Workspace, require_finite, spd_solve
+from .workspace import Workspace, _blocks, require_finite, spd_solve
 
 __all__ = [
     "EquilibratedFlux",
@@ -115,6 +115,14 @@ class ContinuousPotential:
             out[c.elems] += ws.eval_data(c.ghat, ws.qphys[c.elems])
         return out
 
+    def grad_coeffs(self, ws: Workspace) -> np.ndarray:
+        """Mapped-modal P^{p+1} coefficients of the gradient of the nodal
+        part (the band correction excluded), (ne, 2, nm): the reference
+        gradients lag_grads_m of the nodal values, mapped by J^-T."""
+        ref = (self.nodal(ws) @ ws.lag_grads_m.reshape(ws.n_nodes, -1)).reshape(
+            ws.mesh.n_elements, 2, ws.nm)
+        return (ws.jac_inv_t @ ref) * ws.sqrt_det[:, None, None]
+
     def eval_grads(self, ws: Workspace) -> np.ndarray:
         """Gradients at the volume quadrature points, (ne, nq, 2)."""
         out = (self.nodal(ws) @ ws.lag_grads.reshape(ws.n_nodes, -1)).reshape(
@@ -179,13 +187,15 @@ def postprocess_potential(sols, fluxes) -> np.ndarray:
     (len(sols), ne, n_modes(p+1))."""
     ws = sols[0].ws
     nm, ne = ws.nm, ws.mesh.n_elements
-    G = ws.jac_inv @ ws.jac_inv_t                       # G[e, r, s]
-    K = (G.reshape(ne, 4) @ ws.S2.reshape(4, nm * nm)).reshape(ne, nm, nm)
+    G = (ws.jac_inv @ ws.jac_inv_t).reshape(ne, 4)      # G[e, r, s]
+    S2 = ws.S2[:, :, 1:, 1:].reshape(4, -1)  # the block the solve reads
     rhs = np.stack([-((ws.jac_inv @ flux.coeffs).reshape(ne, 2 * nm)
                       @ ws.Qm.reshape(2 * nm, nm)) / ws.nu[:, None]
                     for flux in fluxes], axis=2)
     coeffs = np.empty((len(sols), ne, nm))
-    coeffs[:, :, 1:] = spd_solve(K[:, 1:, 1:], rhs[:, 1:]).transpose(2, 0, 1)
+    for e in _blocks(ne):
+        K = (G[e] @ S2).reshape(-1, nm - 1, nm - 1)
+        coeffs[:, e, 1:] = spd_solve(K, rhs[e, 1:]).transpose(2, 0, 1)
     coeffs[:, :, 0] = [sol.u[:, 0] for sol in sols]  # (u*, 1)_K = (u_h, 1)_K
     return coeffs
 
@@ -285,12 +295,18 @@ def enforce_dirichlet_band(pot: ContinuousPotential, band: DirichletBand,
 
 @dataclass(frozen=True, eq=False)
 class EvaluatedPair:
-    """What the audit and the bounds read of a pair and its data: max |q~|,
-    sum (nu^-1 q~, q~), max_K h_K max |div q~ - Pi_p f|, interior_jumps,
-    max |q~.n - Pi_e g_N| on neumann_facets, and max |u~ - g_D| and max |g_D|
-    on dirichlet_facets; at the volume quadrature points u~, grad u~ (band
-    correction applied), q~ + nu grad u~, f and f - Pi_p f; on
-    neumann_facets u~, g_N, Pi_e g_N."""
+    """What the audit and the bounds read of a pair and its data.
+
+    The polynomial fields as mapped-modal P^{p+1} coefficients (ne, 2, nm),
+    whose L2 norms and products are sums over the coefficients (Parseval):
+    residual, q~ + nu grad u~, and grad_u, grad u~, both without the band
+    correction, whose gradient at the volume quadrature points of the band
+    elements is band_grad (len(band), nq, 2); sum (nu^-1 q~, q~) from the
+    coefficients.  On quadrature, where the integrand is data or the check
+    is pointwise: max |q~| at the volume points, max_K h_K max |div q~ -
+    Pi_p f|, interior_jumps, max |q~.n - Pi_e g_N| on neumann_facets, and
+    max |u~ - g_D| and max |g_D| on dirichlet_facets; at the volume points
+    u~, f and f - Pi_p f; on neumann_facets u~, g_N, Pi_e g_N."""
 
     q_max: float
     q_energy: float
@@ -300,20 +316,16 @@ class EvaluatedPair:
     neumann: float
     dirichlet: float
     g_D_max: float
-    u: np.ndarray
-    grad_u: np.ndarray
     residual: np.ndarray
+    grad_u: np.ndarray
+    band: np.ndarray
+    band_grad: np.ndarray
+    u: np.ndarray
     f: np.ndarray
     f_osc: np.ndarray
     u_neu: np.ndarray
     g_N: np.ndarray
     g_N_proj: np.ndarray
-
-
-def _energy_sq(ws: Workspace, vals: np.ndarray) -> np.ndarray:
-    """Elementwise (nu^-1 v, v)_K for values at quadrature points."""
-    return ws.integrate_elementwise(vals[..., 0] * vals[..., 0]
-                                    + vals[..., 1] * vals[..., 1]) / ws.nu
 
 
 def interior_jumps(pairs, ws: Workspace) -> np.ndarray:
@@ -339,24 +351,27 @@ def evaluate(flux: EquilibratedFlux, pot: ContinuousPotential,
     jumps is the pair's row of interior_jumps (of this pair alone if None)."""
     jumps = interior_jumps([(flux, pot)], ws)[0] if jumps is None else jumps
     neu, dfac = ws.mesh.neumann_facets, ws.mesh.dirichlet_facets
-    f, grad_u = ws.eval_data(data.f), pot.eval_grads(ws)
+    f = ws.eval_data(data.f)
     f_osc = ws.proj_p(f)
     div_residual = (np.abs(flux.eval_divergence(ws) - f_osc).max(axis=1)
                     * ws.h).max()
     np.subtract(f, f_osc, out=f_osc)
-    residual = flux.eval_values(ws)
-    q_max, q_energy = np.abs(residual).max(), _energy_sq(ws, residual).sum()
-    residual += ws.nu[:, None, None] * grad_u
+    q, grad_u, corr = flux.coeffs, pot.grad_coeffs(ws), pot.correction
+    band = np.empty(0, dtype=int) if corr is None else corr.elems
     g_N = ws.eval_data(data.g_N, ws.ephys[neu])
     g_N_proj = ws.facet_proj_p(g_N, neu)
     g_D = ws.eval_data(data.g_D, ws.ephys[dfac])
     return EvaluatedPair(
-        q_max=q_max, q_energy=q_energy,
+        q_max=np.abs(flux.eval_values(ws)).max(),
+        q_energy=(np.einsum("ecm,ecm->e", q, q) / ws.nu).sum(),
         div_residual=div_residual, normal_jump=jumps[0], continuity=jumps[1],
         neumann=np.abs(flux.normal_trace(ws, neu) - g_N_proj).max(initial=0.0),
         dirichlet=np.abs(pot.trace_values(ws, dfac) - g_D).max(),
-        g_D_max=np.abs(g_D).max(), u=pot.eval_values(ws), grad_u=grad_u,
-        residual=residual, f=f, f_osc=f_osc,
+        g_D_max=np.abs(g_D).max(),
+        residual=q + ws.nu[:, None, None] * grad_u, grad_u=grad_u, band=band,
+        band_grad=(np.empty((0, ws.nq, 2)) if corr is None
+                   else corr.grads_at(ws.qphys[band])),
+        u=pot.eval_values(ws), f=f, f_osc=f_osc,
         u_neu=pot.trace_values(ws, neu), g_N=g_N, g_N_proj=g_N_proj)
 
 

@@ -5,7 +5,6 @@ from hdgbounds import (BoundsResult, Workspace, certified_pairs, solve,
                        unit_square_crisscross)
 from hdgbounds.bounds import _audited_records, _oscillating_data
 from hdgbounds.mesh import Mesh
-from hdgbounds.reconstruct import _energy_sq
 
 
 def perturbed_crisscross(amp=0.06, seed=7, base=None):
@@ -55,9 +54,11 @@ def exact_equilibration_bounds(primal_pair, adjoint_pair, data, out, ws):
         half gap = 1/2 ||q~ + nu grad u~|| ||zeta~ + nu grad xi~||
 
     with l_O(u~, q~) = (f_O, u~) + <g_D_O, q~.n>_GD + <g_N_O, u~>_GN by its
-    own quadrature.  Audits the certificates as compute_bounds does, and
-    raises ValueError when the data oscillation audit detects
-    non-polynomial data (the guarantee would be lost)."""
+    own quadrature.  The fields are evaluated from the pairs at the volume
+    quadrature points, so the oracle checks compute_bounds' sums over
+    modal coefficients against quadrature.  Audits the certificates as
+    compute_bounds does, and raises ValueError when the data oscillation
+    audit detects non-polynomial data (the guarantee would be lost)."""
     primal, adjoint = _audited_records(primal_pair, adjoint_pair, data,
                                        out.adjoint_data(), ws)
     msgs = _oscillating_data(primal, ws) + _oscillating_data(adjoint, ws, "_O")
@@ -75,12 +76,18 @@ def exact_equilibration_bounds(primal_pair, adjoint_pair, data, out, ws):
             g = ws.eval_data(fun, ws.ephys[facets])
             val += float(np.einsum("ft,ft,t,f->", g, tr, ws.ew, ws.facet_len[facets]))
 
-    a, b = primal.residual, adjoint.residual
-    zeta_minus = (adjoint_pair[0].eval_values(ws)
-                  - ws.nu[:, None, None] * adjoint.grad_u)
-    cross = 0.5 * float(np.sum(ws.integrate_elementwise(
-        a[..., 0] * zeta_minus[..., 0] + a[..., 1] * zeta_minus[..., 1]) / ws.nu))
-    a2, b2 = _energy_sq(ws, a).sum(), _energy_sq(ws, b).sum()
+    (q, u), (zeta, xi) = primal_pair, adjoint_pair
+    nu = ws.nu[:, None, None]
+    a = q.eval_values(ws) + nu * u.eval_grads(ws)
+    zeta, grad_xi = zeta.eval_values(ws), nu * xi.eval_grads(ws)
+    b, zeta_minus = zeta + grad_xi, zeta - grad_xi
+
+    def inner(v, w):  # (nu^-1 v, w) by quadrature
+        return float(np.sum(ws.integrate_elementwise(
+            v[..., 0] * w[..., 0] + v[..., 1] * w[..., 1]) / ws.nu))
+
+    cross = 0.5 * inner(a, zeta_minus)
+    a2, b2 = inner(a, a), inner(b, b)
     half_gap = 0.5 * np.sqrt(a2 * b2)
     s_tilde = val + cross
     return BoundsResult(s_minus=float(s_tilde - half_gap),

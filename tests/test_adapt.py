@@ -185,7 +185,9 @@ class TestPipeline:
 
     def test_each_field_evaluated_once_per_pair(self, monkeypatch):
         # the audit, kappa, eta and S all read one evaluated record per
-        # pair; the datum f is also read by the assembly, f_O by s_h.
+        # pair, which holds grad u~ as coefficients, so no gradient is
+        # evaluated at the quadrature points; the datum f is also read by
+        # the assembly, f_O by s_h.
         # Counted in elements: the assembly reads f once on the whole mesh,
         # also when its local solves run over blocks of 7 of the 256 elements
         monkeypatch.setattr(workspace, "_BLOCK", 7)
@@ -202,6 +204,7 @@ class TestPipeline:
                           (rc.EquilibratedFlux, "eval_divergence"),
                           (rc.ContinuousPotential, "eval_values"),
                           (rc.ContinuousPotential, "eval_grads"),
+                          (rc.ContinuousPotential, "grad_coeffs"),
                           (Workspace, "proj_p")):
             name = f"{cls.__name__}.{attr}"
             monkeypatch.setattr(cls, attr, counting(
@@ -220,7 +223,7 @@ class TestPipeline:
         assert counts == {"EquilibratedFlux.eval_values": 2 * ne,
                           "EquilibratedFlux.eval_divergence": 2 * ne,
                           "ContinuousPotential.eval_values": 2 * ne,
-                          "ContinuousPotential.eval_grads": 2 * ne,
+                          "ContinuousPotential.grad_coeffs": 2 * ne,
                           "Workspace.proj_p": 2 * ne, "f": 2 * ne,
                           "f_O": 3 * ne}
 

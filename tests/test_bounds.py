@@ -14,6 +14,7 @@ from hdgbounds import (Bulk, OutputFunctional, ProblemData, Workspace, adapt,
                        compute_kappa, evaluate, lshape_initial,
                        poincare_constants, run_pipeline,
                        unit_square_crisscross, zero)
+from hdgbounds.bounds import _audited_records, _core_functional, _energy_sq
 from hdgbounds.mesh import Mesh, refine_bisection, refine_red
 from hdgbounds.reconstruct import ContinuousPotential, EquilibratedFlux
 
@@ -227,6 +228,96 @@ class TestComputeBounds:
         # contributions only from x=0 (n=(-1,0): q.n=1) and x=1 (q.n=-1):
         # integral of y*(1) on x=0 plus y*(-1) on x=1 = 0
         assert abs(r.s_tilde - 0.0) < 1e-12
+
+
+def _y_perturbed(level, seed):
+    """Criss-cross of the given level whose interior vertices move in y by
+    up to a fifth of a cell, so that its vertical mesh lines, and with them
+    example1_s2's band next to x = 1, are kept (on a mesh perturbed in x as
+    well the admissible band line is x = 0: every element is in the band)."""
+    base = unit_square_crisscross(level)
+    v = base.vertices.copy()
+    inner = np.all((v > 1e-12) & (v < 1 - 1e-12), axis=1)
+    v[inner, 1] += np.random.default_rng(seed).uniform(
+        -0.2, 0.2, int(inner.sum())) / 2 ** (level + 1)
+    return Mesh(v, base.elements, base.boundary_tag_dict())
+
+
+PARSEVAL_CASES = {  # problem on mesh; example1_s2's adjoint carries a band
+    "perturbed_crisscross": ("example1_s1", GEOMETRY_MESHES["perturbed_crisscross"]),
+    "lshape_bisected": ("example2_s1", GEOMETRY_MESHES["lshape_bisected"]),
+    "two_regions": ("example1_s1", _two_regions),
+    "band": ("example1_s2", lambda: _y_perturbed(2, 3)),
+}
+
+
+class TestParsevalAgainstQuadrature:
+    """kappa, the flux term of eta and the gradient term of S are sums over
+    modal coefficients, except on the elements of a band correction; each
+    must equal its quadrature at the volume points, which is exact for the
+    polynomials (degree 2p + 2 under the rule of degree 2p + 4)."""
+
+    @pytest.mark.parametrize("p", range(5))
+    @pytest.mark.parametrize("name", sorted(GEOMETRY_MESHES))
+    def test_random_fields(self, name, p, rng):
+        mesh = GEOMETRY_MESHES[name]()
+        ws = Workspace(mesh, p)
+        ne, none = mesh.n_elements, np.empty(0, dtype=int)
+        flux = EquilibratedFlux(mesh, rng.standard_normal((ne, 2, ws.nm)))
+        pot = ContinuousPotential(rng.standard_normal(len(ws.node_coords)))
+        for coeffs, vals in ((flux.coeffs, flux.eval_values(ws)),
+                             (pot.grad_coeffs(ws), pot.eval_grads(ws))):
+            quad = _energy_sq(ws, coeffs, np.arange(ne), vals)
+            modal = _energy_sq(ws, coeffs, none, vals[:0])
+            assert np.all(np.abs(modal - quad) <= 1e-13 * quad)
+
+    @pytest.mark.parametrize("optimize", [False, True])
+    @pytest.mark.parametrize("p", range(5))
+    @pytest.mark.parametrize("case", sorted(PARSEVAL_CASES))
+    def test_bounds_terms(self, case, p, optimize):
+        name, make_mesh = PARSEVAL_CASES[case]
+        prob = builtin(name)
+        mesh = make_mesh()
+        _, _, pp, ap, ws = build_pair(mesh, prob.data, prob.out, p,
+                                      optimize=optimize)
+        primal, adjoint = _audited_records(pp, ap, prob.data,
+                                           prob.out.adjoint_data(), ws)
+        if case == "band":
+            assert 0 < len(adjoint.band) < mesh.n_elements
+        kappa, degenerate = compute_kappa(primal, adjoint, ws)
+        assert not degenerate
+
+        def inner(v, w):  # elementwise (nu^-1 v, w)_K by quadrature
+            return ws.integrate_elementwise(v[..., 0] * w[..., 0]
+                                            + v[..., 1] * w[..., 1]) / ws.nu
+
+        nu = ws.nu[:, None, None]
+        (q, u), (zeta, xi) = pp, ap
+        q, grad_u = q.eval_values(ws), nu * u.eval_grads(ws)
+        zeta, grad_xi = zeta.eval_values(ws), nu * xi.eval_grads(ws)
+        a, b = q + grad_u, zeta + grad_xi
+        a2, b2 = inner(a, a).sum(), inner(b, b).sum()
+        # a and b cancel where they are small against q~ and nu grad u~, so
+        # their round-off scales with those summands
+        a_scale = np.sqrt(inner(q, q)) + np.sqrt(inner(grad_u, grad_u))
+        b_scale = np.sqrt(inner(zeta, zeta)) + np.sqrt(inner(grad_xi, grad_xi))
+        eps = 1e-13
+
+        assert abs(kappa - np.sqrt(b2 / a2)) <= eps * kappa * (
+            a_scale.sum() / np.sqrt(a2) + b_scale.sum() / np.sqrt(b2))
+        eta = compute_eta(primal, adjoint, ws, kappa).flux
+        for row, k in enumerate((-kappa, kappa)):
+            assert np.all(np.abs(eta[row] - np.sqrt(inner(b + k * a, b + k * a)))
+                          <= eps * (b_scale + kappa * a_scale))
+        integral = lambda v: np.sum(ws.integrate_elementwise(v))
+        S = _core_functional(primal, adjoint, ws)
+        S_quadrature = (integral(adjoint.f * primal.u)
+                        + integral(primal.f * adjoint.u)
+                        - np.sum(inner(grad_u, grad_xi))
+                        - np.sum(primal.u_neu * adjoint.g_N * ws.neu_weights)
+                        - np.sum(adjoint.u_neu * primal.g_N * ws.neu_weights))
+        assert abs(S - S_quadrature) <= eps * (abs(S) + np.sqrt(
+            inner(grad_u, grad_u).sum() * inner(grad_xi, grad_xi).sum()))
 
 
 @pytest.mark.parametrize("p", [1, 2])
@@ -578,12 +669,13 @@ def test_galerkin_energy_below_upper_bound(monkeypatch, p, target):
 @pytest.mark.parametrize("p", [1, 2])
 def test_compute_bounds_memory(p):
     # compute_bounds takes the interior jumps of both pairs first, then
-    # evaluates and audits one pair at a time, and each record keeps seven
-    # arrays of ne nq doubles.  numpy's traced peak above the live set it
-    # starts with was 18.7 such arrays at p=1 and 18.4 at p=2 (19.2 at p=2
-    # when the adjoint pair's interior traces were gathered next to the
-    # primal record; 26.5 and 26.3 when each record also held q~, its
-    # divergence and Pi_p f)
+    # evaluates and audits one pair at a time, and each record keeps three
+    # arrays of ne nq doubles (u~, f, f - Pi_p f) and two of ne 2 nm
+    # coefficients (q~ + nu grad u~, grad u~).  numpy's traced peak above
+    # the live set it starts with was 11.4 ne nq arrays at p=1 and 11.5 at
+    # p=2 (18.7 and 18.4 when the records held those two fields, and the
+    # bounds read them, at the quadrature points; 26.5 and 26.3 when each
+    # record also held q~, its divergence and Pi_p f)
     import tracemalloc
     prob = builtin("example1_s1")
     mesh = perturbed_crisscross(0.06 / 2 ** 4, 1, base=unit_square_crisscross(4))
@@ -596,4 +688,4 @@ def test_compute_bounds_memory(p):
     finally:
         tracemalloc.stop()
     assert res.contains(prob.exact_s)
-    assert peak <= 20.0 * 8 * mesh.n_elements * ws.nq
+    assert peak <= 13.0 * 8 * mesh.n_elements * ws.nq

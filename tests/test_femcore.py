@@ -11,7 +11,8 @@ from hdgbounds import Workspace
 from hdgbounds import femcore as fc
 from hdgbounds import unit_square_crisscross
 from hdgbounds.mesh import Mesh, lshape_initial, refine_bisection
-from hdgbounds.reconstruct import EquilibratedFlux, _energy_sq
+from hdgbounds.bounds import _energy_sq
+from hdgbounds.reconstruct import EquilibratedFlux
 from hdgbounds.workspace import _BLOCK, spd_solve
 
 
@@ -364,9 +365,17 @@ class TestRTSpace:
 
 
 def energy(mesh, v):
-    """Per-element energy norms of a callable vector field, (ne,)."""
+    """Per-element energy norms of a callable vector field of degree <= 3,
+    (ne,): the sum of its squared modal coefficients, which must equal the
+    quadrature route that bounds._energy_sq takes on band elements."""
     ws = Workspace(mesh, 2)
-    return np.sqrt(_energy_sq(ws, v(ws.qphys[..., 0], ws.qphys[..., 1])))
+    vals = v(ws.qphys[..., 0], ws.qphys[..., 1])
+    coeffs = np.einsum("eqc,aq,q->eca", vals, ws.phi_m, ws.qw
+                       ) * ws.sqrt_det[:, None, None]
+    modal = _energy_sq(ws, coeffs, np.empty(0, dtype=int), vals[:0])
+    quad = _energy_sq(ws, coeffs, np.arange(mesh.n_elements), vals)
+    assert np.abs(modal - quad).max() <= 1e-13 * quad.max()
+    return np.sqrt(modal)
 
 
 UNIT_X = lambda x, y: np.stack([np.ones_like(x), np.zeros_like(x)], axis=-1)

@@ -15,10 +15,10 @@ from hdgbounds import (DirichletBand, NonFiniteDataError, OutputFunctional,
                        lshape_initial, make_continuous, postprocess_potential,
                        potential_residuals, reconstruct_flux, solve,
                        unit_square_crisscross, zero)
-from hdgbounds.bounds import compute_bounds
+from hdgbounds.bounds import _residual_sq, compute_bounds
 from hdgbounds.mesh import Mesh, refine_bisection
 from hdgbounds.reconstruct import (ContinuousPotential, EquilibratedFlux,
-                                   _energy_sq, certified_pairs, _metrics, _normal_matrix,
+                                   certified_pairs, _metrics, _normal_matrix,
                                    enforce_dirichlet_band, evaluate,
                                    local_optimize)
 
@@ -617,17 +617,16 @@ class TestLocalOptimize:
         data = ProblemData(f=zero, g_D=lambda x, y: x)
         sol, flux, pot, ws = base_pair(mesh, data, 2)
         f2, p2 = local_optimize(flux, pot, ws)
-        a = evaluate(f2, p2, data, ws).residual
-        assert np.sqrt(_energy_sq(ws, a).sum()) < 1e-10
+        assert np.sqrt(_residual_sq(evaluate(f2, p2, data, ws), ws)) < 1e-10
 
     @pytest.mark.parametrize("p", [0, 1, 2, 3])
     def test_objective_never_increases_and_certificates_hold(self, p):
         mesh = unit_square_crisscross(0)
         data = ProblemData(f=EX1_F)
         sol, flux, pot, ws = base_pair(mesh, data, p)
-        before = _energy_sq(ws, evaluate(flux, pot, data, ws).residual).sum()
+        before = _residual_sq(evaluate(flux, pot, data, ws), ws)
         f2, p2 = local_optimize(flux, pot, ws)
-        after = _energy_sq(ws, evaluate(f2, p2, data, ws).residual).sum()
+        after = _residual_sq(evaluate(f2, p2, data, ws), ws)
         assert after <= before + 1e-12
         if p == 0:
             # no feasible direction: the pair is returned unchanged
@@ -648,7 +647,7 @@ class TestLocalOptimize:
         p = 2
         sol, flux, pot, ws = base_pair(mesh, data, p)
         fo, po = local_optimize(flux, pot, ws)
-        obj_opt = _energy_sq(ws, evaluate(fo, po, data, ws).residual).sum()
+        obj_opt = _residual_sq(evaluate(fo, po, data, ws), ws)
 
         # curl of the cubic bubble b = l1 l2 l3 on each element (reference
         # barycentrics), scaled randomly per element
@@ -672,9 +671,9 @@ class TestLocalOptimize:
         rec = evaluate(flux_pert, pot, data, ws)
         res = flux_residuals(rec, ws)
         assert max(res.values()) < 1e-9  # still equilibrated
-        obj_pert = _energy_sq(ws, rec.residual).sum()
+        obj_pert = _residual_sq(rec, ws)
         f3, p3 = local_optimize(flux_pert, pot, ws)
-        obj_back = _energy_sq(ws, evaluate(f3, p3, data, ws).residual).sum()
+        obj_back = _residual_sq(evaluate(f3, p3, data, ws), ws)
         assert obj_back <= obj_pert
         assert obj_back <= obj_opt + 1e-12
 
@@ -700,9 +699,11 @@ def test_pair_memory_below_the_bounds(p):
     # the pair stage runs on whole-mesh arrays, no larger than the two
     # records compute_bounds evaluates, audits and holds for kappa, eta and S;
     # at level 4 (4096 elements) numpy's traced peak of the one
-    # certified_pairs call for both data was 7.3 MiB at p=2 and 13.8 MiB at
-    # p=3 (7.8 and 15.2 for the second of two single-datum calls), against
-    # 10.9 and 15.8 MiB for the two records
+    # certified_pairs call for both data was 4.6 MB at p=2 and 8.0 MB at
+    # p=3, against 7.5 and 11.0 MB for the two records (7.65 and 14.5 MB
+    # when the potential post-processing built the whole (ne, nm, nm)
+    # stiffness at once, which exceeds the records since they hold their
+    # polynomial fields as coefficients)
     import tracemalloc
     from hdgbounds.bounds import _audited_records
     from hdgbounds.reconstruct import certified_pairs
