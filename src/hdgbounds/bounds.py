@@ -21,15 +21,19 @@ is the interval midpoint.  compute_bounds takes the interior jumps of both
 pairs at once, then evaluates and audits one pair at a time, into a record
 of only what kappa, eta and S read (reconstruct.evaluate).
 
-q~ and u~ are polynomials (RT^p in [P^{p+1}]^2, P^{p+1}), and the records
-hold a, b and the potential gradients as coefficients in the mapped
-orthonormal basis, so kappa, the flux term ||b -/+ kappa a||_K of eta and
-the term -(nu grad u~, grad xi~) of S are sums over coefficients
-(Parseval).  Quadrature stays where the integrand is not a polynomial: the
-data terms of S, the data oscillations, and the elements of a band
-correction, whose extension is analytic; there b -/+ kappa a is formed at
-the quadrature points and squared, never expanded into ||b||^2 -/+
-2 kappa (a, b) + kappa^2 ||a||^2, which cancels where b ~ +/- kappa a.
+q~ and u~ are polynomials (RT^p in [P^{p+1}]^2, P^{p+1}) but for a band
+extension, whose gradient g splits into its projection Pi g onto
+[P^{p+1}]^2 and the remainder g - Pi g, orthogonal to it
+(reconstruct.BandCorrection).  The records hold the polynomial parts of
+a, b and the potential gradients, Pi g included, as coefficients in the
+mapped orthonormal basis, and the remainders at the volume quadrature
+points of the band elements.  So kappa, the flux term ||b -/+ kappa a||_K
+of eta and the term -(nu grad u~, grad xi~) of S are sums over
+coefficients (Parseval) plus the quadrature of the remainders alone.
+b -/+ kappa a is formed in both parts and then squared, never expanded
+into ||b||^2 -/+ 2 kappa (a, b) + kappa^2 ||a||^2, which cancels where
+b ~ +/- kappa a.  The data terms of S and the data oscillations stay on
+quadrature.
 """
 
 from __future__ import annotations
@@ -156,34 +160,31 @@ def _oscillating_data(rec: rc.EvaluatedPair, ws: Workspace,
     return found
 
 
-def _at_points(rec: rc.EvaluatedPair, name: str, elems: np.ndarray,
-               ws: Workspace) -> np.ndarray:
-    """The record's field name, "residual" (q~ + nu grad u~) or "grad_u",
-    at the volume quadrature points of elems, ascending and holding
-    rec.band, (len(elems), nq, 2): its coefficients evaluated there, plus
-    the band correction."""
-    vals = np.einsum("ecm,mq->eqc", getattr(rec, name)[elems], ws.phi_m
-                     ) / ws.sqrt_det[elems, None, None]
-    weight = ws.nu[rec.band, None, None] if name == "residual" else 1.0
-    vals[np.searchsorted(elems, rec.band)] += weight * rec.band_grad
-    return vals
+def _band_rem(rec: rc.EvaluatedPair, band: np.ndarray,
+              ws: Workspace) -> np.ndarray:
+    """The record's band remainder g - Pi g on the elements band, ascending
+    and holding rec.band, and zero on the others, (len(band), nq, 2)."""
+    out = np.zeros((len(band), ws.nq, 2))
+    out[np.searchsorted(band, rec.band)] = rec.band_rem
+    return out
 
 
 def _energy_sq(ws: Workspace, coeffs: np.ndarray, band: np.ndarray,
-               vals: np.ndarray) -> np.ndarray:
-    """Elementwise (nu^-1 v, v)_K of a vector field v: the sum of its
-    squared mapped-modal coefficients (ne, 2, nm), except on the elements
-    band, where v is given at the volume quadrature points by vals
-    (len(band), nq, 2)."""
+               rem: np.ndarray) -> np.ndarray:
+    """Elementwise (nu^-1 v, v)_K of a vector field v whose polynomial part
+    has the mapped-modal coefficients coeffs (ne, 2, nm) and whose rest,
+    orthogonal to it, is rem at the volume quadrature points of the
+    elements band, (len(band), nq, 2): the sum of the squared coefficients
+    plus the quadrature of |rem|^2."""
     sq = np.einsum("ecm,ecm->e", coeffs, coeffs)
-    sq[band] = np.einsum("eqc,eqc,eq->e", vals, vals, ws.wdet[band])
+    sq[band] += np.einsum("eqc,eqc,eq->e", rem, rem, ws.wdet[band])
     return sq / ws.nu
 
 
 def _residual_sq(rec: rc.EvaluatedPair, ws: Workspace) -> float:
     """(nu^-1 v, v) of the record's v = q~ + nu grad u~."""
     return _energy_sq(ws, rec.residual, rec.band,
-                      _at_points(rec, "residual", rec.band, ws)).sum()
+                      ws.nu[rec.band, None, None] * rec.band_rem).sum()
 
 
 def compute_kappa(primal: rc.EvaluatedPair, adjoint: rc.EvaluatedPair,
@@ -218,7 +219,9 @@ def compute_eta(primal: rc.EvaluatedPair, adjoint: rc.EvaluatedPair,
     """
     a, b = primal.residual, adjoint.residual
     band = np.union1d(primal.band, adjoint.band)
-    av, bv = (_at_points(rec, "residual", band, ws) for rec in (primal, adjoint))
+    # the residuals' remainders, nu (g - Pi g)
+    ar, br = (ws.nu[band, None, None] * _band_rem(rec, band, ws)
+              for rec in (primal, adjoint))
     c1, c2 = poincare_constants(ws)
     d_res, do_res = primal.f_osc, adjoint.f_osc
     n_res = primal.g_N - primal.g_N_proj
@@ -232,7 +235,7 @@ def compute_eta(primal: rc.EvaluatedPair, adjoint: rc.EvaluatedPair,
     ne = ws.mesh.n_elements
     eta = EtaBreakdown(np.empty((2, ne)), np.empty((2, ne)), np.empty((2, ne)))
     for row, k in enumerate((-kappa, kappa)):  # eta^- (k = -kappa), eta^+
-        eta.flux[row] = np.sqrt(_energy_sq(ws, b + k * a, band, bv + k * av))
+        eta.flux[row] = np.sqrt(_energy_sq(ws, b + k * a, band, br + k * ar))
         eta.osc_div[row] = w_div * np.sqrt(
             ws.integrate_elementwise((do_res + k * d_res) ** 2))
         eta.osc_neu[row] = np.bincount(elems, w_neu * np.sqrt(np.einsum(
@@ -248,14 +251,15 @@ def _core_functional(primal: rc.EvaluatedPair, adjoint: rc.EvaluatedPair,
                      ws: Workspace) -> float:
     """S = (f_O, u~) + <g_N_O, u~>_GN + (f, xi~) - <g_N, xi~>_GN
     - (nu grad u~, grad xi~), with f_O and -g_N_O read from the adjoint
-    record; the gradient term is a sum over the records' coefficients except
-    on the band elements, where it is a quadrature."""
+    record; the gradient term is a sum over the records' coefficients plus,
+    on the band elements, the quadrature of the product of the remainders,
+    which are orthogonal to the polynomial parts."""
     val = float(np.sum(ws.integrate_elementwise(adjoint.f * primal.u)))
     val += float(np.sum(ws.integrate_elementwise(primal.f * adjoint.u)))
     grad = np.einsum("ecm,ecm->e", primal.grad_u, adjoint.grad_u)
     band = np.union1d(primal.band, adjoint.band)
-    gu, gx = (_at_points(rec, "grad_u", band, ws) for rec in (primal, adjoint))
-    grad[band] = np.einsum("eqc,eqc,eq->e", gu, gx, ws.wdet[band])
+    gu, gx = (_band_rem(rec, band, ws) for rec in (primal, adjoint))
+    grad[band] += np.einsum("eqc,eqc,eq->e", gu, gx, ws.wdet[band])
     val -= float(np.sum(grad * ws.nu))
     val -= float(np.sum(primal.u_neu * adjoint.g_N * ws.neu_weights))
     val -= float(np.sum(adjoint.u_neu * primal.g_N * ws.neu_weights))

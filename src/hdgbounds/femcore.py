@@ -229,6 +229,12 @@ def lagrange_lattice(m: int) -> LagrangeLattice:
 # Mesh-independent tables of one (p, quad_degree) pair
 # ---------------------------------------------------------------------------
 
+def _symmetric(A: np.ndarray) -> np.ndarray:
+    """(2, 2, ...) -> (3, ...): the parts 00, 01 + 10 and 11 of A, which a
+    symmetric 2 x 2 metric weighs."""
+    return np.stack([A[0, 0], A[0, 1] + A[1, 0], A[1, 1]])
+
+
 _REF_VERTS = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 _REF_EDGES = ((0, 1), (1, 2), (2, 0))
 
@@ -244,8 +250,9 @@ def reference_tables(p: int, quad_degree: int) -> MappingProxyType:
     phi_m, dphi_m (nm, nq, 2); local-solver tensors
       S[r, a, b]     = int d_r phi^p_a phi^p_b
       Qm[r, a, b]    = int phi^m_a d_r phi^m_b
-      S2[r, s, a, b] = int d_r phi^m_a d_s phi^m_b
-      S_mp[r, a, i]  = int d_r phi^m_a phi^p_i.
+      S_mp[r, a, i]  = int d_r phi^m_a phi^p_i,
+    and S2 (3, (nm-1)^2), the _symmetric parts of int d_r phi^m_a d_s phi^m_b
+    over the nonconstant modes a, b >= 1.
     Facet quadrature et (nqe,), ew on the canonical parameter t in [0, 1],
     segment bases psi_p (p+1, nqe), psi_m (p+2, nqe); for each (local edge,
     orientation) case, with o = 1 when the canonical direction matches the
@@ -276,7 +283,8 @@ def reference_tables(p: int, quad_degree: int) -> MappingProxyType:
     dphi_m = t["dphi_m"] = tri_basis_grad(m, qref)
     t["S"] = np.einsum("aqr,bq,q->rab", tri_basis_grad(p, qref), phi_p, w)
     t["Qm"] = np.einsum("aq,bqr,q->rab", phi_m, dphi_m, w)
-    t["S2"] = np.einsum("aqr,bqs,q->rsab", dphi_m, dphi_m, w)
+    t["S2"] = _symmetric(np.einsum("aqr,bqs,q->rsab", dphi_m[1:], dphi_m[1:], w)
+                         ).reshape(3, -1)
     t["S_mp"] = np.einsum("aqr,iq,q->rai", dphi_m, phi_p, w)
 
     erule = segment_rule(quad_degree)
@@ -400,37 +408,21 @@ def _reference_opt_tensors(t: dict) -> dict:
       sum_rs (J^T J)_rs / nu Gqq_rs + Gqg + Gqg^T
              + nu sum_rs (J^T J)^-1_rs Ggg_rs
     (the cross term has no geometry, since J^T J^-T = I).  Both metrics
-    are symmetric, so opt_gram (6, k k) holds Gqq_00, Gqq_01 + Gqq_10,
-    Gqq_11, then Ggg likewise, with Gqq_rs = sum_q w Y_r^T Y_s; opt_cross
-    (k, k) is Gqg + Gqg^T.  The right-hand side against a flux of
-    mapped-modal coefficients C (2, nm) and a potential of nodal values z
-    is
-      sum_d C_d (sum_r J_dr / nu PY_r + (J^-1)_rd PG_r)
-        + sqrt(det J) z (LY + nu sum_rs (J^T J)^-1_rs LG_rs),
+    are symmetric, so opt_gram (6, k k) holds the _symmetric parts of Gqq,
+    then of Ggg, with Gqq_rs = sum_q w Y_r^T Y_s; opt_cross (k, k) is
+    Gqg + Gqg^T.  The right-hand side against a residual q~ + nu grad u~ of
+    mapped-modal coefficients C (2, nm) is
+      sum_d C_d (sum_r J_dr / nu PY_r + (J^-1)_rd PG_r),
     with opt_rhs_q (nm, 4 k) = [PY_0, PY_1, PG_0, PG_1], PY_r[a, k] =
-    sum_q w phi_a Y_r (PG likewise with G), and opt_rhs_u (n_nodes, 4 k) =
-    [LY, LG_00, LG_01 + LG_10, LG_11], LY[j, k] = sum_q,s w
-    lag_grads[j, q, s] Y[s, q, k] and LG_rs[j, k] = sum_q w
-    lag_grads[j, q, s] G[r, q, k].  opt_q = Y and opt_g = G, (2, nq, k),
-    serve the analytic band corrections.
+    sum_q w phi_a Y_r (PG likewise with G).
     """
     nm, w, N = t["nm"], t["qw"], t["opt_nullspace"]
     k = N.shape[1]
     Y = np.einsum("aq,rak->rqk", t["phi_m"], N[:2 * nm].reshape(2, nm, k))
     G = np.einsum("aqr,ak->rqk", t["dphi_m"], N[2 * nm:])
-
-    def symmetric(A):  # (2, 2, ...) -> (3, ...): 00, 01 + 10, 11
-        return np.stack([A[0, 0], A[0, 1] + A[1, 0], A[1, 1]])
-
-    gram = np.concatenate([symmetric(np.einsum("rqk,sql,q->rskl", X, X, w))
+    gram = np.concatenate([_symmetric(np.einsum("rqk,sql,q->rskl", X, X, w))
                            for X in (Y, G)]).reshape(6, k * k)
     cross = np.einsum("rqk,rql,q->kl", Y, G, w)
     rhs_q = np.concatenate([np.einsum("aq,rqk,q->ark", t["phi_m"], X, w)
                             for X in (Y, G)], axis=1).reshape(nm, 4 * k)
-    lag = t["lag_grads"]
-    rhs_u = np.concatenate(
-        [np.einsum("jqs,sqk,q->jk", lag, Y, w)[None],
-         symmetric(np.einsum("jqs,rqk,q->rsjk", lag, G, w))])
-    return {"opt_q": Y, "opt_g": G, "opt_gram": gram,
-            "opt_cross": cross + cross.T, "opt_rhs_q": rhs_q,
-            "opt_rhs_u": rhs_u.transpose(1, 0, 2).reshape(len(lag), 4 * k)}
+    return {"opt_gram": gram, "opt_cross": cross + cross.T, "opt_rhs_q": rhs_q}

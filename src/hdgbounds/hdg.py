@@ -335,8 +335,8 @@ class CondensedSystem:
     by facet.  eliminated lists the patch eliminations
     (inner dofs, outer dofs, Y), bottom level first (_merge).
     Per element u = XP uhat_e + Xb[:, :, j], with the facet modes of uhat_e
-    by slot (_local_operators with slots); _local_operators gives q and the
-    flux moments from u and uhat_e.
+    by slot (_local_operators with slots; slot_of is the slot of each local
+    edge); _local_operators gives q and the flux moments from u and uhat_e.
     """
 
     A: sp.csc_matrix
@@ -348,6 +348,7 @@ class CondensedSystem:
     XP: np.ndarray
     Xb: np.ndarray
     slots: np.ndarray
+    slot_of: np.ndarray
     eliminated: list
 
 
@@ -414,8 +415,7 @@ def assemble_condensed(ws: Workspace, datas, tau) -> CondensedSystem:
     # zeroed, not only moved: left in Aloc, the Dirichlet coupling already in
     # loc would enter the patch recovery uhat_i = Y_r - Y_o uhat_o twice
     Aloc[bd] *= keep[:, :, None] & keep[:, None, :]
-    slot_of = np.empty_like(slots)                  # the slot of each local edge
-    slot_of[row, slots] = np.arange(3)
+    slot_of = np.argsort(slots, axis=1)             # the slot of each local edge
     neu_e = mesh.facet_elems[neu_facets, 0]
     neu_slot = slot_of[neu_e, mesh.facet_local_edge[neu_facets, 0]]
     loc.reshape(ne, 3, F1, k)[neu_e, neu_slot] -= g_N
@@ -466,7 +466,7 @@ def assemble_condensed(ws: Workspace, datas, tau) -> CondensedSystem:
     return CondensedSystem(A=A, rhs=rhs.reshape(n, k),
                            uhat=uhat.reshape(-1, k), g_N=g_N.reshape(-1, k),
                            free_dofs=(order[:, None] * F1 + np.arange(F1)).ravel(),
-                           tau=tau, XP=XP, Xb=Xb, slots=slots,
+                           tau=tau, XP=XP, Xb=Xb, slots=slots, slot_of=slot_of,
                            eliminated=eliminated)
 
 
@@ -500,11 +500,9 @@ def _back_substitute(ws: Workspace, cs: CondensedSystem) -> list[HDGSolution]:
     esign = ws.esign[row, cs.slots]
     flux_mom = flux_mom.reshape(3 * ne, F1, k) * esign.reshape(-1, 1, 1)
     fe, fl, inner = mesh.facet_elems, mesh.facet_local_edge, mesh.interior_facets
-    slot_of = np.empty_like(cs.slots)         # the slot of each local edge
-    slot_of[row, cs.slots] = np.arange(3)
-    qhat = np.take(flux_mom, 3 * fe[:, 0] + slot_of[fe[:, 0], fl[:, 0]], axis=0)
+    qhat = np.take(flux_mom, 3 * fe[:, 0] + cs.slot_of[fe[:, 0], fl[:, 0]], axis=0)
     qhat[inner] += np.take(
-        flux_mom, 3 * fe[inner, 1] + slot_of[fe[inner, 1], fl[inner, 1]], axis=0)
+        flux_mom, 3 * fe[inner, 1] + cs.slot_of[fe[inner, 1], fl[inner, 1]], axis=0)
     qhat[inner] /= 2.0
     # exact projected Neumann trace (canonical normal is outward there)
     qhat[mesh.neumann_facets] = cs.g_N.reshape(-1, F1, k)

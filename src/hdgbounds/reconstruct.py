@@ -81,16 +81,20 @@ class EquilibratedFlux:
 @dataclass
 class BandCorrection:
     """The band extension ghat, added to the potential on the band
-    elements; it vanishes on the band line, so the sum stays continuous."""
+    elements; it vanishes on the band line, so the sum stays continuous.
 
-    elems: np.ndarray            # element ids inside the band, ascending
-    ghat: Callable               # extension value (x, y) -> float
-    ghat_grad: Callable          # extension gradient (x, y) -> (..., 2)
+    Its gradient g is analytic, so the bounds read it in two parts: its L2
+    projection Pi g onto [P^{p+1}]^2, which grad_coeffs adds to the
+    polynomial part, and the remainder g - Pi g, orthogonal to every
+    polynomial of degree <= p+1 (EvaluatedPair.band_rem).  Pi g comes from
+    the moments of g under the workspace rule, which is exact for the
+    products of two polynomials of degree p+1 that the norms read."""
+
+    elems: np.ndarray        # element ids inside the band, ascending
+    ghat: Callable           # extension value (x, y) -> float
+    grad: np.ndarray         # g at the volume quadrature points of elems, (nb, nq, 2)
+    grad_proj: np.ndarray    # Pi g as mapped-modal coefficients, (nb, 2, nm)
     x_band: float
-
-    def grads_at(self, pts):
-        return require_finite(np.asarray(
-            self.ghat_grad(pts[..., 0], pts[..., 1]), dtype=float), pts)
 
 
 @dataclass
@@ -116,12 +120,16 @@ class ContinuousPotential:
         return out
 
     def grad_coeffs(self, ws: Workspace) -> np.ndarray:
-        """Mapped-modal P^{p+1} coefficients of the gradient of the nodal
-        part (the band correction excluded), (ne, 2, nm): the reference
-        gradients lag_grads_m of the nodal values, mapped by J^-T."""
+        """Mapped-modal P^{p+1} coefficients of the gradient's polynomial
+        part, (ne, 2, nm): the reference gradients lag_grads_m of the nodal
+        values, mapped by J^-T, plus Pi g on the band elements; the rest of
+        the gradient is the band remainder g - Pi g (BandCorrection)."""
         ref = (self.nodal(ws) @ ws.lag_grads_m.reshape(ws.n_nodes, -1)).reshape(
             ws.mesh.n_elements, 2, ws.nm)
-        return (ws.jac_inv_t @ ref) * ws.sqrt_det[:, None, None]
+        out = (ws.jac_inv_t @ ref) * ws.sqrt_det[:, None, None]
+        if self.correction is not None:
+            out[self.correction.elems] += self.correction.grad_proj
+        return out
 
     def eval_grads(self, ws: Workspace) -> np.ndarray:
         """Gradients at the volume quadrature points, (ne, nq, 2)."""
@@ -129,7 +137,7 @@ class ContinuousPotential:
             ws.mesh.n_elements, ws.nq, 2) @ ws.jac_inv  # mapped by J^-T
         if self.correction is not None:
             c = self.correction
-            out[c.elems] += c.grads_at(ws.qphys[c.elems])
+            out[c.elems] += c.grad
         return out
 
     def trace_values(self, ws: Workspace, facet_ids, side=0, out=None):
@@ -187,14 +195,13 @@ def postprocess_potential(sols, fluxes) -> np.ndarray:
     (len(sols), ne, n_modes(p+1))."""
     ws = sols[0].ws
     nm, ne = ws.nm, ws.mesh.n_elements
-    G = (ws.jac_inv @ ws.jac_inv_t).reshape(ne, 4)      # G[e, r, s]
-    S2 = ws.S2[:, :, 1:, 1:].reshape(4, -1)  # the block the solve reads
+    ginv = _metrics(ws)[1]   # (J^T J)^-1 = J^-1 J^-T, against S2's parts
     rhs = np.stack([-((ws.jac_inv @ flux.coeffs).reshape(ne, 2 * nm)
                       @ ws.Qm.reshape(2 * nm, nm)) / ws.nu[:, None]
                     for flux in fluxes], axis=2)
     coeffs = np.empty((len(sols), ne, nm))
     for e in _blocks(ne):
-        K = (G[e] @ S2).reshape(-1, nm - 1, nm - 1)
+        K = (ginv[e] @ ws.S2).reshape(-1, nm - 1, nm - 1)
         coeffs[:, e, 1:] = spd_solve(K, rhs[e, 1:]).transpose(2, 0, 1)
     coeffs[:, :, 0] = [sol.u[:, 0] for sol in sols]  # (u*, 1)_K = (u_h, 1)_K
     return coeffs
@@ -255,8 +262,11 @@ def enforce_dirichlet_band(pot: ContinuousPotential, band: DirichletBand,
     potential becomes its nodal values minus ghat at the band elements'
     nodes, plus ghat itself on the band elements: the nodes on the portion
     then hold g_D - ghat = 0, so the trace there is ghat, the datum, while
-    ghat = 0 on the band line keeps the sum continuous.  Raises ValueError
-    on a potential that already carries a band correction.
+    ghat = 0 on the band line keeps the sum continuous.  The gradient of
+    ghat is evaluated here, once, at the band elements' volume points, and
+    projected onto [P^{p+1}]^2 (BandCorrection).  Raises ValueError on a
+    potential that already carries a band correction, NonFiniteDataError
+    where the profile or its derivative is not finite.
     """
     ax = band.axis
     if pot.correction is not None:
@@ -271,21 +281,18 @@ def enforce_dirichlet_band(pot: ContinuousPotential, band: DirichletBand,
         a, s = (x, y) if ax == 0 else (y, x)
         return np.asarray(profile(s), dtype=float) * (a - x_band) / width
 
-    def ghat_grad(x, y):
-        a, s = (x, y) if ax == 0 else (y, x)
-        blend = (a - x_band) / width
-        da = np.asarray(profile(s), dtype=float) / width
-        ds = np.asarray(dprofile(s), dtype=float) * blend
-        out = np.empty(np.broadcast(x, y).shape + (2,))
-        out[..., ax] = da
-        out[..., 1 - ax] = ds
-        return out
-
     nodes = np.unique(ws.node_map[band_elems])
     values = pot.values.copy()
     values[nodes] -= ws.eval_data(ghat, ws.node_coords[nodes])
-    corr = BandCorrection(elems=band_elems, ghat=ghat, ghat_grad=ghat_grad,
-                          x_band=x_band)
+    pts = ws.qphys[band_elems]
+    a, s = pts[..., ax], pts[..., 1 - ax]
+    grad = np.empty(pts.shape)
+    grad[..., ax] = np.asarray(profile(s), dtype=float) / width
+    grad[..., 1 - ax] = np.asarray(dprofile(s), dtype=float) * ((a - x_band) / width)
+    proj = np.einsum("eqc,mq,q->ecm", require_finite(grad, pts), ws.phi_m, ws.qw
+                     ) * ws.sqrt_det[band_elems, None, None]
+    corr = BandCorrection(elems=band_elems, ghat=ghat, grad=grad,
+                          grad_proj=proj, x_band=x_band)
     return replace(pot, values=values, correction=corr)
 
 
@@ -297,14 +304,16 @@ def enforce_dirichlet_band(pot: ContinuousPotential, band: DirichletBand,
 class EvaluatedPair:
     """What the audit and the bounds read of a pair and its data.
 
-    The polynomial fields as mapped-modal P^{p+1} coefficients (ne, 2, nm),
+    The polynomial parts as mapped-modal P^{p+1} coefficients (ne, 2, nm),
     whose L2 norms and products are sums over the coefficients (Parseval):
-    residual, q~ + nu grad u~, and grad_u, grad u~, both without the band
-    correction, whose gradient at the volume quadrature points of the band
-    elements is band_grad (len(band), nq, 2); sum (nu^-1 q~, q~) from the
-    coefficients.  On quadrature, where the integrand is data or the check
-    is pointwise: max |q~| at the volume points, max_K h_K max |div q~ -
-    Pi_p f|, interior_jumps, max |q~.n - Pi_e g_N| on neumann_facets, and
+    residual, q~ + nu grad u~, and grad_u, grad u~, each with the projection
+    Pi g of the band gradient g on the band elements.  The rest there,
+    band_rem = g - Pi g at the volume quadrature points (len(band), nq, 2),
+    is orthogonal to the coefficients' polynomials, so its quadrature adds
+    to their norms.  sum (nu^-1 q~, q~) from the coefficients.  On
+    quadrature, where the integrand is data or the check is pointwise:
+    max |q~| at the volume points, max_K h_K max |div q~ - Pi_p f|,
+    interior_jumps, max |q~.n - Pi_e g_N| on neumann_facets, and
     max |u~ - g_D| and max |g_D| on dirichlet_facets; at the volume points
     u~, f and f - Pi_p f; on neumann_facets u~, g_N, Pi_e g_N."""
 
@@ -319,7 +328,7 @@ class EvaluatedPair:
     residual: np.ndarray
     grad_u: np.ndarray
     band: np.ndarray
-    band_grad: np.ndarray
+    band_rem: np.ndarray
     u: np.ndarray
     f: np.ndarray
     f_osc: np.ndarray
@@ -357,7 +366,12 @@ def evaluate(flux: EquilibratedFlux, pot: ContinuousPotential,
                     * ws.h).max()
     np.subtract(f, f_osc, out=f_osc)
     q, grad_u, corr = flux.coeffs, pot.grad_coeffs(ws), pot.correction
-    band = np.empty(0, dtype=int) if corr is None else corr.elems
+    if corr is None:
+        band, band_rem = np.empty(0, dtype=int), np.empty((0, ws.nq, 2))
+    else:
+        band = corr.elems
+        band_rem = corr.grad - np.einsum("ecm,mq->eqc", corr.grad_proj, ws.phi_m
+                                         ) / ws.sqrt_det[band, None, None]
     g_N = ws.eval_data(data.g_N, ws.ephys[neu])
     g_N_proj = ws.facet_proj_p(g_N, neu)
     g_D = ws.eval_data(data.g_D, ws.ephys[dfac])
@@ -369,8 +383,7 @@ def evaluate(flux: EquilibratedFlux, pot: ContinuousPotential,
         dirichlet=np.abs(pot.trace_values(ws, dfac) - g_D).max(),
         g_D_max=np.abs(g_D).max(),
         residual=q + ws.nu[:, None, None] * grad_u, grad_u=grad_u, band=band,
-        band_grad=(np.empty((0, ws.nq, 2)) if corr is None
-                   else corr.grads_at(ws.qphys[band])),
+        band_rem=band_rem,
         u=pot.eval_values(ws), f=f, f_osc=f_osc,
         u_neu=pot.trace_values(ws, neu), g_N=g_N, g_N_proj=g_N_proj)
 
@@ -440,9 +453,12 @@ def local_optimize(flux: EquilibratedFlux, pot: ContinuousPotential,
     assembled from reference tensors (femcore._reference_opt_tensors): the
     matrix from one product of the element metrics J^T J / nu and
     nu (J^T J)^-1 with the Gram tensors, the right-hand side from the
-    pair's modal and nodal coefficients, with a quadrature only on the
-    elements of a band correction.  The rotated basis and a diagonal
-    (Jacobi) scaling keep the matrix well conditioned on graded meshes.
+    coefficients of the residual q~ + nu grad u~ (flux.coeffs and
+    grad_coeffs).  A band remainder g - Pi g (BandCorrection) is orthogonal
+    to every feasible direction, whose flux lies in [P^{p+1}]^2 and whose
+    potential gradient in [P^p]^2, so it adds nothing.  The rotated basis
+    and a diagonal (Jacobi) scaling keep the matrix well conditioned on
+    graded meshes.
     Any step along the directions keeps the pair feasible, so the
     certificates do not depend on the accuracy of the solve; only the
     optimality does.
@@ -453,28 +469,13 @@ def local_optimize(flux: EquilibratedFlux, pot: ContinuousPotential,
     if k == 0:  # p = 0: the constraints fix the pair
         return (replace(flux, coeffs=flux.coeffs.copy()),
                 replace(pot, values=pot.values.copy()))
-    nu = ws.nu[:, None]
-    jtj, ginv = _metrics(ws)
-    M = _normal_matrix(ws, jtj, ginv)
-
-    # right-hand side: the flux part from the modal coefficients, the
-    # potential part from the nodal values
-    wq = np.concatenate([ws.jac / nu[:, :, None], ws.jac_inv_t], axis=2)
-    b = np.einsum("edj,edjk->ek", wq, (flux.coeffs.reshape(2 * ne, nm)
+    M = _normal_matrix(ws, *_metrics(ws))
+    # right-hand side from the coefficients of the residual
+    nu = ws.nu[:, None, None]
+    res = flux.coeffs + nu * pot.grad_coeffs(ws)
+    wq = np.concatenate([ws.jac / nu, ws.jac_inv_t], axis=2)
+    b = np.einsum("edj,edjk->ek", wq, (res.reshape(2 * ne, nm)
                                         @ ws.opt_rhs_q).reshape(ne, 2, 4, k))
-    nodal = pot.nodal(ws)
-    zu = (nodal @ ws.opt_rhs_u).reshape(ne, 4, k)
-    if pot.correction is not None:
-        # on the band elements the gradient g of the extension adds to the
-        # polynomial part, by quadrature: J^T g against Y, J^-1 g against G
-        e = pot.correction.elems
-        g = pot.correction.grads_at(ws.qphys[e])
-        b[e] += ws.sqrt_det[e, None] * (
-            np.einsum("eqr,rqk,q->ek", g @ ws.jac[e], ws.opt_q, ws.qw)
-            + nu[e] * np.einsum("eqr,rqk,q->ek", g @ ws.jac_inv_t[e],
-                                ws.opt_g, ws.qw))
-    wu = np.concatenate([np.ones((ne, 1)), ginv * nu], axis=1)
-    b += ws.sqrt_det[:, None] * np.einsum("ej,ejk->ek", wu, zu)
 
     d = 1.0 / np.sqrt(np.einsum("ekk->ek", M))
     xi = -d * spd_solve(M * d[:, :, None] * d[:, None, :],
@@ -485,7 +486,7 @@ def local_optimize(flux: EquilibratedFlux, pot: ContinuousPotential,
     # boundary traces are constrained, so only interior node values move
     slots = ws.lattice.interior_slots
     values = pot.values.copy()
-    values[ws.node_map[:, slots]] = nodal[:, slots] + (
+    values[ws.node_map[:, slots]] += (
         xi @ (ws.vand_m[slots] @ Nu).T) / ws.sqrt_det[:, None]
     return replace(flux, coeffs=coeffs), replace(pot, values=values)
 

@@ -183,11 +183,14 @@ class TestPipeline:
         with pytest.raises(RuntimeError, match="certificate violated"):
             run_pipeline(prob.initial_mesh(), prob.data, prob.out, 1)
 
-    def test_each_field_evaluated_once_per_pair(self, monkeypatch):
+    @pytest.mark.parametrize("optimize", [False, True])
+    def test_each_field_evaluated_once_per_pair(self, monkeypatch, optimize):
         # the audit, kappa, eta and S all read one evaluated record per
         # pair, which holds grad u~ as coefficients, so no gradient is
         # evaluated at the quadrature points; the datum f is also read by
-        # the assembly, f_O by s_h.
+        # the assembly, f_O by s_h.  The local optimization reads the
+        # residual's coefficients too (one more grad_coeffs per pair) and
+        # evaluates no field at the quadrature points.
         # Counted in elements: the assembly reads f once on the whole mesh,
         # also when its local solves run over blocks of 7 of the 256 elements
         monkeypatch.setattr(workspace, "_BLOCK", 7)
@@ -217,13 +220,14 @@ class TestPipeline:
         data = replace(prob.data, f=counting("f", prob.data.f, points))
         out = replace(prob.out, f_O=counting("f_O", prob.out.f_O, points))
         mesh = unit_square_crisscross(2)
-        res = run_pipeline(mesh, data, out, p=2)
+        res = run_pipeline(mesh, data, out, p=2, optimize=optimize)
         assert res.contains(prob.exact_s)
         ne = mesh.n_elements
         assert counts == {"EquilibratedFlux.eval_values": 2 * ne,
                           "EquilibratedFlux.eval_divergence": 2 * ne,
                           "ContinuousPotential.eval_values": 2 * ne,
-                          "ContinuousPotential.grad_coeffs": 2 * ne,
+                          "ContinuousPotential.grad_coeffs":
+                              (4 if optimize else 2) * ne,
                           "Workspace.proj_p": 2 * ne, "f": 2 * ne,
                           "f_O": 3 * ne}
 

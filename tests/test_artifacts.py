@@ -58,7 +58,9 @@ def test_one_ulp_is_round_off(tmp_path, capsys):
     up = dict(SUMMARY, s_minus=math.nextafter(SUMMARY["s_minus"], 1.0))
     code, out = _run(tmp_path, capsys, summary=up)
     assert code == 0
-    row = [line for line in out.splitlines() if "s_minus" in line]
+    # the table of differences, before the largest move of each quantity
+    table = out.split("# largest relative move")[0]
+    row = [line for line in table.splitlines() if "s_minus" in line]
     assert len(row) == 1 and "| 1 |" in row[0] and "round-off" in row[0]
 
 
@@ -69,6 +71,32 @@ def test_last_printed_digit_is_round_off(tmp_path, capsys):
                      report=REPORT.replace("3.46e-03", "3.47e-03"))
     assert code == 0
     assert "convergence.csv row 2 s_plus" in out and "report.txt row 3 3" in out
+
+
+def test_largest_move_of_each_quantity_over_all_studies(tmp_path, capsys):
+    # two studies: s_minus moves by 1 ulp in one summary and by 3 in the
+    # other's, s_plus by one unit of its 13th digit in one CSV row
+    s = SUMMARY["s_minus"]
+    for side, ulps in (("a", (0, 0)), ("b", (1, 3))):
+        (tmp_path / side).mkdir()
+        for study, n in zip(("x", "y"), ulps):
+            up = s
+            for _ in range(n):
+                up = math.nextafter(up, 1.0)
+            csv = CSV if side == "a" or study == "x" else CSV.replace(
+                "2.323032208698e-01", "2.323032208699e-01")
+            _write(tmp_path / side / study, csv=csv,
+                   summary=dict(SUMMARY, s_minus=up))
+    code = artifacts.main(["diff", str(tmp_path / "a"), str(tmp_path / "b")])
+    out = capsys.readouterr().out
+    assert code == 0
+    table = out.split("# largest relative move of each quantity\n")[1].splitlines()
+    assert table[:2] == ["| quantity | relative | ulps | where |", "|---|---|---|---|"]
+    rows = {row.split(" | ")[0][2:]: row.split(" | ")[1:] for row in table[2:]}
+    assert set(rows) == {"s_minus", "s_plus"}
+    assert rows["s_minus"] == [f"{3 * math.ulp(s) / s:.2g}", "3",
+                               "y/summary.json s_minus |"]
+    assert rows["s_plus"][2] == "y/convergence.csv row 2 s_plus |"
 
 
 def test_changed_row_is_beyond_round_off(tmp_path, capsys):

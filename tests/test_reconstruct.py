@@ -323,17 +323,16 @@ class TestBandExtension:
         assert maxima[0] > maxima[1] > maxima[2]
 
     def test_nonfinite_profile_derivative_reported(self):
-        # the band gradient is data too: a NaN derivative is named, not
-        # passed on to the energy norms
+        # the band gradient is data too: a NaN derivative is named where the
+        # extension is built, not passed on to the energy norms
         mesh = unit_square_crisscross(0)
         gdo = self.gdo()
         band = DirichletBand(axis=0, value=1.0, profile=self.band().profile,
                              profile_deriv=lambda s: np.nan * s)
         data = ProblemData(f=zero, g_D=gdo, band=band)
         sol, flux, pot, ws = base_pair(mesh, data, 1)
-        pot = enforce_dirichlet_band(pot, band, ws)
         with pytest.raises(NonFiniteDataError, match="non-finite"):
-            pot.eval_grads(ws)
+            enforce_dirichlet_band(pot, band, ws)
 
     @pytest.mark.parametrize("p", [1, 2, 3])
     def test_eval_grads_matches_einsum_formula(self, p):
@@ -347,9 +346,32 @@ class TestBandExtension:
 
         ref = np.einsum("eqd,ecd->eqc", np.einsum(
             "ek,kqd->eqd", pot.nodal(ws), ws.lag_grads), ws.jac_inv_t)
-        ref[c.elems] += c.grads_at(ws.qphys[c.elems])
+        ref[c.elems] += c.grad
         got = pot.eval_grads(ws)
         assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("p", range(5))
+    def test_band_gradient_is_projection_plus_orthogonal_remainder(self, p):
+        # example1_s2's adjoint pair: grad_coeffs holds the projection of
+        # the whole gradient onto [P^{p+1}]^2 on the band elements, and the
+        # record's remainder has no moment against that space
+        prob = builtin("example1_s2")
+        _, _, _, (flux, pot), ws = build_pair(perturbed_crisscross(), prob.data,
+                                              prob.out, p)
+        c = pot.correction
+        e = c.elems
+        assert len(e)
+        rec = evaluate(flux, pot, prob.out.adjoint_data(), ws)
+        assert np.array_equal(rec.band, e)
+
+        def ref_moments(v):  # against the reference P^{p+1} basis
+            return np.einsum("eqc,mq,q->ecm", v, ws.phi_m, ws.qw)
+
+        assert (np.abs(ref_moments(rec.band_rem)).max()
+                <= 1e-13 * np.abs(c.grad).max())
+        proj = ref_moments(pot.eval_grads(ws)[e]) * ws.sqrt_det[e, None, None]
+        got = pot.grad_coeffs(ws)[e]
+        assert np.abs(got - proj).max() <= 1e-13 * np.abs(proj).max()
 
     def test_band_line_is_maximal_mesh_line(self):
         for lvl in (0, 1):
@@ -468,7 +490,8 @@ def _local_optimize_loop(flux, pot, ws):
         bobj = np.zeros(2 * nq)
         if e in corr_elems:
             # the extension's gradient enters the objective as fixed data
-            g = pot.correction.grads_at(ws.qphys[e])          # (nq, 2)
+            corr = pot.correction
+            g = corr.grad[np.searchsorted(corr.elems, e)]     # (nq, 2)
             for c in (0, 1):
                 bobj[c * nq:(c + 1) * nq] = -nu[e] * g[:, c] * sqw[e]
 

@@ -23,6 +23,11 @@ study by study.  Every file of either directory is compared:
   apart from a change of geometry;
 - any other file as text.
 
+The table of differences ends with the largest relative move of each
+quantity over all studies: of each column of ``convergence.csv`` and each
+value of ``summary.json`` (s_minus, s_plus, kappa, half_gap, ...), with
+where it is.
+
 Round-off class: two numbers are equal up to round-off when they differ by
 at most RTOL = 1e-8 times the larger magnitude or, for a number read from
 text, by one unit in its last printed digit.  Integers (a count such as
@@ -102,13 +107,16 @@ def _number(text: str):
 
 
 class Diff:
-    """The differences found, as table rows, and whether any is beyond
-    round-off."""
+    """The differences found, as table rows, whether any is beyond
+    round-off, and the largest relative move of each named quantity, as
+    quantity -> (relative move, ulps, where)."""
 
     def __init__(self):
         self.rows: list[tuple] = []
+        self.moves: dict[str, tuple] = {}
 
-    def number(self, where: str, a: float, b: float, unit: float | None = 0.0):
+    def number(self, where: str, a: float, b: float, unit: float | None = 0.0,
+               quantity: str | None = None):
         """Numbers a and b: round-off within RTOL or one printed unit, any
         difference if unit is None (integers)."""
         if a == b or (math.isnan(a) and math.isnan(b)):
@@ -116,12 +124,19 @@ class Diff:
         big = max(abs(a), abs(b))
         delta = abs(a - b)
         rel = delta / big if big else math.inf
+        ulps = f"{delta / math.ulp(big):.3g}"
         # one printed unit, with slack for the binary value of each side
         ok = unit is not None and delta <= max(RTOL * big, unit * (1 + 1e-9))
-        self.rows.append((where, repr(a), repr(b), f"{delta / math.ulp(big):.3g}",
-                          f"{rel:.2g}", ROUNDOFF if ok else BEYOND))
+        self.rows.append((where, repr(a), repr(b), ulps, f"{rel:.2g}",
+                          ROUNDOFF if ok else BEYOND))
+        if quantity is not None:
+            self.move(quantity, (rel, ulps, where))
 
-    def token(self, where: str, a: str, b: str):
+    def move(self, quantity: str, move: tuple):
+        if move[0] > self.moves.get(quantity, (-1.0,))[0]:
+            self.moves[quantity] = move
+
+    def token(self, where: str, a: str, b: str, quantity: str | None = None):
         if a == b:
             return
         x, y = _number(a), _number(b)
@@ -129,7 +144,7 @@ class Diff:
             self.other(where, a, b)
         else:
             unit = None if x[1] is None or y[1] is None else max(x[1], y[1])
-            self.number(where, x[0], y[0], unit)
+            self.number(where, x[0], y[0], unit, quantity)
 
     def other(self, where: str, a, b, kind: str = BEYOND):
         self.rows.append((where, str(a), str(b), "", "", kind))
@@ -155,8 +170,9 @@ def _compare_rows(diff: Diff, name: str, a: list[list[str]], b: list[list[str]],
             diff.other(f"{name} row {i + 1}", " ".join(ra), " ".join(rb))
             continue
         for j, (x, y) in enumerate(zip(ra, rb)):
-            col = header[j] if header and j < len(header) else str(j + 1)
-            diff.token(f"{name} row {i + 1} {col}", x, y)
+            named = header is not None and j < len(header)
+            col = header[j] if named else str(j + 1)
+            diff.token(f"{name} row {i + 1} {col}", x, y, col if named else None)
 
 
 def _compare_csv(diff: Diff, a: Path, b: Path):
@@ -180,7 +196,9 @@ def _compare_json(diff: Diff, a: Path, b: Path):
         elif (isinstance(x, (int, float)) and isinstance(y, (int, float))
               and not isinstance(x, bool) and not isinstance(y, bool)):
             exact = isinstance(x, int) and isinstance(y, int)
-            diff.number(where.rstrip("."), float(x), float(y), None if exact else 0.0)
+            where = where.rstrip(".")
+            diff.number(where, float(x), float(y), None if exact else 0.0,
+                        where.split(" ", 1)[1])
         elif x != y:
             diff.other(where.rstrip("."), json.dumps(x), json.dumps(y))
 
@@ -233,8 +251,10 @@ def diff_dirs(a: Path, b: Path) -> Diff:
     for name in names:
         pa, pb = a / name, b / name
         if pa.is_dir() and pb.is_dir():
-            diff.rows += [(f"{name}/{row[0]}",) + row[1:]
-                          for row in diff_dirs(pa, pb).rows]
+            sub = diff_dirs(pa, pb)
+            diff.rows += [(f"{name}/{row[0]}",) + row[1:] for row in sub.rows]
+            for quantity, (rel, ulps, where) in sub.moves.items():
+                diff.move(quantity, (rel, ulps, f"{name}/{where}"))
         elif not (pa.is_file() and pb.is_file()):
             diff.other(name, "present" if pa.is_file() else "missing",
                        "present" if pb.is_file() else "missing")
@@ -309,6 +329,12 @@ def main(argv=None) -> int:
         print("|---|---|---|---|---|---|")
         for row in diff.rows:
             print("| " + " | ".join(row) + " |")
+    if diff.moves:
+        print("\n# largest relative move of each quantity")
+        print("| quantity | relative | ulps | where |")
+        print("|---|---|---|---|")
+        for quantity, (rel, ulps, where) in sorted(diff.moves.items()):
+            print(f"| {quantity} | {rel:.2g} | {ulps} | {where} |")
     return 1 if diff.beyond else 0
 
 
