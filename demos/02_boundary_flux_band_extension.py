@@ -25,11 +25,11 @@ adata = prob.out.adjoint_data()
 
 print("ghat - I ghat shrinks rapidly with the polynomial degree:")
 for p in (1, 2, 3):
-    sol = solve(Workspace(mesh, p), [adata])[0]
-    ws = sol.ws
-    flux = reconstruct_flux(sol)
-    (pot,) = make_continuous(postprocess_potential([sol], [flux]), [adata.g_D], ws)
-    pot = enforce_dirichlet_band(pot, prob.out.band, ws)
+    ws = Workspace(mesh, p)
+    sol = solve(ws, [adata])[0]
+    flux = reconstruct_flux(ws, sol)
+    (pot,) = make_continuous(ws, postprocess_potential(ws, [sol], [flux]), [adata.g_D])
+    pot = enforce_dirichlet_band(ws, pot, prob.out.band)
     c = pot.correction
     pts = ws.qphys[c.elems]
     interp = ws.eval_data(c.ghat, ws.node_coords[ws.node_map[c.elems]])

@@ -106,9 +106,9 @@ def run_pipeline(mesh: Mesh, data: hdg.ProblemData, out: hdg.OutputFunctional,
     ws = Workspace(mesh, p)
     datas = [data, out.adjoint_data()]
     sols = hdg.solve(ws, datas, tau)
-    res = bd.compute_bounds(*rc.certified_pairs(sols, datas, optimize),
-                            *datas, ws)
-    res.s_h = hdg.raw_output(sols[0], out)
+    res = bd.compute_bounds(ws, *rc.certified_pairs(ws, sols, datas, optimize),
+                            *datas)
+    res.s_h = hdg.raw_output(ws, sols[0], out)
     return res
 
 

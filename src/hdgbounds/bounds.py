@@ -127,16 +127,16 @@ def poincare_constants(ws: Workspace):
 # Audited records and kappa
 # ---------------------------------------------------------------------------
 
-def _audited_records(primal_pair, adjoint_pair, data: ProblemData,
-                     adata: ProblemData, ws: Workspace):
+def _audited_records(ws: Workspace, primal_pair, adjoint_pair,
+                     data: ProblemData, adata: ProblemData):
     """Evaluate and audit the primal pair with its data, then the adjoint one
     with the adjoint data f_O, g_D_O, -g_N_O (OutputFunctional.adjoint_data),
     their interior jumps taken at once; RuntimeError once a certificate fails."""
     pairs, recs = (primal_pair, adjoint_pair), []
-    for pair, d, jumps in zip(pairs, (data, adata), rc.interior_jumps(pairs, ws)):
-        rec = rc.evaluate(*pair, d, ws, jumps)
-        fres = rc.flux_residuals(rec, ws)
-        pres = rc.potential_residuals(rec, ws)
+    for pair, d, jumps in zip(pairs, (data, adata), rc.interior_jumps(ws, pairs)):
+        rec = rc.evaluate(ws, *pair, d, jumps)
+        fres = rc.flux_residuals(ws, rec)
+        pres = rc.potential_residuals(ws, rec)
         # "not <=" so that a NaN residual fails the gate too
         if not all(r <= _CERTIFICATE_TOL for r in {**fres, **pres}.values()):
             raise RuntimeError(
@@ -145,7 +145,7 @@ def _audited_records(primal_pair, adjoint_pair, data: ProblemData,
     return recs
 
 
-def _oscillating_data(rec: rc.EvaluatedPair, ws: Workspace,
+def _oscillating_data(ws: Workspace, rec: rc.EvaluatedPair,
                       suffix: str = "") -> list[str]:
     """Names of the record's data that are not elementwise polynomials of
     degree <= p up to round-off: f against Pi_p f relative to ||f||, g_N
@@ -160,8 +160,8 @@ def _oscillating_data(rec: rc.EvaluatedPair, ws: Workspace,
     return found
 
 
-def _band_rem(rec: rc.EvaluatedPair, band: np.ndarray,
-              ws: Workspace) -> np.ndarray:
+def _band_rem(ws: Workspace, rec: rc.EvaluatedPair,
+              band: np.ndarray) -> np.ndarray:
     """The record's band remainder g - Pi g on the elements band, ascending
     and holding rec.band, and zero on the others, (len(band), nq, 2)."""
     out = np.zeros((len(band), ws.nq, 2))
@@ -181,24 +181,24 @@ def _energy_sq(ws: Workspace, coeffs: np.ndarray, band: np.ndarray,
     return sq / ws.nu
 
 
-def _residual_sq(rec: rc.EvaluatedPair, ws: Workspace) -> float:
+def _residual_sq(ws: Workspace, rec: rc.EvaluatedPair) -> float:
     """(nu^-1 v, v) of the record's v = q~ + nu grad u~."""
     return _energy_sq(ws, rec.residual, rec.band,
                       ws.nu[rec.band, None, None] * rec.band_rem).sum()
 
 
-def compute_kappa(primal: rc.EvaluatedPair, adjoint: rc.EvaluatedPair,
-                  ws: Workspace) -> tuple[float, bool]:
+def compute_kappa(ws: Workspace, primal: rc.EvaluatedPair,
+                  adjoint: rc.EvaluatedPair) -> tuple[float, bool]:
     """kappa = ||zeta~ + nu grad xi~|| / ||q~ + nu grad u~|| (global energy
     norms).  A primal residual at round-off relative to ||q~|| gives
     kappa = 1 with the degenerate flag set (the bounds tend to S as
     kappa -> infinity); otherwise an adjoint residual at round-off relative
     to ||zeta~|| gives kappa = 0 with the flag set (they tend to S as
     kappa -> 0).  A zero residual of a zero field counts as round-off."""
-    a2 = _residual_sq(primal, ws)
+    a2 = _residual_sq(ws, primal)
     if np.sqrt(a2) <= _DEGENERATE_TOL * np.sqrt(primal.q_energy):
         return 1.0, True
-    b2 = _residual_sq(adjoint, ws)
+    b2 = _residual_sq(ws, adjoint)
     if np.sqrt(b2) <= _DEGENERATE_TOL * np.sqrt(adjoint.q_energy):
         return 0.0, True
     return float(np.sqrt(b2 / a2)), False
@@ -208,8 +208,8 @@ def compute_kappa(primal: rc.EvaluatedPair, adjoint: rc.EvaluatedPair,
 # Elementwise eta contributions
 # ---------------------------------------------------------------------------
 
-def compute_eta(primal: rc.EvaluatedPair, adjoint: rc.EvaluatedPair,
-                ws: Workspace, kappa: float) -> EtaBreakdown:
+def compute_eta(ws: Workspace, primal: rc.EvaluatedPair,
+                adjoint: rc.EvaluatedPair, kappa: float) -> EtaBreakdown:
     """Per-element contributions eta_K^-/+ for the given kappa.
 
     The data oscillations are measured against the data projections, which
@@ -220,7 +220,7 @@ def compute_eta(primal: rc.EvaluatedPair, adjoint: rc.EvaluatedPair,
     a, b = primal.residual, adjoint.residual
     band = np.union1d(primal.band, adjoint.band)
     # the residuals' remainders, nu (g - Pi g)
-    ar, br = (ws.nu[band, None, None] * _band_rem(rec, band, ws)
+    ar, br = (ws.nu[band, None, None] * _band_rem(ws, rec, band)
               for rec in (primal, adjoint))
     c1, c2 = poincare_constants(ws)
     d_res, do_res = primal.f_osc, adjoint.f_osc
@@ -247,8 +247,8 @@ def compute_eta(primal: rc.EvaluatedPair, adjoint: rc.EvaluatedPair,
 # The bounds
 # ---------------------------------------------------------------------------
 
-def _core_functional(primal: rc.EvaluatedPair, adjoint: rc.EvaluatedPair,
-                     ws: Workspace) -> float:
+def _core_functional(ws: Workspace, primal: rc.EvaluatedPair,
+                     adjoint: rc.EvaluatedPair) -> float:
     """S = (f_O, u~) + <g_N_O, u~>_GN + (f, xi~) - <g_N, xi~>_GN
     - (nu grad u~, grad xi~), with f_O and -g_N_O read from the adjoint
     record; the gradient term is a sum over the records' coefficients plus,
@@ -258,7 +258,7 @@ def _core_functional(primal: rc.EvaluatedPair, adjoint: rc.EvaluatedPair,
     val += float(np.sum(ws.integrate_elementwise(primal.f * adjoint.u)))
     grad = np.einsum("ecm,ecm->e", primal.grad_u, adjoint.grad_u)
     band = np.union1d(primal.band, adjoint.band)
-    gu, gx = (_band_rem(rec, band, ws) for rec in (primal, adjoint))
+    gu, gx = (_band_rem(ws, rec, band) for rec in (primal, adjoint))
     grad[band] += np.einsum("eqc,eqc,eq->e", gu, gx, ws.wdet[band])
     val -= float(np.sum(grad * ws.nu))
     val -= float(np.sum(primal.u_neu * adjoint.g_N * ws.neu_weights))
@@ -266,8 +266,8 @@ def _core_functional(primal: rc.EvaluatedPair, adjoint: rc.EvaluatedPair,
     return val
 
 
-def compute_bounds(primal_pair, adjoint_pair, data: ProblemData,
-                   adata: ProblemData, ws: Workspace) -> BoundsResult:
+def compute_bounds(ws: Workspace, primal_pair, adjoint_pair, data: ProblemData,
+                   adata: ProblemData) -> BoundsResult:
     """Guaranteed bounds s_minus <= s <= s_plus for the output functional
     whose adjoint problem has the data adata (OutputFunctional.adjoint_data).
 
@@ -280,14 +280,14 @@ def compute_bounds(primal_pair, adjoint_pair, data: ProblemData,
     reconstruction with oscillating adjoint data admits no optimal kappa
     and raises RuntimeError.
     """
-    primal, adjoint = _audited_records(primal_pair, adjoint_pair, data, adata, ws)
-    kappa, degenerate = compute_kappa(primal, adjoint, ws)
+    primal, adjoint = _audited_records(ws, primal_pair, adjoint_pair, data, adata)
+    kappa, degenerate = compute_kappa(ws, primal, adjoint)
 
-    s_core = _core_functional(primal, adjoint, ws)
+    s_core = _core_functional(ws, primal, adjoint)
     if degenerate:
         # kappa = 1 stands for the limit kappa -> infinity, 0 for kappa -> 0
         rec, suffix = (primal, "") if kappa > 0 else (adjoint, "_O")
-        osc = _oscillating_data(rec, ws, suffix)
+        osc = _oscillating_data(ws, rec, suffix)
         if not osc:
             return BoundsResult(s_minus=s_core, s_plus=s_core, kappa=kappa,
                                 gap_elements=np.zeros(ws.mesh.n_elements),
@@ -297,7 +297,7 @@ def compute_bounds(primal_pair, adjoint_pair, data: ProblemData,
                 "the adjoint residual vanishes but the adjoint data oscillate "
                 f"in: {', '.join(osc)}; no optimal kappa exists")
 
-    em2, ep2 = compute_eta(primal, adjoint, ws, kappa).total ** 2
+    em2, ep2 = compute_eta(ws, primal, adjoint, kappa).total ** 2
     s_minus = s_core - em2.sum() / (4.0 * kappa)
     s_plus = s_core + ep2.sum() / (4.0 * kappa)
     return BoundsResult(s_minus=float(s_minus), s_plus=float(s_plus),

@@ -195,7 +195,7 @@ class LagrangeLattice:
     vertex_slots: np.ndarray   # (3,) indices into nodes
     edge_slots: np.ndarray     # (3, m-1) indices, in local edge direction
     interior_slots: np.ndarray
-    vandermonde_inv: np.ndarray  # maps modal coefficients -> nodal values
+    vandermonde_inv: np.ndarray  # maps nodal values -> modal coefficients
 
 
 def lagrange_lattice(m: int) -> LagrangeLattice:

@@ -91,15 +91,14 @@ class OutputFunctional:
 
 @dataclass
 class HDGSolution:
-    """Element-local (u_h, q_h) plus skeleton traces on the workspace's mesh.
+    """Element-local (u_h, q_h) plus skeleton traces on the mesh of the
+    workspace given to solve; each reader takes that workspace first.
 
     u: (ne, n_p) and q: (ne, 2, n_p) mapped-orthonormal modal coefficients;
     uhat, qhat_n: (nf, p+1) coefficients in the canonical facet basis, with
     qhat_n taken along the stored (canonical) facet normal.
     """
 
-    ws: Workspace
-    tau: float
     u: np.ndarray
     q: np.ndarray
     uhat: np.ndarray
@@ -506,8 +505,8 @@ def _back_substitute(ws: Workspace, cs: CondensedSystem) -> list[HDGSolution]:
     qhat[inner] /= 2.0
     # exact projected Neumann trace (canonical normal is outward there)
     qhat[mesh.neumann_facets] = cs.g_N.reshape(-1, F1, k)
-    return [HDGSolution(ws=ws, tau=cs.tau, u=u[j], q=q[j], uhat=uhat[:, :, j],
-                        qhat_n=qhat[:, :, j]) for j in range(k)]
+    return [HDGSolution(u=u[j], q=q[j], uhat=uhat[:, :, j], qhat_n=qhat[:, :, j])
+            for j in range(k)]
 
 
 def solve(ws: Workspace, datas, tau=1.0) -> list[HDGSolution]:
@@ -532,10 +531,10 @@ def solve(ws: Workspace, datas, tau=1.0) -> list[HDGSolution]:
     return _back_substitute(ws, cs)
 
 
-def raw_output(sol: HDGSolution, out: OutputFunctional) -> float:
+def raw_output(ws: Workspace, sol: HDGSolution, out: OutputFunctional) -> float:
     """s_h = l_O(u_h, qhat) = (f_O, u_h) + <g_D_O, qhat.n>_GD + <g_N_O, u_h>_GN,
     with the numerical trace supplying the outward boundary flux."""
-    ws, mesh = sol.ws, sol.ws.mesh
+    mesh = ws.mesh
     dir_facets, neu_facets = mesh.dirichlet_facets, mesh.neumann_facets
     qn_dir = (sol.qhat_n[dir_facets] @ ws.psi_p) / np.sqrt(ws.facet_len[dir_facets])[:, None]
     u_neu = ws.facet_trace(sol.u, ws.etab_p, neu_facets) \

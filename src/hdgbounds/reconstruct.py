@@ -2,7 +2,8 @@
 the superconvergent element potential, its continuous averaged version with
 exact Dirichlet enforcement (including the band extension for
 non-polynomial boundary data), and the optional elementwise minimization
-of the combined residual.
+of the combined residual.  Every step takes the workspace first, and no
+field holds it or its mesh.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ class EquilibratedFlux:
     normal trace, Neumann trace Pi_e^p g_N.
     """
 
-    mesh: Mesh  # read by perfbench's tracing (_optimize_counts)
     coeffs: np.ndarray  # (ne, 2, n_modes(p+1))
 
     def eval_values(self, ws: Workspace) -> np.ndarray:
@@ -157,7 +157,7 @@ class ContinuousPotential:
 # Flux reconstruction
 # ---------------------------------------------------------------------------
 
-def reconstruct_flux(sol: HDGSolution) -> EquilibratedFlux:
+def reconstruct_flux(ws: Workspace, sol: HDGSolution) -> EquilibratedFlux:
     """RT^p reconstruction from the HDG numerical flux: facet moments match
     qhat.n against P^p(e) on every facet, interior moments match q_h against
     [P^{p-1}(K)]^2 when p >= 1.
@@ -170,7 +170,6 @@ def reconstruct_flux(sol: HDGSolution) -> EquilibratedFlux:
     So every element combines its moments with the one reference dual
     basis ws.rt_dofs (femcore._reference_rt).
     """
-    ws = sol.ws
     ne, p, F1 = ws.mesh.n_elements, ws.p, ws.p + 1
     n1 = fc.n_modes(p - 1) if p else 0
     flip = np.where(ws.eo[:, :, None] == 1, 1.0, (-1.0) ** np.arange(F1))
@@ -181,19 +180,18 @@ def reconstruct_flux(sol: HDGSolution) -> EquilibratedFlux:
         * ws.sqrt_det[:, None]
     coeffs = ws.jac @ (rhs @ ws.rt_dofs).reshape(ne, 2, -1) \
         / ws.sqrt_det[:, None, None]
-    return EquilibratedFlux(mesh=ws.mesh, coeffs=coeffs)
+    return EquilibratedFlux(coeffs)
 
 
 # ---------------------------------------------------------------------------
 # Potential post-processing
 # ---------------------------------------------------------------------------
 
-def postprocess_potential(sols, fluxes) -> np.ndarray:
+def postprocess_potential(ws: Workspace, sols, fluxes) -> np.ndarray:
     """Element P^{p+1} potentials, one elimination for all HDG solutions
     sols: (grad u*, grad w)_K matches the flux data -(nu^-1 q~, grad w)_K,
     mean value pinned to u_h.  Returns mapped-modal coefficients
     (len(sols), ne, n_modes(p+1))."""
-    ws = sols[0].ws
     nm, ne = ws.nm, ws.mesh.n_elements
     ginv = _metrics(ws)[1]   # (J^T J)^-1 = J^-1 J^-T, against S2's parts
     rhs = np.stack([-((ws.jac_inv @ flux.coeffs).reshape(ne, 2 * nm)
@@ -211,7 +209,7 @@ def postprocess_potential(sols, fluxes) -> np.ndarray:
 # Continuous potential: averaging + Dirichlet enforcement
 # ---------------------------------------------------------------------------
 
-def make_continuous(ustars, g_Ds, ws: Workspace) -> list[ContinuousPotential]:
+def make_continuous(ws: Workspace, ustars, g_Ds) -> list[ContinuousPotential]:
     """Average each datum's element potentials at shared Lagrange nodes and
     set Dirichlet-boundary nodes to its datum (exact whenever the datum is a
     facetwise polynomial of degree <= p+1; otherwise follow up with
@@ -252,8 +250,8 @@ def _find_band_line(mesh: Mesh, band: DirichletBand) -> tuple[float, np.ndarray]
     raise ValueError("no admissible band line found; refine the mesh near the portion")
 
 
-def enforce_dirichlet_band(pot: ContinuousPotential, band: DirichletBand,
-                           ws: Workspace) -> ContinuousPotential:
+def enforce_dirichlet_band(ws: Workspace, pot: ContinuousPotential,
+                           band: DirichletBand) -> ContinuousPotential:
     """Exact Dirichlet enforcement for a non-polynomial datum on a straight
     coordinate-aligned boundary portion.
 
@@ -337,11 +335,11 @@ class EvaluatedPair:
     g_N_proj: np.ndarray
 
 
-def interior_jumps(pairs, ws: Workspace) -> np.ndarray:
+def interior_jumps(ws: Workspace, pairs) -> np.ndarray:
     """max |[q~.n]| and max |[u~]| on the interior facets, a row per pair:
     one trace per side and field of the pairs' stacked coefficients."""
     facets = ws.mesh.interior_facets
-    flux = EquilibratedFlux(ws.mesh, np.stack([q.coeffs for q, _ in pairs], axis=1))
+    flux = EquilibratedFlux(np.stack([q.coeffs for q, _ in pairs], axis=1))
     nodal = np.stack([pot.nodal(ws) for _, pot in pairs], axis=1)
     qn, u = [], []
     for side in (0, 1):
@@ -354,11 +352,11 @@ def interior_jumps(pairs, ws: Workspace) -> np.ndarray:
                       for t0, t1 in (qn, u)] for i in range(len(pairs))])
 
 
-def evaluate(flux: EquilibratedFlux, pot: ContinuousPotential,
-             data: ProblemData, ws: Workspace, jumps=None) -> EvaluatedPair:
+def evaluate(ws: Workspace, flux: EquilibratedFlux, pot: ContinuousPotential,
+             data: ProblemData, jumps=None) -> EvaluatedPair:
     """Evaluate a pair and its data once, each array reduced once it is read;
     jumps is the pair's row of interior_jumps (of this pair alone if None)."""
-    jumps = interior_jumps([(flux, pot)], ws)[0] if jumps is None else jumps
+    jumps = interior_jumps(ws, [(flux, pot)])[0] if jumps is None else jumps
     neu, dfac = ws.mesh.neumann_facets, ws.mesh.dirichlet_facets
     f = ws.eval_data(data.f)
     f_osc = ws.proj_p(f)
@@ -397,7 +395,7 @@ def _relative(res, scale) -> float:
     return float(res / scale) if scale > 0 else float("inf")
 
 
-def flux_residuals(rec: EvaluatedPair, ws: Workspace) -> dict:
+def flux_residuals(ws: Workspace, rec: EvaluatedPair) -> dict:
     """Residuals of the three equilibration certificates relative to the
     flux scale: the divergence residual times h_K, and the pointwise
     normal-jump and Neumann trace errors.  The scale is max |q~|, or
@@ -412,7 +410,7 @@ def flux_residuals(rec: EvaluatedPair, ws: Workspace) -> dict:
                 qscale, np.abs(rec.g_N_proj).max(initial=0.0)))}
 
 
-def potential_residuals(rec: EvaluatedPair, ws: Workspace) -> dict:
+def potential_residuals(ws: Workspace, rec: EvaluatedPair) -> dict:
     """Dirichlet trace error (corrections included) and inter-element
     continuity of the potential, relative to max |u~| (and to the datum)."""
     umax = np.abs(rec.u).max()
@@ -439,8 +437,8 @@ def _normal_matrix(ws: Workspace, jtj, ginv) -> np.ndarray:
             ).reshape(ne, k, k) + ws.opt_cross
 
 
-def local_optimize(flux: EquilibratedFlux, pot: ContinuousPotential,
-                   ws: Workspace) -> tuple[EquilibratedFlux, ContinuousPotential]:
+def local_optimize(ws: Workspace, flux: EquilibratedFlux, pot: ContinuousPotential
+                   ) -> tuple[EquilibratedFlux, ContinuousPotential]:
     """Per element, minimize ||q* + nu grad u*||_K over q* in [P^{p+1}]^2 and
     u* in P^{p+1} subject to: div q* = Pi_K^p f, q*.n = q~.n on dK, u* = u~
     on dK, and (u*, 1)_K preserved.  The input pair is feasible, so the
@@ -495,19 +493,18 @@ def local_optimize(flux: EquilibratedFlux, pot: ContinuousPotential,
 # The pair recipe
 # ---------------------------------------------------------------------------
 
-def certified_pairs(sols, datas, optimize: bool = False
+def certified_pairs(ws: Workspace, sols, datas, optimize: bool = False
                     ) -> list[tuple[EquilibratedFlux, ContinuousPotential]]:
     """The pairs (q~, u~) of the HDG solutions sols of the problems with
     datas: the equilibrated fluxes, the continuous potentials (one solve and
     one averaging for all), then per pair the band extension when its data
     carry one and, with ``optimize``, the local optimization."""
-    ws = sols[0].ws
-    fluxes = [reconstruct_flux(sol) for sol in sols]
-    pots = make_continuous(postprocess_potential(sols, fluxes),
-                           [d.g_D for d in datas], ws)
+    fluxes = [reconstruct_flux(ws, sol) for sol in sols]
+    pots = make_continuous(ws, postprocess_potential(ws, sols, fluxes),
+                           [d.g_D for d in datas])
     pairs = []
     for flux, pot, data in zip(fluxes, pots, datas):
         if data.band is not None:
-            pot = enforce_dirichlet_band(pot, data.band, ws)
-        pairs.append(local_optimize(flux, pot, ws) if optimize else (flux, pot))
+            pot = enforce_dirichlet_band(ws, pot, data.band)
+        pairs.append(local_optimize(ws, flux, pot) if optimize else (flux, pot))
     return pairs

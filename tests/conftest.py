@@ -21,6 +21,20 @@ def perturbed_crisscross(amp=0.06, seed=7, base=None):
                 region=base.region, nu=base.nu)
 
 
+def squeezed_crisscross(level, eps):
+    """unit_square_crisscross(level), level >= 1, with the column of squares
+    left of x = 1/2 squeezed about its centre line to width 2 eps by a
+    piecewise-linear map of x that keeps the boundary fixed: the column's
+    elements reach aspect ratios of about pitch / eps."""
+    base = unit_square_crisscross(level)
+    h = 0.5 ** (level + 1)
+    c = 0.5 - h / 2
+    v = base.vertices.copy()
+    v[:, 0] = np.interp(v[:, 0], [0.0, 0.5 - h, 0.5, 1.0],
+                        [0.0, c - eps, c + eps, 1.0])
+    return Mesh(v, base.elements, base.boundary_tag_dict())
+
+
 def mixed_square(level=0):
     """Unit square with the left edge Neumann, rest Dirichlet."""
     m = unit_square_crisscross(level)
@@ -43,10 +57,10 @@ def build_pair(mesh, data, out, p, tau=1.0, optimize=False, quad_degree=None):
     ws = Workspace(mesh, p, quad_degree)
     datas = [data, out.adjoint_data()]
     sols = solve(ws, datas, tau)
-    return (*sols, *certified_pairs(sols, datas, optimize), ws)
+    return (*sols, *certified_pairs(ws, sols, datas, optimize), ws)
 
 
-def exact_equilibration_bounds(primal_pair, adjoint_pair, data, out, ws):
+def exact_equilibration_bounds(ws, primal_pair, adjoint_pair, data, out):
     """Cross-route oracle for compute_bounds: the interval of exactly
     equilibrated reconstructions (polynomial data only),
 
@@ -59,9 +73,9 @@ def exact_equilibration_bounds(primal_pair, adjoint_pair, data, out, ws):
     modal coefficients against quadrature.  Audits the certificates as
     compute_bounds does, and raises ValueError when the data oscillation
     audit detects non-polynomial data (the guarantee would be lost)."""
-    primal, adjoint = _audited_records(primal_pair, adjoint_pair, data,
-                                       out.adjoint_data(), ws)
-    msgs = _oscillating_data(primal, ws) + _oscillating_data(adjoint, ws, "_O")
+    primal, adjoint = _audited_records(ws, primal_pair, adjoint_pair, data,
+                                       out.adjoint_data())
+    msgs = _oscillating_data(ws, primal) + _oscillating_data(ws, adjoint, "_O")
     if msgs:
         raise ValueError(
             "exact-equilibration bounds require elementwise-polynomial data "

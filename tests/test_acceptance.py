@@ -233,10 +233,10 @@ def test_criterion_6_reconstruction_certificates():
             _, _, pp, ap, ws = build_pair(mesh, data, out, p=p,
                                           optimize=optimize)
             for pair, dat in ((pp, data), (ap, out.adjoint_data())):
-                rec = evaluate(*pair, dat, ws)
-                for k, v in flux_residuals(rec, ws).items():
+                rec = evaluate(ws, *pair, dat)
+                for k, v in flux_residuals(ws, rec).items():
                     worst[k] = max(worst.get(k, 0.0), v)
-                for k, v in potential_residuals(rec, ws).items():
+                for k, v in potential_residuals(ws, rec).items():
                     worst[k] = max(worst.get(k, 0.0), v)
     ok = all(v <= 1e-10 for v in worst.values())
     _report(6, ok, f"(worst residuals: " +
@@ -315,8 +315,8 @@ def test_criterion_8_route_agreement():
     failures = []
     for lvl in range(4):
         _, _, pp, ap, ws = build_pair(mesh, prob.data, prob.out, p=2)
-        r1 = exact_equilibration_bounds(pp, ap, prob.data, prob.out, ws)
-        r2 = compute_bounds(pp, ap, prob.data, prob.out.adjoint_data(), ws)
+        r1 = exact_equilibration_bounds(ws, pp, ap, prob.data, prob.out)
+        r2 = compute_bounds(ws, pp, ap, prob.data, prob.out.adjoint_data())
         scale = abs(r2.s_minus) + abs(r2.s_plus)
         if abs(r1.s_minus - r2.s_minus) > 1e-12 * scale or \
                 abs(r1.s_plus - r2.s_plus) > 1e-12 * scale:

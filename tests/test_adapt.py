@@ -175,8 +175,8 @@ class TestPipeline:
         # a NaN that is not the first residual is dropped by max()
         real = rc.potential_residuals
 
-        def nan_continuity(rec, ws):
-            return {**real(rec, ws), "continuity": float("nan")}
+        def nan_continuity(ws, rec):
+            return {**real(ws, rec), "continuity": float("nan")}
 
         monkeypatch.setattr(rc, "potential_residuals", nan_continuity)
         prob = builtin("example1_s1")

@@ -8,7 +8,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
 from conftest import (build_pair, exact_equilibration_bounds, mixed_square,
-                      perturbed_crisscross)
+                      perturbed_crisscross, squeezed_crisscross)
 from hdgbounds import (Bulk, OutputFunctional, ProblemData, Workspace, adapt,
                        builtin, compute_bounds, compute_eta,
                        compute_kappa, evaluate, lshape_initial,
@@ -97,51 +97,51 @@ class TestPoincareConstants:
         assert np.abs(c1b - 2.0 * c1a).max() < 1e-14
 
 
-def synthetic_pair(mesh, ws, flux_const, pot_values=None):
-    coeffs = np.zeros((mesh.n_elements, 2, ws.nm))
+def synthetic_pair(ws, flux_const, pot_values=None):
+    coeffs = np.zeros((ws.mesh.n_elements, 2, ws.nm))
     # constant fields: first modal function is sqrt(2/det)
     coeffs[:, 0, 0] = flux_const[0] / np.sqrt(2.0 / ws.det)
     coeffs[:, 1, 0] = flux_const[1] / np.sqrt(2.0 / ws.det)
-    flux = EquilibratedFlux(mesh=mesh, coeffs=coeffs)
+    flux = EquilibratedFlux(coeffs)
     values = np.zeros(len(ws.node_coords)) if pot_values is None else pot_values
     pot = ContinuousPotential(values=values)
     return flux, pot
 
 
-def records(pp, ap, data, out, ws):
+def records(ws, pp, ap, data, out):
     """The evaluated primal and adjoint records of two pairs."""
-    return evaluate(*pp, data, ws), evaluate(*ap, out.adjoint_data(), ws)
+    return evaluate(ws, *pp, data), evaluate(ws, *ap, out.adjoint_data())
 
 
 class TestKappa:
     def test_equal_residuals_give_one(self):
         mesh = unit_square_crisscross(0)
         ws = Workspace(mesh, 1)
-        pair = synthetic_pair(mesh, ws, (1.0, 0.0))
-        rec = evaluate(*pair, ProblemData(f=zero), ws)
-        kappa, degenerate = compute_kappa(rec, rec, ws)
+        pair = synthetic_pair(ws, (1.0, 0.0))
+        rec = evaluate(ws, *pair, ProblemData(f=zero))
+        kappa, degenerate = compute_kappa(ws, rec, rec)
         assert abs(kappa - 1.0) < 1e-13 and not degenerate
 
     def test_ratio_two(self):
         mesh = unit_square_crisscross(0)
         ws = Workspace(mesh, 1)
-        p1 = synthetic_pair(mesh, ws, (1.0, 0.0))
-        p2 = synthetic_pair(mesh, ws, (0.0, 2.0))
+        p1 = synthetic_pair(ws, (1.0, 0.0))
+        p2 = synthetic_pair(ws, (0.0, 2.0))
         kappa, degenerate = compute_kappa(
-            *records(p1, p2, ProblemData(f=zero), OutputFunctional(), ws), ws)
+            ws, *records(ws, p1, p2, ProblemData(f=zero), OutputFunctional()))
         assert abs(kappa - 2.0) < 1e-13 and not degenerate
 
     def test_degenerate_flag(self):
         mesh = unit_square_crisscross(0)
         ws = Workspace(mesh, 1)
-        p0 = synthetic_pair(mesh, ws, (0.0, 0.0))
-        p2 = synthetic_pair(mesh, ws, (0.0, 2.0))
+        p0 = synthetic_pair(ws, (0.0, 0.0))
+        p2 = synthetic_pair(ws, (0.0, 2.0))
         kappa, degenerate = compute_kappa(
-            *records(p0, p2, ProblemData(f=zero), OutputFunctional(), ws), ws)
+            ws, *records(ws, p0, p2, ProblemData(f=zero), OutputFunctional()))
         assert kappa == 1.0 and degenerate
         # an exact adjoint pair stands for the limit kappa -> 0
         kappa, degenerate = compute_kappa(
-            *records(p2, p0, ProblemData(f=zero), OutputFunctional(), ws), ws)
+            ws, *records(ws, p2, p0, ProblemData(f=zero), OutputFunctional()))
         assert kappa == 0.0 and degenerate
 
     def test_exact_adjoint_with_oscillating_data_raises(self):
@@ -155,9 +155,9 @@ class TestKappa:
         out = OutputFunctional(f_O=lambda x, y: x - 1.0 / 3.0,
                                g_D_O=lambda x, y: y)
         _, _, pp, _, ws = build_pair(mesh, data, out, p=0)
-        ap = synthetic_pair(mesh, ws, (0.0, -1.0), ws.node_coords[:, 1])
+        ap = synthetic_pair(ws, (0.0, -1.0), ws.node_coords[:, 1])
         with pytest.raises(RuntimeError, match="adjoint data oscillate in: f_O"):
-            compute_bounds(pp, ap, data, out.adjoint_data(), ws)
+            compute_bounds(ws, pp, ap, data, out.adjoint_data())
 
 
 class TestEta:
@@ -166,7 +166,7 @@ class TestEta:
         data = ProblemData(f=ONE)
         out = OutputFunctional(f_O=ONE)
         _, _, pp, ap, ws = build_pair(mesh, data, out, p=1)
-        eta = compute_eta(*records(pp, ap, data, out, ws), ws, kappa=1.0)
+        eta = compute_eta(ws, *records(ws, pp, ap, data, out), kappa=1.0)
         assert np.abs(eta.osc_div[0]).max() < 1e-13
         assert np.abs(eta.osc_div[1]).max() < 1e-13
         assert np.abs(eta.osc_neu[0]).max() == 0.0
@@ -177,7 +177,7 @@ class TestEta:
         data = ProblemData(f=zero, g_D=lambda x, y: x)
         out = OutputFunctional(g_D_O=lambda x, y: 2 * x - y)
         _, _, pp, ap, ws = build_pair(mesh, data, out, p=1)
-        eta = compute_eta(*records(pp, ap, data, out, ws), ws, kappa=1.0)
+        eta = compute_eta(ws, *records(ws, pp, ap, data, out), kappa=1.0)
         assert np.abs(eta.total[0]).max() < 1e-9
         assert np.abs(eta.total[1]).max() < 1e-9
 
@@ -188,7 +188,7 @@ class TestComputeBounds:
         data = ProblemData(f=EX1_F)
         out = OutputFunctional(f_O=ONE)
         _, _, pp, ap, ws = build_pair(mesh, data, out, p=2, optimize=True)
-        r = compute_bounds(pp, ap, data, out.adjoint_data(), ws)
+        r = compute_bounds(ws, pp, ap, data, out.adjoint_data())
         assert abs(r.s_tilde - 0.405275669432) < 1e-6
         assert abs(r.half_gap - 1.26e-4) < 0.1 * 1.26e-4
         assert r.contains(4 / np.pi ** 2)
@@ -198,7 +198,7 @@ class TestComputeBounds:
         data = ProblemData(f=ONE)
         out = OutputFunctional(f_O=ONE)
         _, _, pp, ap, ws = build_pair(mesh, data, out, p=3, optimize=True)
-        r = compute_bounds(pp, ap, data, out.adjoint_data(), ws)
+        r = compute_bounds(ws, pp, ap, data, out.adjoint_data())
         assert abs(r.s_minus - 0.2120143) < 1e-5
         assert abs(r.s_plus - 0.2153474) < 1e-5
         assert r.contains(0.2140758036140825)
@@ -208,7 +208,7 @@ class TestComputeBounds:
         data = ProblemData(f=EX1_F)
         out = OutputFunctional(f_O=ONE)
         _, _, pp, ap, ws = build_pair(mesh, data, out, p=1)
-        r = compute_bounds(pp, ap, data, out.adjoint_data(), ws)
+        r = compute_bounds(ws, pp, ap, data, out.adjoint_data())
         gap = r.s_plus - r.s_minus
         assert abs(r.gap_elements.sum() - gap) < 1e-12 * gap
         assert r.s_minus <= r.s_tilde <= r.s_plus
@@ -221,7 +221,7 @@ class TestComputeBounds:
         data = ProblemData(f=zero, g_D=lambda x, y: x)
         out = OutputFunctional(g_D_O=lambda x, y: y)
         _, _, pp, ap, ws = build_pair(mesh, data, out, p=1)
-        r = compute_bounds(pp, ap, data, out.adjoint_data(), ws)
+        r = compute_bounds(ws, pp, ap, data, out.adjoint_data())
         assert r.kappa_degenerate
         assert r.half_gap == 0.0
         # s = <g_D_O, q.n> for u = x on the unit square: q = (-1, 0);
@@ -263,7 +263,7 @@ class TestParsevalAgainstQuadrature:
         mesh = GEOMETRY_MESHES[name]()
         ws = Workspace(mesh, p)
         ne, none = mesh.n_elements, np.empty(0, dtype=int)
-        flux = EquilibratedFlux(mesh, rng.standard_normal((ne, 2, ws.nm)))
+        flux = EquilibratedFlux(rng.standard_normal((ne, 2, ws.nm)))
         pot = ContinuousPotential(rng.standard_normal(len(ws.node_coords)))
         for coeffs, vals in ((flux.coeffs, flux.eval_values(ws)),
                              (pot.grad_coeffs(ws), pot.eval_grads(ws))):
@@ -280,11 +280,11 @@ class TestParsevalAgainstQuadrature:
         mesh = make_mesh()
         _, _, pp, ap, ws = build_pair(mesh, prob.data, prob.out, p,
                                       optimize=optimize)
-        primal, adjoint = _audited_records(pp, ap, prob.data,
-                                           prob.out.adjoint_data(), ws)
+        primal, adjoint = _audited_records(ws, pp, ap, prob.data,
+                                           prob.out.adjoint_data())
         if case == "band":
             assert 0 < len(adjoint.band) < mesh.n_elements
-        kappa, degenerate = compute_kappa(primal, adjoint, ws)
+        kappa, degenerate = compute_kappa(ws, primal, adjoint)
         assert not degenerate
 
         def inner(v, w):  # elementwise (nu^-1 v, w)_K by quadrature
@@ -305,12 +305,12 @@ class TestParsevalAgainstQuadrature:
 
         assert abs(kappa - np.sqrt(b2 / a2)) <= eps * kappa * (
             a_scale.sum() / np.sqrt(a2) + b_scale.sum() / np.sqrt(b2))
-        eta = compute_eta(primal, adjoint, ws, kappa).flux
+        eta = compute_eta(ws, primal, adjoint, kappa).flux
         for row, k in enumerate((-kappa, kappa)):
             assert np.all(np.abs(eta[row] - np.sqrt(inner(b + k * a, b + k * a)))
                           <= eps * (b_scale + kappa * a_scale))
         integral = lambda v: np.sum(ws.integrate_elementwise(v))
-        S = _core_functional(primal, adjoint, ws)
+        S = _core_functional(ws, primal, adjoint)
         S_quadrature = (integral(adjoint.f * primal.u)
                         + integral(primal.f * adjoint.u)
                         - np.sum(inner(grad_u, grad_xi))
@@ -333,7 +333,7 @@ def test_bounds_insensitive_to_quadrature(name, p):
         ref = run_pipeline(mesh, prob.data, prob.out, p)
         _, _, pp, ap, ws = build_pair(mesh, prob.data, prob.out, p,
                                       quad_degree=2 * p + 16)
-        fine = compute_bounds(pp, ap, prob.data, prob.out.adjoint_data(), ws)
+        fine = compute_bounds(ws, pp, ap, prob.data, prob.out.adjoint_data())
         for s_ref, s_fine in ((ref.s_minus, fine.s_minus), (ref.s_plus, fine.s_plus)):
             assert abs(s_fine - s_ref) < 1e-3 * ref.half_gap, (mesh.n_elements,
                                                                s_fine - s_ref)
@@ -348,8 +348,8 @@ class TestExactEquilibrationBounds:
         mesh = lshape_initial()
         for _ in range(2):
             _, _, pp, ap, ws = build_pair(mesh, data, out, p=2)
-            r1 = exact_equilibration_bounds(pp, ap, data, out, ws)
-            r2 = compute_bounds(pp, ap, data, out.adjoint_data(), ws)
+            r1 = exact_equilibration_bounds(ws, pp, ap, data, out)
+            r2 = compute_bounds(ws, pp, ap, data, out.adjoint_data())
             scale = abs(r2.s_plus) + abs(r2.s_minus)
             assert abs(r1.s_minus - r2.s_minus) < 1e-12 * scale
             assert abs(r1.s_plus - r2.s_plus) < 1e-12 * scale
@@ -362,14 +362,14 @@ class TestExactEquilibrationBounds:
         out = OutputFunctional(f_O=ONE)
         _, _, pp, ap, ws = build_pair(mesh, data, out, p=1)
         with pytest.raises(ValueError, match="oscillation"):
-            exact_equilibration_bounds(pp, ap, data, out, ws)
+            exact_equilibration_bounds(ws, pp, ap, data, out)
 
     def test_exact_reconstructions_zero_half_gap(self):
         mesh = unit_square_crisscross(0)
         data = ProblemData(f=zero, g_D=lambda x, y: x)
         out = OutputFunctional(g_D_O=lambda x, y: y)
         _, _, pp, ap, ws = build_pair(mesh, data, out, p=1)
-        r = exact_equilibration_bounds(pp, ap, data, out, ws)
+        r = exact_equilibration_bounds(ws, pp, ap, data, out)
         assert r.half_gap < 1e-12
 
     @pytest.mark.parametrize("p", [1, 2])
@@ -380,7 +380,7 @@ class TestExactEquilibrationBounds:
         data = ProblemData(f=zero, g_D=lambda x, y: x + 1.0, g_N=ONE)
         out = OutputFunctional(g_N_O=lambda x, y: y)
         _, _, pp, ap, ws = build_pair(mesh, data, out, p)
-        r = exact_equilibration_bounds(pp, ap, data, out, ws)
+        r = exact_equilibration_bounds(ws, pp, ap, data, out)
         assert abs(r.s_minus - 0.5) < 1e-13 and abs(r.s_plus - 0.5) < 1e-13
         # the primal reconstruction is exact: the interval collapses onto S
         r = run_pipeline(mesh, data, out, p)
@@ -394,7 +394,7 @@ class TestExactEquilibrationBounds:
         data = ProblemData(f=ONE)
         out = OutputFunctional(f_O=ONE)
         _, _, pp, ap, ws = build_pair(mesh, data, out, p=1)
-        r = exact_equilibration_bounds(pp, ap, data, out, ws)
+        r = exact_equilibration_bounds(ws, pp, ap, data, out)
         flux, pot = pp
         qv = flux.eval_values(ws)
         gu = pot.eval_grads(ws)
@@ -480,7 +480,7 @@ class TestGlobalProperties:
             mesh, data, out = prob.initial_mesh(), prob.data, prob.out
             assert out.adjoint_data().band is not None
         _, _, pp, ap, ws = build_pair(mesh, data, out, 2, optimize=optimize)
-        ref = compute_bounds(pp, ap, data, out.adjoint_data(), ws)
+        ref = compute_bounds(ws, pp, ap, data, out.adjoint_data())
         res = run_pipeline(mesh, data, out, 2, optimize=optimize)
         assert (res.s_minus, res.s_plus) == (ref.s_minus, ref.s_plus)
 
@@ -497,6 +497,25 @@ class TestGlobalProperties:
         res = run_pipeline(perturbed_crisscross(amp, seed), data, prob.out,
                            p, tau, optimize=optimize)
         assert res.contains(c * prob.exact_s)
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(level=st.integers(1, 2), log_eps=st.floats(-6.0, -1.0),
+           p=st.integers(1, 3), optimize=st.booleans())
+    def test_squeezed_column_contains_or_refuses(self, level, log_eps, p,
+                                                 optimize):
+        # needle elements of aspect ratio up to about 1e5 (ROADMAP item 18):
+        # a run either contains s or is refused by the certificate audit,
+        # never a wrong interval; from eps = 1e-2 on it must contain s
+        prob = builtin("example1_s1")
+        eps = 10.0 ** log_eps
+        try:
+            res = run_pipeline(squeezed_crisscross(level, eps), prob.data,
+                               prob.out, p, optimize=optimize)
+        except RuntimeError as exc:
+            assert "certificate violated" in str(exc)
+            assert eps < 1e-2
+            return
+        assert res.contains(prob.exact_s)
 
     @settings(derandomize=True, deadline=None, max_examples=50)
     @given(amp=st.floats(0.0, 0.04), seed=st.integers(0, 2 ** 16),
@@ -607,7 +626,7 @@ class TestGlobalProperties:
         data = ProblemData(f=EX1_F)
         out = OutputFunctional(f_O=ONE)
         _, _, pp, ap, ws = build_pair(mesh, data, out, p=1, tau=tau)
-        r = compute_bounds(pp, ap, data, out.adjoint_data(), ws)
+        r = compute_bounds(ws, pp, ap, data, out.adjoint_data())
         assert r.contains(4 / np.pi ** 2)
 
     @pytest.mark.parametrize("p", [1, 2, 3])
@@ -683,7 +702,7 @@ def test_compute_bounds_memory(p):
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        res = compute_bounds(pp, ap, prob.data, prob.out.adjoint_data(), ws)
+        res = compute_bounds(ws, pp, ap, prob.data, prob.out.adjoint_data())
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()

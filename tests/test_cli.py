@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import squeezed_crisscross
 from hdgbounds import (BoundsResult, Bulk, ErrorDistribution, Uniform, cli,
                        write_mesh, unit_square_crisscross)
 from hdgbounds.adapt import IterationRecord
@@ -313,6 +314,29 @@ class TestRun:
         assert cli.run(cfg) == EXIT_OK
         summary = json.loads((tmp_path / "o" / "summary.json").read_text())
         assert summary["containment_pass"] is True
+
+    @pytest.mark.parametrize("eps, code", [(1e-2, EXIT_OK), (1e-4, EXIT_SOLVER)])
+    def test_squeezed_mesh_contains_or_exits_3(self, tmp_path, capsys, eps,
+                                               code):
+        # a column of needle elements, width 2 eps against the pitch 1/8,
+        # read with --mesh (ROADMAP item 18): eps = 1e-2 contains s, and
+        # eps = 1e-4 is refused by the certificate audit before any
+        # artifact is written
+        mesh_path = tmp_path / "squeezed.txt"
+        write_mesh(squeezed_crisscross(2, eps), mesh_path)
+        out = tmp_path / "o"
+        assert cli.main(["--mesh", str(mesh_path),
+                         "--f", "2*pi^2*sin(pi*x)*sin(pi*y)", "--f_O", "1",
+                         "--exact-s", repr(4 / np.pi ** 2), "--p", "2",
+                         "--strategy", "uniform", "--max-iter", "1",
+                         "--target", "1", "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        if code == EXIT_OK:
+            summary = json.loads((out / "summary.json").read_text())
+            assert summary["containment_pass"] is True and err == ""
+        else:
+            assert "reconstruction certificate violated" in err
+            assert not (out / "summary.json").exists()
 
 
 class TestMain:

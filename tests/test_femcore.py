@@ -70,6 +70,17 @@ def test_modal_gradients_match_finite_differences():
     assert np.abs(g[:, :, 1] - gy).max() < 1e-8
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_lattice_inverse_vandermonde_maps_nodal_to_modal(m, rng):
+    # V = tri_basis(m, nodes).T takes modal coefficients to the values at
+    # the lattice nodes; vandermonde_inv takes them back
+    lat = fc.lagrange_lattice(m)
+    V = fc.tri_basis(m, lat.nodes).T
+    c = rng.standard_normal((fc.n_modes(m), 4))
+    assert len(lat.nodes) == fc.n_modes(m)
+    assert np.abs(lat.vandermonde_inv @ (V @ c) - c).max() < 1e-12 * np.abs(c).max()
+
+
 @pytest.mark.parametrize("q", [0, 2, 4])
 def test_segment_basis_orthonormal(q):
     rule = fc.segment_rule(2 * q)
@@ -336,7 +347,7 @@ class TestRTSpace:
         basis = rt_generators(ws)
         moments = []
         for j in range(basis.shape[1]):
-            flux = EquilibratedFlux(mesh=ws.mesh, coeffs=basis[:, j])
+            flux = EquilibratedFlux(basis[:, j])
             div = flux.eval_divergence(ws)
             scale = 1.0 + np.abs(div).max()
             assert np.abs(div - ws.proj_p(div)).max() < 1e-12 * scale

@@ -22,13 +22,12 @@ ONE = lambda x, y: np.ones_like(np.asarray(x, dtype=float))
 EDGES = np.arange(3)[None, :]
 
 
-def local_residuals(sol, data):
+def local_residuals(ws, sol, data, tau):
     """Relative max residuals of the two local HDG equations (flux, balance)
     after back-substitution."""
-    ws = sol.ws
     ne = ws.mesh.n_elements
     Kdiv, E, Cq, Cu = _local_operators(ws, slice(None), EDGES)
-    nu, tau = ws.nu[:, None], sol.tau
+    nu = ws.nu[:, None]
     q, u = sol.q.reshape(ne, -1), sol.u
     uhat_e = sol.uhat[ws.ef].reshape(ne, 3 * (ws.p + 1))
     fmom = ws.moments_p(ws.eval_data(data.f))
@@ -43,9 +42,8 @@ def local_residuals(sol, data):
     return float(r1.max()), float(r2.max())
 
 
-def conservation_residual(sol, data):
+def conservation_residual(ws, sol, data):
     """max_K |<qhat.n, 1>_dK - (f, 1)_K| (local conservation audit)."""
-    ws = sol.ws
     # <qhat.n_K, 1>_e = esign * sqrt(L) * c_0 in the orthonormal facet basis,
     # and (f, 1)_K = (f, phi_0)_K * sqrt(det) / sqrt(2) for the constant mode
     c0 = sol.qhat_n[ws.ef, 0]
@@ -148,8 +146,8 @@ class TestManufactured:
     def test_linear_solution_reproduced(self, p):
         mesh = unit_square_crisscross(0)
         data = ProblemData(f=zero, g_D=lambda x, y: x)
-        sol = solve(Workspace(mesh, p), [data], tau=1.0)[0]
-        ws = sol.ws
+        ws = Workspace(mesh, p)
+        sol = solve(ws, [data], tau=1.0)[0]
         assert np.abs(ws.eval_modal(sol.u) - ws.qphys[:, :, 0]).max() < 1e-10
         assert np.abs(ws.eval_modal(sol.q[:, 0]) + 1.0).max() < 1e-10
         assert np.abs(ws.eval_modal(sol.q[:, 1])).max() < 1e-10
@@ -166,8 +164,8 @@ class TestManufactured:
         # u = x, q = (-1, 0); on x=0 the outward normal is (-1,0): g_N = 1
         mesh = mixed_square()
         data = ProblemData(f=zero, g_D=lambda x, y: x, g_N=ONE)
-        sol = solve(Workspace(mesh, 1), [data], tau=tau)[0]
-        ws = sol.ws
+        ws = Workspace(mesh, 1)
+        sol = solve(ws, [data], tau=tau)[0]
         assert np.abs(ws.eval_modal(sol.u) - ws.qphys[:, :, 0]).max() < 1e-10
 
 
@@ -175,8 +173,9 @@ class TestLocalStructure:
     @BLOCK_CASES
     def test_local_equations_hold(self, p, tau, two_regions):
         mesh, datas = _block_form_case(two_regions)
-        for sol, data in zip(solve(Workspace(mesh, p), datas, tau), datas):
-            r1, r2 = local_residuals(sol, data)
+        ws = Workspace(mesh, p)
+        for sol, data in zip(solve(ws, datas, tau), datas):
+            r1, r2 = local_residuals(ws, sol, data, tau)
             assert r1 < 1e-10 and r2 < 1e-10
 
     @BLOCK_CASES
@@ -279,8 +278,9 @@ class TestLocalStructure:
     def test_local_conservation(self):
         mesh = unit_square_crisscross(1)
         data = ProblemData(f=EX1_F)
-        sol = solve(Workspace(mesh, 1), [data])[0]
-        assert conservation_residual(sol, data) < 1e-10
+        ws = Workspace(mesh, 1)
+        sol = solve(ws, [data])[0]
+        assert conservation_residual(ws, sol, data) < 1e-10
 
     def test_condensed_matrix_symmetric_positive(self):
         mesh = unit_square_crisscross(0)
@@ -293,8 +293,8 @@ class TestLocalStructure:
     def test_dirichlet_trace_is_projection(self):
         mesh = unit_square_crisscross(0)
         gd = lambda x, y: x + 0.5 * y
-        sol = solve(Workspace(mesh, 1), [ProblemData(f=zero, g_D=gd)])[0]
-        ws = sol.ws
+        ws = Workspace(mesh, 1)
+        sol = solve(ws, [ProblemData(f=zero, g_D=gd)])[0]
         dfac = np.nonzero(mesh.facet_tag == 1)[0]
         mom = ws.facet_data_moments(gd, dfac)
         assert np.abs(sol.uhat[dfac] - mom).max() < 1e-12
@@ -512,8 +512,8 @@ class TestConvergenceAndOutputs:
             errs, nels = [], []
             for lvl in range(3):
                 mesh = unit_square_crisscross(lvl)
-                sol = solve(Workspace(mesh, p), [data])[0]
-                ws = sol.ws
+                ws = Workspace(mesh, p)
+                sol = solve(ws, [data])[0]
                 diff = ws.eval_modal(sol.u) - EX1_U(ws.qphys[:, :, 0],
                                                     ws.qphys[:, :, 1])
                 errs.append(math.sqrt(ws.integrate_elementwise(diff ** 2).sum()))
@@ -523,14 +523,16 @@ class TestConvergenceAndOutputs:
 
     def test_raw_output_zero_functional(self):
         mesh = unit_square_crisscross(0)
-        sol = solve(Workspace(mesh, 1), [ProblemData(f=EX1_F)])[0]
-        assert raw_output(sol, OutputFunctional()) == 0.0
+        ws = Workspace(mesh, 1)
+        sol = solve(ws, [ProblemData(f=EX1_F)])[0]
+        assert raw_output(ws, sol, OutputFunctional()) == 0.0
 
     @pytest.mark.parametrize("p,level,ref", [(1, 0, 1.90e-03), (2, 1, 1.10e-06)])
     def test_published_output_errors(self, p, level, ref):
         mesh = unit_square_crisscross(level)
-        sol = solve(Workspace(mesh, p), [ProblemData(f=EX1_F)])[0]
-        sh = raw_output(sol, OutputFunctional(f_O=ONE))
+        ws = Workspace(mesh, p)
+        sol = solve(ws, [ProblemData(f=EX1_F)])[0]
+        sh = raw_output(ws, sol, OutputFunctional(f_O=ONE))
         err = abs(4 / np.pi ** 2 - sh)
         assert abs(err - ref) < 0.01 * ref
 
@@ -539,8 +541,9 @@ class TestConvergenceAndOutputs:
         mesh = unit_square_crisscross(2)
         gdo = lambda x, y: np.where(np.abs(x - 1.0) < 1e-12,
                                     0.5 * np.pi * np.sin(np.pi * y), 0.0)
-        sol = solve(Workspace(mesh, 2), [ProblemData(f=EX1_F)])[0]
-        sh = raw_output(sol, OutputFunctional(g_D_O=gdo))
+        ws = Workspace(mesh, 2)
+        sol = solve(ws, [ProblemData(f=EX1_F)])[0]
+        sh = raw_output(ws, sol, OutputFunctional(g_D_O=gdo))
         assert abs(sh - np.pi ** 2 / 4) < 1e-5
 
     def test_piecewise_diffusivity_interface(self):
@@ -558,8 +561,8 @@ class TestConvergenceAndOutputs:
             return np.where(x <= 0.5, x, 0.5 + (x - 0.5) / 2.0)
 
         data = ProblemData(f=zero, g_D=u)
-        sol = solve(Workspace(mesh, 1), [data])[0]
-        ws = sol.ws
+        ws = Workspace(mesh, 1)
+        sol = solve(ws, [data])[0]
         assert np.abs(ws.eval_modal(sol.u)
                       - u(ws.qphys[:, :, 0], ws.qphys[:, :, 1])).max() < 1e-10
         assert np.abs(ws.eval_modal(sol.q[:, 0]) + 1.0).max() < 1e-10
@@ -577,6 +580,7 @@ class TestConvergenceAndOutputs:
         # Neumann term alone, <y, u>_GN = integral of y over x=0 = 1/2
         mesh = mixed_square()
         data = ProblemData(f=zero, g_D=lambda x, y: x + 1.0, g_N=ONE)
-        sol = solve(Workspace(mesh, p), [data])[0]
-        sh = raw_output(sol, OutputFunctional(g_N_O=lambda x, y: y))
+        ws = Workspace(mesh, p)
+        sol = solve(ws, [data])[0]
+        sh = raw_output(ws, sol, OutputFunctional(g_N_O=lambda x, y: y))
         assert abs(sh - 0.5) < 1e-13

@@ -2,7 +2,7 @@
 local optimization."""
 
 import math
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -27,10 +27,10 @@ EX1_U = lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y)
 
 
 def base_pair(mesh, data, p, quad_degree=None):
-    sol = solve(Workspace(mesh, p, quad_degree), [data])[0]
-    ws = sol.ws
-    flux = reconstruct_flux(sol)
-    (pot,) = make_continuous(postprocess_potential([sol], [flux]), [data.g_D], ws)
+    ws = Workspace(mesh, p, quad_degree)
+    sol = solve(ws, [data])[0]
+    flux = reconstruct_flux(ws, sol)
+    (pot,) = make_continuous(ws, postprocess_potential(ws, [sol], [flux]), [data.g_D])
     return sol, flux, pot, ws
 
 
@@ -52,11 +52,10 @@ def _rt_tails(ws, pts_phys):
     return out
 
 
-def _reconstruct_flux_loop(sol):
+def _reconstruct_flux_loop(ws, sol):
     """reconstruct_flux as one (N, N) solve per element, in the physical
     tails of _rt_tails: the reference for the Piola-mapped reconstruction."""
-    ws = sol.ws
-    mesh, p = sol.ws.mesh, sol.ws.p
+    mesh, p = ws.mesh, ws.p
     ne, np_, F1 = mesh.n_elements, ws.np_, p + 1
     n_int = 2 * fc.n_modes(p - 1) if p >= 1 else 0
     N = (p + 1) * (p + 3)
@@ -109,7 +108,7 @@ def _reconstruct_flux_loop(sol):
         proj = np.einsum("ekq,jq,q->ekj", tails_vol[:, :, :, c], ws.phi_m, ws.qw) \
             * ws.sqrt_det[:, None, None]
         coeffs[:, c] += np.einsum("ek,ekj->ej", tail_alpha, proj)
-    return EquilibratedFlux(mesh=mesh, coeffs=coeffs)
+    return EquilibratedFlux(coeffs)
 
 
 class TestFluxReconstruction:
@@ -122,9 +121,10 @@ class TestFluxReconstruction:
                   "mixed": lambda: mixed_square(1)}
         data = ProblemData(f=EX1_F, g_D=lambda x, y: np.exp(x) * y,
                            g_N=lambda x, y: np.cos(3 * y) + x)
-        sol = solve(Workspace(meshes[mesh_name](), p), [data])[0]
-        got = reconstruct_flux(sol).coeffs
-        ref = _reconstruct_flux_loop(sol).coeffs
+        ws = Workspace(meshes[mesh_name](), p)
+        sol = solve(ws, [data])[0]
+        got = reconstruct_flux(ws, sol).coeffs
+        ref = _reconstruct_flux_loop(ws, sol).coeffs
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
     @pytest.mark.parametrize("p", [1, 2, 3])
@@ -146,7 +146,7 @@ class TestFluxReconstruction:
         mesh = unit_square_crisscross(level)
         data = ProblemData(f=EX1_F)
         _, flux, pot, ws = base_pair(mesh, data, p)
-        res = flux_residuals(evaluate(flux, pot, data, ws), ws)
+        res = flux_residuals(ws, evaluate(ws, flux, pot, data))
         assert res["divergence"] <= 1e-10
         assert res["normal_jump"] <= 1e-10
         assert res["neumann"] <= 1e-10
@@ -171,7 +171,7 @@ class TestPotential:
         for lvl in range(3):
             mesh = unit_square_crisscross(lvl)
             sol, flux, _, ws = base_pair(mesh, data, 1)
-            (ustar,) = postprocess_potential([sol], [flux])
+            (ustar,) = postprocess_potential(ws, [sol], [flux])
             vals = (ustar @ ws.phi_m) / ws.sqrt_det[:, None]
             diff = vals - EX1_U(ws.qphys[:, :, 0], ws.qphys[:, :, 1])
             errs.append(math.sqrt(ws.integrate_elementwise(diff ** 2).sum()))
@@ -190,7 +190,7 @@ class TestPotential:
         # to 1 and element 1 to 3
         ustar[0, 0] = 1.0 / np.sqrt(2.0 / ws.det[0])
         ustar[1, 0] = 3.0 / np.sqrt(2.0 / ws.det[1])
-        (pot,) = make_continuous([ustar], [zero], ws)
+        (pot,) = make_continuous(ws, [ustar], [zero])
         shared = np.intersect1d(node_map[0], node_map[1])
         interior = np.setdiff1d(shared, ws.dirichlet_nodes)
         assert len(interior) > 0
@@ -205,7 +205,7 @@ class TestPotential:
         fvals = gd(ws.qphys[:, :, 0], ws.qphys[:, :, 1])
         # degree-(p+1) moments, exact: xy lies in P^2 elementwise
         ustar = (fvals * ws.qw) @ ws.phi_m.T * ws.sqrt_det[:, None]
-        (pot,) = make_continuous([ustar], [gd], ws)
+        (pot,) = make_continuous(ws, [ustar], [gd])
         coords = ws.node_coords
         assert np.abs(pot.values - coords[:, 0] * coords[:, 1]).max() < 1e-12
 
@@ -242,7 +242,7 @@ class TestPotential:
         mesh = unit_square_crisscross(1)
         data = ProblemData(f=EX1_F)
         _, flux, pot, ws = base_pair(mesh, data, 2)
-        res = potential_residuals(evaluate(flux, pot, data, ws), ws)
+        res = potential_residuals(ws, evaluate(ws, flux, pot, data))
         assert res["dirichlet_trace"] <= 1e-10
         assert res["continuity"] <= 1e-10
 
@@ -255,15 +255,15 @@ class TestPotential:
         broken[ws.dirichlet_nodes[3]] += 0.01
         from hdgbounds.reconstruct import ContinuousPotential
         bad = ContinuousPotential(values=broken)
-        res = potential_residuals(evaluate(flux, bad, data, ws), ws)
+        res = potential_residuals(ws, evaluate(ws, flux, bad, data))
         assert res["dirichlet_trace"] > 1e-4
 
     def test_audit_detects_corrupted_flux(self):
         mesh = unit_square_crisscross(0)
         data = ProblemData(f=EX1_F)
         _, flux, pot, ws = base_pair(mesh, data, 1)
-        bad = EquilibratedFlux(mesh=mesh, coeffs=flux.coeffs + 1e-3)
-        res = flux_residuals(evaluate(bad, pot, data, ws), ws)
+        bad = EquilibratedFlux(flux.coeffs + 1e-3)
+        res = flux_residuals(ws, evaluate(ws, bad, pot, data))
         assert max(res["divergence"], res["normal_jump"]) > 1e-6
 
 
@@ -288,7 +288,7 @@ class TestBandExtension:
                              profile_deriv=lambda s: 1 - 2 * s)
         data = ProblemData(f=zero, g_D=gd, band=band)
         sol, flux, pot, ws = base_pair(mesh, data, 2)
-        pot = enforce_dirichlet_band(pot, band, ws)
+        pot = enforce_dirichlet_band(ws, pot, band)
         c = pot.correction
         pts = ws.qphys[c.elems]
         interp = ws.eval_data(c.ghat, ws.node_coords[ws.node_map[c.elems]])
@@ -300,10 +300,10 @@ class TestBandExtension:
         gdo = self.gdo()
         data = ProblemData(f=zero, g_D=gdo, band=self.band())
         sol, flux, pot, ws = base_pair(mesh, data, 2)
-        pot = enforce_dirichlet_band(pot, self.band(), ws)
+        pot = enforce_dirichlet_band(ws, pot, self.band())
         ys = rng.uniform(0, 1, size=20)
         # evaluate the potential on the boundary x=1 through facet traces
-        res = potential_residuals(evaluate(flux, pot, data, ws), ws)
+        res = potential_residuals(ws, evaluate(ws, flux, pot, data))
         assert res["dirichlet_trace"] < 1e-12
         assert res["continuity"] < 1e-12
 
@@ -314,7 +314,7 @@ class TestBandExtension:
         for p in (1, 2, 3):
             data = ProblemData(f=zero, g_D=gdo, band=self.band())
             sol, flux, pot, ws = base_pair(mesh0, data, p)
-            pot = enforce_dirichlet_band(pot, self.band(), ws)
+            pot = enforce_dirichlet_band(ws, pot, self.band())
             c = pot.correction
             pts = ws.qphys[c.elems]
             interp = ws.eval_data(c.ghat, ws.node_coords[ws.node_map[c.elems]])
@@ -332,7 +332,7 @@ class TestBandExtension:
         data = ProblemData(f=zero, g_D=gdo, band=band)
         sol, flux, pot, ws = base_pair(mesh, data, 1)
         with pytest.raises(NonFiniteDataError, match="non-finite"):
-            enforce_dirichlet_band(pot, band, ws)
+            enforce_dirichlet_band(ws, pot, band)
 
     @pytest.mark.parametrize("p", [1, 2, 3])
     def test_eval_grads_matches_einsum_formula(self, p):
@@ -361,7 +361,7 @@ class TestBandExtension:
         c = pot.correction
         e = c.elems
         assert len(e)
-        rec = evaluate(flux, pot, prob.out.adjoint_data(), ws)
+        rec = evaluate(ws, flux, pot, prob.out.adjoint_data())
         assert np.array_equal(rec.band, e)
 
         def ref_moments(v):  # against the reference P^{p+1} basis
@@ -378,7 +378,7 @@ class TestBandExtension:
             mesh = unit_square_crisscross(lvl)
             ws = Workspace(mesh, 1)
             pot = ContinuousPotential(values=np.zeros(len(ws.node_coords)))
-            out = enforce_dirichlet_band(pot, self.band(), ws)
+            out = enforce_dirichlet_band(ws, pot, self.band())
             expected = 1.0 - 1.0 / 2 ** (lvl + 1)
             assert abs(out.correction.x_band - expected) < 1e-14
 
@@ -388,9 +388,9 @@ class TestBandExtension:
         mesh = unit_square_crisscross(0)
         data = ProblemData(f=zero, g_D=self.gdo(), band=self.band())
         _, _, pot, ws = base_pair(mesh, data, 1)
-        pot = enforce_dirichlet_band(pot, self.band(), ws)
+        pot = enforce_dirichlet_band(ws, pot, self.band())
         with pytest.raises(ValueError, match="already carries"):
-            enforce_dirichlet_band(pot, self.band(), ws)
+            enforce_dirichlet_band(ws, pot, self.band())
 
     def test_non_axis_aligned_portion_rejected(self):
         mesh = unit_square_crisscross(0)
@@ -402,7 +402,7 @@ class TestBandExtension:
             bad = DirichletBand(axis=axis, value=value, profile=lambda s: s,
                                 profile_deriv=lambda s: 1.0)
             with pytest.raises(ValueError, match=match):
-                enforce_dirichlet_band(pot, bad, ws)
+                enforce_dirichlet_band(ws, pot, bad)
 
     @pytest.mark.parametrize("optimize", [False, True])
     @pytest.mark.parametrize("p", [1, 2])
@@ -422,9 +422,9 @@ class TestBandExtension:
         for level in (0, 1, 2):
             _, _, pair_u, pair_z, ws = build_pair(
                 unit_square_crisscross(level), data, out, p, optimize=optimize)
-            res = potential_residuals(evaluate(*pair_z, adata, ws), ws)
+            res = potential_residuals(ws, evaluate(ws, *pair_z, adata))
             assert res["dirichlet_trace"] < 1e-12
-            assert compute_bounds(pair_u, pair_z, data, adata, ws).contains(
+            assert compute_bounds(ws, pair_u, pair_z, data, adata).contains(
                 np.pi ** 2 / 4)
 
 
@@ -458,10 +458,10 @@ def _loop_constraint_matrix(ws, e):
     return C
 
 
-def _local_optimize_loop(flux, pot, ws):
+def _local_optimize_loop(ws, flux, pot):
     """Element-by-element reference for local_optimize: one SVD nullspace
     of the element's own constraint matrix and one lstsq per element."""
-    mesh, p, nm = flux.mesh, ws.p, ws.nm
+    mesh, p, nm = ws.mesh, ws.p, ws.nm
     ne = mesh.n_elements
     nu = ws.nu
 
@@ -514,7 +514,7 @@ def _local_optimize_loop(flux, pot, ws):
         new_values[ws.node_map[e, slots]] = new_nodal[slots]
 
     new_pot = ContinuousPotential(values=new_values, correction=pot.correction)
-    return EquilibratedFlux(mesh=mesh, coeffs=new_flux), new_pot
+    return EquilibratedFlux(new_flux), new_pot
 
 
 def _mapped_nullspace(ws, e):
@@ -526,7 +526,7 @@ def _mapped_nullspace(ws, e):
     return np.vstack([Nq, N[2 * nm:]])
 
 
-def _local_optimize_qr(flux, pot, ws):
+def _local_optimize_qr(ws, flux, pot):
     """local_optimize as one batched least-squares problem: the objective
     rows B (ne, 2 nq, k) along the mapped directions at the quadrature
     points, factored by a batched QR."""
@@ -589,8 +589,8 @@ class TestLocalOptimize:
         assert primal[1].correction is None
         assert adjoint[1].correction is not None
         for flux, pot in (primal, adjoint):
-            got_f, got_p = local_optimize(flux, pot, ws)
-            ref_f, ref_p = _local_optimize_loop(flux, pot, ws)
+            got_f, got_p = local_optimize(ws, flux, pot)
+            ref_f, ref_p = _local_optimize_loop(ws, flux, pot)
             for got, ref in ((got_f.coeffs, ref_f.coeffs),
                              (got_p.values, ref_p.values)):
                 assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
@@ -621,8 +621,8 @@ class TestLocalOptimize:
                           builtin("example1_s2").out, p)[3]
         assert band[1].correction is not None
         for flux, pot in (primal, adjoint, band):
-            got_f, got_p = local_optimize(flux, pot, ws)
-            ref_f, ref_p = _local_optimize_qr(flux, pot, ws)
+            got_f, got_p = local_optimize(ws, flux, pot)
+            ref_f, ref_p = _local_optimize_qr(ws, flux, pot)
             for got, ref in ((got_f.coeffs, ref_f.coeffs),
                              (got_p.values, ref_p.values)):
                 assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
@@ -639,25 +639,25 @@ class TestLocalOptimize:
         mesh = unit_square_crisscross(0)
         data = ProblemData(f=zero, g_D=lambda x, y: x)
         sol, flux, pot, ws = base_pair(mesh, data, 2)
-        f2, p2 = local_optimize(flux, pot, ws)
-        assert np.sqrt(_residual_sq(evaluate(f2, p2, data, ws), ws)) < 1e-10
+        f2, p2 = local_optimize(ws, flux, pot)
+        assert np.sqrt(_residual_sq(ws, evaluate(ws, f2, p2, data))) < 1e-10
 
     @pytest.mark.parametrize("p", [0, 1, 2, 3])
     def test_objective_never_increases_and_certificates_hold(self, p):
         mesh = unit_square_crisscross(0)
         data = ProblemData(f=EX1_F)
         sol, flux, pot, ws = base_pair(mesh, data, p)
-        before = _residual_sq(evaluate(flux, pot, data, ws), ws)
-        f2, p2 = local_optimize(flux, pot, ws)
-        after = _residual_sq(evaluate(f2, p2, data, ws), ws)
+        before = _residual_sq(ws, evaluate(ws, flux, pot, data))
+        f2, p2 = local_optimize(ws, flux, pot)
+        after = _residual_sq(ws, evaluate(ws, f2, p2, data))
         assert after <= before + 1e-12
         if p == 0:
             # no feasible direction: the pair is returned unchanged
             assert np.array_equal(f2.coeffs, flux.coeffs)
             assert np.array_equal(p2.values, pot.values)
-        rec = evaluate(f2, p2, data, ws)
-        res = flux_residuals(rec, ws)
-        pres = potential_residuals(rec, ws)
+        rec = evaluate(ws, f2, p2, data)
+        res = flux_residuals(ws, rec)
+        pres = potential_residuals(ws, rec)
         assert max(res.values()) <= 1e-10
         assert max(pres.values()) <= 1e-10
 
@@ -669,8 +669,8 @@ class TestLocalOptimize:
         data = ProblemData(f=EX1_F)
         p = 2
         sol, flux, pot, ws = base_pair(mesh, data, p)
-        fo, po = local_optimize(flux, pot, ws)
-        obj_opt = _residual_sq(evaluate(fo, po, data, ws), ws)
+        fo, po = local_optimize(ws, flux, pot)
+        obj_opt = _residual_sq(ws, evaluate(ws, fo, po, data))
 
         # curl of the cubic bubble b = l1 l2 l3 on each element (reference
         # barycentrics), scaled randomly per element
@@ -690,13 +690,13 @@ class TestLocalOptimize:
         # project the perturbation onto the modal flux representation
         add = np.einsum("eqc,jq->ecj", pert * ws.qw[None, :, None],
                         ws.phi_m) * ws.sqrt_det[:, None, None]
-        flux_pert = EquilibratedFlux(mesh=mesh, coeffs=flux.coeffs + add)
-        rec = evaluate(flux_pert, pot, data, ws)
-        res = flux_residuals(rec, ws)
+        flux_pert = EquilibratedFlux(flux.coeffs + add)
+        rec = evaluate(ws, flux_pert, pot, data)
+        res = flux_residuals(ws, rec)
         assert max(res.values()) < 1e-9  # still equilibrated
-        obj_pert = _residual_sq(rec, ws)
-        f3, p3 = local_optimize(flux_pert, pot, ws)
-        obj_back = _residual_sq(evaluate(f3, p3, data, ws), ws)
+        obj_pert = _residual_sq(ws, rec)
+        f3, p3 = local_optimize(ws, flux_pert, pot)
+        obj_back = _residual_sq(ws, evaluate(ws, f3, p3, data))
         assert obj_back <= obj_pert
         assert obj_back <= obj_opt + 1e-12
 
@@ -710,9 +710,9 @@ class TestLocalOptimize:
                              * np.cos(np.pi * s))
         data = ProblemData(f=zero, g_D=gdo, band=band)
         sol, flux, pot, ws = base_pair(mesh, data, 2)
-        pot = enforce_dirichlet_band(pot, band, ws)
-        f2, p2 = local_optimize(flux, pot, ws)
-        res = potential_residuals(evaluate(f2, p2, data, ws), ws)
+        pot = enforce_dirichlet_band(ws, pot, band)
+        f2, p2 = local_optimize(ws, flux, pot)
+        res = potential_residuals(ws, evaluate(ws, f2, p2, data))
         assert res["dirichlet_trace"] < 1e-10
         assert res["continuity"] < 1e-10
 
@@ -736,10 +736,10 @@ def test_pair_memory_below_the_bounds(p):
     sols = solve(ws, datas)
     tracemalloc.start()
     try:
-        pairs = certified_pairs(sols, datas)
+        pairs = certified_pairs(ws, sols, datas)
         peak = tracemalloc.get_traced_memory()[1]
         start = tracemalloc.get_traced_memory()[0]
-        records = _audited_records(*pairs, *datas, ws)
+        records = _audited_records(ws, *pairs, *datas)
         records_size = tracemalloc.get_traced_memory()[0] - start
     finally:
         tracemalloc.stop()
@@ -769,20 +769,20 @@ def test_batched_pairs_equal_single_datum_calls(case, amp, seed, p, optimize):
     ws = Workspace(mesh, p)
     datas = [prob.data, prob.out.adjoint_data()]
     sols = solve(ws, datas)
-    pairs = certified_pairs(sols, datas, optimize)
+    pairs = certified_pairs(ws, sols, datas, optimize)
     for sol, data, (flux, pot) in zip(sols, datas, pairs):
-        ((flux1, pot1),) = certified_pairs([sol], [data], optimize)
+        ((flux1, pot1),) = certified_pairs(ws, [sol], [data], optimize)
         assert np.array_equal(flux.coeffs, flux1.coeffs)
         assert np.array_equal(pot.values, pot1.values)
         assert (pot.correction is None) == (pot1.correction is None)
 
     def verdicts(res):
         return {k: r <= _CERTIFICATE_TOL for k, r in res.items()}
-    records = _audited_records(*pairs, *datas, ws)
+    records = _audited_records(ws, *pairs, *datas)
     for rec, pair, data in zip(records, pairs, datas):
-        alone = evaluate(*pair, data, ws)
+        alone = evaluate(ws, *pair, data)
         for residuals in (flux_residuals, potential_residuals):
-            got, want = residuals(rec, ws), residuals(alone, ws)
+            got, want = residuals(ws, rec), residuals(ws, alone)
             assert verdicts(got) == verdicts(want)
             assert all(abs(got[k] - want[k]) <= 1e-14 for k in want)
 
@@ -816,6 +816,35 @@ def test_one_potential_solve_and_one_interior_trace_per_side_and_field(
     assert sorted(traces) == [(False, 0), (False, 1), (True, 0), (True, 1)]
 
 
+@pytest.mark.parametrize("optimize", [False, True])
+def test_no_pipeline_object_holds_the_mesh_or_the_workspace(optimize):
+    # every step takes the workspace first, so the solutions, the pairs with
+    # the adjoint's band correction, the evaluated records and the bounds
+    # hold numbers and the band extension only
+    from hdgbounds.bounds import _audited_records
+    prob = builtin("example1_s2")
+    ws = Workspace(unit_square_crisscross(1), 2)
+    datas = [prob.data, prob.out.adjoint_data()]
+    sols = solve(ws, datas)
+    pairs = certified_pairs(ws, sols, datas, optimize)
+    records = _audited_records(ws, *pairs, *datas)
+    res = compute_bounds(ws, *pairs, *datas)
+    seen = set()
+
+    def check(obj):
+        assert not isinstance(obj, (Mesh, Workspace))
+        if is_dataclass(obj):
+            seen.add(type(obj).__name__)
+            for f in fields(obj):
+                check(getattr(obj, f.name))
+    for obj in (*sols, *(x for pair in pairs for x in pair), *records, res):
+        check(obj)
+    assert seen == {"HDGSolution", "EquilibratedFlux", "ContinuousPotential",
+                    "BandCorrection", "EvaluatedPair", "BoundsResult"}
+    assert [f.name for f in fields(sols[0])] == ["u", "q", "uhat", "qhat_n"]
+    assert [f.name for f in fields(pairs[0][0])] == ["coeffs"]
+
+
 def test_node_tables_built_on_first_read():
     # the HDG solve reads no node of the continuous space: its numbering
     # and coordinates are built when the potential stage first reads them,
@@ -825,7 +854,7 @@ def test_node_tables_built_on_first_read():
     datas = [prob.data, prob.out.adjoint_data()]
     sols = solve(ws, datas)
     assert not {"node_map", "node_coords", "node_phys"} & set(vars(ws))
-    certified_pairs(sols, datas)
+    certified_pairs(ws, sols, datas)
     assert {"node_map", "node_coords", "dirichlet_nodes"} <= set(vars(ws))
     assert "node_phys" not in vars(ws)
 
@@ -842,9 +871,9 @@ def test_audit_reads_only_the_record(monkeypatch):
     def boom(*args, **kwargs):
         raise AssertionError("the audit read beyond the record")
     for pair, data in zip(pairs, datas):
-        rec = evaluate(*pair, data, ws)
-        want = flux_residuals(rec, ws), potential_residuals(rec, ws)
+        rec = evaluate(ws, *pair, data)
+        want = flux_residuals(ws, rec), potential_residuals(ws, rec)
         with monkeypatch.context() as m:
             m.setattr(ws, "eval_data", boom)
             m.setattr(ws, "facet_trace", boom)
-            assert (flux_residuals(rec, ws), potential_residuals(rec, ws)) == want
+            assert (flux_residuals(ws, rec), potential_residuals(ws, rec)) == want

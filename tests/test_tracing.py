@@ -32,7 +32,7 @@ def modules():
 def test_tracer_finds_the_audit_and_solve_points(modules):
     prob = builtin("example1_s1")
     ws = Workspace(unit_square_crisscross(1), 1)
-    (pair,) = certified_pairs(solve(ws, [prob.data]), [prob.data])
+    (pair,) = certified_pairs(ws, solve(ws, [prob.data]), [prob.data])
     rc = modules["reconstruct"]
     original = rc.flux_residuals
     tracer = tracing.Tracer()
@@ -40,7 +40,7 @@ def test_tracer_finds_the_audit_and_solve_points(modules):
     try:
         assert patches.skipped == GONE
         assert rc.flux_residuals is not original
-        res = rc.flux_residuals(rc.evaluate(*pair, prob.data, ws), ws)
+        res = rc.flux_residuals(ws, rc.evaluate(ws, *pair, prob.data))
     finally:
         patches.remove()
     assert isinstance(res, dict)
