@@ -37,7 +37,7 @@ for level in range(4):
     fluxes = [reconstruct_flux(ws, sol) for sol in (sol_u, sol_z)]
     pots = make_continuous(ws, postprocess_potential(ws, [sol_u, sol_z], fluxes),
                            [prob.data.g_D, adata.g_D])
-    pairs = [local_optimize(ws, flux, pot) for flux, pot in zip(fluxes, pots)]
+    pairs = local_optimize(ws, list(zip(fluxes, pots)))
 
     # the certificates are verifiable: divergence/trace residuals ~ 1e-14
     res = flux_residuals(ws, evaluate(ws, *pairs[0], prob.data))

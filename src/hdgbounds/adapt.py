@@ -5,8 +5,7 @@ iteration cap is reached.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -122,14 +121,13 @@ class IterationRecord:
     n_edge_dofs: int
     bounds: bd.BoundsResult
     marked: int
-    seconds: float
 
 
 @dataclass
 class AdaptiveRun:
-    records: list[IterationRecord] = field(default_factory=list)
-    converged: bool = False
-    final_mesh: Optional[Mesh] = None
+    records: list[IterationRecord]
+    converged: bool
+    final_mesh: Mesh
 
     @property
     def half_gaps(self) -> np.ndarray:
@@ -158,24 +156,23 @@ def adaptive_loop(mesh0: Mesh, data: hdg.ProblemData, out: hdg.OutputFunctional,
     """
     if refiner not in _REFINERS:
         raise ValueError(f"unknown refiner {refiner!r} (expected red|bisect)")
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
     refine = _REFINERS[refiner]
-    run = AdaptiveRun()
-    mesh = mesh0
+    records, mesh = [], mesh0
     for it in range(max_iter):
-        t0 = time.perf_counter()
         res = run_pipeline(mesh, data, out, p, tau, optimize=optimize)
-        run.converged = 2 * res.half_gap < target_gap
+        converged = 2 * res.half_gap < target_gap
         marked = np.array([], dtype=int)
-        if not run.converged and it + 1 < max_iter:
+        if not converged and it + 1 < max_iter:
             marked = mark(res.gap_elements, strategy)
-        run.records.append(IterationRecord(
+        records.append(IterationRecord(
             nel=mesh.n_elements, n_edge_dofs=mesh.n_facets * (p + 1),
-            bounds=res, marked=len(marked), seconds=time.perf_counter() - t0))
+            bounds=res, marked=len(marked)))
         if len(marked) == 0:  # converged, last iteration, or nothing marked
             break
         if isinstance(strategy, Uniform) and uniform_family is not None:
             mesh = uniform_family(it + 1)
         else:
             mesh = refine(mesh, marked)
-    run.final_mesh = mesh
-    return run
+    return AdaptiveRun(records, converged, mesh)

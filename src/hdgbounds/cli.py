@@ -56,22 +56,9 @@ def compile_expression(text: str):
 
     Supports + - * / ** (also ^), the functions sin cos tan sinh cosh tanh
     exp log sqrt abs, and the constants pi and e.  Numbers are float64, so
-    "1/0" or "9**9**5" evaluate to inf instead of raising.
+    "1/0" or "9**9**5" evaluate to inf instead of raising.  Text that is
+    no such expression, or is nested too deeply to parse, raises ValueError.
     """
-    tree = ast.parse(text.replace("^", "**"), mode="eval")
-    for node in ast.walk(tree):
-        if not isinstance(node, _ALLOWED_NODES):
-            raise ValueError(f"disallowed syntax in expression: {text!r}")
-        if isinstance(node, ast.Call):
-            if not (isinstance(node.func, ast.Name) and node.func.id in _FUNCS
-                    and len(node.args) == 1 and not node.keywords):
-                raise ValueError(f"disallowed function call in {text!r}")
-        if isinstance(node, ast.Name) and node.id not in ("x", "y", *_FUNCS,
-                                                          *_NAMES):
-            raise ValueError(f"unknown name {node.id!r} in expression {text!r}")
-        if isinstance(node, ast.Constant) and not isinstance(node.value,
-                                                             (int, float)):
-            raise ValueError(f"non-numeric constant in {text!r}")
     numbers = {}
 
     class _Float64Numbers(ast.NodeTransformer):
@@ -80,8 +67,25 @@ def compile_expression(text: str):
             numbers[name] = np.float64(node.value)
             return ast.copy_location(ast.Name(id=name, ctx=ast.Load()), node)
 
-    tree = ast.fix_missing_locations(_Float64Numbers().visit(tree))
-    code = compile(tree, "<expression>", "eval")
+    try:
+        tree = ast.parse(text.replace("^", "**"), mode="eval")
+        for node in ast.walk(tree):
+            if not isinstance(node, _ALLOWED_NODES):
+                raise ValueError(f"disallowed syntax in expression: {text!r}")
+            if isinstance(node, ast.Call) and not (
+                    isinstance(node.func, ast.Name) and node.func.id in _FUNCS
+                    and len(node.args) == 1 and not node.keywords):
+                raise ValueError(f"disallowed function call in {text!r}")
+            if isinstance(node, ast.Name) and node.id not in ("x", "y", *_FUNCS,
+                                                              *_NAMES):
+                raise ValueError(f"unknown name {node.id!r} in expression {text!r}")
+            if isinstance(node, ast.Constant) and not isinstance(
+                    node.value, (int, float)):
+                raise ValueError(f"non-numeric constant in {text!r}")
+        tree = ast.fix_missing_locations(_Float64Numbers().visit(tree))
+        code = compile(tree, "<expression>", "eval")
+    except (SyntaxError, MemoryError, RecursionError):
+        raise ValueError(f"cannot parse expression {text!r}") from None
 
     def fun(x, y):
         env = {"x": np.asarray(x, dtype=float),
@@ -250,8 +254,7 @@ def _write_outputs(cfg: RunConfig, run: adapt.AdaptiveRun, exact_s,
                 b.half_gap, order, esh, est))
             prev = rec
 
-    if run.final_mesh is not None:
-        write_mesh(run.final_mesh, out / "mesh_final.txt")
+    write_mesh(run.final_mesh, out / "mesh_final.txt")
 
     last = run.records[-1].bounds
     summary = {

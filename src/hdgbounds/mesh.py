@@ -10,8 +10,8 @@ arclength parameterization used for all trace polynomials.  Side s of
 facet f is element facet_elems[f, s] through its local edge
 facet_local_edge[f, s] (-1 where there is none); side 0 is the
 lower-indexed element, and the stored facet normal points out of it
-(outward on the boundary).  interior_facets, dirichlet_facets and
-neumann_facets list the facets of each tag.
+(outward on the boundary).  facet_len holds the facet lengths, and
+interior_facets, dirichlet_facets and neumann_facets the facets of each tag.
 """
 
 from __future__ import annotations
@@ -102,7 +102,7 @@ class Mesh:
                     self.facet_elems, self.facet_local_edge, self.facet_tag,
                     self.interior_facets, self.dirichlet_facets,
                     self.neumann_facets, self.elem_facets,
-                    self.elem_facet_orient, self.facet_normals):
+                    self.elem_facet_orient, self.facet_normals, self.facet_len):
             arr.setflags(write=False)
 
     # -- construction -----------------------------------------------------
@@ -179,8 +179,9 @@ class Mesh:
         # normals out of side 0: (dy, -dx) points right of a -> b, out of an
         # element that runs from a to b counter-clockwise
         d = self.vertices[facets[:, 1]] - self.vertices[facets[:, 0]]
+        self.facet_len = np.linalg.norm(d, axis=1)
         n = np.column_stack([d[:, 1], -d[:, 0]])
-        n /= np.linalg.norm(n, axis=1)[:, None]
+        n /= self.facet_len[:, None]
         n[~self.elem_facet_orient[facet_elems[:, 0], facet_local_edge[:, 0]]] *= -1.0
         self.facet_normals = n
 

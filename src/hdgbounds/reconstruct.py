@@ -437,56 +437,59 @@ def _normal_matrix(ws: Workspace, jtj, ginv) -> np.ndarray:
             ).reshape(ne, k, k) + ws.opt_cross
 
 
-def local_optimize(ws: Workspace, flux: EquilibratedFlux, pot: ContinuousPotential
-                   ) -> tuple[EquilibratedFlux, ContinuousPotential]:
-    """Per element, minimize ||q* + nu grad u*||_K over q* in [P^{p+1}]^2 and
-    u* in P^{p+1} subject to: div q* = Pi_K^p f, q*.n = q~.n on dK, u* = u~
-    on dK, and (u*, 1)_K preserved.  The input pair is feasible, so the
-    objective never increases; all flux certificates, the potential traces,
-    and the element means are preserved.
+def local_optimize(ws: Workspace, pairs
+                   ) -> list[tuple[EquilibratedFlux, ContinuousPotential]]:
+    """Per element, minimize ||q* + nu grad u*||_K of each pair over q* in
+    [P^{p+1}]^2 and u* in P^{p+1} subject to: div q* = Pi_K^p f, q*.n = q~.n
+    on dK, u* = u~ on dK, and (u*, 1)_K preserved; returns the pairs in order.
+    The inputs are feasible, so the objective never increases; all flux
+    certificates, the potential traces, and the element means are preserved.
 
     The feasible directions are the reference nullspace mapped to each
     element (ws.opt_nullspace, see femcore._reference_nullspace).  Along
     them each element solves the k x k normal equations of the objective,
     assembled from reference tensors (femcore._reference_opt_tensors): the
-    matrix from one product of the element metrics J^T J / nu and
-    nu (J^T J)^-1 with the Gram tensors, the right-hand side from the
-    coefficients of the residual q~ + nu grad u~ (flux.coeffs and
-    grad_coeffs).  A band remainder g - Pi g (BandCorrection) is orthogonal
-    to every feasible direction, whose flux lies in [P^{p+1}]^2 and whose
-    potential gradient in [P^p]^2, so it adds nothing.  The rotated basis
-    and a diagonal (Jacobi) scaling keep the matrix well conditioned on
-    graded meshes.
-    Any step along the directions keeps the pair feasible, so the
+    matrix, of the mesh alone, from one product of the element metrics
+    J^T J / nu and nu (J^T J)^-1 with the Gram tensors, a right-hand side per
+    pair from the coefficients of its residual q~ + nu grad u~ (flux.coeffs
+    and grad_coeffs).  A band remainder g - Pi g (BandCorrection) is
+    orthogonal to every feasible direction, whose flux lies in [P^{p+1}]^2
+    and whose potential gradient in [P^p]^2, so it adds nothing.  The
+    rotated basis and a diagonal (Jacobi) scaling keep the matrix well
+    conditioned on graded meshes.
+    Any step along the directions keeps the pairs feasible, so the
     certificates do not depend on the accuracy of the solve; only the
     optimality does.
     """
     nm, ne = ws.nm, ws.mesh.n_elements
     N = ws.opt_nullspace
     k = N.shape[1]
-    if k == 0:  # p = 0: the constraints fix the pair
-        return (replace(flux, coeffs=flux.coeffs.copy()),
-                replace(pot, values=pot.values.copy()))
+    if k == 0:  # p = 0: the constraints fix the pairs
+        return [(replace(flux, coeffs=flux.coeffs.copy()),
+                 replace(pot, values=pot.values.copy())) for flux, pot in pairs]
     M = _normal_matrix(ws, *_metrics(ws))
-    # right-hand side from the coefficients of the residual
+    # right-hand sides from the coefficients of the residuals, (ne, k, pairs)
     nu = ws.nu[:, None, None]
-    res = flux.coeffs + nu * pot.grad_coeffs(ws)
     wq = np.concatenate([ws.jac / nu, ws.jac_inv_t], axis=2)
-    b = np.einsum("edj,edjk->ek", wq, (res.reshape(2 * ne, nm)
-                                        @ ws.opt_rhs_q).reshape(ne, 2, 4, k))
+    b = np.stack([np.einsum("edj,edjk->ek", wq, (
+        (flux.coeffs + nu * pot.grad_coeffs(ws)).reshape(2 * ne, nm)
+        @ ws.opt_rhs_q).reshape(ne, 2, 4, k)) for flux, pot in pairs], axis=2)
 
     d = 1.0 / np.sqrt(np.einsum("ekk->ek", M))
-    xi = -d * spd_solve(M * d[:, :, None] * d[:, None, :],
-                        (d * b)[:, :, None])[:, :, 0]
+    X = spd_solve(M * d[:, :, None] * d[:, None, :], d[:, :, None] * b)
 
     Nq, Nu = N[:2 * nm], N[2 * nm:]
-    coeffs = flux.coeffs + ws.jac @ (xi @ Nq.T).reshape(ne, 2, nm)
     # boundary traces are constrained, so only interior node values move
     slots = ws.lattice.interior_slots
-    values = pot.values.copy()
-    values[ws.node_map[:, slots]] += (
-        xi @ (ws.vand_m[slots] @ Nu).T) / ws.sqrt_det[:, None]
-    return replace(flux, coeffs=coeffs), replace(pot, values=values)
+    out = []
+    for i, (flux, pot) in enumerate(pairs):
+        xi = -d * X[:, :, i]
+        coeffs = flux.coeffs + ws.jac @ (xi @ Nq.T).reshape(ne, 2, nm)
+        values = pot.values.copy()
+        values[ws.node_map[:, slots]] += (
+            xi @ (ws.vand_m[slots] @ Nu).T) / ws.sqrt_det[:, None]
+        out.append((replace(flux, coeffs=coeffs), replace(pot, values=values)))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -498,13 +501,11 @@ def certified_pairs(ws: Workspace, sols, datas, optimize: bool = False
     """The pairs (q~, u~) of the HDG solutions sols of the problems with
     datas: the equilibrated fluxes, the continuous potentials (one solve and
     one averaging for all), then per pair the band extension when its data
-    carry one and, with ``optimize``, the local optimization."""
+    carry one and, with ``optimize``, the local optimization of all pairs."""
     fluxes = [reconstruct_flux(ws, sol) for sol in sols]
     pots = make_continuous(ws, postprocess_potential(ws, sols, fluxes),
                            [d.g_D for d in datas])
-    pairs = []
-    for flux, pot, data in zip(fluxes, pots, datas):
-        if data.band is not None:
-            pot = enforce_dirichlet_band(ws, pot, data.band)
-        pairs.append(local_optimize(ws, flux, pot) if optimize else (flux, pot))
-    return pairs
+    pairs = [(flux, pot if data.band is None
+              else enforce_dirichlet_band(ws, pot, data.band))
+             for flux, pot, data in zip(fluxes, pots, datas)]
+    return local_optimize(ws, pairs) if optimize else pairs

@@ -122,8 +122,7 @@ class Workspace:
         v = mesh.vertices[mesh.elements]                     # (ne, 3, 2)
         self.v0 = v[:, 0]
         self.jac = np.stack([v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]], axis=2)
-        self.det = (self.jac[:, 0, 0] * self.jac[:, 1, 1]
-                    - self.jac[:, 0, 1] * self.jac[:, 1, 0])
+        self.det = 2.0 * mesh.areas()
         inv = np.empty_like(self.jac)
         inv[:, 0, 0] = self.jac[:, 1, 1]
         inv[:, 0, 1] = -self.jac[:, 0, 1]
@@ -141,9 +140,8 @@ class Workspace:
         self.wdet = self.det[:, None] * self.qw[None, :]
 
         # facet quadrature points (canonical parameterization t in [0,1])
-        va = mesh.vertices[mesh.facets[:, 0]]
-        vb = mesh.vertices[mesh.facets[:, 1]]
-        self.facet_len = np.linalg.norm(vb - va, axis=1)
+        va, vb = np.moveaxis(mesh.vertices[mesh.facets], 1, 0)  # (nf, 2) each
+        self.facet_len = mesh.facet_len
         self.neu_weights = self.ew[None, :] * self.facet_len[mesh.neumann_facets, None]
         self.ephys = va[:, None, :] + self.et[:, None] * (vb - va)[:, None, :]
 

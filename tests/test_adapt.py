@@ -149,6 +149,13 @@ class TestAdaptiveLoop:
             adaptive_loop(prob.initial_mesh(), prob.data, prob.out, p=1,
                           refiner="pink")
 
+    def test_no_iteration_rejected(self):
+        # a run of no iteration has no bounds and no final mesh to report
+        prob = builtin("example2_s1")
+        with pytest.raises(ValueError, match="max_iter must be >= 1"):
+            adaptive_loop(prob.initial_mesh(), prob.data, prob.out, p=1,
+                          max_iter=0)
+
 
 class TestPipeline:
     def test_certificate_check_runs(self):

@@ -36,9 +36,15 @@ class TestExpressions:
     @pytest.mark.parametrize("expr", [
         "__import__('os')", "x.__class__", "lambda: 1", "open('x')",
         "z + 1", "sin(x, y)",
+        # parser errors, SyntaxError or MemoryError of ast.parse, and
+        # RecursionError of the compilation of a deep tree
+        "1+", "sin(", "(x", "x y", "x\0",
+        pytest.param("(" * 300 + "x" + ")" * 300, id="300_parentheses"),
+        pytest.param("-" * 10000 + "1", id="10000_minus_signs"),
+        pytest.param("-" * 900 + "1", id="900_minus_signs"),
     ])
     def test_rejects_unsafe_or_unknown(self, expr):
-        with pytest.raises((ValueError, SyntaxError)):
+        with pytest.raises(ValueError):
             compile_expression(expr)
 
 
@@ -86,8 +92,7 @@ class TestRun:
         b = BoundsResult(s_minus=0.25, s_plus=0.75, kappa=2.0,
                          gap_elements=np.full(16, 1 / 32), half_gap=0.25,
                          s_h=0.375)
-        rec = IterationRecord(nel=16, n_edge_dofs=56, bounds=b, marked=3,
-                              seconds=0.0)
+        rec = IterationRecord(nel=16, n_edge_dofs=56, bounds=b, marked=3)
         cells = cli._csv_row(rec, 0.4, "bulk:0.5").split(",")
         assert len(cells) == len(cli.CSV_HEADER.split(",")) == 11
         assert cells[:2] == ["16", "56"] and cells[-2:] == ["3", "bulk:0.5"]
@@ -425,6 +430,28 @@ class TestMain:
         assert cli.main(["--config", str(cfg_path), "--out", str(out)]) \
             == EXIT_CONFIG
         assert capsys.readouterr().err == f"configuration error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags, config", [
+        (["--f", "1+", "--f_O", "1"], None),
+        ([], {"expressions": {"f": "1+", "f_O": "1"}}),
+    ])
+    def test_malformed_expression_exits_2(self, tmp_path, capsys, flags,
+                                          config):
+        # a parser error of a data expression, from a flag or from the
+        # config file's expressions, used to end in a SyntaxError traceback
+        mesh_path = tmp_path / "square.txt"
+        write_mesh(unit_square_crisscross(0), mesh_path)
+        out = tmp_path / "o"
+        argv = ["--mesh", str(mesh_path), *flags, "--p", "1", "--max-iter",
+                "1", "--target", "1", "--out", str(out)]
+        if config is not None:
+            cfg_path = tmp_path / "cfg.json"
+            cfg_path.write_text(json.dumps(config))
+            argv += ["--config", str(cfg_path)]
+        assert cli.main(argv) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "configuration error: cannot parse expression '1+'\n")
         assert not out.exists()
 
     def test_unknown_expression_key(self, tmp_path, capsys):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import mixed_square, perturbed_crisscross
+from conftest import bisected_lshape, mixed_square, perturbed_crisscross
 from hdgbounds import Bulk, Workspace, builtin, mark, mesh as hm, run_pipeline
 from hdgbounds.bounds import poincare_constants
 
@@ -585,6 +585,22 @@ class TestInvariantsAndFormat:
             mid = m.vertices[m.facets[i]].mean(axis=0)
             out = mid + 1e-3 * m.facet_normals[i]
             assert not (0 < out[0] < 1 and 0 < out[1] < 1)
+
+    @pytest.mark.parametrize("make_mesh", [
+        lambda: hm.unit_square_crisscross(4), lambda: _perturbed(5, 1),
+        lambda: _perturbed(3, 7), bisected_lshape])
+    def test_workspace_reads_the_mesh_geometry(self, make_mesh):
+        # the workspace takes the facet lengths and det J = 2 |K| from the
+        # mesh; both equal their defining formulas bitwise
+        m = make_mesh()
+        va, vb = m.vertices[m.facets[:, 0]], m.vertices[m.facets[:, 1]]
+        assert np.array_equal(m.facet_len, np.linalg.norm(vb - va, axis=1))
+        assert not m.facet_len.flags.writeable
+        ws = Workspace(m, 1)
+        J = ws.jac
+        det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
+        assert np.array_equal(2 * m.areas(), det)
+        assert np.array_equal(ws.det, det) and ws.facet_len is m.facet_len
 
     def test_normals_lower_to_higher_element(self):
         m = hm.unit_square_crisscross(0)

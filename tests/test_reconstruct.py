@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import build_pair, mixed_square, perturbed_crisscross
+from conftest import (bisected_lshape, build_pair, mixed_square,
+                      perturbed_crisscross)
 from hdgbounds import femcore as fc
 from hdgbounds import (DirichletBand, NonFiniteDataError, OutputFunctional,
                        ProblemData, Workspace, builtin, flux_residuals,
@@ -555,13 +556,7 @@ def _local_optimize_qr(ws, flux, pot):
 
 @pytest.fixture(scope="module")
 def graded_lshape():
-    """The L-shape after 30 bisections of the elements at the re-entrant
-    corner: 186 elements, edges from 3.1e-5 to 1."""
-    mesh = lshape_initial()
-    for _ in range(30):
-        corner = np.all(mesh.vertices[mesh.elements] == 0.0, axis=2).any(axis=1)
-        mesh = refine_bisection(mesh, np.flatnonzero(corner))
-    return mesh
+    return bisected_lshape()
 
 
 def _two_material(mesh):
@@ -589,12 +584,30 @@ class TestLocalOptimize:
         assert primal[1].correction is None
         assert adjoint[1].correction is not None
         for flux, pot in (primal, adjoint):
-            got_f, got_p = local_optimize(ws, flux, pot)
+            [(got_f, got_p)] = local_optimize(ws, [(flux, pot)])
             ref_f, ref_p = _local_optimize_loop(ws, flux, pot)
             for got, ref in ((got_f.coeffs, ref_f.coeffs),
                              (got_p.values, ref_p.values)):
                 assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
             assert got_p.correction is pot.correction
+
+    @pytest.mark.parametrize("p", [0, 1, 2, 3])
+    @pytest.mark.parametrize("graded", [False, True])
+    def test_pairs_are_optimized_independently(self, graded_lshape, graded, p):
+        # one solve with a right-hand-side column per pair gives each pair
+        # bitwise what a solve of that pair alone gives; the adjoint pair of
+        # example1_s2's output carries the band extension on x = 1
+        ex2, out = builtin("example2_s1"), builtin("example1_s2").out
+        mesh, data = ((graded_lshape, ex2.data) if graded else
+                      (unit_square_crisscross(2), builtin("example1_s2").data))
+        _, _, primal, adjoint, ws = build_pair(mesh, data, out, p)
+        assert adjoint[1].correction is not None
+        both = local_optimize(ws, [primal, adjoint])
+        for (got_f, got_p), pair in zip(both, (primal, adjoint), strict=True):
+            [(want_f, want_p)] = local_optimize(ws, [pair])
+            assert np.array_equal(got_f.coeffs, want_f.coeffs)
+            assert np.array_equal(got_p.values, want_p.values)
+            assert got_p.correction is pair[1].correction
 
     @pytest.mark.parametrize("p", [1, 2, 3])
     @pytest.mark.parametrize("mesh_name", ["perturbed", "lshape"])
@@ -621,7 +634,7 @@ class TestLocalOptimize:
                           builtin("example1_s2").out, p)[3]
         assert band[1].correction is not None
         for flux, pot in (primal, adjoint, band):
-            got_f, got_p = local_optimize(ws, flux, pot)
+            [(got_f, got_p)] = local_optimize(ws, [(flux, pot)])
             ref_f, ref_p = _local_optimize_qr(ws, flux, pot)
             for got, ref in ((got_f.coeffs, ref_f.coeffs),
                              (got_p.values, ref_p.values)):
@@ -639,7 +652,7 @@ class TestLocalOptimize:
         mesh = unit_square_crisscross(0)
         data = ProblemData(f=zero, g_D=lambda x, y: x)
         sol, flux, pot, ws = base_pair(mesh, data, 2)
-        f2, p2 = local_optimize(ws, flux, pot)
+        [(f2, p2)] = local_optimize(ws, [(flux, pot)])
         assert np.sqrt(_residual_sq(ws, evaluate(ws, f2, p2, data))) < 1e-10
 
     @pytest.mark.parametrize("p", [0, 1, 2, 3])
@@ -648,7 +661,7 @@ class TestLocalOptimize:
         data = ProblemData(f=EX1_F)
         sol, flux, pot, ws = base_pair(mesh, data, p)
         before = _residual_sq(ws, evaluate(ws, flux, pot, data))
-        f2, p2 = local_optimize(ws, flux, pot)
+        [(f2, p2)] = local_optimize(ws, [(flux, pot)])
         after = _residual_sq(ws, evaluate(ws, f2, p2, data))
         assert after <= before + 1e-12
         if p == 0:
@@ -669,7 +682,7 @@ class TestLocalOptimize:
         data = ProblemData(f=EX1_F)
         p = 2
         sol, flux, pot, ws = base_pair(mesh, data, p)
-        fo, po = local_optimize(ws, flux, pot)
+        [(fo, po)] = local_optimize(ws, [(flux, pot)])
         obj_opt = _residual_sq(ws, evaluate(ws, fo, po, data))
 
         # curl of the cubic bubble b = l1 l2 l3 on each element (reference
@@ -695,7 +708,7 @@ class TestLocalOptimize:
         res = flux_residuals(ws, rec)
         assert max(res.values()) < 1e-9  # still equilibrated
         obj_pert = _residual_sq(ws, rec)
-        f3, p3 = local_optimize(ws, flux_pert, pot)
+        [(f3, p3)] = local_optimize(ws, [(flux_pert, pot)])
         obj_back = _residual_sq(ws, evaluate(ws, f3, p3, data))
         assert obj_back <= obj_pert
         assert obj_back <= obj_opt + 1e-12
@@ -711,7 +724,7 @@ class TestLocalOptimize:
         data = ProblemData(f=zero, g_D=gdo, band=band)
         sol, flux, pot, ws = base_pair(mesh, data, 2)
         pot = enforce_dirichlet_band(ws, pot, band)
-        f2, p2 = local_optimize(ws, flux, pot)
+        [(f2, p2)] = local_optimize(ws, [(flux, pot)])
         res = potential_residuals(ws, evaluate(ws, f2, p2, data))
         assert res["dirichlet_trace"] < 1e-10
         assert res["continuity"] < 1e-10

@@ -1,7 +1,7 @@
 """The benchmark's tracer (perfbench/tracing.py) against the library: every
 trace point it wraps still exists, and every span counter reads what the
 library hands it: the residual dicts, the skeleton matrix and its LU
-factors, and the pair local_optimize works on."""
+factors, and the workspace local_optimize works on."""
 
 import importlib
 import importlib.util
@@ -51,7 +51,7 @@ def test_tracer_finds_the_audit_and_solve_points(modules):
 
 def test_every_span_counter_reads_the_library(modules):
     # the band problem with optimization runs every counted trace point:
-    # one factorization, local_optimize on both pairs, two audits of each
+    # one factorization, one local_optimize of both pairs, two audits of each
     prob = builtin("example1_s2")
     mesh = unit_square_crisscross(1)
     tracer = tracing.Tracer()
@@ -64,7 +64,7 @@ def test_every_span_counter_reads_the_library(modules):
     def named(name):
         return [s for s in tracer.spans if s["name"] == name]
     optimize = named("reconstruct.local_optimize")
-    assert [s["elements"] for s in optimize] == [mesh.n_elements] * 2
+    assert [s["elements"] for s in optimize] == [mesh.n_elements]
     (splu,) = named("hdg.splu")
     assert 0 < splu["A_nnz"] <= splu["lu_nnz"]
     worst = [s["worst"] for name in ("reconstruct.flux_residuals",
@@ -73,7 +73,7 @@ def test_every_span_counter_reads_the_library(modules):
     assert len(worst) == 4 and all(0.0 <= w <= 1e-9 for w in worst)
 
     metrics = tracing.layer_metrics(tracer.spans)
-    assert metrics["reconstruct.optimize_elements"] == 2 * mesh.n_elements
+    assert metrics["reconstruct.optimize_elements"] == mesh.n_elements
     assert metrics["hdg.factorizations"] == metrics["hdg.assemble_calls"] == 1
     assert (metrics["hdg.A_nnz"], metrics["hdg.lu_nnz"]) == (
         splu["A_nnz"], splu["lu_nnz"])
