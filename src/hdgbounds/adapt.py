@@ -72,7 +72,7 @@ def mark(gaps: np.ndarray, strategy) -> np.ndarray:
         return np.nonzero(gaps >= strategy.delta_tol / n)[0]
     if isinstance(strategy, Bulk):
         # ties broken by element index for deterministic runs
-        order = np.lexsort((np.arange(n), -gaps))
+        order = np.argsort(-gaps, kind="stable")
         csum = np.cumsum(gaps[order])
         total = csum[-1]
         if total == 0.0:

@@ -173,6 +173,12 @@ class RunConfig:
         return strategy
 
 
+def constant(text: str) -> float:
+    """--exact-s: an expression without x and y; one that reads them is NaN
+    at x = y = NaN, which validate refuses as it does a non-finite value."""
+    return float(compile_expression(text)(np.nan, np.nan))
+
+
 def parse_strategy(text: str, target: float):
     if text == "uniform":
         return adapt.Uniform()
@@ -327,7 +333,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in _EXPRESSIONS:
         ap.add_argument(f"--{name}", dest=f"expr_{name}",
                         help=f"expression for {name} (external problems)")
-    ap.add_argument("--exact-s", type=float, dest="exact_s")
+    ap.add_argument("--exact-s", type=constant, help="exact s, e.g. 4/pi^2")
     ap.add_argument("--p", type=int)
     ap.add_argument("--tau", type=float)
     ap.add_argument("--strategy", help="uniform | tol:<delta> | bulk:<theta>")

@@ -133,9 +133,7 @@ def tri_basis(q: int, pts: np.ndarray) -> np.ndarray:
     out = np.empty((n_modes(q), len(a)))
     for m, (i, j) in enumerate(_mode_pairs(q)):
         val = np.sqrt(2.0) * _jacobi(a, i, 0, 0) * _jacobi(b, j, 2 * i + 1, 0)
-        if i > 0:
-            val = val * (1.0 - b) ** i
-        out[m] = 2.0 * val
+        out[m] = 2.0 * (val * (1.0 - b) ** i)
     return out
 
 
@@ -336,7 +334,7 @@ def _reference_rt(t: dict) -> tuple[np.ndarray, np.ndarray]:
     of the basis whose degrees of freedom are the unit vectors.
     """
     p, np_, nm = t["p"], t["np_"], t["nm"]
-    N, F1, n1 = (p + 1) * (p + 3), p + 1, n_modes(p - 1) if p else 0
+    N, F1, n1 = (p + 1) * (p + 3), p + 1, n_modes(p - 1)
     T = np.zeros((N, 2, nm))
     idx = np.arange(np_)
     T[idx, 0, idx] = T[np_ + idx, 1, idx] = 1.0

@@ -436,7 +436,6 @@ def assemble_condensed(ws: Workspace, datas, tau) -> CondensedSystem:
     quads, second = _merge(part(*pairs, 0, m2), part(*pairs, m2, 2 * m2), 2, F1)
     eliminated = [first, second]
     groups += [quads, part(*pairs, 2 * m2, m1)]
-    groups = [g for g in groups if len(g[2])]
 
     # the free facets left, numbered in factor order
     gone = np.zeros(nf, dtype=bool)

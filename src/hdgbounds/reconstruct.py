@@ -171,7 +171,7 @@ def reconstruct_flux(ws: Workspace, sol: HDGSolution) -> EquilibratedFlux:
     basis ws.rt_dofs (femcore._reference_rt).
     """
     ne, p, F1 = ws.mesh.n_elements, ws.p, ws.p + 1
-    n1 = fc.n_modes(p - 1) if p else 0
+    n1 = fc.n_modes(p - 1)
     flip = np.where(ws.eo[:, :, None] == 1, 1.0, (-1.0) ** np.arange(F1))
     rhs = np.empty((ne, len(ws.rt_dofs)))
     rhs[:, :3 * F1] = (sol.qhat_n[ws.ef] * flip * (
@@ -242,8 +242,7 @@ def _find_band_line(mesh: Mesh, band: DirichletBand) -> tuple[float, np.ndarray]
     # element interior straddles it
     elem_c = coords[mesh.elements]
     cmin, cmax = elem_c.min(axis=1), elem_c.max(axis=1)
-    order = np.argsort(cand)[::-1] if side > 0 else np.argsort(cand)
-    for c in cand[order]:
+    for c in cand[::-1] if side > 0 else cand:  # np.unique sorts ascending
         if not np.any((cmin < c - tol) & (cmax > c + tol)):
             return float(c), np.flatnonzero(cmin >= c - tol if side > 0
                                             else cmax <= c + tol)
@@ -446,8 +445,8 @@ def local_optimize(ws: Workspace, pairs
     certificates, the potential traces, and the element means are preserved.
 
     The feasible directions are the reference nullspace mapped to each
-    element (ws.opt_nullspace, see femcore._reference_nullspace).  Along
-    them each element solves the k x k normal equations of the objective,
+    element (ws.opt_nullspace, see femcore._reference_nullspace; k = 0 at
+    p = 0).  Along them each element solves the k x k normal equations,
     assembled from reference tensors (femcore._reference_opt_tensors): the
     matrix, of the mesh alone, from one product of the element metrics
     J^T J / nu and nu (J^T J)^-1 with the Gram tensors, a right-hand side per
@@ -464,9 +463,6 @@ def local_optimize(ws: Workspace, pairs
     nm, ne = ws.nm, ws.mesh.n_elements
     N = ws.opt_nullspace
     k = N.shape[1]
-    if k == 0:  # p = 0: the constraints fix the pairs
-        return [(replace(flux, coeffs=flux.coeffs.copy()),
-                 replace(pot, values=pot.values.copy())) for flux, pot in pairs]
     M = _normal_matrix(ws, *_metrics(ws))
     # right-hand sides from the coefficients of the residuals, (ne, k, pairs)
     nu = ws.nu[:, None, None]

@@ -52,8 +52,8 @@ class ZeroPivotError(np.linalg.LinAlgError):
 
 def spd_solve(K: np.ndarray, B: np.ndarray) -> np.ndarray:
     """X (ne, n, r) with K[e] X[e] = B[e] for a stack of symmetric positive
-    definite K (ne, n, n), of which only the upper triangle is read, and
-    right-hand sides B (ne, n, r).
+    definite K (ne, n, n), n >= 0, of which only the upper triangle is read,
+    and right-hand sides B (ne, n, r).
 
     Symmetric Gaussian elimination without pivoting, backward stable on SPD
     matrices (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
@@ -78,8 +78,7 @@ def spd_solve(K: np.ndarray, B: np.ndarray) -> np.ndarray:
             for i in range(j + 1, n):
                 A[i, i:] -= ell[i - j - 1] * A[j, i:]
         Y = A[:, n:]
-        Y[n - 1] /= A[n - 1, n - 1]
-        for j in reversed(range(n - 1)):
+        for j in reversed(range(n)):
             Y[j] -= np.einsum("irb,ib->rb", Y[j + 1:], A[j, j + 1:n])
             Y[j] /= A[j, j]
         X[e] = Y.transpose(2, 0, 1)

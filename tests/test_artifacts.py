@@ -1,15 +1,20 @@
-"""tools/artifacts.py diff on synthetic CLI output directories."""
+"""tools/artifacts.py: diff on synthetic CLI output directories, run on one
+study, and the fingerprint grid and its lines."""
 
+import hashlib
 import importlib.util
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import mixed_square
-from hdgbounds.mesh import Mesh, write_mesh
+from hdgbounds.adapt import run_pipeline
+from hdgbounds.mesh import Mesh, unit_square_crisscross, write_mesh
+from hdgbounds.problems import builtin
 
 _spec = importlib.util.spec_from_file_location(
     "artifacts", Path(__file__).resolve().parent.parent / "tools" / "artifacts.py")
@@ -172,3 +177,69 @@ def test_run_refuses_an_existing_directory(tmp_path):
     with pytest.raises(SystemExit) as exc:
         artifacts.main(["run", str(tmp_path)])
     assert exc.value.code == 2
+
+
+FINGERPRINT_LINE = re.compile(
+    r"(?P<problem>\S+) (?P<mesh>\S+) p=(?P<p>\d) optimize=(?P<optimize>[01]) "
+    r"s_minus=(?P<s_minus>\S+) s_plus=(?P<s_plus>\S+) kappa=(?P<kappa>\S+) "
+    r"half_gap=(?P<half_gap>\S+) s_h=(?P<s_h>\S+) "
+    r"gap_elements=(?P<gap_elements>[0-9a-f]{16})$")
+
+
+def test_fingerprint_grid():
+    # example1_s1/_s2 on three criss-cross squares at p = 0..3 and
+    # example2_s1/_s2 on the graded L-shape at p = 0..4, each run with the
+    # optimization off and on: 68 lines
+    squares = ("crisscross-1-0", "crisscross-3-1", "crisscross-2-7")
+    grid = [(problem, mesh, p) for problem in ("example1_s1", "example1_s2")
+            for mesh in squares for p in range(4)]
+    grid += [(problem, "lshape-graded", p)
+             for problem in ("example2_s1", "example2_s2") for p in range(5)]
+    assert sorted(artifacts.FINGERPRINT) == sorted(grid)
+    assert 2 * len(artifacts.FINGERPRINT) == 68
+    # the meshes: the plain square at seed 0, perfbench's moved one else,
+    # and the graded L-shape of 186 elements
+    plain = unit_square_crisscross(1)
+    assert np.array_equal(artifacts._fingerprint_mesh("crisscross-1-0").vertices,
+                          plain.vertices)
+    moved = artifacts._fingerprint_mesh("crisscross-2-7")
+    base = unit_square_crisscross(2)
+    assert np.array_equal(moved.vertices[:, 0], base.vertices[:, 0])
+    assert 0 < np.abs(moved.vertices - base.vertices).max() <= 0.2 / 8
+    assert artifacts._fingerprint_mesh("lshape-graded").n_elements == 186
+
+
+def test_fingerprint_lines_hold_the_intervals_bit_for_bit(capsys, monkeypatch):
+    cases = (("example1_s2", "crisscross-1-0", 0),
+             ("example2_s1", "lshape-graded", 1))
+    monkeypatch.setattr(artifacts, "FINGERPRINT", cases)
+    assert artifacts.main(["fingerprint"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2 * len(cases)
+    for line, ((problem, mesh, p), optimize) in zip(
+            lines, [(case, opt) for case in cases for opt in (False, True)],
+            strict=True):
+        m = FINGERPRINT_LINE.match(line)
+        assert m, line
+        assert (m["problem"], m["mesh"], int(m["p"]), m["optimize"]) == (
+            problem, mesh, p, str(int(optimize)))
+        prob = builtin(problem)
+        res = run_pipeline(artifacts._fingerprint_mesh(mesh), prob.data,
+                           prob.out, p, optimize=optimize)
+        for name in ("s_minus", "s_plus", "kappa", "half_gap", "s_h"):
+            assert float.fromhex(m[name]) == getattr(res, name)
+            assert m[name] == float(getattr(res, name)).hex()
+        assert m["gap_elements"] == hashlib.sha256(
+            res.gap_elements.astype(np.float64).tobytes()).hexdigest()[:16]
+
+
+def test_fingerprint_names_a_failed_run(capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise RuntimeError("certificate violated")
+    monkeypatch.setattr(artifacts, "FINGERPRINT",
+                        (("example1_s1", "crisscross-1-0", 1),))
+    monkeypatch.setattr("hdgbounds.adapt.run_pipeline", fail)
+    assert artifacts.main(["fingerprint"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        f"example1_s1 crisscross-1-0 p=1 optimize={opt} error=RuntimeError"
+        for opt in (0, 1)]

@@ -454,6 +454,45 @@ class TestMain:
             "configuration error: cannot parse expression '1+'\n")
         assert not out.exists()
 
+    def test_exact_s_takes_a_constant_expression(self, tmp_path):
+        # --exact-s 4/pi^2 runs as the decimal it stands for
+        argv = ["--problem", "example1_s1", "--p", "1", "--strategy",
+                "uniform", "--max-iter", "2", "--target", "1", "--out"]
+        for name, exact in (("expr", "4/pi^2"), ("decimal", repr(4 / np.pi ** 2))):
+            assert cli.main(argv + [str(tmp_path / name), "--exact-s", exact]) \
+                == EXIT_OK
+        csv = [(tmp_path / name / "convergence.csv").read_bytes()
+               for name in ("expr", "decimal")]
+        assert csv[0] == csv[1]
+        assert json.loads((tmp_path / "expr" / "summary.json").read_text())[
+            "exact_s"] == 4 / np.pi ** 2
+
+    @pytest.mark.parametrize("exact, message", [
+        ("x", "exact_s must be finite, not nan"),
+        ("y+1", "exact_s must be finite, not nan"),
+        ("1/0", "exact_s must be finite, not inf"),
+        ("log(0)", "exact_s must be finite, not -inf"),
+        ("1+", None),     # no expression: argparse's usage error
+        ("inf", None),    # not a name of the grammar
+        ("z", None),
+    ])
+    def test_exact_s_not_a_finite_constant_exits_2(self, tmp_path, capsys,
+                                                   exact, message):
+        # an expression that reads x or y is NaN at x = y = NaN, which the
+        # configuration check refuses as it refuses a non-finite exact_s
+        out = tmp_path / "o"
+        argv = ["--problem", "example1_s1", "--exact-s", exact, "--out", str(out)]
+        if message is None:
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv)
+            assert exc.value.code == EXIT_CONFIG
+            assert "argument --exact-s: invalid constant value" in \
+                capsys.readouterr().err
+        else:
+            assert cli.main(argv) == EXIT_CONFIG
+            assert capsys.readouterr().err == f"configuration error: {message}\n"
+        assert not out.exists()
+
     def test_unknown_expression_key(self, tmp_path, capsys):
         # a typo ("g_n" for "g_N") used to run with g_N = 0
         mesh_path = tmp_path / "square.txt"

@@ -132,12 +132,13 @@ def test_optimization_nullspace_rotated(p):
 def _local_solve_shapes():
     """(n, r) of every element-local solve at p = 0..3: condensation's
     np x np with 3(p+1) trace and 2 data columns, the potential's
-    (nm-1) x (nm-1) and the optimizer's k x k, one column each."""
+    (nm-1) x (nm-1) and the optimizer's k x k, one column each; k = 0 at
+    p = 0, the empty system."""
     shapes = []
     for p in range(4):
         k = fc.reference_tables(p, 2 * p + 4)["opt_nullspace"].shape[1]
-        shapes += [(fc.n_modes(p), 3 * (p + 1) + 2), (fc.n_modes(p + 1) - 1, 1)]
-        shapes += [(k, 1)] if k else []
+        shapes += [(fc.n_modes(p), 3 * (p + 1) + 2), (fc.n_modes(p + 1) - 1, 1),
+                   (k, 1)]
     return shapes
 
 
@@ -155,8 +156,9 @@ class TestSpdSolve:
             K, B = _spd_stack(rng, ne, n), rng.standard_normal((ne, n, r))
             X, ref = spd_solve(K, B), np.linalg.solve(K, B)
             assert X.shape == ref.shape
-            assert (np.abs(X - ref).max(axis=(1, 2))
-                    <= 1e-13 * np.abs(ref).max(axis=(1, 2))).all(), (n, r)
+            assert (np.abs(X - ref).max(axis=(1, 2), initial=0.0)
+                    <= 1e-13 * np.abs(ref).max(axis=(1, 2), initial=0.0)
+                    ).all(), (n, r)
 
     def test_zero_pivot_names_the_element(self, rng):
         # all-ones is positive semidefinite: its second pivot is exactly zero

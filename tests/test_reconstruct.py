@@ -609,6 +609,25 @@ class TestLocalOptimize:
             assert np.array_equal(got_p.values, want_p.values)
             assert got_p.correction is pair[1].correction
 
+    @pytest.mark.parametrize("mesh_name", ["perturbed_two_nu", "graded"])
+    def test_p0_returns_both_pairs_unchanged(self, graded_lshape, mesh_name):
+        # at p = 0 the constraints leave no feasible direction (k = 0): the
+        # general path solves (ne, 0, 0) systems, adds a zero step to every
+        # flux coefficient and moves no nodal value (P1 has no interior
+        # node); the adjoint pair carries the band extension on x = 1
+        prob = builtin("example1_s2")
+        mesh = graded_lshape if mesh_name == "graded" else OPT_MESHES[mesh_name]()
+        _, _, primal, adjoint, ws = build_pair(mesh, prob.data, prob.out, 0)
+        assert ws.opt_nullspace.shape[1] == 0
+        assert adjoint[1].correction is not None
+        both = local_optimize(ws, [primal, adjoint])
+        for (got_f, got_p), (flux, pot) in zip(both, (primal, adjoint),
+                                                strict=True):
+            assert np.array_equal(got_f.coeffs, flux.coeffs)
+            assert got_p.values.tobytes() == pot.values.tobytes()
+            assert got_p.values is not pot.values
+            assert got_p.correction is pot.correction
+
     @pytest.mark.parametrize("p", [1, 2, 3])
     @pytest.mark.parametrize("mesh_name", ["perturbed", "lshape"])
     def test_element_nullspace_is_mapped_reference(self, mesh_name, p):
@@ -763,7 +782,7 @@ def test_pair_memory_below_the_bounds(p):
 @settings(derandomize=True, deadline=None, max_examples=30)
 @given(case=st.sampled_from(["example1_s1", "example1_s2", "example2_s1"]),
        amp=st.floats(0.0, 0.06), seed=st.integers(0, 2 ** 16),
-       p=st.integers(1, 3), optimize=st.booleans())
+       p=st.integers(0, 3), optimize=st.booleans())
 def test_batched_pairs_equal_single_datum_calls(case, amp, seed, p, optimize):
     # certified_pairs on both data gives each datum's pair of a one-datum
     # call bit for bit, and the audit that takes the interior jumps of both

@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
-"""Run the hdgbounds CLI studies, and compare the artifacts of two runs.
+"""Run the hdgbounds CLI studies, compare the artifacts of two runs, and
+print a bitwise fingerprint of the library's intervals.
 
     python3 tools/artifacts.py run OUT
     python3 tools/artifacts.py diff A B
+    PYTHONPATH=src python3 tools/artifacts.py fingerprint
 
 ``run`` runs every study of STUDIES with the CLI of this checkout, each in a fresh process writing to OUT/<study>, and checks its exit
 status against the expected one; every study that exits 0 must leave a
@@ -36,12 +38,28 @@ geometry, changed text, or a file or row present on one side only is not.
 
 Exit status of ``diff``: 0 when the directories agree up to round-off, 1
 when they do not, 2 on a usage error.
+
+``fingerprint`` runs ``run_pipeline`` of the hdgbounds on the import path
+(set PYTHONPATH to choose the library, say an older commit's src) on every
+case of FINGERPRINT, each with the optimization off and then on, and prints
+one line per run (wrapped here):
+
+    <problem> <mesh> p=<p> optimize=<0|1> s_minus=<hex> s_plus=<hex>
+    kappa=<hex> half_gap=<hex> s_h=<hex> gap_elements=<sha256>
+
+with the floats as float.hex and gap_elements as the first 16 hex digits
+of the sha256 of its float64 bytes.  Two libraries whose lines are
+equal give the same intervals bit for bit on the grid; a run that raises
+prints ``error=<exception class>`` after optimize=.
+Exit status: 0 when every run finished, 1 when one raised, 2 on a usage
+error.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import hashlib
 import json
 import math
 import os
@@ -87,6 +105,17 @@ STUDIES = (
     # a non-finite tau is a configuration error, before any solve
     ("cli_tau_inf", "--problem example1_s1 --p 1 --tau inf --out {out}", 2),
 )
+# The grid of ``fingerprint``: (problem, mesh, degree).  "crisscross-L-S" is
+# the criss-cross square at level L, for seed S != 0 with its interior
+# vertices moved in y as perfbench/run.py's crisscross moves them;
+# "lshape-graded" is tests/conftest.py's bisected_lshape, the L-shape
+# bisected 30 times at the re-entrant corner.
+FINGERPRINT = tuple(
+    [(problem, f"crisscross-{level}-{seed}", p)
+     for problem in ("example1_s1", "example1_s2")
+     for level, seed in ((1, 0), (3, 1), (2, 7)) for p in range(4)]
+    + [(problem, "lshape-graded", p) for problem in ("example2_s1", "example2_s2")
+       for p in range(5)])
 # the CLI as its console script calls it, imported from this checkout
 _CLI = "import sys; from hdgbounds.cli import main; sys.exit(main())"
 
@@ -305,6 +334,51 @@ def run_studies(root: Path) -> int:
     return 1 if failed else 0
 
 
+def _fingerprint_mesh(name: str):
+    """The mesh of a FINGERPRINT case."""
+    import numpy as np
+    from conftest import bisected_lshape
+    from hdgbounds.mesh import Mesh, unit_square_crisscross
+    if name == "lshape-graded":
+        return bisected_lshape()
+    level, seed = map(int, name.split("-")[1:])
+    base = unit_square_crisscross(level)
+    v = base.vertices.copy()
+    if seed:
+        pitch = 0.5 ** (level + 1)
+        interior = np.all((v > 0.0) & (v < 1.0), axis=1)
+        v[interior, 1] += np.random.default_rng(seed).uniform(
+            -0.2 * pitch, 0.2 * pitch, int(interior.sum()))
+    return Mesh(v, base.elements, base.boundary_tag_dict())
+
+
+def fingerprint() -> int:
+    """Print the line of every run of the FINGERPRINT grid; returns the exit
+    status of ``fingerprint``."""
+    import numpy as np
+    sys.path.append(str(ROOT / "tests"))  # after PYTHONPATH's hdgbounds
+    from hdgbounds.adapt import run_pipeline
+    from hdgbounds.problems import builtin
+    failed = 0
+    for problem, mesh, p in FINGERPRINT:
+        prob = builtin(problem)
+        for optimize in (False, True):
+            case = f"{problem} {mesh} p={p} optimize={int(optimize)}"
+            try:
+                r = run_pipeline(_fingerprint_mesh(mesh), prob.data, prob.out,
+                                 p, optimize=optimize)
+            except Exception as exc:  # a finding of the library, not a crash
+                failed = 1
+                print(f"{case} error={type(exc).__name__}", flush=True)
+                continue
+            gaps = np.ascontiguousarray(r.gap_elements, dtype=np.float64)
+            floats = " ".join(f"{name}={float(getattr(r, name)).hex()}" for name
+                              in ("s_minus", "s_plus", "kappa", "half_gap", "s_h"))
+            print(f"{case} {floats} gap_elements="
+                  f"{hashlib.sha256(gaps.tobytes()).hexdigest()[:16]}", flush=True)
+    return failed
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     sub = ap.add_subparsers(dest="command", required=True)
@@ -313,7 +387,11 @@ def main(argv=None) -> int:
     d = sub.add_parser("diff", help="compare two CLI output directories")
     d.add_argument("a", type=Path)
     d.add_argument("b", type=Path)
+    sub.add_parser("fingerprint", help="print the intervals of the library on "
+                   "the import path, bit for bit")
     args = ap.parse_args(argv)
+    if args.command == "fingerprint":
+        return fingerprint()
     if args.command == "run":
         if args.out.exists():
             ap.error(f"{args.out} exists")
