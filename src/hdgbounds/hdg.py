@@ -25,6 +25,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .mesh import DIRICHLET, Mesh
+from . import workspace
 from .workspace import Workspace, ZeroPivotError, _blocks, spd_solve
 
 __all__ = [
@@ -105,8 +106,8 @@ class HDGSolution:
     qhat_n: np.ndarray
 
 
-def _local_operators(ws: Workspace, e: slice, slots: np.ndarray):
-    """The blocks of the element-local problem on the elements e
+def _local_operators(ws: Workspace, e: np.ndarray, slots: np.ndarray):
+    """The blocks of the element-local problem on the elements e (indices)
 
         q / nu - Kdiv^T u  = -Cq uhat
         Kdiv q + tau E u   = tau Cu uhat + (f, psi)
@@ -116,11 +117,12 @@ def _local_operators(ws: Workspace, e: slice, slots: np.ndarray):
     e, or one row for all): Kdiv (ne, np, 2np), the trace mass E (ne, np,
     np), and the trace couplings Cq (ne, 2np, 3F), Cu (ne, np, 3F).
     """
-    elen, det = ws.elen[e], ws.det[e]
+    elen, det = np.take(ws.elen, e, axis=0), np.take(ws.det, e)
     ne, np_, F1 = len(det), ws.np_, ws.p + 1
 
     # Kdiv[e, i, c*np_+m] = (div V_(c,m), psi_i)_K = JinvT[e,c,r] S[r,m,i]
-    Kdiv = (ws.jac_inv_t[e] @ ws.S.reshape(2, np_ * np_)).reshape(
+    JinvT = np.take(ws.jac_inv, e, axis=0).swapaxes(1, 2)
+    Kdiv = (JinvT @ ws.S.reshape(2, np_ * np_)).reshape(
         ne, 2 * np_, np_).swapaxes(1, 2)
     E = ((elen / det[:, None]) @ ws.EE.reshape(3, np_ * np_)).reshape(
         ne, np_, np_)
@@ -128,10 +130,10 @@ def _local_operators(ws: Workspace, e: slice, slots: np.ndarray):
     # Cu[e, v, (j, m)] = <psi_v, M_m>_ell, ell = slots[e, j], and
     # Cq[e, (c, v), :] = n_c Cu[e, v, :]
     row = np.arange(ne)[:, None]
-    T = ws.T_p[slots, ws.eo[e][row, slots]]                  # (ne, 3, F1, np_)
-    scale = np.sqrt(elen[row, slots]) / ws.sqrt_det[e, None]
+    T = ws.T_p[slots, ws.eo[e[:, None], slots]]              # (ne, 3, F1, np_)
+    scale = np.sqrt(elen[row, slots]) / np.take(ws.sqrt_det, e)[:, None]
     Cu = (T * scale[:, :, None, None]).transpose(0, 3, 1, 2)  # (ne, np_, 3, F1)
-    normal = ws.enormal[e][row, slots]
+    normal = ws.enormal[e[:, None], slots]
     Cq = normal.transpose(0, 2, 1)[:, :, None, :, None] * Cu[:, None]
     return (Kdiv, E, Cq.reshape(ne, 2 * np_, 3 * F1),
             Cu.reshape(ne, np_, 3 * F1))
@@ -293,31 +295,104 @@ def _merge(P, Q, s: int, F1: int):
     return (S, r, outer), (_dofs(fP[:, no:], F1), _dofs(outer, F1), Y)
 
 
-def _block_csc(blocks: np.ndarray, row: np.ndarray, col: np.ndarray,
-               n: int) -> sp.csc_matrix:
-    """The (n F) x (n F) CSC matrix that sums the F x F blocks (nb, F, F),
-    block b at block row row[b] and block column col[b], leaving out those
-    with a negative index: the blocks summed by position, then spread out by
-    scipy's block-to-compressed conversion of the transpose, whose rows are
-    the matrix's columns.  A position occurs at most twice: a block couples two
-    facets of a patch, and a facet lies in at most two patches."""
-    F = blocks.shape[1]
-    live = np.flatnonzero((row >= 0) & (col >= 0))
-    key = col[live] * n + row[live]
-    order = np.argsort(key)
-    key, order = key[order], live[order]
-    first = np.empty(len(key), dtype=bool)
-    first[:1] = True
-    np.not_equal(key[1:], key[:-1], out=first[1:])
-    summed = np.take(blocks, order[first], axis=0)
-    twice = np.flatnonzero(~first)
-    summed[np.cumsum(first)[twice] - 1] += np.take(blocks, order[twice], axis=0)
-    bcol, brow = np.divmod(key[first], n)
-    indptr = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(np.bincount(bcol, minlength=n), out=indptr[1:])
-    At = sp.bsr_matrix((summed.swapaxes(1, 2), brow.astype(np.int32), indptr),
-                       shape=(n * F, n * F)).tocsr()
-    return sp.csc_matrix((At.data, At.indices, At.indptr), shape=At.shape)
+def _patch_blocks(m1: int, m2: int, ne: int):
+    """The patches of _patches in blocks of at most _BLOCK elements (_BLOCK
+    at least 4): per block one slice of each kind of patch, numbered within
+    its kind, taking as many as fit in the order of _patches: the m2 quads
+    (pairs of pairs), then the m1 - 2 m2 lone pairs (pairs in no quad), then
+    the ne - 2 m1 single elements (in no pair), so that the singles ride
+    with the last blocks.  At least one block, empty for an empty mesh."""
+    left, at = [m2, m1 - 2 * m2, ne - 2 * m1], [0, 0, 0]
+    while True:
+        room, block = workspace._BLOCK, []
+        for kind, size in enumerate((4, 2, 1)):
+            n = min(left[kind], room // size)
+            block.append(slice(at[kind], at[kind] + n))
+            at[kind] += n
+            left[kind] -= n
+            room -= n * size
+        yield block
+        if not any(left):
+            return
+
+
+def _skeleton(groups: list, pos: np.ndarray, n: int, F1: int, k: int):
+    """The condensed matrix A, (n F1) x (n F1) CSC, and its right-hand sides
+    (n F1, k), summed from the patch systems of groups, each (S, r, facets)
+    with the patches along the last axis of S and r, at the block positions
+    pos of their facets (negative: fixed, left out).  Each group is taken
+    out of groups once written.
+
+    A's columns list their rows in increasing order, F1 per block, so block
+    j of block column c, in the order of its block row, starts at entry
+    F1 (F1 start[c] + j), and each of its columns F1 count[c] entries after
+    the one before.  A position occurs at most twice: a block couples two
+    facets of a patch, and a facet lies in at most two patches.  The block
+    written first to a position goes there, the other past A's entries, and
+    is added once all are written."""
+    # the block position (column-major, n * n where a facet is fixed) of
+    # every block of every group, patch by patch
+    keys, fixed = [], n * n
+    for _, _, f in groups:
+        fp = pos[f]                                         # (m, ns)
+        live = (fp >= 0)[:, :, None] & (fp >= 0)[:, None, :]
+        keys.append(np.where(live, fp[:, None, :] * n + fp[:, :, None], fixed).ravel())
+    keys = np.concatenate(keys)
+    order = np.argsort(keys)
+    sorted_keys = np.take(keys, order)
+    new = np.empty(len(keys), dtype=bool)
+    new[:1] = True
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=new[1:])
+    which = np.empty(len(keys), dtype=np.int64)       # the position of each
+    which[order] = np.cumsum(new) - 1
+    # the second block at each live position
+    again = np.flatnonzero(~new)
+    again = again[sorted_keys[again] != fixed]
+    again = np.maximum(np.take(order, again), np.take(order, again - 1))
+    sorted_keys = sorted_keys[new]
+    nb = len(sorted_keys) - bool(len(sorted_keys) and sorted_keys[-1] == fixed)
+    bcol, brow = np.divmod(sorted_keys[:nb], n)
+    count = np.bincount(bcol, minlength=n)
+    start = np.cumsum(count) - count
+    # per position its first entry and the stride of its columns, and the
+    # same for the fixed blocks, written past everything else and not read
+    nnz, n2, modes = F1 * F1 * nb, len(again), np.arange(F1, dtype=np.int32)
+    offset = np.append(F1 * (F1 * start[bcol] + np.arange(nb) - start[bcol]),
+                       nnz + F1 * F1 * n2).astype(np.int32)
+    stride = np.append(F1 * count[bcol], F1).astype(np.int32)
+    indices = np.empty(nnz, dtype=np.int32)
+    indices[offset[:nb] + stride[:nb] * modes[:, None, None] + modes[:, None]] = \
+        brow.astype(np.int32) * F1 + modes[:, None]
+    indptr = np.empty(n * F1 + 1, dtype=np.int32)
+    indptr[:-1] = (F1 * F1 * start[:, None] + F1 * count[:, None] * modes).ravel()
+    indptr[-1] = nnz
+    # where every block goes: the second ones, by stride F1, past A's entries
+    twice = np.take(which, again)
+    at, step = np.take(offset, which), np.take(stride, which)
+    at[again] = nnz + F1 * F1 * np.arange(n2, dtype=np.int32)
+    step[again] = F1
+    del keys, order, which
+    data, done, rhs = np.empty(nnz + F1 * F1 * (n2 + 1)), 0, np.zeros(n * F1 * k)
+    while groups:
+        S, r, f = groups.pop(0)
+        (m, ns), fp = f.shape, pos[f.T]
+        # the entry (i, c) of block (a, b) of a patch is S[a F1 + i, b F1 + c]
+        a, s = (x[done:done + ns * ns * m].reshape(m, ns, ns).transpose(1, 2, 0)
+                [:, None, :, None] for x in (at, step))
+        done += ns * ns * m
+        S = S.reshape(ns, F1, ns, F1, m)
+        for e in _blocks(m):
+            data[a[..., e] + s[..., e] * modes[:, None] + modes[:, None, None, None]] = S[..., e]
+        # the right-hand sides of the fixed facets to facet n, left out
+        dof = _dofs(np.where(fp >= 0, fp, n).T, F1).T     # (ns F1, m)
+        rhs += np.bincount((dof[:, None] * k + np.arange(k)[:, None]).ravel(),
+                           r.ravel(), minlength=(n + 1) * F1 * k)[:n * F1 * k]
+        del S, r, f
+    data[offset[twice, None, None] + stride[twice, None, None] * modes[:, None]
+         + modes] += data[nnz:nnz + F1 * F1 * n2].reshape(n2, F1, F1)
+    data.resize(nnz, refcheck=False)    # in place: no view of data is left
+    A = sp.csc_matrix((data, indices, indptr), shape=(n * F1, n * F1))
+    return A, rhs.reshape(n * F1, k)
 
 
 @dataclass
@@ -351,6 +426,19 @@ class CondensedSystem:
     eliminated: list
 
 
+def _system(m: int, nf: int, F1: int, k: int, dtype):
+    """The empty systems (S, r, facets) of m patches of nf facets each."""
+    n = nf * F1
+    return (np.empty((n, n, m)), np.empty((n, k, m)),
+            np.empty((m, nf), dtype=dtype))
+
+
+def _put(group, systems, at: slice):
+    """Write the patch systems (S, r, facets) into group at the patches at."""
+    S, r, f = group
+    S[:, :, at], r[:, :, at], f[at] = systems
+
+
 def assemble_condensed(ws: Workspace, datas, tau) -> CondensedSystem:
     """Local solves for the traces and for every source in ``datas``, and the
     condensed skeleton system: one matrix, one right-hand side per datum.
@@ -382,89 +470,97 @@ def assemble_condensed(ws: Workspace, datas, tau) -> CondensedSystem:
         uhat[dir_facets, :, j] = ws.facet_data_moments(data.g_D, dir_facets)
         g_N[:, :, j] = ws.facet_data_moments(data.g_N, neu_facets)
 
-    XP, Xb = np.empty((ne, ws.np_, F3)), np.empty((ne, ws.np_, k))
-    Aloc, loc = np.empty((ne, F3, F3)), np.empty((ne, F3, k))
+    # what outlives the factorization: XP and Xb, the eliminations of both
+    # levels and the systems of the patches left, filled block by block
+    X_all = np.empty((ne, ws.np_, F3 + k))
+    eliminated = []
+    # the patches of four facets, quads then lone pairs, and the singles
+    fours, singles = (_system(m1 - m2, 4, F1, k, facets.dtype),
+                      _system(ne - 2 * m1, 3, F1, k, facets.dtype))
     fmom = np.stack([ws.moments_p(ws.eval_data(data.f)) for data in datas],
                     axis=2)                                  # (f, psi_i)_K
-    for e in _blocks(ne):
-        Kdiv, E, Cq, Cu = _local_operators(ws, e, slots[e])
-        nu = ws.nu[e, None, None]
-        K = nu * (Kdiv @ Kdiv.swapaxes(1, 2)) + tau * E
-        G = tau * Cu + nu * (Kdiv @ Cq)
-        try:
-            X = spd_solve(K, np.concatenate([G, fmom[e]], axis=2))
-        except ZeroPivotError as exc:
-            bad = e.start + exc.elements
-            raise RuntimeError(
-                f"singular local solver matrix on element(s) {bad[:5].tolist()} "
-                "(degenerate geometry?)")
-        XP[e], Xb[e] = X[:, :, :F3], X[:, :, F3:]
-        # <qhat.n_K, mu> = <q.n_K + tau (u - uhat), mu> = G^T Xb - Aloc uhat_e
-        Aloc[e] = nu * (Cq.swapaxes(1, 2) @ Cq) - G.swapaxes(1, 2) @ X[:, :, :F3]
-        loc[e] = G.swapaxes(1, 2) @ X[:, :, F3:]
-    diag = np.arange(F3)
-    Aloc[:, diag, diag] += tau
-
-    # sum over elements of <qhat.n_K, mu> = <g_N, mu> on Neumann, 0 inside:
-    # per element the Dirichlet moments and g_N go to the right-hand side,
-    # and the Dirichlet rows and columns are dropped
-    bd = np.flatnonzero(dirichlet.any(axis=1))
-    loc[bd] -= Aloc[bd] @ uhat[facets[bd]].reshape(len(bd), F3, k)
-    keep = np.repeat(~dirichlet[bd], F1, axis=1)
-    # zeroed, not only moved: left in Aloc, the Dirichlet coupling already in
-    # loc would enter the patch recovery uhat_i = Y_r - Y_o uhat_o twice
-    Aloc[bd] *= keep[:, :, None] & keep[:, None, :]
     slot_of = np.argsort(slots, axis=1)             # the slot of each local edge
     neu_e = mesh.facet_elems[neu_facets, 0]
     neu_slot = slot_of[neu_e, mesh.facet_local_edge[neu_facets, 0]]
-    loc.reshape(ne, 3, F1, k)[neu_e, neu_slot] -= g_N
-    # in patch order, with the elements along the last axis
-    Aloc = Aloc.reshape(ne, -1).T[:, elements].reshape(F3, F3, ne)
-    loc = loc.reshape(ne, -1).T[:, elements].reshape(F3, k, ne)
+    done, rank = 0, np.full(ne, -1)     # the elements solved, and their order
+    diag = np.arange(F3)
 
-    # the patches: pairs of elements, then pairs of pairs
     def part(S, r, f, start, stop):
         return S[:, :, start:stop], r[:, :, start:stop], f[start:stop]
 
-    efacets = facets[elements]
-    # the elements in no pair, copied so that the element arrays go after
-    # the first level
-    groups = [tuple(x.copy() for x in part(Aloc, loc, efacets, 2 * m1, ne))]
-    pairs, first = _merge(part(Aloc, loc, efacets, 0, m1),
-                          part(Aloc, loc, efacets, m1, 2 * m1), 1, F1)
-    del Aloc, loc
-    quads, second = _merge(part(*pairs, 0, m2), part(*pairs, m2, 2 * m2), 2, F1)
-    eliminated = [first, second]
-    groups += [quads, part(*pairs, 2 * m2, m1)]
+    for q, p2, p1 in _patch_blocks(m1, m2, ne):
+        # the block's pairs, those of its quads first, and its elements: the
+        # pairs' first elements, their second elements, then the singles
+        pairs = np.concatenate([np.arange(q.start, q.stop) + [[0], [m2]],
+                                np.arange(2 * m2 + p2.start, 2 * m2 + p2.stop)],
+                               axis=None)
+        e = np.concatenate([np.take(elements, [pairs, m1 + pairs]),
+                            elements[2 * m1 + p1.start:2 * m1 + p1.stop]], axis=None)
+        nb, nq, npairs = len(e), q.stop - q.start, len(pairs)
+        Kdiv, E, Cq, Cu = _local_operators(ws, e, np.take(slots, e, axis=0))
+        nu = np.take(ws.nu, e)[:, None, None]
+        K = nu * (Kdiv @ Kdiv.swapaxes(1, 2)) + tau * E
+        G = tau * Cu + nu * (Kdiv @ Cq)
+        try:
+            X = spd_solve(K, np.concatenate([G, np.take(fmom, e, axis=0)], axis=2))
+        except ZeroPivotError as exc:
+            bad = np.sort(e[exc.elements])
+            raise RuntimeError(
+                f"singular local solver matrix on element(s) {bad[:5].tolist()} "
+                "(degenerate geometry?)")
+        X_all[e] = X
+        # <qhat.n_K, mu> = <q.n_K + tau (u - uhat), mu> = G^T Xb - Aloc uhat_e
+        Aloc = nu * (Cq.swapaxes(1, 2) @ Cq) - G.swapaxes(1, 2) @ X[:, :, :F3]
+        loc = G.swapaxes(1, 2) @ X[:, :, F3:]
+        del Kdiv, E, Cq, Cu, K, G, X
+        Aloc[:, diag, diag] += tau
+
+        # sum over elements of <qhat.n_K, mu> = <g_N, mu> on Neumann, 0
+        # inside: per element the Dirichlet moments and g_N go to the
+        # right-hand side, and the Dirichlet rows and columns are dropped
+        f, fixed = np.take(facets, e, axis=0), np.take(dirichlet, e, axis=0)
+        bd = np.flatnonzero(fixed.any(axis=1))
+        loc[bd] -= Aloc[bd] @ uhat[f[bd]].reshape(len(bd), F3, k)
+        keep = np.repeat(~fixed[bd], F1, axis=1)
+        # zeroed, not only moved: left in Aloc, the Dirichlet coupling
+        # already in loc would enter the patch recovery uhat_i = Y_r - Y_o
+        # uhat_o twice
+        Aloc[bd] *= keep[:, :, None] & keep[:, None, :]
+        rank[e] = np.arange(done, done + nb)
+        neu = np.flatnonzero(rank[neu_e] >= done)
+        loc.reshape(nb, 3, F1, k)[rank[neu_e[neu]] - done, neu_slot[neu]] -= g_N[neu]
+        done += nb
+        # with the elements along the last axis
+        S, r = Aloc.transpose(1, 2, 0).copy(), loc.transpose(1, 2, 0).copy()
+        del Aloc, loc
+
+        # the patches: pairs of elements, then pairs of pairs
+        two, elim = _merge(part(S, r, f, 0, npairs),
+                           part(S, r, f, npairs, 2 * npairs), 1, F1)
+        eliminated.append(elim)
+        _put(singles, part(S, r, f, 2 * npairs, nb), p1)
+        del S, r, f
+        four, elim = _merge(part(*two, 0, nq), part(*two, nq, 2 * nq), 2, F1)
+        eliminated.append(elim)
+        _put(fours, four, q)
+        _put(fours, part(*two, 2 * nq, npairs), slice(m2 + p2.start, m2 + p2.stop))
+        del two, four, elim
 
     # the free facets left, numbered in factor order
     gone = np.zeros(nf, dtype=bool)
     for inner, _, _ in eliminated:
         gone[inner[:, ::F1] // F1] = True
     order = order[~gone[order]]
-    n = len(order) * F1
     pos = np.full(nf, -1)
     pos[order] = np.arange(len(order))
-    # every group's blocks at their (row, column) facets, and right-hand
-    # sides; fixed facets are negative and left out
-    nb = [len(f) * f.shape[1] ** 2 for _, _, f in groups]
-    blocks, at = np.empty((sum(nb), F1, F1)), np.empty((2, sum(nb)), dtype=np.int64)
-    rhs = np.zeros(n * k)
-    for (S, r, f), start, size in zip(groups, np.cumsum(nb) - nb, nb):
-        (m, ns), fp = f.shape, pos[f].T
-        blocks[start:start + size].reshape(ns, ns, m, F1, F1)[...] = S.reshape(
-            ns, F1, ns, F1, m).transpose(0, 2, 4, 1, 3)
-        at[0, start:start + size].reshape(ns, ns, m)[...] = fp[:, None]
-        at[1, start:start + size].reshape(ns, ns, m)[...] = fp
-        dof = _dofs(fp.T, F1).T                         # (ns F1, m)
-        live = np.broadcast_to((dof >= 0)[:, None], r.shape)
-        rhs += np.bincount((dof[:, None] * k + np.arange(k)[:, None])[live],
-                           r[live], minlength=n * k)
-    A = _block_csc(blocks, at[0], at[1], len(order))
-    return CondensedSystem(A=A, rhs=rhs.reshape(n, k),
+    groups = [fours, singles]
+    del fours, singles
+    A, rhs = _skeleton(groups, pos, len(order), F1, k)
+    return CondensedSystem(A=A, rhs=rhs,
                            uhat=uhat.reshape(-1, k), g_N=g_N.reshape(-1, k),
                            free_dofs=(order[:, None] * F1 + np.arange(F1)).ravel(),
-                           tau=tau, XP=XP, Xb=Xb, slots=slots, slot_of=slot_of,
+                           tau=tau, XP=X_all[:, :, :F3], Xb=X_all[:, :, F3:],
+                           slots=slots, slot_of=slot_of,
                            eliminated=eliminated)
 
 
@@ -486,7 +582,7 @@ def _back_substitute(ws: Workspace, cs: CondensedSystem) -> list[HDGSolution]:
     u, q = np.empty((k, ne, np_)), np.empty((k, ne, 2, np_))
     flux_mom = np.empty((ne, 3 * F1, k))      # <qhat.n_K, M_m> per slot
     for e in _blocks(ne):
-        Kdiv, _, Cq, Cu = _local_operators(ws, e, cs.slots[e])
+        Kdiv, _, Cq, Cu = _local_operators(ws, np.arange(e.start, e.stop), cs.slots[e])
         nu, ue = ws.nu[e, None, None], uhat_e[e]
         ub = cs.XP[e] @ ue + cs.Xb[e]
         qb = nu * (Kdiv.swapaxes(1, 2) @ ub - Cq @ ue)

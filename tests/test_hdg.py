@@ -26,7 +26,7 @@ def local_residuals(ws, sol, data, tau):
     """Relative max residuals of the two local HDG equations (flux, balance)
     after back-substitution."""
     ne = ws.mesh.n_elements
-    Kdiv, E, Cq, Cu = _local_operators(ws, slice(None), EDGES)
+    Kdiv, E, Cq, Cu = _local_operators(ws, np.arange(ne), EDGES)
     nu = ws.nu[:, None]
     q, u = sol.q.reshape(ne, -1), sol.u
     uhat_e = sol.uhat[ws.ef].reshape(ne, 3 * (ws.p + 1))
@@ -92,7 +92,7 @@ def _full_system(ws, datas, tau):
     mesh, F1, k = ws.mesh, ws.p + 1, len(datas)
     ne, n2, F3, N = mesh.n_elements, 2 * ws.np_, 3 * F1, mesh.n_facets * F1
     X = _local_solve_dense(ws, datas, tau)
-    _, _, Cq, Cu = _local_operators(ws, slice(None), EDGES)
+    _, _, Cq, Cu = _local_operators(ws, np.arange(ne), EDGES)
     flux_mom = (np.swapaxes(Cq, 1, 2) @ X[:, :n2]
                 + tau * (np.swapaxes(Cu, 1, 2) @ X[:, n2:]))
     flux_mom[:, :, :F3] -= tau * np.eye(F3)
@@ -187,14 +187,14 @@ class TestLocalStructure:
         ne, n2, F1 = mesh.n_elements, 2 * ws.np_, p + 1
         F3 = 3 * F1
         nu = ws.nu[:, None, None]
-        Kdiv, _, Cq, Cu = _local_operators(ws, slice(None), EDGES)
+        Kdiv, _, Cq, Cu = _local_operators(ws, np.arange(ne), EDGES)
         Kt = np.swapaxes(Kdiv, 1, 2)
         # <qhat.n_K, mu> = Cq^T q + tau (Cu^T u - uhat_e) of the dense solution
         flux_mom = (np.swapaxes(Cq, 1, 2) @ X[:, :n2]
                     + tau * (np.swapaxes(Cu, 1, 2) @ X[:, n2:]))
         flux_mom[:, :, :F3] -= tau * np.eye(F3)
         # cs.XP has the facet modes by slot
-        Cq_slot = _local_operators(ws, slice(None), cs.slots)[2]
+        Cq_slot = _local_operators(ws, np.arange(ne), cs.slots)[2]
         by_slot = (cs.slots[:, :, None] * F1 + np.arange(F1)).reshape(ne, 1, F3)
         XP = np.take_along_axis(X[:, :, :F3], by_slot, axis=2)
         pairs = [(cs.XP, XP[:, n2:]), (cs.Xb, X[:, n2:, F3:]),
@@ -221,15 +221,15 @@ class TestLocalStructure:
 
     @pytest.mark.parametrize("block,bad", [(1024, 3), (7, 10)])
     def test_singular_local_matrix_names_elements(self, monkeypatch, block, bad):
-        # with blocks of 7 of the 16 elements, element 10 lies in the second
+        # with blocks of 7 of the 16 elements, one patch of four each,
+        # element 10 lies in the third, its rows in patch order
         from hdgbounds import hdg, workspace
         local_operators = hdg._local_operators
 
         def zero_element(ws, e, slots):
             Kdiv, E, Cq, Cu = local_operators(ws, e, slots)
-            if e.start <= bad < e.stop:
-                Kdiv[bad - e.start] = 0.0
-                E[bad - e.start] = 0.0
+            Kdiv[e == bad] = 0.0
+            E[e == bad] = 0.0
             return Kdiv, E, Cq, Cu
 
         monkeypatch.setattr(workspace, "_BLOCK", block)
