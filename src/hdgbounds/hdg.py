@@ -6,7 +6,11 @@ system is condensed once more before its sparse direct factorization: two
 levels of small element patches (pairs of elements, then pairs of pairs)
 eliminate the facets inside them in batched dense blocks, so that the
 factorization sees only the facets between patches; the eliminated traces
-follow from the factorized ones, level by level.  The numerical traces are
+follow from the factorized ones, level by level.  The assembly streams
+blocks of patches from the element solves through both levels, so that
+what outlives the factorization is XP and Xb (the local solution in terms
+of the traces), the patch eliminations, A and its right-hand sides, and
+nothing else.  The numerical traces are
 
     uhat = Pi_e^p g_D                      on Dirichlet facets,
     qhat.n = q_h.n + tau (u_h - uhat)      from each element side,
@@ -377,12 +381,13 @@ def _skeleton(groups: list, pos: np.ndarray, n: int, F1: int, k: int):
         S, r, f = groups.pop(0)
         (m, ns), fp = f.shape, pos[f.T]
         # the entry (i, c) of block (a, b) of a patch is S[a F1 + i, b F1 + c]
-        a, s = (x[done:done + ns * ns * m].reshape(m, ns, ns).transpose(1, 2, 0)
-                [:, None, :, None] for x in (at, step))
+        first, by = (x[done:done + ns * ns * m].reshape(m, ns, ns).transpose(1, 2, 0)
+                     for x in (at, step))
         done += ns * ns * m
         S = S.reshape(ns, F1, ns, F1, m)
         for e in _blocks(m):
-            data[a[..., e] + s[..., e] * modes[:, None] + modes[:, None, None, None]] = S[..., e]
+            data[first[:, None, :, None, e] + by[:, None, :, None, e] * modes[:, None]
+                 + modes[:, None, None, None]] = S[..., e]
         # the right-hand sides of the fixed facets to facet n, left out
         dof = _dofs(np.where(fp >= 0, fp, n).T, F1).T     # (ns F1, m)
         rhs += np.bincount((dof[:, None] * k + np.arange(k)[:, None]).ravel(),
@@ -407,7 +412,8 @@ class CondensedSystem:
     uhat (nf*(p+1), k) holds the Dirichlet trace moments at the fixed dofs,
     and g_N (len(neumann_facets)*(p+1), k) the Neumann data moments, facet
     by facet.  eliminated lists the patch eliminations
-    (inner dofs, outer dofs, Y), bottom level first (_merge).
+    (inner dofs, outer dofs, Y) block by block, each block's pairs before
+    its quads (_merge).
     Per element u = XP uhat_e + Xb[:, :, j], with the facet modes of uhat_e
     by slot (_local_operators with slots; slot_of is the slot of each local
     edge); _local_operators gives q and the flux moments from u and uhat_e.
@@ -446,12 +452,19 @@ def assemble_condensed(ws: Workspace, datas, tau) -> CondensedSystem:
     The flux equation gives q = nu (Kdiv^T u - Cq uhat), which leaves the
     symmetric positive definite np x np system
     (nu Kdiv Kdiv^T + tau E) u = G uhat + (f, psi), G = tau Cu + nu Kdiv Cq,
-    solved by spd_solve.  The local solves run block by block (_blocks),
-    with the facet modes in the slot order of _patches.  The element
-    systems, with the Dirichlet and Neumann data on their right-hand
-    sides, are then merged into the two levels of _patches, each
-    eliminating the facets inside it (_merge), and A sums what is left over
-    the facets that no patch eliminated.
+    solved by spd_solve, with the facet modes in the slot order of
+    _patches.  The element systems, with the Dirichlet and Neumann data on
+    their right-hand sides, are merged into the two levels of _patches,
+    each eliminating the facets inside it (_merge), and A sums what is left
+    over the facets that no patch eliminated (_skeleton).
+
+    One pass over the blocks of _patch_blocks takes each block from its
+    local solve (one spd_solve) through both merges, and keeps of it only
+    XP and Xb, its eliminations and the systems of its patches left; its
+    element matrices and pair systems go once the next level has read
+    them, and the patch systems once A holds them.  What the factorization
+    finds alive is the CondensedSystem: XP, Xb, the eliminations, A and
+    rhs, and nothing else.
     """
     if np.ndim(tau) != 0 or not 0 < tau < np.inf:
         raise ValueError(
@@ -470,11 +483,10 @@ def assemble_condensed(ws: Workspace, datas, tau) -> CondensedSystem:
         uhat[dir_facets, :, j] = ws.facet_data_moments(data.g_D, dir_facets)
         g_N[:, :, j] = ws.facet_data_moments(data.g_N, neu_facets)
 
-    # what outlives the factorization: XP and Xb, the eliminations of both
-    # levels and the systems of the patches left, filled block by block
-    X_all = np.empty((ne, ws.np_, F3 + k))
-    eliminated = []
-    # the patches of four facets, quads then lone pairs, and the singles
+    # filled block by block: XP then Xb of every element, the eliminations,
+    # and the patch systems left, those of four facets (quads, then lone
+    # pairs) and the singles
+    XPb, eliminated = np.empty((ne, ws.np_, F3 + k)), []
     fours, singles = (_system(m1 - m2, 4, F1, k, facets.dtype),
                       _system(ne - 2 * m1, 3, F1, k, facets.dtype))
     fmom = np.stack([ws.moments_p(ws.eval_data(data.f)) for data in datas],
@@ -488,15 +500,16 @@ def assemble_condensed(ws: Workspace, datas, tau) -> CondensedSystem:
     def part(S, r, f, start, stop):
         return S[:, :, start:stop], r[:, :, start:stop], f[start:stop]
 
-    for q, p2, p1 in _patch_blocks(m1, m2, ne):
+    for quad, lone, single in _patch_blocks(m1, m2, ne):
         # the block's pairs, those of its quads first, and its elements: the
         # pairs' first elements, their second elements, then the singles
-        pairs = np.concatenate([np.arange(q.start, q.stop) + [[0], [m2]],
-                                np.arange(2 * m2 + p2.start, 2 * m2 + p2.stop)],
-                               axis=None)
+        pairs = np.concatenate(
+            [np.arange(quad.start, quad.stop) + [[0], [m2]],
+             np.arange(2 * m2 + lone.start, 2 * m2 + lone.stop)], axis=None)
         e = np.concatenate([np.take(elements, [pairs, m1 + pairs]),
-                            elements[2 * m1 + p1.start:2 * m1 + p1.stop]], axis=None)
-        nb, nq, npairs = len(e), q.stop - q.start, len(pairs)
+                            elements[2 * m1 + single.start:2 * m1 + single.stop]],
+                           axis=None)
+        nb, nq, npairs = len(e), quad.stop - quad.start, len(pairs)
         Kdiv, E, Cq, Cu = _local_operators(ws, e, np.take(slots, e, axis=0))
         nu = np.take(ws.nu, e)[:, None, None]
         K = nu * (Kdiv @ Kdiv.swapaxes(1, 2)) + tau * E
@@ -508,7 +521,7 @@ def assemble_condensed(ws: Workspace, datas, tau) -> CondensedSystem:
             raise RuntimeError(
                 f"singular local solver matrix on element(s) {bad[:5].tolist()} "
                 "(degenerate geometry?)")
-        X_all[e] = X
+        XPb[e] = X
         # <qhat.n_K, mu> = <q.n_K + tau (u - uhat), mu> = G^T Xb - Aloc uhat_e
         Aloc = nu * (Cq.swapaxes(1, 2) @ Cq) - G.swapaxes(1, 2) @ X[:, :, :F3]
         loc = G.swapaxes(1, 2) @ X[:, :, F3:]
@@ -538,12 +551,12 @@ def assemble_condensed(ws: Workspace, datas, tau) -> CondensedSystem:
         two, elim = _merge(part(S, r, f, 0, npairs),
                            part(S, r, f, npairs, 2 * npairs), 1, F1)
         eliminated.append(elim)
-        _put(singles, part(S, r, f, 2 * npairs, nb), p1)
+        _put(singles, part(S, r, f, 2 * npairs, nb), single)
         del S, r, f
         four, elim = _merge(part(*two, 0, nq), part(*two, nq, 2 * nq), 2, F1)
         eliminated.append(elim)
-        _put(fours, four, q)
-        _put(fours, part(*two, 2 * nq, npairs), slice(m2 + p2.start, m2 + p2.stop))
+        _put(fours, four, quad)
+        _put(fours, part(*two, 2 * nq, npairs), slice(m2 + lone.start, m2 + lone.stop))
         del two, four, elim
 
     # the free facets left, numbered in factor order
@@ -559,7 +572,7 @@ def assemble_condensed(ws: Workspace, datas, tau) -> CondensedSystem:
     return CondensedSystem(A=A, rhs=rhs,
                            uhat=uhat.reshape(-1, k), g_N=g_N.reshape(-1, k),
                            free_dofs=(order[:, None] * F1 + np.arange(F1)).ravel(),
-                           tau=tau, XP=X_all[:, :, :F3], Xb=X_all[:, :, F3:],
+                           tau=tau, XP=XPb[:, :, :F3], Xb=XPb[:, :, F3:],
                            slots=slots, slot_of=slot_of,
                            eliminated=eliminated)
 

@@ -51,11 +51,13 @@ class EquilibratedFlux:
 
     coeffs: np.ndarray  # (ne, 2, n_modes(p+1))
 
-    def eval_values(self, ws: Workspace) -> np.ndarray:
-        """Values at the volume quadrature points, (ne, nq, 2)."""
-        out = np.empty((len(self.coeffs), ws.nq, 2))
+    def eval_values(self, ws: Workspace, e=slice(None)) -> np.ndarray:
+        """Values at the volume quadrature points of the elements e (a
+        slice), (len(e), nq, 2)."""
+        coeffs = self.coeffs[e]
+        out = np.empty((len(coeffs), ws.nq, 2))
         for c in (0, 1):
-            out[:, :, c] = (self.coeffs[:, c] @ ws.phi_m) / ws.sqrt_det[:, None]
+            out[:, :, c] = (coeffs[:, c] @ ws.phi_m) / ws.sqrt_det[e, None]
         return out
 
     def eval_divergence(self, ws: Workspace) -> np.ndarray:
@@ -373,7 +375,8 @@ def evaluate(ws: Workspace, flux: EquilibratedFlux, pot: ContinuousPotential,
     g_N_proj = ws.facet_proj_p(g_N, neu)
     g_D = ws.eval_data(data.g_D, ws.ephys[dfac])
     return EvaluatedPair(
-        q_max=np.abs(flux.eval_values(ws)).max(),
+        q_max=np.max([np.abs(flux.eval_values(ws, e)).max()
+                      for e in _blocks(ws.mesh.n_elements)]),
         q_energy=(np.einsum("ecm,ecm->e", q, q) / ws.nu).sum(),
         div_residual=div_residual, normal_jump=jumps[0], continuity=jumps[1],
         neumann=np.abs(flux.normal_trace(ws, neu) - g_N_proj).max(initial=0.0),

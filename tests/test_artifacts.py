@@ -1,5 +1,5 @@
 """tools/artifacts.py: diff on synthetic CLI output directories, run on one
-study, and the fingerprint grid and its lines."""
+study, the fingerprint grid and its lines, and the peak memory lines."""
 
 import hashlib
 import importlib.util
@@ -243,3 +243,21 @@ def test_fingerprint_names_a_failed_run(capsys, monkeypatch):
     assert capsys.readouterr().out.splitlines() == [
         f"example1_s1 crisscross-1-0 p=1 optimize={opt} error=RuntimeError"
         for opt in (0, 1)]
+
+
+def test_peak_prints_the_resident_set_after_each_stage(capfd):
+    assert artifacts.main(["peak", "--level", "1", "--p", "1"]) == 0
+    m = re.fullmatch(r"level=1 p=1 mesh=(\S+) workspace=(\S+) solve=(\S+) "
+                     r"pairs=(\S+) bounds=(\S+) \(ru_maxrss, MiB\)",
+                     capfd.readouterr().out.strip())
+    assert m
+    # a peak never falls
+    values = [float(x) for x in m.groups()]
+    assert 0 < values[0] and values == sorted(values)
+
+
+@pytest.mark.parametrize("level,p", [(-1, 1), (8, 2), (1, -1)])
+def test_peak_refuses_a_level_or_degree_out_of_range(level, p):
+    with pytest.raises(SystemExit) as exc:
+        artifacts.main(["peak", "--level", str(level), "--p", str(p)])
+    assert exc.value.code == 2

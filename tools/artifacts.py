@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
-"""Run the hdgbounds CLI studies, compare the artifacts of two runs, and
-print a bitwise fingerprint of the library's intervals.
+"""Run the hdgbounds CLI studies, compare the artifacts of two runs, print
+a bitwise fingerprint of the library's intervals, and print the peak memory
+of one interval stage by stage.
 
     python3 tools/artifacts.py run OUT
     python3 tools/artifacts.py diff A B
     PYTHONPATH=src python3 tools/artifacts.py fingerprint
+    PYTHONPATH=src python3 tools/artifacts.py peak --level L --p P
 
 ``run`` runs every study of STUDIES with the CLI of this checkout, each in a fresh process writing to OUT/<study>, and checks its exit
 status against the expected one; every study that exits 0 must leave a
@@ -53,6 +55,17 @@ equal give the same intervals bit for bit on the grid; a run that raises
 prints ``error=<exception class>`` after optimize=.
 Exit status: 0 when every run finished, 1 when one raised, 2 on a usage
 error.
+
+``peak`` runs ``run_pipeline`` of the hdgbounds on the import path once,
+on example1_s1 on the criss-cross square at level L (0 to 7; 4^(L+1)
+elements) with degree P, in a fresh process, and prints the process's peak
+resident set size (getrusage's ru_maxrss) once each stage has returned:
+
+    level=<L> p=<P> mesh=<MiB> workspace=<MiB> solve=<MiB> pairs=<MiB>
+    bounds=<MiB> (ru_maxrss, MiB)
+
+The solve stage holds the skeleton factorization.  Exit status: 0 when the
+run finished, 1 when it failed, 2 on a usage error.
 """
 
 from __future__ import annotations
@@ -60,6 +73,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import importlib.util
 import json
 import math
 import os
@@ -118,6 +132,46 @@ FINGERPRINT = tuple(
        for p in range(5)])
 # the CLI as its console script calls it, imported from this checkout
 _CLI = "import sys; from hdgbounds.cli import main; sys.exit(main())"
+# the largest level of ``peak``: level 7, p=2 peaks near 1.6 GB
+PEAK_LEVELS = range(8)
+# ``peak``'s run, in its own process: run_pipeline with every stage it calls
+# wrapped to record ru_maxrss (KiB, bytes on macOS) once it returns
+_PEAK = """
+import resource, sys
+from hdgbounds import adapt, bounds, hdg, reconstruct
+from hdgbounds.mesh import unit_square_crisscross
+from hdgbounds.problems import builtin
+
+level, p = int(sys.argv[1]), int(sys.argv[2])
+unit = 2.0 ** 20 / (1 if sys.platform == "darwin" else 1024)
+line = [f"level={level} p={p}"]
+
+
+def mark(stage):
+    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / unit
+    line.append(f"{stage}={rss:.1f}")
+
+
+def after(module, name, stage):
+    fn = getattr(module, name)
+
+    def marked(*args, **kwargs):
+        result = fn(*args, **kwargs)
+        mark(stage)
+        return result
+    setattr(module, name, marked)
+
+
+for module, name, stage in ((adapt, "Workspace", "workspace"), (hdg, "solve", "solve"),
+                            (reconstruct, "certified_pairs", "pairs"),
+                            (bounds, "compute_bounds", "bounds")):
+    after(module, name, stage)
+prob = builtin("example1_s1")
+mesh = unit_square_crisscross(level)
+mark("mesh")
+adapt.run_pipeline(mesh, prob.data, prob.out, p)
+print(" ".join(line) + " (ru_maxrss, MiB)", flush=True)
+"""
 
 _NUMBER = re.compile(r"[-+]?(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
@@ -379,6 +433,18 @@ def fingerprint() -> int:
     return failed
 
 
+def peak(level: int, p: int) -> int:
+    """Run _PEAK in a fresh process on the hdgbounds that this process
+    imports; returns the exit status of ``peak``."""
+    lib = Path(importlib.util.find_spec("hdgbounds").origin).parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(lib)] + [p for p in [env.get("PYTHONPATH")] if p])
+    code = subprocess.run([sys.executable, "-c", _PEAK, str(level), str(p)],
+                          env=env).returncode
+    return 1 if code else 0
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     sub = ap.add_subparsers(dest="command", required=True)
@@ -389,9 +455,21 @@ def main(argv=None) -> int:
     d.add_argument("b", type=Path)
     sub.add_parser("fingerprint", help="print the intervals of the library on "
                    "the import path, bit for bit")
+    pk = sub.add_parser("peak", help="print the peak memory of one interval of "
+                        "the library on the import path, stage by stage")
+    pk.add_argument("--level", type=int, required=True,
+                    help=f"criss-cross level, {PEAK_LEVELS[0]} to {PEAK_LEVELS[-1]}")
+    pk.add_argument("--p", type=int, required=True, help="polynomial degree, >= 0")
     args = ap.parse_args(argv)
     if args.command == "fingerprint":
         return fingerprint()
+    if args.command == "peak":
+        if args.level not in PEAK_LEVELS or args.p < 0:
+            pk.error(f"--level must lie in {PEAK_LEVELS[0]}..{PEAK_LEVELS[-1]} "
+                     f"and --p be >= 0, not {args.level} and {args.p}")
+        if importlib.util.find_spec("hdgbounds") is None:
+            pk.error("hdgbounds is not on the import path (set PYTHONPATH)")
+        return peak(args.level, args.p)
     if args.command == "run":
         if args.out.exists():
             ap.error(f"{args.out} exists")
