@@ -28,8 +28,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .mesh import DIRICHLET, Mesh
 from . import workspace
+from .mesh import DIRICHLET, Mesh
 from .workspace import Workspace, ZeroPivotError, _blocks, spd_solve
 
 __all__ = [
