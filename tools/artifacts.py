@@ -132,7 +132,8 @@ FINGERPRINT = tuple(
        for p in range(5)])
 # the CLI as its console script calls it, imported from this checkout
 _CLI = "import sys; from hdgbounds.cli import main; sys.exit(main())"
-# the largest level of ``peak``: level 7, p=2 peaks near 1.6 GB
+# the levels ``peak`` takes: level 7, p=2 already peaks near 1.6 GB, and
+# level 8 would need several GB (ROADMAP item 25)
 PEAK_LEVELS = range(8)
 # ``peak``'s run, in its own process: run_pipeline with every stage it calls
 # wrapped to record ru_maxrss (KiB, bytes on macOS) once it returns
@@ -439,7 +440,7 @@ def peak(level: int, p: int) -> int:
     lib = Path(importlib.util.find_spec("hdgbounds").origin).parent.parent
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
-        [str(lib)] + [p for p in [env.get("PYTHONPATH")] if p])
+        [str(lib)] + [path for path in [env.get("PYTHONPATH")] if path])
     code = subprocess.run([sys.executable, "-c", _PEAK, str(level), str(p)],
                           env=env).returncode
     return 1 if code else 0
