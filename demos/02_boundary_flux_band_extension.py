@@ -31,7 +31,7 @@ for p in (1, 2, 3):
     (pot,) = make_continuous(ws, postprocess_potential(ws, [sol], [flux]), [adata.g_D])
     pot = enforce_dirichlet_band(ws, pot, prob.out.band)
     c = pot.correction
-    pts = ws.qphys[c.elems]
+    pts = ws.points(c.elems)
     interp = ws.eval_data(c.ghat, ws.node_coords[ws.node_map[c.elems]])
     corr = ws.eval_data(c.ghat, pts) - np.einsum("ek,qk->eq", interp, ws.lag_vals)
     print(f"  p={p}: band starts at x = {c.x_band:.3f}, "

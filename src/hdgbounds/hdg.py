@@ -459,10 +459,11 @@ def assemble_condensed(ws: Workspace, datas, tau) -> CondensedSystem:
     over the facets that no patch eliminated (_skeleton).
 
     One pass over the blocks of _patch_blocks takes each block from its
-    local solve (one spd_solve) through both merges, and keeps of it only
-    XP and Xb, its eliminations and the systems of its patches left; its
-    element matrices and pair systems go once the next level has read
-    them, and the patch systems once A holds them.  What the factorization
+    local solve (one spd_solve, with every datum's source evaluated at the
+    block's points) through both merges, and keeps of it only XP and Xb,
+    its eliminations and the systems of its patches left; its element
+    matrices and pair systems go once the next level has read them, and
+    the patch systems once A holds them.  What the factorization
     finds alive is the CondensedSystem: XP, Xb, the eliminations, A and
     rhs, and nothing else.
     """
@@ -489,8 +490,6 @@ def assemble_condensed(ws: Workspace, datas, tau) -> CondensedSystem:
     XPb, eliminated = np.empty((ne, ws.np_, F3 + k)), []
     fours, singles = (_system(m1 - m2, 4, F1, k, facets.dtype),
                       _system(ne - 2 * m1, 3, F1, k, facets.dtype))
-    fmom = np.stack([ws.moments_p(ws.eval_data(data.f)) for data in datas],
-                    axis=2)                                  # (f, psi_i)_K
     slot_of = np.argsort(slots, axis=1)             # the slot of each local edge
     neu_e = mesh.facet_elems[neu_facets, 0]
     neu_slot = slot_of[neu_e, mesh.facet_local_edge[neu_facets, 0]]
@@ -514,8 +513,11 @@ def assemble_condensed(ws: Workspace, datas, tau) -> CondensedSystem:
         nu = np.take(ws.nu, e)[:, None, None]
         K = nu * (Kdiv @ Kdiv.swapaxes(1, 2)) + tau * E
         G = tau * Cu + nu * (Kdiv @ Cq)
+        pts = ws.points(e)
+        fmom = [ws.moments_p(ws.eval_data(data.f, pts), e)[:, :, None]
+                for data in datas]                           # (f, psi_i)_K
         try:
-            X = spd_solve(K, np.concatenate([G, np.take(fmom, e, axis=0)], axis=2))
+            X = spd_solve(K, np.concatenate([G] + fmom, axis=2))
         except ZeroPivotError as exc:
             bad = np.sort(e[exc.elements])
             raise RuntimeError(
@@ -525,7 +527,7 @@ def assemble_condensed(ws: Workspace, datas, tau) -> CondensedSystem:
         # <qhat.n_K, mu> = <q.n_K + tau (u - uhat), mu> = G^T Xb - Aloc uhat_e
         Aloc = nu * (Cq.swapaxes(1, 2) @ Cq) - G.swapaxes(1, 2) @ X[:, :, :F3]
         loc = G.swapaxes(1, 2) @ X[:, :, F3:]
-        del Kdiv, E, Cq, Cu, K, G, X
+        del Kdiv, E, Cq, Cu, K, G, X, pts, fmom
         Aloc[:, diag, diag] += tau
 
         # sum over elements of <qhat.n_K, mu> = <g_N, mu> on Neumann, 0
@@ -651,6 +653,6 @@ def raw_output(ws: Workspace, sol: HDGSolution, out: OutputFunctional) -> float:
         ws.eval_data(out.f_O) * ws.eval_modal(sol.u))))
     for fun, facets, tr in ((out.g_D_O, dir_facets, qn_dir),
                             (out.g_N_O, neu_facets, u_neu)):
-        g = ws.eval_data(fun, ws.ephys[facets])
+        g = ws.eval_data(fun, ws.facet_points(facets))
         val += float(np.einsum("ft,ft,t,f->", g, tr, ws.ew, ws.facet_len[facets]))
     return val

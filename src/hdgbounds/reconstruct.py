@@ -118,7 +118,7 @@ class ContinuousPotential:
         out = self.nodal(ws) @ ws.lag_vals.T
         if self.correction is not None:
             c = self.correction
-            out[c.elems] += ws.eval_data(c.ghat, ws.qphys[c.elems])
+            out[c.elems] += ws.eval_data(c.ghat, ws.points(c.elems))
         return out
 
     def grad_coeffs(self, ws: Workspace) -> np.ndarray:
@@ -151,7 +151,7 @@ class ContinuousPotential:
             c = self.correction
             f = np.asarray(facet_ids)
             sel = np.flatnonzero(np.isin(ws.mesh.facet_elems[f, side], c.elems))
-            out[sel] += ws.eval_data(c.ghat, ws.ephys[f[sel]])
+            out[sel] += ws.eval_data(c.ghat, ws.facet_points(f[sel]))
         return out
 
 
@@ -283,7 +283,7 @@ def enforce_dirichlet_band(ws: Workspace, pot: ContinuousPotential,
     nodes = np.unique(ws.node_map[band_elems])
     values = pot.values.copy()
     values[nodes] -= ws.eval_data(ghat, ws.node_coords[nodes])
-    pts = ws.qphys[band_elems]
+    pts = ws.points(band_elems)
     a, s = pts[..., ax], pts[..., 1 - ax]
     grad = np.empty(pts.shape)
     grad[..., ax] = np.asarray(profile(s), dtype=float) / width
@@ -371,9 +371,9 @@ def evaluate(ws: Workspace, flux: EquilibratedFlux, pot: ContinuousPotential,
         band = corr.elems
         band_rem = corr.grad - np.einsum("ecm,mq->eqc", corr.grad_proj, ws.phi_m
                                          ) / ws.sqrt_det[band, None, None]
-    g_N = ws.eval_data(data.g_N, ws.ephys[neu])
+    g_N = ws.eval_data(data.g_N, ws.facet_points(neu))
     g_N_proj = ws.facet_proj_p(g_N, neu)
-    g_D = ws.eval_data(data.g_D, ws.ephys[dfac])
+    g_D = ws.eval_data(data.g_D, ws.facet_points(dfac))
     return EvaluatedPair(
         q_max=np.max([np.abs(flux.eval_values(ws, e)).max()
                       for e in _blocks(ws.mesh.n_elements)]),

@@ -1,23 +1,29 @@
 """Batched per-mesh evaluation tables.
 
 A Workspace bundles, for one (mesh, degree, quadrature) triple, everything
-the solver and the reconstructions evaluate repeatedly: affine maps, volume
-and facet quadrature in physical coordinates, Lagrange nodes, and the
-element-facet linkage.  The tables that do not depend on the mesh (modal
-bases at the quadrature points, local-solver tensors, facet trace tables
-for each (local edge, orientation) case, Lagrange tables for the degree
-p+1 potential) come from femcore.reference_tables, built once per
-(p, quad_degree) and exposed here under the same names.
+the solver and the reconstructions evaluate repeatedly.  It is built with
+the per-element and per-facet geometry only: affine maps, facet lengths and
+the element-facet linkage.  Quadrature points in physical coordinates come
+from two point maps, points(e) and facet_points(ids), so that the HDG solve
+evaluates its data at one block's points at a time and on the boundary
+facets.  The whole-mesh tables, the volume points qphys and weights wdet
+and the continuous potential's node numbering, are built on first read,
+after the HDG solve, which reads none of them.  The tables that do not
+depend on the mesh (modal bases at the quadrature points, local-solver
+tensors, facet trace tables for each (local edge, orientation) case,
+Lagrange tables for the degree p+1 potential) come from
+femcore.reference_tables, built once per (p, quad_degree) and exposed here
+under the same names.
 
 All arrays are laid out elementwise so the hot paths are batched matrix
 products and solves; no Python loop runs over elements in the pipelines.
 A step that works on a subset e of the elements indexes the per-element
-arrays with it (ws.qphys[e], ws.jac[e]).  The element-local solves, of
-static condensation, of the potential post-processing and of the local
-optimization, run over _blocks, slices of _BLOCK elements: the HDG local
-solvers build their operators block by block, and spd_solve, the one dense
-solver of the element-local systems, eliminates block by block.  Every
-other step works on the whole mesh.
+arrays with it (ws.jac[e]) and maps its points (ws.points(e)).  The
+element-local solves, of static condensation, of the potential
+post-processing and of the local optimization, run over _blocks, slices of
+_BLOCK elements: the HDG local solvers build their operators block by
+block, and spd_solve, the one dense solver of the element-local systems,
+eliminates block by block.  Every other step works on the whole mesh.
 """
 
 from __future__ import annotations
@@ -109,6 +115,13 @@ class Workspace:
     that mesh; quad_degree defaults to 2p + 4.  Every entry of
     femcore.reference_tables(p, quad_degree) is an attribute of the same
     name, read-only and shared with every Workspace of that pair.
+
+    Built at construction: the affine maps (v0, jac, jac_t, det, jac_inv,
+    jac_inv_t, sqrt_det), nu, facet_len, neu_weights, the element-facet
+    linkage (ef, eo, esign, enormal), elen and h.  Built on first read,
+    after the HDG solve: qphys, wdet, node_map, node_coords and
+    dirichlet_nodes.  Quadrature points of a subset come from points(e)
+    and facet_points(ids).
     """
 
     def __init__(self, mesh: Mesh, p: int, quad_degree: int | None = None):
@@ -121,6 +134,7 @@ class Workspace:
         v = mesh.vertices[mesh.elements]                     # (ne, 3, 2)
         self.v0 = v[:, 0]
         self.jac = np.stack([v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]], axis=2)
+        self.jac_t = np.ascontiguousarray(np.swapaxes(self.jac, 1, 2))  # J^T
         self.det = 2.0 * mesh.areas()
         inv = np.empty_like(self.jac)
         inv[:, 0, 0] = self.jac[:, 1, 1]
@@ -133,16 +147,8 @@ class Workspace:
         self.sqrt_det = np.sqrt(self.det)
         self.nu = mesh.element_nu()
 
-        # volume quadrature points and weights including detJ: (ne, nq)
-        jac_t = np.swapaxes(self.jac, 1, 2)
-        self.qphys = self.v0[:, None, :] + self.qref @ jac_t
-        self.wdet = self.det[:, None] * self.qw[None, :]
-
-        # facet quadrature points (canonical parameterization t in [0,1])
-        va, vb = np.moveaxis(mesh.vertices[mesh.facets], 1, 0)  # (nf, 2) each
         self.facet_len = mesh.facet_len
         self.neu_weights = self.ew[None, :] * self.facet_len[mesh.neumann_facets, None]
-        self.ephys = va[:, None, :] + self.et[:, None] * (vb - va)[:, None, :]
 
         # element <-> facet linkage with orientation and outward-normal sign
         self.ef = mesh.elem_facets                            # (ne, 3)
@@ -152,6 +158,21 @@ class Workspace:
         self.enormal = mesh.facet_normals[self.ef] * self.esign[:, :, None]
         self.elen = self.facet_len[self.ef]                   # (ne, 3)
         self.h = self.elen.max(axis=1)                        # diameter h_K
+
+    # -- physical quadrature points ----------------------------------------
+
+    def points(self, e=slice(None)) -> np.ndarray:
+        """The volume quadrature points of the elements e, (len(e), nq, 2)."""
+        pts = self.qref @ self.jac_t[e]
+        pts += self.v0[e][:, None]
+        return pts
+
+    def facet_points(self, ids) -> np.ndarray:
+        """The quadrature points of the facets ids, (len(ids), nqe, 2), or
+        (nqe, 2) for one facet id, on each facet's canonical parameterization
+        t in [0, 1]."""
+        va, vb = np.moveaxis(self.mesh.vertices[self.mesh.facets[ids]], -2, 0)
+        return va[..., None, :] + self.et[:, None] * (vb - va)[..., None, :]
 
     # -- generic integration helpers ---------------------------------------
 
@@ -167,10 +188,11 @@ class Workspace:
         vals = np.asarray(fun(pts[..., 0], pts[..., 1]), dtype=float)
         return require_finite(np.broadcast_to(vals, pts.shape[:-1]), pts)
 
-    def moments_p(self, values_eq: np.ndarray) -> np.ndarray:
-        """(f, phi_i)_K for the mapped degree-p basis; shape (ne, np_)."""
+    def moments_p(self, values_eq: np.ndarray, e=slice(None)) -> np.ndarray:
+        """(f, phi_i)_K for the mapped degree-p basis of the elements e, from
+        values at their volume quadrature points; shape (len(e), np_)."""
         return np.einsum("eq,iq->ei", values_eq * self.qw[None, :],
-                         self.phi_p) * self.sqrt_det[:, None]
+                         self.phi_p) * self.sqrt_det[e][:, None]
 
     def proj_p(self, values_eq: np.ndarray) -> np.ndarray:
         """Pi_p of values at the volume quadrature points, evaluated there;
@@ -191,8 +213,8 @@ class Workspace:
 
     def facet_data_moments(self, fun, facet_ids) -> np.ndarray:
         """Moments of a data callable against the canonical P^p facet basis."""
-        return self._facet_moments(self.eval_data(fun, self.ephys[facet_ids]),
-                                  facet_ids)
+        return self._facet_moments(self.eval_data(fun, self.facet_points(facet_ids)),
+                                   facet_ids)
 
     def facet_proj_p(self, vals: np.ndarray, facet_ids) -> np.ndarray:
         """Pi_e^p of values at the facet quadrature points, evaluated there."""
@@ -217,8 +239,19 @@ class Workspace:
         return (v.reshape(len(e), rows, v.shape[-1]) @ t).reshape(
             v.shape[:-1] + (self.nqe,))
 
-    # -- global Lagrange nodes ----------------------------------------------
-    # built on first read, after the HDG solve, which needs none of them
+    # -- built on first read, after the HDG solve, which needs none of them --
+
+    @cached_property
+    def qphys(self) -> np.ndarray:
+        """The volume quadrature points of every element, (ne, nq, 2)."""
+        return self.points()
+
+    @cached_property
+    def wdet(self) -> np.ndarray:
+        """The volume quadrature weights times det J, (ne, nq)."""
+        return self.det[:, None] * self.qw[None, :]
+
+    # global Lagrange nodes
 
     @cached_property
     def node_map(self) -> np.ndarray:
@@ -242,8 +275,7 @@ class Workspace:
     @cached_property
     def node_coords(self) -> np.ndarray:
         """Coordinates of the global nodes, (n_global, 2)."""
-        node_phys = self.v0[:, None, :] + self.lattice.nodes @ np.swapaxes(
-            self.jac, 1, 2)                                  # (ne, n_nodes, 2)
+        node_phys = self.v0[:, None, :] + self.lattice.nodes @ self.jac_t
         coords = np.empty((self.node_map.max() + 1, 2))  # the numbering is dense
         coords[self.node_map.ravel()] = node_phys.reshape(-1, 2)
         return coords

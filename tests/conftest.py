@@ -97,7 +97,7 @@ def exact_equilibration_bounds(ws, primal_pair, adjoint_pair, data, out):
     for fun, facets, tr in ((out.g_D_O, mesh.dirichlet_facets, qn_dir),
                             (out.g_N_O, mesh.neumann_facets, primal.u_neu)):
         if len(facets):
-            g = ws.eval_data(fun, ws.ephys[facets])
+            g = ws.eval_data(fun, ws.facet_points(facets))
             val += float(np.einsum("ft,ft,t,f->", g, tr, ws.ew, ws.facet_len[facets]))
 
     (q, u), (zeta, xi) = primal_pair, adjoint_pair

@@ -275,12 +275,12 @@ def _exact_output_oracle(mesh, p, out, u, grad_u):
         np.broadcast_to(out.f_O(pts[..., 0], pts[..., 1]), pts.shape[:-1])
         * u(pts[..., 0], pts[..., 1]))))
     for i in np.nonzero(mesh.facet_tag == DIRICHLET)[0]:
-        e = ws.ephys[i]
+        e = ws.facet_points(i)
         g = np.broadcast_to(out.g_D_O(e[:, 0], e[:, 1]), (ws.nqe,))
         qn = -grad_u(e[:, 0], e[:, 1]) @ mesh.facet_normals[i]
         val += float(np.sum(g * qn * ws.ew) * ws.facet_len[i])
     for i in np.nonzero(mesh.facet_tag == 2)[0]:
-        e = ws.ephys[i]
+        e = ws.facet_points(i)
         g = np.broadcast_to(out.g_N_O(e[:, 0], e[:, 1]), (ws.nqe,))
         val += float(np.sum(g * u(e[:, 0], e[:, 1]) * ws.ew) * ws.facet_len[i])
     return val

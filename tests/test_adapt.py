@@ -198,8 +198,8 @@ class TestPipeline:
         # the assembly, f_O by s_h.  The local optimization reads the
         # residual's coefficients too (one more grad_coeffs per pair) and
         # evaluates no field at the quadrature points.
-        # Counted in elements: the assembly reads f once on the whole mesh,
-        # also when its local solves run over blocks of 7 of the 256 elements
+        # Counted in elements: the assembly reads f once per element, block
+        # by block, also when its blocks hold 7 of the 256 elements
         monkeypatch.setattr(workspace, "_BLOCK", 7)
         counts = Counter()
 

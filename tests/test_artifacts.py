@@ -247,8 +247,9 @@ def test_fingerprint_names_a_failed_run(capsys, monkeypatch):
 
 def test_peak_prints_the_resident_set_after_each_stage(capfd):
     assert artifacts.main(["peak", "--level", "1", "--p", "1"]) == 0
-    m = re.fullmatch(r"level=1 p=1 mesh=(\S+) workspace=(\S+) solve=(\S+) "
-                     r"pairs=(\S+) bounds=(\S+) \(ru_maxrss, MiB\)",
+    m = re.fullmatch(r"level=1 p=1 mesh=(\S+) workspace=(\S+) assembly=(\S+) "
+                     r"factor=(\S+) solve=(\S+) pairs=(\S+) bounds=(\S+) "
+                     r"\(ru_maxrss, MiB\)",
                      capfd.readouterr().out.strip())
     assert m
     # a peak never falls

@@ -691,14 +691,17 @@ def test_compute_bounds_memory(p):
     # evaluates and audits one pair at a time, and each record keeps three
     # arrays of ne nq doubles (u~, f, f - Pi_p f) and two of ne 2 nm
     # coefficients (q~ + nu grad u~, grad u~).  numpy's traced peak above
-    # the live set it starts with was 11.4 ne nq arrays at p=1 and 11.5 at
+    # the live set it starts with was 10.77 ne nq arrays at p=1 and 10.69 at
     # p=2 (18.7 and 18.4 when the records held those two fields, and the
     # bounds read them, at the quadrature points; 26.5 and 26.3 when each
-    # record also held q~, its divergence and Pi_p f)
+    # record also held q~, its divergence and Pi_p f).  The workspace's
+    # qphys and wdet, built on first read, are read before the window
+    # (inside it they add 3: 13.77 and 13.69)
     import tracemalloc
     prob = builtin("example1_s1")
     mesh = perturbed_crisscross(0.06 / 2 ** 4, 1, base=unit_square_crisscross(4))
     _, _, pp, ap, ws = build_pair(mesh, prob.data, prob.out, p)
+    ws.qphys, ws.wdet
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]

@@ -239,8 +239,8 @@ class TestProjections:
         for mesh in both_meshes():
             ws = Workspace(mesh, 1)
             ids = np.arange(mesh.n_facets)
-            assert np.abs(ws.facet_proj_p(ws.eval_data(g, ws.ephys), ids)
-                          - 2.25).max() < 1e-13
+            gvals = ws.eval_data(g, ws.facet_points(ids))
+            assert np.abs(ws.facet_proj_p(gvals, ids) - 2.25).max() < 1e-13
             # off the quadrature points, through the facet basis
             c = ws.facet_data_moments(g, ids)
             vals = c @ fc.seg_basis(1, t) / np.sqrt(ws.facet_len)[:, None]
@@ -262,7 +262,7 @@ class TestProjections:
         for mesh in both_meshes():
             ws = Workspace(mesh, 2)
             ids = np.arange(mesh.n_facets)
-            gvals = ws.eval_data(g, ws.ephys)
+            gvals = ws.eval_data(g, ws.facet_points(ids))
             assert np.abs(ws.facet_proj_p(gvals, ids) - gvals).max() < 1e-12
             c = ws.facet_data_moments(g, ids)
             vals = c @ fc.seg_basis(2, t) / np.sqrt(ws.facet_len)[:, None]
@@ -289,12 +289,13 @@ class TestProjections:
 
 
 def _direct_trace(ws, vals, facet_ids, side, table):
-    """Values at ws.ephys of the element polynomials vals (ne, ..., n) of
-    each facet's element on ``side``: the points pulled back to the
-    reference element, and the modal basis or the Lagrange basis of the
-    lattice evaluated there."""
+    """Values at ws.facet_points(facet_ids) of the element polynomials vals
+    (ne, ..., n) of each facet's element on ``side``: the points pulled back
+    to the reference element, and the modal basis or the Lagrange basis of
+    the lattice evaluated there."""
     e = ws.mesh.facet_elems[facet_ids, side]
-    ref = ((ws.ephys[facet_ids] - ws.v0[e][:, None]) @ ws.jac_inv_t[e]).reshape(-1, 2)
+    ref = ((ws.facet_points(facet_ids) - ws.v0[e][:, None]) @ ws.jac_inv_t[e]
+           ).reshape(-1, 2)
     if table == "lag_edge":
         basis = (fc.tri_basis(ws.m, ref).T @ ws.lattice.vandermonde_inv).T
     else:
@@ -330,6 +331,25 @@ class TestFacetTrace:
                 want = _direct_trace(ws, vals, ids, side, table)
                 assert got.shape == want.shape
                 assert np.abs(got - want).max() < 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_point_maps_equal_the_tables_bitwise(p):
+    # facet_points is the facet table's formula, bit for bit, for every
+    # facet, a subset and one id, and points(e) is qphys[e]; no facet table
+    # is kept
+    mesh = perturbed_crisscross(0.06 / 2 ** 2, 3, base=unit_square_crisscross(2))
+    ws = Workspace(mesh, p)
+    va, vb = np.moveaxis(mesh.vertices[mesh.facets], 1, 0)
+    table = va[:, None, :] + ws.et[:, None] * (vb - va)[:, None, :]
+    ids, elems = mesh.dirichlet_facets, np.arange(3, mesh.n_elements, 5)
+    for got, want in ((ws.facet_points(np.arange(mesh.n_facets)), table),
+                      (ws.facet_points(ids), table[ids]),
+                      (ws.facet_points(ids[3]), table[ids[3]]),
+                      (ws.points(slice(5, 40)), ws.qphys[5:40]),
+                      (ws.points(elems), ws.qphys[elems])):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert not hasattr(ws, "ephys")
 
 
 def rt_generators(ws):

@@ -76,7 +76,7 @@ def _reconstruct_flux_loop(ws, sol):
         T = ws.T_p[ell, ws.eo[:, ell]]                         # (ne, F1, np_)
         blk = np.einsum("ec,emv->emcv", n_can, T) * scale[:, ell, None, None, None]
         A[:, rows, :2 * np_] = blk.reshape(ne, F1, 2 * np_)
-        pts = ws.ephys[f]                                      # (ne, nqe, 2)
+        pts = ws.facet_points(f)                               # (ne, nqe, 2)
         tails_e = _rt_tails(ws, pts)                           # (ne, p+1, nqe, 2)
         tn = np.einsum("ektc,ec->ekt", tails_e, n_can)
         A[:, rows, 2 * np_:] = np.einsum(
@@ -889,6 +889,20 @@ def test_node_tables_built_on_first_read():
     certified_pairs(ws, sols, datas)
     assert {"node_map", "node_coords", "dirichlet_nodes"} <= set(vars(ws))
     assert "node_phys" not in vars(ws)
+
+
+def test_point_tables_built_on_first_read():
+    # the HDG solve evaluates its data at each block's points and on the
+    # boundary facets: the whole-mesh quadrature points and weights are
+    # built when the bounds first read them
+    prob = builtin("example1_s1")
+    ws = Workspace(unit_square_crisscross(1), 2)
+    datas = [prob.data, prob.out.adjoint_data()]
+    sols = solve(ws, datas)
+    assert not {"qphys", "wdet"} & set(vars(ws))
+    res = compute_bounds(ws, *certified_pairs(ws, sols, datas), *datas)
+    assert res.contains(prob.exact_s)
+    assert {"qphys", "wdet"} <= set(vars(ws))
 
 
 def test_audit_reads_only_the_record(monkeypatch):

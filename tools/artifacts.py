@@ -61,11 +61,14 @@ on example1_s1 on the criss-cross square at level L (0 to 7; 4^(L+1)
 elements) with degree P, in a fresh process, and prints the process's peak
 resident set size (getrusage's ru_maxrss) once each stage has returned:
 
-    level=<L> p=<P> mesh=<MiB> workspace=<MiB> solve=<MiB> pairs=<MiB>
-    bounds=<MiB> (ru_maxrss, MiB)
+    level=<L> p=<P> mesh=<MiB> workspace=<MiB> assembly=<MiB> factor=<MiB>
+    solve=<MiB> pairs=<MiB> bounds=<MiB> (ru_maxrss, MiB)
 
-The solve stage holds the skeleton factorization.  Exit status: 0 when the
-run finished, 1 when it failed, 2 on a usage error.
+Three of them lie inside the HDG solve: assembly once assemble_condensed
+has returned, factor once the skeleton factorization and the patch
+recovery are done (as the back-substitution starts), and solve once the
+back-substitution has returned.  Exit status: 0 when the run finished, 1
+when it failed, 2 on a usage error.
 """
 
 from __future__ import annotations
@@ -136,7 +139,8 @@ _CLI = "import sys; from hdgbounds.cli import main; sys.exit(main())"
 # level 8 would need several GB (ROADMAP item 25)
 PEAK_LEVELS = range(8)
 # ``peak``'s run, in its own process: run_pipeline with every stage it calls
-# wrapped to record ru_maxrss (KiB, bytes on macOS) once it returns
+# wrapped to record ru_maxrss (KiB, bytes on macOS) once it returns, and
+# hdg._back_substitute once it starts (after splu and the patch recovery)
 _PEAK = """
 import resource, sys
 from hdgbounds import adapt, bounds, hdg, reconstruct
@@ -163,10 +167,22 @@ def after(module, name, stage):
     setattr(module, name, marked)
 
 
-for module, name, stage in ((adapt, "Workspace", "workspace"), (hdg, "solve", "solve"),
+def before(module, name, stage):
+    fn = getattr(module, name)
+
+    def marked(*args, **kwargs):
+        mark(stage)
+        return fn(*args, **kwargs)
+    setattr(module, name, marked)
+
+
+for module, name, stage in ((adapt, "Workspace", "workspace"),
+                            (hdg, "assemble_condensed", "assembly"),
+                            (hdg, "solve", "solve"),
                             (reconstruct, "certified_pairs", "pairs"),
                             (bounds, "compute_bounds", "bounds")):
     after(module, name, stage)
+before(hdg, "_back_substitute", "factor")
 prob = builtin("example1_s1")
 mesh = unit_square_crisscross(level)
 mark("mesh")
